@@ -80,7 +80,6 @@ where
     let total = ops.len();
     let mut results: Vec<Option<(Out, u32)>> = Vec::with_capacity(total);
     results.resize_with(total, || None);
-    let targets: Vec<Option<&T>> = clusters.iter().map(|c| Some(*c)).collect();
     let mut by_nonce: HashMap<u64, usize> = HashMap::new();
     let mut queue = ops.into_iter().enumerate();
     let mut resolved = 0usize;
@@ -94,7 +93,7 @@ where
             let nonce = client.submit_op(op.target, op.kind, op.automaton, timeout);
             by_nonce.insert(nonce, idx);
         }
-        for r in client.pump(&targets) {
+        for r in client.pump(clusters) {
             let idx = by_nonce.remove(&r.nonce).expect("submitted nonce");
             results[idx] = r.output;
             resolved += 1;
@@ -230,7 +229,7 @@ mod tests {
     fn per_op_timeouts_do_not_poison_the_batch() {
         let cfg = ClusterConfig::byzantine(1).unwrap();
         let healthy = cluster(4);
-        let mut dead = cluster(4);
+        let dead = cluster(4);
         for o in 0..3 {
             dead.crash_object(ObjectId(o));
         }

@@ -2,9 +2,10 @@
 //! independent `3t + 1` object clusters, with a pool of per-thread client
 //! handles doing MWMR puts and atomic gets.
 //!
-//! Topology: every shard is its own [`ThreadCluster`] (own objects, own
-//! fault budget); [`ShardRouter`](crate::ShardRouter) maps keys onto
-//! shards. Within a shard, each key owns one MWMR register group
+//! Topology: every shard is its own cluster (own objects, own fault
+//! budget) reached through a [`Transport`] — a [`ThreadCluster`] the store
+//! spawned in process, or anything else that speaks the trait;
+//! [`ShardRouter`](crate::ShardRouter) maps keys onto shards. Within a shard, each key owns one MWMR register group
 //! ([`RegGroup::keyed`]): `H` writer registers and `H` write-back
 //! registers for a store with `H` handles, all multiplexed over the same
 //! `3t + 1` objects.
@@ -45,10 +46,11 @@ use rastor_core::mwmr::{mw_read_in_group_mode, MwWriteClient, RegGroup, Tag};
 use rastor_core::ReadMode;
 use rastor_obs::{names, trace, CounterVec, Histogram, Registry, TimeRing};
 use rastor_sim::runtime::{ObjReply, ReqFrame, ThreadClient, ThreadCluster, Transport};
-use rastor_sim::ObjectBehavior;
+use rastor_sim::{ObjectBehavior, ObjectHost, ReplySink};
 use rastor_store::{Durability, InMemory, WalBacked};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -141,40 +143,24 @@ impl StoreConfig {
     }
 }
 
-/// The substrate one shard's traffic runs over: the store no longer cares
-/// whether a shard is a set of object threads in this process or a socket
-/// connection to objects across a network.
-enum Backend {
-    /// An in-process cluster of object threads, spawned by this store —
-    /// supports local fault injection via
-    /// [`ShardedKvStore::crash_object`].
-    Local(ThreadCluster<Req, Rep>),
-    /// A remote cluster reached through any [`Transport`] (e.g. a
-    /// socket-backed `rastor_net` cluster, possibly through a chaos
-    /// proxy). Fault injection happens at the server or proxy.
-    Remote(Box<dyn Transport<Req, Rep> + Send + Sync>),
-}
+/// What a shard's traffic runs over.
+type ShardTransport = Box<dyn Transport<Req, Rep> + Send + Sync>;
 
-impl Transport<Req, Rep> for Backend {
-    fn send_frames(
-        &self,
-        from: ClientId,
-        frames: &[ReqFrame<Req>],
-        reply_to: &std::sync::mpsc::Sender<ObjReply<Rep>>,
-    ) {
-        match self {
-            Backend::Local(cluster) => cluster.send_frames(from, frames, reply_to),
-            Backend::Remote(transport) => transport.send_frames(from, frames, reply_to),
-        }
-    }
-}
+/// A shard's substrate: its transport, plus the cluster behind it when
+/// this store spawned that in process.
+type Substrate = (ShardTransport, Option<Arc<ThreadCluster<Req, Rep>>>);
 
 /// One shard: an independent `3t + 1` cluster plus the key-id directory
 /// for the keys routed here.
 struct Shard {
-    /// The cluster substrate, behind a `RwLock` so `crash_object` (write)
-    /// can coexist with in-flight operations (read).
-    cluster: RwLock<Backend>,
+    /// The cluster, whatever substrate it lives on: object hosts in this
+    /// process or a socket connection to objects across a network.
+    transport: ShardTransport,
+    /// The cluster behind `transport` when this store spawned it in
+    /// process — the local fault-injection surface
+    /// ([`ShardedKvStore::crash_object`]). Remote shards inject faults at
+    /// their servers or proxies.
+    local: Option<Arc<ThreadCluster<Req, Rep>>>,
     /// key → dense per-shard key id (allocates register groups). Read-
     /// mostly: only the first put of a key takes the write lock.
     keys: RwLock<HashMap<String, u32>>,
@@ -184,6 +170,17 @@ struct Shard {
     /// and are never re-allocated to a different key. Record `i` holds the
     /// UTF-8 key that owns id `i`.
     dir_log: DirLog,
+}
+
+impl Transport<Req, Rep> for Shard {
+    fn send_frames(
+        &self,
+        from: ClientId,
+        frames: &[ReqFrame<Req>],
+        reply_to: &Sender<ObjReply<Rep>>,
+    ) {
+        self.transport.send_frames(from, frames, reply_to)
+    }
 }
 
 struct Inner {
@@ -255,50 +252,32 @@ impl ShardedKvStore {
         cfg: StoreConfig,
         mut behavior: impl FnMut(usize, ObjectId) -> Option<Box<dyn ObjectBehavior<Req, Rep> + Send>>,
     ) -> Result<ShardedKvStore> {
-        let cluster_cfg = ClusterConfig::byzantine(cfg.t)?;
-        if cfg.num_shards == 0 || cfg.num_handles == 0 {
-            return Err(Error::InvariantViolation {
-                detail: "a store needs at least one shard and one handle".into(),
-            });
-        }
-        let shards = (0..cfg.num_shards)
-            .map(|s| {
-                let shard_durability = cfg.durability.for_shard(s);
-                let behaviors = (0..cluster_cfg.num_objects())
-                    .map(|o| {
-                        let oid = ObjectId(o as u32);
-                        match behavior(s, oid) {
-                            Some(custom) => Ok(custom),
-                            None => Ok(shard_durability.object(oid)?.0),
-                        }
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let (keys, dir_log) = open_key_directory(shard_durability.as_ref())?;
-                Ok(Shard {
-                    cluster: RwLock::new(Backend::Local(ThreadCluster::spawn(
-                        behaviors, cfg.jitter,
-                    ))),
-                    keys: RwLock::new(keys),
-                    dir_log,
+        let spawn_shard = |s: usize, cluster_cfg: &ClusterConfig| {
+            let shard_durability = cfg.durability.for_shard(s);
+            let behaviors = (0..cluster_cfg.num_objects())
+                .map(|o| {
+                    let oid = ObjectId(o as u32);
+                    match behavior(s, oid) {
+                        Some(custom) => Ok(custom),
+                        None => Ok(shard_durability.object(oid)?.0),
+                    }
                 })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ShardedKvStore {
-            inner: Arc::new(Inner {
-                cfg: cluster_cfg,
-                router: ShardRouter::new(cfg.num_shards),
-                shards,
-                num_handles: cfg.num_handles,
-                read_mode: if cfg.fast_reads {
-                    ReadMode::Fast
-                } else {
-                    ReadMode::Slow
-                },
-                durability: Arc::clone(&cfg.durability),
-                taken: Mutex::new(vec![false; cfg.num_handles as usize]),
-                metrics: cfg.metrics,
-            }),
-        })
+                .collect::<Result<Vec<_>>>()?;
+            let cluster = Arc::new(ThreadCluster::spawn(behaviors, cfg.jitter));
+            Ok((
+                Box::new(Arc::clone(&cluster)) as ShardTransport,
+                Some(cluster),
+            ))
+        };
+        ShardedKvStore::assemble(
+            cfg.t,
+            cfg.num_shards,
+            cfg.num_handles,
+            cfg.fast_reads,
+            spawn_shard,
+            Arc::clone(&cfg.durability),
+            cfg.metrics,
+        )
     }
 
     /// Build the store over pre-connected **remote shards**: one
@@ -329,20 +308,43 @@ impl ShardedKvStore {
         durability: Arc<dyn Durability>,
         metrics: Option<Arc<Registry>>,
     ) -> Result<ShardedKvStore> {
+        let mut transports = transports.into_iter();
+        ShardedKvStore::assemble(
+            t,
+            transports.len(),
+            num_handles,
+            fast_reads,
+            |_, _| Ok((transports.next().expect("one transport per shard"), None)),
+            durability,
+            metrics,
+        )
+    }
+
+    /// The one way a store is put together: validate the shape, obtain
+    /// each shard's substrate from `substrate(shard, cluster_cfg)`, open
+    /// its key directory.
+    fn assemble(
+        t: usize,
+        num_shards: usize,
+        num_handles: u32,
+        fast_reads: bool,
+        mut substrate: impl FnMut(usize, &ClusterConfig) -> Result<Substrate>,
+        durability: Arc<dyn Durability>,
+        metrics: Option<Arc<Registry>>,
+    ) -> Result<ShardedKvStore> {
         let cluster_cfg = ClusterConfig::byzantine(t)?;
-        if transports.is_empty() || num_handles == 0 {
+        if num_shards == 0 || num_handles == 0 {
             return Err(Error::InvariantViolation {
                 detail: "a store needs at least one shard and one handle".into(),
             });
         }
-        let num_shards = transports.len();
-        let shards = transports
-            .into_iter()
-            .enumerate()
-            .map(|(s, transport)| {
+        let shards = (0..num_shards)
+            .map(|s| {
+                let (transport, local) = substrate(s, &cluster_cfg)?;
                 let (keys, dir_log) = open_key_directory(durability.for_shard(s).as_ref())?;
                 Ok(Shard {
-                    cluster: RwLock::new(Backend::Remote(transport)),
+                    transport,
+                    local,
                     keys: RwLock::new(keys),
                     dir_log,
                 })
@@ -441,8 +443,9 @@ impl ShardedKvStore {
     }
 
     /// Crash one object of one **locally spawned** shard (at most `t` per
-    /// shard for that shard to keep completing operations). Blocks until
-    /// in-flight operations on the shard finish.
+    /// shard for that shard to keep completing operations). Waits only
+    /// for the envelope that object is processing; every shard keeps
+    /// serving throughout.
     ///
     /// # Panics
     ///
@@ -451,28 +454,17 @@ impl ShardedKvStore {
     /// injected at its server (or its link's chaos proxy), not through the
     /// client-side store.
     pub fn crash_object(&self, shard: usize, id: ObjectId) {
-        match &mut *self.inner.shards[shard]
-            .cluster
-            .write()
-            .expect("cluster lock")
-        {
-            Backend::Local(cluster) => cluster.crash_object(id),
-            Backend::Remote(_) => {
-                panic!("crash_object on remote shard {shard}: inject the fault server-side")
-            }
+        match &self.inner.shards[shard].local {
+            Some(cluster) => cluster.crash_object(id),
+            None => panic!("crash_object on remote shard {shard}: inject the fault server-side"),
         }
     }
 
     /// Kill one object of one **locally spawned** shard and restart it
-    /// from disk: the worker is crashed (joining its thread), the object's
-    /// snapshot + WAL are recovered, and a fresh worker takes over the id.
-    /// The shard's cluster lock is held only for the kill and for
-    /// installing the recovered worker — the disk recovery itself runs
-    /// unlocked, so the rest of the shard serves traffic throughout (the
-    /// slot is simply "crashed" for that window). Returns the wall-clock
-    /// kill-to-serving-again time (the "time to recover" the `exp t8`
-    /// bench reports); note it includes waiting out in-flight pumps for
-    /// the two brief lock acquisitions.
+    /// from disk (see [`restart_from_disk`]): the rest of the shard serves
+    /// traffic throughout — the slot is simply "crashed" for that window.
+    /// Returns the wall-clock kill-to-serving-again time (the "time to
+    /// recover" the `exp t8` bench reports).
     ///
     /// A restarted object vouches for everything it acked before the kill
     /// (the WAL is written before the ack), so it rejoins its quorum as a
@@ -490,45 +482,51 @@ impl ShardedKvStore {
     /// fault budget); recovery I/O and corruption errors otherwise (the
     /// object is left crashed in that case).
     pub fn restart_object(&self, shard: usize, id: ObjectId) -> Result<Duration> {
-        if !self.inner.durability.recoverable() {
+        let Some(cluster) = &self.inner.shards[shard].local else {
             return Err(Error::InvariantViolation {
-                detail: format!(
-                    "restart_object on shard {shard}: durability '{}' cannot recover state \
-                     (spawn the store with a wal-backed config)",
-                    self.inner.durability.label()
-                ),
+                detail: format!("restart_object on remote shard {shard}: restart at the server"),
             });
-        }
-        let started = Instant::now();
-        // Phase 1 (locked): kill the worker. Joining it closes the old
-        // behavior's files, so recovery below reads a quiescent log.
-        match &mut *self.inner.shards[shard]
-            .cluster
-            .write()
-            .expect("cluster lock")
-        {
-            Backend::Local(cluster) => cluster.crash_object(id),
-            Backend::Remote(_) => {
-                return Err(Error::InvariantViolation {
-                    detail: format!(
-                        "restart_object on remote shard {shard}: restart at the server"
-                    ),
-                })
-            }
-        }
-        // Phase 2 (unlocked): recover from disk while the shard serves.
-        let (behavior, _stats) = self.inner.durability.for_shard(shard).object(id)?;
-        // Phase 3 (locked): install the recovered worker.
-        match &mut *self.inner.shards[shard]
-            .cluster
-            .write()
-            .expect("cluster lock")
-        {
-            Backend::Local(cluster) => cluster.restart_object(id, behavior),
-            Backend::Remote(_) => unreachable!("backend kind checked in phase 1"),
-        }
-        Ok(started.elapsed())
+        };
+        restart_from_disk(cluster.host(), self.inner.durability.as_ref(), shard, id)
     }
+}
+
+/// Kill-then-recover, on whichever substrate hosts the object: refuse
+/// unless `durability` can recover state, crash object `id` of shard
+/// `shard` on `host` (which closes the old behavior's files, so recovery
+/// reads a quiescent log), recover it from the shard's data dir, and
+/// install the recovered behavior under the same id. Returns the
+/// wall-clock kill-to-serving-again time.
+///
+/// # Errors
+///
+/// [`Error::InvariantViolation`] if `durability` is not recoverable;
+/// recovery I/O and corruption errors otherwise (the object is left
+/// crashed in that case).
+///
+/// # Panics
+///
+/// Panics if `host` does not host `id`.
+pub fn restart_from_disk<S: ReplySink<Req, Rep>>(
+    host: &ObjectHost<Req, Rep, S>,
+    durability: &dyn Durability,
+    shard: usize,
+    id: ObjectId,
+) -> Result<Duration> {
+    if !durability.recoverable() {
+        return Err(Error::InvariantViolation {
+            detail: format!(
+                "restart_object on shard {shard}: durability '{}' cannot recover state \
+                 (spawn with a wal-backed config)",
+                durability.label()
+            ),
+        });
+    }
+    let started = Instant::now();
+    host.crash(id);
+    let (behavior, _stats) = durability.for_shard(shard).object(id)?;
+    host.restart(id, behavior);
+    Ok(started.elapsed())
 }
 
 /// The key directory's durable append handle (WAL-backed stores only).
@@ -769,33 +767,15 @@ impl KvHandle {
     /// the ready queue — blocking until at least one in-flight operation
     /// resolves, or (`blocking = false`) only as far as already-queued
     /// replies allow. No-op if nothing is in flight.
-    ///
-    /// Only the shards with in-flight operations are read-locked — a
-    /// handle waiting out a quorum-less shard's timeout must not block
-    /// `crash_object` (or anyone else needing the write lock) on healthy,
-    /// uninvolved shards.
     fn pump_with(&mut self, blocking: bool) {
         if self.pending.is_empty() {
             return;
         }
-        let mut used = vec![false; self.inner.shards.len()];
-        for p in self.pending.values() {
-            used[p.shard] = true;
-        }
-        let guards: Vec<_> = self
-            .inner
-            .shards
-            .iter()
-            .zip(&used)
-            .map(|(s, used)| used.then(|| s.cluster.read().expect("cluster lock")))
-            .collect();
-        let clusters: Vec<Option<&Backend>> = guards.iter().map(|g| g.as_deref()).collect();
         let results = if blocking {
-            self.client.pump(&clusters)
+            self.client.pump(&self.inner.shards)
         } else {
-            self.client.try_pump(&clusters)
+            self.client.try_pump(&self.inner.shards)
         };
-        drop(guards);
         self.resolve_results(results);
     }
 
@@ -1215,6 +1195,27 @@ mod tests {
     }
 
     #[test]
+    fn overwrites_are_ordered() {
+        let store = ShardedKvStore::spawn(StoreConfig::new(1, 1, 2)).unwrap();
+        let (mut w, mut r) = (store.handle(0).unwrap(), store.handle(1).unwrap());
+        for v in 1..=5u64 {
+            w.put("counter", Value::from_u64(v)).unwrap();
+        }
+        assert_eq!(r.get("counter").unwrap(), Some(Value::from_u64(5)));
+    }
+
+    #[test]
+    fn keys_are_isolated() {
+        let store = ShardedKvStore::spawn(StoreConfig::new(1, 1, 2)).unwrap();
+        let (mut w, mut r) = (store.handle(0).unwrap(), store.handle(1).unwrap());
+        w.put("x", Value::from_u64(10)).unwrap();
+        w.put("y", Value::from_u64(20)).unwrap();
+        w.put("x", Value::from_u64(11)).unwrap();
+        assert_eq!(r.get("x").unwrap(), Some(Value::from_u64(11)));
+        assert_eq!(r.get("y").unwrap(), Some(Value::from_u64(20)));
+    }
+
+    #[test]
     fn out_of_pool_handle_rejected() {
         let store = ShardedKvStore::spawn(StoreConfig::new(1, 1, 2)).unwrap();
         assert!(matches!(store.handle(2), Err(Error::WrongRole { .. })));
@@ -1293,6 +1294,54 @@ mod tests {
             h.put("k", Value::from_u64(2)),
             Err(Error::Incomplete { .. })
         ));
+    }
+
+    /// No store-wide (or shard-wide) lock sits between a pumping handle
+    /// and fault injection: while one handle waits out a quorum-less
+    /// shard's timeout, `crash_object` returns at once — on the healthy
+    /// shard, and on the stalled shard itself.
+    #[test]
+    fn crash_object_returns_while_a_handle_waits_out_a_stalled_shard() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let store = ShardedKvStore::spawn(StoreConfig::new(1, 2, 2)).unwrap();
+        let key_on = |shard| {
+            (0..)
+                .map(|i| format!("k{i}"))
+                .find(|k| store.shard_of(k) == shard)
+                .unwrap()
+        };
+        let (stalled_key, healthy_key) = (key_on(0), key_on(1));
+        store.crash_object(0, ObjectId(2));
+        store.crash_object(0, ObjectId(3));
+
+        let timed_out = AtomicBool::new(false);
+        let (about_to_wait_tx, about_to_wait) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let mut h = store.handle(0).unwrap();
+                h.set_timeout(Duration::from_secs(2));
+                about_to_wait_tx.send(()).unwrap();
+                let out = h.put(&stalled_key, Value::from_u64(1));
+                timed_out.store(true, Ordering::SeqCst);
+                out
+            });
+            about_to_wait.recv().unwrap();
+            store.crash_object(1, ObjectId(0));
+            store.crash_object(0, ObjectId(1));
+            assert!(
+                !timed_out.load(Ordering::SeqCst),
+                "crash_object waited for the stalled shard's timeout"
+            );
+            // The healthy shard (one crash, within budget) serves meanwhile.
+            let mut h = store.handle(1).unwrap();
+            h.put(&healthy_key, Value::from_u64(2)).unwrap();
+            assert_eq!(h.get(&healthy_key).unwrap(), Some(Value::from_u64(2)));
+            assert!(matches!(
+                waiter.join().unwrap(),
+                Err(Error::Incomplete { .. })
+            ));
+        });
     }
 
     #[test]

@@ -18,7 +18,7 @@ use rastor_common::{ClusterConfig, Error, ObjectId, Result};
 use rastor_core::msg::{Rep, Req};
 use rastor_core::object::HonestObject;
 use rastor_core::StorageSystem;
-use rastor_kv::{ShardedKvStore, StoreConfig};
+use rastor_kv::{restart_from_disk, ShardedKvStore, StoreConfig};
 use rastor_sim::runtime::Transport;
 use rastor_sim::ObjectBehavior;
 use rastor_store::Durability;
@@ -259,26 +259,22 @@ impl NetKv {
         self.servers[shard * self.listeners_per_shard].local_addr()
     }
 
-    /// Index into [`NetKv::servers`] of the listener hosting `(shard,
-    /// id)`.
+    /// The listener hosting `(shard, id)`.
     ///
     /// # Errors
     ///
     /// [`Error::InvariantViolation`] if `shard` is out of range or no
     /// listener of the shard hosts `id`.
-    fn hosting_server(&self, shard: usize, id: ObjectId) -> Result<usize> {
+    fn hosting_server(&self, shard: usize, id: ObjectId) -> Result<&ObjectServer> {
         let first = shard * self.listeners_per_shard;
         if first >= self.servers.len() {
             return Err(Error::InvariantViolation {
                 detail: format!("no shard {shard} in this deployment"),
             });
         }
-        (first..first + self.listeners_per_shard)
-            .find(|&i| {
-                let s = &self.servers[i];
-                id.0.checked_sub(s.first_id())
-                    .is_some_and(|h| (h as usize) < s.num_objects())
-            })
+        self.servers[first..first + self.listeners_per_shard]
+            .iter()
+            .find(|s| s.host().hosts(id))
             .ok_or_else(|| Error::InvariantViolation {
                 detail: format!("shard {shard} hosts no object {}", id.0),
             })
@@ -291,38 +287,24 @@ impl NetKv {
     /// # Errors
     ///
     /// [`Error::InvariantViolation`] if `shard` or `id` is out of range.
-    pub fn crash_object(&mut self, shard: usize, id: ObjectId) -> Result<()> {
-        let idx = self.hosting_server(shard, id)?;
-        self.servers[idx].crash_object(id);
+    pub fn crash_object(&self, shard: usize, id: ObjectId) -> Result<()> {
+        self.hosting_server(shard, id)?.crash_object(id);
         Ok(())
     }
 
     /// Kill one hosted object of one shard's server and restart it from
-    /// disk while clients stay connected — the socket twin of
-    /// [`ShardedKvStore::restart_object`]. Returns the wall-clock
-    /// kill-to-serving-again time.
+    /// disk while clients stay connected — [`restart_from_disk`] on the
+    /// hosting server, as [`ShardedKvStore::restart_object`] is on a
+    /// local shard. Returns the wall-clock kill-to-serving-again time.
     ///
     /// # Errors
     ///
-    /// [`Error::InvariantViolation`] if the deployment's durability is not
-    /// recoverable (spawn with a wal-backed [`StoreConfig`]); recovery I/O
-    /// and corruption errors otherwise.
-    ///
-    pub fn restart_object(&mut self, shard: usize, id: ObjectId) -> Result<Duration> {
-        if !self.durability.recoverable() {
-            return Err(Error::InvariantViolation {
-                detail: format!(
-                    "restart_object on shard {shard}: durability '{}' cannot recover state \
-                     (spawn the deployment with a wal-backed config)",
-                    self.durability.label()
-                ),
-            });
-        }
-        let idx = self.hosting_server(shard, id)?;
-        let started = std::time::Instant::now();
-        self.servers[idx].crash_object(id);
-        let (behavior, _stats) = self.durability.for_shard(shard).object(id)?;
-        self.servers[idx].restart_object(id, behavior);
-        Ok(started.elapsed())
+    /// [`Error::InvariantViolation`] if `shard` or `id` is out of range or
+    /// the deployment's durability is not recoverable (spawn with a
+    /// wal-backed [`StoreConfig`]); recovery I/O and corruption errors
+    /// otherwise.
+    pub fn restart_object(&self, shard: usize, id: ObjectId) -> Result<Duration> {
+        let server = self.hosting_server(shard, id)?;
+        restart_from_disk(server.host(), self.durability.as_ref(), shard, id)
     }
 }

@@ -17,9 +17,10 @@
 //!   queues. Every socket endpoint below is an [`reactor::Events`]
 //!   handler on this loop.
 //! * [`server`] / [`client`] — the socket substrate.
-//!   [`ObjectServer`] hosts one or more storage objects behind a listener
-//!   (same behaviors, jitter, and crash semantics as
-//!   [`rastor_sim::runtime::ThreadCluster`]); [`NetCluster`] is the client
+//!   [`ObjectServer`] puts a listener in front of a
+//!   [`rastor_sim::host::ObjectHost`] — the same host an in-process
+//!   [`rastor_sim::runtime::ThreadCluster`] feeds, so behaviors, jitter,
+//!   crash and restart are one implementation; [`NetCluster`] is the client
 //!   endpoint, implementing the same
 //!   [`Transport`](rastor_sim::runtime::Transport) trait as the in-process
 //!   channel substrate, so [`rastor_sim::runtime::ThreadClient`], the

@@ -133,17 +133,8 @@ pub struct RepEnvelope {
 }
 
 /// The status of one object hosted by an [`crate::ObjectServer`], as
-/// reported in a [`Frame::Status`] reply.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ObjectStatus {
-    /// The object's cluster-global id.
-    pub id: ObjectId,
-    /// Whether the object is currently crashed (worker gone; a restart
-    /// from disk may bring it back).
-    pub crashed: bool,
-    /// Request envelopes this object has served since it (re)started.
-    pub served: u64,
-}
+/// reported in a [`Frame::Status`] reply — the host's own view.
+pub use rastor_sim::host::ObjectStatus;
 
 /// An administrative command carried by [`Frame::AdminReq`] — the verbs of
 /// the `rastor` CLI, executed by the deployment's ops listener.

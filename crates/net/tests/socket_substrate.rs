@@ -4,13 +4,15 @@
 
 use rastor_common::{ClientId, ObjectId, OpKind, Timestamp, Value};
 use rastor_core::driver::{drive_batch, BatchOp};
-use rastor_core::{OpOutput, Protocol, StorageSystem};
+use rastor_core::msg::{Rep, Req};
+use rastor_core::{HonestObject, OpOutput, Protocol, StorageSystem};
 use rastor_kv::StoreConfig;
 use rastor_net::chaos::ChaosCfg;
 use rastor_net::client::NetCluster;
 use rastor_net::deploy::{NetDeploy, NetKv};
 use rastor_net::server::ObjectServer;
-use rastor_sim::runtime::ThreadClient;
+use rastor_sim::runtime::{ThreadClient, Transport};
+use rastor_sim::{ObjectHost, ReplySink};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -56,29 +58,51 @@ fn harness_protocols_roundtrip_over_tcp() {
     }
 }
 
-/// Crashing up to `t` objects at the server is tolerated; beyond that the
-/// client times out instead of hanging — the same budget semantics as the
-/// channel substrate, now injected behind a socket.
-#[test]
-fn server_side_crashes_respect_the_fault_budget() {
-    let mut sys = StorageSystem::new(Protocol::AtomicUnauth, 1, 1).expect("valid shape");
-    let mut harness = sys.spawn_net_cluster(None).expect("net deploy");
-    harness.server.crash_object(ObjectId(3));
+/// One crash/restart drill, substrate-blind: within the budget (`t = 1`)
+/// operations complete, one crash beyond it they time out cleanly
+/// (what the kv store reports as `Incomplete`), and restarting an object
+/// brings the quorum — and completion — back.
+fn crash_restart_drill<S: ReplySink<Req, Rep>>(
+    sys: &mut StorageSystem,
+    transport: &dyn Transport<Req, Rep>,
+    host: &ObjectHost<Req, Rep, S>,
+) {
     let mut client = ThreadClient::new(ClientId::reader(0));
-    let out = client.run_op(
-        &harness.cluster,
-        sys.write_client(Value::from_u64(7)),
-        TIMEOUT,
+    let mut write = |v: u64, timeout| {
+        client
+            .run_op(transport, sys.write_client(Value::from_u64(v)), timeout)
+            .is_some()
+    };
+    assert!(write(1, TIMEOUT), "a healthy cluster completes");
+    host.crash(ObjectId(3));
+    assert!(write(2, TIMEOUT), "one crash is within budget");
+    host.crash(ObjectId(2));
+    assert!(
+        !write(3, Duration::from_millis(150)),
+        "beyond budget: no quorum, clean timeout"
     );
-    assert!(out.is_some(), "one crash is within budget");
-    // A second crash exceeds t = 1: the next op must time out cleanly.
-    harness.server.crash_object(ObjectId(2));
-    let out = client.run_op(
-        &harness.cluster,
-        sys.write_client(Value::from_u64(8)),
-        Duration::from_millis(150),
+    host.restart(ObjectId(2), Box::new(HonestObject::new()));
+    assert!(
+        write(4, TIMEOUT),
+        "the restarted object restores the quorum"
     );
-    assert!(out.is_none(), "beyond budget: no quorum, clean timeout");
+    let (out, _) = client
+        .run_op(transport, sys.read_client(0), TIMEOUT)
+        .expect("reads complete again too");
+    assert_eq!(out.into_read().expect("read").val, Value::from_u64(4));
+}
+
+/// Crash and restart mean the same thing in process and behind a socket:
+/// the same drill, over `&dyn Transport`, passes on both substrates.
+#[test]
+fn crash_and_restart_mean_the_same_on_both_substrates() {
+    let mut sys = StorageSystem::new(Protocol::AtomicUnauth, 1, 1).expect("valid shape");
+    let cluster = sys.spawn_thread_cluster(None);
+    crash_restart_drill(&mut sys, &cluster, cluster.host());
+
+    let mut sys = StorageSystem::new(Protocol::AtomicUnauth, 1, 1).expect("valid shape");
+    let harness = sys.spawn_net_cluster(None).expect("net deploy");
+    crash_restart_drill(&mut sys, &harness.cluster, harness.server.host());
 }
 
 /// A cluster split across two servers (two objects each) still forms its
@@ -112,7 +136,7 @@ fn one_cluster_can_span_multiple_servers() {
 /// crash injection at a server, behave exactly like the local store.
 #[test]
 fn net_kv_roundtrips_and_survives_a_server_side_crash() {
-    let mut kv = NetKv::spawn(StoreConfig::new(1, 2, 2), None).expect("net kv");
+    let kv = NetKv::spawn(StoreConfig::new(1, 2, 2), None).expect("net kv");
     {
         let mut h0 = kv.store.handle(0).expect("handle 0");
         let mut h1 = kv.store.handle(1).expect("handle 1");
@@ -128,7 +152,7 @@ fn net_kv_roundtrips_and_survives_a_server_side_crash() {
         }
     }
     // One crash per shard, at the servers (the store cannot reach in).
-    for server in &mut kv.servers {
+    for server in &kv.servers {
         server.crash_object(ObjectId(0));
     }
     let mut h = kv.store.handle(0).expect("handle");

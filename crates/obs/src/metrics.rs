@@ -602,6 +602,8 @@ mod tests {
     fn snapshot_json_is_well_formed_under_concurrent_recording() {
         let r = Arc::new(Registry::new());
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // Registered before the first snapshot, whichever thread runs first.
+        r.counter("w.count");
         let writers: Vec<_> = (0..3)
             .map(|t| {
                 let r = Arc::clone(&r);

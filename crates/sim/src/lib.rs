@@ -31,6 +31,9 @@
 //! * **Thread runtime** ([`runtime`]): the same [`ObjectBehavior`] and
 //!   [`RoundClient`] implementations can be deployed over real OS threads and
 //!   channels, demonstrating that the protocols are simulator-independent.
+//! * **Object host** ([`host`]): the one executor every real-time
+//!   substrate (in-process or TCP) hosts its objects on — per-object FIFO,
+//!   service jitter, crash and restart.
 //!
 //! ## Example
 //!
@@ -76,6 +79,7 @@
 pub mod control;
 pub mod driver;
 pub mod engine;
+pub mod host;
 pub mod runtime;
 pub mod trace;
 
@@ -87,5 +91,6 @@ pub use engine::{
     ClientAction, Completion, Envelope, MsgDir, MsgId, ObjectBehavior, RoundClient, Scheduler, Sim,
     SimConfig,
 };
+pub use host::{ObjectHost, ObjectStatus, ReplySink};
 pub use runtime::{ObjReply, OpResult, RepFrame, ReqFrame, ThreadClient, ThreadCluster, Transport};
 pub use trace::{Observation, OpRecord, Trace};

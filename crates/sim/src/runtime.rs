@@ -22,26 +22,28 @@
 //! an automaton ([`StalePolicy::DropLate`]): on a real deployment a delayed
 //! object must not be able to feed protocol code stale-round data.
 //!
-//! Faults available here are crash-style (dropping an object's thread) and
-//! arbitrary behaviors (any [`ObjectBehavior`] impl); scheduling adversaries
-//! are only available in the simulator.
+//! Faults available here are crash / restart of an object
+//! ([`crate::host::ObjectHost`]) and arbitrary behaviors (any
+//! [`ObjectBehavior`] impl); scheduling adversaries are only available in
+//! the simulator.
 //!
 //! The client side is substrate-agnostic: everything a [`ThreadClient`]
 //! needs from a cluster is captured by the [`Transport`] trait (broadcast a
 //! coalesced batch of request frames; deliver coalesced reply envelopes to
-//! the client's channel). [`ThreadCluster`] is the in-process channel
-//! substrate; `rastor_net` provides a TCP socket substrate speaking the
-//! same trait, so the identical client/driver code runs over a real
-//! network.
+//! the client's channel). [`ThreadCluster`] is the in-process transport —
+//! `send_frames` hands the batch to an [`crate::host::ObjectHost`] whose
+//! replies go onto the client's channel; `rastor_net` puts a TCP listener
+//! in front of the same host and speaks the same trait from its client
+//! end, so the identical client/driver code runs over a real network.
 
 use crate::driver::{Dispatch, OpDriver, StalePolicy};
 use crate::engine::{ObjectBehavior, RoundClient};
-use rastor_common::{ClientId, ObjectId, OpKind, SplitMix64};
+use crate::host::{Accounting, ObjectHost, ReplySink};
+use rastor_common::{ClientId, ObjectId, OpKind};
 use rastor_obs::trace;
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// One round of one operation inside a coalesced request envelope. The
@@ -69,14 +71,6 @@ impl<Q> Clone for ReqFrame<Q> {
             payload: Arc::clone(&self.payload),
         }
     }
-}
-
-/// A coalesced request envelope: every frame a client had pending for this
-/// object at flush time.
-struct ObjRequest<Q, R> {
-    from: ClientId,
-    frames: Vec<ReqFrame<Q>>,
-    reply_to: Sender<ObjReply<R>>,
 }
 
 /// One reply frame inside a coalesced reply envelope.
@@ -122,6 +116,14 @@ impl<Q, R, T: Transport<Q, R> + ?Sized> Transport<Q, R> for Arc<T> {
     }
 }
 
+/// A borrowed transport is a transport (so a client can pump over
+/// clusters it does not own).
+impl<Q, R, T: Transport<Q, R> + ?Sized> Transport<Q, R> for &T {
+    fn send_frames(&self, from: ClientId, frames: &[ReqFrame<Q>], reply_to: &Sender<ObjReply<R>>) {
+        (**self).send_frames(from, frames, reply_to)
+    }
+}
+
 /// Boxed transports delegate (so `Box<dyn Transport<…>>` slots into the
 /// generic client APIs directly).
 impl<Q, R, T: Transport<Q, R> + ?Sized> Transport<Q, R> for Box<T> {
@@ -130,72 +132,47 @@ impl<Q, R, T: Transport<Q, R> + ?Sized> Transport<Q, R> for Box<T> {
     }
 }
 
-/// A cluster of storage objects, each running on its own thread.
-pub struct ThreadCluster<Q, R> {
-    senders: Vec<Option<Sender<ObjRequest<Q, R>>>>,
-    handles: Vec<Option<JoinHandle<()>>>,
-    /// The per-envelope service jitter every worker runs with, kept so
-    /// restarted workers behave like their predecessors.
-    jitter: Option<Duration>,
-}
-
-/// Spawn one object worker thread: per-envelope jitter, then the
-/// behavior, then one coalesced reply envelope per request envelope.
-fn spawn_worker<Q, R>(
-    oid: ObjectId,
-    mut behavior: Box<dyn ObjectBehavior<Q, R> + Send>,
-    jitter: Option<Duration>,
-) -> (Sender<ObjRequest<Q, R>>, JoinHandle<()>)
+/// An in-process cluster of storage objects: an [`ObjectHost`] fed
+/// through [`Transport`], whose reply envelopes go straight onto the
+/// requesting client's channel.
+pub struct ThreadCluster<Q, R>
 where
     Q: Send + Sync + 'static,
     R: Send + 'static,
 {
-    let (tx, rx) = channel::<ObjRequest<Q, R>>();
-    let handle = std::thread::spawn(move || {
-        // Per-thread deterministic jitter source.
-        let mut rng = SplitMix64::new(u64::from(oid.0));
-        while let Ok(req) = rx.recv() {
-            if let Some(j) = jitter {
-                std::thread::sleep(j.mul_f64(rng.next_f64()));
-            }
-            let frames: Vec<RepFrame<R>> = req
-                .frames
-                .iter()
-                .filter_map(|f| {
-                    // Traced frames get an `obj.apply` span covering the
-                    // behavior call, with the trace context set so durable
-                    // behaviors can hang WAL spans under the same trace.
-                    // Untraced frames skip the clock reads entirely.
-                    let rep = if f.trace == trace::NO_TRACE {
-                        behavior.on_request(req.from, &f.payload)
-                    } else {
-                        let start = trace::epoch_us();
-                        let prev = trace::set_current(f.trace);
-                        let rep = behavior.on_request(req.from, &f.payload);
-                        trace::set_current(prev);
-                        trace::global().record(
-                            f.trace,
-                            trace::span::OBJ_APPLY,
-                            u64::from(oid.0),
-                            start,
-                            trace::epoch_us(),
-                        );
-                        rep
-                    };
-                    rep.map(|payload| RepFrame {
-                        op_nonce: f.op_nonce,
-                        round: f.round,
-                        payload,
-                    })
-                })
-                .collect();
-            if !frames.is_empty() {
-                // The client may have finished; ignore send errors.
-                let _ = req.reply_to.send(ObjReply { from: oid, frames });
-            }
+    host: ObjectHost<Q, R, Sender<ObjReply<R>>>,
+}
+
+impl<Q, R> ReplySink<Q, R> for Sender<ObjReply<R>>
+where
+    Q: Send + Sync + 'static,
+    R: Send + 'static,
+{
+    type Frame = ReqFrame<Q>;
+    type Reply = RepFrame<R>;
+    const ACCOUNTING: Accounting = Accounting {
+        queue_span: None,
+        apply_span: trace::span::OBJ_APPLY,
+        finish: false,
+        envelope_us: None,
+    };
+
+    fn request(frame: &ReqFrame<Q>) -> (u64, &Q) {
+        (frame.trace, &frame.payload)
+    }
+
+    fn reply(frame: &ReqFrame<Q>, payload: R) -> RepFrame<R> {
+        RepFrame {
+            op_nonce: frame.op_nonce,
+            round: frame.round,
+            payload,
         }
-    });
-    (tx, handle)
+    }
+
+    fn deliver(&self, from: ObjectId, _to: ClientId, frames: Vec<RepFrame<R>>) {
+        // The client may have finished; ignore send errors.
+        let _ = self.send(ObjReply { from, frames });
+    }
 }
 
 impl<Q, R> ThreadCluster<Q, R>
@@ -203,80 +180,55 @@ where
     Q: Send + Sync + 'static,
     R: Send + 'static,
 {
-    /// Spawn one thread per behavior. `jitter` optionally adds a random
-    /// service delay up to the given duration **per envelope** (not per
-    /// frame) — emulating one network/storage round trip per coalesced
-    /// batch, which is exactly why batching pays.
+    /// Host one object per behavior (ids `0..`). `jitter` optionally adds
+    /// a random service delay up to the given duration **per envelope**
+    /// (not per frame) — see [`ObjectHost::spawn`].
     pub fn spawn(
         behaviors: Vec<Box<dyn ObjectBehavior<Q, R> + Send>>,
         jitter: Option<Duration>,
     ) -> ThreadCluster<Q, R> {
-        let mut senders = Vec::new();
-        let mut handles = Vec::new();
-        for (i, behavior) in behaviors.into_iter().enumerate() {
-            let (tx, handle) = spawn_worker(ObjectId(i as u32), behavior, jitter);
-            senders.push(Some(tx));
-            handles.push(Some(handle));
-        }
         ThreadCluster {
-            senders,
-            handles,
-            jitter,
+            host: ObjectHost::spawn(behaviors, 0, jitter),
         }
+    }
+
+    /// The host serving this cluster's objects — the fault-injection
+    /// surface ([`ObjectHost::crash`], [`ObjectHost::restart`]).
+    pub fn host(&self) -> &ObjectHost<Q, R, Sender<ObjReply<R>>> {
+        &self.host
     }
 
     /// Number of objects (including crashed ones).
     pub fn num_objects(&self) -> usize {
-        self.senders.len()
+        self.host.num_objects()
     }
 
     /// Whether object `id` is currently crashed.
     pub fn is_crashed(&self, id: ObjectId) -> bool {
-        self.senders[id.index()].is_none()
+        self.host.is_crashed(id)
     }
 
-    /// Crash an object: its thread drains and exits; requests to it are
-    /// silently dropped from now on.
-    pub fn crash_object(&mut self, id: ObjectId) {
-        self.senders[id.index()] = None;
-        if let Some(h) = self.handles[id.index()].take() {
-            // The thread exits once its channel disconnects.
-            let _ = h.join();
-        }
+    /// Crash an object: see [`ObjectHost::crash`].
+    pub fn crash_object(&self, id: ObjectId) {
+        self.host.crash(id);
     }
 
-    /// Restart an object with a fresh behavior: the slot is crashed first
-    /// (if still live), then a new worker thread takes over the object id,
-    /// with the same service-jitter profile as the rest of the cluster.
-    ///
-    /// The cluster is behavior-agnostic, so *what state the object comes
-    /// back with* is the caller's policy: pass a freshly recovered
-    /// `rastor_store`-style durable behavior for kill-then-recover
-    /// semantics, or a blank one to model an amnesiac rejoin (which counts
-    /// against the fault budget like any other deviation from "correct").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn restart_object(&mut self, id: ObjectId, behavior: Box<dyn ObjectBehavior<Q, R> + Send>) {
-        self.crash_object(id);
-        let (tx, handle) = spawn_worker(id, behavior, self.jitter);
-        self.senders[id.index()] = Some(tx);
-        self.handles[id.index()] = Some(handle);
+    /// Restart an object with a fresh behavior: see
+    /// [`ObjectHost::restart`].
+    pub fn restart_object(&self, id: ObjectId, behavior: Box<dyn ObjectBehavior<Q, R> + Send>) {
+        self.host.restart(id, behavior);
     }
 }
 
-impl<Q, R> Transport<Q, R> for ThreadCluster<Q, R> {
-    /// Broadcast a batch of frames: one envelope per live object, each
-    /// carrying the whole batch (payloads shared via `Arc`).
+impl<Q, R> Transport<Q, R> for ThreadCluster<Q, R>
+where
+    Q: Send + Sync + 'static,
+    R: Send + 'static,
+{
+    /// Broadcast a batch of frames: one envelope per live object, all
+    /// sharing one copy of the batch (payloads shared via `Arc`).
     fn send_frames(&self, from: ClientId, frames: &[ReqFrame<Q>], reply_to: &Sender<ObjReply<R>>) {
-        for tx in self.senders.iter().flatten() {
-            let _ = tx.send(ObjRequest {
-                from,
-                frames: frames.to_vec(),
-                reply_to: reply_to.clone(),
-            });
-        }
+        self.host.submit(from, Arc::new(frames.to_vec()), reply_to);
     }
 }
 
@@ -377,12 +329,7 @@ where
 
     /// Flush buffered frames: for each target with pending frames, one
     /// coalesced envelope per live object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pending frame's target entry is `None` — the caller
-    /// promised that target had no in-flight traffic.
-    fn flush<T: Transport<Q, R> + ?Sized>(&mut self, targets: &[Option<&T>]) {
+    fn flush<T: Transport<Q, R>>(&mut self, targets: &[T]) {
         if self.outbox.is_empty() {
             return;
         }
@@ -392,9 +339,7 @@ where
         }
         for (t, frames) in by_target.into_iter().enumerate() {
             if !frames.is_empty() {
-                targets[t]
-                    .expect("target with pending frames must be supplied")
-                    .send_frames(self.id, &frames, &self.reply_tx);
+                targets[t].send_frames(self.id, &frames, &self.reply_tx);
             }
         }
     }
@@ -454,15 +399,10 @@ where
     /// the next-round frames that produced, and reap overdue deadlines.
     /// Returns whatever resolved, possibly nothing.
     ///
-    /// `targets` is indexed by the `target` passed at submission; entries
-    /// for targets with no in-flight traffic may be `None` (this is what
-    /// lets a multi-cluster caller lock only the clusters it is actually
-    /// using). Targets may be any [`Transport`] substrate — in-process
-    /// [`ThreadCluster`]s and socket-backed clusters drive identically.
-    pub fn try_pump<T: Transport<Q, R> + ?Sized>(
-        &mut self,
-        targets: &[Option<&T>],
-    ) -> Vec<OpResult<Out>> {
+    /// `targets` is indexed by the `target` passed at submission. Targets
+    /// may be any [`Transport`] substrate — in-process [`ThreadCluster`]s
+    /// and socket-backed clusters drive identically.
+    pub fn try_pump<T: Transport<Q, R>>(&mut self, targets: &[T]) -> Vec<OpResult<Out>> {
         let mut done = Vec::new();
         self.flush(targets);
         // Drain whatever is already queued without blocking, so same-batch
@@ -481,10 +421,7 @@ where
     /// returns an empty vector only when nothing is in flight.
     ///
     /// `targets` is indexed as in [`ThreadClient::try_pump`].
-    pub fn pump<T: Transport<Q, R> + ?Sized>(
-        &mut self,
-        targets: &[Option<&T>],
-    ) -> Vec<OpResult<Out>> {
+    pub fn pump<T: Transport<Q, R>>(&mut self, targets: &[T]) -> Vec<OpResult<Out>> {
         let mut done = Vec::new();
         loop {
             done.extend(self.try_pump(targets));
@@ -535,7 +472,7 @@ where
             "run_op on a client with pipelined operations in flight"
         );
         let nonce = self.submit_op(0, OpKind::Read, automaton, timeout);
-        let targets = [Some(cluster)];
+        let targets = [cluster];
         loop {
             for r in self.pump(&targets) {
                 if r.nonce == nonce {
@@ -544,19 +481,6 @@ where
             }
             if !self.driver.is_live(nonce) {
                 return None;
-            }
-        }
-    }
-}
-
-impl<Q, R> Drop for ThreadCluster<Q, R> {
-    fn drop(&mut self) {
-        for tx in &mut self.senders {
-            *tx = None;
-        }
-        for h in &mut self.handles {
-            if let Some(h) = h.take() {
-                let _ = h.join();
             }
         }
     }
@@ -635,21 +559,8 @@ mod tests {
     }
 
     #[test]
-    fn tolerates_crashed_minority() {
-        let mut cl = cluster(4);
-        cl.crash_object(ObjectId(3));
-        let mut client = ThreadClient::new(ClientId::reader(0));
-        let res = client.run_op(
-            &cl,
-            Box::new(Collect { need: 3, got: 0 }),
-            Duration::from_secs(5),
-        );
-        assert!(res.is_some());
-    }
-
-    #[test]
     fn times_out_without_quorum() {
-        let mut cl = cluster(3);
+        let cl = cluster(3);
         cl.crash_object(ObjectId(1));
         cl.crash_object(ObjectId(2));
         let mut client = ThreadClient::new(ClientId::reader(0));
@@ -678,46 +589,6 @@ mod tests {
             assert_eq!(out, 11);
             assert_eq!(rounds, 1);
         }
-    }
-
-    #[test]
-    fn restart_revives_a_crashed_slot() {
-        let mut cl = cluster(3);
-        cl.crash_object(ObjectId(1));
-        cl.crash_object(ObjectId(2));
-        assert!(cl.is_crashed(ObjectId(1)));
-        let mut client = ThreadClient::new(ClientId::reader(0));
-        // Quorum of 3 unreachable with 2 of 3 down.
-        assert!(client
-            .run_op(
-                &cl,
-                Box::new(Collect { need: 3, got: 0 }),
-                Duration::from_millis(50),
-            )
-            .is_none());
-        // Restarting one slot brings the quorum back.
-        cl.restart_object(ObjectId(1), Box::new(Echo));
-        assert!(!cl.is_crashed(ObjectId(1)));
-        let res = client.run_op(
-            &cl,
-            Box::new(Collect { need: 2, got: 0 }),
-            Duration::from_secs(5),
-        );
-        assert!(res.is_some());
-    }
-
-    #[test]
-    fn jitter_does_not_break_completion() {
-        let behaviors: Vec<Box<dyn ObjectBehavior<u32, u32> + Send>> =
-            (0..5).map(|_| Box::new(Echo) as _).collect();
-        let cl = ThreadCluster::spawn(behaviors, Some(Duration::from_millis(2)));
-        let mut client = ThreadClient::new(ClientId::writer());
-        let res = client.run_op(
-            &cl,
-            Box::new(Collect { need: 4, got: 0 }),
-            Duration::from_secs(5),
-        );
-        assert!(res.is_some());
     }
 
     #[test]
@@ -757,7 +628,7 @@ mod tests {
     #[test]
     fn pipelined_ops_multiplex_one_channel() {
         let cl = cluster(4);
-        let targets = [Some(&cl)];
+        let targets = [&cl];
         let mut client: ThreadClient<u32, u32, u32> = ThreadClient::new(ClientId::reader(0));
         let mut live: Vec<u64> = (0..8)
             .map(|_| {
@@ -784,10 +655,10 @@ mod tests {
 
     #[test]
     fn pipelined_timeouts_are_reported_per_op() {
-        let mut cl = cluster(3);
+        let cl = cluster(3);
         cl.crash_object(ObjectId(1));
         cl.crash_object(ObjectId(2));
-        let targets = [Some(&cl)];
+        let targets = [&cl];
         let mut client: ThreadClient<u32, u32, u32> = ThreadClient::new(ClientId::reader(0));
         // One op that can complete on the lone survivor, one that cannot.
         let ok = client.submit_op(

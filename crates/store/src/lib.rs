@@ -16,11 +16,11 @@
 //!   full per-register state;
 //! * [`Durability`] — the substrate-facing trait, with [`InMemory`]
 //!   (today's behavior: kill = permanent crash) and [`WalBacked`]
-//!   (kill-then-recover) implementations. Cluster substrates
-//!   (`rastor_sim::runtime::ThreadCluster`, `rastor_net`'s
-//!   `ObjectServer`) take these via their owners' configs and gain
-//!   `restart_object` — crash an object, then bring it back from disk
-//!   with its timestamps intact.
+//!   (kill-then-recover) implementations. Deployments
+//!   (`rastor_kv`'s store, `rastor_net`'s `NetKv`) take these via their
+//!   configs and gain `restart_object` — crash an object on its
+//!   `rastor_sim::host::ObjectHost`, then bring it back from disk with
+//!   its timestamps intact.
 //!
 //! The recovery invariants — why a restarted object may rejoin its quorum
 //! as *correct* rather than Byzantine — are spelled out on

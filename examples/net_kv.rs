@@ -17,7 +17,7 @@ fn main() {
     let (t, shards, handles) = (1, 2, 2u32);
 
     // --- Plain TCP: servers on loopback, no fault injection -------------
-    let mut kv = NetKv::spawn(StoreConfig::new(t, shards, handles), None)
+    let kv = NetKv::spawn(StoreConfig::new(t, shards, handles), None)
         .expect("valid fault budget and free loopback ports");
     for (s, server) in kv.servers.iter().enumerate() {
         println!(
@@ -43,7 +43,7 @@ fn main() {
 
     // Crash one object per shard — at the servers, where remote faults
     // live. Within each shard's budget, nothing observable changes.
-    for server in &mut kv.servers {
+    for server in &kv.servers {
         server.crash_object(ObjectId(3));
     }
     println!("crashed object s3 of every shard (budget t = {t} each)");

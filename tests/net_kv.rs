@@ -47,7 +47,7 @@ fn sharded_kv_over_tcp_through_chaos_is_atomic_per_key() {
     let chaos = ChaosCfg::delay_only(Duration::from_micros(200))
         .with_drops(0.20)
         .with_seed(seed);
-    let mut kv = NetKv::spawn(
+    let kv = NetKv::spawn(
         StoreConfig::new(1, SHARDS, HANDLES).with_jitter(Duration::from_micros(150)),
         Some(chaos),
     )
@@ -102,7 +102,7 @@ fn sharded_kv_over_tcp_through_chaos_is_atomic_per_key() {
     // object per shard, injected at the servers (the client-side store has
     // no reach into a remote shard).
     std::thread::sleep(Duration::from_millis(10));
-    for (s, server) in kv.servers.iter_mut().enumerate() {
+    for (s, server) in kv.servers.iter().enumerate() {
         server.crash_object(ObjectId((s % 4) as u32));
     }
 
@@ -162,7 +162,7 @@ fn sharded_kv_over_tcp_through_chaos_is_atomic_per_key() {
 fn server_side_restart_mid_traffic_stays_atomic() {
     let seed = announced_seed(0x02e5_7a27);
     let data_dir = rastor::store::TempDir::new("net-restart-soak");
-    let mut kv = NetKv::spawn(
+    let kv = NetKv::spawn(
         StoreConfig::new(1, SHARDS, HANDLES)
             .with_jitter(Duration::from_micros(150))
             .with_wal(data_dir.path()),
@@ -246,7 +246,7 @@ fn server_side_restart_mid_traffic_stays_atomic() {
 
     // Crash a different object per shard: quorums must now include the
     // restarted object, so fresh reads prove its recovered registers.
-    for server in kv.servers.iter_mut() {
+    for server in kv.servers.iter() {
         server.crash_object(ObjectId(0));
         assert!(server.is_crashed(ObjectId(0)));
         assert!(!server.is_crashed(ObjectId(3)));

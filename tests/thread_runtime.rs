@@ -85,7 +85,7 @@ fn concurrent_readers_under_jitter_never_invert() {
 #[test]
 fn regular_read_over_threads_with_crashed_object() {
     let cfg = ClusterConfig::byzantine(1).unwrap();
-    let mut cl = cluster(4, false);
+    let cl = cluster(4, false);
     let mut writer = ThreadClient::new(ClientId::writer());
     writer
         .run_op(
