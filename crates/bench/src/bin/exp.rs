@@ -1,27 +1,13 @@
 //! The experiment table printer: regenerates every table and figure of
 //! EXPERIMENTS.md.
 //!
-//! Usage: `cargo run -p rastor_bench --bin exp -- [t1|…|t10|f1|f2|all] [--quick]`
+//! Usage: `cargo run -p rastor_bench --bin exp -- [t1|…|t6|t9|f1|f2|all] [--quick]`
 //!
-//! `t6` additionally runs the kv throughput workload matrix (real OS
-//! threads, sharded store) and writes the machine-readable `BENCH_kv.json`
-//! consumed by CI; `t7` runs the same mix over the three transport
-//! substrates (in-process channels, loopback TCP, TCP through the chaos
-//! proxy) and writes `BENCH_net.json`; `t8` measures WAL-backed vs
-//! in-memory durability plus kill-and-restart and cold-replay recovery
-//! times and writes `BENCH_store.json`; `t9` measures the adaptive
-//! fast-read path's round counts and sweeps the schedule explorer's
-//! exhaustive delay-rule universe; `t10` measures the observability
-//! seams' throughput overhead (metrics off vs on, and the span
-//! recorder off vs on, interleaved and medianed) and writes
-//! `BENCH_obs.json`; `--quick` trims them to smoke-test size.
+//! Every table is deterministic paper content (round counts, simulated
+//! time, lower-bound replays) and nothing is written to disk; wall-clock
+//! performance is measured in `benchmark/`. `--quick` trims `t9`'s
+//! explorer sweeps to one scenario and skips its budgeted `t = 2` pass.
 
-use rastor_bench::netbench::{net_bench_json, net_throughput_matrix, CHAOS_FRAME_DELAY};
-use rastor_bench::obsbench::{
-    obs_bench_json, obs_overhead_matrix, OVERHEAD_GATE_PCT, TRACE_OVERHEAD_GATE_PCT,
-};
-use rastor_bench::storebench::{store_bench_json, store_matrix};
-use rastor_bench::workload::{bench_json, kv_throughput_matrix};
 use rastor_bench::{
     f1_prop1, t1_round_table, t2_contention_rounds, t3_recurrence_table, t4_boundary, t5_latency,
     t6_closed_loop, t9_fast_path_rounds,
@@ -117,8 +103,8 @@ fn t5() {
     }
 }
 
-fn t6(quick: bool) {
-    println!("== T6a: closed-loop saturation, simulator (t = 1, 2 readers, 20 ops/client) ==");
+fn t6() {
+    println!("== T6: closed-loop saturation, simulator (t = 1, 2 readers, 20 ops/client) ==");
     println!(
         "{:<14} {:>5} {:>9} {:>11} {:>24}",
         "protocol", "ops", "makespan", "ops/1k time", "read latency p50/p95/max"
@@ -134,214 +120,6 @@ fn t6(quick: bool) {
             row.read_latency.p95,
             row.read_latency.max
         );
-    }
-    println!();
-    println!(
-        "== T6b: sharded kv throughput, thread runtime ({} mode) ==",
-        if quick { "quick" } else { "full" }
-    );
-    println!(
-        "{:<16} {:>6} {:>5} {:>7} {:>5} {:>6} {:>10} {:>18} {:>18}",
-        "workload",
-        "shards",
-        "depth",
-        "put%",
-        "ops",
-        "errs",
-        "ops/sec",
-        "put p50/p95 µs",
-        "get p50/p95 µs"
-    );
-    let rows = kv_throughput_matrix(quick);
-    for row in &rows {
-        let lat = |s: Option<rastor_bench::stats::Summary>| {
-            s.map(|s| format!("{}/{}", s.p50, s.p95))
-                .unwrap_or_else(|| "-".into())
-        };
-        println!(
-            "{:<16} {:>6} {:>5} {:>7} {:>5} {:>6} {:>10.1} {:>18} {:>18}",
-            row.cfg.name,
-            row.cfg.shards,
-            row.cfg.depth,
-            row.cfg.put_pct,
-            row.ops,
-            row.errors,
-            row.ops_per_sec,
-            lat(row.put_lat_us),
-            lat(row.get_lat_us),
-        );
-    }
-    let tput = |name: &str| {
-        rows.iter()
-            .find(|r| r.cfg.name == name)
-            .map(|r| r.ops_per_sec)
-            .unwrap_or(0.0)
-    };
-    for (single, sharded) in [("s1-put90", "s4-put90"), ("s1-get90", "s4-get90")] {
-        println!(
-            "sharding speedup {single} -> {sharded}: {:.2}x",
-            tput(sharded) / tput(single).max(1e-9)
-        );
-    }
-    for (closed, piped) in [
-        ("s1-get90", "s1-get90-d8"),
-        ("s4-put90", "s4-put90-d8"),
-        ("s4-get90", "s4-get90-d8"),
-    ] {
-        println!(
-            "pipelining speedup {closed} -> {piped}: {:.2}x",
-            tput(piped) / tput(closed).max(1e-9)
-        );
-    }
-    let json = bench_json(&rows, quick);
-    match std::fs::write("BENCH_kv.json", &json) {
-        Ok(()) => println!("wrote BENCH_kv.json ({} results)", rows.len()),
-        Err(e) => eprintln!("could not write BENCH_kv.json: {e}"),
-    }
-}
-
-fn t7(quick: bool) {
-    println!(
-        "== T7: transport substrates, same workload ({} mode; 2 shards, 2 threads, 50/50 mix) ==",
-        if quick { "quick" } else { "full" }
-    );
-    println!(
-        "{:<12} {:<8} {:>5} {:>5} {:>6} {:>10} {:>18} {:>18}",
-        "workload", "wire", "depth", "ops", "errs", "ops/sec", "put p50/p95 µs", "get p50/p95 µs"
-    );
-    let rows = net_throughput_matrix(quick);
-    for net_row in &rows {
-        let row = &net_row.row;
-        let lat = |s: Option<rastor_bench::stats::Summary>| {
-            s.map(|s| format!("{}/{}", s.p50, s.p95))
-                .unwrap_or_else(|| "-".into())
-        };
-        println!(
-            "{:<12} {:<8} {:>5} {:>5} {:>6} {:>10.1} {:>18} {:>18}",
-            row.cfg.name,
-            net_row.transport.label(),
-            row.cfg.depth,
-            row.ops,
-            row.errors,
-            row.ops_per_sec,
-            lat(row.put_lat_us),
-            lat(row.get_lat_us),
-        );
-    }
-    let tput = |name: &str| {
-        rows.iter()
-            .find(|r| r.row.cfg.name == name)
-            .map(|r| r.row.ops_per_sec)
-            .unwrap_or(0.0)
-    };
-    for (a, b, what) in [
-        ("inproc-s2", "tcp-s2", "tcp cost, closed loop"),
-        ("inproc-s2-d8", "tcp-s2-d8", "tcp cost, depth 8"),
-        ("tcp-s2", "chaos-s2", "chaos bite, closed loop"),
-        ("tcp-s2-d8", "chaos-s2-d8", "chaos bite, depth 8"),
-    ] {
-        println!(
-            "{what}: {b} runs at {:.2}x of {a}",
-            tput(b) / tput(a).max(1e-9)
-        );
-    }
-    println!(
-        "(chaos rows pay a fixed {}µs + uniform jitter per wire frame at the proxy)",
-        CHAOS_FRAME_DELAY.as_micros()
-    );
-    let mut sweep: Vec<_> = rows.iter().filter(|r| r.row.cfg.conns > 0).collect();
-    sweep.sort_by_key(|r| r.row.cfg.conns);
-    if let (Some(small), Some(large)) = (sweep.first(), sweep.last()) {
-        println!(
-            "conns sweep: {} sustains {:.2}x the throughput of {} (CI gates >= 0.66x, latency <= 1.5x)",
-            large.row.cfg.name,
-            large.row.ops_per_sec / small.row.ops_per_sec.max(1e-9),
-            small.row.cfg.name
-        );
-    }
-    let json = net_bench_json(&rows, quick);
-    match std::fs::write("BENCH_net.json", &json) {
-        Ok(()) => println!("wrote BENCH_net.json ({} results)", rows.len()),
-        Err(e) => eprintln!("could not write BENCH_net.json: {e}"),
-    }
-}
-
-fn t8(quick: bool) {
-    println!(
-        "== T8: durability cost and recovery ({} mode; 2 shards, 2 threads, 50/50 mix) ==",
-        if quick { "quick" } else { "full" }
-    );
-    println!(
-        "{:<12} {:<6} {:>5} {:>5} {:>6} {:>10} {:>18} {:>18} {:>12}",
-        "workload",
-        "store",
-        "depth",
-        "ops",
-        "errs",
-        "ops/sec",
-        "put p50/p95 µs",
-        "get p50/p95 µs",
-        "recover ms"
-    );
-    let matrix = store_matrix(quick);
-    for row in &matrix.rows {
-        let lat = |s: Option<rastor_bench::stats::Summary>| {
-            s.map(|s| format!("{}/{}", s.p50, s.p95))
-                .unwrap_or_else(|| "-".into())
-        };
-        println!(
-            "{:<12} {:<6} {:>5} {:>5} {:>6} {:>10.1} {:>18} {:>18} {:>12}",
-            row.cfg.name,
-            row.cfg.durability.label(),
-            row.cfg.depth,
-            row.ops,
-            row.errors,
-            row.ops_per_sec,
-            lat(row.put_lat_us),
-            lat(row.get_lat_us),
-            row.recover
-                .map(|r| format!("{:.2}", r.as_secs_f64() * 1e3))
-                .unwrap_or_else(|| "-".into()),
-        );
-    }
-    let tput = |name: &str| {
-        matrix
-            .rows
-            .iter()
-            .find(|r| r.cfg.name == name)
-            .map(|r| r.ops_per_sec)
-            .unwrap_or(0.0)
-    };
-    for (mem, wal, what) in [
-        ("mem-s2", "wal-s2", "wal cost, closed loop"),
-        ("mem-s2-d8", "wal-s2-d8", "wal cost, depth 8"),
-    ] {
-        println!(
-            "{what}: {wal} runs at {:.2}x of {mem}",
-            tput(wal) / tput(mem).max(1e-9)
-        );
-    }
-    if let Some(restart) = matrix.rows.iter().find(|r| r.cfg.name == "restart-s2") {
-        if let Some(rec) = restart.recover {
-            println!(
-                "restart-s2: killed + recovered one object mid-run in {:.2} ms ({} ops, {} errors)",
-                rec.as_secs_f64() * 1e3,
-                restart.ops,
-                restart.errors
-            );
-        }
-    }
-    let r = &matrix.replay;
-    println!(
-        "replay-wal: {} records replayed in {:.2} ms ({:.0} records/s)",
-        r.records,
-        r.recover.as_secs_f64() * 1e3,
-        r.records_per_sec()
-    );
-    let json = store_bench_json(&matrix, quick);
-    match std::fs::write("BENCH_store.json", &json) {
-        Ok(()) => println!("wrote BENCH_store.json ({} results)", matrix.rows.len() + 1),
-        Err(e) => eprintln!("could not write BENCH_store.json: {e}"),
     }
 }
 
@@ -454,73 +232,6 @@ fn t9(quick: bool) {
     }
 }
 
-fn t10(quick: bool) {
-    println!(
-        "== T10: observability overhead ({} mode; 4 shards, 4 threads, 90% gets) ==",
-        if quick { "quick" } else { "full" }
-    );
-    println!(
-        "{:<20} {:<7} {:<7} {:>5} {:>5} {:>6} {:>10} {:>18}",
-        "workload", "metrics", "tracing", "depth", "ops", "errs", "ops/sec", "get p50/p95 µs"
-    );
-    let matrix = obs_overhead_matrix(quick);
-    for row in &matrix.rows {
-        let lat = |s: Option<rastor_bench::stats::Summary>| {
-            s.map(|s| format!("{}/{}", s.p50, s.p95))
-                .unwrap_or_else(|| "-".into())
-        };
-        println!(
-            "{:<20} {:<7} {:<7} {:>5} {:>5} {:>6} {:>10.1} {:>18}",
-            row.cfg.name,
-            if row.cfg.name.starts_with("noobs-") {
-                "off"
-            } else {
-                "on"
-            },
-            if row.cfg.name.starts_with("trace-on-") {
-                "on"
-            } else {
-                "off"
-            },
-            row.cfg.depth,
-            row.ops,
-            row.errors,
-            row.ops_per_sec,
-            lat(row.get_lat_us),
-        );
-    }
-    let fmt_runs = |runs: &[f64]| {
-        runs.iter()
-            .map(|t| format!("{t:.0}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    println!(
-        "depth-8 repeats ({} per arm): noobs [{}] / obs [{}]",
-        matrix.noobs_runs.len(),
-        fmt_runs(&matrix.noobs_runs),
-        fmt_runs(&matrix.obs_runs),
-    );
-    println!(
-        "                              trace-off [{}] / trace-on [{}]",
-        fmt_runs(&matrix.trace_off_runs),
-        fmt_runs(&matrix.trace_on_runs),
-    );
-    println!(
-        "metrics overhead at depth 8 (median vs median): {:.2}% (gate: < {OVERHEAD_GATE_PCT}%)",
-        matrix.overhead_pct
-    );
-    println!(
-        "tracing overhead at depth 8 (median vs median): {:.2}% (gate: < {TRACE_OVERHEAD_GATE_PCT}%)",
-        matrix.trace_overhead_pct
-    );
-    let json = obs_bench_json(&matrix, quick);
-    match std::fs::write("BENCH_obs.json", &json) {
-        Ok(()) => println!("wrote BENCH_obs.json ({} results)", matrix.rows.len()),
-        Err(e) => eprintln!("could not write BENCH_obs.json: {e}"),
-    }
-}
-
 fn f1() {
     println!("== F1: Proposition 1 run family, executed mechanically (S=4, t=1) ==");
     println!(
@@ -556,9 +267,7 @@ fn f2() {
     }
 }
 
-const SECTIONS: [&str; 12] = [
-    "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "f1", "f2",
-];
+const SECTIONS: [&str; 9] = ["t1", "t2", "t3", "t4", "t5", "t6", "t9", "f1", "f2"];
 
 fn main() {
     let mut quick = false;
@@ -585,11 +294,8 @@ fn main() {
                 "t3" => t3(),
                 "t4" => t4(),
                 "t5" => t5(),
-                "t6" => t6(quick),
-                "t7" => t7(quick),
-                "t8" => t8(quick),
+                "t6" => t6(),
                 "t9" => t9(quick),
-                "t10" => t10(quick),
                 "f1" => f1(),
                 "f2" => f2(),
                 _ => unreachable!("SECTIONS is exhaustive"),

@@ -6,10 +6,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod netbench;
-pub mod obsbench;
 pub mod stats;
-pub mod storebench;
 pub mod workload;
 
 use rastor_common::{ClientId, ObjectId, OpKind, Value};

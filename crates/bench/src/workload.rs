@@ -1,274 +1,87 @@
-//! The kv throughput workload driver: multi-threaded put/get mixes against
-//! the sharded store, with configurable shard count, key skew, loop mode,
-//! **pipeline depth** and per-shard fault injection. Results feed the
-//! `exp t6` table and the machine-readable `BENCH_kv.json` perf trajectory
-//! consumed by CI.
+//! The load generator behind `rastor bench`: client threads drive a
+//! put/get mix against an already-built sharded store and report counts,
+//! wall-clock throughput and per-op latency. It is a traffic source for a
+//! live cluster, not a benchmark — rastor is timed in `benchmark/`.
 //!
-//! Unlike the simulator-based tables (t1–t5), this driver measures
-//! **wall-clock** throughput of the thread runtime. Each storage object
-//! emulates a service delay per envelope (uniform in `0..2·mean`), so
-//! throughput is bound by emulated object latency — the regime where
-//! sharding *and pipelining* pay — rather than by host CPU, which keeps
-//! the numbers comparable across machines (and between laptops and CI
-//! runners).
-//!
-//! `depth = 1` runs the classic closed loop (one op per thread at a time:
-//! throughput ≈ `threads / latency`). `depth > 1` keeps that many
-//! operations in flight per handle through the pipelined submit/poll
-//! interface, so throughput is bound by shard capacity instead. Pipelined
-//! per-op latency is measured submit→harvest (the poll that observes the
-//! resolution), so it includes submission queueing and any dwell in the
-//! ready queue until the next harvest — an upper bound on the operation's
-//! own latency, not a round-trip measurement.
+//! `depth = 1` runs one op per thread at a time. `depth > 1` keeps that
+//! many operations in flight per handle through the pipelined submit/poll
+//! interface. Pipelined per-op latency is measured submit→harvest (the
+//! poll that observes the resolution), so it includes submission queueing
+//! and any dwell in the ready queue until the next harvest — an upper
+//! bound on the operation's own latency, not a round-trip measurement.
 
 use crate::stats::Summary;
-use rastor_common::{ObjectId, SplitMix64, Value};
-use rastor_core::adversary::SilentObject;
-use rastor_kv::{KvOpId, ShardedKvStore, StoreConfig};
-use rastor_store::{Durability, InMemory};
+use rastor_common::{SplitMix64, Value};
+use rastor_kv::{KvOpId, ShardedKvStore};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// How client threads pace their operations.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum LoopMode {
-    /// Closed loop: issue the next operation as soon as the previous one
-    /// completes (saturation throughput).
-    Closed,
-    /// Open(-ish) loop: pace each thread at the given issue rate
-    /// (operations per second), sleeping out any slack. With a blocking
-    /// client a late operation delays the schedule instead of queueing, so
-    /// this is pacing, not a true open loop; the achieved rate is
-    /// reported.
-    Open {
-        /// Target issue rate per thread, in operations per second.
-        ops_per_sec: u32,
-    },
-}
-
-impl LoopMode {
-    fn label(self) -> String {
-        match self {
-            LoopMode::Closed => "closed".into(),
-            LoopMode::Open { ops_per_sec } => format!("open@{ops_per_sec}"),
-        }
-    }
-}
-
-/// One workload configuration.
+/// One load-generator configuration.
 #[derive(Clone, Debug)]
 pub struct WorkloadCfg {
-    /// Row label (also the key for baseline comparison in CI).
+    /// Label printed with the result.
     pub name: String,
-    /// Per-shard fault budget (`S = 3t + 1` objects per shard).
-    pub t: usize,
-    /// Number of shards.
-    pub shards: usize,
-    /// Client threads (= handle pool size).
+    /// Client threads (each takes one handle of the store's pool).
     pub threads: u32,
     /// Percentage of operations that are puts (the rest are gets).
     pub put_pct: u32,
-    /// Key-space size; keys are pre-seeded before the timed phase.
+    /// Key-space size; keys are drawn uniformly.
     pub keys: u32,
-    /// Fraction of traffic aimed at the hottest 10% of keys (0.1 ≈
-    /// uniform; 0.9 = heavy skew).
-    pub skew: f64,
-    /// Operations per thread in the timed phase.
+    /// Operations per thread.
     pub ops_per_thread: u64,
-    /// Objects crashed per shard before the timed phase (≤ t).
-    pub crashed_per_shard: usize,
-    /// Byzantine (silent) objects per shard (≤ t, counted against the
-    /// same budget as crashes).
-    pub silent_per_shard: usize,
-    /// Operations kept in flight per handle: 1 = closed loop, > 1 =
+    /// Operations kept in flight per handle: 1 = one at a time, > 1 =
     /// pipelined via the handle's submit/poll interface.
     pub depth: u32,
-    /// Serve cluster gets through the adaptive fast path (2 rounds when
-    /// uncontended and confirmed, 4 on fallback) instead of the always-4
-    /// slow read.
-    pub fast_reads: bool,
-    /// Total client connections to hold open across the deployment's
-    /// shards (socket transports only; 0 = the substrate default of one
-    /// per shard). Only a handful carry traffic — the sweep measures
-    /// that *open* connections are cheap, not that every one is busy.
-    pub conns: u32,
-    /// Mean emulated service delay per object request.
-    pub service: Duration,
-    /// Loop mode for the client threads.
-    pub mode: LoopMode,
     /// Seed for key/op choices (thread `i` derives `seed + i`).
     pub seed: u64,
-    /// How honest objects persist ([`InMemory`] by default; a
-    /// `WalBacked` config turns the row into a durability-cost
-    /// measurement and enables `restart_after`).
-    pub durability: Arc<dyn Durability>,
-    /// Kill-and-restart injection: this long into the timed phase, kill
-    /// the top object of shard 0 and restart it from disk, reporting the
-    /// recovery time in [`WorkloadRow::recover`]. Requires a recoverable
-    /// `durability`.
-    pub restart_after: Option<Duration>,
 }
 
 impl WorkloadCfg {
-    /// A closed-loop baseline row: fault-free, near-uniform key choice.
-    pub fn closed(name: &str, shards: usize, threads: u32, put_pct: u32) -> WorkloadCfg {
+    /// One op at a time per thread over 32 keys, 100 ops per thread.
+    pub fn closed(name: &str, threads: u32, put_pct: u32) -> WorkloadCfg {
         WorkloadCfg {
             name: name.to_string(),
-            t: 1,
-            shards,
             threads,
             put_pct,
             keys: 32,
-            skew: 0.1,
             ops_per_thread: 100,
-            crashed_per_shard: 0,
-            silent_per_shard: 0,
             depth: 1,
-            fast_reads: false,
-            conns: 0,
-            service: Duration::from_micros(150),
-            mode: LoopMode::Closed,
             seed: 42,
-            durability: Arc::new(InMemory),
-            restart_after: None,
         }
     }
 
-    /// Persist honest objects through `durability` (see `exp t8`).
-    #[must_use]
-    pub fn with_durability(mut self, durability: Arc<dyn Durability>) -> WorkloadCfg {
-        self.durability = durability;
-        self
-    }
-
-    /// Inject a kill-and-restart of shard 0's top object this long into
-    /// the timed phase.
-    #[must_use]
-    pub fn with_restart_after(mut self, after: Duration) -> WorkloadCfg {
-        self.restart_after = Some(after);
-        self
-    }
-
-    /// The same row pipelined at `depth` ops in flight per handle, with a
-    /// `-d<depth>` name suffix (the convention `scripts/check_bench.rs`
-    /// uses to pair pipelined rows with their closed-loop twins).
+    /// The same mix pipelined at `depth` ops in flight per handle, with a
+    /// `-d<depth>` name suffix.
     #[must_use]
     pub fn pipelined(mut self, depth: u32) -> WorkloadCfg {
-        assert!(depth >= 1, "depth 0 cannot make progress");
         self.depth = depth;
         self.name = format!("{}-d{depth}", self.name);
         self
     }
-
-    /// The same row holding `conns` client connections open across the
-    /// deployment (socket transports only), with a `-c<conns>` name
-    /// suffix — the connection-count sweep axis `scripts/check_bench.rs`
-    /// uses to gate throughput and latency at scale against the
-    /// smallest-count row.
-    #[must_use]
-    pub fn with_conns(mut self, conns: u32) -> WorkloadCfg {
-        assert!(
-            conns >= 1,
-            "a socket workload needs at least one connection"
-        );
-        self.conns = conns;
-        self.name = format!("{}-c{conns}", self.name);
-        self
-    }
-
-    /// The same row with the adaptive 2-round fast read path on, with a
-    /// `-fast` name suffix (the convention `scripts/check_bench.rs` uses
-    /// to pair fast-read rows with their slow-read twins and gate
-    /// `get_rounds_mean` against them).
-    #[must_use]
-    pub fn fast_reads(mut self) -> WorkloadCfg {
-        self.fast_reads = true;
-        self.name = format!("{}-fast", self.name);
-        self
-    }
 }
 
-/// The measured outcome of one workload run.
+/// The measured outcome of one run.
 #[derive(Clone, Debug)]
 pub struct WorkloadRow {
-    /// The configuration that produced this row.
-    pub cfg: WorkloadCfg,
     /// Completed operations (across all threads).
     pub ops: u64,
     /// Operations that returned an error (should be 0 within budget).
     pub errors: u64,
-    /// Wall-clock duration of the timed phase, in seconds.
+    /// Wall-clock duration from the first worker's start to the last
+    /// worker's finish, in seconds.
     pub elapsed_secs: f64,
     /// Completed operations per wall-clock second.
     pub ops_per_sec: f64,
-    /// Kill-to-serving-again time of the injected restart (rows with
-    /// `restart_after` only).
-    pub recover: Option<Duration>,
     /// Put latency summary in microseconds (`None` if the mix had no puts).
     pub put_lat_us: Option<Summary>,
     /// Get latency summary in microseconds (`None` if the mix had no gets).
     pub get_lat_us: Option<Summary>,
     /// Mean protocol rounds per completed cluster get, aggregated across
     /// every handle (`None` if the mix had no cluster gets). 4.0 on the
-    /// slow path; between 2.0 and 4.0 with `fast_reads` on, depending on
+    /// slow path; between 2.0 and 4.0 with fast reads on, depending on
     /// how often contention forces the fallback.
     pub get_rounds_mean: Option<f64>,
-}
-
-fn pick_key(rng: &mut SplitMix64, keys: u32, skew: f64) -> u32 {
-    let hot = (keys / 10).max(1);
-    if rng.next_f64() < skew {
-        rng.gen_range(0, u64::from(hot) - 1) as u32
-    } else {
-        rng.gen_range(0, u64::from(keys) - 1) as u32
-    }
-}
-
-/// Run one workload configuration to completion and measure it.
-///
-/// Builds a fresh store (with the configured Byzantine objects), seeds
-/// every key, crashes the configured objects, then runs `threads` OS
-/// threads through the put/get mix and reports wall-clock throughput and
-/// latency percentiles.
-///
-/// # Panics
-///
-/// Panics if the fault injection exceeds the per-shard budget
-/// (`crashed + silent > t`) or the store cannot be built.
-pub fn run_workload(cfg: &WorkloadCfg) -> WorkloadRow {
-    assert!(
-        cfg.crashed_per_shard + cfg.silent_per_shard <= cfg.t,
-        "fault injection exceeds the per-shard budget t = {}",
-        cfg.t
-    );
-    let silent = cfg.silent_per_shard as u32;
-    let store = ShardedKvStore::spawn_with(
-        StoreConfig::new(cfg.t, cfg.shards, cfg.threads)
-            .with_jitter(2 * cfg.service)
-            .with_durability(Arc::clone(&cfg.durability))
-            .with_fast_reads(cfg.fast_reads),
-        |_, oid| {
-            // The first `silent` objects of every shard are Byzantine
-            // (silent); crashes below take the last objects, so the two
-            // injections never overlap. Honest slots (`None`) come from
-            // the configured durability.
-            (oid.0 < silent).then(|| Box::new(SilentObject) as _)
-        },
-    )
-    .expect("valid workload configuration");
-
-    seed_keys(&store, cfg.keys);
-
-    // Crash from the top of the object range, away from the silent ones.
-    let num_objects = store.config().num_objects() as u32;
-    for s in 0..cfg.shards {
-        for c in 0..cfg.crashed_per_shard as u32 {
-            store.crash_object(s, ObjectId(num_objects - 1 - c));
-        }
-    }
-
-    measure_store(&store, cfg)
 }
 
 /// Seed the key space of an already-built store so gets always have
@@ -288,19 +101,22 @@ pub fn seed_keys(store: &ShardedKvStore, keys: u32) {
 }
 
 /// Drive the configured put/get mix against an **already-built** (and
-/// seeded, and fault-injected) store — the measurement half of
-/// [`run_workload`], shared with the `t7` net-transport matrix, which
-/// builds its stores over sockets first.
+/// seeded) store.
 ///
 /// # Panics
 ///
-/// Panics if the store's handle pool is smaller than `cfg.threads`.
+/// Panics if `threads`, `keys` or `depth` is zero, or if the store's
+/// handle pool is smaller than `cfg.threads`.
 pub fn measure_store(store: &ShardedKvStore, cfg: &WorkloadCfg) -> WorkloadRow {
+    assert!(
+        cfg.threads >= 1 && cfg.keys >= 1 && cfg.depth >= 1,
+        "threads, keys and depth must each be at least 1: {cfg:?}"
+    );
     assert!(
         store.num_handles() >= cfg.threads,
         "store must supply one handle per workload thread"
     );
-    let barrier = Arc::new(Barrier::new(cfg.threads as usize + 1));
+    let barrier = Arc::new(Barrier::new(cfg.threads as usize));
     let mut workers = Vec::new();
     for tid in 0..cfg.threads {
         let store = store.clone();
@@ -308,7 +124,7 @@ pub fn measure_store(store: &ShardedKvStore, cfg: &WorkloadCfg) -> WorkloadRow {
         let cfg = cfg.clone();
         workers.push(std::thread::spawn(move || {
             let mut handle = store.handle(tid).expect("handle in pool");
-            handle.set_depth(cfg.depth.max(1) as usize);
+            handle.set_depth(cfg.depth as usize);
             let mut rng = SplitMix64::new(cfg.seed + u64::from(tid));
             let mut puts = Vec::new();
             let mut gets = Vec::new();
@@ -332,16 +148,10 @@ pub fn measure_store(store: &ShardedKvStore, cfg: &WorkloadCfg) -> WorkloadRow {
             barrier.wait();
             let phase_start = Instant::now();
             for op in 0..cfg.ops_per_thread {
-                if let LoopMode::Open { ops_per_sec } = cfg.mode {
-                    let due = Duration::from_secs(op) / ops_per_sec;
-                    if let Some(slack) = due.checked_sub(phase_start.elapsed()) {
-                        std::thread::sleep(slack);
-                    }
-                }
-                let key = key_name(pick_key(&mut rng, cfg.keys, cfg.skew));
+                let key = key_name(rng.gen_range(0, u64::from(cfg.keys) - 1) as u32);
                 let is_put = rng.gen_range(1, 100) <= u64::from(cfg.put_pct);
-                if cfg.depth <= 1 {
-                    // Closed loop: one op at a time, start to finish.
+                if cfg.depth == 1 {
+                    // One op at a time, start to finish.
                     let started = Instant::now();
                     let ok = if is_put {
                         handle.put(&key, Value::from_u64(op + 2)).is_ok()
@@ -395,59 +205,41 @@ pub fn measure_store(store: &ShardedKvStore, cfg: &WorkloadCfg) -> WorkloadRow {
                     &mut errors,
                 );
             }
-            (puts, gets, errors, handle.take_get_rounds())
+            let phase_end = Instant::now();
+            (
+                puts,
+                gets,
+                errors,
+                handle.take_get_rounds(),
+                (phase_start, phase_end),
+            )
         }));
     }
 
-    barrier.wait();
-    let start = Instant::now();
-    // Kill-and-restart injection: a controller thread kills one object of
-    // shard 0 mid-traffic and restarts it from disk, timing the
-    // kill-to-serving-again cycle. The target sits just below the
-    // crash-injection band (which takes the top `crashed_per_shard` ids)
-    // and above the silent band (the bottom ids), so the three
-    // injections never overlap — restarting an intentionally crashed
-    // object would silently hand shard 0 its quorum back. While the
-    // target is down it counts as one more crash; if the configured
-    // faults already spend the whole budget, shard-0 ops stall (their
-    // deadlines far exceed the ~ms recovery) rather than fail.
-    let restart = cfg.restart_after.map(|after| {
-        let store = store.clone();
-        let target =
-            ObjectId(store.config().num_objects() as u32 - 1 - cfg.crashed_per_shard as u32);
-        assert!(
-            target.0 >= cfg.silent_per_shard as u32,
-            "restart target must be an honest durability-managed object"
-        );
-        std::thread::spawn(move || {
-            std::thread::sleep(after);
-            store
-                .restart_object(0, target)
-                .expect("kill-and-restart requires a recoverable durability")
-        })
-    });
     let mut puts = Vec::new();
     let mut gets = Vec::new();
     let mut errors = 0u64;
     let (mut rounds_sum, mut rounds_count) = (0u64, 0u64);
+    // The run spans the earliest worker start to the latest worker end:
+    // the workers' own clocks, so no op can outlast the reported run.
+    let mut span: Option<(Instant, Instant)> = None;
     for w in workers {
-        let (p, g, e, (rs, rc)) = w.join().expect("worker thread");
+        let (p, g, e, (rs, rc), (start, end)) = w.join().expect("worker thread");
         puts.extend(p);
         gets.extend(g);
         errors += e;
         rounds_sum += rs;
         rounds_count += rc;
+        span = Some(span.map_or((start, end), |(s, e)| (s.min(start), e.max(end))));
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    let recover = restart.map(|h| h.join().expect("restart controller"));
+    let (start, end) = span.expect("at least one worker");
+    let elapsed = (end - start).as_secs_f64();
     let ops = (puts.len() + gets.len()) as u64;
     WorkloadRow {
-        cfg: cfg.clone(),
         ops,
         errors,
         elapsed_secs: elapsed,
         ops_per_sec: ops as f64 / elapsed.max(1e-9),
-        recover,
         put_lat_us: Summary::of(puts),
         get_lat_us: Summary::of(gets),
         get_rounds_mean: (rounds_count > 0).then(|| rounds_sum as f64 / rounds_count as f64),
@@ -458,260 +250,65 @@ fn key_name(k: u32) -> String {
     format!("key:{k:04}")
 }
 
-/// The T6 workload matrix: {1, 4} shards × {put-heavy, get-heavy} at
-/// depth 1 (closed loop) and depth 8 (pipelined), plus fault-injected and
-/// paced rows on the 4-shard layout. Pipelined rows carry a `-d8` suffix
-/// and are gated against their closed-loop twins by
-/// `scripts/check_bench.rs`. `quick` trims the per-thread op count for CI
-/// smoke runs.
-pub fn kv_throughput_matrix(quick: bool) -> Vec<WorkloadRow> {
-    let ops = if quick { 30 } else { 150 };
-    let mut configs = vec![
-        WorkloadCfg::closed("s1-put90", 1, 4, 90),
-        WorkloadCfg::closed("s1-get90", 1, 4, 10),
-        WorkloadCfg::closed("s4-put90", 4, 4, 90),
-        WorkloadCfg::closed("s4-get90", 4, 4, 10),
-        WorkloadCfg {
-            crashed_per_shard: 1,
-            ..WorkloadCfg::closed("s4-mixed-crash1", 4, 4, 50)
-        },
-        WorkloadCfg {
-            silent_per_shard: 1,
-            ..WorkloadCfg::closed("s4-mixed-byz1", 4, 4, 50)
-        },
-        WorkloadCfg {
-            skew: 0.9,
-            ..WorkloadCfg::closed("s4-put90-hot", 4, 4, 90)
-        },
-        WorkloadCfg {
-            mode: LoopMode::Open { ops_per_sec: 250 },
-            ..WorkloadCfg::closed("s4-get90-open", 4, 4, 10)
-        },
-        // The pipelining dimension: same mixes, depth 8 per handle.
-        WorkloadCfg::closed("s1-get90", 1, 4, 10).pipelined(8),
-        WorkloadCfg::closed("s4-put90", 4, 4, 90).pipelined(8),
-        WorkloadCfg::closed("s4-get90", 4, 4, 10).pipelined(8),
-        WorkloadCfg {
-            silent_per_shard: 1,
-            ..WorkloadCfg::closed("s4-mixed-byz1", 4, 4, 50)
-        }
-        .pipelined(8),
-        // The fast-read dimension: the get-heavy mixes again with the
-        // adaptive 2-round read on; `check_bench.rs` gates each `-fast`
-        // row's `get_rounds_mean` below its slow twin's.
-        WorkloadCfg::closed("s4-get90", 4, 4, 10).fast_reads(),
-        WorkloadCfg::closed("s4-get90", 4, 4, 10)
-            .pipelined(8)
-            .fast_reads(),
-    ];
-    for c in &mut configs {
-        c.ops_per_thread = ops;
-    }
-    configs.iter().map(run_workload).collect()
-}
-
-pub(crate) fn json_summary(prefix: &str, s: Option<Summary>) -> String {
-    let (p50, p95, max) = s.map_or((0, 0, 0), |s| (s.p50, s.p95, s.max));
-    format!("\"{prefix}_p50_us\":{p50},\"{prefix}_p95_us\":{p95},\"{prefix}_max_us\":{max}")
-}
-
-/// Serialize workload rows as the `BENCH_kv.json` document
-/// (`rastor-kv-throughput/v3`, which extends v2 with the per-row
-/// `fast_reads` flag and `get_rounds_mean` — 0 when the mix had no
-/// cluster gets): one result object per line, so the CI regression
-/// checker can scan it without a JSON parser.
-pub fn bench_json(rows: &[WorkloadRow], quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("\"schema\": \"rastor-kv-throughput/v3\",\n");
-    out.push_str(&format!("\"quick\": {quick},\n"));
-    out.push_str("\"results\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let c = &row.cfg;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"shards\":{},\"threads\":{},\"depth\":{},\"fast_reads\":{},\"get_rounds_mean\":{:.3},\"put_pct\":{},\"keys\":{},\"skew\":{:.2},\"crashed_per_shard\":{},\"silent_per_shard\":{},\"mode\":\"{}\",\"ops\":{},\"errors\":{},\"elapsed_secs\":{:.4},\"ops_per_sec\":{:.1},{},{}}}{}\n",
-            c.name,
-            c.shards,
-            c.threads,
-            c.depth,
-            c.fast_reads,
-            row.get_rounds_mean.unwrap_or(0.0),
-            c.put_pct,
-            c.keys,
-            c.skew,
-            c.crashed_per_shard,
-            c.silent_per_shard,
-            c.mode.label(),
-            row.ops,
-            row.errors,
-            row.elapsed_secs,
-            row.ops_per_sec,
-            json_summary("put", row.put_lat_us),
-            json_summary("get", row.get_lat_us),
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rastor_kv::StoreConfig;
 
-    fn tiny(name: &str, shards: usize) -> WorkloadCfg {
+    fn run(cfg: &WorkloadCfg) -> WorkloadRow {
+        let store = ShardedKvStore::spawn(StoreConfig::new(1, 2, cfg.threads)).expect("store");
+        seed_keys(&store, cfg.keys);
+        measure_store(&store, cfg)
+    }
+
+    fn tiny(name: &str) -> WorkloadCfg {
         WorkloadCfg {
             keys: 8,
             ops_per_thread: 10,
-            threads: 2,
-            service: Duration::from_micros(20),
-            ..WorkloadCfg::closed(name, shards, 2, 50)
+            ..WorkloadCfg::closed(name, 2, 50)
         }
     }
 
     #[test]
     fn closed_loop_completes_every_op() {
-        let row = run_workload(&tiny("t", 2));
+        let row = run(&tiny("t"));
         assert_eq!(row.ops, 20);
         assert_eq!(row.errors, 0);
         assert!(row.ops_per_sec > 0.0);
-    }
-
-    #[test]
-    fn fault_injection_within_budget_still_completes() {
-        let crash = WorkloadCfg {
-            crashed_per_shard: 1,
-            ..tiny("crash", 2)
-        };
-        let byz = WorkloadCfg {
-            silent_per_shard: 1,
-            ..tiny("byz", 2)
-        };
-        for cfg in [crash, byz] {
-            let row = run_workload(&cfg);
-            assert_eq!(row.ops, 20, "{}", row.cfg.name);
-            assert_eq!(row.errors, 0, "{}", row.cfg.name);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "budget")]
-    fn fault_injection_beyond_budget_panics() {
-        let cfg = WorkloadCfg {
-            crashed_per_shard: 1,
-            silent_per_shard: 1,
-            ..tiny("over", 1)
-        };
-        run_workload(&cfg);
-    }
-
-    #[test]
-    fn open_loop_paces_without_losing_ops() {
-        let cfg = WorkloadCfg {
-            mode: LoopMode::Open { ops_per_sec: 500 },
-            ..tiny("open", 1)
-        };
-        let row = run_workload(&cfg);
-        assert_eq!(row.ops, 20);
-        // 10 ops at 500/s per thread needs ≥ ~18 ms of schedule.
-        assert!(
-            row.elapsed_secs >= 0.015,
-            "paced run took {}",
-            row.elapsed_secs
-        );
-    }
-
-    #[test]
-    fn json_has_schema_and_one_result_per_row() {
-        let rows = vec![run_workload(&tiny("a", 1)), run_workload(&tiny("b", 2))];
-        let doc = bench_json(&rows, true);
-        assert!(doc.contains("\"schema\": \"rastor-kv-throughput/v3\""));
-        assert_eq!(doc.matches("\"name\":").count(), 2);
-        assert_eq!(doc.matches("\"ops_per_sec\":").count(), 2);
-        assert_eq!(doc.matches("\"depth\":1").count(), 2);
-        assert_eq!(doc.matches("\"fast_reads\":false").count(), 2);
-        assert_eq!(doc.matches("\"get_rounds_mean\":").count(), 2);
-        // Balanced braces/brackets — cheap well-formedness check.
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert_eq!(doc.matches('[').count(), doc.matches(']').count());
-    }
-
-    /// The fast-read row's whole point: on a quiet get-heavy mix the mean
-    /// rounds per get drop below the slow path's constant 4 (all the way
-    /// to 2 when nothing contends), and the results stay correct.
-    #[test]
-    fn fast_reads_save_rounds_on_a_get_heavy_mix() {
-        let base = WorkloadCfg {
-            put_pct: 10,
-            ..tiny("fastget", 2)
-        };
-        let slow = run_workload(&base);
-        let fast = run_workload(&base.clone().fast_reads());
-        assert_eq!(fast.cfg.name, "fastget-fast");
-        assert_eq!(fast.errors, 0);
-        let slow_mean = slow.get_rounds_mean.expect("slow gets measured");
-        let fast_mean = fast.get_rounds_mean.expect("fast gets measured");
-        assert!(
-            (slow_mean - 4.0).abs() < f64::EPSILON,
-            "slow reads always pay 4 rounds, got {slow_mean}"
-        );
-        assert!(
-            fast_mean < slow_mean,
-            "fast reads must save rounds: {fast_mean} vs {slow_mean}"
-        );
-        assert!((2.0..=4.0).contains(&fast_mean), "envelope: {fast_mean}");
     }
 
     #[test]
     fn pipelined_rows_complete_every_op() {
-        let cfg = tiny("deep", 2).pipelined(4);
+        let cfg = tiny("deep").pipelined(4);
         assert_eq!(cfg.name, "deep-d4");
-        let row = run_workload(&cfg);
+        let row = run(&cfg);
         assert_eq!(row.ops, 20);
         assert_eq!(row.errors, 0);
         assert!(row.ops_per_sec > 0.0);
     }
 
+    /// A run as short as one op per thread is where a coordinator-side
+    /// clock started late: the reported run must still contain every op
+    /// it reports.
     #[test]
-    fn pipelined_rows_survive_fault_injection() {
-        let cfg = WorkloadCfg {
-            silent_per_shard: 1,
-            ..tiny("deep-byz", 2)
+    fn elapsed_covers_the_slowest_op() {
+        for depth in [1, 4] {
+            let cfg = WorkloadCfg {
+                ops_per_thread: 1,
+                ..WorkloadCfg::closed("short", 4, 50).pipelined(depth)
+            };
+            let row = run(&cfg);
+            let slowest = [row.put_lat_us, row.get_lat_us]
+                .into_iter()
+                .flatten()
+                .map(|s| s.max)
+                .max()
+                .expect("ops ran");
+            assert!(
+                row.elapsed_secs * 1e6 >= slowest as f64,
+                "depth {depth}: elapsed {}s is shorter than a {slowest}µs op",
+                row.elapsed_secs
+            );
         }
-        .pipelined(4);
-        let row = run_workload(&cfg);
-        assert_eq!(row.ops, 20, "{}", row.cfg.name);
-        assert_eq!(row.errors, 0, "{}", row.cfg.name);
-    }
-
-    /// The tentpole claim in miniature: with a real per-envelope service
-    /// delay, depth-8 pipelining must out-run the closed loop on the same
-    /// shard layout.
-    #[test]
-    fn pipelining_beats_the_closed_loop() {
-        let base = WorkloadCfg {
-            keys: 16,
-            ops_per_thread: 40,
-            service: Duration::from_micros(100),
-            ..WorkloadCfg::closed("pipe", 2, 2, 50)
-        };
-        let closed = run_workload(&base);
-        let piped = run_workload(&base.clone().pipelined(8));
-        assert!(
-            piped.ops_per_sec > closed.ops_per_sec,
-            "depth 8 ({:.0} ops/s) must beat depth 1 ({:.0} ops/s)",
-            piped.ops_per_sec,
-            closed.ops_per_sec
-        );
-    }
-
-    #[test]
-    fn skewed_traffic_stays_correct() {
-        let cfg = WorkloadCfg {
-            skew: 0.95,
-            ..tiny("hot", 2)
-        };
-        let row = run_workload(&cfg);
-        assert_eq!(row.errors, 0);
     }
 }

@@ -104,24 +104,7 @@ impl NetKv {
     /// Propagates [`ShardedKvStore::over_transports`] validation errors
     /// and [`rastor_common::Error::Io`] from listeners/connections.
     pub fn spawn(cfg: StoreConfig, chaos: Option<ChaosCfg>) -> Result<NetKv> {
-        NetKv::spawn_impl(cfg, chaos, 1, false, |_, _| None)
-    }
-
-    /// As [`NetKv::spawn`], holding a pool of `conns_per_shard`
-    /// connections to every shard's server (see
-    /// [`NetCluster::connect_pooled`]): handles spread across each pool
-    /// by client-id hash, and the connection-count sweep opens thousands
-    /// of sockets without any per-connection threads.
-    ///
-    /// # Errors
-    ///
-    /// As [`NetKv::spawn`].
-    pub fn spawn_pooled(
-        cfg: StoreConfig,
-        chaos: Option<ChaosCfg>,
-        conns_per_shard: usize,
-    ) -> Result<NetKv> {
-        NetKv::spawn_impl(cfg, chaos, conns_per_shard, false, |_, _| None)
+        NetKv::spawn_impl(cfg, chaos, false, |_, _| None)
     }
 
     /// As [`NetKv::spawn`], choosing each object's behavior by `(shard,
@@ -137,7 +120,7 @@ impl NetKv {
         chaos: Option<ChaosCfg>,
         behavior: impl FnMut(usize, ObjectId) -> Option<Box<dyn ObjectBehavior<Req, Rep> + Send>>,
     ) -> Result<NetKv> {
-        NetKv::spawn_impl(cfg, chaos, 1, false, behavior)
+        NetKv::spawn_impl(cfg, chaos, false, behavior)
     }
 
     /// As [`NetKv::spawn_with`], but every object gets its **own**
@@ -161,13 +144,12 @@ impl NetKv {
         chaos: Option<ChaosCfg>,
         behavior: impl FnMut(usize, ObjectId) -> Option<Box<dyn ObjectBehavior<Req, Rep> + Send>>,
     ) -> Result<NetKv> {
-        NetKv::spawn_impl(cfg, chaos, 1, true, behavior)
+        NetKv::spawn_impl(cfg, chaos, true, behavior)
     }
 
     fn spawn_impl(
         cfg: StoreConfig,
         chaos: Option<ChaosCfg>,
-        conns_per_shard: usize,
         per_object: bool,
         mut behavior: impl FnMut(usize, ObjectId) -> Option<Box<dyn ObjectBehavior<Req, Rep> + Send>>,
     ) -> Result<NetKv> {
@@ -210,10 +192,7 @@ impl NetKv {
                 addrs.push(addr);
                 servers.push(server);
             }
-            transports.push(Box::new(NetCluster::connect_pooled(
-                &addrs,
-                conns_per_shard,
-            )?));
+            transports.push(Box::new(NetCluster::connect(&addrs)?));
         }
         let store = ShardedKvStore::over_transports(
             cfg.t,

@@ -8,15 +8,17 @@
 //! [`ObjectServer`] and the deployment's ops listener ([`OpsServer`]),
 //! which share the reactor and its per-connection partial-read buffers.
 
-use rastor_common::{ClientId, ObjectId, RegId};
+use rastor_common::{ClientId, ObjectId, RegId, Value};
 use rastor_core::msg::Req;
-use rastor_core::HonestObject;
+use rastor_core::{HonestObject, Protocol, StorageSystem};
 use rastor_kv::StoreConfig;
+use rastor_net::client::NetCluster;
 use rastor_net::ops::OpsServer;
 use rastor_net::server::ObjectServer;
 use rastor_net::wire::{self, Frame, ReqEnvelope, WireReqFrame};
 use rastor_net::NetKv;
 use rastor_obs::{names, Registry};
+use rastor_sim::runtime::ThreadClient;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
@@ -155,7 +157,7 @@ fn the_ops_listener_reassembles_dribbled_control_frames() {
     }
 }
 
-/// The perf claim behind the connection sweep: an `ObjectServer` runs a
+/// The reactor's scaling claim: an `ObjectServer` runs a
 /// fixed worker pool, so its thread count is identical whether it hosts
 /// one object or twelve, and does not move when connections pile on.
 #[test]
@@ -198,6 +200,51 @@ fn server_thread_count_is_fixed_regardless_of_objects_and_connections() {
         many.thread_count(),
         before,
         "32 served connections must not grow the pool"
+    );
+}
+
+/// A pooled client costs the server sockets, not threads: eight
+/// connections to one `ObjectServer` all open, clients hashed across
+/// the pool run their ops to completion, and the server's pool of
+/// threads does not move.
+#[test]
+fn pooled_connections_are_opened_and_cost_no_server_threads() {
+    let mut sys = StorageSystem::new(Protocol::AtomicUnauth, 1, 3).expect("valid shape");
+    let server = ObjectServer::spawn(
+        (0..sys.config().num_objects())
+            .map(|_| Box::new(HonestObject::new()) as _)
+            .collect(),
+        0,
+        None,
+    )
+    .expect("server");
+    let threads = server.thread_count();
+    let conns_before = Registry::global().counter_value(names::NET_CONNS_OPEN);
+
+    let cluster = NetCluster::connect_pooled(&[server.local_addr()], 8).expect("pooled connect");
+    assert_eq!(cluster.num_connections(), 8);
+    let timeout = Duration::from_secs(10);
+    ThreadClient::new(ClientId::writer())
+        .run_op(&cluster, sys.write_client(Value::from_u64(7)), timeout)
+        .expect("write completes");
+    for r in 0..3 {
+        let (out, _) = ThreadClient::new(ClientId::reader(r))
+            .run_op(&cluster, sys.read_client(r), timeout)
+            .expect("read completes");
+        assert_eq!(
+            out.into_read().expect("read output").val,
+            Value::from_u64(7)
+        );
+    }
+
+    // The counter is process-global and other tests dial too, hence ≥.
+    let opened = Registry::global().counter_value(names::NET_CONNS_OPEN) - conns_before;
+    assert!(opened >= 8, "the pool must really open: {opened} new conns");
+    assert_eq!(cluster.live_connections(), 8);
+    assert_eq!(
+        server.thread_count(),
+        threads,
+        "8 pooled connections must not grow the server's pool"
     );
 }
 

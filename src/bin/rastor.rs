@@ -202,7 +202,7 @@ fn usage_err(detail: String) -> ExitCode {
 // ---------------------------------------------------------------------------
 // The cluster file: `rastor-cluster/v1`, line-disciplined JSON so both
 // halves of the CLI (and humans, and scripts) can read it without a JSON
-// parser — the same discipline as `BENCH_*.json` and `rastor-metrics/v1`.
+// parser — the same discipline as `rastor-metrics/v1`.
 
 struct ClusterFile {
     t: usize,
@@ -853,24 +853,32 @@ fn cmd_admin(args: &[String], verb: AdminVerb) -> Result<ExitCode> {
 // ---------------------------------------------------------------------------
 // bench
 
+/// The load-generator configuration `bench`'s flags describe, or the
+/// usage error for a value no run can make progress with.
+fn bench_cfg(flags: &Flags) -> std::result::Result<WorkloadCfg, String> {
+    let at_least_one = |name: &str, default: u64| match flags.num(name, default)? {
+        0 => Err(format!("--{name} must be at least 1")),
+        n => u32::try_from(n).map_err(|_| format!("--{name} {n} is out of range")),
+    };
+    let put_pct = match flags.num("put-pct", 10)? {
+        p @ 0..=100 => p as u32,
+        p => return Err(format!("--put-pct is a percentage, got {p}")),
+    };
+    let mut cfg = WorkloadCfg::closed("cli-bench", at_least_one("threads", 4)?, put_pct)
+        .pipelined(at_least_one("depth", 8)?);
+    cfg.keys = at_least_one("keys", 32)?;
+    cfg.ops_per_thread = flags.num("ops", 200)?;
+    Ok(cfg)
+}
+
 fn cmd_bench(args: &[String]) -> Result<ExitCode> {
     let flags = match parse_flags(args) {
         Ok(f) => f,
         Err(e) => return Ok(usage_err(e)),
     };
-    let (ops, depth, put_pct, keys, threads) = match (
-        flags.num("ops", 200),
-        flags.num("depth", 8),
-        flags.num("put-pct", 10),
-        flags.num("keys", 32),
-        flags.num("threads", 4),
-    ) {
-        (Ok(o), Ok(d), Ok(p), Ok(k), Ok(t)) => (o, d as u32, p as u32, k as u32, t as u32),
-        (Err(e), ..)
-        | (_, Err(e), ..)
-        | (_, _, Err(e), _, _)
-        | (_, _, _, Err(e), _)
-        | (_, _, _, _, Err(e)) => return Ok(usage_err(e)),
+    let cfg = match bench_cfg(&flags) {
+        Ok(c) => c,
+        Err(e) => return Ok(usage_err(e)),
     };
     let cluster = match parse_cluster_file(flags.file()) {
         Ok(c) => c,
@@ -882,7 +890,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode> {
     // Trace ids are minted client-side (the driver owns the op), so a
     // bench that should exercise the cluster's span capture has to turn
     // its own recorder on; the servers tag whatever ids arrive on the
-    // wire. Off by default — bench doubles as the perf tool.
+    // wire. Off by default.
     match flags.num("trace-sample", 0) {
         Ok(0) => {}
         Ok(n) => {
@@ -906,18 +914,13 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode> {
     let registry = Registry::global();
     let store = ShardedKvStore::over_transports(
         cluster.t,
-        cluster.handles.max(threads),
+        cluster.handles.max(cfg.threads),
         cluster.fast_reads,
         transports,
         Arc::new(InMemory),
         Some(Arc::clone(&registry)),
     )?;
-    let mut cfg =
-        WorkloadCfg::closed("cli-bench", cluster.shards.len(), threads, put_pct).pipelined(depth);
-    cfg.keys = keys;
-    cfg.ops_per_thread = ops;
-    cfg.fast_reads = cluster.fast_reads;
-    seed_keys(&store, keys);
+    seed_keys(&store, cfg.keys);
     let row = measure_store(&store, &cfg);
     println!(
         "{}: {} ops ({} errors) in {:.2}s = {:.0} ops/s",
@@ -956,4 +959,45 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode> {
         );
     }
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bench_flags(args: &[&str]) -> std::result::Result<WorkloadCfg, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        bench_cfg(&parse_flags(&args)?)
+    }
+
+    #[test]
+    fn bench_flags_reject_values_no_run_can_use() {
+        let cfg = bench_flags(&[]).expect("defaults are valid");
+        assert_eq!(
+            (cfg.name.as_str(), cfg.threads, cfg.depth, cfg.keys),
+            ("cli-bench-d8", 4, 8, 32)
+        );
+        assert_eq!((cfg.put_pct, cfg.ops_per_thread), (10, 200));
+        for ok in [
+            &["--depth", "1"][..],
+            &["--keys", "1"],
+            &["--threads", "1"],
+            &["--put-pct", "0"],
+            &["--put-pct", "100"],
+            &["--ops", "0"],
+        ] {
+            assert!(bench_flags(ok).is_ok(), "{ok:?}");
+        }
+        for (bad, names) in [
+            (&["--depth", "0"][..], "--depth"),
+            (&["--keys", "0"], "--keys"),
+            (&["--threads", "0"], "--threads"),
+            (&["--put-pct", "101"], "--put-pct"),
+            (&["--keys", "4294967296"], "--keys"),
+            (&["--depth", "x"], "--depth"),
+        ] {
+            let err = bench_flags(bad).expect_err("rejected");
+            assert!(err.contains(names), "{bad:?}: {err}");
+        }
+    }
 }
