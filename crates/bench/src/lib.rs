@@ -1,7 +1,7 @@
-//! Experiment drivers shared by the criterion benches and the `exp` table
-//! binary. Each public function regenerates one table/figure of
-//! EXPERIMENTS.md (see DESIGN.md §5 for the paper-artifact → experiment
-//! map).
+//! Experiment drivers behind the `exp` table binary. Each public function
+//! regenerates one table/figure of EXPERIMENTS.md (see DESIGN.md §5 for
+//! the paper-artifact → experiment map); the tests below assert each
+//! table's shape. Nothing here is timed — see `benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -335,10 +335,12 @@ mod tests {
 
     #[test]
     fn t1_matches_paper_claims() {
-        for row in t1_round_table(1, 2) {
-            if let Some((w, r)) = row.paper_claim {
-                assert_eq!(row.write_rounds, w, "{} write", row.protocol);
-                assert_eq!(row.read_rounds, r, "{} read", row.protocol);
+        for t in [1, 2, 4] {
+            for row in t1_round_table(t, 2) {
+                if let Some((w, r)) = row.paper_claim {
+                    assert_eq!(row.write_rounds, w, "{} write, t={t}", row.protocol);
+                    assert_eq!(row.read_rounds, r, "{} read, t={t}", row.protocol);
+                }
             }
         }
     }

@@ -1,13 +1,10 @@
 //! Shared binary-codec primitives: fixed-width little-endian writers and
 //! a bounds-checked read cursor.
 //!
-//! Two codecs in the workspace speak the same byte discipline — the wire
-//! format (`rastor_net::wire`) and the on-disk record format
-//! (`rastor_store`'s codec). Their *layouts* are independent and
-//! independently versioned, but the format-agnostic primitives live here
-//! exactly once, so the security-relevant invariants (bounds-checked
-//! reads, the sequence-length allocation cap) cannot drift apart between
-//! copies.
+//! The message vocabulary's one codec (`rastor_core::codec`) and the wire
+//! envelopes and control frames around it (`rastor_net::wire`) are built
+//! on these, so the security-relevant invariants (bounds-checked reads,
+//! the sequence-length allocation cap) live here exactly once.
 //!
 //! Malformed input surfaces as [`Error::Codec`], never a panic: whoever
 //! produced the bytes (a Byzantine peer, a corrupt disk) owns them.
@@ -109,19 +106,27 @@ impl<'a> Dec<'a> {
         ))
     }
 
-    /// Consume a sequence length, sanity-bounded by the bytes actually
-    /// remaining (every element costs ≥ 1 byte), so a corrupt count can
-    /// never drive a huge allocation.
+    /// Consume the element count of a sequence whose elements each encode
+    /// to at least `min_elem_len` bytes, rejecting a count the remaining
+    /// bytes cannot hold — so `Vec::with_capacity(count)` allocates at most
+    /// a constant factor of the body actually received, whatever count a
+    /// Byzantine peer or a corrupt record claims.
     ///
     /// # Errors
     ///
-    /// [`Error::Codec`] on exhaustion or an impossible length.
-    pub fn seq_len(&mut self) -> Result<usize> {
+    /// [`Error::Codec`] on exhaustion or an impossible count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `min_elem_len` is zero (a call-site bug: no encoded
+    /// element is empty).
+    pub fn seq_len(&mut self, min_elem_len: usize) -> Result<usize> {
         let n = self.u32()? as usize;
-        if n > self.buf.len() - self.pos {
+        let remaining = self.buf.len() - self.pos;
+        if n > remaining / min_elem_len {
             return Err(Error::codec(format!(
-                "sequence length {n} exceeds the {} bytes remaining",
-                self.buf.len() - self.pos
+                "sequence length {n} exceeds what the {remaining} bytes remaining can hold \
+                 (elements are at least {min_elem_len} bytes)"
             )));
         }
         Ok(n)
@@ -134,7 +139,7 @@ impl<'a> Dec<'a> {
     ///
     /// [`Error::Codec`] on exhaustion or an impossible length.
     pub fn bytes(&mut self) -> Result<&'a [u8]> {
-        let n = self.seq_len()?;
+        let n = self.seq_len(1)?;
         self.take(n)
     }
 
@@ -187,7 +192,19 @@ mod tests {
         let mut out = Vec::new();
         put_u32(&mut out, u32::MAX); // an absurd element count
         let mut d = Dec::new(&out);
-        assert!(d.seq_len().is_err());
+        assert!(d.seq_len(1).is_err());
+    }
+
+    /// The count is bounded by what the remaining bytes can hold at the
+    /// element's minimum size, not by the byte count itself.
+    #[test]
+    fn sequence_lengths_are_bounded_by_the_element_size() {
+        let mut out = Vec::new();
+        put_u32(&mut out, 3);
+        out.extend_from_slice(&[0; 26]); // two 13-byte elements
+        assert!(Dec::new(&out).seq_len(13).is_err());
+        out.extend_from_slice(&[0; 13]);
+        assert_eq!(Dec::new(&out).seq_len(13).unwrap(), 3);
     }
 
     #[test]

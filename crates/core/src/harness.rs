@@ -8,8 +8,8 @@
 //! ([`StorageSystem::run`]), and [`StorageSystem::spawn_thread_cluster`]
 //! puts the identical objects on OS threads, where the automata from
 //! [`StorageSystem::write_client`] / [`StorageSystem::read_client`] run
-//! through [`crate::driver::drive_batch`]. There is no second round-loop to
-//! keep in sync.
+//! through [`rastor_sim::runtime::ThreadClient`]. There is no second
+//! round-loop to keep in sync.
 //!
 //! Used by integration tests, benches and examples so that protocol
 //! selection stays declarative.
@@ -238,8 +238,8 @@ impl StorageSystem {
     /// object host, with an optional per-envelope service jitter. Drive the
     /// automata from [`StorageSystem::write_client`] /
     /// [`StorageSystem::read_client`] over it with
-    /// [`crate::driver::drive_batch`] — the identical protocol code and op
-    /// driver as the simulated path, minus the scheduling adversary.
+    /// [`rastor_sim::runtime::ThreadClient`] — the identical protocol code
+    /// and op driver as the simulated path, minus the scheduling adversary.
     pub fn spawn_thread_cluster(
         &self,
         jitter: Option<std::time::Duration>,
@@ -597,7 +597,6 @@ mod tests {
     /// must produce identical outputs and round counts on both.
     #[test]
     fn sim_and_thread_deploys_agree() {
-        use crate::driver::{drive_batch, BatchOp};
         for p in [
             Protocol::Abd,
             Protocol::ByzRegular,
@@ -614,31 +613,18 @@ mod tests {
             // Thread substrate: same system, same automata constructors.
             let mut sys = StorageSystem::new(p, 1, 1).unwrap();
             let cluster = sys.spawn_thread_cluster(None);
-            let clusters = [&cluster];
             let mut client = rastor_sim::runtime::ThreadClient::new(ClientId::reader(0));
-            let ops = vec![
-                BatchOp {
-                    target: 0,
-                    kind: OpKind::Write,
-                    automaton: sys.write_client(Value::from_u64(42)),
-                },
-                BatchOp {
-                    target: 0,
-                    kind: OpKind::Read,
-                    automaton: sys.read_client(0),
-                },
-            ];
-            // Depth 1: the read starts after the write completes, exactly
-            // like the scheduled simulator workload.
-            let outs = drive_batch(
-                &mut client,
-                &clusters,
-                ops,
-                1,
-                std::time::Duration::from_secs(10),
-            );
+            // One op at a time: the read starts after the write completes,
+            // exactly like the scheduled simulator workload.
             let thread_outs: Vec<(OpOutput, u32)> =
-                outs.into_iter().map(|o| o.expect("completes")).collect();
+                [sys.write_client(Value::from_u64(42)), sys.read_client(0)]
+                    .into_iter()
+                    .map(|automaton| {
+                        client
+                            .run_op(&cluster, automaton, std::time::Duration::from_secs(10))
+                            .expect("completes")
+                    })
+                    .collect();
             let sim_outs: Vec<(OpOutput, u32)> = sim_res
                 .completions
                 .iter()

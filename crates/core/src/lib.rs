@@ -45,8 +45,8 @@ pub mod adversary;
 pub mod baseline;
 pub mod checker;
 pub mod clients;
+pub mod codec;
 pub mod collect;
-pub mod driver;
 pub mod harness;
 pub mod msg;
 pub mod mwmr;
@@ -56,7 +56,6 @@ pub mod transform;
 
 pub use checker::{History, ReadRec, Violation, WriteRec};
 pub use clients::OpOutput;
-pub use driver::{drive_batch, BatchOp};
 pub use harness::{AdversaryKind, Protocol, RunResult, StorageSystem, Workload};
 pub use msg::{AckKind, ObjectView, Rep, Req, Stamped};
 pub use object::HonestObject;

@@ -29,7 +29,7 @@
 //! collect observes the previous write's tag). Two concurrent writes by
 //! the same writer to the same group could both compute
 //! `max_tag.next_for(w)` and mint colliding tags — so a pipelined driver
-//! (see `crate::driver`) may overlap operations freely *across* groups
+//! (see `rastor_sim::runtime::ThreadClient`) may overlap operations freely *across* groups
 //! (the kv store: across keys) but must serialize same-writer operations
 //! on one group. `rastor_kv` enforces this with its per-key in-flight
 //! rule; the write-back register of reads needs the same discipline.

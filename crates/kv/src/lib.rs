@@ -21,7 +21,7 @@
 //!
 //! Each handle is additionally a **pipelined connection**: it multiplexes
 //! up to a configurable `depth` of concurrent operation automata over one
-//! reply channel (the shared op driver of `rastor_core::driver`), and
+//! reply channel (the shared op driver of `rastor_sim::driver`), and
 //! batches destined for one shard share round trips via coalesced
 //! envelopes — so throughput scales with shard capacity instead of being
 //! capped at `1 / op-latency` per handle. See [`KvHandle::put_batch`],

@@ -463,8 +463,7 @@ impl ShardedKvStore {
     /// Kill one object of one **locally spawned** shard and restart it
     /// from disk (see [`restart_from_disk`]): the rest of the shard serves
     /// traffic throughout — the slot is simply "crashed" for that window.
-    /// Returns the wall-clock kill-to-serving-again time (the "time to
-    /// recover" the `exp t8` bench reports).
+    /// Returns the wall-clock kill-to-serving-again time.
     ///
     /// A restarted object vouches for everything it acked before the kill
     /// (the WAL is written before the ack), so it rejoins its quorum as a

@@ -401,12 +401,8 @@ impl ChaosProxy {
         // One worker: a relay is pure frame shuffling, and one readiness
         // loop keeps each direction's fault stream strictly ordered by
         // arrival.
-        let reactor = Reactor::spawn_with(
-            Arc::clone(&state) as Arc<dyn Events>,
-            Some(listener),
-            1,
-            crate::reactor::PollerKind::default(),
-        )?;
+        let reactor =
+            Reactor::spawn_with(Arc::clone(&state) as Arc<dyn Events>, Some(listener), 1)?;
         Ok(ChaosProxy {
             addr,
             state,

@@ -1,9 +1,9 @@
 //! [`NetCluster`]: the client endpoint of one socket-backed cluster,
 //! implementing the same [`Transport`] trait as the in-process
 //! [`rastor_sim::runtime::ThreadCluster`] — so a
-//! [`rastor_sim::runtime::ThreadClient`] (and everything built on it: the
-//! batch driver, the sharded kv store) drives operations over TCP without
-//! a single protocol-level change.
+//! [`rastor_sim::runtime::ThreadClient`] (and everything built on it, the
+//! sharded kv store included) drives operations over TCP without a single
+//! protocol-level change.
 //!
 //! One `NetCluster` holds a small **connection pool** per server backing
 //! the cluster (size 1 by [`NetCluster::connect`], configurable by
@@ -81,10 +81,9 @@ struct ClientState {
     by_conn: Mutex<HashMap<u64, usize>>,
     /// Endpoint indices whose connection is down, queued by `on_close`
     /// for redialing — the tick's work list, so a reactor iteration
-    /// costs O(down + stalled flushes), never O(endpoints). With a
+    /// costs O(down + stalled flushes), never O(endpoints): with a
     /// thousand-connection pool, scanning every endpoint on every
-    /// readiness wakeup is exactly the per-connection overhead the
-    /// sweep gate exists to catch.
+    /// readiness wakeup would be a per-connection cost on every frame.
     down: Mutex<Vec<usize>>,
     pending: Mutex<HashMap<ClientId, Pending>>,
     handle: OnceLock<ReactorHandle>,
@@ -343,9 +342,8 @@ impl NetCluster {
 
     /// Connect with a pool of `pool` connections per server. Clients
     /// sharing the cluster are spread across a pool by client-id hash, so
-    /// many [`rastor_kv::KvHandle`]s multiplex over few sockets — and the
-    /// connection-count sweep can open a thousand without a thousand
-    /// threads anywhere.
+    /// many [`rastor_kv::KvHandle`]s multiplex over few sockets — and a
+    /// pool of a thousand costs no thread anywhere.
     ///
     /// # Errors
     ///

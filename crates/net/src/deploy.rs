@@ -4,8 +4,8 @@
 //! * [`NetDeploy`] extends [`StorageSystem`] with
 //!   [`NetDeploy::spawn_net_cluster`], the socket sibling of
 //!   [`StorageSystem::spawn_thread_cluster`]: honest objects behind a
-//!   loopback listener plus a connected [`NetCluster`], ready for
-//!   [`rastor_core::driver::drive_batch`].
+//!   loopback listener plus a connected [`NetCluster`], ready for a
+//!   [`rastor_sim::runtime::ThreadClient`].
 //! * [`NetKv`] stands up a [`ShardedKvStore`] whose shards are reached
 //!   over TCP — one [`ObjectServer`] per shard, optionally each behind its
 //!   own [`ChaosProxy`] — via
@@ -43,8 +43,9 @@ pub trait NetDeploy {
     /// objects behind a loopback [`ObjectServer`], plus a [`NetCluster`]
     /// connected to it. Drive the automata from
     /// [`StorageSystem::write_client`] / [`StorageSystem::read_client`]
-    /// over `harness.cluster` with [`rastor_core::driver::drive_batch`] —
-    /// identical protocol code, third substrate.
+    /// over `harness.cluster` with a
+    /// [`rastor_sim::runtime::ThreadClient`] — identical protocol code,
+    /// third substrate.
     ///
     /// # Errors
     ///

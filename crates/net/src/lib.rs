@@ -6,12 +6,13 @@
 //!
 //! Four layers:
 //!
-//! * [`wire`] — a dependency-free, versioned, length-prefixed binary codec
-//!   for the full `rastor_core::msg` vocabulary and the thread runtime's
-//!   coalesced envelope shapes. Malformed bytes decode to errors, never
-//!   panics: a Byzantine peer owns what it sends us.
-//! * [`reactor`] — a hand-rolled poll-based readiness loop (no external
-//!   event library): a small fixed pool of worker threads multiplexes
+//! * [`wire`] — dependency-free, versioned, length-prefixed frames: the
+//!   thread runtime's coalesced envelope shapes around
+//!   [`rastor_core::codec`]'s `Req`/`Rep` bodies, and the control plane.
+//!   Malformed bytes decode to errors, never panics: a Byzantine peer owns
+//!   what it sends us.
+//! * [`reactor`] — a hand-rolled Linux `poll(2)` readiness loop (no
+//!   external event library): a small fixed pool of worker threads multiplexes
 //!   every connection of an endpoint, with per-connection partial-read
 //!   reassembly over the [`wire`] framing and bounded write-backpressure
 //!   queues. Every socket endpoint below is an [`reactor::Events`]
@@ -23,8 +24,8 @@
 //!   crash and restart are one implementation; [`NetCluster`] is the client
 //!   endpoint, implementing the same
 //!   [`Transport`](rastor_sim::runtime::Transport) trait as the in-process
-//!   channel substrate, so [`rastor_sim::runtime::ThreadClient`], the
-//!   batch driver, and the sharded kv store drive it unchanged.
+//!   channel substrate, so [`rastor_sim::runtime::ThreadClient`] and the
+//!   sharded kv store drive it unchanged.
 //! * [`chaos`] — a netem-style, frame-aware TCP relay injecting seeded
 //!   delay, jitter, drops, reordering, and partitions per connection: the
 //!   scenario diversity only the simulator had, now available to real
@@ -36,7 +37,7 @@
 //! [`ShardedKvStore`](rastor_kv::ShardedKvStore) whose shards live behind
 //! TCP (optionally through chaos proxies).
 //!
-//! [`ops`] is the control plane on the same codec: [`ControlClient`]
+//! [`ops`] is the control plane on the same frames: [`ControlClient`]
 //! multiplexes correlation-keyed status/metrics/admin round trips over
 //! one socket, and [`OpsServer`] executes the `rastor` CLI's admin verbs
 //! against a live [`NetKv`].

@@ -333,7 +333,6 @@ impl OpsServer {
             Arc::new(OpsState { kv }) as Arc<dyn Events>,
             Some(listener),
             1,
-            crate::reactor::PollerKind::default(),
         )?;
         Ok(OpsServer {
             addr,

@@ -7,7 +7,7 @@
 //! The first socket substrate spent threads the way the in-process one
 //! spends channels: one accept thread, two threads per connection, one
 //! thread per hosted object. That caps connection count at thread count
-//! and makes a 10k-connection sweep a 20k-thread stunt. The reactor
+//! and makes 10k connections a 20k-thread stunt. The reactor
 //! inverts the cost model the way event-driven group substrates do: cost
 //! grows with *active work* (frames moved), not with membership
 //! (connections open). [`ObjectServer`](crate::ObjectServer),
@@ -23,7 +23,7 @@
 //! 1. adopt newly registered connections, sweep externally closed ones;
 //! 2. give the handler a tick ([`Events::on_tick`]) and learn its next
 //!    timer deadline;
-//! 3. wait for readiness ([`Poller::wait`]) on the *hot list* — the
+//! 3. wait for readiness (`poll(2)`) on the *hot list* — the
 //!    connections with recent traffic or queued output — with that
 //!    deadline as the timeout, never longer than a coarse idle tick;
 //! 4. for each readable connection, read until `WouldBlock`, reassemble
@@ -36,8 +36,8 @@
 //!
 //! Polling every open descriptor each wakeup would make the wakeup
 //! itself O(connections) — rebuilding the interest set and the kernel's
-//! own scan both walk the full list, which is exactly the degradation a
-//! 10k-connection sweep exists to rule out. Each worker therefore polls
+//! own scan both walk the full list, which is exactly the degradation the
+//! reactor exists to rule out. Each worker therefore polls
 //! only its *hot* connections: those that showed readiness, had queued
 //! output, or were sent on within the last linger window. A send from
 //! any thread re-hots its connection through a per-worker kick queue
@@ -62,15 +62,11 @@
 //! — the transport contract is best-effort, and a frame dropped to
 //! backpressure is indistinguishable from one dropped by the network.
 //!
-//! ## The `Poller` seam
+//! ## The poller
 //!
-//! Readiness waiting hides behind the [`Poller`] trait with two
-//! implementations and zero dependencies: [`PollerKind::Syscall`] is
-//! `poll(2)` declared by hand (the one foreign call in the workspace),
-//! woken through a self-pipe; [`PollerKind::SpinPark`] is a
-//! condvar-timed fallback that reports every source as possibly ready and
-//! lets non-blocking reads say `WouldBlock` — correct anywhere `std`
-//! compiles, at the cost of O(connections) syscalls per wakeup.
+//! Readiness waiting is Linux `poll(2)`, declared by hand (the one foreign
+//! call in the workspace) and woken through a self-pipe; the crate does
+//! not build for other targets.
 
 use crate::wire;
 use rastor_common::{Error, Result};
@@ -78,8 +74,10 @@ use rastor_obs::{names, Counter, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -134,88 +132,36 @@ fn reactor_metrics() -> &'static ReactorMetrics {
 }
 
 // ---------------------------------------------------------------------------
-// The Poller seam
+// The poller
 // ---------------------------------------------------------------------------
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("rastor_net's reactor waits in Linux poll(2); no other target is supported");
 
 /// One readiness interest for [`Poller::wait`]: an OS handle plus whether
 /// its owner has pending output (so the poller should watch writability
 /// too).
-#[derive(Clone, Copy, Debug)]
-pub struct Interest {
-    /// The raw OS handle (0 on platforms without one — the fallback
-    /// poller never looks at it).
-    pub fd: i32,
-    /// Watch for writability as well as readability.
-    pub write: bool,
+struct Interest {
+    fd: i32,
+    write: bool,
 }
 
-/// What one [`Poller::wait`] reported.
-#[derive(Debug)]
-pub enum Readiness {
-    /// The poller cannot attribute readiness: check every source (the
-    /// spin/park fallback — non-blocking reads make the check harmless).
-    All,
-    /// Exactly these interest-list indices are ready, as
-    /// `(index, readable, writable)`.
-    Ready(Vec<(usize, bool, bool)>),
-}
-
-/// The readiness-wait strategy a reactor worker blocks in. Implementations
-/// must return early when their [`Waker`] fires.
-pub trait Poller: Send {
-    /// Wait until a source in `interests` is ready, the waker fires, or
-    /// `timeout` elapses. A zero timeout must not block.
-    fn wait(&mut self, interests: &[Interest], timeout: Duration) -> Readiness;
-}
-
-/// Which [`Poller`] implementation a reactor uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PollerKind {
-    /// `poll(2)` through a hand-declared FFI binding, woken by a
-    /// self-pipe. One syscall per wakeup regardless of connection count.
-    #[cfg(target_os = "linux")]
-    #[default]
-    Syscall,
-    /// Condvar-timed fallback: wakes on a notify or a short timeout and
-    /// reports [`Readiness::All`]. Portable, but every wakeup costs
-    /// O(connections) speculative reads.
-    #[cfg_attr(not(target_os = "linux"), default)]
-    SpinPark,
-}
-
-/// A handle that interrupts one worker's [`Poller::wait`] from any thread.
-#[derive(Clone)]
-pub struct Waker(WakerInner);
-
-#[derive(Clone)]
-enum WakerInner {
-    #[cfg(target_os = "linux")]
-    Pipe(Arc<std::os::unix::net::UnixStream>),
-    Cond(Arc<(Mutex<bool>, Condvar)>),
-}
+/// A handle that interrupts one worker's [`Poller::wait`] from any
+/// thread: the writer half of the worker's self-pipe.
+struct Waker(UnixStream);
 
 impl Waker {
     /// Wake the worker. Cheap, idempotent while a wake is already
     /// pending, and safe from any thread.
-    pub fn wake(&self) {
-        match &self.0 {
-            #[cfg(target_os = "linux")]
-            WakerInner::Pipe(tx) => {
-                // A full pipe means a wake is already pending; any other
-                // error means the worker is gone. Both are fine to ignore.
-                let _ = (&**tx).write(&[1]);
-            }
-            WakerInner::Cond(pair) => {
-                *pair.0.lock().expect("waker flag lock") = true;
-                pair.1.notify_one();
-            }
-        }
+    fn wake(&self) {
+        // A full pipe means a wake is already pending; any other error
+        // means the worker is gone. Both are fine to ignore.
+        let _ = (&self.0).write(&[1]);
     }
 }
 
 /// The hand-declared `poll(2)` binding — the workspace's one foreign
 /// call, kept to the three-field `pollfd` record and the syscall itself.
-#[cfg(target_os = "linux")]
 #[allow(unsafe_code)]
 mod sys {
     /// `struct pollfd` from `poll(2)`.
@@ -247,36 +193,36 @@ mod sys {
     }
 }
 
-#[cfg(target_os = "linux")]
-struct PollSyscall {
+/// The readiness wait a reactor worker blocks in: `poll(2)` over the
+/// worker's interests plus the reader half of its self-pipe. One syscall
+/// per wakeup regardless of connection count.
+struct Poller {
     /// Reader half of the self-pipe, always first in the poll set.
-    waker_rx: std::os::unix::net::UnixStream,
+    waker_rx: UnixStream,
     fds: Vec<sys::PollFd>,
 }
 
-#[cfg(target_os = "linux")]
-impl PollSyscall {
-    fn new() -> Result<(PollSyscall, Waker)> {
-        let (rx, tx) = std::os::unix::net::UnixStream::pair()
-            .map_err(|e| Error::io("creating a reactor waker pipe", &e))?;
+impl Poller {
+    fn new() -> Result<(Poller, Waker)> {
+        let (rx, tx) =
+            UnixStream::pair().map_err(|e| Error::io("creating a reactor waker pipe", &e))?;
         rx.set_nonblocking(true)
             .map_err(|e| Error::io("configuring the waker pipe", &e))?;
         tx.set_nonblocking(true)
             .map_err(|e| Error::io("configuring the waker pipe", &e))?;
         Ok((
-            PollSyscall {
+            Poller {
                 waker_rx: rx,
                 fds: Vec::new(),
             },
-            Waker(WakerInner::Pipe(Arc::new(tx))),
+            Waker(tx),
         ))
     }
-}
 
-#[cfg(target_os = "linux")]
-impl Poller for PollSyscall {
-    fn wait(&mut self, interests: &[Interest], timeout: Duration) -> Readiness {
-        use std::os::unix::io::AsRawFd;
+    /// Wait until a source in `interests` is ready, the waker fires, or
+    /// `timeout` elapses (a zero timeout does not block). Returns the
+    /// ready interest-list indices as `(index, readable, writable)`.
+    fn wait(&mut self, interests: &[Interest], timeout: Duration) -> Vec<(usize, bool, bool)> {
         self.fds.clear();
         self.fds.push(sys::PollFd {
             fd: self.waker_rx.as_raw_fd(),
@@ -308,63 +254,8 @@ impl Poller for PollSyscall {
                 }
             }
         }
-        Readiness::Ready(out)
+        out
     }
-}
-
-struct SpinPark {
-    pair: Arc<(Mutex<bool>, Condvar)>,
-}
-
-impl SpinPark {
-    fn new() -> (SpinPark, Waker) {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        (
-            SpinPark {
-                pair: Arc::clone(&pair),
-            },
-            Waker(WakerInner::Cond(pair)),
-        )
-    }
-}
-
-impl Poller for SpinPark {
-    fn wait(&mut self, _interests: &[Interest], timeout: Duration) -> Readiness {
-        let (flag, cond) = &*self.pair;
-        let mut woken = flag.lock().expect("spin-park flag lock");
-        if !*woken && !timeout.is_zero() {
-            let (guard, _) = cond
-                .wait_timeout(woken, timeout)
-                .expect("spin-park condvar wait");
-            woken = guard;
-        }
-        *woken = false;
-        Readiness::All
-    }
-}
-
-fn make_poller(kind: PollerKind) -> Result<(Box<dyn Poller>, Waker)> {
-    match kind {
-        #[cfg(target_os = "linux")]
-        PollerKind::Syscall => {
-            let (p, w) = PollSyscall::new()?;
-            Ok((Box::new(p), w))
-        }
-        PollerKind::SpinPark => {
-            let (p, w) = SpinPark::new();
-            Ok((Box::new(p), w))
-        }
-    }
-}
-
-#[cfg(unix)]
-fn raw_fd<T: std::os::unix::io::AsRawFd>(t: &T) -> i32 {
-    t.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn raw_fd<T>(_t: &T) -> i32 {
-    0
 }
 
 // ---------------------------------------------------------------------------
@@ -576,18 +467,16 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Spawn a reactor with [`DEFAULT_WORKERS`] workers and the default
-    /// poller.
+    /// Spawn a reactor with [`DEFAULT_WORKERS`] workers.
     ///
     /// # Errors
     ///
     /// [`Error::Io`] if poller or listener setup fails.
     pub fn spawn(handler: Arc<dyn Events>, listener: Option<TcpListener>) -> Result<Reactor> {
-        Reactor::spawn_with(handler, listener, DEFAULT_WORKERS, PollerKind::default())
+        Reactor::spawn_with(handler, listener, DEFAULT_WORKERS)
     }
 
-    /// Spawn with explicit worker count and poller kind (the spin/park
-    /// fallback is reachable on every platform for testing).
+    /// Spawn with an explicit worker count.
     ///
     /// # Errors
     ///
@@ -596,13 +485,12 @@ impl Reactor {
         handler: Arc<dyn Events>,
         listener: Option<TcpListener>,
         workers: usize,
-        poller: PollerKind,
     ) -> Result<Reactor> {
         let workers = workers.max(1);
         let mut pollers = Vec::with_capacity(workers);
         let mut shareds = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (p, waker) = make_poller(poller)?;
+            let (p, waker) = Poller::new()?;
             pollers.push(p);
             shareds.push(Arc::new(WorkerShared {
                 waker,
@@ -687,7 +575,7 @@ fn worker_loop(
     core: &Arc<Core>,
     idx: usize,
     handler: &dyn Events,
-    mut poller: Box<dyn Poller>,
+    mut poller: Poller,
     listener: Option<TcpListener>,
 ) {
     let me = Arc::clone(&core.workers[idx]);
@@ -778,7 +666,7 @@ fn worker_loop(
         tokens.clear();
         if let Some(l) = &listener {
             interests.push(Interest {
-                fd: raw_fd(l),
+                fd: l.as_raw_fd(),
                 write: false,
             });
             tokens.push(Token::Listener);
@@ -801,7 +689,7 @@ fn worker_loop(
                     c.shared.hot.store(false, Ordering::Release);
                 }
                 interests.push(Interest {
-                    fd: raw_fd(&c.stream),
+                    fd: c.stream.as_raw_fd(),
                     write,
                 });
                 tokens.push(Token::Conn(id));
@@ -820,7 +708,7 @@ fn worker_loop(
                     return false;
                 }
                 interests.push(Interest {
-                    fd: raw_fd(&c.stream),
+                    fd: c.stream.as_raw_fd(),
                     write,
                 });
                 tokens.push(Token::Conn(id));
@@ -838,51 +726,30 @@ fn worker_loop(
         // poll(2) timeouts are whole milliseconds; a nearer deadline is
         // waited out with zero-timeout polls, yielding between them.
         let spin = timeout < SPIN_UNDER;
-        let readiness = poller.wait(&interests, if spin { Duration::ZERO } else { timeout });
+        let ready = poller.wait(&interests, if spin { Duration::ZERO } else { timeout });
 
         // Process readiness.
         let woke = Instant::now();
         let mut to_close: Vec<u64> = Vec::new();
-        let mut had_work = false;
-        match readiness {
-            Readiness::All => {
-                if let Some(l) = &listener {
-                    had_work |= accept_burst(l, core);
+        let had_work = !ready.is_empty();
+        for (i, rd, wr) in ready {
+            match tokens[i] {
+                Token::Listener => {
+                    accept_burst(listener.as_ref().expect("listener token"), core);
                 }
-                for (&id, c) in conns.iter_mut() {
-                    let (worked, alive) = service(c, handler, &mut scratch, true, true);
-                    had_work |= worked;
-                    if worked {
+                Token::Conn(id) => {
+                    if let Some(c) = conns.get_mut(&id) {
                         c.last_active = woke;
-                    }
-                    if !alive {
-                        to_close.push(id);
-                    }
-                }
-            }
-            Readiness::Ready(ready) => {
-                had_work = !ready.is_empty();
-                for (i, rd, wr) in ready {
-                    match tokens[i] {
-                        Token::Listener => {
-                            accept_burst(listener.as_ref().expect("listener token"), core);
+                        if !c.shared.hot.swap(true, Ordering::AcqRel) {
+                            // A cold conn only reaches the poll set
+                            // through the full idle-tick sweep, so a
+                            // false→true flip here means its readiness
+                            // waited on the sweep.
+                            reactor_metrics().idle_tick_promotions.inc();
+                            hot.push(id);
                         }
-                        Token::Conn(id) => {
-                            if let Some(c) = conns.get_mut(&id) {
-                                c.last_active = woke;
-                                if !c.shared.hot.swap(true, Ordering::AcqRel) {
-                                    // A cold conn only reaches the poll set
-                                    // through the full idle-tick sweep, so a
-                                    // false→true flip here means its
-                                    // readiness waited on the sweep.
-                                    reactor_metrics().idle_tick_promotions.inc();
-                                    hot.push(id);
-                                }
-                                let (_, alive) = service(c, handler, &mut scratch, rd, wr);
-                                if !alive {
-                                    to_close.push(id);
-                                }
-                            }
+                        if !service(c, handler, &mut scratch, rd, wr) {
+                            to_close.push(id);
                         }
                     }
                 }
@@ -907,16 +774,14 @@ fn worker_loop(
     }
 }
 
-/// Accept every pending connection; returns whether any arrived.
-fn accept_burst(listener: &TcpListener, core: &Arc<Core>) -> bool {
+/// Accept every pending connection.
+fn accept_burst(listener: &TcpListener, core: &Arc<Core>) {
     let handle = ReactorHandle {
         core: Arc::clone(core),
     };
-    let mut any = false;
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
-                any = true;
                 handle.register(stream);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -924,30 +789,27 @@ fn accept_burst(listener: &TcpListener, core: &Arc<Core>) -> bool {
             Err(_) => break,
         }
     }
-    any
 }
 
-/// Service one connection's I/O. Returns `(did_work, still_alive)`.
+/// Service one connection's I/O. Returns whether it is still alive.
 fn service(
     c: &mut ConnState,
     handler: &dyn Events,
     scratch: &mut [u8],
     readable: bool,
     writable: bool,
-) -> (bool, bool) {
-    let mut worked = false;
+) -> bool {
     if c.shared.closed.load(Ordering::Acquire) {
-        return (false, false);
+        return false;
     }
     if writable && !flush(c) {
-        return (worked, false);
+        return false;
     }
     if readable {
         loop {
             match c.stream.read(scratch) {
-                Ok(0) => return (true, false),
+                Ok(0) => return false,
                 Ok(n) => {
-                    worked = true;
                     c.rdbuf.extend_from_slice(&scratch[..n]);
                     let mut consumed = 0;
                     loop {
@@ -965,7 +827,7 @@ fn service(
                             // from here on; drop the connection.
                             Err(_) => {
                                 c.rdbuf.clear();
-                                return (true, false);
+                                return false;
                             }
                         }
                     }
@@ -973,21 +835,18 @@ fn service(
                         c.rdbuf.drain(..consumed);
                     }
                     if c.shared.closed.load(Ordering::Acquire) {
-                        return (true, false);
+                        return false;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return (true, false),
+                Err(_) => return false,
             }
         }
     }
     // A read may have queued replies; push them out without waiting for
     // the next writability report.
-    if !flush(c) {
-        return (worked, false);
-    }
-    (worked, true)
+    flush(c)
 }
 
 /// Write as much queued output as the socket takes. Returns `false` on a

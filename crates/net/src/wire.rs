@@ -1,6 +1,7 @@
-//! The wire codec: hand-rolled, dependency-free binary encoding for the
-//! full `rastor_core::msg` vocabulary and the coalesced envelope shapes of
-//! the thread runtime, framed for a byte stream.
+//! The wire format: frames for a byte stream, the coalesced envelope
+//! shapes of the thread runtime, and the control plane. The
+//! `rastor_core::msg` vocabulary inside the envelopes is laid out by
+//! [`rastor_core::codec`], the same bytes `rastor_store` logs.
 //!
 //! ## Frame layout
 //!
@@ -41,9 +42,9 @@
 //! the bytes it sends us.
 
 use rastor_common::bytes::{put_bytes, put_len, put_u32, put_u64, Dec};
-use rastor_common::{ClientId, Error, ObjectId, RegId, Result, Timestamp, TsVal, Value};
-use rastor_core::msg::{AckKind, ObjectView, Rep, Req, Stamped};
-use rastor_core::token::Token;
+use rastor_common::{ClientId, Error, ObjectId, Result};
+use rastor_core::codec::{encode_rep, encode_req, read_rep, read_req, MIN_REP_LEN, MIN_REQ_LEN};
+use rastor_core::msg::{Rep, Req};
 use std::io::{Read, Write};
 
 /// The wire protocol version this build speaks.
@@ -79,6 +80,16 @@ const KIND_ADMIN_REP: u8 = 11;
 const KIND_TRACE_REQ: u8 = 12;
 const KIND_TRACE: u8 = 13;
 const KIND_MAX: u8 = KIND_TRACE;
+
+/// Encoded size of what precedes the request or reply in an envelope
+/// frame: op nonce, round, trace id.
+const FRAME_PREFIX_LEN: usize = 8 + 4 + 8;
+
+/// Encoded size of an [`ObjectStatus`]: id, crashed flag, served count.
+const OBJECT_STATUS_LEN: usize = 4 + 1 + 8;
+
+/// Smallest encoded [`Frame::Report`] entry: an empty name and its count.
+const MIN_COUNT_LEN: usize = 4 + 8;
 
 /// One round of one operation inside a request envelope, as carried on the
 /// wire (the owned twin of `rastor_sim::runtime::ReqFrame`).
@@ -174,9 +185,8 @@ pub enum Frame {
     Rep(RepEnvelope),
     /// Version negotiation: the sender refuses a frame because it speaks
     /// `want`, not the `got` the frame carried. Sent by a server in reply
-    /// to a foreign-version frame (whose body it skipped whole, so the
-    /// connection stays aligned and usable — see
-    /// [`read_frame_admitting`]).
+    /// to a foreign-version frame (which [`frame_len`] split off whole, so
+    /// the connection stays aligned and usable).
     VersionMismatch {
         /// The version byte of the refused frame.
         got: u8,
@@ -296,99 +306,6 @@ fn put_client(out: &mut Vec<u8>, id: ClientId) {
         ClientId::Reader(i) => {
             out.push(1);
             put_u32(out, i);
-        }
-    }
-}
-
-fn put_reg(out: &mut Vec<u8>, reg: RegId) {
-    match reg {
-        RegId::Writer(i) => {
-            out.push(0);
-            put_u32(out, i);
-        }
-        RegId::ReaderReg(i) => {
-            out.push(1);
-            put_u32(out, i);
-        }
-    }
-}
-
-fn put_pair(out: &mut Vec<u8>, pair: &TsVal) {
-    put_u64(out, pair.ts.0);
-    put_bytes(out, pair.val.as_bytes());
-}
-
-fn put_stamped(out: &mut Vec<u8>, s: &Stamped) {
-    put_pair(out, &s.pair);
-    match s.token {
-        None => out.push(0),
-        Some(tok) => {
-            out.push(1);
-            put_u64(out, tok.to_bits());
-        }
-    }
-}
-
-fn put_view(out: &mut Vec<u8>, v: &ObjectView) {
-    put_stamped(out, &v.pw);
-    put_stamped(out, &v.w);
-    put_len(out, v.hist.len());
-    for s in &v.hist {
-        put_stamped(out, s);
-    }
-}
-
-fn ack_kind_tag(kind: AckKind) -> u8 {
-    match kind {
-        AckKind::Store => 0,
-        AckKind::PreWrite => 1,
-        AckKind::Commit => 2,
-    }
-}
-
-/// Append the body encoding of one request to `out`.
-pub fn encode_req(req: &Req, out: &mut Vec<u8>) {
-    match req {
-        Req::Collect { regs } => {
-            out.push(0);
-            put_len(out, regs.len());
-            for r in regs {
-                put_reg(out, *r);
-            }
-        }
-        Req::Store { reg, pair } => {
-            out.push(1);
-            put_reg(out, *reg);
-            put_stamped(out, pair);
-        }
-        Req::PreWrite { reg, pair } => {
-            out.push(2);
-            put_reg(out, *reg);
-            put_stamped(out, pair);
-        }
-        Req::Commit { reg, pair } => {
-            out.push(3);
-            put_reg(out, *reg);
-            put_stamped(out, pair);
-        }
-    }
-}
-
-/// Append the body encoding of one reply to `out`.
-pub fn encode_rep(rep: &Rep, out: &mut Vec<u8>) {
-    match rep {
-        Rep::Views { views } => {
-            out.push(0);
-            put_len(out, views.len());
-            for (reg, view) in views {
-                put_reg(out, *reg);
-                put_view(out, view);
-            }
-        }
-        Rep::Ack { reg, kind } => {
-            out.push(1);
-            put_reg(out, *reg);
-            out.push(ack_kind_tag(*kind));
         }
     }
 }
@@ -521,10 +438,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-// The bounds-checked cursor and its primitive reads live in
-// `rastor_common::bytes` (shared with the on-disk codec); these are the
-// wire layout's domain decoders on top of it.
-
 fn read_client(d: &mut Dec<'_>) -> Result<ClientId> {
     match d.u8()? {
         0 => Ok(ClientId::Writer),
@@ -533,126 +446,10 @@ fn read_client(d: &mut Dec<'_>) -> Result<ClientId> {
     }
 }
 
-fn read_reg(d: &mut Dec<'_>) -> Result<RegId> {
-    match d.u8()? {
-        0 => Ok(RegId::Writer(d.u32()?)),
-        1 => Ok(RegId::ReaderReg(d.u32()?)),
-        t => Err(Error::codec(format!("unknown register tag {t}"))),
-    }
-}
-
-fn read_pair(d: &mut Dec<'_>) -> Result<TsVal> {
-    let ts = Timestamp(d.u64()?);
-    let val = Value::from_bytes(d.bytes()?.to_vec());
-    Ok(TsVal::new(ts, val))
-}
-
-fn read_stamped(d: &mut Dec<'_>) -> Result<Stamped> {
-    let pair = read_pair(d)?;
-    let token = match d.u8()? {
-        0 => None,
-        1 => Some(Token::from_bits(d.u64()?)),
-        t => Err(Error::codec(format!("unknown token-presence tag {t}")))?,
-    };
-    Ok(Stamped { pair, token })
-}
-
-fn read_view(d: &mut Dec<'_>) -> Result<ObjectView> {
-    let pw = read_stamped(d)?;
-    let w = read_stamped(d)?;
-    let n = d.seq_len()?;
-    let mut hist = Vec::with_capacity(n);
-    for _ in 0..n {
-        hist.push(read_stamped(d)?);
-    }
-    Ok(ObjectView { pw, w, hist })
-}
-
-fn read_ack_kind(d: &mut Dec<'_>) -> Result<AckKind> {
-    match d.u8()? {
-        0 => Ok(AckKind::Store),
-        1 => Ok(AckKind::PreWrite),
-        2 => Ok(AckKind::Commit),
-        t => Err(Error::codec(format!("unknown ack kind {t}"))),
-    }
-}
-
-fn read_req(d: &mut Dec<'_>) -> Result<Req> {
-    match d.u8()? {
-        0 => {
-            let n = d.seq_len()?;
-            let mut regs = Vec::with_capacity(n);
-            for _ in 0..n {
-                regs.push(read_reg(d)?);
-            }
-            Ok(Req::Collect { regs })
-        }
-        1 => Ok(Req::Store {
-            reg: read_reg(d)?,
-            pair: read_stamped(d)?,
-        }),
-        2 => Ok(Req::PreWrite {
-            reg: read_reg(d)?,
-            pair: read_stamped(d)?,
-        }),
-        3 => Ok(Req::Commit {
-            reg: read_reg(d)?,
-            pair: read_stamped(d)?,
-        }),
-        t => Err(Error::codec(format!("unknown request tag {t}"))),
-    }
-}
-
-fn read_rep(d: &mut Dec<'_>) -> Result<Rep> {
-    match d.u8()? {
-        0 => {
-            let n = d.seq_len()?;
-            let mut views = Vec::with_capacity(n);
-            for _ in 0..n {
-                let reg = read_reg(d)?;
-                let view = read_view(d)?;
-                views.push((reg, view));
-            }
-            Ok(Rep::Views { views })
-        }
-        1 => Ok(Rep::Ack {
-            reg: read_reg(d)?,
-            kind: read_ack_kind(d)?,
-        }),
-        t => Err(Error::codec(format!("unknown reply tag {t}"))),
-    }
-}
-
-/// Decode one request from a standalone body (the inverse of
-/// [`encode_req`]); rejects trailing bytes.
-///
-/// # Errors
-///
-/// [`Error::Codec`] on any malformation.
-pub fn decode_req(body: &[u8]) -> Result<Req> {
-    let mut d = Dec::new(body);
-    let req = read_req(&mut d)?;
-    d.done()?;
-    Ok(req)
-}
-
-/// Decode one reply from a standalone body (the inverse of
-/// [`encode_rep`]); rejects trailing bytes.
-///
-/// # Errors
-///
-/// [`Error::Codec`] on any malformation.
-pub fn decode_rep(body: &[u8]) -> Result<Rep> {
-    let mut d = Dec::new(body);
-    let rep = read_rep(&mut d)?;
-    d.done()?;
-    Ok(rep)
-}
-
 /// Validate only the alignment-critical header fields — magic and body
-/// length — and return `(version, kind, body_len)` unjudged. This is what
-/// lets a negotiating reader consume a well-framed foreign-version frame
-/// whole and keep the stream aligned.
+/// length — and return `(version, kind, body_len)` unjudged, so
+/// [`frame_len`] can split a well-framed foreign-version frame off whole
+/// and keep the stream aligned.
 fn decode_framing(header: &[u8; HEADER_LEN]) -> Result<(u8, u8, usize)> {
     if header[0..2] != MAGIC {
         return Err(Error::codec(format!(
@@ -669,8 +466,10 @@ fn decode_framing(header: &[u8; HEADER_LEN]) -> Result<(u8, u8, usize)> {
     Ok((header[2], header[3], body_len))
 }
 
-/// Judge the version and kind bytes [`decode_framing`] left unjudged.
-fn check_version_and_kind(version: u8, kind: u8) -> Result<()> {
+/// Validate a frame header, judging the version and kind bytes
+/// [`decode_framing`] left unjudged. Returns `(kind, body_len)`.
+fn decode_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize)> {
+    let (version, kind, body_len) = decode_framing(header)?;
     if version != WIRE_VERSION {
         return Err(Error::VersionMismatch {
             got: version,
@@ -680,13 +479,6 @@ fn check_version_and_kind(version: u8, kind: u8) -> Result<()> {
     if !(KIND_REQ..=KIND_MAX).contains(&kind) {
         return Err(Error::codec(format!("unknown frame kind {kind}")));
     }
-    Ok(())
-}
-
-/// Validate a frame header. Returns `(kind, body_len)`.
-fn decode_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize)> {
-    let (version, kind, body_len) = decode_framing(header)?;
-    check_version_and_kind(version, kind)?;
     Ok((kind, body_len))
 }
 
@@ -695,7 +487,7 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame> {
     let frame = match kind {
         KIND_REQ => {
             let from = read_client(&mut d)?;
-            let n = d.seq_len()?;
+            let n = d.seq_len(FRAME_PREFIX_LEN + MIN_REQ_LEN)?;
             let mut frames = Vec::with_capacity(n);
             for _ in 0..n {
                 frames.push(WireReqFrame {
@@ -710,7 +502,7 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame> {
         KIND_REP => {
             let to = read_client(&mut d)?;
             let from = ObjectId(d.u32()?);
-            let n = d.seq_len()?;
+            let n = d.seq_len(FRAME_PREFIX_LEN + MIN_REP_LEN)?;
             let mut frames = Vec::with_capacity(n);
             for _ in 0..n {
                 frames.push(WireRepFrame {
@@ -730,7 +522,7 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame> {
         KIND_STATUS_REQ => Frame::StatusReq { corr: d.u64()? },
         KIND_STATUS => {
             let corr = d.u64()?;
-            let n = d.seq_len()?;
+            let n = d.seq_len(OBJECT_STATUS_LEN)?;
             let mut objects = Vec::with_capacity(n);
             for _ in 0..n {
                 objects.push(ObjectStatus {
@@ -748,7 +540,7 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame> {
         },
         KIND_REPORT => {
             let corr = d.u64()?;
-            let n = d.seq_len()?;
+            let n = d.seq_len(MIN_COUNT_LEN)?;
             let mut counts = Vec::with_capacity(n);
             for _ in 0..n {
                 let name = read_string(&mut d)?;
@@ -861,89 +653,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
     Ok(frame)
 }
 
-/// What [`read_frame_admitting`] pulled off the stream: a frame this
-/// build speaks, or a well-framed *foreign* frame it admitted (consumed
-/// whole, keeping the stream aligned) without being able to decode.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Negotiated {
-    /// A current-version frame, decoded.
-    Frame(Frame),
-    /// A foreign-version frame, consumed and discarded. `corr` is the
-    /// first 8 body bytes as a little-endian `u64` (0 if shorter) — the
-    /// refused frame's correlation id when it was a control frame, which
-    /// the responder should echo in its [`Frame::VersionMismatch`].
-    Foreign {
-        /// The foreign version byte.
-        got: u8,
-        /// The (presumed) correlation id of the refused body.
-        corr: u64,
-    },
-}
-
-/// Read one frame from a stream, *admitting* foreign versions: a frame
-/// that is well framed (good magic, sane length) but carries a foreign
-/// version byte has its body read and discarded — the stream stays
-/// frame-aligned — and comes back as [`Negotiated::Foreign`] carrying the
-/// version byte and the body's leading correlation id. The caller can
-/// answer with a [`Frame::VersionMismatch`] (echoing that corr) and keep
-/// serving the connection; the next read picks up at the next frame
-/// boundary.
-///
-/// [`read_frame`], by contrast, leaves the foreign body unread — right
-/// for a peer that treats a version mismatch as fatal, wrong for one that
-/// wants the connection to survive it.
-///
-/// # Errors
-///
-/// [`Error::Io`] on a read failure, [`Error::Codec`] on malformed bytes
-/// (including a foreign frame whose announced length exceeds
-/// [`MAX_BODY_LEN`] — a length beyond the ceiling cannot be trusted to
-/// realign the stream).
-pub fn read_frame_admitting(r: &mut impl Read) -> Result<Negotiated> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)
-        .map_err(|e| Error::io("reading a frame header", &e))?;
-    let (version, kind, body_len) = decode_framing(&header)?;
-    let mut body = vec![0u8; body_len];
-    r.read_exact(&mut body)
-        .map_err(|e| Error::io("reading a frame body", &e))?;
-    if version != WIRE_VERSION {
-        let corr = body
-            .get(..8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-            .unwrap_or(0);
-        return Ok(Negotiated::Foreign { got: version, corr });
-    }
-    check_version_and_kind(version, kind)?;
-    Ok(Negotiated::Frame(decode_body(kind, &body)?))
-}
-
-/// As [`read_frame_admitting`], but a foreign frame surfaces as
-/// [`Error::VersionMismatch`] — for callers that only need the error, not
-/// the refused frame's correlation id.
-///
-/// # Errors
-///
-/// [`Error::VersionMismatch`] on a foreign (but well-framed) version
-/// byte; otherwise as [`read_frame_admitting`].
-pub fn read_frame_negotiating(r: &mut impl Read) -> Result<Frame> {
-    match read_frame_admitting(r)? {
-        Negotiated::Frame(frame) => Ok(frame),
-        Negotiated::Foreign { got, .. } => Err(Error::VersionMismatch {
-            got,
-            want: WIRE_VERSION,
-        }),
-    }
-}
-
 /// Incremental reassembly: the total size (header + body) of the frame at
 /// the front of `buf`, or `None` when too few bytes have arrived to tell.
 /// Validates only the alignment-critical framing — magic and length
 /// ceiling — so a reactor connection can split a *foreign-version* frame
 /// off its read buffer whole and answer it with a
-/// [`Frame::VersionMismatch`], exactly as [`read_frame_admitting`] does on
-/// a blocking stream. Inspect the split bytes with [`raw_version`] /
-/// [`raw_corr`] before decoding.
+/// [`Frame::VersionMismatch`]. Inspect the split bytes with
+/// [`raw_version`] / [`raw_corr`] before decoding.
 ///
 /// # Errors
 ///
@@ -971,8 +687,7 @@ pub fn raw_version(raw: &[u8]) -> u8 {
 
 /// The leading correlation id of one raw frame's body: the first 8 body
 /// bytes as a little-endian `u64`, 0 when the body is shorter — the
-/// cross-version contract a [`Frame::VersionMismatch`] reply echoes (see
-/// [`Negotiated::Foreign`]).
+/// cross-version contract a [`Frame::VersionMismatch`] reply echoes.
 pub fn raw_corr(raw: &[u8]) -> u64 {
     raw.get(HEADER_LEN..HEADER_LEN + 8)
         .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
@@ -1003,8 +718,15 @@ pub fn read_raw_frame(r: &mut impl Read) -> Result<Vec<u8>> {
 mod tests {
     use super::*;
 
-    fn pair(ts: u64, v: u64) -> TsVal {
-        TsVal::new(Timestamp(ts), Value::from_u64(v))
+    use rastor_common::{RegId, Timestamp, TsVal, Value};
+    use rastor_core::msg::{ObjectView, Stamped};
+    use rastor_core::token::Token;
+
+    fn tokened(ts: u64, v: u64, bits: u64) -> Stamped {
+        Stamped {
+            pair: TsVal::new(Timestamp(ts), Value::from_u64(v)),
+            token: Some(Token::from_bits(bits)),
+        }
     }
 
     fn sample_req_env() -> ReqEnvelope {
@@ -1025,25 +747,17 @@ mod tests {
                     trace: 0,
                     req: Req::Commit {
                         reg: RegId::Writer(1),
-                        pair: Stamped::plain(pair(4, 44)),
+                        pair: tokened(4, 44, 0xDEAD_BEEF),
                     },
                 },
             ],
         }
     }
 
-    #[test]
-    fn envelope_roundtrip() {
-        let env = sample_req_env();
-        let bytes = encode_frame(&Frame::Req(env.clone()));
-        let (frame, used) = decode_frame(&bytes).expect("decodes");
-        assert_eq!(used, bytes.len());
-        assert_eq!(frame, Frame::Req(env));
-    }
-
-    #[test]
-    fn rep_envelope_roundtrip_with_views() {
-        let env = RepEnvelope {
+    /// A view with a tokened pre-write, a ⊥ committed pair and history.
+    fn sample_rep_env() -> RepEnvelope {
+        let pw = tokened(5, 50, 0x0123_4567_89AB_CDEF);
+        RepEnvelope {
             to: ClientId::writer(),
             from: ObjectId(2),
             frames: vec![WireRepFrame {
@@ -1052,18 +766,91 @@ mod tests {
                 trace: 9,
                 rep: Rep::Views {
                     views: vec![(
-                        RegId::WRITER,
+                        RegId::ReaderReg(2),
                         ObjectView {
-                            pw: Stamped::plain(pair(2, 20)),
-                            w: Stamped::plain(pair(1, 10)),
-                            hist: vec![Stamped::bottom(), Stamped::plain(pair(1, 10))],
+                            pw: pw.clone(),
+                            w: Stamped::bottom(),
+                            hist: vec![pw],
                         },
                     )],
                 },
             }],
-        };
-        let bytes = encode_frame(&Frame::Rep(env.clone()));
-        assert_eq!(decode_frame(&bytes).expect("decodes").0, Frame::Rep(env));
+        }
+    }
+
+    // The committed byte vectors of wire v2. A test that needs them edited
+    // is a layout change: bump `WIRE_VERSION` (and `STORE_VERSION`).
+    #[rustfmt::skip]
+    const GOLDEN_REQ_ENVELOPE: &[u8] = &[
+        0x72, 0x57, 0x02, 0x01, 0x63, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x00,
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x01, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xed, 0xfe, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+        0x02, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x2c, 0x01, 0xef, 0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00,
+    ];
+    #[rustfmt::skip]
+    const GOLDEN_REP_VIEWS_ENVELOPE: &[u8] = &[
+        0x72, 0x57, 0x02, 0x02, 0x72, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+        0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x00, 0x05,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x32, 0x01, 0xef, 0xcd, 0xab, 0x89,
+        0x67, 0x45, 0x23, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x32, 0x01, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45,
+        0x23, 0x01,
+    ];
+
+    #[test]
+    fn envelopes_match_their_golden_bytes_and_roundtrip() {
+        assert_eq!(WIRE_VERSION, 2);
+        for (frame, golden) in [
+            (Frame::Req(sample_req_env()), GOLDEN_REQ_ENVELOPE),
+            (Frame::Rep(sample_rep_env()), GOLDEN_REP_VIEWS_ENVELOPE),
+        ] {
+            assert_eq!(encode_frame(&frame), golden, "{frame:?}");
+            let (decoded, used) = decode_frame(golden).expect("decodes");
+            assert_eq!(used, golden.len());
+            assert_eq!(decoded, frame);
+        }
+    }
+
+    /// Overwrite the `u32` sequence count at body offset `at` with the
+    /// number of body bytes behind it — the largest count a bound of one
+    /// byte per element lets through — and expect the count bound itself
+    /// to refuse it, before anything is allocated for the elements.
+    fn assert_count_refused(frame: &Frame, at: usize) {
+        let mut bytes = encode_frame(frame);
+        let at = HEADER_LEN + at;
+        let remaining = u32::try_from(bytes.len() - at - 4).expect("small frame");
+        bytes[at..at + 4].copy_from_slice(&remaining.to_le_bytes());
+        match decode_frame(&bytes) {
+            Err(Error::Codec { detail }) if detail.contains("sequence length") => {}
+            other => panic!("{frame:?}: expected the count bound to refuse, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_envelope_frame_count_of_the_bytes_remaining_is_refused() {
+        // Both bodies open with 5 bytes of addressing: a reader id, or
+        // the writer tag and the replying object's id.
+        assert_count_refused(&Frame::Req(sample_req_env()), 5);
+        assert_count_refused(&Frame::Rep(sample_rep_env()), 5);
+    }
+
+    #[test]
+    fn a_control_sequence_count_of_the_bytes_remaining_is_refused() {
+        for frame in sample_control_frames() {
+            if matches!(frame, Frame::Status { .. } | Frame::Report { .. }) {
+                assert_count_refused(&frame, 8); // behind the corr
+            }
+        }
     }
 
     #[test]
@@ -1160,7 +947,7 @@ mod tests {
     }
 
     /// Every control body leads with the correlation id — the
-    /// cross-version contract [`Negotiated::Foreign`] relies on.
+    /// cross-version contract [`raw_corr`] relies on.
     #[test]
     fn control_bodies_lead_with_their_corr() {
         for frame in sample_control_frames() {
@@ -1190,50 +977,6 @@ mod tests {
         }
     }
 
-    /// A foreign-version control frame comes back as
-    /// [`Negotiated::Foreign`] with the refused body's leading corr — and
-    /// the stream stays aligned for the next frame.
-    #[test]
-    fn admitting_read_lifts_the_foreign_corr() {
-        let mut buf = encode_frame(&Frame::StatusReq { corr: 777 });
-        buf[2] = WIRE_VERSION + 5;
-        buf.extend_from_slice(&encode_frame(&Frame::Ack { corr: 9 }));
-        let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(
-            read_frame_admitting(&mut cursor).expect("admitted"),
-            Negotiated::Foreign {
-                got: WIRE_VERSION + 5,
-                corr: 777
-            }
-        );
-        assert_eq!(
-            read_frame_admitting(&mut cursor).expect("aligned"),
-            Negotiated::Frame(Frame::Ack { corr: 9 })
-        );
-    }
-
-    /// A foreign frame with a body shorter than 8 bytes has no corr to
-    /// lift; it must come back as 0, not an error.
-    #[test]
-    fn foreign_corr_defaults_to_zero_on_short_bodies() {
-        let mut bytes = encode_frame(&Frame::VersionMismatch {
-            got: 1,
-            want: 1,
-            corr: 0,
-        });
-        bytes[2] = WIRE_VERSION + 1;
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        bytes.truncate(HEADER_LEN + 2);
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert_eq!(
-            read_frame_admitting(&mut cursor).expect("admitted"),
-            Negotiated::Foreign {
-                got: WIRE_VERSION + 1,
-                corr: 0
-            }
-        );
-    }
-
     #[test]
     fn non_utf8_wire_strings_are_codec_errors() {
         let frame = Frame::Metrics {
@@ -1245,47 +988,6 @@ mod tests {
         bytes[len - 4..].copy_from_slice(&[0xff, 0xfe, 0x80, 0x80]);
         assert!(matches!(
             decode_frame(&bytes).unwrap_err(),
-            Error::Codec { .. }
-        ));
-    }
-
-    /// The negotiating read consumes a foreign-version frame whole — body
-    /// included — so the very next read picks up the following frame
-    /// intact. The plain [`read_frame`] on the same bytes would leave the
-    /// foreign body in the stream and desynchronize.
-    #[test]
-    fn negotiating_read_skips_a_foreign_body_and_stays_aligned() {
-        let env = Frame::Req(sample_req_env());
-        let mut buf = encode_frame(&env);
-        buf[2] = WIRE_VERSION + 3; // frame 1: from the future
-        buf.extend_from_slice(&encode_frame(&env)); // frame 2: current
-        let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(
-            read_frame_negotiating(&mut cursor).unwrap_err(),
-            Error::VersionMismatch {
-                got: WIRE_VERSION + 3,
-                want: WIRE_VERSION
-            }
-        );
-        assert_eq!(
-            read_frame_negotiating(&mut cursor).expect("aligned"),
-            env,
-            "the frame after the skipped one decodes intact"
-        );
-    }
-
-    /// An oversized length prefix is rejected by the negotiating read
-    /// even when the version byte is foreign: a length beyond the ceiling
-    /// cannot be trusted to realign the stream, so it is a codec error,
-    /// not a skippable mismatch.
-    #[test]
-    fn negotiating_read_rejects_oversized_foreign_frames() {
-        let mut bytes = encode_frame(&Frame::Req(sample_req_env()));
-        bytes[2] = WIRE_VERSION + 1;
-        bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert!(matches!(
-            read_frame_negotiating(&mut cursor).unwrap_err(),
             Error::Codec { .. }
         ));
     }
@@ -1353,6 +1055,9 @@ mod tests {
         }
     }
 
+    /// A length beyond the ceiling cannot be trusted to realign the
+    /// stream, so it is a codec error even when the version byte is
+    /// foreign — not a skippable mismatch.
     #[test]
     fn frame_len_rejects_unalignable_streams() {
         let mut bytes = encode_frame(&Frame::Ack { corr: 1 });
@@ -1361,16 +1066,27 @@ mod tests {
         let mut bytes = encode_frame(&Frame::Ack { corr: 1 });
         bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(frame_len(&bytes).is_err(), "oversized length prefix");
+        bytes[2] = WIRE_VERSION + 1;
+        assert!(frame_len(&bytes).is_err(), "oversized and foreign");
     }
 
-    /// The raw inspectors agree with the admitting reader's foreign-frame
-    /// contract: version from the header, corr from the leading body bytes.
+    /// The foreign-frame contract on raw bytes: [`frame_len`] splits a
+    /// foreign-version frame off whole, the inspectors read its version
+    /// from the header and its corr from the leading body bytes, and the
+    /// frame behind it decodes intact.
     #[test]
     fn raw_inspectors_match_the_foreign_contract() {
         let mut bytes = encode_frame(&Frame::StatusReq { corr: 777 });
         bytes[2] = WIRE_VERSION + 5;
+        let foreign_len = bytes.len();
+        bytes.extend_from_slice(&encode_frame(&Frame::Ack { corr: 9 }));
+        assert_eq!(frame_len(&bytes).expect("well framed"), Some(foreign_len));
         assert_eq!(raw_version(&bytes), WIRE_VERSION + 5);
         assert_eq!(raw_corr(&bytes), 777);
+        assert_eq!(
+            decode_frame(&bytes[foreign_len..]).expect("aligned").0,
+            Frame::Ack { corr: 9 }
+        );
         // A body shorter than 8 bytes has no corr to lift.
         let mut short = encode_frame(&Frame::VersionMismatch {
             got: 1,

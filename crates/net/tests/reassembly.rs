@@ -248,38 +248,30 @@ fn pooled_connections_are_opened_and_cost_no_server_threads() {
     );
 }
 
-/// The portable fallback poller serves the same reassembly path: a
-/// reactor on [`PollerKind::SpinPark`] decodes a dribbled frame and a
-/// whole one alike. (The data servers default to `poll(2)` on unix; this
-/// pins the seam so the fallback cannot rot.)
+/// A frame whose length prefix is beyond the ceiling cannot be trusted to
+/// realign the stream, foreign version byte or not: the reactor answers no
+/// `VersionMismatch`, it drops the connection — and keeps serving others.
 #[test]
-fn the_spin_park_poller_reassembles_dribbled_frames_too() {
-    use rastor_net::reactor::{ConnHandle, Events, PollerKind, Reactor};
+fn an_oversized_foreign_frame_drops_the_connection() {
+    use std::io::Read as _;
 
-    struct Echo;
-    impl Events for Echo {
-        fn on_frame(&self, conn: &ConnHandle, raw: &[u8]) {
-            conn.send(raw.to_vec());
-        }
-    }
-
-    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    let _reactor = Reactor::spawn_with(Arc::new(Echo), Some(listener), 1, PollerKind::SpinPark)
-        .expect("spin-park reactor");
-
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_nodelay(true).expect("nodelay");
-    let frame = collect_req(ClientId::writer());
-    let bytes = wire::encode_frame(&frame);
-    for chunk in bytes.chunks(3) {
-        conn.write_all(chunk).expect("dribble");
-        conn.flush().expect("flush");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(
-        wire::read_frame(&mut conn).expect("echo"),
-        frame,
-        "the echoed frame must decode identically"
+    let server = one_object_server();
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut header = wire::encode_frame(&collect_req(ClientId::reader(5)));
+    header.truncate(wire::HEADER_LEN);
+    header[2] = wire::WIRE_VERSION + 1;
+    header[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+    conn.write_all(&header).expect("send header");
+    conn.flush().expect("flush");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut sink = [0u8; 64];
+    assert!(
+        matches!(conn.read(&mut sink), Ok(0) | Err(_)),
+        "the server must hang up without replying"
     );
+
+    let mut fresh = TcpStream::connect(server.local_addr()).expect("connect");
+    wire::write_frame(&mut fresh, &collect_req(ClientId::reader(6))).expect("req");
+    expect_rep(&mut fresh, ClientId::reader(6));
 }

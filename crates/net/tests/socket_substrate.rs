@@ -2,8 +2,7 @@
 //! the simulator and thread runtime drive, now over loopback TCP — plus
 //! the chaos proxy's fault schedule on the wire.
 
-use rastor_common::{ClientId, ObjectId, OpKind, Timestamp, Value};
-use rastor_core::driver::{drive_batch, BatchOp};
+use rastor_common::{ClientId, ObjectId, Timestamp, Value};
 use rastor_core::msg::{Rep, Req};
 use rastor_core::{HonestObject, OpOutput, Protocol, StorageSystem};
 use rastor_kv::StoreConfig;
@@ -31,25 +30,16 @@ fn harness_protocols_roundtrip_over_tcp() {
     ] {
         let mut sys = StorageSystem::new(p, 1, 1).expect("valid shape");
         let harness = sys.spawn_net_cluster(None).expect("net deploy");
-        let clusters = [&harness.cluster];
         let mut client = ThreadClient::new(ClientId::reader(0));
-        let ops = vec![
-            BatchOp {
-                target: 0,
-                kind: OpKind::Write,
-                automaton: sys.write_client(Value::from_u64(42)),
-            },
-            BatchOp {
-                target: 0,
-                kind: OpKind::Read,
-                automaton: sys.read_client(0),
-            },
-        ];
-        let outs = drive_batch(&mut client, &clusters, ops, 1, TIMEOUT);
-        let results: Vec<(OpOutput, u32)> = outs
-            .into_iter()
-            .map(|o| o.expect("completes over tcp"))
-            .collect();
+        let results: Vec<(OpOutput, u32)> =
+            [sys.write_client(Value::from_u64(42)), sys.read_client(0)]
+                .into_iter()
+                .map(|automaton| {
+                    client
+                        .run_op(&harness.cluster, automaton, TIMEOUT)
+                        .expect("completes over tcp")
+                })
+                .collect();
         assert_eq!(results[0].1, write_rounds, "{p:?} write rounds");
         assert_eq!(results[1].1, read_rounds, "{p:?} read rounds");
         let pair = results[1].0.clone().into_read().expect("read output");
@@ -240,8 +230,8 @@ fn lossy_reordering_link_degrades_but_never_corrupts() {
 /// envelope from one protocol version in the future gets a
 /// `VersionMismatch` reply instead of a dropped connection, and the same
 /// stream keeps serving current-version requests afterwards — the
-/// negotiating read consumed the foreign body whole, so the frame
-/// boundary never slipped.
+/// reactor split the foreign frame off whole, so the frame boundary
+/// never slipped.
 #[test]
 fn future_version_frame_gets_a_mismatch_reply_and_the_connection_survives() {
     use rastor_common::RegId;

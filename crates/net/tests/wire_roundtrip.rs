@@ -4,13 +4,14 @@
 //! typed errors, never panics and never silent misdecodes.
 
 use proptest::prelude::*;
+use rastor_common::bytes::Dec;
 use rastor_common::{ClientId, Error, ObjectId, RegId, SplitMix64, Timestamp, TsVal, Value};
+use rastor_core::codec;
 use rastor_core::msg::{AckKind, ObjectView, Rep, Req, Stamped};
 use rastor_core::token::Token;
 use rastor_net::wire::{
-    self, Frame, Negotiated, RepEnvelope, ReqEnvelope, WireRepFrame, WireReqFrame, WIRE_VERSION,
+    self, Frame, RepEnvelope, ReqEnvelope, WireRepFrame, WireReqFrame, WIRE_VERSION,
 };
-use std::io::Cursor;
 
 // ---------------------------------------------------------------------------
 // Generators: structured trees derived from one drawn seed, so the vendored
@@ -132,8 +133,8 @@ proptest! {
         for _ in 0..8 {
             let req = arb_req(&mut rng);
             let mut bytes = Vec::new();
-            wire::encode_req(&req, &mut bytes);
-            prop_assert_eq!(wire::decode_req(&bytes).expect("decodes"), req);
+            codec::encode_req(&req, &mut bytes);
+            prop_assert_eq!(codec::decode_req(&bytes).expect("decodes"), req);
         }
     }
 
@@ -145,8 +146,10 @@ proptest! {
         for _ in 0..8 {
             let rep = arb_rep(&mut rng);
             let mut bytes = Vec::new();
-            wire::encode_rep(&rep, &mut bytes);
-            prop_assert_eq!(wire::decode_rep(&bytes).expect("decodes"), rep);
+            codec::encode_rep(&rep, &mut bytes);
+            let mut d = Dec::new(&bytes);
+            prop_assert_eq!(codec::read_rep(&mut d).expect("decodes"), rep);
+            d.done().expect("fully consumed");
         }
     }
 
@@ -256,13 +259,14 @@ proptest! {
         }
     }
 
-    /// Version negotiation across a stream: a foreign-version frame ahead
-    /// of a valid one is *admitted* — consumed whole, reported as
-    /// `Foreign` with the version byte and the body's leading correlation
-    /// id — and the very next read decodes the valid frame, proving the
-    /// stream stayed frame-aligned (the v1↔v2 coexistence contract).
+    /// Version negotiation as the servers do it, on raw buffered bytes: a
+    /// foreign-version frame ahead of a valid one is split off *whole* by
+    /// `frame_len`, `raw_version` / `raw_corr` read the version byte and
+    /// the body's leading correlation id off it undecoded, and the bytes
+    /// behind it decode as the valid frame — the buffer stayed
+    /// frame-aligned (the v1↔v2 coexistence contract).
     #[test]
-    fn foreign_version_frames_are_admitted_and_realigned(
+    fn foreign_version_frames_are_split_whole_and_realigned(
         seed in 0u64..u64::MAX,
         got in 0u8..=255,
     ) {
@@ -279,20 +283,16 @@ proptest! {
             .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
             .unwrap_or(0);
         let valid = arb_frame(&mut rng);
-        let mut stream = foreign;
-        stream.extend(wire::encode_frame(&valid));
+        let foreign_len = foreign.len();
+        let mut buf = foreign;
+        buf.extend(wire::encode_frame(&valid));
 
-        let mut cursor = Cursor::new(stream);
-        match wire::read_frame_admitting(&mut cursor).expect("foreign frame admitted") {
-            Negotiated::Foreign { got: g, corr } => {
-                prop_assert_eq!(g, got);
-                prop_assert_eq!(corr, want_corr);
-            }
-            other => prop_assert!(false, "expected Foreign, got {:?}", other),
-        }
-        match wire::read_frame_admitting(&mut cursor).expect("next frame decodes") {
-            Negotiated::Frame(f) => prop_assert_eq!(f, valid),
-            other => prop_assert!(false, "expected Frame, got {:?}", other),
-        }
+        let split = wire::frame_len(&buf).expect("well framed").expect("whole");
+        prop_assert_eq!(split, foreign_len);
+        prop_assert_eq!(wire::raw_version(&buf[..split]), got);
+        prop_assert_eq!(wire::raw_corr(&buf[..split]), want_corr);
+        let (next, used) = wire::decode_frame(&buf[split..]).expect("next frame decodes");
+        prop_assert_eq!(next, valid);
+        prop_assert_eq!(split + used, buf.len());
     }
 }

@@ -21,8 +21,7 @@
 //!   form ([`TimeRing::record_at`], a fresh non-global [`Registry`]) so
 //!   tests assert exact counts; wall-clock convenience wrappers sit on
 //!   top.
-//! * **No dependencies.** Snapshots serialize to JSON by hand, in the
-//!   same line-disciplined style as the `BENCH_*.json` documents: one
+//! * **No dependencies.** Snapshots serialize to JSON by hand, one
 //!   counter per line, so consumers can scan with [`flat_counters`]
 //!   instead of a JSON parser.
 //!

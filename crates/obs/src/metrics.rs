@@ -376,12 +376,11 @@ impl Registry {
 
     /// Serialize every metric as the `rastor-metrics/v1` JSON document.
     ///
-    /// Line discipline (the same contract as `BENCH_*.json`): every
-    /// counter — including each declared `counter_vec` cell as
-    /// `name.<i>`, next to the family total under its bare name — is one
-    /// `"name": value` line, so [`flat_counters`] can read the document
-    /// back without a JSON parser. Histograms and rings serialize as one
-    /// object/array line each.
+    /// Line discipline: every counter — including each declared
+    /// `counter_vec` cell as `name.<i>`, next to the family total under its
+    /// bare name — is one `"name": value` line, so [`flat_counters`] can
+    /// read the document back without a JSON parser. Histograms and rings
+    /// serialize as one object/array line each.
     pub fn snapshot_json(&self) -> String {
         let metrics = self.metrics.lock().expect("registry lock");
         let mut counters: Vec<String> = Vec::new();

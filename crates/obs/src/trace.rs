@@ -29,9 +29,8 @@
 //! leave tracing on in production.
 //!
 //! Recording is disabled by default and costs one relaxed atomic load per
-//! call site when off — the tracing-off twin of the `exp t10` overhead
-//! matrix measures exactly that; the tracing-on twin measures the
-//! default-stride sampled cost.
+//! call site when off; `benchmark/`'s `obs.trace_overhead_pct` compares
+//! that against the default-stride sampled cost.
 
 use crate::metrics::{Counter, Registry};
 use crate::names;

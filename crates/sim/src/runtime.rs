@@ -682,4 +682,46 @@ mod tests {
         assert_eq!(seen.get(&ok), Some(&true));
         assert_eq!(seen.get(&stuck), Some(&false));
     }
+
+    /// An op reaches the target it was submitted for and no other, and a
+    /// quorum-less target times its ops out without holding back a healthy
+    /// target's.
+    #[test]
+    fn ops_route_to_their_own_target_and_time_out_per_target() {
+        struct Plus20;
+        impl ObjectBehavior<u32, u32> for Plus20 {
+            fn on_request(&mut self, _from: ClientId, req: &u32) -> Option<u32> {
+                Some(req + 20)
+            }
+        }
+        let plus10 = cluster(4);
+        let plus20 = ThreadCluster::spawn((0..4).map(|_| Box::new(Plus20) as _).collect(), None);
+        let dead = cluster(3);
+        dead.crash_object(ObjectId(1));
+        dead.crash_object(ObjectId(2));
+        let targets = [&plus10, &plus20, &dead];
+        let mut client: ThreadClient<u32, u32, u32> = ThreadClient::new(ClientId::reader(0));
+        let mut want = HashMap::new();
+        for i in 0..9 {
+            let target = i % 3;
+            let timeout = if target == 2 {
+                Duration::from_millis(80)
+            } else {
+                Duration::from_secs(5)
+            };
+            let nonce = client.submit_op(
+                target,
+                OpKind::Read,
+                Box::new(Collect { need: 3, got: 0 }),
+                timeout,
+            );
+            want.insert(nonce, [Some((11, 1)), Some((21, 1)), None][target]);
+        }
+        while client.in_flight() > 0 {
+            for r in client.pump(&targets) {
+                assert_eq!(Some(r.output), want.remove(&r.nonce), "op {}", r.nonce);
+            }
+        }
+        assert!(want.is_empty(), "every op resolved exactly once");
+    }
 }

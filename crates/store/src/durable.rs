@@ -36,12 +36,19 @@
 //! secret-model tokens), so a recovered object answers collects with the
 //! same `(ts, val)` evidence it held before the kill — no history rewind,
 //! no fresh-epoch renumbering.
+//!
+//! *One byte layout.* A WAL record's payload is the mutation as
+//! [`rastor_core::codec`] encodes a [`Req`]; a snapshot record's payload is
+//! one `(register, view)` as it encodes an element of [`Rep::Views`] — the
+//! bytes the wire carries. This module decides only *what* is logged:
+//! mutations, never collects.
 
-use crate::codec;
 use crate::wal::{read_snapshot, write_snapshot, Wal};
 use rastor_common::{ClientId, Error, ObjectId, Result};
+use rastor_core::codec::{decode_reg_view, decode_req, encode_reg_view, encode_req};
 use rastor_core::msg::{Rep, Req};
 use rastor_core::object::HonestObject;
+use rastor_obs::trace;
 use rastor_sim::ObjectBehavior;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -126,7 +133,7 @@ impl DurableObject {
             Some(entries) => {
                 let regs = entries
                     .iter()
-                    .map(|e| codec::decode_snapshot_entry(e))
+                    .map(|e| decode_reg_view(e))
                     .collect::<Result<Vec<_>>>()?;
                 HonestObject::from_export(regs)
             }
@@ -134,7 +141,12 @@ impl DurableObject {
         let snapshot_regs = obj.num_regs();
         let (wal, records, replay) = Wal::open(wal_path(dir, id))?;
         for rec in &records {
-            let req = codec::decode_mutation(rec)?;
+            let req = decode_req(rec)?;
+            // Collects are never logged, so one in the log was not written
+            // by this code: corruption, like any other undecodable record.
+            if matches!(req, Req::Collect { .. }) {
+                return Err(Error::codec("a WAL record that is not a mutation"));
+            }
             obj.apply(&req);
         }
         Ok((
@@ -178,7 +190,11 @@ impl DurableObject {
             .obj
             .export_regs()
             .iter()
-            .map(|(reg, view)| codec::encode_snapshot_entry(*reg, view))
+            .map(|(reg, view)| {
+                let mut entry = Vec::with_capacity(64);
+                encode_reg_view(*reg, view, &mut entry);
+                entry
+            })
             .collect();
         write_snapshot(&self.snap, &entries)?;
         self.wal.reset()?;
@@ -195,45 +211,45 @@ impl ObjectBehavior<Req, Rep> for DurableObject {
         if self.broken {
             return None;
         }
-        if let Some(record) = codec::encode_mutation(req) {
-            use rastor_obs::trace;
-            // When the executor applied us under a trace context, hang the
-            // storage spans under the same trace the client minted.
-            let traced = trace::current();
-            let logged = if traced == trace::NO_TRACE {
-                self.wal.append(&record).is_ok() && (!self.fsync || self.wal.sync_data().is_ok())
-            } else {
-                let rec = trace::global();
-                let t0 = trace::epoch_us();
-                let appended = self.wal.append(&record).is_ok();
-                let t1 = trace::epoch_us();
-                rec.record(traced, trace::span::WAL_APPEND, record.len() as u64, t0, t1);
-                appended
-                    && (!self.fsync || {
-                        let synced = self.wal.sync_data().is_ok();
-                        rec.record(traced, trace::span::WAL_FSYNC, 0, t1, trace::epoch_us());
-                        synced
-                    })
-            };
-            if !logged {
-                self.broken = true;
-                return None;
-            }
-            self.since_snapshot += 1;
-            let rep = self.obj.apply(req);
-            if self.since_snapshot >= self.snapshot_every && self.snapshot().is_err() {
-                // The mutation itself is logged; only compaction failed.
-                // Future appends will keep trying against the long log,
-                // but a snapshot failure usually means the disk is gone:
-                // go silent rather than risk acking into the void.
-                self.broken = true;
-                return None;
-            }
-            Some(rep)
-        } else {
-            // Collects mutate nothing: serve them straight from memory.
-            Some(self.obj.apply(req))
+        if matches!(req, Req::Collect { .. }) {
+            // Collects mutate nothing: never logged, served from memory.
+            return Some(self.obj.apply(req));
         }
+        let mut record = Vec::with_capacity(32);
+        encode_req(req, &mut record);
+        // When the executor applied us under a trace context, hang the
+        // storage spans under the same trace the client minted.
+        let traced = trace::current();
+        let logged = if traced == trace::NO_TRACE {
+            self.wal.append(&record).is_ok() && (!self.fsync || self.wal.sync_data().is_ok())
+        } else {
+            let rec = trace::global();
+            let t0 = trace::epoch_us();
+            let appended = self.wal.append(&record).is_ok();
+            let t1 = trace::epoch_us();
+            rec.record(traced, trace::span::WAL_APPEND, record.len() as u64, t0, t1);
+            appended
+                && (!self.fsync || {
+                    let synced = self.wal.sync_data().is_ok();
+                    rec.record(traced, trace::span::WAL_FSYNC, 0, t1, trace::epoch_us());
+                    synced
+                })
+        };
+        if !logged {
+            self.broken = true;
+            return None;
+        }
+        self.since_snapshot += 1;
+        let rep = self.obj.apply(req);
+        if self.since_snapshot >= self.snapshot_every && self.snapshot().is_err() {
+            // The mutation itself is logged; only compaction failed.
+            // Future appends will keep trying against the long log,
+            // but a snapshot failure usually means the disk is gone:
+            // go silent rather than risk acking into the void.
+            self.broken = true;
+            return None;
+        }
+        Some(rep)
     }
 }
 
@@ -497,6 +513,109 @@ mod tests {
         drop(obj);
         let (_, stats) = DurableObject::open(dir.path(), id, 1024).expect("recover");
         assert_eq!(stats.wal_records, 1, "only the commit was logged");
+    }
+
+    /// A record that decodes but is not a mutation was not written by
+    /// this code: recovery refuses it as corruption instead of replaying it.
+    #[test]
+    fn a_logged_collect_fails_recovery_as_corruption() {
+        let dir = TempDir::new("durable-non-mutation");
+        let id = ObjectId(0);
+        let (mut obj, _) = DurableObject::open(dir.path(), id, 1024).expect("open");
+        drive(&mut obj, [commit(1, 1)]);
+        drop(obj);
+        let (mut wal, _, _) = Wal::open(wal_path(dir.path(), id)).expect("open wal");
+        let mut collect = Vec::new();
+        encode_req(
+            &Req::Collect {
+                regs: vec![RegId::WRITER],
+            },
+            &mut collect,
+        );
+        wal.append(&collect).expect("append");
+        drop(wal);
+        assert!(matches!(
+            DurableObject::open(dir.path(), id, 1024).unwrap_err(),
+            Error::Codec { .. }
+        ));
+    }
+
+    // The committed bytes of store v1 — whole files, record framing and
+    // CRC included. A test that needs them edited is a layout change: bump
+    // `STORE_VERSION` (and `WIRE_VERSION`).
+    #[rustfmt::skip]
+    const GOLDEN_WAL: &[u8] = &[
+        0x72, 0x4c, 0x01, 0x00, 0x23, 0x00, 0x00, 0x00, 0xcd, 0x9c, 0xed, 0x15,
+        0x03, 0x00, 0x07, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x1e, 0x01, 0xef, 0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00,
+    ];
+    #[rustfmt::skip]
+    const GOLDEN_SNAP: &[u8] = &[
+        0x72, 0x4e, 0x01, 0x00, 0x50, 0x00, 0x00, 0x00, 0x5d, 0x87, 0x4a, 0xb6,
+        0x01, 0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x32, 0x01, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+        0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x32, 0x01,
+        0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,
+    ];
+
+    fn tokened(ts: u64, v: u64, bits: u64) -> Stamped {
+        Stamped {
+            pair: TsVal::new(Timestamp(ts), Value::from_u64(v)),
+            token: Some(rastor_core::token::Token::from_bits(bits)),
+        }
+    }
+
+    /// One logged mutation, and one snapshot entry whose view has a
+    /// tokened pre-write, a ⊥ committed pair and a history, match their
+    /// golden files byte for byte — and the golden files recover.
+    #[test]
+    fn wal_and_snapshot_files_match_their_golden_bytes() {
+        assert_eq!(crate::wal::STORE_VERSION, 1);
+        let id = ObjectId(0);
+        let mutation = Req::Commit {
+            reg: RegId::Writer(7),
+            pair: tokened(3, 30, 0xDEAD_BEEF),
+        };
+        let dir = TempDir::new("durable-golden-wal");
+        let (mut obj, _) = DurableObject::open(dir.path(), id, u64::MAX).expect("open");
+        drive(&mut obj, [mutation.clone()]);
+        drop(obj);
+        assert_eq!(
+            std::fs::read(wal_path(dir.path(), id)).expect("wal file"),
+            GOLDEN_WAL
+        );
+
+        let pw = tokened(5, 50, 0x0123_4567_89AB_CDEF);
+        let snapshotted = Req::PreWrite {
+            reg: RegId::ReaderReg(2),
+            pair: pw.clone(),
+        };
+        let dir = TempDir::new("durable-golden-snap");
+        let (mut obj, _) = DurableObject::open(dir.path(), id, 1).expect("open");
+        drive(&mut obj, [snapshotted]);
+        drop(obj);
+        assert_eq!(
+            std::fs::read(snap_path(dir.path(), id)).expect("snapshot file"),
+            GOLDEN_SNAP
+        );
+
+        // A data dir holding the golden files replays to the same state.
+        let dir = TempDir::new("durable-golden-replay");
+        std::fs::write(wal_path(dir.path(), id), GOLDEN_WAL).expect("write wal");
+        std::fs::write(snap_path(dir.path(), id), GOLDEN_SNAP).expect("write snapshot");
+        let (obj, stats) = DurableObject::open(dir.path(), id, 1024).expect("recover");
+        assert_eq!((stats.snapshot_regs, stats.wal_records), (1, 1));
+        let view = obj.object().view_of(RegId::ReaderReg(2));
+        assert_eq!((&view.pw, &view.w), (&pw, &Stamped::bottom()));
+        assert_eq!(view.hist, vec![pw]);
+        assert_eq!(
+            obj.object().view_of(RegId::Writer(7)).w,
+            tokened(3, 30, 0xDEAD_BEEF)
+        );
     }
 
     #[test]

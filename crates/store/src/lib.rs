@@ -9,8 +9,8 @@
 //!
 //! * [`wal`] — an append-only, length-prefixed, CRC-per-record write-ahead
 //!   log with **torn-tail truncation** on replay, plus atomically renamed
-//!   snapshot files (the same versioned-header codec discipline as
-//!   `rastor_net::wire`, applied to disk);
+//!   snapshot files — record framing only; the payloads are laid out by
+//!   `rastor_core::codec`, the same bytes `rastor_net::wire` carries;
 //! * [`DurableObject`] — an honest object that logs every mutation before
 //!   acking it and periodically compacts the log into a snapshot of its
 //!   full per-register state;
@@ -49,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod codec;
 mod crc;
 mod durable;
 mod tempdir;

@@ -40,6 +40,11 @@ fn prop1_works_at_larger_t() {
 
 #[test]
 fn prop1_schedule_scales_to_large_k() {
+    for k in [8, 32] {
+        let sched = Prop1Schedule::new(k, 4, 1);
+        sched.check_invariants().unwrap();
+        assert_eq!(sched.generations(), 4 * k - 1);
+    }
     let sched = Prop1Schedule::new(64, 4, 1);
     sched.check_invariants().unwrap();
     assert_eq!(sched.generations(), 255);
@@ -51,7 +56,7 @@ fn prop1_schedule_scales_to_large_k() {
 
 #[test]
 fn denial_attack_boundary_sweep() {
-    for t in 1..=3 {
+    for t in 1..=4 {
         assert!(
             !denial_attack(4 * t, t).is_empty(),
             "t={t}: S=4t must break"
