@@ -15,9 +15,9 @@ use rastor_bench::{
 use rastor_check::{
     budget_from_env, cast_t_plus_one_forgers, casts_single_fault, scenario_t2_mixed,
     scenario_two_writers_one_reader, scenario_write_then_read, scenario_write_then_two_reads, Cast,
-    FaultKind,
+    ReadPath,
 };
-use rastor_core::ReadMode;
+use rastor_core::FaultKind;
 use rastor_lowerbound::diagram::{render_lemma1_layout, render_lemma1_superblocks};
 use rastor_lowerbound::lemma1::execute_first_pair;
 use rastor_lowerbound::{Lemma1Partition, Lemma1Schedule};
@@ -143,10 +143,11 @@ fn t9(quick: bool) {
     if !quick {
         scenarios.push(scenario_two_writers_one_reader());
     }
+    let honest = Cast::honest();
     for scenario in &scenarios {
-        for mode in [ReadMode::Slow, ReadMode::Fast] {
+        for mode in [ReadPath::Slow, ReadPath::Fast] {
             let universe = 1u64 << scenario.universe_bits();
-            let failures = scenario.sweep(mode);
+            let failures = scenario.sweep(mode, &honest);
             println!(
                 "{:<28} {mode:?}: {universe} schedules, {} violations",
                 scenario.name,
@@ -157,11 +158,11 @@ fn t9(quick: bool) {
     // Checker efficacy: the deliberately unsound fast path (no
     // confirmation certificate) must be caught, and the repro shrinks.
     let scenario = scenario_write_then_two_reads();
-    let failures = scenario.sweep(ReadMode::UnsoundFast);
+    let failures = scenario.sweep(ReadPath::UnsoundFast, &honest);
     match failures.first() {
         None => println!("UnsoundFast: sweep found no violations — EXPLORER NOT BITING"),
         Some(first) => {
-            let minimized = scenario.minimize(ReadMode::UnsoundFast, first.mask);
+            let minimized = scenario.minimize(ReadPath::UnsoundFast, first.mask, &honest);
             println!(
                 "{:<28} UnsoundFast: {} violating schedules; first mask {:#x} minimizes to {:#x} ({} delay rules)",
                 scenario.name,
@@ -177,7 +178,7 @@ fn t9(quick: bool) {
     let scenario = scenario_write_then_read();
     let universe = 1u64 << scenario.universe_bits();
     for cast in casts_single_fault() {
-        let failures = scenario.sweep_cast(ReadMode::Fast, &cast);
+        let failures = scenario.sweep(ReadPath::Fast, &cast);
         println!(
             "{:<28} <= t cast {:<18} {universe} schedules, {} violations",
             scenario.name,
@@ -188,11 +189,11 @@ fn t9(quick: bool) {
     // The boundary witness: one more forger than the budget tolerates,
     // and the sweep must find the never-written read.
     let cast = cast_t_plus_one_forgers();
-    let failures = scenario.sweep_cast(ReadMode::Fast, &cast);
+    let failures = scenario.sweep(ReadPath::Fast, &cast);
     match failures.first() {
         None => println!("t + 1 forgers: sweep found no witness — EXPLORER NOT BITING"),
         Some(first) => {
-            let minimized = scenario.minimize_cast(ReadMode::Fast, first.mask, &cast);
+            let minimized = scenario.minimize(ReadPath::Fast, first.mask, &cast);
             println!(
                 "{:<28} t + 1 cast {:<18} {} violating schedules; first mask {:#x} minimizes to {:#x}",
                 scenario.name,
@@ -213,7 +214,7 @@ fn t9(quick: bool) {
             faults: vec![(0, FaultKind::StaleAfter(0)), (5, FaultKind::CrashAfter(2))],
         };
         let budget = budget_from_env("RASTOR_CHECK_BUDGET_MS", 2_000);
-        let stats = t2.explore_cast(ReadMode::Fast, &cast, 0xD0BE, budget, 400);
+        let stats = t2.explore(ReadPath::Fast, &cast, 0xD0BE, budget, 400);
         println!(
             "{:<28} t = 2 budgeted ({}): {} runs ({} scheduled / {} perturbed / {} masks) in {:.0?}: {}",
             t2.name,

@@ -1,16 +1,17 @@
 //! Experiment drivers behind the `exp` table binary. Each public function
 //! regenerates one table/figure of EXPERIMENTS.md (see DESIGN.md §5 for
 //! the paper-artifact → experiment map); the tests below assert each
-//! table's shape. Nothing here is timed — see `benchmark/`.
+//! table's shape. Nothing here is timed — see `benchmark/` — and nothing
+//! here drives a kv store: `rastor bench` uses `rastor_kv::workload` and
+//! only [`stats::Summary`] from this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod stats;
-pub mod workload;
 
 use rastor_common::{ClientId, ObjectId, OpKind, Value};
-use rastor_core::{AdversaryKind, Protocol, StorageSystem, Workload};
+use rastor_core::{FaultKind, Protocol, StorageSystem, Workload};
 use rastor_lowerbound::prop1::{denial_attack, execute as prop1_execute};
 use rastor_lowerbound::recurrence::{k_max, t_k, t_k_closed};
 use rastor_sim::control::Rule;
@@ -162,12 +163,7 @@ pub fn t5_latency(t: usize, seed: u64, byzantine: bool) -> Vec<LatencyRow> {
             }
             let corrupt = if byzantine && p.model() != rastor_common::FaultModel::Crash {
                 (0..t as u32)
-                    .map(|i| {
-                        (
-                            ObjectId(i),
-                            StorageSystem::stock_adversary(AdversaryKind::Silent),
-                        )
-                    })
+                    .map(|i| (ObjectId(i), FaultKind::Silent.materialize()))
                     .collect()
             } else {
                 vec![]

@@ -24,34 +24,34 @@
 //! 3. **Byzantine casts** ([`Cast`]): a fault assignment over the object
 //!    slots — per-object [`FaultKind`] behaviors (crash-at-round-k,
 //!    stale replay, equivocation, silence) composed with either of the
-//!    scheduling axes above. The sweeps assert the paper's resilience
-//!    boundary from both sides: every `≤ t` cast stays clean across
-//!    every enumerated schedule, while a `t + 1` cast yields a
+//!    scheduling axes above; every entry point takes one
+//!    ([`Cast::honest`] for none). The sweeps assert the paper's
+//!    resilience boundary from both sides: every `≤ t` cast stays clean
+//!    across every enumerated schedule, while a `t + 1` cast yields a
 //!    `check_atomic` witness that the explorer finds, minimizes and
-//!    replays ([`Scenario::sweep_cast`]).
+//!    replays.
 //!
 //! Where exhaustion is out of reach (t = 2 clusters, 3+ concurrent ops),
-//! [`Scenario::explore_cast`] runs a wall-clock-budgeted mix of seeded
+//! [`Scenario::explore`] runs a wall-clock-budgeted mix of seeded
 //! random schedules, their one-step perturbation neighborhoods, and random
-//! delay masks, shrinking any find with [`Scenario::minimize_cast`].
+//! delay masks, shrinking any find with [`Scenario::minimize`].
 //! The same falsification loop covers the TCP substrate via the
 //! [`netchaos`] module: seeded drop/reorder/partition searches over
 //! `ChaosProxy` deployments with minimized `target/model-check/` reports.
 //!
 //! ## What counts as a violation
 //!
-//! [`Scenario::violations_of`] flags: an op that never completed
-//! (wait-freedom), any [`rastor_core::History::check_atomic`] violation,
-//! a same-reader regression (two sequential reads by one client returning
-//! decreasing timestamps — caught even when their boundary times make them
-//! formally concurrent for the history checker), and any panic from the
-//! ghost invariants inside the protocol automata.
+//! [`Scenario::violations_of`] is [`rastor_core::checker::judge`] over the
+//! run's one register — an op that never completed (wait-freedom) or any
+//! [`rastor_core::History::check_atomic`] violation, the same verdict kv
+//! soaks and the TCP search are held to — plus any panic from the ghost
+//! invariants inside the protocol automata.
 //!
 //! The crate's integration tests (`cargo test -p rastor_check -- exhaustive`)
 //! prove both soundness evidence — zero violations across every enumerated
 //! schedule for slow *and* fast read paths — and checker efficacy: the
-//! deliberately unsound [`ReadMode::UnsoundFast`] hook is caught, minimized
-//! and replayed.
+//! deliberately unsound [`ReadPath::UnsoundFast`] read, which exists only
+//! in this crate, is caught, minimized and replayed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,14 +59,14 @@
 pub mod netchaos;
 
 use rastor_common::{ClientId, ClusterConfig, ObjectId, OpKind, RegId, SplitMix64, Value};
-use rastor_core::adversary::{
-    CrashObject, EquivocatorObject, ForgeHighObject, ReplayObject, SilentObject,
-};
+use rastor_core::checker::judge;
 use rastor_core::mwmr::{mw_read_in_group_mode, MwWriteClient, RegGroup};
-use rastor_core::{History, HonestObject, ObjectView, OpOutput, ReadMode, Rep, Req};
+use rastor_core::transform::AtomicReadClient;
+use rastor_core::{FaultKind, History, HonestObject, ObjectView, OpOutput, ReadMode, Rep, Req};
 use rastor_sim::control::Rule;
 use rastor_sim::{
-    Completion, Controller, MsgId, ObjectBehavior, ScriptedController, Sim, SimConfig, StalePolicy,
+    ClientAction, Completion, Controller, MsgId, ObjectBehavior, RoundClient, ScriptedController,
+    Sim, SimConfig, StalePolicy,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -125,10 +125,6 @@ impl Outcome {
     }
 }
 
-/// A `catch_unwind`-wrapped run: completions plus the event-cap flag on
-/// success, the ghost-invariant panic payload otherwise.
-type CaughtRun = Result<(Vec<Completion<OpOutput>>, bool), Box<dyn std::any::Any + Send>>;
-
 /// A failing schedule found by [`Scenario::sweep`].
 #[derive(Clone, Debug)]
 pub struct Failure {
@@ -138,58 +134,40 @@ pub struct Failure {
     pub violations: Vec<String>,
 }
 
-/// One Byzantine behavior assignable to an object slot of a [`Cast`].
-///
-/// Each variant materializes one member of the
-/// [`rastor_core::adversary`] battery, chosen to cover the fault shapes
-/// the paper's adversary uses: crashing mid-protocol, replaying genuine
-/// but stale state, equivocating between clients, and plain silence.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Never replies ([`SilentObject`]) — a crashed/partitioned object.
-    Silent,
-    /// Honest for the first `n` requests, then silent
-    /// ([`CrashObject`]) — crash-at-round-k and silent-after-n in one.
-    CrashAfter(usize),
-    /// Honest for the first `n` requests, then answers collects from the
-    /// frozen genuine state while acking-but-dropping writes
-    /// ([`ReplayObject`]) — the stale-reply adversary. `StaleAfter(0)`
-    /// replays the initial (bottom) state forever.
-    StaleAfter(usize),
-    /// Split-brain equivocation ([`EquivocatorObject`]): the listed
-    /// victims see state frozen after `freeze_after` write-phase
-    /// messages; every other client sees fresh state.
-    Equivocate {
-        /// Clients pinned to the frozen replica.
-        victims: Vec<ClientId>,
-        /// Write-phase messages applied to the frozen side before it
-        /// stops following.
-        freeze_after: usize,
-    },
-    /// Reports a fabricated sky-high pair to every collect
-    /// ([`ForgeHighObject::default_forgery`]) — the equivocating-value
-    /// adversary. One forger is outvoted by the `t + 1` voucher
-    /// threshold; `t + 1` colluding forgers give the fabrication enough
-    /// vouchers to be *selected*, which is the paper's resilience
-    /// boundary made executable.
-    ForgeHigh,
+/// How a scenario's reads terminate their collect phase: the two
+/// deployable [`ReadMode`]s, plus the explorer's own broken one.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ReadPath {
+    /// [`ReadMode::Slow`]: always write back (4 rounds).
+    Slow,
+    /// [`ReadMode::Fast`]: return after the collect when it carries a
+    /// fast-path certificate, write back otherwise.
+    Fast,
+    /// Return after the collect *unconditionally* — a fast path with the
+    /// confirmation certificate check skipped (a wrapper automaton). It
+    /// violates atomicity, and exists to prove the explorer notices.
+    UnsoundFast,
 }
 
-impl FaultKind {
-    /// Build a fresh behavior instance implementing this fault.
-    ///
-    /// Behaviors are stateful (crash budgets, frozen replicas), so every
-    /// run must materialize its own copies — [`Cast::objects_for`] does.
-    pub fn materialize(&self) -> Box<dyn ObjectBehavior<Req, Rep>> {
-        match self {
-            FaultKind::Silent => Box::new(SilentObject),
-            FaultKind::CrashAfter(n) => Box::new(CrashObject::new(*n)),
-            FaultKind::StaleAfter(n) => Box::new(ReplayObject::new(*n)),
-            FaultKind::Equivocate {
-                victims,
-                freeze_after,
-            } => Box::new(EquivocatorObject::new(victims.clone(), *freeze_after)),
-            FaultKind::ForgeHigh => Box::new(ForgeHighObject::default_forgery()),
+/// [`ReadPath::UnsoundFast`]: a slow read cut short the moment it decides.
+/// The inner automaton ends its collect by opening the write-back with
+/// `PreWrite(pair)`; this wrapper returns `pair` right there — 2 rounds, no
+/// certificate, no write-back.
+struct UnsoundFastRead(AtomicReadClient);
+
+impl RoundClient<Req, Rep> for UnsoundFastRead {
+    type Out = OpOutput;
+
+    fn start(&mut self) -> Req {
+        self.0.start()
+    }
+
+    fn on_reply(&mut self, from: ObjectId, round: u32, reply: &Rep) -> ClientAction<Req, OpOutput> {
+        match self.0.on_reply(from, round, reply) {
+            ClientAction::NextRound(Req::PreWrite { pair, .. }) => {
+                ClientAction::Complete(OpOutput::Read(pair.pair))
+            }
+            other => other,
         }
     }
 }
@@ -198,8 +176,8 @@ impl FaultKind {
 /// Byzantine and how. Objects not listed are honest.
 ///
 /// A cast composes orthogonally with both scheduling axes — the same
-/// cast can run under a delay mask ([`Scenario::run_mask_cast`]) or a
-/// held-message schedule ([`Scenario::run_scheduled_cast`]).
+/// cast can run under a delay mask ([`Scenario::run_mask`]) or a
+/// held-message schedule ([`Scenario::run_scheduled`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Cast {
     /// Name used in reports and replay instructions.
@@ -209,7 +187,7 @@ pub struct Cast {
 }
 
 impl Cast {
-    /// The all-honest cast (what the delay-only explorer always ran).
+    /// The all-honest cast: delay-only exploration.
     pub fn honest() -> Cast {
         Cast {
             name: "honest",
@@ -242,14 +220,11 @@ impl Cast {
             assert!(*o < n, "cast fault on object {o} of an {n}-object cluster");
         }
         (0..n)
-            .map(|i| {
-                self.faults
-                    .iter()
-                    .find(|(o, _)| *o == i)
-                    .map(|(_, f)| f.materialize())
-                    .unwrap_or_else(|| {
-                        Box::new(HonestObject::new()) as Box<dyn ObjectBehavior<Req, Rep>>
-                    })
+            .map(|i| -> Box<dyn ObjectBehavior<Req, Rep>> {
+                match self.faults.iter().find(|(o, _)| *o == i) {
+                    Some((_, fault)) => fault.materialize(),
+                    None => Box::new(HonestObject::new()),
+                }
             })
             .collect()
     }
@@ -333,24 +308,11 @@ impl Scenario {
         rules
     }
 
-    /// Build a sim with honest objects, the given controller, and every op
-    /// of the script invoked at its scripted time.
+    /// Build a sim over `objects` (see [`Cast::objects_for`]) with the given
+    /// controller and every op of the script invoked at its scripted time.
     pub fn build_sim(
         &self,
-        mode: ReadMode,
-        controller: Box<dyn Controller<Req, Rep>>,
-    ) -> Sim<Req, Rep, OpOutput> {
-        let objects: Vec<Box<dyn ObjectBehavior<Req, Rep>>> = (0..self.num_objects())
-            .map(|_| Box::new(HonestObject::new()) as Box<dyn ObjectBehavior<Req, Rep>>)
-            .collect();
-        self.build_sim_with_objects(mode, controller, objects)
-    }
-
-    /// [`Scenario::build_sim`] with caller-supplied object behaviors (used
-    /// by tests that need to inspect object state after the run).
-    pub fn build_sim_with_objects(
-        &self,
-        mode: ReadMode,
+        path: ReadPath,
         controller: Box<dyn Controller<Req, Rep>>,
         objects: Vec<Box<dyn ObjectBehavior<Req, Rep>>>,
     ) -> Sim<Req, Rep, OpOutput> {
@@ -373,85 +335,74 @@ impl Scenario {
                         Value::from_u64(value),
                     )),
                 ),
-                OpSpec::Read { at, reader } => sim.invoke_at(
-                    at,
-                    client,
-                    OpKind::Read,
-                    Box::new(mw_read_in_group_mode(cfg, reader, group, mode)),
-                ),
+                OpSpec::Read { at, reader } => {
+                    let read = |mode| mw_read_in_group_mode(cfg, reader, group, mode);
+                    let automaton: Box<dyn RoundClient<Req, Rep, Out = OpOutput>> = match path {
+                        ReadPath::Slow => Box::new(read(ReadMode::Slow)),
+                        ReadPath::Fast => Box::new(read(ReadMode::Fast)),
+                        ReadPath::UnsoundFast => Box::new(UnsoundFastRead(read(ReadMode::Slow))),
+                    };
+                    sim.invoke_at(at, client, OpKind::Read, automaton)
+                }
             }
         }
         sim
     }
 
-    /// Run the script under the schedule a delay mask induces.
-    ///
-    /// Deterministic: the same `(scenario, mode, mask)` triple always
-    /// produces the same run — re-invoking this **is** the replay.
-    pub fn run_mask(&self, mode: ReadMode, mask: u64) -> Outcome {
-        self.run_mask_cast(mode, mask, &Cast::honest())
+    /// The controller a delay mask induces (see [`Scenario::rules_for_mask`]).
+    fn controller_for_mask(&self, mask: u64) -> ScriptedController {
+        self.rules_for_mask(mask)
+            .into_iter()
+            .fold(ScriptedController::new(), ScriptedController::with_rule)
     }
 
-    /// [`Scenario::run_mask`] with a Byzantine cast in the object slots.
+    /// Run the script under the schedule a delay mask induces, with `cast`
+    /// in the object slots.
     ///
-    /// Deterministic in `(scenario, mode, mask, cast)` — behaviors are
-    /// freshly materialized per call, so re-invoking **is** the replay.
-    pub fn run_mask_cast(&self, mode: ReadMode, mask: u64, cast: &Cast) -> Outcome {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut controller = ScriptedController::new();
-            for rule in self.rules_for_mask(mask) {
-                controller.push(rule);
-            }
-            let mut sim = self.build_sim_with_objects(
-                mode,
-                Box::new(controller),
-                cast.objects_for(self.num_objects()),
-            );
-            let completions = sim.run_to_quiescence();
-            (completions, sim.hit_event_cap())
-        }));
-        self.judge(run)
+    /// Deterministic in `(scenario, path, mask, cast)` — behaviors are
+    /// freshly materialized per call, so re-invoking this **is** the
+    /// replay.
+    pub fn run_mask(&self, path: ReadPath, mask: u64, cast: &Cast) -> Outcome {
+        self.run_judged(path, cast, self.controller_for_mask(mask), |sim| {
+            sim.run_to_quiescence()
+        })
     }
 
     /// Run the script with every message held and delivery order chosen by
-    /// the scheduler (see [`rastor_sim::Sim::run_scheduled`]).
-    pub fn run_scheduled(&self, mode: ReadMode, sched: &mut dyn rastor_sim::Scheduler) -> Outcome {
-        self.run_scheduled_cast(mode, sched, &Cast::honest())
-    }
-
-    /// [`Scenario::run_scheduled`] with a Byzantine cast in the object
-    /// slots.
-    pub fn run_scheduled_cast(
+    /// the scheduler (see [`rastor_sim::Sim::run_scheduled`]), with `cast`
+    /// in the object slots.
+    pub fn run_scheduled(
         &self,
-        mode: ReadMode,
+        path: ReadPath,
         sched: &mut dyn rastor_sim::Scheduler,
         cast: &Cast,
     ) -> Outcome {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let controller = ScriptedController::new().with_rule(Rule::hold_all());
-            let mut sim = self.build_sim_with_objects(
-                mode,
-                Box::new(controller),
-                cast.objects_for(self.num_objects()),
-            );
-            let completions = sim.run_scheduled(sched);
-            (completions, sim.hit_event_cap())
-        }));
-        self.judge(run)
+        let hold_all = ScriptedController::new().with_rule(Rule::hold_all());
+        self.run_judged(path, cast, hold_all, |sim| sim.run_scheduled(sched))
     }
 
     /// [`Scenario::run_scheduled`] with a fresh seeded [`RandomScheduler`];
     /// replaying the same seed reproduces the schedule exactly.
-    pub fn run_random(&self, mode: ReadMode, seed: u64) -> Outcome {
-        self.run_scheduled(mode, &mut RandomScheduler::seeded(seed))
+    pub fn run_random(&self, path: ReadPath, seed: u64, cast: &Cast) -> Outcome {
+        self.run_scheduled(path, &mut RandomScheduler::seeded(seed), cast)
     }
 
-    /// [`Scenario::run_random`] with a Byzantine cast in the object slots.
-    pub fn run_random_cast(&self, mode: ReadMode, seed: u64, cast: &Cast) -> Outcome {
-        self.run_scheduled_cast(mode, &mut RandomScheduler::seeded(seed), cast)
-    }
-
-    fn judge(&self, run: CaughtRun) -> Outcome {
+    /// Build the sim, `drive` it, and judge what completed — a ghost
+    /// invariant's panic or a run cut off by the event cap is a violation
+    /// like any other.
+    fn run_judged(
+        &self,
+        path: ReadPath,
+        cast: &Cast,
+        controller: ScriptedController,
+        drive: impl FnOnce(&mut Sim<Req, Rep, OpOutput>) -> Vec<Completion<OpOutput>>,
+    ) -> Outcome {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let objects = cast.objects_for(self.num_objects());
+            let mut sim = self.build_sim(path, Box::new(controller), objects);
+            let completions = drive(&mut sim);
+            (completions, sim.hit_event_cap())
+        }));
         match run {
             Ok((completions, capped)) => {
                 let mut violations = self.violations_of(&completions);
@@ -481,65 +432,23 @@ impl Scenario {
         }
     }
 
-    /// Check a run's completions against the paper's properties.
+    /// Check a run's completions against the paper's properties: every op
+    /// completed, and the one register's history is atomic.
     pub fn violations_of(&self, completions: &[Completion<OpOutput>]) -> Vec<String> {
-        let mut out = Vec::new();
-        if completions.len() != self.ops.len() {
-            out.push(format!(
-                "wait-freedom: {} of {} ops completed",
-                completions.len(),
-                self.ops.len()
-            ));
-        }
         let mut history = History::new();
         history.ingest(completions);
-        out.extend(
-            history
-                .check_atomic()
-                .into_iter()
-                .map(|v| format!("atomicity: {v}")),
-        );
-        // Sequential reads by one client must not regress, even when the
-        // later read's invocation tick coincides with the earlier read's
-        // completion tick (the history checker treats that boundary case
-        // as concurrent). Completion order is invocation order per client.
-        let mut clients: Vec<ClientId> = completions.iter().map(|c| c.client).collect();
-        clients.sort();
-        clients.dedup();
-        for client in clients {
-            let mut floor = None;
-            for c in completions.iter().filter(|c| c.client == client) {
-                if let OpOutput::Read(pair) = &c.output {
-                    if let Some(prev) = &floor {
-                        if pair.ts < *prev {
-                            out.push(format!(
-                                "same-reader regression: {client} read {} then {}",
-                                prev, pair.ts
-                            ));
-                        }
-                    }
-                    floor = Some(pair.ts);
-                }
-            }
-        }
-        out
+        judge(&[(String::new(), history)], self.ops.len(), &[])
     }
 
     /// Exhaustively enumerate every delay mask (all `2^universe_bits()`
-    /// schedules in the rule universe) and return the failures.
-    pub fn sweep(&self, mode: ReadMode) -> Vec<Failure> {
-        self.sweep_cast(mode, &Cast::honest())
-    }
-
-    /// [`Scenario::sweep`] with a Byzantine cast in the object slots: the
-    /// full delay-mask universe, every schedule running the same fault
-    /// assignment (with fresh fault state per schedule).
-    pub fn sweep_cast(&self, mode: ReadMode, cast: &Cast) -> Vec<Failure> {
+    /// schedules in the rule universe), every schedule running `cast` with
+    /// fresh fault state, and return the failures.
+    pub fn sweep(&self, path: ReadPath, cast: &Cast) -> Vec<Failure> {
         let bits = self.universe_bits();
         assert!(bits <= 24, "universe too large to enumerate exhaustively");
         (0..1u64 << bits)
             .filter_map(|mask| {
-                let outcome = self.run_mask_cast(mode, mask, cast);
+                let outcome = self.run_mask(path, mask, cast);
                 (!outcome.is_clean()).then_some(Failure {
                     mask,
                     violations: outcome.violations,
@@ -551,21 +460,15 @@ impl Scenario {
     /// Shrink a failing mask by greedy rule-dropping: repeatedly clear any
     /// single bit whose removal still fails, until no bit can be dropped.
     /// The result is a locally-minimal repro (every remaining rule is
-    /// necessary).
-    pub fn minimize(&self, mode: ReadMode, mask: u64) -> u64 {
-        self.minimize_cast(mode, mask, &Cast::honest())
-    }
-
-    /// [`Scenario::minimize`] under a Byzantine cast. Works on any
-    /// universe up to 64 bits — minimization probes one bit-drop at a
-    /// time, so it never needs the exhaustive enumeration.
-    pub fn minimize_cast(&self, mode: ReadMode, mask: u64, cast: &Cast) -> u64 {
+    /// necessary). Works on any universe up to 64 bits — it probes one
+    /// bit-drop at a time, so it never needs the exhaustive enumeration.
+    pub fn minimize(&self, path: ReadPath, mask: u64, cast: &Cast) -> u64 {
         let mut cur = mask;
         loop {
             let mut improved = false;
             for bit in 0..self.universe_bits() {
                 let cand = cur & !(1u64 << bit);
-                if cand != cur && !self.run_mask_cast(mode, cand, cast).is_clean() {
+                if cand != cur && !self.run_mask(path, cand, cast).is_clean() {
                     cur = cand;
                     improved = true;
                 }
@@ -576,23 +479,12 @@ impl Scenario {
         }
     }
 
-    /// Render one failure as a replayable report.
-    pub fn report(&self, mode: ReadMode, failure: &Failure, minimized: u64) -> String {
-        self.report_cast(mode, failure, minimized, &Cast::honest())
-    }
-
-    /// [`Scenario::report`] including the cast, so a Byzantine find is
-    /// replayable fault-assignment and all.
-    pub fn report_cast(
-        &self,
-        mode: ReadMode,
-        failure: &Failure,
-        minimized: u64,
-        cast: &Cast,
-    ) -> String {
+    /// Render one failure as a replayable report, fault assignment and
+    /// all.
+    pub fn report(&self, path: ReadPath, failure: &Failure, minimized: u64, cast: &Cast) -> String {
         let mut s = String::new();
         s.push_str(&format!("scenario:  {}\n", self.name));
-        s.push_str(&format!("mode:      {mode:?}\n"));
+        s.push_str(&format!("mode:      {path:?}\n"));
         s.push_str(&format!(
             "cast:      {} ({} byzantine of {})\n",
             cast.name,
@@ -614,18 +506,11 @@ impl Scenario {
         for v in &failure.violations {
             s.push_str(&format!("violation: {v}\n"));
         }
-        if cast.faults.is_empty() {
-            s.push_str(&format!(
-                "replay:    scenario_{}().run_mask(ReadMode::{mode:?}, {:#x})\n",
-                self.name, minimized
-            ));
-        } else {
-            s.push_str(&format!(
-                "replay:    scenario_{}().run_mask_cast(ReadMode::{mode:?}, {:#x}, \
-                 &Cast {{ name: {:?}, faults: vec!{:?} }})\n",
-                self.name, minimized, cast.name, cast.faults
-            ));
-        }
+        s.push_str(&format!(
+            "replay:    scenario_{}().run_mask(ReadPath::{path:?}, {:#x}, \
+             &Cast {{ name: {:?}, faults: vec!{:?} }})\n",
+            self.name, minimized, cast.name, cast.faults
+        ));
         s
     }
 
@@ -634,11 +519,11 @@ impl Scenario {
     /// random held-message schedules, each one's perturbation
     /// neighborhood, and random delay masks, until `budget` elapses or
     /// `max_runs` runs have executed. Mask failures are shrunk with
-    /// [`Scenario::minimize_cast`]; schedule failures carry their seed and
+    /// [`Scenario::minimize`]; schedule failures carry their seed and
     /// pick trace for replay.
-    pub fn explore_cast(
+    pub fn explore(
         &self,
-        mode: ReadMode,
+        path: ReadPath,
         cast: &Cast,
         base_seed: u64,
         budget: Duration,
@@ -657,7 +542,7 @@ impl Scenario {
         while stats.runs < max_runs && start.elapsed() < budget {
             // One seeded held-message schedule...
             let mut sched = RandomScheduler::seeded(seed);
-            let outcome = self.run_scheduled_cast(mode, &mut sched, cast);
+            let outcome = self.run_scheduled(path, &mut sched, cast);
             let picks = sched.picks.clone();
             stats.scheduled_runs += 1;
             stats.runs += 1;
@@ -675,7 +560,7 @@ impl Scenario {
                         break;
                     }
                     let mut p = RandomScheduler::perturbed(seed, &picks, at);
-                    let outcome = self.run_scheduled_cast(mode, &mut p, cast);
+                    let outcome = self.run_scheduled(path, &mut p, cast);
                     stats.perturbed_runs += 1;
                     stats.runs += 1;
                     if !outcome.is_clean() {
@@ -690,11 +575,11 @@ impl Scenario {
             // ...and one random point of the delay-mask universe.
             if stats.runs < max_runs && start.elapsed() < budget {
                 let mask = rng.next_u64() & mask_space;
-                let outcome = self.run_mask_cast(mode, mask, cast);
+                let outcome = self.run_mask(path, mask, cast);
                 stats.mask_runs += 1;
                 stats.runs += 1;
                 if !outcome.is_clean() {
-                    let minimized = self.minimize_cast(mode, mask, cast);
+                    let minimized = self.minimize(path, mask, cast);
                     stats.mask_failures.push(Failure {
                         mask: minimized,
                         violations: outcome.violations,
@@ -708,9 +593,9 @@ impl Scenario {
     }
 }
 
-/// A failing held-message schedule found by [`Scenario::explore_cast`]:
+/// A failing held-message schedule found by [`Scenario::explore`]:
 /// replay it with [`RandomScheduler::with_prefix`] over the recorded
-/// picks (or just [`Scenario::run_random_cast`] with the seed, for an
+/// picks (or just [`Scenario::run_random`] with the seed, for an
 /// unperturbed find).
 #[derive(Clone, Debug)]
 pub struct ScheduleFailure {
@@ -724,7 +609,7 @@ pub struct ScheduleFailure {
     pub violations: Vec<String>,
 }
 
-/// Tally of one [`Scenario::explore_cast`] budgeted exploration.
+/// Tally of one [`Scenario::explore`] budgeted exploration.
 #[derive(Clone, Debug, Default)]
 pub struct ExploreStats {
     /// Total runs executed (all kinds).
@@ -763,42 +648,26 @@ pub fn budget_from_env(var: &str, default_ms: u64) -> Duration {
 }
 
 /// Write failure reports under `dir` (one file per failure, minimized and
-/// replayable) and return their paths. CI uploads this directory as an
-/// artifact when the model-check job fails.
+/// replayable) and return their paths. File names carry the cast name so
+/// delay-only and fault-substrate artifacts never collide. CI uploads this
+/// directory as an artifact when the model-check job fails.
 pub fn write_failure_reports(
     dir: &Path,
     scenario: &Scenario,
-    mode: ReadMode,
-    failures: &[Failure],
-) -> std::io::Result<Vec<PathBuf>> {
-    write_failure_reports_cast(dir, scenario, mode, &Cast::honest(), failures)
-}
-
-/// [`write_failure_reports`] for a Byzantine cast: file names carry the
-/// cast name so sim-substrate and fault-substrate artifacts never
-/// collide.
-pub fn write_failure_reports_cast(
-    dir: &Path,
-    scenario: &Scenario,
-    mode: ReadMode,
+    path: ReadPath,
     cast: &Cast,
     failures: &[Failure],
 ) -> std::io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
     let mut paths = Vec::new();
     for failure in failures {
-        let minimized = scenario.minimize_cast(mode, failure.mask, cast);
-        let name = if cast.faults.is_empty() {
-            format!("{}-{mode:?}-{:#x}.txt", scenario.name, failure.mask)
-        } else {
-            format!(
-                "{}-{}-{mode:?}-{:#x}.txt",
-                scenario.name, cast.name, failure.mask
-            )
-        };
-        let path = dir.join(name);
-        std::fs::write(&path, scenario.report_cast(mode, failure, minimized, cast))?;
-        paths.push(path);
+        let minimized = scenario.minimize(path, failure.mask, cast);
+        let file = dir.join(format!(
+            "{}-{}-{path:?}-{:#x}.txt",
+            scenario.name, cast.name, failure.mask
+        ));
+        std::fs::write(&file, scenario.report(path, failure, minimized, cast))?;
+        paths.push(file);
     }
     Ok(paths)
 }
@@ -964,7 +833,7 @@ pub fn scenario_write_then_read() -> Scenario {
 /// A `t = 2` cluster (seven objects) with four operations — two writers
 /// racing two readers. Its 28-bit delay universe is past the exhaustive
 /// sweep's 24-bit ceiling by design: this is the scenario the budgeted
-/// explorer ([`Scenario::explore_cast`]) owns.
+/// explorer ([`Scenario::explore`]) owns.
 pub fn scenario_t2_mixed() -> Scenario {
     Scenario {
         name: "t2_mixed",
@@ -1079,7 +948,7 @@ pub fn scenario_policy_parity() -> Scenario {
 /// the `exp t9` summary.
 pub fn run_both_policies(
     scenario: &Scenario,
-    mode: ReadMode,
+    path: ReadPath,
     mask: u64,
 ) -> (Outcome, Vec<Vec<ObjectView>>, Outcome, Vec<Vec<ObjectView>>) {
     let run = |policy: StalePolicy| {
@@ -1090,11 +959,8 @@ pub fn run_both_policies(
             .iter()
             .map(|o| Box::new(o.clone()) as Box<dyn ObjectBehavior<Req, Rep>>)
             .collect();
-        let mut controller = ScriptedController::new();
-        for rule in scenario.rules_for_mask(mask) {
-            controller.push(rule);
-        }
-        let mut sim = scenario.build_sim_with_objects(mode, Box::new(controller), objects);
+        let controller = scenario.controller_for_mask(mask);
+        let mut sim = scenario.build_sim(path, Box::new(controller), objects);
         for i in 0..scenario.ops.len() {
             sim.set_stale_policy(scenario.client_of(i), policy);
         }

@@ -6,13 +6,14 @@
 //! under the same *falsification loop* instead: a deterministic battery
 //! of [`ChaosPoint`]s — seeded drop/reorder/delay/partition
 //! configurations for the [`rastor_net::ChaosProxy`] — each driving a
-//! live [`rastor_net::NetKv`] deployment through a seeded workload whose
-//! per-key histories funnel into the paper's
-//! [`check_atomic`](rastor_core::History::check_atomic) checker.
+//! live [`rastor_net::NetKv`] deployment through a seeded
+//! [`rastor_kv::workload`] run, judged like every other run
+//! ([`Run::verdict`](rastor_kv::workload::Run::verdict)).
 //!
 //! Byzantine objects ride along through the `NetKv::spawn_with` behavior
-//! seam, mirroring the sim [`crate::Cast`] axis: a scenario with
-//! `byzantine ≤ t` faulty objects (see [`NetFault`]) must stay clean
+//! seam, mirroring the sim [`crate::Cast`] axis and naming faults with the
+//! same [`FaultKind`]: a scenario with `byzantine ≤ t` faulty objects must
+//! stay clean
 //! across the whole battery, while `t + 1` colluding forgers yields a
 //! fabricated-read witness the search finds
 //! ([`NetScenario::find_witness`]), shrinks
@@ -28,15 +29,11 @@
 //! Reports say so, and [`NetScenario::minimize_point`] therefore probes
 //! each ablation several times before accepting it.
 
-use crate::Cast;
-use rastor_common::{ClientId, SplitMix64, Value};
-use rastor_core::adversary::{ForgeHighObject, ReplayObject};
-use rastor_core::{History, ReadRec, Rep, Req, WriteRec};
+use rastor_core::FaultKind;
+use rastor_kv::workload::{self, Mix};
 use rastor_kv::StoreConfig;
 use rastor_net::{ChaosCfg, ChaosStats, NetKv};
-use rastor_sim::ObjectBehavior;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One point of the chaos-configuration space: everything a run needs to
@@ -129,60 +126,28 @@ impl ChaosPoint {
     }
 }
 
-/// Which Byzantine behavior a [`NetScenario`]'s faulty prefix runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetFault {
-    /// Genuine-but-frozen state, acked-but-dropped writes
-    /// ([`ReplayObject`] frozen at 0). Safe at any count under reliable
-    /// channels (reads outwait it), so it exercises the `≤ t` clean
-    /// sweeps *and* the liveness margin.
-    StaleReplay,
-    /// A fabricated sky-high pair reported to every collect
-    /// ([`ForgeHighObject::default_forgery`]). `t + 1` colluding copies
-    /// give the fabrication `t + 1` vouchers — the net-substrate
-    /// `check_atomic` witness.
-    ForgeHigh,
-}
-
-/// How a [`NetScenario`]'s handles drive the store.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetWorkload {
-    /// Every handle runs a seeded 50/50 put/get mix over random keys —
-    /// the soak shape, for clean-battery sweeps.
-    Mixed,
-    /// Each handle puts once to its own key, then reads it back
-    /// repeatedly — the sharpest probe for Byzantine witnesses (every
-    /// read races nothing; anything but the genuine put is a violation).
-    PutThenReads,
-}
-
 /// A fixed workload over one TCP deployment, explored under many
 /// [`ChaosPoint`]s — the net-substrate counterpart of a sim
 /// [`Scenario`](crate::Scenario).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NetScenario {
     /// Name used in reports and artifact file names.
     pub name: &'static str,
     /// Per-shard fault budget; each shard deploys `3t + 1` objects.
     pub t: usize,
-    /// Concurrent client handles (threads).
-    pub handles: u32,
-    /// Distinct keys the `Mixed` workload spreads over.
-    pub keys: usize,
-    /// Operations per handle.
-    pub ops_per_handle: u64,
-    /// The first `byzantine` objects of the shard run [`NetFault`]
-    /// behaviors. `≤ t` must be survivable; `t + 1` forgers must be
-    /// caught.
+    /// The first `byzantine` objects of the shard run `fault`. `≤ t` must
+    /// be survivable; `t + 1` forgers must be caught.
     pub byzantine: usize,
-    /// The behavior those objects run.
-    pub fault: NetFault,
-    /// Per-op client timeout, milliseconds. Generous by default so a
-    /// partition pulse costs latency, not a timed-out (hence
-    /// unrecordable) op.
-    pub op_timeout_ms: u64,
-    /// The drive pattern.
-    pub workload: NetWorkload,
+    /// The behavior those objects run. [`FaultKind::StaleAfter`]`(0)` is
+    /// safe at any count under reliable channels (reads outwait it), so it
+    /// exercises the `≤ t` clean sweeps *and* the liveness margin;
+    /// `t + 1` colluding [`FaultKind::ForgeHigh`] copies give the
+    /// fabrication `t + 1` vouchers — the net-substrate witness.
+    pub fault: FaultKind,
+    /// What the handles do. Its seed is replaced by each point's; its
+    /// timeout is generous by default so a partition pulse costs latency,
+    /// not a timed-out op.
+    pub mix: Mix,
 }
 
 /// The verdict of one chaos point run.
@@ -284,31 +249,14 @@ pub fn chaos_battery(seed: u64) -> Vec<ChaosPoint> {
 
 impl NetScenario {
     /// A small soak shape: `t = 1` (four objects), two handles, two keys,
-    /// eight ops each, honest objects, generous timeouts.
+    /// eight mixed ops each, honest objects, generous timeouts.
     pub fn small(name: &'static str) -> NetScenario {
         NetScenario {
             name,
             t: 1,
-            handles: 2,
-            keys: 2,
-            ops_per_handle: 8,
             byzantine: 0,
-            fault: NetFault::StaleReplay,
-            op_timeout_ms: 10_000,
-            workload: NetWorkload::Mixed,
-        }
-    }
-
-    /// The sim-axis [`Cast`] this scenario's fault assignment mirrors,
-    /// for cross-substrate reports.
-    pub fn cast_equivalent(&self) -> Cast {
-        let (name, kind): (_, fn() -> crate::FaultKind) = match self.fault {
-            NetFault::StaleReplay => ("net_stale_prefix", || crate::FaultKind::StaleAfter(0)),
-            NetFault::ForgeHigh => ("net_forger_prefix", || crate::FaultKind::ForgeHigh),
-        };
-        Cast {
-            name,
-            faults: (0..self.byzantine).map(|o| (o, kind())).collect(),
+            fault: FaultKind::StaleAfter(0),
+            mix: Mix::mixed(2, 2, 8),
         }
     }
 
@@ -319,23 +267,15 @@ impl NetScenario {
     /// themselves violations (`liveness:`) — the timeout is generous
     /// precisely so that an honest run never hits it.
     pub fn run_point(&self, point: &ChaosPoint) -> NetOutcome {
-        let byz = self.byzantine;
-        let fault = self.fault;
+        let (byz, fault) = (self.byzantine, self.fault.clone());
         // Per-object listeners: each object is its own link fault domain
         // (behind a shared shard listener, link faults hit every object
         // uniformly and honest objects can never diverge — see
         // `NetKv::spawn_per_object`).
         let spawn = NetKv::spawn_per_object(
-            StoreConfig::new(self.t, 1, self.handles),
+            StoreConfig::new(self.t, 1, self.mix.handles),
             Some(point.cfg()),
-            move |_shard, id| {
-                ((id.0 as usize) < byz).then(|| match fault {
-                    NetFault::StaleReplay => {
-                        Box::new(ReplayObject::new(0)) as Box<dyn ObjectBehavior<Req, Rep> + Send>
-                    }
-                    NetFault::ForgeHigh => Box::new(ForgeHighObject::default_forgery()),
-                })
-            },
+            move |_shard, id| ((id.0 as usize) < byz).then(|| fault.materialize()),
         );
         let kv = match spawn {
             Ok(kv) => kv,
@@ -348,71 +288,13 @@ impl NetScenario {
                 }
             }
         };
-
-        let epoch = Instant::now();
-        let histories: Arc<Vec<Mutex<History>>> =
-            Arc::new((0..self.keys).map(|_| Mutex::new(History::new())).collect());
-        let violations: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let scenario = *self;
-        let point = *point;
-
-        let mut threads = Vec::new();
-        for hid in 0..self.handles {
-            let store = kv.store.clone();
-            let histories = Arc::clone(&histories);
-            let violations = Arc::clone(&violations);
-            threads.push(std::thread::spawn(move || {
-                let now_us = |at: Instant| -> u64 { (at - epoch).as_micros() as u64 };
-                let mut handle = store.handle(hid).expect("handle in pool");
-                handle.set_timeout(Duration::from_millis(scenario.op_timeout_ms));
-                let mut rng = SplitMix64::new(point.seed ^ (0xC11E << 8) ^ u64::from(hid));
-                for op in 0..scenario.ops_per_handle {
-                    let (k, is_put) = match scenario.workload {
-                        NetWorkload::Mixed => (
-                            rng.gen_range(0, scenario.keys as u64 - 1) as usize,
-                            rng.next_f64() < 0.5,
-                        ),
-                        NetWorkload::PutThenReads => (hid as usize % scenario.keys, op == 0),
-                    };
-                    let key = format!("{}:{k}", scenario.name);
-                    let invoked = Instant::now();
-                    if is_put {
-                        let val = Value::from_u64(u64::from(hid) << 32 | (op + 1));
-                        match handle.put(&key, val.clone()) {
-                            Ok(tag) => {
-                                let completed = Instant::now();
-                                histories[k].lock().unwrap().push_write(WriteRec {
-                                    ts: tag.to_timestamp(),
-                                    val,
-                                    invoked_at: now_us(invoked),
-                                    completed_at: Some(now_us(completed)),
-                                });
-                            }
-                            Err(e) => violations
-                                .lock()
-                                .unwrap()
-                                .push(format!("liveness: handle {hid} put {key}: {e}")),
-                        }
-                    } else {
-                        match handle.get_pair(&key) {
-                            Ok(pair) => {
-                                let completed = Instant::now();
-                                histories[k].lock().unwrap().push_read(ReadRec {
-                                    client: ClientId::reader(hid),
-                                    invoked_at: now_us(invoked),
-                                    completed_at: now_us(completed),
-                                    returned: pair,
-                                });
-                            }
-                            Err(e) => violations
-                                .lock()
-                                .unwrap()
-                                .push(format!("liveness: handle {hid} get {key}: {e}")),
-                        }
-                    }
-                }
-            }));
-        }
+        let running = workload::start(
+            &kv.store,
+            &Mix {
+                seed: point.seed ^ (0xC11E << 8),
+                ..self.mix
+            },
+        );
 
         // The partition pulse, if the point prescribes one: all links go
         // dark mid-flight, then heal. Client resubmission must absorb it
@@ -428,26 +310,8 @@ impl NetScenario {
             }
         }
 
-        for t in threads {
-            t.join().expect("workload thread");
-        }
-
-        let mut violations = Arc::try_unwrap(violations)
-            .expect("threads joined")
-            .into_inner()
-            .unwrap();
-        let mut writes = 0;
-        let mut reads = 0;
-        for (k, hist) in histories.iter().enumerate() {
-            let hist = hist.lock().unwrap();
-            writes += hist.writes().count();
-            reads += hist.reads().len();
-            violations.extend(
-                hist.check_atomic()
-                    .into_iter()
-                    .map(|v| format!("atomicity: key {}:{k}: {v}", self.name)),
-            );
-        }
+        let run = running.join();
+        let (puts, gets) = run.latencies_us();
         let chaos = kv.proxies.iter().fold(ChaosStats::default(), |acc, p| {
             let s = p.stats();
             ChaosStats {
@@ -458,9 +322,9 @@ impl NetScenario {
             }
         });
         NetOutcome {
-            violations,
-            writes,
-            reads,
+            violations: run.verdict(),
+            writes: puts.len(),
+            reads: gets.len(),
             chaos,
         }
     }

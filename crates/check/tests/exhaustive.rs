@@ -8,10 +8,10 @@
 use rastor_check::{
     budget_from_env, cast_one_forger, cast_one_stale, cast_t_plus_one_forgers, casts_single_fault,
     run_both_policies, scenario_policy_parity, scenario_t2_mixed, scenario_two_writers_one_reader,
-    scenario_write_then_read, scenario_write_then_two_reads, write_failure_reports,
-    write_failure_reports_cast, Cast, FaultKind, RandomScheduler, Scenario,
+    scenario_write_then_read, scenario_write_then_two_reads, write_failure_reports, Cast,
+    RandomScheduler, ReadPath, Scenario,
 };
-use rastor_core::ReadMode;
+use rastor_core::FaultKind;
 use std::path::PathBuf;
 
 /// Where minimized failing traces land; CI uploads this directory as an
@@ -20,15 +20,17 @@ fn report_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/model-check")
 }
 
-fn assert_sweep_clean(scenario: &Scenario, mode: ReadMode) {
-    let failures = scenario.sweep(mode);
+fn assert_sweep_clean(scenario: &Scenario, path: ReadPath, cast: &Cast) {
+    let failures = scenario.sweep(path, cast);
     if !failures.is_empty() {
-        let paths = write_failure_reports(&report_dir(), scenario, mode, &failures)
+        let paths = write_failure_reports(&report_dir(), scenario, path, cast, &failures)
             .expect("write failure reports");
         panic!(
-            "{} schedules violate atomicity for {} under {mode:?}; minimized repros in {:?}",
+            "{} schedules violate atomicity for {} under cast {} / {path:?}; \
+             minimized repros in {:?}",
             failures.len(),
             scenario.name,
+            cast.name,
             paths
         );
     }
@@ -44,42 +46,33 @@ fn exhaustive_sweep_finds_no_violations_on_sound_read_paths() {
         scenario_two_writers_one_reader(),
         scenario_write_then_two_reads(),
     ] {
-        for mode in [ReadMode::Slow, ReadMode::Fast] {
-            assert_sweep_clean(&scenario, mode);
+        for path in [ReadPath::Slow, ReadPath::Fast] {
+            assert_sweep_clean(&scenario, path, &Cast::honest());
         }
     }
 }
 
-/// Checker efficacy: a deliberately broken fast path (the test-only
-/// [`ReadMode::UnsoundFast`] hook skips the confirmation certificate) is
+/// Checker efficacy: a deliberately broken fast path
+/// ([`ReadPath::UnsoundFast`] skips the confirmation certificate) is
 /// caught by the same sweep, the failing schedule shrinks to a minimal
 /// repro, and replaying the minimized mask still fails deterministically.
 #[test]
 fn exhaustive_sweep_catches_the_unsound_fast_path() {
     let scenario = scenario_write_then_two_reads();
-    let failures = scenario.sweep(ReadMode::UnsoundFast);
-    assert!(
-        !failures.is_empty(),
-        "the unsound fast path must violate atomicity somewhere in the universe"
-    );
-
+    let honest = Cast::honest();
+    let failures = scenario.sweep(ReadPath::UnsoundFast, &honest);
     let first = &failures[0];
-    let minimized = scenario.minimize(ReadMode::UnsoundFast, first.mask);
-    assert_ne!(minimized, 0, "an empty schedule cannot fail");
+    let minimized = scenario.minimize(ReadPath::UnsoundFast, first.mask, &honest);
     assert_eq!(
-        minimized & first.mask,
-        minimized,
-        "minimization only drops rules"
-    );
-    assert!(
-        minimized.count_ones() <= 3,
-        "repro should shrink to at most 3 delay rules, got {}",
-        minimized.count_ones()
+        (failures.len(), first.mask, minimized),
+        (12, 0x106, 0x106),
+        "the witness is pinned: same failing schedules, same 3-rule repro, as \
+         when the unsound read was a `ReadMode` inside rastor_core"
     );
 
     // Replay-from-mask: the sim is deterministic, so the minimized mask is
     // a self-contained repro.
-    let replay = scenario.run_mask(ReadMode::UnsoundFast, minimized);
+    let replay = scenario.run_mask(ReadPath::UnsoundFast, minimized, &honest);
     assert!(
         !replay.is_clean(),
         "replaying the minimized repro must fail"
@@ -95,7 +88,7 @@ fn exhaustive_sweep_catches_the_unsound_fast_path() {
 
     // The sound fast path survives the exact schedule that kills the
     // unsound one — the confirmation certificate is what saves it.
-    let sound = scenario.run_mask(ReadMode::Fast, minimized);
+    let sound = scenario.run_mask(ReadPath::Fast, minimized, &honest);
     assert!(
         sound.is_clean(),
         "the confirmed fast path must survive the repro schedule: {:?}",
@@ -111,9 +104,9 @@ fn exhaustive_random_schedules_stay_atomic_and_replay_from_seed() {
         scenario_two_writers_one_reader(),
         scenario_write_then_two_reads(),
     ] {
-        for mode in [ReadMode::Slow, ReadMode::Fast] {
+        for mode in [ReadPath::Slow, ReadPath::Fast] {
             for seed in 0..100 {
-                let out = scenario.run_random(mode, seed);
+                let out = scenario.run_random(mode, seed, &Cast::honest());
                 assert!(
                     out.is_clean(),
                     "seed {seed} violates atomicity for {} under {mode:?}: {:?}",
@@ -126,8 +119,8 @@ fn exhaustive_random_schedules_stay_atomic_and_replay_from_seed() {
 
     // Replay-from-seed: identical seed, identical schedule, identical run.
     let scenario = scenario_two_writers_one_reader();
-    let a = scenario.run_random(ReadMode::Fast, 42);
-    let b = scenario.run_random(ReadMode::Fast, 42);
+    let a = scenario.run_random(ReadPath::Fast, 42, &Cast::honest());
+    let b = scenario.run_random(ReadPath::Fast, 42, &Cast::honest());
     let key = |o: &rastor_check::Outcome| {
         o.completions
             .iter()
@@ -145,13 +138,13 @@ fn exhaustive_perturbed_schedules_stay_atomic() {
     let scenario = scenario_two_writers_one_reader();
     for seed in 0..20 {
         let mut base = RandomScheduler::seeded(seed);
-        let out = scenario.run_scheduled(ReadMode::Fast, &mut base);
+        let out = scenario.run_scheduled(ReadPath::Fast, &mut base, &Cast::honest());
         assert!(out.is_clean(), "base seed {seed}: {:?}", out.violations);
         let picks = base.picks;
         assert!(!picks.is_empty(), "a held-message run makes picks");
         for at in [0, picks.len() / 2, picks.len() - 1] {
             let mut perturbed = RandomScheduler::perturbed(seed, &picks, at);
-            let out = scenario.run_scheduled(ReadMode::Fast, &mut perturbed);
+            let out = scenario.run_scheduled(ReadPath::Fast, &mut perturbed, &Cast::honest());
             assert!(
                 out.is_clean(),
                 "perturbing seed {seed} at pick {at}: {:?}",
@@ -173,21 +166,8 @@ fn exhaustive_casts_within_fault_budget_sweep_clean() {
         .chain([cast_one_stale(), cast_one_forger()])
     {
         assert_eq!(cast.byzantine_count(), 1, "these casts stay within t = 1");
-        for mode in [ReadMode::Slow, ReadMode::Fast] {
-            let failures = scenario.sweep_cast(mode, &cast);
-            if !failures.is_empty() {
-                let paths =
-                    write_failure_reports_cast(&report_dir(), &scenario, mode, &cast, &failures)
-                        .expect("write failure reports");
-                panic!(
-                    "{} schedules violate atomicity for {} under cast {} / {mode:?}; \
-                     minimized repros in {:?}",
-                    failures.len(),
-                    scenario.name,
-                    cast.name,
-                    paths
-                );
-            }
+        for path in [ReadPath::Slow, ReadPath::Fast] {
+            assert_sweep_clean(&scenario, path, &cast);
         }
     }
 }
@@ -196,7 +176,7 @@ fn exhaustive_casts_within_fault_budget_sweep_clean() {
 /// fabricated pair `t + 1` vouchers, and the sweep **must** find the
 /// resulting `check_atomic` witness (a read returning a never-written
 /// value), shrink it, and replay it — mirroring how the explorer catches
-/// `ReadMode::UnsoundFast`. The `≤ t` twin stays clean under the exact
+/// `ReadPath::UnsoundFast`. The `≤ t` twin stays clean under the exact
 /// same minimized schedule: the boundary is the cast size, not the
 /// schedule.
 #[test]
@@ -208,12 +188,8 @@ fn exhaustive_sweep_finds_the_t_plus_one_forger_witness() {
         2,
         "the witness cast is one past t = 1"
     );
-    for mode in [ReadMode::Slow, ReadMode::Fast] {
-        let failures = scenario.sweep_cast(mode, &cast);
-        assert!(
-            !failures.is_empty(),
-            "t + 1 forgers must violate atomicity somewhere in the universe ({mode:?})"
-        );
+    for mode in [ReadPath::Slow, ReadPath::Fast] {
+        let failures = scenario.sweep(mode, &cast);
         assert!(
             failures
                 .iter()
@@ -222,15 +198,13 @@ fn exhaustive_sweep_finds_the_t_plus_one_forger_witness() {
         );
 
         let first = &failures[0];
-        let minimized = scenario.minimize_cast(mode, first.mask, &cast);
+        let minimized = scenario.minimize(mode, first.mask, &cast);
         assert_eq!(
-            minimized & first.mask,
-            minimized,
-            "minimization only drops rules"
+            (failures.len(), first.mask, minimized),
+            (84, 0x5, 0x5),
+            "the pinned witness ({mode:?})"
         );
-        // Note: no `minimized != 0` assert — under a t + 1 cast the fault
-        // alone can suffice, and an empty mask is a legitimate witness.
-        let replay = scenario.run_mask_cast(mode, minimized, &cast);
+        let replay = scenario.run_mask(mode, minimized, &cast);
         assert!(
             replay
                 .violations
@@ -242,7 +216,7 @@ fn exhaustive_sweep_finds_the_t_plus_one_forger_witness() {
 
         // The ≤ t twin under the same minimized schedule: one forger is
         // outvoted by the t + 1 voucher threshold.
-        let twin = scenario.run_mask_cast(mode, minimized, &cast_one_forger());
+        let twin = scenario.run_mask(mode, minimized, &cast_one_forger());
         assert!(
             twin.is_clean(),
             "a single forger must be outvoted on the witness schedule: {:?}",
@@ -251,13 +225,12 @@ fn exhaustive_sweep_finds_the_t_plus_one_forger_witness() {
 
         // The witness is also a report: the same artifact pipeline CI
         // uploads for delay-only failures.
-        let paths =
-            write_failure_reports_cast(&report_dir(), &scenario, mode, &cast, &failures[..1])
-                .expect("write witness report");
+        let paths = write_failure_reports(&report_dir(), &scenario, mode, &cast, &failures[..1])
+            .expect("write witness report");
         assert_eq!(paths.len(), 1);
         let body = std::fs::read_to_string(&paths[0]).expect("read witness report");
         assert!(
-            body.contains("cast:") && body.contains("run_mask_cast"),
+            body.contains("cast:") && body.contains("replay:") && body.contains("ForgeHigh"),
             "report names the cast and carries a replay line:\n{body}"
         );
     }
@@ -271,20 +244,21 @@ fn exhaustive_sweep_finds_the_t_plus_one_forger_witness() {
 fn exhaustive_sweep_catches_the_unsound_fast_path_under_a_cast() {
     let scenario = scenario_write_then_two_reads();
     let cast = cast_one_stale();
-    let failures = scenario.sweep_cast(ReadMode::UnsoundFast, &cast);
-    assert!(
-        !failures.is_empty(),
-        "the unsound fast path must fail under a stale-replay cast too"
-    );
+    let failures = scenario.sweep(ReadPath::UnsoundFast, &cast);
     let first = &failures[0];
-    let minimized = scenario.minimize_cast(ReadMode::UnsoundFast, first.mask, &cast);
-    let sound = scenario.run_mask_cast(ReadMode::Fast, minimized, &cast);
+    let minimized = scenario.minimize(ReadPath::UnsoundFast, first.mask, &cast);
+    assert_eq!(
+        (failures.len(), first.mask, minimized),
+        (12, 0x205, 0x205),
+        "the pinned witness"
+    );
+    let sound = scenario.run_mask(ReadPath::Fast, minimized, &cast);
     assert!(
         sound.is_clean(),
         "the confirmed fast path survives the repro schedule under the cast: {:?}",
         sound.violations
     );
-    let sound_sweep = scenario.sweep_cast(ReadMode::Fast, &cast);
+    let sound_sweep = scenario.sweep(ReadPath::Fast, &cast);
     assert!(
         sound_sweep.is_empty(),
         "the confirmed fast path survives the whole universe under the cast"
@@ -312,7 +286,7 @@ fn exhaustive_t2_budgeted_exploration_stays_atomic() {
     };
     assert!(two_faults.byzantine_count() <= 2, "within the t = 2 budget");
     for cast in [Cast::honest(), two_faults] {
-        let stats = scenario.explore_cast(ReadMode::Fast, &cast, 0xD0BE, budget, 400);
+        let stats = scenario.explore(ReadPath::Fast, &cast, 0xD0BE, budget, 400);
         assert!(stats.runs > 0, "the explorer must run at least once");
         assert!(
             stats.is_clean(),
@@ -338,7 +312,7 @@ fn exhaustive_drop_late_and_deliver_late_agree_on_final_state() {
     let read_op = 2;
     let s = scenario.num_objects() as u64;
     let mask = 1 << (read_op as u64 * s + 1) | 1 << (read_op as u64 * s + 2);
-    for mode in [ReadMode::Slow, ReadMode::Fast] {
+    for mode in [ReadPath::Slow, ReadPath::Fast] {
         let (deliver, deliver_views, drop, drop_views) = run_both_policies(&scenario, mode, mask);
         assert!(deliver.is_clean(), "DeliverLate: {:?}", deliver.violations);
         assert!(drop.is_clean(), "DropLate: {:?}", drop.violations);

@@ -13,10 +13,11 @@
 //! a CI failure reproduces with `RASTOR_SEED=<printed> cargo test ...`.
 
 use rastor_check::budget_from_env;
-use rastor_check::netchaos::{
-    chaos_battery, write_net_report, ChaosPoint, NetFault, NetScenario, NetWorkload,
-};
+use rastor_check::netchaos::{chaos_battery, write_net_report, ChaosPoint, NetScenario};
+use rastor_check::Cast;
 use rastor_common::test_seed;
+use rastor_core::FaultKind;
+use rastor_kv::workload::Pattern;
 use std::path::PathBuf;
 
 /// Where net failure reports land; CI uploads this directory as an
@@ -36,10 +37,10 @@ fn exhaustive_net_chaos_battery_is_clean_within_fault_budget() {
     let seed = test_seed(0xBA77E51);
     eprintln!("RASTOR_SEED={seed:#x} (chaos battery)");
     let budget = budget_from_env("RASTOR_CHECK_NET_BUDGET_MS", 1_000);
-    for fault in [NetFault::StaleReplay, NetFault::ForgeHigh] {
+    for fault in [FaultKind::StaleAfter(0), FaultKind::ForgeHigh] {
         let mut scenario = NetScenario::small("battery");
         scenario.byzantine = scenario.t;
-        scenario.fault = fault;
+        scenario.fault = fault.clone();
         let stats = scenario.search(&chaos_battery(seed), budget);
         assert!(stats.runs >= chaos_battery(seed).len());
         assert!(stats.writes + stats.reads > 0, "the workload must run");
@@ -69,8 +70,8 @@ fn exhaustive_net_search_finds_the_t_plus_one_forger_witness() {
     eprintln!("RASTOR_SEED={seed:#x} (witness search)");
     let mut scenario = NetScenario::small("forger_witness");
     scenario.byzantine = scenario.t + 1;
-    scenario.fault = NetFault::ForgeHigh;
-    scenario.workload = NetWorkload::PutThenReads;
+    scenario.fault = FaultKind::ForgeHigh;
+    scenario.mix.pattern = Pattern::PutThenReads;
     // Loss is the load-bearing axis: a dropped commit leaves one honest
     // object behind, and a dropped reply hides the up-to-date one.
     let base = ChaosPoint {
@@ -106,7 +107,7 @@ fn exhaustive_net_search_finds_the_t_plus_one_forger_witness() {
 
     // The ≤ t twin under the same point: one forger is outvoted however
     // the links misbehave.
-    let mut twin = scenario;
+    let mut twin = scenario.clone();
     twin.byzantine = twin.t;
     let out = twin.run_point(&witness.point);
     assert!(
@@ -116,16 +117,23 @@ fn exhaustive_net_search_finds_the_t_plus_one_forger_witness() {
     );
 }
 
-/// The cross-substrate seam: a net scenario's fault assignment maps onto
-/// a sim-axis cast of the same shape, so reports can cite both worlds.
+/// The cross-substrate seam: a net scenario names its faulty prefix with
+/// the same `FaultKind` a sim cast does, so one value describes the fault
+/// on both substrates and reports print it directly.
 #[test]
 fn exhaustive_net_scenarios_mirror_sim_casts() {
     let mut scenario = NetScenario::small("mirror");
     scenario.byzantine = 2;
-    scenario.fault = NetFault::ForgeHigh;
-    let cast = scenario.cast_equivalent();
-    assert_eq!(cast.byzantine_count(), 2);
-    assert_eq!(cast.name, "net_forger_prefix");
-    scenario.fault = NetFault::StaleReplay;
-    assert_eq!(scenario.cast_equivalent().name, "net_stale_prefix");
+    for fault in [FaultKind::ForgeHigh, FaultKind::StaleAfter(0)] {
+        scenario.fault = fault.clone();
+        let cast = Cast {
+            name: "net_prefix",
+            faults: (0..scenario.byzantine)
+                .map(|o| (o, scenario.fault.clone()))
+                .collect(),
+        };
+        assert_eq!(cast.byzantine_count(), 2);
+        assert_eq!(cast.objects_for(4).len(), 4);
+        assert!(format!("{scenario:?}").contains(&format!("{fault:?}")));
+    }
 }

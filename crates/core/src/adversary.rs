@@ -13,6 +13,19 @@ use rastor_common::{ClientId, RegId, Timestamp, TsVal, Value};
 use rastor_sim::ObjectBehavior;
 use std::collections::HashMap;
 
+/// The ack an honest object would send for a write-phase request — what the
+/// adversaries that acknowledge without storing reply with. `None` for a
+/// collect, which acks nothing.
+fn hollow_ack(req: &Req) -> Option<Rep> {
+    let (reg, kind) = match req {
+        Req::Collect { .. } => return None,
+        Req::Store { reg, .. } => (*reg, AckKind::Store),
+        Req::PreWrite { reg, .. } => (*reg, AckKind::PreWrite),
+        Req::Commit { reg, .. } => (*reg, AckKind::Commit),
+    };
+    Some(Rep::Ack { reg, kind })
+}
+
 /// Never replies — indistinguishable from a crashed or partitioned object.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SilentObject;
@@ -60,23 +73,12 @@ pub struct AmnesiacObject;
 
 impl ObjectBehavior<Req, Rep> for AmnesiacObject {
     fn on_request(&mut self, _from: ClientId, req: &Req) -> Option<Rep> {
-        Some(match req {
-            Req::Collect { regs } => Rep::Views {
+        match req {
+            Req::Collect { regs } => Some(Rep::Views {
                 views: regs.iter().map(|r| (*r, Default::default())).collect(),
-            },
-            Req::Store { reg, .. } => Rep::Ack {
-                reg: *reg,
-                kind: AckKind::Store,
-            },
-            Req::PreWrite { reg, .. } => Rep::Ack {
-                reg: *reg,
-                kind: AckKind::PreWrite,
-            },
-            Req::Commit { reg, .. } => Rep::Ack {
-                reg: *reg,
-                kind: AckKind::Commit,
-            },
-        })
+            }),
+            write => hollow_ack(write),
+        }
     }
 }
 
@@ -105,8 +107,8 @@ impl ForgeHighObject {
 
 impl ObjectBehavior<Req, Rep> for ForgeHighObject {
     fn on_request(&mut self, _from: ClientId, req: &Req) -> Option<Rep> {
-        Some(match req {
-            Req::Collect { regs } => Rep::Views {
+        match req {
+            Req::Collect { regs } => Some(Rep::Views {
                 views: regs
                     .iter()
                     .map(|r| {
@@ -120,20 +122,9 @@ impl ObjectBehavior<Req, Rep> for ForgeHighObject {
                         )
                     })
                     .collect(),
-            },
-            Req::Store { reg, .. } => Rep::Ack {
-                reg: *reg,
-                kind: AckKind::Store,
-            },
-            Req::PreWrite { reg, .. } => Rep::Ack {
-                reg: *reg,
-                kind: AckKind::PreWrite,
-            },
-            Req::Commit { reg, .. } => Rep::Ack {
-                reg: *reg,
-                kind: AckKind::Commit,
-            },
-        })
+            }),
+            write => hollow_ack(write),
+        }
     }
 }
 
@@ -291,22 +282,80 @@ impl ObjectBehavior<Req, Rep> for ReplayObject {
             return Some(rep);
         }
         let frozen = self.frozen.get_or_insert_with(|| self.live.clone());
-        Some(match req {
-            Req::Collect { .. } => frozen.apply(req),
+        match req {
+            Req::Collect { .. } => Some(frozen.apply(req)),
             // Ack writes without applying them anywhere live.
-            Req::Store { reg, .. } => Rep::Ack {
-                reg: *reg,
-                kind: AckKind::Store,
-            },
-            Req::PreWrite { reg, .. } => Rep::Ack {
-                reg: *reg,
-                kind: AckKind::PreWrite,
-            },
-            Req::Commit { reg, .. } => Rep::Ack {
-                reg: *reg,
-                kind: AckKind::Commit,
-            },
-        })
+            write => hollow_ack(write),
+        }
+    }
+}
+
+/// The Byzantine behaviours a test, an explorer cast or a deployment can
+/// name: one enum over the battery above, so the simulator, the thread
+/// runtime and the TCP servers are all handed the same faults by the same
+/// names.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FaultKind {
+    /// Never replies ([`SilentObject`]) — a crashed or partitioned object.
+    Silent,
+    /// Honest for the first `n` requests, then silent ([`CrashObject`]) —
+    /// crash-at-round-k and silent-after-n in one.
+    CrashAfter(usize),
+    /// Honest for the first `n` requests, then answers collects from the
+    /// state frozen at that point while acking-but-dropping writes
+    /// ([`ReplayObject`]) — the stale-replay adversary. `StaleAfter(0)`
+    /// replays the initial (bottom) state forever.
+    StaleAfter(usize),
+    /// Split-brain equivocation ([`EquivocatorObject`]): the listed victims
+    /// see state frozen after `freeze_after` write-phase messages; every
+    /// other client sees fresh state.
+    Equivocate {
+        /// Clients pinned to the frozen replica.
+        victims: Vec<ClientId>,
+        /// Write-phase messages applied to the frozen side before it stops
+        /// following.
+        freeze_after: usize,
+    },
+    /// Reports a fabricated sky-high pair to every collect
+    /// ([`ForgeHighObject::default_forgery`]). One forger is outvoted by
+    /// the `t + 1` voucher threshold; `t + 1` colluding forgers give the
+    /// fabrication enough vouchers to be *selected* — the paper's
+    /// resilience boundary made executable.
+    ForgeHigh,
+    /// Acks every write, stores nothing, reports the initial state
+    /// ([`AmnesiacObject`]).
+    Amnesiac,
+}
+
+impl FaultKind {
+    /// The stock battery for table-driven fault injection: silence,
+    /// amnesia, forgery, an early crash (honest for 3 requests) and a stale
+    /// replay (honest for 4).
+    pub fn stock() -> [FaultKind; 5] {
+        [
+            FaultKind::Silent,
+            FaultKind::Amnesiac,
+            FaultKind::ForgeHigh,
+            FaultKind::CrashAfter(3),
+            FaultKind::StaleAfter(4),
+        ]
+    }
+
+    /// Build a fresh behaviour instance implementing this fault. Behaviours
+    /// are stateful (crash budgets, frozen replicas), so every run must
+    /// materialize its own copies.
+    pub fn materialize(&self) -> Box<dyn ObjectBehavior<Req, Rep> + Send> {
+        match self {
+            FaultKind::Silent => Box::new(SilentObject),
+            FaultKind::CrashAfter(n) => Box::new(CrashObject::new(*n)),
+            FaultKind::StaleAfter(n) => Box::new(ReplayObject::new(*n)),
+            FaultKind::Equivocate {
+                victims,
+                freeze_after,
+            } => Box::new(EquivocatorObject::new(victims.clone(), *freeze_after)),
+            FaultKind::ForgeHigh => Box::new(ForgeHighObject::default_forgery()),
+            FaultKind::Amnesiac => Box::new(AmnesiacObject),
+        }
     }
 }
 
@@ -354,48 +403,70 @@ mod tests {
         }
     }
 
+    /// Every [`FaultKind`] builds the behaviour its doc names (the
+    /// per-struct checks, reached through the one enum callers use).
     #[test]
-    fn silent_object_says_nothing() {
-        let mut o = SilentObject;
-        assert!(o.on_request(ClientId::writer(), &collect()).is_none());
-    }
+    fn every_fault_kind_materializes_the_behaviour_it_names() {
+        let (writer, victim, other) =
+            (ClientId::writer(), ClientId::reader(0), ClientId::reader(1));
+        let committed = |rep: Option<Rep>| rep.unwrap().view_of(RegId::WRITER).unwrap().w.pair.ts;
 
-    #[test]
-    fn crash_object_dies_after_budget() {
-        let mut o = CrashObject::new(2);
-        assert!(o.on_request(ClientId::writer(), &collect()).is_some());
-        assert!(o.on_request(ClientId::writer(), &collect()).is_some());
-        assert!(o.on_request(ClientId::writer(), &collect()).is_none());
-    }
+        let mut silent = FaultKind::Silent.materialize();
+        assert!(silent.on_request(writer, &collect()).is_none());
 
-    #[test]
-    fn amnesiac_acks_but_forgets() {
-        let mut o = AmnesiacObject;
-        let ack = o.on_request(ClientId::writer(), &commit(1, 10)).unwrap();
+        let mut crash = FaultKind::CrashAfter(2).materialize();
+        assert!(crash.on_request(writer, &collect()).is_some());
+        assert!(crash.on_request(writer, &collect()).is_some());
+        assert!(crash.on_request(writer, &collect()).is_none());
+
+        let mut amnesiac = FaultKind::Amnesiac.materialize();
+        let ack = amnesiac.on_request(writer, &commit(1, 10)).unwrap();
         assert!(ack.is_ack(RegId::WRITER, AckKind::Commit));
-        let rep = o.on_request(ClientId::reader(0), &collect()).unwrap();
-        let view = rep.view_of(RegId::WRITER).unwrap();
-        assert!(view.w.pair.is_bottom(), "nothing was actually stored");
-    }
+        assert!(
+            committed(amnesiac.on_request(victim, &collect())).is_bottom(),
+            "nothing was actually stored"
+        );
 
-    #[test]
-    fn forge_high_reports_fabrication() {
-        let mut o = ForgeHighObject::default_forgery();
-        let rep = o.on_request(ClientId::reader(0), &collect()).unwrap();
-        let view = rep.view_of(RegId::WRITER).unwrap();
-        assert_eq!(view.w.pair.ts, Timestamp(u64::MAX / 2));
-    }
+        let mut forger = FaultKind::ForgeHigh.materialize();
+        assert_eq!(
+            committed(forger.on_request(victim, &collect())),
+            Timestamp(u64::MAX / 2)
+        );
 
-    #[test]
-    fn equivocator_freezes_victims_view() {
-        let victim = ClientId::reader(0);
-        let other = ClientId::reader(1);
-        let mut o = EquivocatorObject::new(vec![victim], 0);
-        o.on_request(ClientId::writer(), &commit(1, 10));
-        let vv = o.on_request(victim, &collect()).unwrap();
-        let ov = o.on_request(other, &collect()).unwrap();
-        assert!(vv.view_of(RegId::WRITER).unwrap().w.pair.is_bottom());
-        assert_eq!(ov.view_of(RegId::WRITER).unwrap().w.pair.ts, Timestamp(1));
+        let mut equivocator = FaultKind::Equivocate {
+            victims: vec![victim],
+            freeze_after: 0,
+        }
+        .materialize();
+        equivocator.on_request(writer, &commit(1, 10));
+        assert!(committed(equivocator.on_request(victim, &collect())).is_bottom());
+        assert_eq!(
+            committed(equivocator.on_request(other, &collect())),
+            Timestamp(1)
+        );
+
+        let mut stale = FaultKind::StaleAfter(2).materialize();
+        stale.on_request(writer, &commit(1, 10)); // applied (1st)
+        stale.on_request(writer, &commit(2, 20)); // applied (2nd) + freeze
+        let ack = stale.on_request(writer, &commit(3, 30)).unwrap(); // acked, dropped
+        assert!(ack.is_ack(RegId::WRITER, AckKind::Commit));
+        let rep = stale.on_request(victim, &collect()).unwrap();
+        let view = rep.view_of(RegId::WRITER).unwrap();
+        assert_eq!(view.w.pair.ts, Timestamp(2), "replays the frozen state");
+        assert!(view.vouches_for(&TsVal::new(Timestamp(1), Value::from_u64(10))));
+        assert!(!view.vouches_for(&TsVal::new(Timestamp(3), Value::from_u64(30))));
+
+        // The stock battery is the five table-driven tests have always run.
+        assert_eq!(
+            FaultKind::stock(),
+            [
+                FaultKind::Silent,
+                FaultKind::Amnesiac,
+                FaultKind::ForgeHigh,
+                FaultKind::CrashAfter(3),
+                FaultKind::StaleAfter(4)
+            ]
+        );
     }
 
     #[test]
@@ -420,19 +491,6 @@ mod tests {
         // Other clients always see live state.
         let rep3 = forger.on_request(ClientId::reader(1), &collect()).unwrap();
         assert_eq!(rep3.view_of(RegId::WRITER).unwrap().w.pair.ts, Timestamp(3));
-    }
-
-    #[test]
-    fn replay_object_freezes_after_budget() {
-        let mut o = ReplayObject::new(2);
-        o.on_request(ClientId::writer(), &commit(1, 10)); // applied (1st)
-        o.on_request(ClientId::writer(), &commit(2, 20)); // applied (2nd) + freeze
-        o.on_request(ClientId::writer(), &commit(3, 30)); // acked, dropped
-        let rep = o.on_request(ClientId::reader(0), &collect()).unwrap();
-        let view = rep.view_of(RegId::WRITER).unwrap();
-        assert_eq!(view.w.pair.ts, Timestamp(2), "replays the frozen state");
-        assert!(view.vouches_for(&TsVal::new(Timestamp(1), Value::from_u64(10))));
-        assert!(!view.vouches_for(&TsVal::new(Timestamp(3), Value::from_u64(30))));
     }
 
     #[test]

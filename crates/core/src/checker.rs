@@ -18,7 +18,10 @@
 //!
 //! Every integration test and soak run records a [`History`] and asserts the
 //! appropriate checker returns no violations; the lower-bound executors
-//! assert the *presence* of specific violations.
+//! assert the *presence* of specific violations. Runs that span several
+//! registers (one per kv key) or may lose operations are turned into one
+//! verdict by [`judge`] — the single seam where the definition of a
+//! correct run lives.
 
 use crate::clients::OpOutput;
 use rastor_common::{ClientId, Timestamp, TsVal, Value};
@@ -90,6 +93,20 @@ pub enum Violation {
         /// Timestamp the later read returned.
         second_ts: Timestamp,
     },
+    /// Property 4 at a shared boundary: one client's read returned an older
+    /// pair than its own previous read, the later one invoked at the very
+    /// instant the earlier completed. Across clients that tie is
+    /// concurrency; within one client it is order, because a client's
+    /// reads of one register are sequential (by the model, and by kv's
+    /// one-operation-per-key-per-handle rule).
+    SameClientRegression {
+        /// The client that issued both reads.
+        client: ClientId,
+        /// Timestamp its earlier read returned.
+        first_ts: Timestamp,
+        /// Timestamp its later read returned.
+        second_ts: Timestamp,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -117,6 +134,14 @@ impl fmt::Display for Violation {
             } => write!(
                 f,
                 "new/old inversion: {first} read {first_ts}, then {second} read {second_ts}"
+            ),
+            Violation::SameClientRegression {
+                client,
+                first_ts,
+                second_ts,
+            } => write!(
+                f,
+                "same-client regression: {client} read {first_ts} then {second_ts}"
             ),
         }
     }
@@ -228,15 +253,30 @@ impl History {
         out
     }
 
-    /// Check atomicity: regularity plus property (4).
+    /// Check atomicity: regularity plus property (4). Two reads are ordered
+    /// when the first completed strictly before the second was invoked —
+    /// or, for reads of one client, at the same instant (the two must not
+    /// *be* one instant, or neither comes first).
     pub fn check_atomic(&self) -> Vec<Violation> {
         let mut out = self.check_regular();
         for a in &self.reads {
             for b in &self.reads {
-                if a.completed_at < b.invoked_at && b.returned.ts < a.returned.ts {
+                if b.returned.ts >= a.returned.ts {
+                    continue;
+                }
+                if a.completed_at < b.invoked_at {
                     out.push(Violation::NewOldInversion {
                         first: a.client,
                         second: b.client,
+                        first_ts: a.returned.ts,
+                        second_ts: b.returned.ts,
+                    });
+                } else if a.client == b.client
+                    && a.completed_at == b.invoked_at
+                    && a.invoked_at < b.completed_at
+                {
+                    out.push(Violation::SameClientRegression {
+                        client: a.client,
                         first_ts: a.returned.ts,
                         second_ts: b.returned.ts,
                     });
@@ -245,6 +285,41 @@ impl History {
         }
         out
     }
+}
+
+/// The verdict on one run: every way it fell short of "each operation
+/// completed and every register's history is atomic", as printable lines
+/// (empty = clean).
+///
+/// `histories` are the run's registers, each under the label its
+/// violations are reported with (a kv key; empty for a single-register
+/// run). `expected` is how many operations the run was asked to perform and
+/// `failed` describes each one that returned an error instead of a result.
+/// Lines start with `liveness:` (a failed operation), `wait-freedom:`
+/// (operations neither recorded nor failed) or `atomicity:` (a
+/// [`History::check_atomic`] violation) — the prefixes reports and
+/// witness searches key on.
+pub fn judge(histories: &[(String, History)], expected: usize, failed: &[String]) -> Vec<String> {
+    let mut out: Vec<String> = failed.iter().map(|f| format!("liveness: {f}")).collect();
+    let recorded: usize = histories
+        .iter()
+        .map(|(_, h)| h.writes.len() + h.reads.len())
+        .sum();
+    if recorded + failed.len() != expected {
+        out.push(format!(
+            "wait-freedom: {recorded} of {expected} ops completed"
+        ));
+    }
+    for (label, history) in histories {
+        let sep = if label.is_empty() { "" } else { ": " };
+        out.extend(
+            history
+                .check_atomic()
+                .into_iter()
+                .map(|v| format!("atomicity: {label}{sep}{v}")),
+        );
+    }
+    out
 }
 
 #[cfg(test)]
@@ -352,6 +427,67 @@ mod tests {
         let v = h.check_atomic();
         assert_eq!(v.len(), 1);
         assert!(matches!(v[0], Violation::NewOldInversion { .. }));
+    }
+
+    /// One client's reads are sequential, so a later read invoked at the
+    /// very tick the earlier one completed is *after* it. (At the parent of
+    /// this test the pair counted as concurrent and `check_atomic` passed
+    /// it; only the explorer's own loop caught it.)
+    #[test]
+    fn same_client_boundary_tie_regression_is_a_violation() {
+        let mut h = History::new();
+        h.push_write(w(1, 10, 0, Some(5)));
+        h.push_write(w(2, 20, 6, Some(50)));
+        h.push_read(r(0, 10, 20, 2, 20));
+        h.push_read(r(0, 20, 30, 1, 10)); // invoked at rd1's completion tick
+        assert!(h.check_regular().is_empty(), "regular permits this");
+        assert_eq!(
+            h.check_atomic(),
+            vec![Violation::SameClientRegression {
+                client: ClientId::reader(0),
+                first_ts: Timestamp(2),
+                second_ts: Timestamp(1),
+            }]
+        );
+        assert!(h.check_atomic()[0].to_string().contains("same-client"));
+    }
+
+    /// The same tie between two *different* clients is concurrency: either
+    /// order linearizes, so nothing is reported.
+    #[test]
+    fn different_clients_at_a_boundary_tie_stay_concurrent() {
+        let mut h = History::new();
+        h.push_write(w(1, 10, 0, Some(5)));
+        h.push_write(w(2, 20, 6, Some(50)));
+        h.push_read(r(0, 10, 20, 2, 20));
+        h.push_read(r(1, 20, 30, 1, 10));
+        assert!(h.check_atomic().is_empty());
+        // Nor do two same-instant reads of one client order each other.
+        let mut h = History::new();
+        h.push_write(w(1, 10, 0, Some(50)));
+        h.push_read(r(0, 7, 7, 1, 10));
+        h.push_read(r(0, 7, 7, 0, 0));
+        assert!(h.check_atomic().is_empty());
+    }
+
+    #[test]
+    fn judge_counts_ops_and_labels_violations() {
+        let mut clean = History::new();
+        clean.push_write(w(1, 10, 0, Some(5)));
+        clean.push_read(r(0, 6, 9, 1, 10));
+        let mut stale = History::new();
+        stale.push_write(w(1, 10, 0, Some(5)));
+        stale.push_read(r(0, 10, 15, 0, 0));
+        let histories = vec![(String::new(), clean), ("k".to_string(), stale)];
+        assert!(judge(&histories[..1], 2, &[]).is_empty());
+        let verdict = judge(&histories, 6, &["handle 0 get a: timed out".to_string()]);
+        assert_eq!(verdict.len(), 3, "{verdict:?}");
+        assert_eq!(verdict[0], "liveness: handle 0 get a: timed out");
+        assert_eq!(verdict[1], "wait-freedom: 4 of 6 ops completed");
+        assert!(
+            verdict[2].starts_with("atomicity: k: r0 read stale"),
+            "{verdict:?}"
+        );
     }
 
     #[test]

@@ -8,11 +8,16 @@
 //! * **Byzantine regular reads**: the collect engine of [`crate::collect`]
 //!   wrapped as a round client.
 //!
+//! Every write phase here and in [`crate::transform`] / [`crate::mwmr`] is
+//! the one [`QuorumWrite`] sub-automaton, as every read phase is the one
+//! [`CollectEngine`] (the paper's §5: protocols composed of a regular read
+//! and a regular write).
+//!
 //! Each automaton implements [`RoundClient`] and can run on the simulator or
 //! the thread runtime unchanged.
 
-use crate::collect::{CollectEngine, CollectStatus};
-use crate::msg::{AckKind, Rep, Req, Stamped};
+use crate::collect::{CollectEngine, CollectStatus, QuorumWrite, WriteStatus};
+use crate::msg::{Rep, Req, Stamped};
 use rastor_common::{ClusterConfig, ObjectId, RegId, TsVal};
 use rastor_sim::{ClientAction, RoundClient};
 use std::collections::BTreeSet;
@@ -58,24 +63,48 @@ impl OpOutput {
     }
 }
 
+/// One reply fed to a collect phase, as the enclosing client's action:
+/// `None` once the engine has decided (its decisions are ready to use).
+pub(crate) fn collect_step(
+    engine: &mut CollectEngine,
+    from: ObjectId,
+    round: u32,
+    reply: &Rep,
+) -> Option<ClientAction<Req, OpOutput>> {
+    match engine.on_reply(from, round, reply) {
+        CollectStatus::Wait => Some(ClientAction::Wait),
+        CollectStatus::NextRound => {
+            engine.begin_round();
+            Some(ClientAction::NextRound(engine.request()))
+        }
+        CollectStatus::Decided => None,
+    }
+}
+
+/// One reply fed to a write (or write-back) phase, as the enclosing
+/// client's action: the automaton completes with `done` of the written
+/// pair once the [`QuorumWrite`]'s last phase has its quorum.
+pub(crate) fn write_step(
+    write: &mut QuorumWrite,
+    from: ObjectId,
+    reply: &Rep,
+    done: fn(TsVal) -> OpOutput,
+) -> ClientAction<Req, OpOutput> {
+    match write.on_reply(from, reply) {
+        WriteStatus::Wait => ClientAction::Wait,
+        WriteStatus::NextRound => ClientAction::NextRound(write.request()),
+        WriteStatus::Done => ClientAction::Complete(done(write.pair().pair.clone())),
+    }
+}
+
 /// ABD write: a single `Store` round acknowledged by a majority.
 #[derive(Debug)]
-pub struct AbdWriteClient {
-    cfg: ClusterConfig,
-    reg: RegId,
-    pair: Stamped,
-    acks: BTreeSet<ObjectId>,
-}
+pub struct AbdWriteClient(QuorumWrite);
 
 impl AbdWriteClient {
     /// Write `pair` into `reg` under the crash model.
     pub fn new(cfg: ClusterConfig, reg: RegId, pair: Stamped) -> AbdWriteClient {
-        AbdWriteClient {
-            cfg,
-            reg,
-            pair,
-            acks: BTreeSet::new(),
-        }
+        AbdWriteClient(QuorumWrite::store(cfg, reg, pair))
     }
 }
 
@@ -83,10 +112,7 @@ impl RoundClient<Req, Rep> for AbdWriteClient {
     type Out = OpOutput;
 
     fn start(&mut self) -> Req {
-        Req::Store {
-            reg: self.reg,
-            pair: self.pair.clone(),
-        }
+        self.0.request()
     }
 
     fn on_reply(
@@ -95,14 +121,7 @@ impl RoundClient<Req, Rep> for AbdWriteClient {
         _round: u32,
         reply: &Rep,
     ) -> ClientAction<Req, OpOutput> {
-        if reply.is_ack(self.reg, AckKind::Store) {
-            self.acks.insert(from);
-        }
-        if self.acks.len() >= self.cfg.quorum() {
-            ClientAction::Complete(OpOutput::Wrote(self.pair.pair.clone()))
-        } else {
-            ClientAction::Wait
-        }
+        write_step(&mut self.0, from, reply, OpOutput::Wrote)
     }
 }
 
@@ -115,8 +134,7 @@ pub struct AbdReadClient {
     reg: RegId,
     best: Stamped,
     heard: BTreeSet<ObjectId>,
-    acks: BTreeSet<ObjectId>,
-    writing_back: bool,
+    write_back: Option<QuorumWrite>,
 }
 
 impl AbdReadClient {
@@ -127,8 +145,7 @@ impl AbdReadClient {
             reg,
             best: Stamped::bottom(),
             heard: BTreeSet::new(),
-            acks: BTreeSet::new(),
-            writing_back: false,
+            write_back: None,
         }
     }
 }
@@ -148,36 +165,29 @@ impl RoundClient<Req, Rep> for AbdReadClient {
         _round: u32,
         reply: &Rep,
     ) -> ClientAction<Req, OpOutput> {
-        if !self.writing_back {
-            if let Some(view) = reply.view_of(self.reg) {
-                self.heard.insert(from);
-                if view.w.pair > self.best.pair {
-                    self.best = view.w.clone();
-                }
-            }
-            if self.heard.len() >= self.cfg.quorum() {
-                self.writing_back = true;
-                return ClientAction::NextRound(Req::Store {
-                    reg: self.reg,
-                    pair: self.best.clone(),
-                });
-            }
-            ClientAction::Wait
-        } else {
-            if reply.is_ack(self.reg, AckKind::Store) {
-                self.acks.insert(from);
-            }
-            if self.acks.len() >= self.cfg.quorum() {
-                ClientAction::Complete(OpOutput::Read(self.best.pair.clone()))
-            } else {
-                ClientAction::Wait
+        if let Some(write_back) = &mut self.write_back {
+            return write_step(write_back, from, reply, OpOutput::Read);
+        }
+        if let Some(view) = reply.view_of(self.reg) {
+            self.heard.insert(from);
+            if view.w.pair > self.best.pair {
+                self.best = view.w.clone();
             }
         }
+        if self.heard.len() < self.cfg.quorum() {
+            return ClientAction::Wait;
+        }
+        let best = std::mem::take(&mut self.best);
+        let write_back = self
+            .write_back
+            .insert(QuorumWrite::store(self.cfg, self.reg, best));
+        ClientAction::NextRound(write_back.request())
     }
 }
 
-/// Byzantine-model write: `PreWrite` to an `S − t` quorum, then `Commit` to
-/// an `S − t` quorum — exactly 2 rounds.
+/// Byzantine-model write: [`QuorumWrite::two_phase`] — `PreWrite` to an
+/// `S − t` quorum, then `Commit` to an `S − t` quorum — exactly 2 rounds,
+/// matching the write lower bound of reference \[1\].
 ///
 /// The pre-write phase is what makes unauthenticated data attributable: any
 /// process that later observes `w = ts` at a *correct* object can conclude
@@ -185,24 +195,12 @@ impl RoundClient<Req, Rep> for AbdReadClient {
 /// correct object only commits after the writer finished pre-writing at a
 /// full quorum.
 #[derive(Debug)]
-pub struct ByzWriteClient {
-    cfg: ClusterConfig,
-    reg: RegId,
-    pair: Stamped,
-    committing: bool,
-    acks: BTreeSet<ObjectId>,
-}
+pub struct ByzWriteClient(QuorumWrite);
 
 impl ByzWriteClient {
     /// Write `pair` into `reg` (two-phase).
     pub fn new(cfg: ClusterConfig, reg: RegId, pair: Stamped) -> ByzWriteClient {
-        ByzWriteClient {
-            cfg,
-            reg,
-            pair,
-            committing: false,
-            acks: BTreeSet::new(),
-        }
+        ByzWriteClient(QuorumWrite::two_phase(cfg, reg, pair))
     }
 }
 
@@ -210,10 +208,7 @@ impl RoundClient<Req, Rep> for ByzWriteClient {
     type Out = OpOutput;
 
     fn start(&mut self) -> Req {
-        Req::PreWrite {
-            reg: self.reg,
-            pair: self.pair.clone(),
-        }
+        self.0.request()
     }
 
     fn on_reply(
@@ -222,27 +217,7 @@ impl RoundClient<Req, Rep> for ByzWriteClient {
         _round: u32,
         reply: &Rep,
     ) -> ClientAction<Req, OpOutput> {
-        let expected = if self.committing {
-            AckKind::Commit
-        } else {
-            AckKind::PreWrite
-        };
-        if reply.is_ack(self.reg, expected) {
-            self.acks.insert(from);
-        }
-        if self.acks.len() < self.cfg.quorum() {
-            return ClientAction::Wait;
-        }
-        if self.committing {
-            ClientAction::Complete(OpOutput::Wrote(self.pair.pair.clone()))
-        } else {
-            self.committing = true;
-            self.acks.clear();
-            ClientAction::NextRound(Req::Commit {
-                reg: self.reg,
-                pair: self.pair.clone(),
-            })
-        }
+        write_step(&mut self.0, from, reply, OpOutput::Wrote)
     }
 }
 
@@ -294,17 +269,10 @@ impl RoundClient<Req, Rep> for RegularReadClient {
     }
 
     fn on_reply(&mut self, from: ObjectId, round: u32, reply: &Rep) -> ClientAction<Req, OpOutput> {
-        match self.engine.on_reply(from, round, reply) {
-            CollectStatus::Wait => ClientAction::Wait,
-            CollectStatus::NextRound => {
-                self.engine.begin_round();
-                ClientAction::NextRound(self.engine.request())
-            }
-            CollectStatus::Decided => {
-                let out = self.engine.decisions()[&self.reg].pair.clone();
-                ClientAction::Complete(OpOutput::Read(out))
-            }
-        }
+        collect_step(&mut self.engine, from, round, reply).unwrap_or_else(|| {
+            let out = self.engine.decisions()[&self.reg].pair.clone();
+            ClientAction::Complete(OpOutput::Read(out))
+        })
     }
 }
 

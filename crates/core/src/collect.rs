@@ -43,7 +43,7 @@
 //! suffices (`min_rounds` = 1) — this is what buys the paper's 3-round
 //! atomic reads in the secret-value model.
 
-use crate::msg::{ObjectView, Rep, Req, Stamped};
+use crate::msg::{AckKind, ObjectView, Rep, Req, Stamped};
 use crate::token::AuthKey;
 use rastor_common::{ClusterConfig, ObjectId, RegId, TsVal};
 use std::collections::{BTreeMap, BTreeSet};
@@ -357,10 +357,101 @@ impl CollectEngine {
     }
 }
 
+/// Progress report from [`QuorumWrite::on_reply`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum WriteStatus {
+    /// Keep waiting for acks of the current phase.
+    Wait,
+    /// The current phase reached its quorum: broadcast
+    /// [`QuorumWrite::request`] as the next round.
+    NextRound,
+    /// The last phase reached its quorum: the pair is written.
+    Done,
+}
+
+/// The paper's regular *write* as a sub-automaton, the counterpart of
+/// [`CollectEngine`]: broadcast one pair to one register phase by phase,
+/// each phase waiting for acks of its own kind from an `S − t` quorum of
+/// distinct objects. Every write and write-back in this crate is one of
+/// these behind whatever collect decides the pair.
+#[derive(Clone, Debug)]
+pub struct QuorumWrite {
+    cfg: ClusterConfig,
+    reg: RegId,
+    pair: Stamped,
+    /// The phases still to run, current first.
+    phases: &'static [AckKind],
+    acks: BTreeSet<ObjectId>,
+}
+
+impl QuorumWrite {
+    /// The Byzantine-model write: `PreWrite`, then `Commit` — 2 rounds.
+    /// Observing the commit at one correct object implies the pre-write
+    /// reached a full quorum, which is what makes unauthenticated data
+    /// attributable.
+    pub fn two_phase(cfg: ClusterConfig, reg: RegId, pair: Stamped) -> QuorumWrite {
+        QuorumWrite::new(cfg, reg, pair, &[AckKind::PreWrite, AckKind::Commit])
+    }
+
+    /// The crash-model (ABD) write: a single `Store` round.
+    pub fn store(cfg: ClusterConfig, reg: RegId, pair: Stamped) -> QuorumWrite {
+        QuorumWrite::new(cfg, reg, pair, &[AckKind::Store])
+    }
+
+    fn new(cfg: ClusterConfig, reg: RegId, pair: Stamped, phases: &'static [AckKind]) -> Self {
+        QuorumWrite {
+            cfg,
+            reg,
+            pair,
+            phases,
+            acks: BTreeSet::new(),
+        }
+    }
+
+    /// The pair being written.
+    pub fn pair(&self) -> &Stamped {
+        &self.pair
+    }
+
+    /// The current phase's request to broadcast.
+    ///
+    /// # Panics
+    ///
+    /// Panics after [`WriteStatus::Done`]: a finished write has no request.
+    pub fn request(&self) -> Req {
+        let (reg, pair) = (self.reg, self.pair.clone());
+        match self.phases[0] {
+            AckKind::Store => Req::Store { reg, pair },
+            AckKind::PreWrite => Req::PreWrite { reg, pair },
+            AckKind::Commit => Req::Commit { reg, pair },
+        }
+    }
+
+    /// Feed one reply. Only an ack of the current phase's kind, for this
+    /// register, from an object not yet counted in this phase, advances it.
+    pub fn on_reply(&mut self, from: ObjectId, reply: &Rep) -> WriteStatus {
+        let Some(&phase) = self.phases.first() else {
+            return WriteStatus::Done;
+        };
+        if reply.is_ack(self.reg, phase) {
+            self.acks.insert(from);
+        }
+        if self.acks.len() < self.cfg.quorum() {
+            return WriteStatus::Wait;
+        }
+        self.acks.clear();
+        self.phases = &self.phases[1..];
+        if self.phases.is_empty() {
+            WriteStatus::Done
+        } else {
+            WriteStatus::NextRound
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::Rep;
     use rastor_common::{Timestamp, Value};
 
     fn cfg() -> ClusterConfig {
@@ -582,5 +673,57 @@ mod tests {
     #[should_panic(expected = "collect over no registers")]
     fn empty_register_set_is_rejected() {
         let _ = CollectEngine::unauth(cfg(), vec![]);
+    }
+
+    /// A phase advances only on `S − t = 3` acks of its own kind, for its
+    /// own register, from distinct objects.
+    #[test]
+    fn quorum_write_ignores_wrong_kind_wrong_register_and_duplicates() {
+        let ack = |reg, kind| Rep::Ack { reg, kind };
+        let mut w = QuorumWrite::two_phase(cfg(), RegId::WRITER, stamped(1, 10));
+        assert!(matches!(
+            w.request(),
+            Req::PreWrite {
+                reg: RegId::WRITER,
+                ..
+            }
+        ));
+        let pre = ack(RegId::WRITER, AckKind::PreWrite);
+        assert_eq!(w.on_reply(ObjectId(0), &pre), WriteStatus::Wait);
+        assert_eq!(w.on_reply(ObjectId(1), &pre), WriteStatus::Wait);
+        for (from, noise) in [
+            (2, ack(RegId::WRITER, AckKind::Commit)), // wrong kind
+            (2, ack(RegId::WRITER, AckKind::Store)),  // wrong kind
+            (2, ack(RegId::ReaderReg(0), AckKind::PreWrite)), // wrong register
+            (1, pre.clone()),                         // duplicate sender
+            (3, Rep::Views { views: vec![] }),        // not an ack
+        ] {
+            assert_eq!(w.on_reply(ObjectId(from), &noise), WriteStatus::Wait);
+        }
+        assert_eq!(w.on_reply(ObjectId(2), &pre), WriteStatus::NextRound);
+        assert!(matches!(
+            w.request(),
+            Req::Commit {
+                reg: RegId::WRITER,
+                ..
+            }
+        ));
+        // The commit phase starts from zero: late pre-write acks count for
+        // nothing, and the first phase's senders must ack again.
+        let commit = ack(RegId::WRITER, AckKind::Commit);
+        assert_eq!(w.on_reply(ObjectId(3), &pre), WriteStatus::Wait);
+        assert_eq!(w.on_reply(ObjectId(0), &commit), WriteStatus::Wait);
+        assert_eq!(w.on_reply(ObjectId(0), &commit), WriteStatus::Wait);
+        assert_eq!(w.on_reply(ObjectId(1), &commit), WriteStatus::Wait);
+        assert_eq!(w.on_reply(ObjectId(3), &commit), WriteStatus::Done);
+        assert_eq!(w.pair(), &stamped(1, 10));
+
+        let mut s = QuorumWrite::store(cfg(), RegId::WRITER, stamped(2, 20));
+        assert!(matches!(s.request(), Req::Store { .. }));
+        let stored = ack(RegId::WRITER, AckKind::Store);
+        assert_eq!(s.on_reply(ObjectId(0), &commit), WriteStatus::Wait);
+        assert_eq!(s.on_reply(ObjectId(0), &stored), WriteStatus::Wait);
+        assert_eq!(s.on_reply(ObjectId(1), &stored), WriteStatus::Wait);
+        assert_eq!(s.on_reply(ObjectId(2), &stored), WriteStatus::Done);
     }
 }

@@ -14,7 +14,6 @@
 //! Used by integration tests, benches and examples so that protocol
 //! selection stays declarative.
 
-use crate::adversary;
 use crate::baseline::{RetryStableReadClient, SafeNoWriteReadClient};
 use crate::checker::History;
 use crate::clients::{AbdReadClient, AbdWriteClient, ByzWriteClient, OpOutput, RegularReadClient};
@@ -297,13 +296,14 @@ impl StorageSystem {
         }
     }
 
-    /// Run a workload with optional Byzantine replacements, returning the
-    /// completions and a checker-ready history.
+    /// Run a workload with optional Byzantine replacements (usually
+    /// [`FaultKind::materialize`](crate::adversary::FaultKind::materialize)d),
+    /// returning the completions and a checker-ready history.
     pub fn run(
         &mut self,
         controller: Box<dyn Controller<Req, Rep>>,
         workload: &Workload,
-        byzantine: Vec<(ObjectId, Box<dyn ObjectBehavior<Req, Rep>>)>,
+        byzantine: Vec<(ObjectId, Box<dyn ObjectBehavior<Req, Rep> + Send>)>,
     ) -> RunResult {
         assert!(
             byzantine.len() <= self.cfg.fault_budget(),
@@ -341,18 +341,6 @@ impl StorageSystem {
             history,
             trace: sim.into_trace(),
             hit_cap,
-        }
-    }
-
-    /// Convenience: a standard Byzantine behavior by name, for table-driven
-    /// fault-injection tests.
-    pub fn stock_adversary(kind: AdversaryKind) -> Box<dyn ObjectBehavior<Req, Rep>> {
-        match kind {
-            AdversaryKind::Silent => Box::new(adversary::SilentObject),
-            AdversaryKind::Amnesiac => Box::new(adversary::AmnesiacObject),
-            AdversaryKind::ForgeHigh => Box::new(adversary::ForgeHighObject::default_forgery()),
-            AdversaryKind::CrashEarly => Box::new(adversary::CrashObject::new(3)),
-            AdversaryKind::StaleReplay => Box::new(adversary::ReplayObject::new(4)),
         }
     }
 }
@@ -443,37 +431,10 @@ mod ghost {
     }
 }
 
-/// Stock adversaries for table-driven fault injection.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AdversaryKind {
-    /// Never replies.
-    Silent,
-    /// Acks writes but stores nothing.
-    Amnesiac,
-    /// Reports a fabricated maximal pair.
-    ForgeHigh,
-    /// Honest for 3 requests, then crashes.
-    CrashEarly,
-    /// Honest for 4 requests, then replays its frozen (genuine) state.
-    StaleReplay,
-}
-
-impl AdversaryKind {
-    /// All stock adversaries.
-    pub fn all() -> [AdversaryKind; 5] {
-        [
-            AdversaryKind::Silent,
-            AdversaryKind::Amnesiac,
-            AdversaryKind::ForgeHigh,
-            AdversaryKind::CrashEarly,
-            AdversaryKind::StaleReplay,
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::FaultKind;
     use rastor_sim::FixedDelay;
 
     fn quiet_run(protocol: Protocol) -> RunResult {
@@ -531,14 +492,8 @@ mod tests {
                 Box::new(FixedDelay::new(1)),
                 &wl,
                 vec![
-                    (
-                        ObjectId(0),
-                        StorageSystem::stock_adversary(AdversaryKind::Silent),
-                    ),
-                    (
-                        ObjectId(1),
-                        StorageSystem::stock_adversary(AdversaryKind::Silent),
-                    ),
+                    (ObjectId(0), FaultKind::Silent.materialize()),
+                    (ObjectId(1), FaultKind::Silent.materialize()),
                 ],
             )
         }));
@@ -554,7 +509,7 @@ mod tests {
             Protocol::AtomicFast,
             Protocol::AtomicAuth,
         ] {
-            for adv in AdversaryKind::all() {
+            for adv in FaultKind::stock() {
                 let mut sys = StorageSystem::new(p, 1, 2).unwrap();
                 let wl = Workload::default()
                     .with_write(0, Value::from_u64(10))
@@ -564,7 +519,7 @@ mod tests {
                 let res = sys.run(
                     Box::new(FixedDelay::new(1)),
                     &wl,
-                    vec![(ObjectId(0), StorageSystem::stock_adversary(adv))],
+                    vec![(ObjectId(0), adv.materialize())],
                 );
                 assert_eq!(res.completions.len(), 4, "{p:?}/{adv:?} wait-freedom");
                 let violations = if p.is_atomic() {

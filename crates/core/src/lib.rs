@@ -54,9 +54,10 @@ pub mod object;
 pub mod token;
 pub mod transform;
 
-pub use checker::{History, ReadRec, Violation, WriteRec};
+pub use adversary::FaultKind;
+pub use checker::{judge, History, ReadRec, Violation, WriteRec};
 pub use clients::OpOutput;
-pub use harness::{AdversaryKind, Protocol, RunResult, StorageSystem, Workload};
+pub use harness::{Protocol, RunResult, StorageSystem, Workload};
 pub use msg::{AckKind, ObjectView, Rep, Req, Stamped};
 pub use object::HonestObject;
 pub use token::{AuthKey, Token};

@@ -34,13 +34,11 @@
 //! on one group. `rastor_kv` enforces this with its per-key in-flight
 //! rule; the write-back register of reads needs the same discipline.
 
-use crate::collect::{CollectEngine, CollectStatus};
-use crate::msg::{AckKind, Rep, Req, Stamped};
+use crate::clients::{collect_step, write_step, OpOutput};
+use crate::collect::{CollectEngine, QuorumWrite};
+use crate::msg::{Rep, Req, Stamped};
 use rastor_common::{ClusterConfig, ObjectId, RegId, Timestamp, TsVal, Value};
 use rastor_sim::{ClientAction, RoundClient};
-use std::collections::BTreeSet;
-
-use crate::clients::OpOutput;
 
 /// Bits of the packed timestamp reserved for the writer id.
 pub const TAG_BITS: u32 = 16;
@@ -169,14 +167,9 @@ impl RegGroup {
     }
 }
 
-#[derive(Debug)]
-enum WPhase {
-    Collect,
-    PreWrite,
-    Commit,
-}
-
-/// The 4-round multi-writer write automaton.
+/// The 4-round multi-writer write automaton: a collect over the group's
+/// writer registers to learn the highest tag, then a [`QuorumWrite`] of the
+/// dominating pair into the writer's own register.
 #[derive(Debug)]
 pub struct MwWriteClient {
     cfg: ClusterConfig,
@@ -184,9 +177,8 @@ pub struct MwWriteClient {
     own_reg: RegId,
     value: Value,
     engine: CollectEngine,
-    phase: WPhase,
-    pair: Stamped,
-    acks: BTreeSet<ObjectId>,
+    /// The write of the tagged pair, once the collect phase is over.
+    write: Option<QuorumWrite>,
 }
 
 impl MwWriteClient {
@@ -212,9 +204,7 @@ impl MwWriteClient {
             own_reg: group.writer_reg(writer),
             value,
             engine: CollectEngine::unauth(cfg, group.writer_regs()),
-            phase: WPhase::Collect,
-            pair: Stamped::bottom(),
-            acks: BTreeSet::new(),
+            write: None,
         }
     }
 }
@@ -227,56 +217,25 @@ impl RoundClient<Req, Rep> for MwWriteClient {
     }
 
     fn on_reply(&mut self, from: ObjectId, round: u32, reply: &Rep) -> ClientAction<Req, OpOutput> {
-        match self.phase {
-            WPhase::Collect => match self.engine.on_reply(from, round, reply) {
-                CollectStatus::Wait => ClientAction::Wait,
-                CollectStatus::NextRound => {
-                    self.engine.begin_round();
-                    ClientAction::NextRound(self.engine.request())
-                }
-                CollectStatus::Decided => {
-                    let max_tag = self
-                        .engine
-                        .decisions()
-                        .values()
-                        .map(|s| Tag::from_timestamp(s.pair.ts))
-                        .max()
-                        .unwrap_or_default();
-                    let tag = max_tag.next_for(self.writer);
-                    self.pair = Stamped::plain(TsVal::new(tag.to_timestamp(), self.value.clone()));
-                    self.phase = WPhase::PreWrite;
-                    ClientAction::NextRound(Req::PreWrite {
-                        reg: self.own_reg,
-                        pair: self.pair.clone(),
-                    })
-                }
-            },
-            WPhase::PreWrite => {
-                if reply.is_ack(self.own_reg, AckKind::PreWrite) {
-                    self.acks.insert(from);
-                }
-                if self.acks.len() >= self.cfg.quorum() {
-                    self.phase = WPhase::Commit;
-                    self.acks.clear();
-                    ClientAction::NextRound(Req::Commit {
-                        reg: self.own_reg,
-                        pair: self.pair.clone(),
-                    })
-                } else {
-                    ClientAction::Wait
-                }
-            }
-            WPhase::Commit => {
-                if reply.is_ack(self.own_reg, AckKind::Commit) {
-                    self.acks.insert(from);
-                }
-                if self.acks.len() >= self.cfg.quorum() {
-                    ClientAction::Complete(OpOutput::Wrote(self.pair.pair.clone()))
-                } else {
-                    ClientAction::Wait
-                }
-            }
+        if let Some(write) = &mut self.write {
+            return write_step(write, from, reply, OpOutput::Wrote);
         }
+        if let Some(action) = collect_step(&mut self.engine, from, round, reply) {
+            return action;
+        }
+        let max_tag = self
+            .engine
+            .decisions()
+            .values()
+            .map(|s| Tag::from_timestamp(s.pair.ts))
+            .max()
+            .unwrap_or_default();
+        let tag = max_tag.next_for(self.writer);
+        let pair = Stamped::plain(TsVal::new(tag.to_timestamp(), self.value.clone()));
+        let write = self
+            .write
+            .insert(QuorumWrite::two_phase(self.cfg, self.own_reg, pair));
+        ClientAction::NextRound(write.request())
     }
 }
 

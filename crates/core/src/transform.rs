@@ -29,23 +29,14 @@
 //! pair ≥ `p` from it (regularity property 2 applied to that register), so
 //! `rd2`'s maximum is ≥ `p`.
 
-use crate::collect::{CollectEngine, CollectStatus};
-use crate::msg::{AckKind, Rep, Req, Stamped};
+use crate::clients::{collect_step, write_step, OpOutput};
+use crate::collect::{CollectEngine, QuorumWrite};
+use crate::msg::{Rep, Req, Stamped};
 use crate::token::AuthKey;
 use rastor_common::{ClusterConfig, ObjectId, RegId, TsVal};
 use rastor_sim::{ClientAction, RoundClient};
-use std::collections::BTreeSet;
 
 pub use crate::clients::ByzWriteClient as AtomicWriteClient;
-
-use crate::clients::OpOutput;
-
-#[derive(Debug)]
-enum Phase {
-    Collect,
-    PreWriteBack,
-    CommitBack,
-}
 
 /// How an [`AtomicReadClient`] terminates its collect phase.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -62,10 +53,6 @@ pub enum ReadMode {
     /// skew. Guaranteed 2-round reads are impossible at `S ≤ 4t` (paper,
     /// Theorem 2), which is why the fast path must be conditional.
     Fast,
-    /// Fast path with the confirmation certificate check skipped — a
-    /// deliberately unsound test hook used to prove the schedule explorer
-    /// catches the resulting atomicity violations. Never deploy this.
-    UnsoundFast,
 }
 
 /// The transformation's read automaton for reader `i`.
@@ -84,26 +71,31 @@ pub struct AtomicReadClient {
     cfg: ClusterConfig,
     own_reg: RegId,
     engine: CollectEngine,
-    phase: Phase,
     mode: ReadMode,
-    chosen: Stamped,
-    acks: BTreeSet<ObjectId>,
+    /// The write-back of the decided pair, once the collect phase is over.
+    write_back: Option<QuorumWrite>,
 }
 
 impl AtomicReadClient {
+    fn over(cfg: ClusterConfig, own_reg: RegId, engine: CollectEngine) -> AtomicReadClient {
+        AtomicReadClient {
+            cfg,
+            own_reg,
+            engine,
+            mode: ReadMode::Slow,
+            write_back: None,
+        }
+    }
+
     /// Unauthenticated-model read by reader `reader` out of `num_readers`.
     /// Costs 4 rounds in contention-free runs.
     pub fn unauth(cfg: ClusterConfig, reader: u32, num_readers: u32) -> AtomicReadClient {
         let regs = RegId::transformation_set(num_readers);
-        AtomicReadClient {
+        AtomicReadClient::over(
             cfg,
-            own_reg: RegId::ReaderReg(reader),
-            engine: CollectEngine::unauth(cfg, regs),
-            phase: Phase::Collect,
-            mode: ReadMode::Slow,
-            chosen: Stamped::bottom(),
-            acks: BTreeSet::new(),
-        }
+            RegId::ReaderReg(reader),
+            CollectEngine::unauth(cfg, regs),
+        )
     }
 
     /// Secret-value-model read: 3 rounds.
@@ -114,15 +106,11 @@ impl AtomicReadClient {
         key: AuthKey,
     ) -> AtomicReadClient {
         let regs = RegId::transformation_set(num_readers);
-        AtomicReadClient {
+        AtomicReadClient::over(
             cfg,
-            own_reg: RegId::ReaderReg(reader),
-            engine: CollectEngine::auth(cfg, regs, key),
-            phase: Phase::Collect,
-            mode: ReadMode::Slow,
-            chosen: Stamped::bottom(),
-            acks: BTreeSet::new(),
-        }
+            RegId::ReaderReg(reader),
+            CollectEngine::auth(cfg, regs, key),
+        )
     }
 
     /// A read over an explicit register set (used when several logical
@@ -131,15 +119,7 @@ impl AtomicReadClient {
     /// reader's write-back register and a member of `regs`.
     pub fn with_regs(cfg: ClusterConfig, own_reg: RegId, regs: Vec<RegId>) -> AtomicReadClient {
         assert!(regs.contains(&own_reg), "own register must be collected");
-        AtomicReadClient {
-            cfg,
-            own_reg,
-            engine: CollectEngine::unauth(cfg, regs),
-            phase: Phase::Collect,
-            mode: ReadMode::Slow,
-            chosen: Stamped::bottom(),
-            acks: BTreeSet::new(),
-        }
+        AtomicReadClient::over(cfg, own_reg, CollectEngine::unauth(cfg, regs))
     }
 
     /// Select the read's termination mode (default: [`ReadMode::Slow`]).
@@ -158,69 +138,25 @@ impl RoundClient<Req, Rep> for AtomicReadClient {
     }
 
     fn on_reply(&mut self, from: ObjectId, round: u32, reply: &Rep) -> ClientAction<Req, OpOutput> {
-        match self.phase {
-            Phase::Collect => match self.engine.on_reply(from, round, reply) {
-                CollectStatus::Wait => ClientAction::Wait,
-                CollectStatus::NextRound => {
-                    self.engine.begin_round();
-                    ClientAction::NextRound(self.engine.request())
-                }
-                CollectStatus::Decided => {
-                    self.chosen = self
-                        .engine
-                        .max_decision()
-                        .expect("decided engines have decisions");
-                    let fast = match self.mode {
-                        ReadMode::Slow => false,
-                        ReadMode::Fast => self.engine.fast_confirmed(&self.chosen),
-                        ReadMode::UnsoundFast => true,
-                    };
-                    if fast {
-                        // Fast path: the certificate (or the unsound hook)
-                        // lets the read return without writing back.
-                        #[cfg(any(debug_assertions, feature = "ghost"))]
-                        if self.mode == ReadMode::Fast {
-                            assert!(
-                                self.engine.fast_confirmed(&self.chosen),
-                                "ghost: fast completion without a certificate: {:?}",
-                                self.chosen
-                            );
-                        }
-                        return ClientAction::Complete(OpOutput::Read(self.chosen.pair.clone()));
-                    }
-                    self.phase = Phase::PreWriteBack;
-                    ClientAction::NextRound(Req::PreWrite {
-                        reg: self.own_reg,
-                        pair: self.chosen.clone(),
-                    })
-                }
-            },
-            Phase::PreWriteBack => {
-                if reply.is_ack(self.own_reg, AckKind::PreWrite) {
-                    self.acks.insert(from);
-                }
-                if self.acks.len() >= self.cfg.quorum() {
-                    self.phase = Phase::CommitBack;
-                    self.acks.clear();
-                    ClientAction::NextRound(Req::Commit {
-                        reg: self.own_reg,
-                        pair: self.chosen.clone(),
-                    })
-                } else {
-                    ClientAction::Wait
-                }
-            }
-            Phase::CommitBack => {
-                if reply.is_ack(self.own_reg, AckKind::Commit) {
-                    self.acks.insert(from);
-                }
-                if self.acks.len() >= self.cfg.quorum() {
-                    ClientAction::Complete(OpOutput::Read(self.chosen.pair.clone()))
-                } else {
-                    ClientAction::Wait
-                }
-            }
+        if let Some(write_back) = &mut self.write_back {
+            return write_step(write_back, from, reply, OpOutput::Read);
         }
+        if let Some(action) = collect_step(&mut self.engine, from, round, reply) {
+            return action;
+        }
+        let chosen = self
+            .engine
+            .max_decision()
+            .expect("decided engines have decisions");
+        if self.mode == ReadMode::Fast && self.engine.fast_confirmed(&chosen) {
+            // Fast path: the certificate lets the read return without
+            // writing back.
+            return ClientAction::Complete(OpOutput::Read(chosen.pair));
+        }
+        let write_back =
+            self.write_back
+                .insert(QuorumWrite::two_phase(self.cfg, self.own_reg, chosen));
+        ClientAction::NextRound(write_back.request())
     }
 }
 

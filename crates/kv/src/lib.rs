@@ -28,6 +28,12 @@
 //! [`KvHandle::get_batch`] and the [`KvHandle::submit_put`] /
 //! [`KvHandle::submit_get`] / [`KvHandle::poll`] interface.
 //!
+//! [`workload`] is the one way to put traffic on a store and judge what
+//! came back: a seeded put/get [`workload::Mix`], started, joined into a
+//! [`workload::Run`] of per-operation records, folded into per-key
+//! histories and one `rastor_core::checker::judge` verdict. Soak tests,
+//! the TCP chaos search and `rastor bench` all drive it.
+//!
 //! Shards are reached through `rastor_sim`'s `Transport`: spawned in this
 //! process ([`ShardedKvStore::spawn`]) or connected over any other
 //! substrate ([`ShardedKvStore::over_transports`]) — the store's routing,
@@ -51,6 +57,7 @@
 
 mod router;
 mod sharded;
+pub mod workload;
 
 pub use router::ShardRouter;
 pub use sharded::{

@@ -235,6 +235,70 @@ fn route_control_replies(mut stream: TcpStream, pending: &Pending) {
     pending.lock().expect("control pending lock").clear();
 }
 
+/// Admit one raw frame off a server connection: `Ok` with the decoded
+/// frame, `Err(Some(refusal))` for a foreign wire version — the framing
+/// layer admitted the frame whole, so the stream is still aligned; tell the
+/// peer which version this build speaks, echoing the refused frame's
+/// leading corr so a multiplexed client can attribute the refusal, and keep
+/// serving — or `Err(None)` for bytes that do not decode (close).
+#[inline]
+pub(crate) fn admit(raw: &[u8]) -> std::result::Result<Frame, Option<Frame>> {
+    if wire::raw_version(raw) != wire::WIRE_VERSION {
+        return Err(Some(Frame::VersionMismatch {
+            got: wire::raw_version(raw),
+            want: wire::WIRE_VERSION,
+            corr: wire::raw_corr(raw),
+        }));
+    }
+    wire::decode_frame(raw)
+        .map(|(frame, _)| frame)
+        .map_err(|_| None)
+}
+
+/// The control plane, answered once for both server roles: the reply to a
+/// control request frame, or `None` for a frame that has no business
+/// arriving at a server (reply kinds, negotiation frames; on an ops
+/// connection, data envelopes too) — the connection is done. The roles
+/// differ only in what they host (`status`) and whether they run `admin`
+/// verbs.
+pub(crate) fn control_reply(
+    frame: Frame,
+    status: impl FnOnce() -> Vec<ObjectStatus>,
+    admin: impl FnOnce(AdminCmd) -> AdminOutcome,
+) -> Option<Frame> {
+    Some(match frame {
+        Frame::StatusReq { corr } => Frame::Status {
+            corr,
+            objects: status(),
+        },
+        Frame::MetricsReq { corr } => Frame::Metrics {
+            corr,
+            json: Registry::global().snapshot_json(),
+        },
+        Frame::TraceReq { corr } => Frame::Trace {
+            corr,
+            json: rastor_obs::trace::global().traces_json(),
+        },
+        Frame::Report { corr, counts } => {
+            let registry = Registry::global();
+            for (name, n) in &counts {
+                // Remote input: invalid names are dropped, not fatal.
+                let _ = registry.add_counter(name, *n);
+            }
+            Frame::Ack { corr }
+        }
+        Frame::AdminReq { corr, cmd } => {
+            let outcome = admin(cmd);
+            Frame::AdminRep {
+                corr,
+                ok: outcome.ok,
+                detail: outcome.detail,
+            }
+        }
+        _ => return None,
+    })
+}
+
 /// The ops listener's [`Events`] handler: every control round trip is
 /// answered inline from the reactor worker.
 struct OpsState {
@@ -243,61 +307,16 @@ struct OpsState {
 
 impl Events for OpsState {
     fn on_frame(&self, conn: &ConnHandle, raw: &[u8]) {
-        if wire::raw_version(raw) != wire::WIRE_VERSION {
-            let _ = conn.send(wire::encode_frame(&Frame::VersionMismatch {
-                got: wire::raw_version(raw),
-                want: wire::WIRE_VERSION,
-                corr: wire::raw_corr(raw),
-            }));
-            return;
+        // The ops listener hosts no objects itself; status lives at the
+        // shard servers the cluster file points to.
+        let reply =
+            admit(raw).map(|frame| control_reply(frame, Vec::new, |cmd| run_admin(&self.kv, cmd)));
+        match reply {
+            Ok(Some(reply)) | Err(Some(reply)) => {
+                let _ = conn.send(wire::encode_frame(&reply));
+            }
+            Ok(None) | Err(None) => conn.close(),
         }
-        let frame = match wire::decode_frame(raw) {
-            Ok((frame, _)) => frame,
-            Err(_) => {
-                conn.close();
-                return;
-            }
-        };
-        let reply = match frame {
-            Frame::StatusReq { corr } => {
-                // The ops listener hosts no objects itself; status lives
-                // at the shard servers the cluster file points to.
-                Frame::Status {
-                    corr,
-                    objects: Vec::new(),
-                }
-            }
-            Frame::MetricsReq { corr } => Frame::Metrics {
-                corr,
-                json: Registry::global().snapshot_json(),
-            },
-            Frame::TraceReq { corr } => Frame::Trace {
-                corr,
-                json: rastor_obs::trace::global().traces_json(),
-            },
-            Frame::Report { corr, counts } => {
-                let registry = Registry::global();
-                for (name, n) in &counts {
-                    let _ = registry.add_counter(name, *n);
-                }
-                Frame::Ack { corr }
-            }
-            Frame::AdminReq { corr, cmd } => {
-                let outcome = run_admin(&self.kv, cmd);
-                Frame::AdminRep {
-                    corr,
-                    ok: outcome.ok,
-                    detail: outcome.detail,
-                }
-            }
-            // Data envelopes and reply-kind control frames have no
-            // business on an ops connection.
-            _ => {
-                conn.close();
-                return;
-            }
-        };
-        let _ = conn.send(wire::encode_frame(&reply));
     }
 }
 

@@ -16,6 +16,7 @@
 //! cluster may be split across several servers (each hosting a slice of
 //! the object range) and clients see one consistent id space.
 
+use crate::ops::{admit, control_reply, AdminOutcome};
 use crate::reactor::{ConnHandle, Events, Reactor, ReactorHandle};
 use crate::wire::{self, Frame, ObjectStatus, RepEnvelope, WireRepFrame, WireReqFrame};
 use rastor_common::{ClientId, Error, ObjectId, Result};
@@ -97,26 +98,14 @@ impl ReplySink<Req, Rep> for ConnHandle {
 /// objects, the control plane is answered in-band.
 impl Events for ObjectHost<Req, Rep, ConnHandle> {
     fn on_frame(&self, conn: &ConnHandle, raw: &[u8]) {
-        if wire::raw_version(raw) != wire::WIRE_VERSION {
-            // The framing layer admitted the foreign frame whole, so the
-            // stream is still aligned: tell the peer which version this
-            // build speaks — echoing the refused frame's leading corr so a
-            // multiplexed client can attribute the refusal — and keep
-            // serving the connection.
-            net_metrics().version_mismatches.inc();
-            send_counted(
-                conn,
-                &Frame::VersionMismatch {
-                    got: wire::raw_version(raw),
-                    want: wire::WIRE_VERSION,
-                    corr: wire::raw_corr(raw),
-                },
-            );
-            return;
-        }
-        let frame = match wire::decode_frame(raw) {
-            Ok((frame, _)) => frame,
-            Err(_) => {
+        let frame = match admit(raw) {
+            Ok(frame) => frame,
+            Err(Some(refusal)) => {
+                net_metrics().version_mismatches.inc();
+                send_counted(conn, &refusal);
+                return;
+            }
+            Err(None) => {
                 conn.close();
                 return;
             }
@@ -128,62 +117,29 @@ impl Events for ObjectHost<Req, Rep, ConnHandle> {
             }
             // The ops plane, answered in-band so control replies
             // interleave with (never reorder within) the data stream.
-            Frame::StatusReq { corr } => {
-                net_metrics().status_queries.inc();
-                send_counted(
-                    conn,
-                    &Frame::Status {
-                        corr,
-                        objects: self.statuses(),
-                    },
-                );
-            }
-            Frame::MetricsReq { corr } => {
-                net_metrics().status_queries.inc();
-                send_counted(
-                    conn,
-                    &Frame::Metrics {
-                        corr,
-                        json: Registry::global().snapshot_json(),
-                    },
-                );
-            }
-            Frame::TraceReq { corr } => {
-                net_metrics().status_queries.inc();
-                send_counted(
-                    conn,
-                    &Frame::Trace {
-                        corr,
-                        json: trace::global().traces_json(),
-                    },
-                );
-            }
-            Frame::Report { corr, counts } => {
-                let registry = Registry::global();
-                for (name, n) in &counts {
-                    // Remote input: invalid names are dropped, not fatal.
-                    let _ = registry.add_counter(name, *n);
+            control => {
+                if matches!(
+                    control,
+                    Frame::StatusReq { .. } | Frame::MetricsReq { .. } | Frame::TraceReq { .. }
+                ) {
+                    net_metrics().status_queries.inc();
                 }
-                send_counted(conn, &Frame::Ack { corr });
-            }
-            Frame::AdminReq { corr, .. } => {
                 // Admin verbs act on a whole deployment (durability,
                 // proxies); they belong to the ops listener, not an
                 // object server. Refuse politely instead of hanging up.
-                send_counted(
-                    conn,
-                    &Frame::AdminRep {
-                        corr,
-                        ok: false,
-                        detail: "object servers take no admin commands; \
-                                 send them to the deployment's ops listener"
-                            .into(),
-                    },
-                );
+                let refuse = |_| AdminOutcome {
+                    ok: false,
+                    detail: "object servers take no admin commands; \
+                             send them to the deployment's ops listener"
+                        .into(),
+                };
+                match control_reply(control, || self.statuses(), refuse) {
+                    Some(reply) => send_counted(conn, &reply),
+                    // A reply or negotiation frame from a client is a
+                    // protocol violation; the connection is done.
+                    None => conn.close(),
+                }
             }
-            // A reply or negotiation frame from a client is a protocol
-            // violation; the connection is done.
-            _ => conn.close(),
         }
     }
 

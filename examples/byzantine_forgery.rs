@@ -7,14 +7,14 @@
 //! Run with: `cargo run --example byzantine_forgery`
 
 use rastor::common::{ObjectId, Value};
-use rastor::core::{AdversaryKind, Protocol, StorageSystem, Workload};
+use rastor::core::{FaultKind, Protocol, StorageSystem, Workload};
 use rastor::lowerbound::prop1::denial_attack;
 use rastor::sim::FixedDelay;
 
 fn main() {
     let t = 2;
     println!("== part 1: the 4-round atomic read shrugs off every adversary ==");
-    for adversary in AdversaryKind::all() {
+    for adversary in FaultKind::stock() {
         let mut system = StorageSystem::new(Protocol::AtomicUnauth, t, 2).unwrap();
         let workload = Workload::default()
             .with_write(0, Value::from_u64(100))
@@ -23,7 +23,7 @@ fn main() {
             .with_read(350, 1);
         // Corrupt the full budget: t objects run the adversary behavior.
         let corrupted = (0..t as u32)
-            .map(|i| (ObjectId(i), StorageSystem::stock_adversary(adversary)))
+            .map(|i| (ObjectId(i), adversary.materialize()))
             .collect();
         let result = system.run(Box::new(FixedDelay::new(1)), &workload, corrupted);
         let violations = result.history.check_atomic();

@@ -25,9 +25,10 @@
 //! Exit codes: 0 success, 1 operation failed (refused admin command,
 //! unreachable cluster), 2 usage error.
 
-use rastor::bench::workload::{measure_store, seed_keys, WorkloadCfg};
-use rastor::common::Result;
+use rastor::bench::stats::Summary;
+use rastor::common::{Result, Value};
 use rastor::core::msg::{Rep, Req};
+use rastor::kv::workload::{self, Mix};
 use rastor::kv::{ShardedKvStore, StoreConfig};
 use rastor::net::client::NetCluster;
 use rastor::net::deploy::NetKv;
@@ -853,9 +854,9 @@ fn cmd_admin(args: &[String], verb: AdminVerb) -> Result<ExitCode> {
 // ---------------------------------------------------------------------------
 // bench
 
-/// The load-generator configuration `bench`'s flags describe, or the
-/// usage error for a value no run can make progress with.
-fn bench_cfg(flags: &Flags) -> std::result::Result<WorkloadCfg, String> {
+/// The workload `bench`'s flags describe, or the usage error for a value
+/// no run can make progress with.
+fn bench_cfg(flags: &Flags) -> std::result::Result<Mix, String> {
     let at_least_one = |name: &str, default: u64| match flags.num(name, default)? {
         0 => Err(format!("--{name} must be at least 1")),
         n => u32::try_from(n).map_err(|_| format!("--{name} {n} is out of range")),
@@ -864,11 +865,15 @@ fn bench_cfg(flags: &Flags) -> std::result::Result<WorkloadCfg, String> {
         p @ 0..=100 => p as u32,
         p => return Err(format!("--put-pct is a percentage, got {p}")),
     };
-    let mut cfg = WorkloadCfg::closed("cli-bench", at_least_one("threads", 4)?, put_pct)
-        .pipelined(at_least_one("depth", 8)?);
-    cfg.keys = at_least_one("keys", 32)?;
-    cfg.ops_per_thread = flags.num("ops", 200)?;
-    Ok(cfg)
+    Ok(Mix {
+        put_pct,
+        depth: at_least_one("depth", 8)?,
+        ..Mix::mixed(
+            at_least_one("threads", 4)?,
+            at_least_one("keys", 32)?,
+            flags.num("ops", 200)?,
+        )
+    })
 }
 
 fn cmd_bench(args: &[String]) -> Result<ExitCode> {
@@ -914,31 +919,37 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode> {
     let registry = Registry::global();
     let store = ShardedKvStore::over_transports(
         cluster.t,
-        cluster.handles.max(cfg.threads),
+        cluster.handles.max(cfg.handles),
         cluster.fast_reads,
         transports,
         Arc::new(InMemory),
         Some(Arc::clone(&registry)),
     )?;
-    seed_keys(&store, cfg.keys);
-    let row = measure_store(&store, &cfg);
+    // Seed the key space so gets always have something to return.
+    {
+        let mut seeder = store.handle(0)?;
+        for k in 0..cfg.keys {
+            seeder.put(&workload::key_name(k), Value::from_u64(1))?;
+        }
+    }
+    let run = workload::start(&store, &cfg).join();
+    let (puts, gets) = run.latencies_us();
+    let (ops, secs) = (puts.len() + gets.len(), run.elapsed().as_secs_f64());
     println!(
-        "{}: {} ops ({} errors) in {:.2}s = {:.0} ops/s",
-        cfg.name, row.ops, row.errors, row.elapsed_secs, row.ops_per_sec
+        "cli-bench-d{}: {ops} ops ({} errors) in {secs:.2}s = {:.0} ops/s",
+        cfg.depth,
+        run.failed().len(),
+        ops as f64 / secs.max(1e-9)
     );
-    if let Some(l) = &row.put_lat_us {
-        println!(
-            "  put latency µs: mean {:.0} p50 {} p95 {} max {}",
-            l.mean, l.p50, l.p95, l.max
-        );
+    for (kind, sample) in [("put", puts), ("get", gets)] {
+        if let Some(l) = Summary::of(sample) {
+            println!(
+                "  {kind} latency µs: mean {:.0} p50 {} p95 {} max {}",
+                l.mean, l.p50, l.p95, l.max
+            );
+        }
     }
-    if let Some(l) = &row.get_lat_us {
-        println!(
-            "  get latency µs: mean {:.0} p50 {} p95 {} max {}",
-            l.mean, l.p50, l.p95, l.max
-        );
-    }
-    if let Some(r) = row.get_rounds_mean {
+    if let Some(r) = run.get_rounds_mean() {
         println!("  get rounds mean: {r:.2}");
     }
     // Report this client's per-shard read-path counts to the shard that
@@ -965,7 +976,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode> {
 mod tests {
     use super::*;
 
-    fn bench_flags(args: &[&str]) -> std::result::Result<WorkloadCfg, String> {
+    fn bench_flags(args: &[&str]) -> std::result::Result<Mix, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
         bench_cfg(&parse_flags(&args)?)
     }
@@ -973,11 +984,8 @@ mod tests {
     #[test]
     fn bench_flags_reject_values_no_run_can_use() {
         let cfg = bench_flags(&[]).expect("defaults are valid");
-        assert_eq!(
-            (cfg.name.as_str(), cfg.threads, cfg.depth, cfg.keys),
-            ("cli-bench-d8", 4, 8, 32)
-        );
-        assert_eq!((cfg.put_pct, cfg.ops_per_thread), (10, 200));
+        assert_eq!((cfg.handles, cfg.depth, cfg.keys), (4, 8, 32));
+        assert_eq!((cfg.put_pct, cfg.ops_per_handle), (10, 200));
         for ok in [
             &["--depth", "1"][..],
             &["--keys", "1"],

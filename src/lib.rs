@@ -10,9 +10,12 @@
 //! * [`common`] — ids, timestamps, values, quorum arithmetic;
 //! * [`sim`] — deterministic discrete-event simulator and thread runtime;
 //! * [`core`] — the register protocols (ABD, Byzantine regular, secret-token
-//!   regular, the regular→atomic transformation) and history checkers;
+//!   regular, the regular→atomic transformation), the fault vocabulary
+//!   ([`core::FaultKind`]) and the history checker with its one verdict
+//!   ([`core::judge`]);
 //! * [`lowerbound`] — the executable read/write lower-bound constructions;
-//! * [`kv`] — a key-value store built on the atomic registers;
+//! * [`kv`] — a key-value store built on the atomic registers, and
+//!   [`kv::workload`], the one way to drive a store and judge the run;
 //! * [`store`] — the durability subsystem: write-ahead log, compacting
 //!   snapshots, and kill-then-recover object restarts;
 //! * [`net`] — the TCP transport: wire codec, socket-backed clusters, and

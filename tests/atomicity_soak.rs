@@ -4,7 +4,7 @@
 //! atomicity (or regularity) properties.
 
 use rastor::common::{ObjectId, Value};
-use rastor::core::{AdversaryKind, Protocol, StorageSystem, Workload};
+use rastor::core::{FaultKind, Protocol, StorageSystem, Workload};
 use rastor::sim::UniformDelay;
 
 fn soak_workload(seed: u64) -> Workload {
@@ -31,13 +31,13 @@ fn soak_workload(seed: u64) -> Workload {
         .with_read(t + 20, 0)
 }
 
-fn check(protocol: Protocol, seed: u64, adversary: Option<AdversaryKind>) {
+fn check(protocol: Protocol, seed: u64, adversary: Option<&FaultKind>) {
     let t = 2;
     let mut sys = StorageSystem::new(protocol, t, 3).unwrap();
     let wl = soak_workload(seed);
     let corrupted = match adversary {
         Some(kind) if protocol.model() != rastor::common::FaultModel::Crash => (0..t as u32)
-            .map(|i| (ObjectId(i), StorageSystem::stock_adversary(kind)))
+            .map(|i| (ObjectId(i), kind.materialize()))
             .collect(),
         _ => vec![],
     };
@@ -103,9 +103,9 @@ fn byzantine_adversary_soak() {
         Protocol::AtomicUnauth,
         Protocol::AtomicAuth,
     ] {
-        for adversary in AdversaryKind::all() {
+        for adversary in FaultKind::stock() {
             for seed in 0..8 {
-                check(protocol, seed, Some(adversary));
+                check(protocol, seed, Some(&adversary));
             }
         }
     }

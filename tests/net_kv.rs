@@ -11,21 +11,19 @@
 //! must stay linearizable when its rounds cross sockets and a hostile
 //! link, because nothing protocol-level changed.
 
-use rastor::common::{test_seed, ClientId, ObjectId, Value};
-use rastor::core::checker::{History, ReadRec, WriteRec};
+mod common;
+
+use common::{assert_clean, assert_final_reads_see_newest_writes};
+use rastor::common::{test_seed, ObjectId, Value};
+use rastor::kv::workload::{self, Mix};
 use rastor::kv::StoreConfig;
 use rastor::net::{ChaosCfg, NetKv};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SHARDS: usize = 2;
 const HANDLES: u32 = 3;
-const KEYS: usize = 5;
+const KEYS: u32 = 5;
 const OPS_PER_HANDLE: u64 = 16;
-
-fn key_name(k: usize) -> String {
-    format!("netsoak:{k}")
-}
 
 /// The test's seed: `RASTOR_SEED` when set, else `default`. Printed up
 /// front (libtest shows captured output only for failures), so a CI
@@ -34,6 +32,13 @@ fn announced_seed(default: u64) -> u64 {
     let seed = test_seed(default);
     eprintln!("RASTOR_SEED={seed:#x}");
     seed
+}
+
+fn soak(seed: u64) -> Mix {
+    Mix {
+        seed,
+        ..Mix::mixed(HANDLES, KEYS, OPS_PER_HANDLE)
+    }
 }
 
 #[test]
@@ -54,49 +59,13 @@ fn sharded_kv_over_tcp_through_chaos_is_atomic_per_key() {
     .expect("net kv over chaos proxies");
     assert_eq!(kv.proxies.len(), SHARDS);
 
-    let epoch = Instant::now();
-    let histories: Arc<Vec<Mutex<History>>> =
-        Arc::new((0..KEYS).map(|_| Mutex::new(History::new())).collect());
-    let now_us = move |at: Instant| -> u64 { (at - epoch).as_micros() as u64 };
-
-    let mut threads = Vec::new();
-    for hid in 0..HANDLES {
-        let store = kv.store.clone();
-        let histories = Arc::clone(&histories);
-        threads.push(std::thread::spawn(move || {
-            let mut handle = store.handle(hid).expect("handle in pool");
-            // Short per-op budget on purpose: resubmission must absorb
-            // the drops well inside it, or the `expect`s below fire.
-            handle.set_timeout(Duration::from_secs(2));
-            let mut rng = rastor::common::SplitMix64::new(seed ^ (0x7e1e_c0de + u64::from(hid)));
-            for op in 0..OPS_PER_HANDLE {
-                let k = rng.gen_range(0, KEYS as u64 - 1) as usize;
-                let key = key_name(k);
-                let invoked = Instant::now();
-                if rng.next_f64() < 0.5 {
-                    // Unique value per (handle, op) so genuineness is sharp.
-                    let val = Value::from_u64(u64::from(hid) << 32 | (op + 1));
-                    let tag = handle.put(&key, val.clone()).expect("put within budget");
-                    let completed = Instant::now();
-                    histories[k].lock().unwrap().push_write(WriteRec {
-                        ts: tag.to_timestamp(),
-                        val,
-                        invoked_at: now_us(invoked),
-                        completed_at: Some(now_us(completed)),
-                    });
-                } else {
-                    let pair = handle.get_pair(&key).expect("get within budget");
-                    let completed = Instant::now();
-                    histories[k].lock().unwrap().push_read(ReadRec {
-                        client: ClientId::reader(hid),
-                        invoked_at: now_us(invoked),
-                        completed_at: now_us(completed),
-                        returned: pair,
-                    });
-                }
-            }
-        }));
-    }
+    // Short per-op budget on purpose: resubmission must absorb the drops
+    // well inside it, or the run reports `liveness:` failures.
+    let mix = Mix {
+        timeout: Duration::from_secs(2),
+        ..soak(seed)
+    };
+    let running = workload::start(&kv.store, &mix);
 
     // Spend the full fault budget while traffic is in flight: one crashed
     // object per shard, injected at the servers (the client-side store has
@@ -106,51 +75,14 @@ fn sharded_kv_over_tcp_through_chaos_is_atomic_per_key() {
         server.crash_object(ObjectId((s % 4) as u32));
     }
 
-    for t in threads {
-        t.join().expect("soak thread");
-    }
-
-    let mut total_writes = 0;
-    let mut total_reads = 0;
-    for (k, hist) in histories.iter().enumerate() {
-        let hist = hist.lock().unwrap();
-        total_writes += hist.writes().count();
-        total_reads += hist.reads().len();
-        let violations = hist.check_atomic();
-        assert!(
-            violations.is_empty(),
-            "key {}: atomicity violations over tcp+chaos: {:?}",
-            key_name(k),
-            violations
-        );
-    }
-    assert_eq!(
-        (total_writes + total_reads) as u64,
-        u64::from(HANDLES) * OPS_PER_HANDLE,
-        "every operation must be recorded"
-    );
+    let run = running.join();
+    assert_clean(&run, "over tcp+chaos");
+    let (puts, gets) = run.latencies_us();
     assert!(
-        total_writes > 0 && total_reads > 0,
+        !puts.is_empty() && !gets.is_empty(),
         "mixed traffic expected"
     );
-
-    // Post-quiescence: a fresh read of every written key returns at least
-    // the newest completed write's timestamp.
-    let mut h = kv.store.handle(0).expect("handle");
-    for k in 0..KEYS {
-        let hist = histories[k].lock().unwrap();
-        let max_written = hist.writes().map(|w| w.ts).max();
-        if let Some(max_ts) = max_written {
-            let pair = h.get_pair(&key_name(k)).expect("final read");
-            assert!(
-                pair.ts >= max_ts,
-                "final read of {} returned {:?}, below completed write {:?}",
-                key_name(k),
-                pair.ts,
-                max_ts
-            );
-        }
-    }
+    assert_final_reads_see_newest_writes(&kv.store, &run);
 }
 
 /// The socket-substrate kill-and-restart soak: WAL-backed objects behind
@@ -170,45 +102,7 @@ fn server_side_restart_mid_traffic_stays_atomic() {
     )
     .expect("wal-backed net kv");
 
-    let epoch = Instant::now();
-    let histories: Arc<Vec<Mutex<History>>> =
-        Arc::new((0..KEYS).map(|_| Mutex::new(History::new())).collect());
-    let now_us = move |at: Instant| -> u64 { (at - epoch).as_micros() as u64 };
-
-    let mut threads = Vec::new();
-    for hid in 0..HANDLES {
-        let store = kv.store.clone();
-        let histories = Arc::clone(&histories);
-        threads.push(std::thread::spawn(move || {
-            let mut handle = store.handle(hid).expect("handle in pool");
-            let mut rng = rastor::common::SplitMix64::new(seed.wrapping_add(u64::from(hid)));
-            for op in 0..OPS_PER_HANDLE {
-                let k = rng.gen_range(0, KEYS as u64 - 1) as usize;
-                let key = key_name(k);
-                let invoked = Instant::now();
-                if rng.next_f64() < 0.5 {
-                    let val = Value::from_u64(u64::from(hid) << 32 | (op + 1));
-                    let tag = handle.put(&key, val.clone()).expect("put within budget");
-                    let completed = Instant::now();
-                    histories[k].lock().unwrap().push_write(WriteRec {
-                        ts: tag.to_timestamp(),
-                        val,
-                        invoked_at: now_us(invoked),
-                        completed_at: Some(now_us(completed)),
-                    });
-                } else {
-                    let pair = handle.get_pair(&key).expect("get within budget");
-                    let completed = Instant::now();
-                    histories[k].lock().unwrap().push_read(ReadRec {
-                        client: ClientId::reader(hid),
-                        invoked_at: now_us(invoked),
-                        completed_at: now_us(completed),
-                        returned: pair,
-                    });
-                }
-            }
-        }));
-    }
+    let running = workload::start(&kv.store, &soak(seed));
 
     // Mid-traffic, server-side: kill + recover the top object of every
     // shard. Clients never reconnect — the server keeps the listener and
@@ -222,27 +116,8 @@ fn server_side_restart_mid_traffic_stays_atomic() {
         std::thread::sleep(Duration::from_millis(3));
     }
 
-    for t in threads {
-        t.join().expect("soak thread");
-    }
-
-    let mut total = 0;
-    for (k, hist) in histories.iter().enumerate() {
-        let hist = hist.lock().unwrap();
-        total += hist.writes().count() + hist.reads().len();
-        let violations = hist.check_atomic();
-        assert!(
-            violations.is_empty(),
-            "key {}: atomicity violations across server-side restart: {:?}",
-            key_name(k),
-            violations
-        );
-    }
-    assert_eq!(
-        total as u64,
-        u64::from(HANDLES) * OPS_PER_HANDLE,
-        "every operation must be recorded"
-    );
+    let run = running.join();
+    assert_clean(&run, "across server-side restart");
 
     // Crash a different object per shard: quorums must now include the
     // restarted object, so fresh reads prove its recovered registers.
@@ -251,21 +126,7 @@ fn server_side_restart_mid_traffic_stays_atomic() {
         assert!(server.is_crashed(ObjectId(0)));
         assert!(!server.is_crashed(ObjectId(3)));
     }
-    let mut h = kv.store.handle(0).expect("handle");
-    for k in 0..KEYS {
-        let hist = histories[k].lock().unwrap();
-        let max_written = hist.writes().map(|w| w.ts).max();
-        if let Some(max_ts) = max_written {
-            let pair = h.get_pair(&key_name(k)).expect("final read");
-            assert!(
-                pair.ts >= max_ts,
-                "final read of {} returned {:?}, below completed write {:?}",
-                key_name(k),
-                pair.ts,
-                max_ts
-            );
-        }
-    }
+    assert_final_reads_see_newest_writes(&kv.store, &run);
 }
 
 /// The mid-traffic socket-kill soak: every accepted connection of one
@@ -276,7 +137,6 @@ fn server_side_restart_mid_traffic_stays_atomic() {
 /// must show the recovery path actually ran.
 #[test]
 fn mid_traffic_socket_kill_completes_all_ops_via_resubmission() {
-    const KILL_OPS: u64 = 32;
     let seed = announced_seed(0x5_0c4e7);
     let resub_before =
         rastor::obs::Registry::global().counter_value(rastor::obs::names::NET_RESUBMISSIONS);
@@ -286,46 +146,12 @@ fn mid_traffic_socket_kill_completes_all_ops_via_resubmission() {
     )
     .expect("net kv");
 
-    let epoch = Instant::now();
-    let histories: Arc<Vec<Mutex<History>>> =
-        Arc::new((0..KEYS).map(|_| Mutex::new(History::new())).collect());
-    let now_us = move |at: Instant| -> u64 { (at - epoch).as_micros() as u64 };
-
-    let mut threads = Vec::new();
-    for hid in 0..HANDLES {
-        let store = kv.store.clone();
-        let histories = Arc::clone(&histories);
-        threads.push(std::thread::spawn(move || {
-            let mut handle = store.handle(hid).expect("handle in pool");
-            handle.set_timeout(Duration::from_secs(5));
-            let mut rng = rastor::common::SplitMix64::new(seed.wrapping_add(u64::from(hid)));
-            for op in 0..KILL_OPS {
-                let k = rng.gen_range(0, KEYS as u64 - 1) as usize;
-                let key = key_name(k);
-                let invoked = Instant::now();
-                if rng.next_f64() < 0.5 {
-                    let val = Value::from_u64(u64::from(hid) << 32 | (op + 1));
-                    let tag = handle.put(&key, val.clone()).expect("put across the kill");
-                    let completed = Instant::now();
-                    histories[k].lock().unwrap().push_write(WriteRec {
-                        ts: tag.to_timestamp(),
-                        val,
-                        invoked_at: now_us(invoked),
-                        completed_at: Some(now_us(completed)),
-                    });
-                } else {
-                    let pair = handle.get_pair(&key).expect("get across the kill");
-                    let completed = Instant::now();
-                    histories[k].lock().unwrap().push_read(ReadRec {
-                        client: ClientId::reader(hid),
-                        invoked_at: now_us(invoked),
-                        completed_at: now_us(completed),
-                        returned: pair,
-                    });
-                }
-            }
-        }));
-    }
+    let mix = Mix {
+        ops_per_handle: 32,
+        timeout: Duration::from_secs(5),
+        ..soak(seed)
+    };
+    let running = workload::start(&kv.store, &mix);
 
     // Sever shard 0's sockets twice while the ops are in flight. The
     // listener and the objects stay up — only the connections die.
@@ -334,27 +160,8 @@ fn mid_traffic_socket_kill_completes_all_ops_via_resubmission() {
         kv.servers[0].drop_connections();
     }
 
-    for t in threads {
-        t.join().expect("soak thread");
-    }
-
-    let mut total = 0;
-    for (k, hist) in histories.iter().enumerate() {
-        let hist = hist.lock().unwrap();
-        total += hist.writes().count() + hist.reads().len();
-        let violations = hist.check_atomic();
-        assert!(
-            violations.is_empty(),
-            "key {}: atomicity violations across the socket kill: {:?}",
-            key_name(k),
-            violations
-        );
-    }
-    assert_eq!(
-        total as u64,
-        u64::from(HANDLES) * KILL_OPS,
-        "every operation must complete and be recorded despite the kills"
-    );
+    let run = running.join();
+    assert_clean(&run, "across the socket kill");
     let resub_after =
         rastor::obs::Registry::global().counter_value(rastor::obs::names::NET_RESUBMISSIONS);
     assert!(

@@ -2,7 +2,7 @@
 //! scenarios against the headline constructions.
 
 use rastor::common::{ClientId, ObjectId, Value};
-use rastor::core::{AdversaryKind, Protocol, StorageSystem, Workload};
+use rastor::core::{FaultKind, Protocol, StorageSystem, Workload};
 use rastor::sim::PartitionController;
 
 /// A controller where the writer is partitioned from part of the cluster
@@ -80,12 +80,7 @@ fn stale_replay_adversary_is_outvoted() {
             .with_write(1_000, Value::from_u64(3))
             .with_read(5_000, 0);
         let corrupted = (0..t as u32)
-            .map(|i| {
-                (
-                    ObjectId(i),
-                    StorageSystem::stock_adversary(AdversaryKind::StaleReplay),
-                )
-            })
+            .map(|i| (ObjectId(i), FaultKind::StaleAfter(4).materialize()))
             .collect();
         let res = sys.run(Box::new(rastor::sim::FixedDelay::new(1)), &wl, corrupted);
         let read = res.completions.iter().find(|c| c.output.is_read()).unwrap();
@@ -108,18 +103,9 @@ fn mixed_adversaries_within_budget() {
         .with_read(1_000, 0)
         .with_read(2_000, 1);
     let corrupted = vec![
-        (
-            ObjectId(0),
-            StorageSystem::stock_adversary(AdversaryKind::Silent),
-        ),
-        (
-            ObjectId(1),
-            StorageSystem::stock_adversary(AdversaryKind::ForgeHigh),
-        ),
-        (
-            ObjectId(2),
-            StorageSystem::stock_adversary(AdversaryKind::StaleReplay),
-        ),
+        (ObjectId(0), FaultKind::Silent.materialize()),
+        (ObjectId(1), FaultKind::ForgeHigh.materialize()),
+        (ObjectId(2), FaultKind::StaleAfter(4).materialize()),
     ];
     let res = sys.run(Box::new(rastor::sim::FixedDelay::new(1)), &wl, corrupted);
     assert_eq!(res.completions.len(), 4);
@@ -131,7 +117,6 @@ fn mixed_adversaries_within_budget() {
 
 #[test]
 fn equivocator_cannot_split_reader_views() {
-    use rastor::core::adversary::EquivocatorObject;
     let t = 1;
     let mut sys = StorageSystem::new(Protocol::AtomicUnauth, t, 2).unwrap();
     let wl = Workload::default()
@@ -140,10 +125,11 @@ fn equivocator_cannot_split_reader_views() {
         .with_read(1_000, 0)
         .with_read(2_000, 1);
     // The equivocator shows reader 0 a frozen (older) state.
-    let corrupted: Vec<(ObjectId, Box<dyn rastor::sim::ObjectBehavior<_, _>>)> = vec![(
-        ObjectId(0),
-        Box::new(EquivocatorObject::new(vec![ClientId::reader(0)], 2)),
-    )];
+    let equivocator = FaultKind::Equivocate {
+        victims: vec![ClientId::reader(0)],
+        freeze_after: 2,
+    };
+    let corrupted = vec![(ObjectId(0), equivocator.materialize())];
     let res = sys.run(Box::new(rastor::sim::FixedDelay::new(1)), &wl, corrupted);
     assert!(res.history.check_atomic().is_empty());
     // Both readers converge on the latest write despite the split views.

@@ -8,21 +8,26 @@
 //! checker verifies: genuine values, freshness after completed writes, no
 //! reads from the future, no new/old inversion.
 
-use rastor::common::{ClientId, ObjectId, Value};
+mod common;
+
+use common::{assert_clean, assert_final_reads_see_newest_writes};
+use rastor::common::{ObjectId, Value};
 use rastor::core::adversary::SilentObject;
-use rastor::core::checker::{History, ReadRec, WriteRec};
-use rastor::kv::{KvOutput, ShardedKvStore, StoreConfig};
+use rastor::kv::workload::{self, Mix};
+use rastor::kv::{ShardedKvStore, StoreConfig};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SHARDS: usize = 4;
 const HANDLES: u32 = 4;
-const KEYS: usize = 6;
+const KEYS: u32 = 6;
 const OPS_PER_HANDLE: u64 = 20;
 
-fn key_name(k: usize) -> String {
-    format!("soak:{k}")
+fn soak(seed: u64) -> Mix {
+    Mix {
+        seed,
+        ..Mix::mixed(HANDLES, KEYS, OPS_PER_HANDLE)
+    }
 }
 
 #[test]
@@ -37,99 +42,20 @@ fn concurrent_sharded_traffic_is_atomic_per_key() {
         store.crash_object(s, ObjectId((s % 4) as u32));
     }
 
-    // One shared history per key, stamped on a common microsecond clock.
-    let epoch = Instant::now();
-    let histories: Arc<Vec<Mutex<History>>> =
-        Arc::new((0..KEYS).map(|_| Mutex::new(History::new())).collect());
-    let now_us = move |at: Instant| -> u64 { (at - epoch).as_micros() as u64 };
-
-    let mut threads = Vec::new();
-    for hid in 0..HANDLES {
-        let store = store.clone();
-        let histories = Arc::clone(&histories);
-        threads.push(std::thread::spawn(move || {
-            let mut handle = store.handle(hid).expect("handle in pool");
-            let mut rng = rastor::common::SplitMix64::new(0x50a_c0de + u64::from(hid));
-            for op in 0..OPS_PER_HANDLE {
-                let k = rng.gen_range(0, KEYS as u64 - 1) as usize;
-                let key = key_name(k);
-                let invoked = Instant::now();
-                if rng.next_f64() < 0.5 {
-                    // Unique value per (handle, op) so genuineness is sharp.
-                    let val = Value::from_u64(u64::from(hid) << 32 | (op + 1));
-                    let tag = handle.put(&key, val.clone()).expect("put within budget");
-                    let completed = Instant::now();
-                    histories[k].lock().unwrap().push_write(WriteRec {
-                        ts: tag.to_timestamp(),
-                        val,
-                        invoked_at: now_us(invoked),
-                        completed_at: Some(now_us(completed)),
-                    });
-                } else {
-                    let pair = handle.get_pair(&key).expect("get within budget");
-                    let completed = Instant::now();
-                    histories[k].lock().unwrap().push_read(ReadRec {
-                        client: ClientId::reader(hid),
-                        invoked_at: now_us(invoked),
-                        completed_at: now_us(completed),
-                        returned: pair,
-                    });
-                }
-            }
-        }));
-    }
-    for t in threads {
-        t.join().expect("soak thread");
-    }
-
-    let mut total_writes = 0;
-    let mut total_reads = 0;
-    for (k, hist) in histories.iter().enumerate() {
-        let hist = hist.lock().unwrap();
-        total_writes += hist.writes().count();
-        total_reads += hist.reads().len();
-        let violations = hist.check_atomic();
-        assert!(
-            violations.is_empty(),
-            "key {}: atomicity violations: {:?}",
-            key_name(k),
-            violations
-        );
-    }
-    assert_eq!(
-        (total_writes + total_reads) as u64,
-        u64::from(HANDLES) * OPS_PER_HANDLE,
-        "every operation must be recorded"
-    );
+    let run = workload::start(&store, &soak(0x50a_c0de)).join();
+    assert_clean(&run, "concurrent traffic");
     // The traffic must actually have exercised contention and the router.
-    assert!(total_writes > 0 && total_reads > 0);
-    assert_eq!(store.num_keys(), KEYS);
+    let (puts, gets) = run.latencies_us();
+    assert!(!puts.is_empty() && !gets.is_empty());
+    assert_eq!(store.num_keys(), KEYS as usize);
 
-    // After quiescence, all handles agree on every key's latest pair
-    // timestamp ordering: a fresh read returns the max committed tag.
-    let mut h = store.handle(0).expect("handle");
-    for k in 0..KEYS {
-        let hist = histories[k].lock().unwrap();
-        let max_written = hist.writes().map(|w| w.ts).max();
-        let pair = h.get_pair(&key_name(k)).expect("final read");
-        if let Some(max_ts) = max_written {
-            assert!(
-                pair.ts >= max_ts,
-                "final read of {} returned {:?}, below completed write {:?}",
-                key_name(k),
-                pair.ts,
-                max_ts
-            );
-        }
-    }
+    assert_final_reads_see_newest_writes(&store, &run);
 }
 
 /// The pipelined variant of the soak: every handle keeps `depth` operations
 /// in flight through submit/poll, under object jitter, with the full fault
 /// budget spent — crashes on even shards, silent-Byzantine objects on odd
-/// shards. Histories are stamped submit→resolution (a superset of the true
-/// operation interval, so the checker stays sound) and funneled through
-/// `check_atomic` per key.
+/// shards.
 #[test]
 fn pipelined_sharded_traffic_is_atomic_per_key() {
     let store = ShardedKvStore::spawn_with(
@@ -143,96 +69,12 @@ fn pipelined_sharded_traffic_is_atomic_per_key() {
         store.crash_object(s, ObjectId(3));
     }
 
-    let epoch = Instant::now();
-    let histories: Arc<Vec<Mutex<History>>> =
-        Arc::new((0..KEYS).map(|_| Mutex::new(History::new())).collect());
-    let now_us = move |at: Instant| -> u64 { (at - epoch).as_micros() as u64 };
-
-    let mut threads = Vec::new();
-    for hid in 0..HANDLES {
-        let store = store.clone();
-        let histories = Arc::clone(&histories);
-        threads.push(std::thread::spawn(move || {
-            let mut handle = store.handle(hid).expect("handle in pool");
-            handle.set_depth(4);
-            let mut rng = rastor::common::SplitMix64::new(0x9090_c0de + u64::from(hid));
-            // op id → (key index, value if a put, submitted-at).
-            let mut submitted: HashMap<rastor::kv::KvOpId, (usize, Option<Value>, Instant)> =
-                HashMap::new();
-            let resolve = |id,
-                           outcome: Result<KvOutput, rastor::common::Error>,
-                           resolved_at: Instant,
-                           submitted: &mut HashMap<
-                rastor::kv::KvOpId,
-                (usize, Option<Value>, Instant),
-            >| {
-                let (k, val, invoked) = submitted.remove(&id).expect("submitted op");
-                match outcome.expect("op within budget") {
-                    KvOutput::Put(tag) => {
-                        histories[k].lock().unwrap().push_write(WriteRec {
-                            ts: tag.to_timestamp(),
-                            val: val.expect("puts carry their value"),
-                            invoked_at: now_us(invoked),
-                            completed_at: Some(now_us(resolved_at)),
-                        });
-                    }
-                    KvOutput::Get(pair) => {
-                        histories[k].lock().unwrap().push_read(ReadRec {
-                            client: ClientId::reader(hid),
-                            invoked_at: now_us(invoked),
-                            completed_at: now_us(resolved_at),
-                            returned: pair,
-                        });
-                    }
-                }
-            };
-            for op in 0..OPS_PER_HANDLE {
-                let k = rng.gen_range(0, KEYS as u64 - 1) as usize;
-                let key = key_name(k);
-                let at = Instant::now();
-                let (id, val) = if rng.next_f64() < 0.5 {
-                    let val = Value::from_u64(u64::from(hid) << 32 | (op + 1));
-                    (
-                        handle
-                            .submit_put(&key, val.clone())
-                            .expect("submit within budget"),
-                        Some(val),
-                    )
-                } else {
-                    (handle.submit_get(&key).expect("submit within budget"), None)
-                };
-                submitted.insert(id, (k, val, at));
-                for (id, outcome) in handle.try_poll() {
-                    resolve(id, outcome, Instant::now(), &mut submitted);
-                }
-            }
-            for (id, outcome) in handle.drain() {
-                resolve(id, outcome, Instant::now(), &mut submitted);
-            }
-            assert!(submitted.is_empty(), "every op resolved");
-        }));
-    }
-    for t in threads {
-        t.join().expect("soak thread");
-    }
-
-    let mut total = 0;
-    for (k, hist) in histories.iter().enumerate() {
-        let hist = hist.lock().unwrap();
-        total += hist.writes().count() + hist.reads().len();
-        let violations = hist.check_atomic();
-        assert!(
-            violations.is_empty(),
-            "key {}: atomicity violations under pipelined traffic: {:?}",
-            key_name(k),
-            violations
-        );
-    }
-    assert_eq!(
-        total as u64,
-        u64::from(HANDLES) * OPS_PER_HANDLE,
-        "every operation must be recorded"
-    );
+    let mix = Mix {
+        depth: 4,
+        ..soak(0x9090_c0de)
+    };
+    let run = workload::start(&store, &mix).join();
+    assert_clean(&run, "pipelined traffic");
 }
 
 /// The kill-and-restart soak: WAL-backed shards, concurrent put/get
@@ -250,45 +92,7 @@ fn kill_and_restart_soak_is_atomic_per_key() {
     )
     .expect("valid wal-backed store");
 
-    let epoch = Instant::now();
-    let histories: Arc<Vec<Mutex<History>>> =
-        Arc::new((0..KEYS).map(|_| Mutex::new(History::new())).collect());
-    let now_us = move |at: Instant| -> u64 { (at - epoch).as_micros() as u64 };
-
-    let mut threads = Vec::new();
-    for hid in 0..HANDLES {
-        let store = store.clone();
-        let histories = Arc::clone(&histories);
-        threads.push(std::thread::spawn(move || {
-            let mut handle = store.handle(hid).expect("handle in pool");
-            let mut rng = rastor::common::SplitMix64::new(0x00e5_7a27 + u64::from(hid));
-            for op in 0..OPS_PER_HANDLE {
-                let k = rng.gen_range(0, KEYS as u64 - 1) as usize;
-                let key = key_name(k);
-                let invoked = Instant::now();
-                if rng.next_f64() < 0.5 {
-                    let val = Value::from_u64(u64::from(hid) << 32 | (op + 1));
-                    let tag = handle.put(&key, val.clone()).expect("put within budget");
-                    let completed = Instant::now();
-                    histories[k].lock().unwrap().push_write(WriteRec {
-                        ts: tag.to_timestamp(),
-                        val,
-                        invoked_at: now_us(invoked),
-                        completed_at: Some(now_us(completed)),
-                    });
-                } else {
-                    let pair = handle.get_pair(&key).expect("get within budget");
-                    let completed = Instant::now();
-                    histories[k].lock().unwrap().push_read(ReadRec {
-                        client: ClientId::reader(hid),
-                        invoked_at: now_us(invoked),
-                        completed_at: now_us(completed),
-                        returned: pair,
-                    });
-                }
-            }
-        }));
-    }
+    let running = workload::start(&store, &soak(0x00e5_7a27));
 
     // Mid-traffic: kill-and-restart the top object of every shard, one
     // after another. Each restart is a full kill (thread joined) followed
@@ -303,27 +107,8 @@ fn kill_and_restart_soak_is_atomic_per_key() {
         std::thread::sleep(Duration::from_millis(3));
     }
 
-    for t in threads {
-        t.join().expect("soak thread");
-    }
-
-    let mut total = 0;
-    for (k, hist) in histories.iter().enumerate() {
-        let hist = hist.lock().unwrap();
-        total += hist.writes().count() + hist.reads().len();
-        let violations = hist.check_atomic();
-        assert!(
-            violations.is_empty(),
-            "key {}: atomicity violations across kill-and-restart: {:?}",
-            key_name(k),
-            violations
-        );
-    }
-    assert_eq!(
-        total as u64,
-        u64::from(HANDLES) * OPS_PER_HANDLE,
-        "every operation must be recorded"
-    );
+    let run = running.join();
+    assert_clean(&run, "across kill-and-restart");
 
     // Force the restarted objects onto the read path: crash a *different*
     // object in every shard, so each quorum of 3-of-4 must now include the
@@ -332,21 +117,7 @@ fn kill_and_restart_soak_is_atomic_per_key() {
     for s in 0..SHARDS {
         store.crash_object(s, ObjectId(0));
     }
-    let mut h = store.handle(0).expect("handle");
-    for k in 0..KEYS {
-        let hist = histories[k].lock().unwrap();
-        let max_written = hist.writes().map(|w| w.ts).max();
-        if let Some(max_ts) = max_written {
-            let pair = h.get_pair(&key_name(k)).expect("final read");
-            assert!(
-                pair.ts >= max_ts,
-                "final read of {} returned {:?}, below completed write {:?}",
-                key_name(k),
-                pair.ts,
-                max_ts
-            );
-        }
-    }
+    assert_final_reads_see_newest_writes(&store, &run);
 }
 
 #[test]
