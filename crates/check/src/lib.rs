@@ -588,7 +588,6 @@ impl Scenario {
             }
             seed = seed.wrapping_add(1);
         }
-        stats.elapsed = start.elapsed();
         stats
     }
 }
@@ -624,8 +623,6 @@ pub struct ExploreStats {
     pub mask_failures: Vec<Failure>,
     /// Failing held-message schedules.
     pub schedule_failures: Vec<ScheduleFailure>,
-    /// Wall clock the exploration actually used.
-    pub elapsed: Duration,
 }
 
 impl ExploreStats {

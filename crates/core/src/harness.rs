@@ -84,6 +84,24 @@ impl Protocol {
         ]
     }
 
+    /// The paper's claimed contention-free `(write, read)` rounds at fault
+    /// budget `t` — the one statement of the complexity table every
+    /// measurement is held to. `None` where the paper bounds nothing
+    /// (retry-until-stable reads are unbounded under contention).
+    pub fn claimed_rounds(self, t: usize) -> Option<(u32, u32)> {
+        match self {
+            Protocol::Abd => Some((1, 2)),
+            Protocol::ByzRegular => Some((2, 2)),
+            Protocol::AuthRegular => Some((2, 1)),
+            Protocol::AtomicUnauth => Some((2, 4)),
+            // Contention-free, the fast path confirms and skips write-back.
+            Protocol::AtomicFast => Some((2, 2)),
+            Protocol::AtomicAuth => Some((2, 3)),
+            Protocol::SafeNoWrite => Some((2, t as u32 + 1)),
+            Protocol::RetryStable => None,
+        }
+    }
+
     /// Short display name for tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -467,19 +485,28 @@ mod tests {
 
     #[test]
     fn contention_free_round_counts_match_the_paper() {
-        let expect: [(Protocol, u32, u32); 6] = [
-            (Protocol::Abd, 1, 2),
-            (Protocol::ByzRegular, 2, 2),
-            (Protocol::AuthRegular, 2, 1),
-            (Protocol::AtomicUnauth, 2, 4),
-            // Contention-free, the fast path confirms and skips write-back.
-            (Protocol::AtomicFast, 2, 2),
-            (Protocol::AtomicAuth, 2, 3),
-        ];
-        for (p, wr, rr) in expect {
+        for p in Protocol::all() {
+            let Some((wr, rr)) = p.claimed_rounds(1) else {
+                continue;
+            };
             let res = quiet_run(p);
             assert_eq!(res.write_rounds(), vec![wr], "{p:?} write rounds");
             assert_eq!(res.read_rounds(), vec![rr, rr], "{p:?} read rounds");
+        }
+    }
+
+    #[test]
+    fn claimed_rounds_cover_every_bounded_protocol() {
+        for t in 1..=5 {
+            for p in Protocol::all() {
+                let unbounded = p == Protocol::RetryStable;
+                assert_eq!(p.claimed_rounds(t).is_none(), unbounded, "{p:?}, t={t}");
+            }
+            // The Ω(t) baseline is the one claim that depends on `t`.
+            assert_eq!(
+                Protocol::SafeNoWrite.claimed_rounds(t),
+                Some((2, t as u32 + 1))
+            );
         }
     }
 

@@ -26,7 +26,11 @@
 //! envelopes — so throughput scales with shard capacity instead of being
 //! capped at `1 / op-latency` per handle. See [`KvHandle::put_batch`],
 //! [`KvHandle::get_batch`] and the [`KvHandle::submit_put`] /
-//! [`KvHandle::submit_get`] / [`KvHandle::poll`] interface.
+//! [`KvHandle::submit_get`] / [`KvHandle::poll`] interface. The blocking
+//! [`KvHandle::put`] / [`KvHandle::get`] / [`KvHandle::get_pair`] are
+//! one-element calls into the same pipeline; the one rule for mixing the
+//! two styles is on the handle:
+//! [Mixing blocking calls with the pipeline](KvHandle#mixing-blocking-calls-with-the-pipeline).
 //!
 //! [`workload`] is the one way to put traffic on a store and judge what
 //! came back: a seeded put/get [`workload::Mix`], started, joined into a
@@ -55,11 +59,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod config;
+mod directory;
+mod handle;
 mod router;
-mod sharded;
+mod store;
 pub mod workload;
 
+pub use config::{StoreConfig, DEFAULT_DEPTH};
+pub use handle::{KvHandle, KvOpId, KvOutput};
 pub use router::ShardRouter;
-pub use sharded::{
-    restart_from_disk, KvHandle, KvOpId, KvOutput, ShardedKvStore, StoreConfig, DEFAULT_DEPTH,
-};
+pub use store::{restart_from_disk, ShardedKvStore};

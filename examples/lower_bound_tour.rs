@@ -12,10 +12,10 @@
 //!
 //! Run with: `cargo run --example lower_bound_tour`
 
+use rastor::exp;
 use rastor::lowerbound::diagram::{render_lemma1_layout, render_lemma1_superblocks, render_prop1};
 use rastor::lowerbound::lemma1::execute_first_pair;
 use rastor::lowerbound::prop1::{execute, Prop1Schedule};
-use rastor::lowerbound::recurrence::{k_max, t_k, t_k_closed};
 use rastor::lowerbound::{Lemma1Partition, Lemma1Schedule};
 
 fn main() {
@@ -67,17 +67,7 @@ fn main() {
         assert!(pair.indistinguishable());
     }
 
-    println!("\nthe recurrence of Lemma 1 and its closed form (Lemma 2):");
-    println!("  k   t_k(recurrence)  t_k(closed)  S=3t_k+1   k_max(t_k)");
-    for k in 1..=10i64 {
-        println!(
-            "  {:<3} {:<16} {:<12} {:<10} {}",
-            k,
-            t_k(k),
-            t_k_closed(k),
-            3 * t_k(k) + 1,
-            k_max(t_k(k))
-        );
-    }
-    println!("\nreading in 3 rounds costs Ω(log t) write rounds — tour complete.");
+    println!("\nthe recurrence of Lemma 1 and its closed form (Lemma 2), as `exp t3` prints it:");
+    print!("{}", exp::render("t3"));
+    println!("reading in 3 rounds costs Ω(log t) write rounds — tour complete.");
 }

@@ -25,9 +25,9 @@
 //! Exit codes: 0 success, 1 operation failed (refused admin command,
 //! unreachable cluster), 2 usage error.
 
-use rastor::bench::stats::Summary;
 use rastor::common::{Result, Value};
 use rastor::core::msg::{Rep, Req};
+use rastor::exp::Summary;
 use rastor::kv::workload::{self, Mix};
 use rastor::kv::{ShardedKvStore, StoreConfig};
 use rastor::net::client::NetCluster;

@@ -22,14 +22,20 @@
 //!   the fault-injecting chaos proxy;
 //! * [`obs`] — the observability spine: metrics registry, RRD-style time
 //!   rings, and the exported-metric manifest;
-//! * [`mod@bench`] — the experiment drivers behind the `exp` tables;
 //! * [`check`] — the exhaustive schedule explorer.
+//!
+//! and holds one module of its own: [`exp`], the experiment drivers and
+//! table renderer behind the `exp` binary and `tests/round_complexity.rs`.
 //!
 //! See `examples/` for runnable entry points, `DESIGN.md` for the
 //! paper-to-module map, and `docs/OPERATIONS.md` for running a live
 //! cluster with the `rastor` CLI.
 
-pub use rastor_bench as bench;
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+pub mod exp;
+
 pub use rastor_check as check;
 pub use rastor_common as common;
 pub use rastor_core as core;

@@ -1,21 +1,18 @@
 //! The paper's round-complexity claims, verified across fault budgets and
 //! reader counts: this is the executable version of the complexity table in
-//! DESIGN.md (experiment T1).
+//! DESIGN.md. The measurements come from the `exp` drivers (`rastor::exp`,
+//! experiments T1, T2, T5, T6, T9), the claims from
+//! `Protocol::claimed_rounds`; the literal numbers below are a second
+//! witness, so neither can drift alone.
 
 use rastor::common::Value;
 use rastor::core::{Protocol, StorageSystem, Workload};
-use rastor::sim::FixedDelay;
+use rastor::exp;
 
+/// Every write's and every read's round count in one contention-free run.
 fn rounds(protocol: Protocol, t: usize, readers: u32) -> (Vec<u32>, Vec<u32>) {
-    let mut sys = StorageSystem::new(protocol, t, readers).unwrap();
-    let mut wl = Workload::default()
-        .with_write(0, Value::from_u64(1))
-        .with_write(100, Value::from_u64(2));
-    for r in 0..readers {
-        wl = wl.with_read(1_000 + 100 * r as u64, r);
-    }
-    let res = sys.run(Box::new(FixedDelay::new(1)), &wl, vec![]);
-    (res.write_rounds(), res.read_rounds())
+    let (_, run) = exp::quiet_run(protocol, t, readers);
+    (run.write_rounds(), run.read_rounds())
 }
 
 #[test]
@@ -91,4 +88,74 @@ fn round_counts_are_independent_of_network_delay() {
         assert_eq!(res.write_rounds(), vec![2]);
         assert_eq!(res.read_rounds(), vec![4]);
     }
+}
+
+#[test]
+fn measured_rounds_match_claimed_rounds() {
+    // The one claims table against the one driver: every protocol the
+    // paper bounds, at three fault budgets, over every write and every
+    // reader's read of the run.
+    for t in [1, 2, 4] {
+        for p in Protocol::all() {
+            let Some((w, r)) = p.claimed_rounds(t) else {
+                continue;
+            };
+            let (writes, reads) = rounds(p, t, 2);
+            assert!(writes.iter().all(|&x| x == w), "{p:?} t={t}: {writes:?}");
+            assert!(reads.iter().all(|&x| x == r), "{p:?} t={t}: {reads:?}");
+        }
+    }
+}
+
+#[test]
+fn t2_retry_degrades_atomic_does_not() {
+    let rows = exp::t2_contention_rounds(12);
+    let quiet = rows[0];
+    let busy = *rows.last().unwrap();
+    assert!(busy.1 > quiet.1, "retry-stable rounds grow: {rows:?}");
+    assert_eq!(busy.2, quiet.2, "atomic read rounds constant: {rows:?}");
+}
+
+#[test]
+fn t5_produces_sane_latencies() {
+    for row in exp::t5_latency(1, 7, false) {
+        assert_eq!(row.ops, 20, "{}", row.protocol);
+        assert!(row.write_latency > 0.0);
+        assert!(row.read_latency > 0.0);
+    }
+}
+
+#[test]
+fn t6_closed_loop_completes_everything() {
+    for row in exp::t6_closed_loop(1, 2, 5, 3) {
+        assert_eq!(row.ops, 15, "{}", row.protocol); // 5 writes + 2×5 reads
+        assert!(row.throughput > 0.0);
+        assert!(row.read_latency.p95 >= row.read_latency.p50);
+    }
+}
+
+#[test]
+fn t6_round_structure_shows_in_latency() {
+    // More read rounds ⇒ higher read latency under identical delays.
+    let rows = exp::t6_closed_loop(1, 2, 5, 3);
+    let lat = |name: &str| {
+        rows.iter()
+            .find(|r| r.protocol == name)
+            .unwrap()
+            .read_latency
+            .mean
+    };
+    assert!(lat("auth-regular") < lat("atomic-unauth"));
+    assert!(lat("atomic-auth") < lat("atomic-unauth"));
+}
+
+/// The acceptance numbers for the fast-path PR: 2 rounds uncontended,
+/// 4 under write contention, while the always-slow read pays 4 both
+/// ways.
+#[test]
+fn t9_fast_path_is_2_rounds_quiet_4_contended() {
+    let rows = exp::t9_fast_path_rounds();
+    let row = |name: &str| *rows.iter().find(|r| r.0 == name).expect("row");
+    assert_eq!(row("atomic-unauth"), ("atomic-unauth", 4, 4));
+    assert_eq!(row("atomic-fast"), ("atomic-fast", 2, 4));
 }
