@@ -47,6 +47,15 @@
 //! soaks and the TCP search are held to — plus any panic from the ghost
 //! invariants inside the protocol automata.
 //!
+//! ## A reference that never forgets
+//!
+//! Honest objects keep a register's two newest pairs. The
+//! `*_spanning_read` scenarios write one register three times, so objects
+//! forget in them, and [`Scenario::sweep_beside_never_forgets`] runs every
+//! mask a second time on a private object that keeps everything — the
+//! protocol as it was — comparing returned pairs and round counts op by
+//! op.
+//!
 //! The crate's integration tests (`cargo test -p rastor_check -- exhaustive`)
 //! prove both soundness evidence — zero violations across every enumerated
 //! schedule for slow *and* fast read paths — and checker efficacy: the
@@ -58,16 +67,19 @@
 
 pub mod netchaos;
 
-use rastor_common::{ClientId, ClusterConfig, ObjectId, OpKind, RegId, SplitMix64, Value};
+use rastor_common::{ClientId, ClusterConfig, ObjectId, OpKind, RegId, SplitMix64, TsVal, Value};
 use rastor_core::checker::judge;
 use rastor_core::mwmr::{mw_read_in_group_mode, MwWriteClient, RegGroup};
 use rastor_core::transform::AtomicReadClient;
-use rastor_core::{FaultKind, History, HonestObject, ObjectView, OpOutput, ReadMode, Rep, Req};
+use rastor_core::{
+    FaultKind, History, HonestObject, ObjectView, OpOutput, ReadMode, Rep, Req, Stamped,
+};
 use rastor_sim::control::Rule;
 use rastor_sim::{
     ClientAction, Completion, Controller, MsgId, ObjectBehavior, RoundClient, ScriptedController,
     Sim, SimConfig, StalePolicy,
 };
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -123,6 +135,12 @@ impl Outcome {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
+
+    /// The largest round count of any op that completed (0 if none did).
+    pub fn max_rounds(&self) -> u32 {
+        let rounds = self.completions.iter().map(|c| c.stat.rounds.get());
+        rounds.max().unwrap_or(0)
+    }
 }
 
 /// A failing schedule found by [`Scenario::sweep`].
@@ -172,6 +190,36 @@ impl RoundClient<Req, Rep> for UnsoundFastRead {
     }
 }
 
+/// The reference the forgetting object is judged against: an honest object
+/// that also keeps every pair it ever adopted and reports them all, as
+/// objects did before histories were bounded. It exists only in this crate
+/// ([`Scenario::sweep_beside_never_forgets`]).
+#[derive(Default)]
+struct NeverForgets {
+    inner: HonestObject,
+    adopted: BTreeMap<RegId, BTreeMap<TsVal, Stamped>>,
+}
+
+impl ObjectBehavior<Req, Rep> for NeverForgets {
+    fn on_request(&mut self, _from: ClientId, req: &Req) -> Option<Rep> {
+        if let Req::Store { reg, pair } | Req::PreWrite { reg, pair } | Req::Commit { reg, pair } =
+            req
+        {
+            let hist = self.adopted.entry(*reg).or_default();
+            hist.entry(pair.pair.clone())
+                .or_insert_with(|| pair.clone());
+        }
+        let mut rep = self.inner.apply(req);
+        if let Rep::Views { views } = &mut rep {
+            for (reg, view) in views {
+                let hist = self.adopted.get(reg);
+                view.hist = hist.map_or(Vec::new(), |h| h.values().cloned().collect());
+            }
+        }
+        Some(rep)
+    }
+}
+
 /// A fault assignment over a scenario's object slots: which objects are
 /// Byzantine and how. Objects not listed are honest.
 ///
@@ -216,15 +264,23 @@ impl Cast {
     /// call (so repeated runs never share a crash budget or frozen
     /// replica).
     pub fn objects_for(&self, n: usize) -> Vec<Box<dyn ObjectBehavior<Req, Rep>>> {
+        self.objects_with(n, || Box::new(HonestObject::new()))
+    }
+
+    /// [`Cast::objects_for`] with `honest()` in every slot the cast leaves
+    /// honest.
+    fn objects_with(
+        &self,
+        n: usize,
+        honest: fn() -> Box<dyn ObjectBehavior<Req, Rep>>,
+    ) -> Vec<Box<dyn ObjectBehavior<Req, Rep>>> {
         for (o, _) in &self.faults {
             assert!(*o < n, "cast fault on object {o} of an {n}-object cluster");
         }
         (0..n)
-            .map(|i| -> Box<dyn ObjectBehavior<Req, Rep>> {
-                match self.faults.iter().find(|(o, _)| *o == i) {
-                    Some((_, fault)) => fault.materialize(),
-                    None => Box::new(HonestObject::new()),
-                }
+            .map(|i| match self.faults.iter().find(|(o, _)| *o == i) {
+                Some((_, fault)) => fault.materialize() as Box<dyn ObjectBehavior<Req, Rep>>,
+                None => honest(),
             })
             .collect()
     }
@@ -363,7 +419,17 @@ impl Scenario {
     /// freshly materialized per call, so re-invoking this **is** the
     /// replay.
     pub fn run_mask(&self, path: ReadPath, mask: u64, cast: &Cast) -> Outcome {
-        self.run_judged(path, cast, self.controller_for_mask(mask), |sim| {
+        self.run_mask_on(path, mask, cast.objects_for(self.num_objects()))
+    }
+
+    /// [`Scenario::run_mask`] over a given object battery.
+    fn run_mask_on(
+        &self,
+        path: ReadPath,
+        mask: u64,
+        objects: Vec<Box<dyn ObjectBehavior<Req, Rep>>>,
+    ) -> Outcome {
+        self.run_judged(path, objects, self.controller_for_mask(mask), |sim| {
             sim.run_to_quiescence()
         })
     }
@@ -378,7 +444,8 @@ impl Scenario {
         cast: &Cast,
     ) -> Outcome {
         let hold_all = ScriptedController::new().with_rule(Rule::hold_all());
-        self.run_judged(path, cast, hold_all, |sim| sim.run_scheduled(sched))
+        let objects = cast.objects_for(self.num_objects());
+        self.run_judged(path, objects, hold_all, |sim| sim.run_scheduled(sched))
     }
 
     /// [`Scenario::run_scheduled`] with a fresh seeded [`RandomScheduler`];
@@ -387,18 +454,17 @@ impl Scenario {
         self.run_scheduled(path, &mut RandomScheduler::seeded(seed), cast)
     }
 
-    /// Build the sim, `drive` it, and judge what completed — a ghost
-    /// invariant's panic or a run cut off by the event cap is a violation
-    /// like any other.
+    /// Build the sim over `objects`, `drive` it, and judge what completed —
+    /// a ghost invariant's panic or a run cut off by the event cap is a
+    /// violation like any other.
     fn run_judged(
         &self,
         path: ReadPath,
-        cast: &Cast,
+        objects: Vec<Box<dyn ObjectBehavior<Req, Rep>>>,
         controller: ScriptedController,
         drive: impl FnOnce(&mut Sim<Req, Rep, OpOutput>) -> Vec<Completion<OpOutput>>,
     ) -> Outcome {
         let run = catch_unwind(AssertUnwindSafe(|| {
-            let objects = cast.objects_for(self.num_objects());
             let mut sim = self.build_sim(path, Box::new(controller), objects);
             let completions = drive(&mut sim);
             (completions, sim.hit_event_cap())
@@ -455,6 +521,48 @@ impl Scenario {
                 })
             })
             .collect()
+    }
+
+    /// Run each of `masks` twice — on the real objects and on objects that
+    /// never forget (the protocol before histories were bounded) — and
+    /// compare: what the bound costs, schedule by schedule.
+    pub fn sweep_beside_never_forgets(
+        &self,
+        path: ReadPath,
+        cast: &Cast,
+        masks: impl IntoIterator<Item = u64>,
+    ) -> Differential {
+        let ops = |o: &Outcome| {
+            let mut ops: Vec<_> = o
+                .completions
+                .iter()
+                .map(|c| (c.client, c.op_seq, c.output.pair().clone(), c.stat.rounds))
+                .collect();
+            ops.sort();
+            ops
+        };
+        let mut diff = Differential::default();
+        for mask in masks {
+            let outcome = self.run_mask(path, mask, cast);
+            // The same cast, a `NeverForgets` in every slot it leaves honest.
+            let keep_all = cast.objects_with(self.num_objects(), || Box::<NeverForgets>::default());
+            let (real, reference) = (ops(&outcome), ops(&self.run_mask_on(path, mask, keep_all)));
+            diff.max_rounds = diff.max_rounds.max(outcome.max_rounds());
+            let same_pairs = real.len() == reference.len()
+                && real.iter().zip(&reference).all(|(a, b)| a.2 == b.2);
+            if !same_pairs {
+                diff.pairs_differ.push(mask);
+            } else if real != reference {
+                diff.rounds_differ.push(mask);
+            }
+            if !outcome.is_clean() {
+                diff.failures.push(Failure {
+                    mask,
+                    violations: outcome.violations,
+                });
+            }
+        }
+        diff
     }
 
     /// Shrink a failing mask by greedy rule-dropping: repeatedly clear any
@@ -546,6 +654,7 @@ impl Scenario {
             let picks = sched.picks.clone();
             stats.scheduled_runs += 1;
             stats.runs += 1;
+            stats.max_rounds = stats.max_rounds.max(outcome.max_rounds());
             if !outcome.is_clean() {
                 stats.schedule_failures.push(ScheduleFailure {
                     seed,
@@ -563,6 +672,7 @@ impl Scenario {
                     let outcome = self.run_scheduled(path, &mut p, cast);
                     stats.perturbed_runs += 1;
                     stats.runs += 1;
+                    stats.max_rounds = stats.max_rounds.max(outcome.max_rounds());
                     if !outcome.is_clean() {
                         stats.schedule_failures.push(ScheduleFailure {
                             seed,
@@ -578,6 +688,7 @@ impl Scenario {
                 let outcome = self.run_mask(path, mask, cast);
                 stats.mask_runs += 1;
                 stats.runs += 1;
+                stats.max_rounds = stats.max_rounds.max(outcome.max_rounds());
                 if !outcome.is_clean() {
                     let minimized = self.minimize(path, mask, cast);
                     stats.mask_failures.push(Failure {
@@ -590,6 +701,20 @@ impl Scenario {
         }
         stats
     }
+}
+
+/// What [`Scenario::sweep_beside_never_forgets`] saw over a mask universe.
+#[derive(Clone, Debug, Default)]
+pub struct Differential {
+    /// Masks whose run on the real objects is not clean.
+    pub failures: Vec<Failure>,
+    /// The largest round count of any op of any run on the real objects.
+    pub max_rounds: u32,
+    /// Masks on which some op returned a different pair (or completed on
+    /// one side only) beside the reference.
+    pub pairs_differ: Vec<u64>,
+    /// Masks with the same pairs but a different round count for some op.
+    pub rounds_differ: Vec<u64>,
 }
 
 /// A failing held-message schedule found by [`Scenario::explore`]:
@@ -619,6 +744,8 @@ pub struct ExploreStats {
     pub perturbed_runs: usize,
     /// Random delay-mask probes.
     pub mask_runs: usize,
+    /// The largest round count of any op of any run.
+    pub max_rounds: u32,
     /// Failing masks, already minimized.
     pub mask_failures: Vec<Failure>,
     /// Failing held-message schedules.
@@ -857,6 +984,52 @@ pub fn scenario_t2_mixed() -> Scenario {
                 reader: 1,
             },
         ],
+    }
+}
+
+/// One register written three times — the fewest writes after which an
+/// object forgets a pair — around a read invoked inside the first write:
+/// under the right masks the reader's first replies predate both later
+/// writes while its later ones come from objects that no longer hold the
+/// first pair. `t = 1`, 16-bit universe: swept exhaustively.
+pub fn scenario_three_writes_spanning_read() -> Scenario {
+    spanning_read("three_writes_spanning_read", 1, 1)
+}
+
+/// [`scenario_three_writes_spanning_read`] with a second writer doing the
+/// same (values 10, 20, … alternate between the two), so the reader
+/// collects two registers that both forget. 28 bits: budgeted exploration.
+pub fn scenario_two_writers_spanning_read() -> Scenario {
+    spanning_read("two_writers_spanning_read", 1, 2)
+}
+
+/// [`scenario_three_writes_spanning_read`] on seven objects (`t = 2`).
+pub fn scenario_t2_three_writes_spanning_read() -> Scenario {
+    spanning_read("t2_three_writes_spanning_read", 2, 1)
+}
+
+/// [`scenario_two_writers_spanning_read`] on seven objects (`t = 2`).
+pub fn scenario_t2_two_writers_spanning_read() -> Scenario {
+    spanning_read("t2_two_writers_spanning_read", 2, 2)
+}
+
+/// Every writer writes three times back to back (the sim queues one
+/// client's ops), one reader reads from inside the first writes.
+fn spanning_read(name: &'static str, t: u32, n_writers: u32) -> Scenario {
+    let mut ops = vec![OpSpec::Read { at: 3, reader: 0 }];
+    for i in 0..3 * n_writers {
+        ops.push(OpSpec::Write {
+            at: u64::from(i / n_writers),
+            writer: i % n_writers,
+            value: 10 * u64::from(i + 1),
+        });
+    }
+    Scenario {
+        name,
+        t,
+        n_writers,
+        n_readers: 1,
+        ops,
     }
 }
 

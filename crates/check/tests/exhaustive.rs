@@ -7,17 +7,30 @@
 
 use rastor_check::{
     budget_from_env, cast_one_forger, cast_one_stale, cast_t_plus_one_forgers, casts_single_fault,
-    run_both_policies, scenario_policy_parity, scenario_t2_mixed, scenario_two_writers_one_reader,
-    scenario_write_then_read, scenario_write_then_two_reads, write_failure_reports, Cast,
-    RandomScheduler, ReadPath, Scenario,
+    run_both_policies, scenario_policy_parity, scenario_t2_mixed,
+    scenario_t2_three_writes_spanning_read, scenario_t2_two_writers_spanning_read,
+    scenario_three_writes_spanning_read, scenario_two_writers_one_reader,
+    scenario_two_writers_spanning_read, scenario_write_then_read, scenario_write_then_two_reads,
+    write_failure_reports, Cast, RandomScheduler, ReadPath, Scenario,
 };
 use rastor_core::FaultKind;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Where minimized failing traces land; CI uploads this directory as an
 /// artifact when the job fails.
 fn report_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/model-check")
+}
+
+/// The `t = 2` fault budget spent on two different faults.
+fn cast_t2_stale_plus_crash() -> Cast {
+    let cast = Cast {
+        name: "t2_stale_plus_crash",
+        faults: vec![(0, FaultKind::StaleAfter(0)), (5, FaultKind::CrashAfter(2))],
+    };
+    assert!(cast.byzantine_count() <= 2, "within the t = 2 budget");
+    cast
 }
 
 fn assert_sweep_clean(scenario: &Scenario, path: ReadPath, cast: &Cast) {
@@ -280,12 +293,7 @@ fn exhaustive_t2_budgeted_exploration_stays_atomic() {
         scenario.universe_bits()
     );
     let budget = budget_from_env("RASTOR_CHECK_BUDGET_MS", 1_000);
-    let two_faults = Cast {
-        name: "t2_stale_plus_crash",
-        faults: vec![(0, FaultKind::StaleAfter(0)), (5, FaultKind::CrashAfter(2))],
-    };
-    assert!(two_faults.byzantine_count() <= 2, "within the t = 2 budget");
-    for cast in [Cast::honest(), two_faults] {
+    for cast in [Cast::honest(), cast_t2_stale_plus_crash()] {
         let stats = scenario.explore(ReadPath::Fast, &cast, 0xD0BE, budget, 400);
         assert!(stats.runs > 0, "the explorer must run at least once");
         assert!(
@@ -334,5 +342,173 @@ fn exhaustive_drop_late_and_deliver_late_agree_on_final_state() {
             deliver_views, drop_views,
             "both policies must leave identical final register state on every object"
         );
+    }
+}
+
+/// The four scripts in which a register is written three times, so its
+/// objects forget.
+fn spanning_read_scenarios() -> [Scenario; 4] {
+    [
+        scenario_three_writes_spanning_read(),
+        scenario_two_writers_spanning_read(),
+        scenario_t2_three_writes_spanning_read(),
+        scenario_t2_two_writers_spanning_read(),
+    ]
+}
+
+/// No other scenario writes one register three times, so these are the
+/// only sweeps that can see what forgetting does — provided it happens:
+/// on the undelayed schedule every object ends holding exactly the two
+/// newest pairs of each writer's register.
+#[test]
+fn exhaustive_forgetting_fires_in_the_spanning_read_scenarios() {
+    for scenario in spanning_read_scenarios() {
+        let (outcome, views, _, _) = run_both_policies(&scenario, ReadPath::Slow, 0);
+        assert!(
+            outcome.is_clean(),
+            "{}: {:?}",
+            scenario.name,
+            outcome.violations
+        );
+        let n = u64::from(scenario.n_writers);
+        for object in &views {
+            for w in 0..n {
+                // Writer `w` wrote 10 · (w + 1 + kn) for k = 0, 1, 2.
+                let values: Vec<Option<u64>> = object[w as usize]
+                    .hist
+                    .iter()
+                    .map(|s| s.pair.val.as_u64())
+                    .collect();
+                let kth = |k: u64| Some(10 * (w + 1 + k * n));
+                assert_eq!(values, [kth(1), kth(2)], "{} writer {w}", scenario.name);
+            }
+        }
+    }
+}
+
+/// One differential sweep of [`scenario_three_writes_spanning_read`]:
+/// every schedule is clean with every op complete, returns what objects
+/// that never forget return, in as many rounds, and the largest round
+/// count of any op is `max_rounds`.
+fn assert_forgetting_is_invisible(
+    path: ReadPath,
+    cast: &Cast,
+    masks: impl Iterator<Item = u64>,
+    max_rounds: u32,
+) {
+    let scenario = scenario_three_writes_spanning_read();
+    let diff = scenario.sweep_beside_never_forgets(path, cast, masks);
+    if !diff.failures.is_empty() {
+        let paths = write_failure_reports(&report_dir(), &scenario, path, cast, &diff.failures)
+            .expect("write failure reports");
+        panic!(
+            "{} schedules fail under cast {} / {path:?}; minimized repros in {paths:?}",
+            diff.failures.len(),
+            cast.name
+        );
+    }
+    assert_eq!(
+        diff.pairs_differ.first(),
+        None,
+        "{} masks return a different pair beside never-forgetting objects ({} / {path:?})",
+        diff.pairs_differ.len(),
+        cast.name
+    );
+    assert_eq!(
+        diff.rounds_differ.first(),
+        None,
+        "{} masks take a different number of rounds beside never-forgetting objects \
+         ({} / {path:?}): report them, do not re-pin",
+        diff.rounds_differ.len(),
+        cast.name
+    );
+    assert_eq!(diff.max_rounds, max_rounds, "{} / {path:?}", cast.name);
+}
+
+/// Every one of the 2^16 schedules of the three-writes script, all
+/// objects honest, on both read paths: no op needs more than the
+/// contention-free four rounds.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "2^16 masks, each run twice: --release only"
+)]
+fn exhaustive_three_writes_sweep_matches_never_forgetting_objects() {
+    let universe = 0..1 << scenario_three_writes_spanning_read().universe_bits();
+    for path in [ReadPath::Slow, ReadPath::Fast] {
+        assert_forgetting_is_invisible(path, &Cast::honest(), universe.clone(), 4);
+    }
+}
+
+/// The same under every single-fault cast. The forger is the exception
+/// twice over: beside it no collect can terminate short of hearing all
+/// three honest objects, so an op with a delayed link spins one empty
+/// round per two ticks of [`rastor_check::DELAY`] — 2 002 rounds, with or
+/// without forgetting, and 17 minutes a sweep. It gets the 2^8 masks that
+/// delay only the two later writes (ops 2 and 3, the high eight bits).
+fn sweep_three_writes_under_single_faults(path: ReadPath) {
+    let universe = 0..1u64 << scenario_three_writes_spanning_read().universe_bits();
+    for cast in casts_single_fault() {
+        if cast.faults[0].1 == FaultKind::ForgeHigh {
+            let later_writes_only = universe.clone().filter(|mask| mask & 0xff == 0);
+            assert_forgetting_is_invisible(path, &cast, later_writes_only, 2_002);
+        } else {
+            assert_forgetting_is_invisible(path, &cast, universe.clone(), 4);
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "2^16 masks, each run twice: --release only"
+)]
+fn exhaustive_three_writes_sweep_under_single_faults_slow_reads() {
+    sweep_three_writes_under_single_faults(ReadPath::Slow);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "2^16 masks, each run twice: --release only"
+)]
+fn exhaustive_three_writes_sweep_under_single_faults_fast_reads() {
+    sweep_three_writes_under_single_faults(ReadPath::Fast);
+}
+
+/// The larger scripts — two writers each writing three times at `t = 1`,
+/// and both scripts on seven objects — under budgeted exploration (random
+/// held-message schedules, their perturbations, random delay masks) on
+/// both read paths, honest and with the fault budget spent. The run cap is
+/// the budget, so the pinned round count is reproducible: no op needs
+/// more than the contention-free four.
+#[test]
+fn exhaustive_forgetting_budgeted_exploration_stays_atomic() {
+    for scenario in &spanning_read_scenarios()[1..] {
+        assert!(scenario.universe_bits() > 24, "{}", scenario.name);
+        let spent = match scenario.t {
+            1 => Cast::single("crash_after_3", 1, FaultKind::CrashAfter(3)),
+            _ => cast_t2_stale_plus_crash(),
+        };
+        for cast in [Cast::honest(), spent] {
+            for path in [ReadPath::Slow, ReadPath::Fast] {
+                let stats = scenario.explore(path, &cast, 0xD0BE, Duration::MAX, 400);
+                assert!(
+                    stats.is_clean(),
+                    "{} under cast {} / {path:?}: {:?} {:?}",
+                    scenario.name,
+                    cast.name,
+                    stats.mask_failures,
+                    stats.schedule_failures
+                );
+                assert_eq!(
+                    (stats.runs, stats.max_rounds),
+                    (400, 4),
+                    "{} under cast {} / {path:?}",
+                    scenario.name,
+                    cast.name
+                );
+            }
+        }
     }
 }

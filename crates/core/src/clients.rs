@@ -191,9 +191,9 @@ impl RoundClient<Req, Rep> for AbdReadClient {
 ///
 /// The pre-write phase is what makes unauthenticated data attributable: any
 /// process that later observes `w = ts` at a *correct* object can conclude
-/// that `(ts, v)` was adopted by ≥ t+1 correct objects' histories, because a
-/// correct object only commits after the writer finished pre-writing at a
-/// full quorum.
+/// that `(ts, v)` was adopted by ≥ t+1 correct objects, because a correct
+/// object only commits after the writer finished pre-writing at a full
+/// quorum.
 #[derive(Debug)]
 pub struct ByzWriteClient(QuorumWrite);
 

@@ -26,9 +26,39 @@
 //!   fault budget — so the predicate can only fire for fresh candidates.
 //!   Conversely the predicate eventually fires (wait-freedom): once every
 //!   correct object has replied in a round that started after a claimed
-//!   commit, the claimed pair has ≥ t+1 history vouchers (histories are
-//!   monotone), ratcheting the candidate upward; only genuinely concurrent
-//!   writes can defer the decision, and only by one round each.
+//!   commit, the claimed pair has ≥ t+1 history vouchers, ratcheting the
+//!   candidate upward; only genuinely concurrent writes can defer the
+//!   decision, and only by one round each.
+//!
+//! ### What an object may forget
+//!
+//! An object remembers the **two largest** pairs it adopted per register
+//! (`crate::object`), not all of them.
+//!
+//! *Safety does not depend on what is forgotten.* Every rule that returns a
+//! pair — the unauthenticated rule, its ⊥ fallback, the authenticated
+//! rule, [`CollectEngine::fast_confirmed`] — reads `hist` only to **add**
+//! vouchers to `occ`; freshness (the justifiability count, the
+//! no-newer-claim test) reads `pw`/`w` alone, and forgetting never touches
+//! those. So on any reply set, a pair decided from views with history
+//! entries deleted is vouched by ≥ t+1 and justifiable on the undeleted
+//! views too, and is at most the pair they would decide: deletion can
+//! delay a decision, never license one. (`collect_properties.rs` checks
+//! exactly this.)
+//!
+//! *Liveness is why two is enough.* A pair `q` leaves an object only once
+//! that object holds `m < x` above it in the same register. Each register
+//! has one sequential issuer (writer `h` for `Writer(base + h)`, reader
+//! `h`'s write-back for `ReaderReg(base + h)` — the precondition
+//! `crate::mwmr`'s pipelining caveat states; ABD's multi-issuer `Store`
+//! path reads `w` only), so `x` was issued after `m` completed and ≥ t+1
+//! correct objects hold `w ≥ m > q` forever: no collect evaluated on
+//! views that fresh can justify `q`, with or without its vouchers. The one
+//! observable difference is a reader still holding views older than `m`'s
+//! completion; its next round replaces them, so forgetting costs it at
+//! most that round. (`rastor_check` runs every schedule of its
+//! three-writes scenarios beside an object that never forgets and compares
+//! returned pairs and round counts.)
 //!
 //! The engine therefore decides in 2 collect rounds in contention-free runs
 //! (`min_rounds` defaults to 2, matching the worst-case round structure of
@@ -319,7 +349,14 @@ impl CollectEngine {
             let Some(view) = views.get(&reg) else {
                 continue;
             };
+            // One object is one voucher however often its view repeats a
+            // pair (a forged history may, as may differing tokens).
+            let mut counted: Vec<&TsVal> = Vec::new();
             for s in view.pairs() {
+                if counted.contains(&&s.pair) {
+                    continue;
+                }
+                counted.push(&s.pair);
                 let e = occ.entry(s.pair.clone()).or_insert((0, s.clone()));
                 e.0 += 1;
             }
@@ -516,6 +553,24 @@ mod tests {
         let st = e.on_reply(ObjectId(3), 1, &bottom_view());
         // occ(99) = 1 < t+1 = 2, so 99 is not a candidate; ⊥ is justified
         // because the single higher-claimer fits in the fault budget.
+        assert_eq!(st, CollectStatus::Decided);
+        assert!(e.decisions()[&RegId::WRITER].pair.is_bottom());
+    }
+
+    #[test]
+    fn one_object_repeating_a_pair_is_one_voucher() {
+        let mut e = engine();
+        // A lone forger lists its fabrication t + 1 times in its history.
+        let forged = stamped(99, 666);
+        let loud = view(
+            forged.clone(),
+            forged.clone(),
+            vec![forged.clone(), forged.clone(), forged],
+        );
+        e.on_reply(ObjectId(0), 1, &loud);
+        e.on_reply(ObjectId(1), 1, &bottom_view());
+        e.on_reply(ObjectId(2), 1, &bottom_view());
+        let st = e.on_reply(ObjectId(3), 1, &bottom_view());
         assert_eq!(st, CollectStatus::Decided);
         assert!(e.decisions()[&RegId::WRITER].pair.is_bottom());
     }

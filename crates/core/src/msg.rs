@@ -91,10 +91,11 @@ pub struct ObjectView {
     pub pw: Stamped,
     /// The freshest committed pair.
     pub w: Stamped,
-    /// Every pair the object ever adopted for this register (pre-writes,
-    /// commits and stores), in ascending order. Histories are monotone: a
-    /// correct object never un-learns a pair, which defeats the
-    /// "overwritten evidence" problem in multi-round collects.
+    /// The largest pairs the object adopted for this register (pre-writes,
+    /// commits and stores), in ascending order — vouchers beyond `pw` and
+    /// `w` for a pair a slower object still reports. A correct object sends
+    /// its two largest (see `crate::object`); the codec and the decision
+    /// rule accept any length, since a Byzantine one sends what it likes.
     pub hist: Vec<Stamped>,
 }
 

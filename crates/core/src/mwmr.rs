@@ -33,6 +33,9 @@
 //! (the kv store: across keys) but must serialize same-writer operations
 //! on one group. `rastor_kv` enforces this with its per-key in-flight
 //! rule; the write-back register of reads needs the same discipline.
+//! The same single-sequential-issuer precondition is what lets objects
+//! forget all but a register's two largest pairs (`crate::collect`,
+//! "What an object may forget").
 
 use crate::clients::{collect_step, write_step, OpOutput};
 use crate::collect::{CollectEngine, QuorumWrite};

@@ -4,57 +4,70 @@
 //!
 //! * `pw` — the freshest *pre-written* pair (phase-1 of Byzantine writes);
 //! * `w` — the freshest *committed* pair (phase-2, or a crash-model store);
-//! * `hist` — every pair it ever adopted, never forgotten.
+//! * `hist` — the **two largest** pairs it has adopted; a smaller one is
+//!   forgotten the moment a third arrives (why two is enough is argued in
+//!   [`crate::collect`]'s header).
 //!
-//! All updates are monotone in timestamp order, so replayed or reordered
-//! client messages cannot roll the object's state back. The object replies
-//! to each request immediately and never initiates communication, matching
-//! the paper's object model.
+//! `pw` and `w` are monotone in timestamp order, so replayed or reordered
+//! client messages cannot roll the object's state back, and register state
+//! is a constant number of pairs however many writes it has seen. The
+//! object replies to each request immediately and never initiates
+//! communication, matching the paper's object model.
 
 use crate::msg::{AckKind, ObjectView, Rep, Req, Stamped};
 use rastor_common::{ClientId, RegId};
 use rastor_sim::ObjectBehavior;
 use std::collections::BTreeMap;
 
+/// How many adopted pairs a register remembers besides `pw` and `w`.
+const HIST_KEPT: usize = 2;
+
 /// State of one logical register on one object.
 #[derive(Clone, Debug, Default)]
 pub struct RegState {
     pw: Stamped,
     w: Stamped,
-    hist: BTreeMap<rastor_common::TsVal, Stamped>,
+    /// Ascending, at most [`HIST_KEPT`] entries.
+    hist: Vec<Stamped>,
 }
 
 impl RegState {
+    /// Remember `s` among the [`HIST_KEPT`] largest adopted pairs, dropping
+    /// the smallest when it does not fit — which may be `s` itself.
     fn adopt_hist(&mut self, s: &Stamped) {
         #[cfg(any(debug_assertions, feature = "ghost"))]
         assert!(
             !self
                 .hist
-                .keys()
-                .any(|k| k.ts == s.pair.ts && k.val != s.pair.val),
+                .iter()
+                .any(|h| h.pair.ts == s.pair.ts && h.pair.val != s.pair.val),
             "ghost: two distinct values share timestamp {:?} in one register \
              (per-writer timestamp uniqueness violated): {:?}",
             s.pair.ts,
             s.pair
         );
-        self.hist.entry(s.pair.clone()).or_insert_with(|| s.clone());
+        if let Err(at) = self.hist.binary_search_by(|h| h.pair.cmp(&s.pair)) {
+            self.hist.insert(at, s.clone());
+            if self.hist.len() > HIST_KEPT {
+                self.hist.remove(0);
+            }
+        }
     }
 
     fn pre_write(&mut self, s: Stamped) {
         #[cfg(any(debug_assertions, feature = "ghost"))]
-        let (old_pw, old_hist) = (self.pw.pair.clone(), self.hist.len());
+        let old = self.clone();
         self.adopt_hist(&s);
         if s.pair > self.pw.pair {
             self.pw = s;
         }
         #[cfg(any(debug_assertions, feature = "ghost"))]
-        self.ghost_monotone(&old_pw, None, old_hist);
+        self.ghost_monotone(&old);
     }
 
     fn commit(&mut self, s: Stamped) {
         #[cfg(any(debug_assertions, feature = "ghost"))]
-        let (old_pw, old_w, old_hist) =
-            (self.pw.pair.clone(), self.w.pair.clone(), self.hist.len());
+        let old = self.clone();
         self.adopt_hist(&s);
         if s.pair > self.pw.pair {
             self.pw = s.clone();
@@ -63,28 +76,38 @@ impl RegState {
             self.w = s;
         }
         #[cfg(any(debug_assertions, feature = "ghost"))]
-        self.ghost_monotone(&old_pw, Some(&old_w), old_hist);
+        self.ghost_monotone(&old);
     }
 
-    /// Ghost: no update may roll `pw`/`w` back, shrink the history, or
-    /// leave `w` ahead of `pw` (commits also pre-write). Compiled out in
-    /// release builds unless the `ghost` feature is on.
+    /// Ghost: no update may roll `pw`/`w` back or leave `w` ahead of `pw`
+    /// (commits also pre-write); the history holds at most [`HIST_KEPT`]
+    /// pairs, its largest is `pw`, and a pair leaves it only under
+    /// [`HIST_KEPT`] larger ones. Compiled out in release builds unless the
+    /// `ghost` feature is on.
     #[cfg(any(debug_assertions, feature = "ghost"))]
-    fn ghost_monotone(
-        &self,
-        old_pw: &rastor_common::TsVal,
-        old_w: Option<&rastor_common::TsVal>,
-        old_hist: usize,
-    ) {
-        assert!(self.pw.pair >= *old_pw, "ghost: pw regressed");
-        if let Some(w) = old_w {
-            assert!(self.w.pair >= *w, "ghost: w regressed");
-        }
+    fn ghost_monotone(&self, old: &RegState) {
+        assert!(self.pw.pair >= old.pw.pair, "ghost: pw regressed");
+        assert!(self.w.pair >= old.w.pair, "ghost: w regressed");
         assert!(
             self.w.pair <= self.pw.pair,
             "ghost: committed past pre-written"
         );
-        assert!(self.hist.len() >= old_hist, "ghost: history shrank");
+        assert!(
+            self.hist.len() <= HIST_KEPT,
+            "ghost: history holds {} pairs",
+            self.hist.len()
+        );
+        assert!(
+            self.pw.pair.is_bottom() || self.hist.last().map(|h| &h.pair) == Some(&self.pw.pair),
+            "ghost: largest remembered pair is not pw"
+        );
+        for gone in old.hist.iter().filter(|h| !self.hist.contains(h)) {
+            assert!(
+                self.hist.len() == HIST_KEPT && self.hist.iter().all(|h| h.pair > gone.pair),
+                "ghost: forgot {:?} without {HIST_KEPT} larger pairs",
+                gone.pair
+            );
+        }
     }
 
     /// Render the externally visible view.
@@ -92,24 +115,26 @@ impl RegState {
         ObjectView {
             pw: self.pw.clone(),
             w: self.w.clone(),
-            hist: self.hist.values().cloned().collect(),
+            hist: self.hist.clone(),
         }
     }
 
     /// Rebuild register state from a rendered view — the inverse of
     /// [`RegState::view`], used by durability layers to restore a
     /// snapshotted object. Lossless because a view carries the complete
-    /// state (`pw`, `w`, full history).
+    /// state (`pw`, `w`, the remembered pairs); a longer history (a forged
+    /// view, a snapshot from before histories were bounded) is cut to its
+    /// largest pairs.
     pub fn from_view(view: &ObjectView) -> RegState {
-        RegState {
+        let mut state = RegState {
             pw: view.pw.clone(),
             w: view.w.clone(),
-            hist: view
-                .hist
-                .iter()
-                .map(|s| (s.pair.clone(), s.clone()))
-                .collect(),
+            hist: Vec::new(),
+        };
+        for s in &view.hist {
+            state.adopt_hist(s);
         }
+        state
     }
 }
 
@@ -138,10 +163,7 @@ impl HonestObject {
     pub fn apply(&mut self, req: &Req) -> Rep {
         match req {
             Req::Collect { regs } => Rep::Views {
-                views: regs
-                    .iter()
-                    .map(|r| (*r, self.regs.entry(*r).or_default().view()))
-                    .collect(),
+                views: regs.iter().map(|r| (*r, self.view_of(*r))).collect(),
             },
             Req::Store { reg, pair } => {
                 // Crash-model store: a single-phase commit.
@@ -181,8 +203,9 @@ impl HonestObject {
 
     /// Export the complete state of every materialized register — the
     /// durability snapshot hook. A view is the *full* register state
-    /// (`pw`, `w`, entire history), so the export round-trips through
-    /// [`HonestObject::from_export`] losslessly.
+    /// (`pw`, `w`, the remembered pairs), so the export round-trips through
+    /// [`HonestObject::from_export`] losslessly, and its size depends on
+    /// the number of registers, not on the number of writes.
     pub fn export_regs(&self) -> Vec<(RegId, ObjectView)> {
         self.regs.iter().map(|(r, s)| (*r, s.view())).collect()
     }
@@ -268,20 +291,58 @@ mod tests {
     }
 
     #[test]
-    fn history_never_forgets() {
+    fn history_keeps_the_two_newest_pairs() {
         let mut obj = HonestObject::new();
+        let pairs = |obj: &HonestObject| -> Vec<Stamped> { obj.view_of(RegId::WRITER).hist };
         for ts in 1..=4 {
             obj.apply(&Req::PreWrite {
                 reg: RegId::WRITER,
                 pair: stamped(ts, ts * 10),
             });
         }
+        assert_eq!(pairs(&obj), [stamped(3, 30), stamped(4, 40)]);
+        assert_eq!(obj.view_of(RegId::WRITER).pw, stamped(4, 40));
+
+        // A late pre-write below both is acked and never stored…
+        let rep = obj.apply(&Req::PreWrite {
+            reg: RegId::WRITER,
+            pair: stamped(1, 10),
+        });
+        assert!(rep.is_ack(RegId::WRITER, AckKind::PreWrite));
         let view = obj.view_of(RegId::WRITER);
-        assert_eq!(view.hist.len(), 4);
+        assert_eq!(view.hist, [stamped(3, 30), stamped(4, 40)]);
         assert_eq!(view.pw, stamped(4, 40));
-        for ts in 1..=4 {
-            assert!(view.vouches_for(&stamped(ts, ts * 10).pair));
+        assert!(view.w.pair.is_bottom());
+        assert!(!view.vouches_for(&stamped(1, 10).pair));
+
+        // …while a late commit still raises `w`, which is what freshness
+        // is read from.
+        obj.apply(&Req::Commit {
+            reg: RegId::WRITER,
+            pair: stamped(2, 20),
+        });
+        let view = obj.view_of(RegId::WRITER);
+        assert_eq!(view.w, stamped(2, 20));
+        assert_eq!(view.pw, stamped(4, 40));
+        assert_eq!(view.hist, [stamped(3, 30), stamped(4, 40)]);
+    }
+
+    #[test]
+    fn a_collect_writes_nothing() {
+        let mut obj = HonestObject::new();
+        obj.apply(&Req::Commit {
+            reg: RegId::WRITER,
+            pair: stamped(1, 10),
+        });
+        let before = obj.export_regs();
+        for _ in 0..3 {
+            let rep = obj.apply(&Req::Collect {
+                regs: vec![RegId::WRITER, RegId::ReaderReg(0), RegId::Writer(9)],
+            });
+            assert_eq!(rep.view_of(RegId::Writer(9)), Some(&ObjectView::default()));
         }
+        assert_eq!(obj.num_regs(), 1);
+        assert_eq!(obj.export_regs(), before);
     }
 
     #[test]

@@ -16,7 +16,8 @@ fn stamped(ts: u64) -> Stamped {
 }
 
 /// A correct object's view after observing pre-writes up to `pw` and
-/// commits up to `w` (histories contain everything adopted).
+/// commits up to `w`, with everything it adopted in the history — what an
+/// object that never forgets would report, a superset of the real one's.
 fn honest_view(pw: u64, w: u64) -> ObjectView {
     let hist: Vec<Stamped> = (1..=pw).map(stamped).collect();
     ObjectView {
@@ -44,7 +45,112 @@ fn forged_view(ts: u64, val: u64) -> ObjectView {
     }
 }
 
+/// One view per replying object, decoded from one random word each: a
+/// non-replier, a forger (arbitrary `pw`/`w`, a history mixing genuine and
+/// never-written pairs) or an honest object at an arbitrary lag.
+fn reply_set(objects: usize, writes: u64, words: &[u64]) -> Vec<(u32, ObjectView)> {
+    let mut out = Vec::new();
+    for (oid, &x) in words.iter().take(objects).enumerate() {
+        let (a, b, c) = ((x >> 3) % 64, (x >> 9) % 64, (x >> 15) % 64);
+        let view = match x % 8 {
+            0 => continue,
+            1 | 2 => {
+                let pair = |n: u64| {
+                    let ts = n % (writes + 3);
+                    let val = if n & 32 == 0 { ts * 100 } else { n };
+                    Stamped::plain(TsVal::new(Timestamp(ts), Value::from_u64(val)))
+                };
+                ObjectView {
+                    pw: pair(a),
+                    w: pair(b),
+                    hist: (0..c % 5).map(|i| pair(a + b * i + c)).collect(),
+                }
+            }
+            _ => {
+                let pw = a % (writes + 1);
+                honest_view(pw, b % (pw + 1))
+            }
+        };
+        out.push((oid as u32, view));
+    }
+    out
+}
+
+/// The unauthenticated engine's verdict on exactly this reply set: the
+/// views arrive in round 1 (too early to decide), then round 2 opens and
+/// one re-sent reply makes the engine evaluate all of them at once.
+fn decide_on(
+    cfg: ClusterConfig,
+    replies: &[(u32, ObjectView)],
+) -> (CollectEngine, Option<Stamped>) {
+    let mut e = CollectEngine::unauth(cfg, vec![RegId::WRITER]);
+    let rep = |v: &ObjectView| Rep::Views {
+        views: vec![(RegId::WRITER, v.clone())],
+    };
+    for (oid, v) in replies {
+        e.on_reply(ObjectId(*oid), 1, &rep(v));
+    }
+    e.begin_round();
+    if let Some((oid, v)) = replies.first() {
+        e.on_reply(ObjectId(*oid), 2, &rep(v));
+    }
+    let decision = e.decisions().get(&RegId::WRITER).cloned();
+    (e, decision)
+}
+
 proptest! {
+    /// The lemma in `collect.rs`'s header, "safety does not depend on what
+    /// is forgotten": delete any history entries from any views, and
+    /// whatever the engine then decides is vouched by ≥ t + 1 and
+    /// justifiable on the *undeleted* views, is at most what those decide,
+    /// and carries a fast-path certificate on one side iff on the other.
+    #[test]
+    fn deleting_history_entries_never_licenses_a_decision(
+        t in 1usize..3,
+        writes in 1u64..7,
+        words in proptest::collection::vec(0u64..u64::MAX, 7..8),
+        cuts in proptest::collection::vec(0u64..u64::MAX, 7..8),
+    ) {
+        let cfg = ClusterConfig::byzantine(t).unwrap();
+        let full = reply_set(cfg.num_objects(), writes, &words);
+        let cut: Vec<(u32, ObjectView)> = full
+            .iter()
+            .map(|(oid, v)| {
+                let mut v = v.clone();
+                let mut bit = 0;
+                v.hist.retain(|_| {
+                    bit += 1;
+                    cuts[*oid as usize] >> bit & 1 == 0
+                });
+                (*oid, v)
+            })
+            .collect();
+        let (full_engine, full_decision) = decide_on(cfg, &full);
+        let (cut_engine, cut_decision) = decide_on(cfg, &cut);
+
+        if let Some(d) = &cut_decision {
+            let vouchers = full.iter().filter(|(_, v)| v.vouches_for(&d.pair)).count();
+            prop_assert!(
+                d.pair.is_bottom() || vouchers >= cfg.vouch(),
+                "{:?} decided on {} full-view vouchers", d, vouchers
+            );
+            let higher = full.iter().filter(|(_, v)| v.w.pair.ts > d.pair.ts).count();
+            prop_assert!(
+                cfg.num_objects() - full.len() + higher <= t,
+                "{:?} is not justifiable on the full views", d
+            );
+            let f = full_decision.as_ref();
+            prop_assert!(
+                f.is_some_and(|f| d.pair <= f.pair),
+                "cut views decide {:?}, full views {:?}", d, f
+            );
+        }
+        for ts in 0..writes + 3 {
+            let p = if ts == 0 { Stamped::bottom() } else { stamped(ts) };
+            prop_assert_eq!(full_engine.fast_confirmed(&p), cut_engine.fast_confirmed(&p));
+        }
+    }
+
     /// After a complete write at ts* (commit quorum = S−t objects), any
     /// reply set that lets the engine decide yields a genuine pair ≥ ts*.
     #[test]

@@ -12,9 +12,10 @@
 //! the in-memory state and replying; if the append fails, the object
 //! returns no reply at all — to the protocol that is indistinguishable
 //! from a crash, which is exactly the fault model the quorums already
-//! tolerate. A recovered object therefore vouches for every pair it ever
-//! acked, which is what lets it rejoin its quorum as a *correct* (if
-//! forgetful-of-nothing) object rather than a Byzantine one.
+//! tolerate. A recovered object therefore holds exactly the state — `pw`,
+//! `w` and the two newest pairs per register — that its acks had built,
+//! which is what lets it rejoin its quorum as a *correct* object rather
+//! than a Byzantine one.
 //!
 //! **Durability scope.** By default the invariant holds against *process
 //! kills*: records reach the OS page cache at ack time, so killing the
@@ -30,12 +31,19 @@
 //! some prefix of the logged mutations — and because [`HonestObject`]
 //! updates are monotone in timestamp order, pairs the object adopted but
 //! never acked may be missing without any protocol-visible effect.
+//! Replaying records a snapshot already covers changes nothing: `pw`/`w`
+//! only move up, and a replayed pair below the two newest is not retained.
+//!
+//! *Snapshots are staggered.* Every `snapshot_every` logged mutations an
+//! object writes its full register state and resets its log; the objects
+//! of a shard start that cycle out of phase (`snapshot_phase`), so the
+//! request that makes one of them compact finds the others answering.
 //!
 //! *Timestamps survive.* Snapshots and WAL records persist full
 //! [`Stamped`](rastor_core::msg::Stamped) pairs (timestamps, values and
 //! secret-model tokens), so a recovered object answers collects with the
-//! same `(ts, val)` evidence it held before the kill — no history rewind,
-//! no fresh-epoch renumbering.
+//! same `(ts, val)` evidence it held before the kill — no rewind, no
+//! fresh-epoch renumbering.
 //!
 //! *One byte layout.* A WAL record's payload is the mutation as
 //! [`rastor_core::codec`] encodes a [`Req`]; a snapshot record's payload is
@@ -67,6 +75,18 @@ pub struct RecoveryStats {
     pub truncated_bytes: u64,
 }
 
+/// Where in its `every`-mutation cycle object `id` starts counting. The
+/// objects of one shard log the same mutations in the same order, so from
+/// a common start all `3t + 1` of them would compact on the same request
+/// and the shard would stop for that many snapshot writes at once; spaced
+/// by the golden ratio, any number of ids stay apart, one compacts at a
+/// time and the other `3t` are a quorum. Id 0 starts at 0.
+fn snapshot_phase(id: ObjectId, every: u64) -> u64 {
+    // frac(id / φ) as a 32-bit fixed-point fraction of the cycle.
+    let frac = u128::from(id.0.wrapping_mul(0x9E37_79B9));
+    ((frac * u128::from(every)) >> 32) as u64
+}
+
 fn wal_path(dir: &Path, id: ObjectId) -> PathBuf {
     dir.join(format!("obj-{}.wal", id.0))
 }
@@ -84,6 +104,8 @@ pub struct DurableObject {
     wal: Wal,
     snap: PathBuf,
     snapshot_every: u64,
+    /// Mutations logged since the last snapshot, plus — until the first
+    /// snapshot after an open — the object's `snapshot_phase`.
     since_snapshot: u64,
     /// `fdatasync` after every logged mutation (power-loss durability).
     fsync: bool,
@@ -149,18 +171,22 @@ impl DurableObject {
             }
             obj.apply(&req);
         }
+        let snapshot_every = snapshot_every.max(1);
         Ok((
             DurableObject {
                 obj,
                 wal,
                 snap,
-                snapshot_every: snapshot_every.max(1),
+                snapshot_every,
                 // The replayed records are mutations since the last
                 // snapshot: seed the counter with them, or a deployment
                 // killed every < snapshot_every mutations would never
                 // compact and its WAL (and recovery time) would grow
-                // without bound.
-                since_snapshot: replay.records,
+                // without bound. The phase only ever makes the first
+                // snapshot after an open come sooner.
+                since_snapshot: replay
+                    .records
+                    .saturating_add(snapshot_phase(id, snapshot_every)),
                 fsync,
                 broken: false,
             },
@@ -462,6 +488,79 @@ mod tests {
             "the log must have been compacted: {stats:?}"
         );
         assert_eq!(obj.object().export_regs(), before);
+    }
+
+    /// A snapshot holds what the object holds — `pw`, `w` and the two
+    /// newest pairs per register — so its size depends on the number of
+    /// registers, not on the number of writes they have seen.
+    #[test]
+    fn snapshot_size_does_not_grow_with_writes() {
+        let dir = TempDir::new("durable-flat-snapshot");
+        let id = ObjectId(0);
+        let (mut obj, _) = DurableObject::open(dir.path(), id, 1).expect("open");
+        let mut snapshot_len_after = |writes: std::ops::RangeInclusive<u64>| {
+            drive(&mut obj, writes.map(|i| commit(i, i)));
+            std::fs::metadata(snap_path(dir.path(), id))
+                .expect("snapshot file")
+                .len()
+        };
+        let after_10 = snapshot_len_after(1..=10);
+        let after_1000 = snapshot_len_after(11..=1000);
+        assert_eq!(after_10, after_1000);
+    }
+
+    /// The objects of a shard log the same mutations in the same order;
+    /// their snapshot cycles are out of phase, so no request makes two of
+    /// them compact, and each still compacts every `snapshot_every`.
+    #[test]
+    fn objects_fed_the_same_mutations_snapshot_one_at_a_time() {
+        let dir = TempDir::new("durable-staggered");
+        for (every, objects) in [(8u64, 4u32), (DEFAULT_SNAPSHOT_EVERY, 7)] {
+            let mut objs: Vec<DurableObject> = (0..objects)
+                .map(|i| {
+                    let dir = dir.path().join(every.to_string());
+                    DurableObject::open(&dir, ObjectId(i), every)
+                        .expect("open")
+                        .0
+                })
+                .collect();
+            let mut snapshots = vec![Vec::new(); objs.len()];
+            for n in 1..=3 * every {
+                for (obj, at) in objs.iter_mut().zip(&mut snapshots) {
+                    drive(obj, [commit(n, n)]);
+                    if obj.since_snapshot == 0 {
+                        at.push(n);
+                    }
+                }
+                let compacted = snapshots.iter().filter(|at| at.last() == Some(&n));
+                assert!(compacted.count() <= 1, "two snapshots on request {n}");
+            }
+            assert_eq!(snapshots[0], [every, 2 * every, 3 * every]);
+            for at in &snapshots {
+                assert!(at[0] <= every && at.windows(2).all(|w| w[1] - w[0] == every));
+            }
+        }
+    }
+
+    /// A collect materializes nothing, so an object that has only served
+    /// collects since its last mutation equals its own recovery.
+    #[test]
+    fn a_collect_only_interval_leaves_live_and_recovered_state_equal() {
+        let dir = TempDir::new("durable-collect-only");
+        let id = ObjectId(0);
+        let (mut obj, _) = DurableObject::open(dir.path(), id, 1024).expect("open");
+        drive(&mut obj, [commit(1, 1)]);
+        let before = obj.object().export_regs();
+        for _ in 0..3 {
+            let regs = vec![RegId::WRITER, RegId::ReaderReg(0), RegId::Writer(5)];
+            obj.on_request(ClientId::reader(0), &Req::Collect { regs })
+                .expect("collect replies");
+        }
+        assert_eq!(obj.object().num_regs(), 1);
+        assert_eq!(obj.object().export_regs(), before);
+        drop(obj);
+        let (recovered, _) = DurableObject::open(dir.path(), id, 1024).expect("recover");
+        assert_eq!(recovered.object().export_regs(), before);
     }
 
     /// Regression: recovery seeds the compaction counter with the

@@ -123,18 +123,22 @@ fn random_corruption_always_replays_the_prefix_before_the_flip() {
 }
 
 /// The same guarantee one level up: a durable object whose WAL loses a
-/// random tail recovers exactly the state some prefix of its acked
-/// mutations produces — same registers, same timestamps, same histories.
+/// tail recovers exactly the state some prefix of its acked mutations
+/// produces — same registers, same timestamps, the same two remembered
+/// pairs — wherever the compacting snapshots fell.
 #[test]
 fn torn_object_logs_recover_prefix_consistent_register_state() {
+    const SNAPSHOT_EVERY: usize = 8;
     let dir = TempDir::new("torture-object");
     let mut rng = SplitMix64::new(0xD15C);
-    // A mutation history across a handful of registers; snapshots
-    // disabled (huge cadence) so the whole history lives in the WAL.
-    let history: Vec<Req> = (0..30u64)
-        .map(|i| {
+    // Three registers, well over five mutations each, timestamps out of
+    // order and repeating: late pairs land below the two an object keeps,
+    // and a snapshot boundary falls inside every register's sequence.
+    let history: Vec<Req> = (0..40u64)
+        .map(|_| {
             let reg = RegId::Writer(rng.gen_range(0, 3) as u32);
-            let pair = Stamped::plain(TsVal::new(Timestamp(i + 1), Value::from_u64(1000 + i)));
+            let ts = 1 + rng.gen_range(0, 12);
+            let pair = Stamped::plain(TsVal::new(Timestamp(ts), Value::from_u64(1000 + ts)));
             match rng.gen_range(0, 2) {
                 0 => Req::Store { reg, pair },
                 1 => Req::PreWrite { reg, pair },
@@ -142,40 +146,50 @@ fn torn_object_logs_recover_prefix_consistent_register_state() {
             }
         })
         .collect();
+    let reg_of = |req: &Req| match req {
+        Req::Store { reg, .. } | Req::PreWrite { reg, .. } | Req::Commit { reg, .. } => *reg,
+        Req::Collect { .. } => unreachable!("the history is mutations"),
+    };
+    for reg in (0..3).map(RegId::Writer) {
+        assert!(history.iter().filter(|req| reg_of(req) == reg).count() >= 5);
+    }
 
-    for keep in [0usize, 1, 7, 15, 29, 30] {
-        let obj_dir = dir.path().join(format!("keep-{keep}"));
-        let id = ObjectId(0);
-        let (mut obj, _) = DurableObject::open(&obj_dir, id, u64::MAX).expect("open");
-        for req in &history {
+    let id = ObjectId(0);
+    for written in 0..=history.len() {
+        let obj_dir = dir.path().join(format!("written-{written}"));
+        let (mut obj, _) = DurableObject::open(&obj_dir, id, SNAPSHOT_EVERY as u64).expect("open");
+        for req in &history[..written] {
             obj.on_request(ClientId::writer(), req).expect("acked");
         }
         drop(obj);
-        // Cut the WAL to exactly `keep` records (a record-boundary tear).
+        // The WAL holds what was logged since the last snapshot; tear it
+        // at every record boundary, longest first.
+        let snapshotted = written - written % SNAPSHOT_EVERY;
         let wal_path = obj_dir.join("obj-0.wal");
-        let (_, all, _) = Wal::open(&wal_path).expect("inspect");
-        assert_eq!(all.len(), history.len());
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&wal_path)
-            .expect("open for truncation");
-        f.set_len(boundary(&all, keep)).expect("truncate");
-        drop(f);
+        let (_, logged, _) = Wal::open(&wal_path).expect("inspect");
+        assert_eq!(logged.len(), written - snapshotted);
+        for keep in (0..=logged.len()).rev() {
+            let f = std::fs::OpenOptions::new()
+                .write(true)
+                .open(&wal_path)
+                .expect("open for truncation");
+            f.set_len(boundary(&logged, keep)).expect("truncate");
+            drop(f);
 
-        let (recovered, stats) = DurableObject::open(&obj_dir, id, u64::MAX).expect("recover");
-        assert_eq!(stats.wal_records, keep as u64);
-        // Reference: a fresh in-memory object given only the kept prefix.
-        let mut reference = HonestObject::new();
-        for req in &history[..keep] {
-            reference.apply(req);
+            let (recovered, stats) =
+                DurableObject::open(&obj_dir, id, SNAPSHOT_EVERY as u64).expect("recover");
+            assert_eq!(stats.wal_records, keep as u64);
+            // Reference: a fresh in-memory object given only the prefix.
+            let mut reference = HonestObject::new();
+            for req in &history[..snapshotted + keep] {
+                reference.apply(req);
+            }
+            assert_eq!(
+                recovered.object().export_regs(),
+                reference.export_regs(),
+                "{written} written, {keep} of the log kept: recovered state must equal \
+                 the prefix state"
+            );
         }
-        let mut got = recovered.object().export_regs();
-        let mut want = reference.export_regs();
-        got.sort_by_key(|(r, _)| *r);
-        want.sort_by_key(|(r, _)| *r);
-        assert_eq!(
-            got, want,
-            "keep {keep}: recovered state must equal the prefix state"
-        );
     }
 }

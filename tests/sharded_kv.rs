@@ -11,11 +11,15 @@
 mod common;
 
 use common::{assert_clean, assert_final_reads_see_newest_writes};
-use rastor::common::{ObjectId, Value};
+use rastor::common::{ClientId, ObjectId, Value};
 use rastor::core::adversary::SilentObject;
+use rastor::core::{codec, HonestObject, Rep, Req};
 use rastor::kv::workload::{self, Mix};
 use rastor::kv::{ShardedKvStore, StoreConfig};
+use rastor::sim::ObjectBehavior;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const SHARDS: usize = 4;
@@ -144,4 +148,71 @@ fn keys_spread_and_survive_per_shard_crashes() {
             Some(Value::from_u64(i))
         );
     }
+}
+
+/// An honest object that notes the encoded size of each collect reply it
+/// sends.
+struct Measured {
+    inner: HonestObject,
+    last_views_len: Arc<AtomicUsize>,
+}
+
+impl ObjectBehavior<Req, Rep> for Measured {
+    fn on_request(&mut self, _from: ClientId, req: &Req) -> Option<Rep> {
+        let rep = self.inner.apply(req);
+        if matches!(rep, Rep::Views { .. }) {
+            let mut frame = Vec::new();
+            codec::encode_rep(&rep, &mut frame);
+            self.last_views_len.store(frame.len(), Ordering::Relaxed);
+        }
+        Some(rep)
+    }
+}
+
+/// The bound itself: an object keeps a register's two newest pairs, so the
+/// reply to a collect over a key's group is as large after a thousand puts
+/// as after four — and hot keys under contention stay atomic.
+#[test]
+fn replies_do_not_grow_with_the_number_of_puts() {
+    let last_views_len = Arc::new(AtomicUsize::new(0));
+    let store = ShardedKvStore::spawn_with(StoreConfig::new(1, 1, 2), |_, oid| {
+        (oid == ObjectId(0)).then(|| {
+            Box::new(Measured {
+                inner: HonestObject::new(),
+                last_views_len: Arc::clone(&last_views_len),
+            }) as _
+        })
+    })
+    .expect("valid store");
+    let mut a = store.handle(0).expect("handle");
+    let mut b = store.handle(1).expect("handle");
+    let mut puts = 0u64;
+    // Alternate puts until each handle has done `each`, then read: the
+    // read's collect names every register of the key's group.
+    let mut group_reply_len_after = |each: u64| {
+        while puts < 2 * each {
+            for handle in [&mut a, &mut b] {
+                puts += 1;
+                handle.put("hot", Value::from_u64(puts)).expect("put");
+            }
+        }
+        assert_eq!(a.get("hot").expect("get"), Some(Value::from_u64(puts)));
+        last_views_len.load(Ordering::Relaxed)
+    };
+    let after_4 = group_reply_len_after(2);
+    let after_1000 = group_reply_len_after(500);
+    // Never-forgetting objects sent ~21 bytes more per put here.
+    assert!(
+        after_4 > 0 && after_1000 <= after_4 + 128,
+        "a group's collect reply grew from {after_4} bytes after 4 puts to {after_1000} after 1000"
+    );
+
+    let store = ShardedKvStore::spawn(StoreConfig::new(1, SHARDS, HANDLES)).expect("valid store");
+    let contended = Mix {
+        put_pct: 90,
+        depth: 4,
+        seed: 0xb0_0bed,
+        ..Mix::mixed(HANDLES, 4, 150)
+    };
+    assert_clean(&workload::start(&store, &contended).join(), "hot keys");
 }
