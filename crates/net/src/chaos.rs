@@ -105,7 +105,7 @@ impl ChaosCfg {
     /// coalesced request envelope per shard per flush*: dropping a
     /// request frame therefore starves **every** object of that shard
     /// for the round (the reply direction is gentler — one dropped reply
-    /// costs one object's answer). Since the client pool resubmits a
+    /// costs one object's answer). Since the client resubmits a
     /// stalled flush (see [`crate::NetCluster`]), a drop costs one
     /// resubmission interval — tens of milliseconds — not a whole op
     /// deadline, so soaks can run genuinely lossy links:

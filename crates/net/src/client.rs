@@ -5,18 +5,16 @@
 //! sharded kv store included) drives operations over TCP without a single
 //! protocol-level change.
 //!
-//! One `NetCluster` holds a small **connection pool** per server backing
-//! the cluster (size 1 by [`NetCluster::connect`], configurable by
-//! [`NetCluster::connect_pooled`]) and may be **shared by many clients**:
-//! each [`Transport::send_frames`] call registers the calling client's
-//! reply channel, clients are spread across a server's pool by client-id
-//! hash, and the reactor demultiplexes incoming reply envelopes to the
-//! right channel by the `to` client id the server echoes back. All pools
-//! are served by one client-side [`crate::reactor`] — thread count is
-//! fixed, however many handles share the cluster.
+//! One `NetCluster` holds **one connection per server** backing the
+//! cluster and may be **shared by many clients**: each
+//! [`Transport::send_frames`] call registers the calling client's reply
+//! channel, and the reactor demultiplexes incoming reply envelopes to the
+//! right channel by the `to` client id the server echoes back. All
+//! connections are served by one client-side [`crate::reactor`] — thread
+//! count is fixed, however many handles share the cluster.
 //!
 //! Sends stay best-effort, mirroring the channel substrate's crash
-//! semantics — but the cluster now *recovers* the transport underneath
+//! semantics — but the cluster *recovers* the transport underneath
 //! the contract: a dead connection is redialed with backoff, and each
 //! client's **latest unsuperseded flush** is resubmitted (on reconnect,
 //! and periodically while an op stalls) so a frame lost to a dropped
@@ -63,7 +61,7 @@ struct Pending {
     resubmits: u32,
 }
 
-/// One slot of one server's connection pool.
+/// The connection to one server.
 struct Endpoint {
     addr: SocketAddr,
     conn: Mutex<Option<ConnHandle>>,
@@ -73,40 +71,25 @@ struct Endpoint {
 
 struct ClientState {
     registry: Registry,
-    /// `addrs.len() * pool` endpoints, grouped by server:
-    /// `endpoints[server * pool + slot]`.
+    /// One endpoint per server, in address order.
     endpoints: Vec<Endpoint>,
-    pool: usize,
-    /// conn id → endpoint index, for routing closes back to their slot.
+    /// conn id → endpoint index, for routing closes back to their endpoint.
     by_conn: Mutex<HashMap<u64, usize>>,
     /// Endpoint indices whose connection is down, queued by `on_close`
     /// for redialing — the tick's work list, so a reactor iteration
-    /// costs O(down + stalled flushes), never O(endpoints): with a
-    /// thousand-connection pool, scanning every endpoint on every
-    /// readiness wakeup would be a per-connection cost on every frame.
+    /// costs O(down + stalled flushes), never O(endpoints).
     down: Mutex<Vec<usize>>,
     pending: Mutex<HashMap<ClientId, Pending>>,
     handle: OnceLock<ReactorHandle>,
     resubmissions: Arc<Counter>,
 }
 
-/// Spread a client over a server's pool slots.
-fn slot_of(client: ClientId, pool: usize) -> usize {
-    let key: u64 = match client {
-        ClientId::Writer => u64::MAX,
-        ClientId::Reader(i) => u64::from(i),
-    };
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % pool
-}
-
 impl ClientState {
-    /// Queue `bytes` on the client's pooled connection of every server.
-    /// Best-effort: a missing or saturated connection sheds the frame —
-    /// resubmission and the op deadline are the recovery path.
-    fn broadcast(&self, client: ClientId, bytes: &[u8]) {
-        let slot = slot_of(client, self.pool);
-        for server in 0..self.endpoints.len() / self.pool {
-            let ep = &self.endpoints[server * self.pool + slot];
+    /// Queue `bytes` on the connection to every server. Best-effort: a
+    /// missing or saturated connection sheds the frame — resubmission and
+    /// the op deadline are the recovery path.
+    fn broadcast(&self, bytes: &[u8]) {
+        for ep in &self.endpoints {
             if let Some(conn) = &*ep.conn.lock().expect("endpoint conn lock") {
                 let _ = conn.send(bytes.to_vec());
             }
@@ -169,15 +152,12 @@ impl ClientState {
                 // Frames in flight on the dead socket are gone; re-send
                 // every registered client's latest flush on the new
                 // connection so in-flight ops resume immediately.
-                let slot = idx % self.pool;
                 let mut pending = self.pending.lock().expect("pending lock");
-                for (client, p) in pending.iter_mut() {
-                    if slot_of(*client, self.pool) == slot {
-                        if let Some(conn) = &*ep.conn.lock().expect("endpoint conn lock") {
-                            if conn.send(p.bytes.clone()) {
-                                self.resubmissions.inc();
-                                p.last_sent = now;
-                            }
+                for p in pending.values_mut() {
+                    if let Some(conn) = &*ep.conn.lock().expect("endpoint conn lock") {
+                        if conn.send(p.bytes.clone()) {
+                            self.resubmissions.inc();
+                            p.last_sent = now;
                         }
                     }
                 }
@@ -221,8 +201,8 @@ impl Events for ClientState {
         };
         let ep = &self.endpoints[idx];
         let mut conn = ep.conn.lock().expect("endpoint conn lock");
-        // Only clear the slot if it still holds the closed connection (a
-        // redial may already have replaced it).
+        // Only clear the endpoint if it still holds the closed connection
+        // (a redial may already have replaced it).
         if conn.as_ref().is_some_and(|c| c.id() == conn_id) {
             *conn = None;
             drop(conn);
@@ -239,8 +219,8 @@ impl Events for ClientState {
         let mut fold = |t: Instant| next = Some(next.map_or(t, |n| n.min(t)));
 
         // Redial down endpoints — only those `on_close` queued, so a
-        // fully-connected pool pays nothing here however large it is.
-        // Endpoints still down after the attempt go back on the list.
+        // fully-connected cluster pays nothing here. Endpoints still down
+        // after the attempt go back on the list.
         let down: Vec<usize> = std::mem::take(&mut *self.down.lock().expect("down list lock"));
         if !down.is_empty() {
             let mut still_down = Vec::new();
@@ -254,10 +234,10 @@ impl Events for ClientState {
         }
 
         // Re-broadcast stalled flushes.
-        let mut due: Vec<(ClientId, Vec<u8>)> = Vec::new();
+        let mut due: Vec<Vec<u8>> = Vec::new();
         {
             let mut pending = self.pending.lock().expect("pending lock");
-            for (client, p) in pending.iter_mut() {
+            for p in pending.values_mut() {
                 if p.resubmits >= RESUBMIT_CAP {
                     continue;
                 }
@@ -265,16 +245,16 @@ impl Events for ClientState {
                 if at <= now {
                     p.last_sent = now;
                     p.resubmits += 1;
-                    due.push((*client, p.bytes.clone()));
+                    due.push(p.bytes.clone());
                     fold(now + RESUBMIT_EVERY);
                 } else {
                     fold(at);
                 }
             }
         }
-        for (client, bytes) in due {
+        for bytes in due {
             self.resubmissions.inc();
-            self.broadcast(client, &bytes);
+            self.broadcast(&bytes);
         }
         next
     }
@@ -337,24 +317,10 @@ impl NetCluster {
     ///
     /// [`Error::Io`] if any connection cannot be established.
     pub fn connect(addrs: &[SocketAddr]) -> Result<NetCluster> {
-        NetCluster::connect_pooled(addrs, 1)
-    }
-
-    /// Connect with a pool of `pool` connections per server. Clients
-    /// sharing the cluster are spread across a pool by client-id hash, so
-    /// many [`rastor_kv::KvHandle`]s multiplex over few sockets — and a
-    /// pool of a thousand costs no thread anywhere.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] if any initial connection cannot be established.
-    pub fn connect_pooled(addrs: &[SocketAddr], pool: usize) -> Result<NetCluster> {
-        let pool = pool.max(1);
         let now = Instant::now();
         let endpoints = addrs
             .iter()
-            .flat_map(|&addr| (0..pool).map(move |_| addr))
-            .map(|addr| Endpoint {
+            .map(|&addr| Endpoint {
                 addr,
                 conn: Mutex::new(None),
                 redial: Mutex::new((now, REDIAL_MIN)),
@@ -363,7 +329,6 @@ impl NetCluster {
         let state = Arc::new(ClientState {
             registry: Mutex::new(HashMap::new()),
             endpoints,
-            pool,
             by_conn: Mutex::new(HashMap::new()),
             down: Mutex::new(Vec::new()),
             pending: Mutex::new(HashMap::new()),
@@ -371,8 +336,8 @@ impl NetCluster {
             resubmissions: Obs::global().counter(names::NET_RESUBMISSIONS),
         });
         let reactor = Reactor::spawn(Arc::clone(&state) as Arc<dyn Events>, None)?;
-        // Establish the initial pool synchronously so a bad address fails
-        // the connect (redial-with-backoff takes over from here on).
+        // Dial every server synchronously so a bad address fails the
+        // connect (redial-with-backoff takes over from here on).
         let handle = reactor.handle();
         for (idx, ep) in state.endpoints.iter().enumerate() {
             let stream = TcpStream::connect(ep.addr)
@@ -391,26 +356,16 @@ impl NetCluster {
         })
     }
 
-    /// Number of connection slots (servers × pool size), not objects: a
-    /// server may host many objects.
+    /// Number of connections (one per server), not objects: a server may
+    /// host many objects.
     pub fn num_connections(&self) -> usize {
         self.state.endpoints.len()
-    }
-
-    /// Connections currently established (slots minus those awaiting
-    /// redial).
-    pub fn live_connections(&self) -> usize {
-        self.state
-            .endpoints
-            .iter()
-            .filter(|e| e.conn.lock().expect("endpoint conn lock").is_some())
-            .count()
     }
 }
 
 impl Transport<Req, Rep> for NetCluster {
-    /// Encode the batch once and queue it on the calling client's pooled
-    /// connection of every server — the wire twin of the channel
+    /// Encode the batch once and queue it on the connection to every
+    /// server — the wire twin of the channel
     /// substrate's one-envelope-per-object broadcast (each server fans
     /// the envelope out to the objects it hosts, which reply with
     /// per-object envelopes). The encoded flush replaces the client's
@@ -448,6 +403,6 @@ impl Transport<Req, Rep> for NetCluster {
                 resubmits: 0,
             },
         );
-        self.state.broadcast(from, &bytes);
+        self.state.broadcast(&bytes);
     }
 }

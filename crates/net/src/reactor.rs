@@ -1,16 +1,6 @@
 //! The poll-based reactor behind every socket endpoint in this crate: a
 //! readiness loop multiplexing many non-blocking connections onto a small
-//! fixed pool of worker threads.
-//!
-//! ## Why a reactor
-//!
-//! The first socket substrate spent threads the way the in-process one
-//! spends channels: one accept thread, two threads per connection, one
-//! thread per hosted object. That caps connection count at thread count
-//! and makes 10k connections a 20k-thread stunt. The reactor
-//! inverts the cost model the way event-driven group substrates do: cost
-//! grows with *active work* (frames moved), not with membership
-//! (connections open). [`ObjectServer`](crate::ObjectServer),
+//! fixed pool of worker threads. [`ObjectServer`](crate::ObjectServer),
 //! [`NetCluster`](crate::NetCluster), [`ChaosProxy`](crate::ChaosProxy)
 //! and the ops listener all run on it.
 //!
@@ -23,30 +13,17 @@
 //! 1. adopt newly registered connections, sweep externally closed ones;
 //! 2. give the handler a tick ([`Events::on_tick`]) and learn its next
 //!    timer deadline;
-//! 3. wait for readiness (`poll(2)`) on the *hot list* — the
-//!    connections with recent traffic or queued output — with that
-//!    deadline as the timeout, never longer than a coarse idle tick;
+//! 3. wait for readiness (`poll(2)`) on every connection it owns — for
+//!    output too on those with any queued — with that deadline as the
+//!    timeout, never longer than a coarse idle tick;
 //! 4. for each readable connection, read until `WouldBlock`, reassemble
 //!    whole frames ([`wire::frame_len`]) from the per-connection buffer,
 //!    and hand each one to [`Events::on_frame`];
 //! 5. for each writable connection with queued output, flush its bounded
 //!    outbox.
 //!
-//! ## The hot list
-//!
-//! Polling every open descriptor each wakeup would make the wakeup
-//! itself O(connections) — rebuilding the interest set and the kernel's
-//! own scan both walk the full list, which is exactly the degradation the
-//! reactor exists to rule out. Each worker therefore polls
-//! only its *hot* connections: those that showed readiness, had queued
-//! output, or were sent on within the last linger window. A send from
-//! any thread re-hots its connection through a per-worker kick queue
-//! (one flag swap + one short-lock push — never a scan), and a full
-//! sweep of every descriptor runs once per idle tick to pick up
-//! peers that started talking while cold. The trade is explicit: the
-//! first bytes on a long-idle connection can wait up to one idle tick
-//! before the sweep notices them; every subsequent frame rides the hot
-//! list. Steady traffic never touches the cold path.
+//! A connection's first bytes after any silence are therefore seen by
+//! the very next wait, however busy the worker's other connections are.
 //!
 //! ## Buffer ownership and backpressure
 //!
@@ -101,13 +78,6 @@ const IDLE_TICK: Duration = Duration::from_millis(20);
 /// too coarse for sub-millisecond service-time and chaos-delay timers.
 const SPIN_UNDER: Duration = Duration::from_millis(1);
 
-/// How long a quiet connection stays in its worker's hot list. A
-/// connection with no readiness, no queued output and no in-progress
-/// write for this long is polled only by the once-per-[`IDLE_TICK`]
-/// full sweep until traffic (a send, or readiness seen by the sweep)
-/// re-hots it. This is what keeps a wakeup O(active), not O(open).
-const HOT_LINGER: Duration = IDLE_TICK;
-
 /// One read burst's scratch size.
 const READ_CHUNK: usize = 64 * 1024;
 
@@ -116,7 +86,6 @@ const READ_CHUNK: usize = 64 * 1024;
 struct ReactorMetrics {
     wakeups: Arc<Counter>,
     conns_open: Arc<Counter>,
-    idle_tick_promotions: Arc<Counter>,
 }
 
 fn reactor_metrics() -> &'static ReactorMetrics {
@@ -126,7 +95,6 @@ fn reactor_metrics() -> &'static ReactorMetrics {
         ReactorMetrics {
             wakeups: r.counter(names::NET_READINESS_WAKEUPS),
             conns_open: r.counter(names::NET_CONNS_OPEN),
-            idle_tick_promotions: r.counter(names::NET_IDLE_TICK_PROMOTIONS),
         }
     })
 }
@@ -270,15 +238,10 @@ struct Outbox {
 struct ConnShared {
     id: u64,
     outbox: Mutex<Outbox>,
-    /// Mirror of `outbox.queued_bytes`, readable without the lock — the
-    /// worker's per-iteration write-interest scan must not take 10k locks.
+    /// Mirror of `outbox.queued_bytes`, readable without the lock: the
+    /// worker reads it for every connection on every iteration, and must
+    /// not contend there with the threads that are sending.
     queued: AtomicUsize,
-    /// Whether the conn sits in its worker's hot list (or a kick for it
-    /// is already queued) — senders use it to skip duplicate kicks. The
-    /// worker clears it on eviction; the race with a concurrent send is
-    /// benign (at worst one redundant hot-list entry until the next full
-    /// sweep rebuilds the list).
-    hot: AtomicBool,
     closed: AtomicBool,
     worker: Arc<WorkerShared>,
 }
@@ -312,16 +275,6 @@ impl ConnHandle {
             ob.queued_bytes += frame.len();
             self.shared.queued.store(ob.queued_bytes, Ordering::Release);
             ob.queue.push_back(frame);
-        }
-        // Re-hot the connection so the worker polls it without scanning:
-        // one flag swap suppresses duplicate kicks while one is pending.
-        if !self.shared.hot.swap(true, Ordering::AcqRel) {
-            self.shared
-                .worker
-                .kicked
-                .lock()
-                .expect("worker kick lock")
-                .push(self.shared.id);
         }
         self.shared.worker.waker.wake();
         true
@@ -382,9 +335,6 @@ struct WorkerShared {
     /// Set when some conn of this worker was closed externally, so the
     /// worker knows to sweep (avoids an O(conns) scan per iteration).
     sweep: AtomicBool,
-    /// Conn ids kicked back onto the hot list by out-of-worker sends
-    /// since the worker last drained it.
-    kicked: Mutex<Vec<u64>>,
 }
 
 struct Core {
@@ -417,7 +367,6 @@ impl ReactorHandle {
                 queued_bytes: 0,
             }),
             queued: AtomicUsize::new(0),
-            hot: AtomicBool::new(false),
             closed: AtomicBool::new(self.core.shutdown.load(Ordering::Acquire)),
             worker: Arc::clone(&worker),
         });
@@ -496,7 +445,6 @@ impl Reactor {
                 waker,
                 inbox: Mutex::new(Vec::new()),
                 sweep: AtomicBool::new(false),
-                kicked: Mutex::new(Vec::new()),
             }));
         }
         if let Some(l) = &listener {
@@ -560,9 +508,6 @@ struct ConnState {
     /// The frame currently being written, with its write offset.
     wrbuf: Vec<u8>,
     wroff: usize,
-    /// Last time the conn was adopted, showed readiness, or had output
-    /// pending — hot-list eviction is `now - last_active > HOT_LINGER`.
-    last_active: Instant,
 }
 
 /// What one interest-list slot refers to.
@@ -583,12 +528,6 @@ fn worker_loop(
     let mut interests: Vec<Interest> = Vec::new();
     let mut tokens: Vec<Token> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
-    // Conn ids polled on non-sweep iterations. May briefly hold a
-    // duplicate after a kick races an adoption or an eviction — harmless
-    // (polling an fd twice is legal, servicing twice hits `WouldBlock`)
-    // and washed out by the next full sweep, which rebuilds the list.
-    let mut hot: Vec<u64> = Vec::new();
-    let mut next_sweep = Instant::now();
 
     loop {
         if core.shutdown.load(Ordering::Acquire) {
@@ -613,8 +552,6 @@ fn worker_loop(
             let conn = ConnHandle {
                 shared: Arc::clone(&shared),
             };
-            shared.hot.store(true, Ordering::Release);
-            hot.push(id);
             conns.insert(
                 id,
                 ConnState {
@@ -623,7 +560,6 @@ fn worker_loop(
                     rdbuf: Vec::new(),
                     wrbuf: Vec::new(),
                     wroff: 0,
-                    last_active: Instant::now(),
                 },
             );
             handler.on_open(&conn);
@@ -639,18 +575,6 @@ fn worker_loop(
             for id in dead {
                 if let Some(c) = conns.remove(&id) {
                     teardown(core, handler, id, Some(&c.stream), &c.shared);
-                }
-            }
-        }
-
-        // Conns sent on from other threads rejoin the hot list via their
-        // kick queue — never via a scan. Ids not adopted yet are skipped:
-        // adoption itself hots them.
-        {
-            let mut kicked = me.kicked.lock().expect("worker kick lock");
-            for id in kicked.drain(..) {
-                if conns.contains_key(&id) {
-                    hot.push(id);
                 }
             }
         }
@@ -671,65 +595,19 @@ fn worker_loop(
             });
             tokens.push(Token::Listener);
         }
-        if now >= next_sweep {
-            // Full sweep: poll every conn once per idle tick, and rebuild
-            // the hot list from activity stamps (this is also what expels
-            // any duplicate ids a racing kick left behind).
-            next_sweep = now + IDLE_TICK;
-            hot.clear();
-            for (&id, c) in conns.iter_mut() {
-                let write = c.wroff < c.wrbuf.len() || c.shared.queued.load(Ordering::Acquire) > 0;
-                if write {
-                    c.last_active = now;
-                }
-                if now.duration_since(c.last_active) <= HOT_LINGER {
-                    c.shared.hot.store(true, Ordering::Release);
-                    hot.push(id);
-                } else {
-                    c.shared.hot.store(false, Ordering::Release);
-                }
-                interests.push(Interest {
-                    fd: c.stream.as_raw_fd(),
-                    write,
-                });
-                tokens.push(Token::Conn(id));
-            }
-        } else {
-            // Hot-only iteration: the wait costs O(active), not O(open).
-            hot.retain(|&id| {
-                let Some(c) = conns.get_mut(&id) else {
-                    return false;
-                };
-                let write = c.wroff < c.wrbuf.len() || c.shared.queued.load(Ordering::Acquire) > 0;
-                if write {
-                    c.last_active = now;
-                } else if now.duration_since(c.last_active) > HOT_LINGER {
-                    c.shared.hot.store(false, Ordering::Release);
-                    return false;
-                }
-                interests.push(Interest {
-                    fd: c.stream.as_raw_fd(),
-                    write,
-                });
-                tokens.push(Token::Conn(id));
-                true
+        for (&id, c) in &conns {
+            interests.push(Interest {
+                fd: c.stream.as_raw_fd(),
+                write: c.wroff < c.wrbuf.len() || c.shared.queued.load(Ordering::Acquire) > 0,
             });
+            tokens.push(Token::Conn(id));
         }
-        // Bound the sleep so the next full sweep is never more than about
-        // a tick late, clamped to a millisecond so the cap itself can
-        // never trigger the spin path below.
-        let timeout = timeout.min(
-            next_sweep
-                .saturating_duration_since(now)
-                .max(Duration::from_millis(1)),
-        );
         // poll(2) timeouts are whole milliseconds; a nearer deadline is
         // waited out with zero-timeout polls, yielding between them.
         let spin = timeout < SPIN_UNDER;
         let ready = poller.wait(&interests, if spin { Duration::ZERO } else { timeout });
 
         // Process readiness.
-        let woke = Instant::now();
         let mut to_close: Vec<u64> = Vec::new();
         let had_work = !ready.is_empty();
         for (i, rd, wr) in ready {
@@ -739,15 +617,6 @@ fn worker_loop(
                 }
                 Token::Conn(id) => {
                     if let Some(c) = conns.get_mut(&id) {
-                        c.last_active = woke;
-                        if !c.shared.hot.swap(true, Ordering::AcqRel) {
-                            // A cold conn only reaches the poll set
-                            // through the full idle-tick sweep, so a
-                            // false→true flip here means its readiness
-                            // waited on the sweep.
-                            reactor_metrics().idle_tick_promotions.inc();
-                            hot.push(id);
-                        }
                         if !service(c, handler, &mut scratch, rd, wr) {
                             to_close.push(id);
                         }

@@ -1,11 +1,7 @@
-//! Regression tests for two reactor edge cases the hot-list redesign
-//! (PR 8) introduced and nearly got wrong:
+//! Two reactor edge cases:
 //!
-//! 1. A connection that has been idle long past `HOT_LINGER` leaves the
-//!    hot list and is only polled by the once-per-idle-tick full sweep.
-//!    Its next inbound frame must still be *served* within roughly one
-//!    idle tick (~20ms) — not one linger, not one redial backoff — and
-//!    the promotion must show up on `net.idle_tick_promotions`.
+//! 1. A connection that has been quiet is served as promptly as a busy
+//!    one, even while another connection keeps the same worker occupied.
 //! 2. When a live socket dies with a dormant (resubmit-capped) flush
 //!    pending, the redial path resubmits that flush **exactly once** on
 //!    the new connection — the cap stops the periodic ticker, not the
@@ -20,6 +16,8 @@ use rastor_net::wire::{self, Frame, ReqEnvelope, WireReqFrame};
 use rastor_net::NetKv;
 use rastor_obs::{names, Registry};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn collect_req(from: ClientId, op_nonce: u64) -> Frame {
@@ -47,43 +45,55 @@ fn roundtrip(conn: &mut TcpStream, from: ClientId, op_nonce: u64) {
     }
 }
 
-/// A long-idle connection's first inbound frame is served within about
-/// one idle tick. The connection goes cold after `HOT_LINGER` (~20ms);
-/// 300ms of silence puts it far past that, so the frame's readiness is
-/// only visible to the full sweep — the reply must still arrive well
-/// under the idle span (a regression here shows up as an RTT tracking
-/// the linger or, worse, the connection never resurfacing), and the
-/// sweep promotion is visible on the counter.
+/// A worker waits on every connection it owns, so a request on a
+/// connection that was silent for 50 ms is answered in the time a
+/// round trip takes, not the time a housekeeping tick takes — while
+/// another connection on the same worker is served back to back.
+/// Connection ids 0, 1, 2 land on workers 0, 1, 0.
 #[test]
-fn long_idle_connections_first_frame_is_served_within_one_idle_tick() {
+fn a_quiet_connection_is_served_promptly_beside_a_busy_one() {
     let server =
         ObjectServer::spawn(vec![Box::new(HonestObject::new()) as _], 0, None).expect("server");
-    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
-    conn.set_nodelay(true).expect("nodelay");
+    let dial = |reader: u32| {
+        let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+        conn.set_nodelay(true).expect("nodelay");
+        // A served frame: the server has adopted the connection, so the
+        // next dial gets the next id.
+        roundtrip(&mut conn, ClientId::reader(reader), 0);
+        conn
+    };
+    let mut busy = dial(0);
+    let _other_worker = dial(1);
+    let mut quiet = dial(2);
 
-    // Make the connection real (and hot) with one served frame.
-    roundtrip(&mut conn, ClientId::reader(1), 1);
+    let stop = Arc::new(AtomicBool::new(false));
+    let hammer = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut nonce = 1;
+            while !stop.load(Ordering::Relaxed) {
+                roundtrip(&mut busy, ClientId::reader(0), nonce);
+                nonce += 1;
+            }
+        })
+    };
 
-    // Idle far past HOT_LINGER: the sweep demotes the connection.
-    std::thread::sleep(Duration::from_millis(300));
+    let mut rtts: Vec<Duration> = (1..=21)
+        .map(|nonce| {
+            std::thread::sleep(Duration::from_millis(50));
+            let sent = Instant::now();
+            roundtrip(&mut quiet, ClientId::reader(2), nonce);
+            sent.elapsed()
+        })
+        .collect();
+    stop.store(true, Ordering::Relaxed);
+    hammer.join().expect("hammer thread");
 
-    let promotions_before = Registry::global().counter_value(names::NET_IDLE_TICK_PROMOTIONS);
-    let sent = Instant::now();
-    roundtrip(&mut conn, ClientId::reader(1), 2);
-    let rtt = sent.elapsed();
-
-    // One idle tick is 20ms; 250ms of headroom absorbs scheduler noise
-    // while still distinguishing "one tick late" from "one idle span
-    // late" (300ms) or a stuck connection.
+    rtts.sort();
+    let p50 = rtts[rtts.len() / 2];
     assert!(
-        rtt < Duration::from_millis(250),
-        "cold connection's frame took {rtt:?}; the idle-tick sweep must re-serve it promptly"
-    );
-    let delta =
-        Registry::global().counter_value(names::NET_IDLE_TICK_PROMOTIONS) - promotions_before;
-    assert!(
-        delta >= 1,
-        "a cold connection's readiness must be found by the sweep and promoted (delta {delta})"
+        p50 < Duration::from_millis(2),
+        "a quiet connection waited behind a busy one: probe p50 {p50:?}, all {rtts:?}"
     );
 }
 

@@ -88,9 +88,7 @@ pub mod names {
     pub const NET_CONNS_OPEN: &str = "net.conns_open";
     /// Reactor readiness-loop wakeups (poller returns that found work).
     pub const NET_READINESS_WAKEUPS: &str = "net.readiness_wakeups";
-    /// Cold connections promoted to the hot list by an idle-tick sweep.
-    pub const NET_IDLE_TICK_PROMOTIONS: &str = "net.idle_tick_promotions";
-    /// Request envelopes resubmitted by client connection pools.
+    /// Request envelopes resubmitted by `NetCluster` clients.
     pub const NET_RESUBMISSIONS: &str = "net.resubmissions";
     /// Frames the chaos proxy dropped outright.
     pub const CHAOS_FRAMES_DROPPED: &str = "chaos.frames_dropped";

@@ -168,13 +168,6 @@ pub const METRICS: &[MetricDef] = &[
         help: "Reactor readiness-loop wakeups that found I/O or timer work.",
     },
     MetricDef {
-        name: names::NET_IDLE_TICK_PROMOTIONS,
-        kind: "counter",
-        unit: "connections",
-        seam: "net::reactor",
-        help: "Cold connections whose readiness was only seen by an idle-tick sweep.",
-    },
-    MetricDef {
         name: names::NET_RESUBMISSIONS,
         kind: "counter",
         unit: "envelopes",
@@ -289,7 +282,6 @@ mod tests {
             names::NET_ENVELOPES_RING_US,
             names::NET_CONNS_OPEN,
             names::NET_READINESS_WAKEUPS,
-            names::NET_IDLE_TICK_PROMOTIONS,
             names::NET_RESUBMISSIONS,
             names::CHAOS_FRAMES_DROPPED,
             names::CHAOS_FRAMES_DELAYED,

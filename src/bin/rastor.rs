@@ -87,16 +87,21 @@ fn main() -> ExitCode {
     };
     let run = match cmd.as_str() {
         "manifest" => {
-            print!("{}", rastor::obs::manifest_json());
-            return ExitCode::SUCCESS;
+            return match parse_flags(&args[1..], &MANIFEST) {
+                Ok(_) => {
+                    print!("{}", rastor::obs::manifest_json());
+                    ExitCode::SUCCESS
+                }
+                Err(e) => usage_err(e),
+            };
         }
         "serve" => cmd_serve(&args[1..]),
         "status" => cmd_status(&args[1..]),
         "metrics" => cmd_metrics(&args[1..]),
         "watch" => cmd_watch(&args[1..]),
         "trace" => cmd_trace(&args[1..]),
-        "restart-object" => cmd_admin(&args[1..], AdminVerb::Restart),
-        "partition-toggle" => cmd_admin(&args[1..], AdminVerb::Partition),
+        "restart-object" => cmd_admin(&args[1..], &RESTART_OBJECT, AdminVerb::Restart),
+        "partition-toggle" => cmd_admin(&args[1..], &PARTITION_TOGGLE, AdminVerb::Partition),
         "bench" => cmd_bench(&args[1..]),
         _ => {
             eprintln!("rastor: unknown subcommand {cmd:?}\n{USAGE}");
@@ -120,42 +125,96 @@ struct Flags {
     positional: Vec<String>,
 }
 
-/// Flags that take a value; everything else starting `--` is boolean.
-const VALUED: &[&str] = &[
-    "--t",
-    "--shards",
-    "--handles",
-    "--wal",
-    "--jitter-us",
-    "--slow-us",
-    "--trace-sample",
-    "--interval",
-    "--file",
-    "--ops",
-    "--depth",
-    "--put-pct",
-    "--keys",
-    "--threads",
-    "--shard",
-    "--object",
-];
+/// What one subcommand's command line may hold; anything else on it is a
+/// usage error.
+struct Takes {
+    /// Flags followed by a value.
+    valued: &'static [&'static str],
+    /// Flags that stand alone.
+    switches: &'static [&'static str],
+    /// Trailing words that are not flags.
+    positionals: usize,
+}
 
-fn parse_flags(args: &[String]) -> std::result::Result<Flags, String> {
+const SERVE: Takes = Takes {
+    valued: &[
+        "t",
+        "shards",
+        "handles",
+        "wal",
+        "jitter-us",
+        "slow-us",
+        "trace-sample",
+        "file",
+    ],
+    switches: &["fast-reads", "chaos", "no-trace"],
+    positionals: 0,
+};
+const STATUS: Takes = Takes {
+    valued: &["file"],
+    switches: &[],
+    positionals: 0,
+};
+const METRICS: Takes = Takes {
+    valued: &["file"],
+    switches: &["json"],
+    positionals: 0,
+};
+const WATCH: Takes = Takes {
+    valued: &["interval", "file"],
+    switches: &["once"],
+    positionals: 0,
+};
+const TRACE: Takes = METRICS;
+const RESTART_OBJECT: Takes = Takes {
+    valued: &["shard", "object", "file"],
+    switches: &[],
+    positionals: 0,
+};
+const PARTITION_TOGGLE: Takes = Takes {
+    valued: &["shard", "file"],
+    switches: &[],
+    positionals: 1,
+};
+const BENCH: Takes = Takes {
+    valued: &[
+        "ops",
+        "depth",
+        "put-pct",
+        "keys",
+        "threads",
+        "trace-sample",
+        "file",
+    ],
+    switches: &[],
+    positionals: 0,
+};
+const MANIFEST: Takes = Takes {
+    valued: &[],
+    switches: &[],
+    positionals: 0,
+};
+
+fn parse_flags(args: &[String], takes: &Takes) -> std::result::Result<Flags, String> {
     let mut pairs = Vec::new();
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
-            if VALUED.contains(&a.as_str()) {
+            if takes.valued.contains(&name) {
                 let v = it
                     .next()
                     .ok_or_else(|| format!("flag --{name} needs a value"))?;
                 pairs.push((name.to_string(), Some(v.clone())));
-            } else {
+            } else if takes.switches.contains(&name) {
                 pairs.push((name.to_string(), None));
+            } else {
+                return Err(format!("unknown flag --{name}"));
             }
-        } else {
+        } else if positional.len() < takes.positionals {
             positional.push(a.clone());
+        } else {
+            return Err(format!("unexpected argument {a:?}"));
         }
     }
     Ok(Flags { pairs, positional })
@@ -179,6 +238,18 @@ impl Flags {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--{name} wants a number, got {v:?}")),
+        }
+    }
+
+    /// A count that must be at least 1 and fit `T`.
+    fn positive<T: TryFrom<u64>>(
+        &self,
+        name: &str,
+        default: u64,
+    ) -> std::result::Result<T, String> {
+        match self.num(name, default)? {
+            0 => Err(format!("--{name} must be at least 1")),
+            n => T::try_from(n).map_err(|_| format!("--{name} {n} is out of range")),
         }
     }
 
@@ -303,21 +374,25 @@ fn parse_cluster_file(path: &str) -> std::result::Result<ClusterFile, String> {
 // ---------------------------------------------------------------------------
 // serve
 
+/// The store shape `serve`'s flags describe — `(t, shards, handles)` — or
+/// the usage error for one no deployment can have.
+fn serve_shape(flags: &Flags) -> std::result::Result<(usize, usize, u32), String> {
+    let t = flags.num("t", 1)?;
+    Ok((
+        usize::try_from(t).map_err(|_| format!("--t {t} is out of range"))?,
+        flags.positive("shards", 2)?,
+        flags.positive("handles", 4)?,
+    ))
+}
+
 fn cmd_serve(args: &[String]) -> Result<ExitCode> {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(args, &SERVE) {
         Ok(f) => f,
         Err(e) => return Ok(usage_err(e)),
     };
-    let (t, shards, handles, jitter_us) = match (
-        flags.num("t", 1),
-        flags.num("shards", 2),
-        flags.num("handles", 4),
-        flags.num("jitter-us", 0),
-    ) {
-        (Ok(t), Ok(s), Ok(h), Ok(j)) => (t as usize, s as usize, h as u32, j),
-        (Err(e), ..) | (_, Err(e), _, _) | (_, _, Err(e), _) | (_, _, _, Err(e)) => {
-            return Ok(usage_err(e))
-        }
+    let (t, shards, handles, jitter_us) = match (serve_shape(&flags), flags.num("jitter-us", 0)) {
+        (Ok((t, s, h)), Ok(j)) => (t, s, h, j),
+        (Err(e), _) | (_, Err(e)) => return Ok(usage_err(e)),
     };
     let (slow_us, trace_sample) = match (
         flags.num("slow-us", rastor::obs::trace::DEFAULT_SLOW_OP_THRESHOLD_US),
@@ -382,7 +457,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode> {
 // status / metrics
 
 fn cmd_status(args: &[String]) -> Result<ExitCode> {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(args, &STATUS) {
         Ok(f) => f,
         Err(e) => return Ok(usage_err(e)),
     };
@@ -435,7 +510,7 @@ fn cmd_status(args: &[String]) -> Result<ExitCode> {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<ExitCode> {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(args, &METRICS) {
         Ok(f) => f,
         Err(e) => return Ok(usage_err(e)),
     };
@@ -601,7 +676,7 @@ fn sparkline(vals: &[f64]) -> String {
 }
 
 fn cmd_watch(args: &[String]) -> Result<ExitCode> {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(args, &WATCH) {
         Ok(f) => f,
         Err(e) => return Ok(usage_err(e)),
     };
@@ -726,7 +801,7 @@ fn parse_trace_lines(doc: &str) -> Vec<TraceLine> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<ExitCode> {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(args, &TRACE) {
         Ok(f) => f,
         Err(e) => return Ok(usage_err(e)),
     };
@@ -804,8 +879,8 @@ enum AdminVerb {
     Partition,
 }
 
-fn cmd_admin(args: &[String], verb: AdminVerb) -> Result<ExitCode> {
-    let flags = match parse_flags(args) {
+fn cmd_admin(args: &[String], takes: &Takes, verb: AdminVerb) -> Result<ExitCode> {
+    let flags = match parse_flags(args, takes) {
         Ok(f) => f,
         Err(e) => return Ok(usage_err(e)),
     };
@@ -857,27 +932,23 @@ fn cmd_admin(args: &[String], verb: AdminVerb) -> Result<ExitCode> {
 /// The workload `bench`'s flags describe, or the usage error for a value
 /// no run can make progress with.
 fn bench_cfg(flags: &Flags) -> std::result::Result<Mix, String> {
-    let at_least_one = |name: &str, default: u64| match flags.num(name, default)? {
-        0 => Err(format!("--{name} must be at least 1")),
-        n => u32::try_from(n).map_err(|_| format!("--{name} {n} is out of range")),
-    };
     let put_pct = match flags.num("put-pct", 10)? {
         p @ 0..=100 => p as u32,
         p => return Err(format!("--put-pct is a percentage, got {p}")),
     };
     Ok(Mix {
         put_pct,
-        depth: at_least_one("depth", 8)?,
+        depth: flags.positive("depth", 8)?,
         ..Mix::mixed(
-            at_least_one("threads", 4)?,
-            at_least_one("keys", 32)?,
+            flags.positive("threads", 4)?,
+            flags.positive("keys", 32)?,
             flags.num("ops", 200)?,
         )
     })
 }
 
 fn cmd_bench(args: &[String]) -> Result<ExitCode> {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(args, &BENCH) {
         Ok(f) => f,
         Err(e) => return Ok(usage_err(e)),
     };
@@ -977,8 +1048,76 @@ mod tests {
     use super::*;
 
     fn bench_flags(args: &[&str]) -> std::result::Result<Mix, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        bench_cfg(&parse_flags(&args)?)
+        bench_cfg(&parse(&BENCH, &args.join(" "))?)
+    }
+
+    fn parse(takes: &Takes, line: &str) -> std::result::Result<Flags, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_flags(&args, takes)
+    }
+
+    /// Every command line the handbook, the README and CI's `cli-smoke`
+    /// use parses; a flag of another subcommand, a misspelt one or a
+    /// stray word does not.
+    #[test]
+    fn each_subcommand_takes_its_own_flags_and_nothing_else() {
+        for (takes, ok) in [
+            (
+                &SERVE,
+                "--shards 2 --handles 4 --fast-reads --chaos --wal ./data",
+            ),
+            (
+                &SERVE,
+                "--t 1 --jitter-us 5 --slow-us 0 --trace-sample 1 --no-trace --file f",
+            ),
+            (&STATUS, "--file f"),
+            (&METRICS, "--json"),
+            (&WATCH, "--interval 1 --once"),
+            (&TRACE, "--json --file f"),
+            (&RESTART_OBJECT, "--shard 0 --object 3"),
+            (&PARTITION_TOGGLE, "--shard 1 on"),
+            (
+                &BENCH,
+                "--ops 100 --depth 8 --put-pct 50 --threads 4 --keys 8 --trace-sample 4",
+            ),
+            (&MANIFEST, ""),
+        ] {
+            assert!(parse(takes, ok).is_ok(), "{ok:?}");
+        }
+        for (takes, bad, names) in [
+            (&SERVE, "--shard 3", "--shard"),
+            (&SERVE, "--bogus", "--bogus"),
+            (&BENCH, "--op 7", "--op"),
+            (&BENCH, "--thread 1", "--thread"),
+            (&STATUS, "--nonsense", "--nonsense"),
+            (&STATUS, "extra", "extra"),
+            (&METRICS, "--once", "--once"),
+            (&PARTITION_TOGGLE, "--shard 1 on off", "off"),
+            (&MANIFEST, "--json", "--json"),
+            (&BENCH, "--ops", "--ops needs a value"),
+        ] {
+            let err = parse(takes, bad).err().expect("rejected");
+            assert!(err.contains(names), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn serve_flags_reject_shapes_no_deployment_can_have() {
+        let shape = |line: &str| serve_shape(&parse(&SERVE, line)?);
+        assert_eq!(shape(""), Ok((1, 2, 4)));
+        assert_eq!(
+            shape("--t 0 --shards 1 --handles 4294967295"),
+            Ok((0, 1, u32::MAX))
+        );
+        for (bad, names) in [
+            ("--shards 0", "--shards"),
+            ("--handles 0", "--handles"),
+            ("--handles 4294967297", "--handles"),
+            ("--t x", "--t"),
+        ] {
+            let err = shape(bad).expect_err("rejected");
+            assert!(err.contains(names), "{bad:?}: {err}");
+        }
     }
 
     #[test]
