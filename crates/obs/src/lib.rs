@@ -66,7 +66,8 @@ pub mod names {
     pub const KV_OPS_RING_US: &str = "kv.ops_ring_us";
     /// Mutation records appended to write-ahead logs.
     pub const STORE_WAL_APPENDS: &str = "store.wal_appends";
-    /// `fdatasync` calls paid by fsync-mode write-ahead logs.
+    /// Fsyncs the store issued: one per logged mutation, two per snapshot
+    /// (the file, then its directory); none with fsync off.
     pub const STORE_WAL_FSYNCS: &str = "store.wal_fsyncs";
     /// WAL records replayed during recovery opens.
     pub const STORE_WAL_REPLAYED: &str = "store.wal_replayed_records";

@@ -95,7 +95,7 @@ pub const METRICS: &[MetricDef] = &[
         kind: "counter",
         unit: "syncs",
         seam: "store::Wal",
-        help: "fdatasync calls paid by fsync-mode write-ahead logs.",
+        help: "Fsyncs the store issued: one per logged mutation, two per snapshot.",
     },
     MetricDef {
         name: names::STORE_WAL_REPLAYED,

@@ -1,6 +1,7 @@
 //! [`DurableObject`]: an [`HonestObject`] whose every mutation hits a
-//! write-ahead log before it is acknowledged, with periodic compacting
-//! snapshots — and the [`Durability`] trait that lets every substrate
+//! write-ahead log before it is acknowledged, with compacting snapshots
+//! once the log has grown as large as the snapshot it replaces — and the
+//! [`Durability`] trait that lets every substrate
 //! (in-process clusters, socket servers, the sharded kv store) pick
 //! between today's purely in-memory objects and WAL-backed ones without
 //! knowing anything about files.
@@ -24,7 +25,9 @@
 //! amnesiac — i.e. a fault the budget did not agree to fund). Deployments
 //! that need to survive power loss enable
 //! [`WalBacked::with_fsync`], which pays an `fdatasync` per logged
-//! mutation to extend the invariant to stable storage.
+//! mutation to extend the invariant to stable storage, and syncs each
+//! snapshot file and its directory before the log it replaces is reset —
+//! else a power loss could keep the reset and lose the snapshot.
 //!
 //! *Replay is prefix-consistent.* The WAL truncates its torn tail on
 //! replay (see [`crate::wal`]), so the recovered state is the state after
@@ -34,10 +37,21 @@
 //! Replaying records a snapshot already covers changes nothing: `pw`/`w`
 //! only move up, and a replayed pair below the two newest is not retained.
 //!
-//! *Snapshots are staggered.* Every `snapshot_every` logged mutations an
-//! object writes its full register state and resets its log; the objects
-//! of a shard start that cycle out of phase (`snapshot_phase`), so the
-//! request that makes one of them compact finds the others answering.
+//! *Compaction is amortized.* An object writes its full register state
+//! and resets its log once both hold: at least `snapshot_every` mutations
+//! were logged since the last snapshot, and the log file is at least as
+//! long as that snapshot's file. The count is a floor for small states;
+//! the byte rule makes a snapshot cost no more bytes than the log it
+//! replaces, so over any run the snapshot bytes written are at most the
+//! log bytes appended plus one snapshot. It also bounds the log, and so
+//! recovery: the log never holds more than `snapshot_every` records or the
+//! last snapshot's length, whichever is larger, plus one record.
+//!
+//! *Snapshots are staggered.* The objects of a shard start their
+//! `snapshot_every` count out of phase (`snapshot_phase`), so the request
+//! that makes one of them compact finds the others answering; the byte
+//! rule keeps them apart, since they log the same bytes and hold states of
+//! about the same size.
 //!
 //! *Timestamps survive.* Snapshots and WAL records persist full
 //! [`Stamped`](rastor_core::msg::Stamped) pairs (timestamps, values and
@@ -51,7 +65,9 @@
 //! bytes the wire carries. This module decides only *what* is logged:
 //! mutations, never collects.
 
-use crate::wal::{read_snapshot, write_snapshot, Wal};
+use crate::wal::{
+    file_len, read_snapshot, write_snapshot, Wal, FILE_HEADER_LEN, RECORD_HEADER_LEN,
+};
 use rastor_common::{ClientId, Error, ObjectId, Result};
 use rastor_core::codec::{decode_reg_view, decode_req, encode_reg_view, encode_req};
 use rastor_core::msg::{Rep, Req};
@@ -61,7 +77,9 @@ use rastor_sim::ObjectBehavior;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Default number of logged mutations between compacting snapshots.
+/// Default floor on the logged mutations between compacting snapshots: an
+/// object compacts after at least this many, and not before its log is as
+/// large as its last snapshot (see the module docs).
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 1024;
 
 /// What a [`DurableObject::open`] recovery found on disk.
@@ -96,8 +114,9 @@ fn snap_path(dir: &Path, id: ObjectId) -> PathBuf {
 }
 
 /// An honest storage object whose state survives its process: every
-/// mutation is logged before it is acked, and every `snapshot_every`
-/// mutations the full register state is snapshotted and the log compacted.
+/// mutation is logged before it is acked, and once the log holds at least
+/// `snapshot_every` mutations and as many bytes as the last snapshot, the
+/// full register state is snapshotted and the log compacted.
 #[derive(Debug)]
 pub struct DurableObject {
     obj: HonestObject,
@@ -107,7 +126,14 @@ pub struct DurableObject {
     /// Mutations logged since the last snapshot, plus — until the first
     /// snapshot after an open — the object's `snapshot_phase`.
     since_snapshot: u64,
-    /// `fdatasync` after every logged mutation (power-loss durability).
+    /// Length of the log file: its header and the records since the last
+    /// snapshot.
+    log_bytes: u64,
+    /// Length of the last snapshot file, written or found at open (0 if
+    /// none).
+    snapshot_bytes: u64,
+    /// `fdatasync` after every logged mutation and sync each snapshot
+    /// before the log is reset (power-loss durability).
     fsync: bool,
     /// Set after a log/snapshot failure: the object goes silent (crash
     /// semantics) instead of acking writes it cannot make durable.
@@ -150,14 +176,14 @@ impl DurableObject {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::io(format!("creating data dir {}", dir.display()), &e))?;
         let snap = snap_path(dir, id);
-        let mut obj = match read_snapshot(&snap)? {
-            None => HonestObject::new(),
+        let (mut obj, snapshot_bytes) = match read_snapshot(&snap)? {
+            None => (HonestObject::new(), 0),
             Some(entries) => {
                 let regs = entries
                     .iter()
                     .map(|e| decode_reg_view(e))
                     .collect::<Result<Vec<_>>>()?;
-                HonestObject::from_export(regs)
+                (HonestObject::from_export(regs), file_len(&entries))
             }
         };
         let snapshot_regs = obj.num_regs();
@@ -187,6 +213,10 @@ impl DurableObject {
                 since_snapshot: replay
                     .records
                     .saturating_add(snapshot_phase(id, snapshot_every)),
+                // Likewise the replayed bytes: what the log already holds
+                // counts toward outgrowing the snapshot.
+                log_bytes: file_len(&records),
+                snapshot_bytes,
                 fsync,
                 broken: false,
             },
@@ -222,9 +252,13 @@ impl DurableObject {
                 entry
             })
             .collect();
-        write_snapshot(&self.snap, &entries)?;
+        // Synced in fsync mode: the reset below must not outlive the
+        // snapshot that covers what it drops.
+        write_snapshot(&self.snap, &entries, self.fsync)?;
         self.wal.reset()?;
         self.since_snapshot = 0;
+        self.log_bytes = FILE_HEADER_LEN as u64;
+        self.snapshot_bytes = file_len(&entries);
         Ok(())
     }
 }
@@ -266,8 +300,12 @@ impl ObjectBehavior<Req, Rep> for DurableObject {
             return None;
         }
         self.since_snapshot += 1;
+        self.log_bytes += (RECORD_HEADER_LEN + record.len()) as u64;
         let rep = self.obj.apply(req);
-        if self.since_snapshot >= self.snapshot_every && self.snapshot().is_err() {
+        if self.since_snapshot >= self.snapshot_every
+            && self.log_bytes >= self.snapshot_bytes
+            && self.snapshot().is_err()
+        {
             // The mutation itself is logged; only compaction failed.
             // Future appends will keep trying against the long log,
             // but a snapshot failure usually means the disk is gone:
@@ -374,18 +412,20 @@ impl WalBacked {
         }
     }
 
-    /// Set the number of logged mutations between compacting snapshots
-    /// (clamped to ≥ 1).
+    /// Set the floor on logged mutations between compacting snapshots
+    /// (clamped to ≥ 1); an object compacts once it has logged this many
+    /// and its log is as large as its last snapshot.
     #[must_use]
     pub fn with_snapshot_every(mut self, every: u64) -> WalBacked {
         self.snapshot_every = every.max(1);
         self
     }
 
-    /// `fdatasync` after every logged mutation: extends the
-    /// log-before-ack invariant from process kills to OS crash / power
-    /// loss, at a per-mutation disk-sync cost (see the durability-scope
-    /// note on [`DurableObject`]'s module docs).
+    /// `fdatasync` after every logged mutation, and each snapshot synced
+    /// before the log it replaces is reset: extends the log-before-ack
+    /// invariant from process kills to OS crash / power loss, at a
+    /// per-mutation disk-sync cost (see the durability-scope note on
+    /// [`DurableObject`]'s module docs).
     #[must_use]
     pub fn with_fsync(mut self, fsync: bool) -> WalBacked {
         self.fsync = fsync;
@@ -509,25 +549,60 @@ mod tests {
         assert_eq!(after_10, after_1000);
     }
 
+    /// Mutation `n` of a workload that pre-writes, then commits, each of
+    /// `regs` registers in turn with 1 KiB values: its snapshot soon
+    /// outweighs a few records, so the byte rule governs compaction.
+    fn kib_write(regs: u64, n: u64) -> Req {
+        let reg = RegId::Writer((n / 2 % regs) as u32);
+        let ts = Timestamp(1 + n / 2 / regs);
+        let pair = Stamped::plain(TsVal::new(ts, Value::from_bytes(vec![(n / 2) as u8; 1024])));
+        if n.is_multiple_of(2) {
+            Req::PreWrite { reg, pair }
+        } else {
+            Req::Commit { reg, pair }
+        }
+    }
+
+    /// Bytes `req` adds to the log: record header and payload.
+    fn logged_len(req: &Req) -> u64 {
+        let mut payload = Vec::new();
+        encode_req(req, &mut payload);
+        (RECORD_HEADER_LEN + payload.len()) as u64
+    }
+
+    fn file_len_of(path: &Path) -> u64 {
+        std::fs::metadata(path).map_or(0, |m| m.len())
+    }
+
     /// The objects of a shard log the same mutations in the same order;
     /// their snapshot cycles are out of phase, so no request makes two of
-    /// them compact, and each still compacts every `snapshot_every`.
+    /// them compact — on one small register, where the count governs and
+    /// each compacts every `snapshot_every`, and on 64 registers of 1 KiB
+    /// values, where the byte rule makes them wait longer.
     #[test]
     fn objects_fed_the_same_mutations_snapshot_one_at_a_time() {
         let dir = TempDir::new("durable-staggered");
-        for (every, objects) in [(8u64, 4u32), (DEFAULT_SNAPSHOT_EVERY, 7)] {
+        let small: fn(u64) -> Req = |n| commit(n, n);
+        let large: fn(u64) -> Req = |n| kib_write(64, n);
+        let shards = [
+            (8, 4, 24, small),
+            (DEFAULT_SNAPSHOT_EVERY, 7, 3 * DEFAULT_SNAPSHOT_EVERY, small),
+            (8, 4, 2_000, large),
+        ];
+        for (shard, (every, objects, requests, write)) in shards.into_iter().enumerate() {
             let mut objs: Vec<DurableObject> = (0..objects)
                 .map(|i| {
-                    let dir = dir.path().join(every.to_string());
+                    let dir = dir.path().join(shard.to_string());
                     DurableObject::open(&dir, ObjectId(i), every)
                         .expect("open")
                         .0
                 })
                 .collect();
             let mut snapshots = vec![Vec::new(); objs.len()];
-            for n in 1..=3 * every {
+            for n in 1..=requests {
+                let req = write(n);
                 for (obj, at) in objs.iter_mut().zip(&mut snapshots) {
-                    drive(obj, [commit(n, n)]);
+                    drive(obj, [req.clone()]);
                     if obj.since_snapshot == 0 {
                         at.push(n);
                     }
@@ -535,10 +610,74 @@ mod tests {
                 let compacted = snapshots.iter().filter(|at| at.last() == Some(&n));
                 assert!(compacted.count() <= 1, "two snapshots on request {n}");
             }
-            assert_eq!(snapshots[0], [every, 2 * every, 3 * every]);
+            let gaps = || {
+                snapshots
+                    .iter()
+                    .flat_map(|at| at.windows(2).map(|w| w[1] - w[0]))
+            };
             for at in &snapshots {
-                assert!(at[0] <= every && at.windows(2).all(|w| w[1] - w[0] == every));
+                assert!(at.len() >= 3 && at[0] <= every, "{at:?}");
             }
+            if shard < 2 {
+                assert_eq!(snapshots[0], [every, 2 * every, 3 * every]);
+                assert!(gaps().all(|gap| gap == every));
+            } else {
+                assert!(gaps().all(|gap| gap >= every) && gaps().any(|gap| gap > 4 * every));
+            }
+        }
+    }
+
+    /// The byte rule amortizes compaction: even with a count floor of 8
+    /// over a state of 512 registers of 1 KiB values, the snapshots written
+    /// add up to no more than the log appended plus the last snapshot.
+    #[test]
+    fn compaction_writes_no_more_than_it_logs() {
+        let dir = TempDir::new("durable-amortized");
+        let id = ObjectId(0);
+        let (mut obj, _) = DurableObject::open(dir.path(), id, 8).expect("open");
+        let (mut logged, mut snapshotted, mut last, mut snapshots) =
+            (FILE_HEADER_LEN as u64, 0, 0, 0);
+        for n in 0..20_000 {
+            let req = kib_write(512, n);
+            logged += logged_len(&req);
+            drive(&mut obj, [req]);
+            if obj.since_snapshot == 0 {
+                last = file_len_of(&snap_path(dir.path(), id));
+                snapshotted += last;
+                snapshots += 1;
+                // The reset log's fresh header.
+                logged += FILE_HEADER_LEN as u64;
+            }
+            assert!(
+                snapshotted <= logged + last,
+                "after {n}: {snapshotted} snapshot bytes for {logged} log bytes"
+            );
+        }
+        assert!(snapshots >= 5, "{snapshots} snapshots");
+    }
+
+    /// The byte rule bounds the log, and with it recovery: it never holds
+    /// more than `snapshot_every` records or the last snapshot's length,
+    /// whichever is larger, plus one record — across reopens too, which
+    /// count what they replayed toward the next compaction.
+    #[test]
+    fn the_log_never_outgrows_the_last_snapshot() {
+        let dir = TempDir::new("durable-log-bound");
+        let (id, every) = (ObjectId(0), 8);
+        let open = || DurableObject::open(dir.path(), id, every).expect("open").0;
+        let mut obj = open();
+        for n in 0..6_000 {
+            if n % 777 == 0 {
+                drop(obj);
+                obj = open();
+            }
+            let req = kib_write(64, n);
+            let record = logged_len(&req);
+            drive(&mut obj, [req]);
+            let snapshot = file_len_of(&snap_path(dir.path(), id));
+            let bound = (FILE_HEADER_LEN as u64 + every * record).max(snapshot) + record;
+            let log = file_len_of(&wal_path(dir.path(), id));
+            assert!(log <= bound, "after {n}: a {log}-byte log, bound {bound}");
         }
     }
 

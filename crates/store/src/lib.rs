@@ -12,8 +12,8 @@
 //!   snapshot files — record framing only; the payloads are laid out by
 //!   `rastor_core::codec`, the same bytes `rastor_net::wire` carries;
 //! * [`DurableObject`] — an honest object that logs every mutation before
-//!   acking it and periodically compacts the log into a snapshot of its
-//!   full per-register state;
+//!   acking it and compacts the log into a snapshot of its full
+//!   per-register state once the log is as large as that snapshot;
 //! * [`Durability`] — the substrate-facing trait, with [`InMemory`]
 //!   (today's behavior: kill = permanent crash) and [`WalBacked`]
 //!   (kill-then-recover) implementations. Deployments

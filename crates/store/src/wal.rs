@@ -43,7 +43,10 @@
 //! place, so a crash mid-snapshot leaves the previous snapshot (or none)
 //! intact — a visible snapshot file is always complete, and any decode
 //! failure inside one is real corruption, reported as an error instead of
-//! being "recovered" into silent state loss.
+//! being "recovered" into silent state loss. A rename is atomic but not
+//! durable: against power loss the caller asks [`write_snapshot`] to sync
+//! the file and its directory before it resets the log the snapshot
+//! replaces.
 
 use crate::crc::crc32;
 use rastor_common::{Error, Result};
@@ -148,6 +151,13 @@ fn scan_records(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
         pos += RECORD_HEADER_LEN + len;
     }
     (records, pos)
+}
+
+/// Length of a WAL or snapshot file whose header is followed by `records`.
+pub(crate) fn file_len(records: &[Vec<u8>]) -> u64 {
+    records.iter().fold(FILE_HEADER_LEN as u64, |len, r| {
+        len + (RECORD_HEADER_LEN + r.len()) as u64
+    })
 }
 
 fn encode_record(payload: &[u8]) -> Vec<u8> {
@@ -272,23 +282,46 @@ impl Wal {
 }
 
 /// Write a snapshot file atomically: records to `path.tmp`, then rename
-/// over `path`.
+/// over `path`. With `sync`, the tmp file is synced before the rename and
+/// the directory after it, so once this returns the new snapshot survives
+/// power loss — the caller may then drop what it covers (reset the WAL).
 ///
 /// # Errors
 ///
 /// [`Error::Io`] on any filesystem failure (the previous snapshot, if any,
 /// is left intact).
-pub fn write_snapshot(path: &Path, entries: &[Vec<u8>]) -> Result<()> {
+pub fn write_snapshot(path: &Path, entries: &[Vec<u8>], sync: bool) -> Result<()> {
     let tmp = path.with_extension("tmp");
     let mut out = Vec::new();
     out.extend_from_slice(&file_header(SNAP_MAGIC));
     for e in entries {
         out.extend_from_slice(&encode_record(e));
     }
-    std::fs::write(&tmp, &out)
+    let synced = |file: File| {
+        wal_metrics().fsyncs.inc();
+        file.sync_all()
+    };
+    File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(&out)?;
+            if sync {
+                synced(file)?;
+            }
+            Ok(())
+        })
         .map_err(|e| Error::io(format!("writing snapshot {}", tmp.display()), &e))?;
     std::fs::rename(&tmp, path)
-        .map_err(|e| Error::io(format!("publishing snapshot {}", path.display()), &e))
+        .map_err(|e| Error::io(format!("publishing snapshot {}", path.display()), &e))?;
+    if sync {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)
+            .and_then(synced)
+            .map_err(|e| Error::io(format!("syncing directory {}", dir.display()), &e))?;
+    }
+    Ok(())
 }
 
 /// Read a snapshot file: `Ok(None)` if absent, the record payloads
@@ -444,10 +477,10 @@ mod tests {
         let path = dir.path().join("obj.snap");
         assert_eq!(read_snapshot(&path).expect("absent"), None);
         let entries = payloads(6);
-        write_snapshot(&path, &entries).expect("write");
+        write_snapshot(&path, &entries, false).expect("write");
         assert_eq!(read_snapshot(&path).expect("read"), Some(entries.clone()));
         // Overwrite is atomic: the tmp sibling never lingers.
-        write_snapshot(&path, &entries[..2]).expect("rewrite");
+        write_snapshot(&path, &entries[..2], true).expect("rewrite");
         assert_eq!(
             read_snapshot(&path).expect("read"),
             Some(entries[..2].to_vec())
@@ -459,7 +492,7 @@ mod tests {
     fn corrupt_snapshot_is_a_hard_error() {
         let dir = TempDir::new("snap-corrupt");
         let path = dir.path().join("obj.snap");
-        write_snapshot(&path, &payloads(3)).expect("write");
+        write_snapshot(&path, &payloads(3), false).expect("write");
         let mut bytes = std::fs::read(&path).expect("read");
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;

@@ -122,74 +122,105 @@ fn random_corruption_always_replays_the_prefix_before_the_flip() {
     }
 }
 
-/// The same guarantee one level up: a durable object whose WAL loses a
-/// tail recovers exactly the state some prefix of its acked mutations
-/// produces — same registers, same timestamps, the same two remembered
-/// pairs — wherever the compacting snapshots fell.
-#[test]
-fn torn_object_logs_recover_prefix_consistent_register_state() {
-    const SNAPSHOT_EVERY: usize = 8;
-    let dir = TempDir::new("torture-object");
-    let mut rng = SplitMix64::new(0xD15C);
-    // Three registers, well over five mutations each, timestamps out of
-    // order and repeating: late pairs land below the two an object keeps,
-    // and a snapshot boundary falls inside every register's sequence.
-    let history: Vec<Req> = (0..40u64)
+/// A seeded history of `len` mutations over `regs` registers with
+/// `value_len`-byte values, timestamps out of order and repeating, so late
+/// pairs land below the two an object keeps.
+fn object_history(seed: u64, len: usize, regs: u64, value_len: usize) -> Vec<Req> {
+    let mut rng = SplitMix64::new(seed);
+    (0..len)
         .map(|_| {
-            let reg = RegId::Writer(rng.gen_range(0, 3) as u32);
+            let reg = RegId::Writer(rng.gen_range(0, regs) as u32);
             let ts = 1 + rng.gen_range(0, 12);
-            let pair = Stamped::plain(TsVal::new(Timestamp(ts), Value::from_u64(1000 + ts)));
+            let mut val = vec![0u8; value_len];
+            val[..8].copy_from_slice(&(1000 + ts).to_be_bytes());
+            let pair = Stamped::plain(TsVal::new(Timestamp(ts), Value::from_bytes(val)));
             match rng.gen_range(0, 2) {
                 0 => Req::Store { reg, pair },
                 1 => Req::PreWrite { reg, pair },
                 _ => Req::Commit { reg, pair },
             }
         })
-        .collect();
+        .collect()
+}
+
+/// The same guarantee one level up: a durable object whose WAL loses a
+/// tail recovers exactly the state some prefix of its acked mutations
+/// produces — same registers, same timestamps, the same two remembered
+/// pairs — wherever the compacting snapshots fell. Two histories put them
+/// where each half of the compaction rule governs: three registers of
+/// 8-byte values, whose snapshot is about as long as `SNAPSHOT_EVERY`
+/// records, so the count sets the spacing, and 64 registers of 1 KiB
+/// values, whose snapshot soon outweighs many times that, so the byte rule
+/// spaces them further apart.
+#[test]
+fn torn_object_logs_recover_prefix_consistent_register_state() {
+    const SNAPSHOT_EVERY: usize = 8;
+    let dir = TempDir::new("torture-object");
     let reg_of = |req: &Req| match req {
         Req::Store { reg, .. } | Req::PreWrite { reg, .. } | Req::Commit { reg, .. } => *reg,
         Req::Collect { .. } => unreachable!("the history is mutations"),
     };
+    let small = object_history(0xD15C, 40, 3, 8);
+    // Well over five mutations per register, so a snapshot boundary falls
+    // inside every register's sequence.
     for reg in (0..3).map(RegId::Writer) {
-        assert!(history.iter().filter(|req| reg_of(req) == reg).count() >= 5);
+        assert!(small.iter().filter(|req| reg_of(req) == reg).count() >= 5);
     }
+    let large = object_history(0xB16, 160, 64, 1024);
 
     let id = ObjectId(0);
-    for written in 0..=history.len() {
-        let obj_dir = dir.path().join(format!("written-{written}"));
-        let (mut obj, _) = DurableObject::open(&obj_dir, id, SNAPSHOT_EVERY as u64).expect("open");
-        for req in &history[..written] {
-            obj.on_request(ClientId::writer(), req).expect("acked");
-        }
-        drop(obj);
-        // The WAL holds what was logged since the last snapshot; tear it
-        // at every record boundary, longest first.
-        let snapshotted = written - written % SNAPSHOT_EVERY;
-        let wal_path = obj_dir.join("obj-0.wal");
-        let (_, logged, _) = Wal::open(&wal_path).expect("inspect");
-        assert_eq!(logged.len(), written - snapshotted);
-        for keep in (0..=logged.len()).rev() {
-            let f = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&wal_path)
-                .expect("open for truncation");
-            f.set_len(boundary(&logged, keep)).expect("truncate");
-            drop(f);
-
-            let (recovered, stats) =
-                DurableObject::open(&obj_dir, id, SNAPSHOT_EVERY as u64).expect("recover");
-            assert_eq!(stats.wal_records, keep as u64);
-            // Reference: a fresh in-memory object given only the prefix.
-            let mut reference = HonestObject::new();
-            for req in &history[..snapshotted + keep] {
-                reference.apply(req);
+    for (case, history) in [small, large].iter().enumerate() {
+        let mut snapshot_points = vec![0];
+        for written in 0..=history.len() {
+            let obj_dir = dir.path().join(format!("{case}-written-{written}"));
+            let (mut obj, _) =
+                DurableObject::open(&obj_dir, id, SNAPSHOT_EVERY as u64).expect("open");
+            for req in &history[..written] {
+                obj.on_request(ClientId::writer(), req).expect("acked");
             }
-            assert_eq!(
-                recovered.object().export_regs(),
-                reference.export_regs(),
-                "{written} written, {keep} of the log kept: recovered state must equal \
-                 the prefix state"
-            );
+            drop(obj);
+            // The WAL holds what was logged since the last snapshot; tear it
+            // at every record boundary, longest first.
+            let wal_path = obj_dir.join("obj-0.wal");
+            let (_, logged, _) = Wal::open(&wal_path).expect("inspect");
+            let snapshotted = written - logged.len();
+            if snapshot_points.last() != Some(&snapshotted) {
+                snapshot_points.push(snapshotted);
+            }
+            for keep in (0..=logged.len()).rev() {
+                let f = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&wal_path)
+                    .expect("open for truncation");
+                f.set_len(boundary(&logged, keep)).expect("truncate");
+                drop(f);
+
+                let (recovered, stats) =
+                    DurableObject::open(&obj_dir, id, SNAPSHOT_EVERY as u64).expect("recover");
+                assert_eq!(stats.wal_records, keep as u64);
+                // Reference: a fresh in-memory object given only the prefix.
+                let mut reference = HonestObject::new();
+                for req in &history[..snapshotted + keep] {
+                    reference.apply(req);
+                }
+                assert_eq!(
+                    recovered.object().export_regs(),
+                    reference.export_regs(),
+                    "{written} written, {keep} of the log kept: recovered state must equal \
+                     the prefix state"
+                );
+            }
         }
+        // Where the snapshots fell: the first after `SNAPSHOT_EVERY`
+        // mutations, the rest no sooner, and — for the large registers —
+        // many records later once the byte rule governs.
+        let gaps: Vec<usize> = snapshot_points.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!(gaps.len() >= 3 && gaps[0] == SNAPSHOT_EVERY, "{gaps:?}");
+        assert!(gaps.iter().all(|&gap| gap >= SNAPSHOT_EVERY), "{gaps:?}");
+        assert_eq!(
+            gaps.iter().any(|&gap| gap > 4 * SNAPSHOT_EVERY),
+            case == 1,
+            "{gaps:?}"
+        );
     }
 }
