@@ -238,7 +238,7 @@ impl ChaosState {
             let t = q.pop().expect("peeked");
             match t.bytes {
                 Some(bytes) => {
-                    let _ = t.dest.send(bytes);
+                    let _ = t.dest.send(&bytes);
                 }
                 None => t.dest.close(),
             }

@@ -56,7 +56,8 @@ type Registry = Mutex<HashMap<ClientId, Sender<ObjReply<Rep>>>>;
 
 /// One client's latest flush, kept for resubmission until superseded.
 struct Pending {
-    bytes: Vec<u8>,
+    /// Shared with the resubmission ticker, which sends it unlocked.
+    bytes: Arc<Vec<u8>>,
     last_sent: Instant,
     resubmits: u32,
 }
@@ -91,7 +92,7 @@ impl ClientState {
     fn broadcast(&self, bytes: &[u8]) {
         for ep in &self.endpoints {
             if let Some(conn) = &*ep.conn.lock().expect("endpoint conn lock") {
-                let _ = conn.send(bytes.to_vec());
+                let _ = conn.send(bytes);
             }
         }
     }
@@ -147,18 +148,19 @@ impl ClientState {
                     .lock()
                     .expect("conn route lock")
                     .insert(conn.id(), idx);
-                *ep.conn.lock().expect("endpoint conn lock") = Some(conn);
+                // Published before `pending` is read: a flush registered
+                // after this loop's snapshot is broadcast on `conn` by its
+                // own sender.
+                *ep.conn.lock().expect("endpoint conn lock") = Some(conn.clone());
                 sched.1 = REDIAL_MIN;
                 // Frames in flight on the dead socket are gone; re-send
                 // every registered client's latest flush on the new
                 // connection so in-flight ops resume immediately.
                 let mut pending = self.pending.lock().expect("pending lock");
                 for p in pending.values_mut() {
-                    if let Some(conn) = &*ep.conn.lock().expect("endpoint conn lock") {
-                        if conn.send(p.bytes.clone()) {
-                            self.resubmissions.inc();
-                            p.last_sent = now;
-                        }
+                    if conn.send(&p.bytes) {
+                        self.resubmissions.inc();
+                        p.last_sent = now;
                     }
                 }
                 None
@@ -234,7 +236,7 @@ impl Events for ClientState {
         }
 
         // Re-broadcast stalled flushes.
-        let mut due: Vec<Vec<u8>> = Vec::new();
+        let mut due: Vec<Arc<Vec<u8>>> = Vec::new();
         {
             let mut pending = self.pending.lock().expect("pending lock");
             for p in pending.values_mut() {
@@ -245,7 +247,7 @@ impl Events for ClientState {
                 if at <= now {
                     p.last_sent = now;
                     p.resubmits += 1;
-                    due.push(p.bytes.clone());
+                    due.push(Arc::clone(&p.bytes));
                     fold(now + RESUBMIT_EVERY);
                 } else {
                     fold(at);
@@ -394,11 +396,11 @@ impl Transport<Req, Rep> for NetCluster {
                 })
                 .collect(),
         });
-        let bytes = wire::encode_frame(&env);
+        let bytes = Arc::new(wire::encode_frame(&env));
         self.state.pending.lock().expect("pending lock").insert(
             from,
             Pending {
-                bytes: bytes.clone(),
+                bytes: Arc::clone(&bytes),
                 last_sent: Instant::now(),
                 resubmits: 0,
             },

@@ -313,7 +313,7 @@ impl Events for OpsState {
             admit(raw).map(|frame| control_reply(frame, Vec::new, |cmd| run_admin(&self.kv, cmd)));
         match reply {
             Ok(Some(reply)) | Err(Some(reply)) => {
-                let _ = conn.send(wire::encode_frame(&reply));
+                let _ = conn.send(&wire::encode_frame(&reply));
             }
             Ok(None) | Err(None) => conn.close(),
         }

@@ -31,13 +31,25 @@
 //! on the worker thread and holds at most one partial frame's prefix plus
 //! whatever whole frames one `read` burst delivered; frames are split off
 //! and dispatched immediately, so it never grows past one frame +
-//! one read burst. The *outbox* is a shared, mutex-guarded queue any
-//! thread can append to through a [`ConnHandle`]; the worker drains it
-//! whenever the socket is writable. The outbox is bounded
-//! ([`MAX_OUTBOX_BYTES`]): when a peer stops reading, [`ConnHandle::send`]
-//! drops the frame and reports `false` instead of buffering without limit
-//! — the transport contract is best-effort, and a frame dropped to
-//! backpressure is indistinguishable from one dropped by the network.
+//! one read burst. The *outbox* is a shared, mutex-guarded queue of the
+//! output the socket has not taken yet, the partly written front frame
+//! included.
+//!
+//! Writes go through on the sender's thread: [`ConnHandle::send`] on a
+//! connection whose outbox is empty makes the non-blocking `write(2)`
+//! itself, queues only what the socket did not take, and wakes the worker
+//! only then — so a request or reply that fits the socket buffer costs no
+//! reactor wakeup. Once anything is queued, later sends append behind it
+//! and the worker drains the outbox whenever the socket is writable.
+//! Every write, on either thread, happens under the outbox lock and only
+//! when nothing queued precedes it, so the bytes on the wire are whole
+//! frames in `send` order whoever wrote them.
+//!
+//! The outbox is bounded ([`MAX_OUTBOX_BYTES`]): when a peer stops
+//! reading, [`ConnHandle::send`] drops the frame and reports `false`
+//! instead of buffering without limit — the transport contract is
+//! best-effort, and a frame dropped to backpressure is indistinguishable
+//! from one dropped by the network.
 //!
 //! ## The poller
 //!
@@ -69,8 +81,8 @@ pub const DEFAULT_WORKERS: usize = 2;
 pub const MAX_OUTBOX_BYTES: usize = 8 * 1024 * 1024;
 
 /// The coarse idle tick: the longest a worker sleeps when no timer is
-/// pending. Wakeups for I/O and sends are immediate (waker); the tick
-/// only bounds how stale [`Events::on_tick`] housekeeping can get.
+/// pending. Wakeups for I/O and queued sends are immediate (waker); the
+/// tick only bounds how stale [`Events::on_tick`] housekeeping can get.
 const IDLE_TICK: Duration = Duration::from_millis(20);
 
 /// Deadlines closer than this are waited out with zero-timeout polls
@@ -230,13 +242,59 @@ impl Poller {
 // Connections
 // ---------------------------------------------------------------------------
 
+/// Write as much of `buf` as the socket takes without blocking. Returns
+/// the byte count written, or `None` on a dead socket.
+fn write_some(mut stream: &TcpStream, buf: &[u8]) -> Option<usize> {
+    let mut off = 0;
+    while off < buf.len() {
+        match stream.write(&buf[off..]) {
+            Ok(0) => return None,
+            Ok(n) => off += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return None,
+        }
+    }
+    Some(off)
+}
+
+/// The output a connection's socket has not taken yet: frames in `send`
+/// order, the front one possibly partly written. Empty means nothing is
+/// in flight, so the next byte written must start a frame.
 struct Outbox {
     queue: VecDeque<Vec<u8>>,
+    /// Bytes of the front frame already written.
+    front_off: usize,
+    /// Unwritten bytes across the queue.
     queued_bytes: usize,
+}
+
+impl Outbox {
+    /// Write queued output until the queue is empty or the socket would
+    /// block. Returns `false` on a dead socket.
+    fn flush(&mut self, stream: &TcpStream) -> bool {
+        while let Some(front) = self.queue.front() {
+            let Some(n) = write_some(stream, &front[self.front_off..]) else {
+                return false;
+            };
+            self.front_off += n;
+            self.queued_bytes -= n;
+            if self.front_off < front.len() {
+                break;
+            }
+            self.queue.pop_front();
+            self.front_off = 0;
+        }
+        true
+    }
 }
 
 struct ConnShared {
     id: u64,
+    /// Non-blocking from registration on: the worker reads it, and
+    /// whichever thread holds the outbox lock with nothing queued writes
+    /// it.
+    stream: TcpStream,
     outbox: Mutex<Outbox>,
     /// Mirror of `outbox.queued_bytes`, readable without the lock: the
     /// worker reads it for every connection on every iteration, and must
@@ -247,8 +305,10 @@ struct ConnShared {
 }
 
 /// A registered connection, cloneable into any thread that needs to send
-/// on it. Sends are best-effort and non-blocking; the owning worker does
-/// all actual socket I/O.
+/// on it. Sends are best-effort and never block: a send on an idle
+/// connection writes the socket on the caller's thread, and the owning
+/// worker does the rest of the I/O — every read, and the writes of
+/// whatever a send had to queue.
 #[derive(Clone)]
 pub struct ConnHandle {
     shared: Arc<ConnShared>,
@@ -260,23 +320,43 @@ impl ConnHandle {
         self.shared.id
     }
 
-    /// Queue one encoded frame for writing. Returns `false` — dropping
-    /// the frame, never blocking — when the connection is closed or its
-    /// outbox is over [`MAX_OUTBOX_BYTES`].
-    pub fn send(&self, frame: Vec<u8>) -> bool {
+    /// Send one encoded frame. If nothing is queued ahead of it, the
+    /// frame is written on the calling thread, and only the part the
+    /// socket does not take is copied into the outbox for the worker to
+    /// finish. Returns `false` — dropping the frame, never blocking —
+    /// when the connection is closed (a write error here closes it) or
+    /// the frame would take the outbox over [`MAX_OUTBOX_BYTES`].
+    pub fn send(&self, frame: &[u8]) -> bool {
         if self.shared.closed.load(Ordering::Acquire) {
             return false;
         }
-        {
-            let mut ob = self.shared.outbox.lock().expect("outbox lock");
-            if ob.queued_bytes + frame.len() > MAX_OUTBOX_BYTES {
-                return false;
-            }
-            ob.queued_bytes += frame.len();
-            self.shared.queued.store(ob.queued_bytes, Ordering::Release);
-            ob.queue.push_back(frame);
+        let mut ob = self.shared.outbox.lock().expect("outbox lock");
+        if ob.queued_bytes + frame.len() > MAX_OUTBOX_BYTES {
+            return false;
         }
-        self.shared.worker.waker.wake();
+        let idle = ob.queue.is_empty();
+        let written = if idle {
+            let Some(n) = write_some(&self.shared.stream, frame) else {
+                drop(ob);
+                self.close();
+                return false;
+            };
+            n
+        } else {
+            0
+        };
+        if written < frame.len() {
+            ob.queue.push_back(frame[written..].to_vec());
+            ob.queued_bytes += frame.len() - written;
+            self.shared.queued.store(ob.queued_bytes, Ordering::Release);
+            drop(ob);
+            // Only the empty → non-empty edge wakes the worker: after it,
+            // the worker either has a wake pending or already waits for
+            // writability on this connection.
+            if idle {
+                self.shared.worker.waker.wake();
+            }
+        }
         true
     }
 
@@ -330,8 +410,8 @@ pub trait Events: Send + Sync + 'static {
 
 struct WorkerShared {
     waker: Waker,
-    /// Streams registered but not yet adopted by this worker.
-    inbox: Mutex<Vec<(TcpStream, Arc<ConnShared>)>>,
+    /// Connections registered but not yet adopted by this worker.
+    inbox: Mutex<Vec<Arc<ConnShared>>>,
     /// Set when some conn of this worker was closed externally, so the
     /// worker knows to sweep (avoids an O(conns) scan per iteration).
     sweep: AtomicBool,
@@ -355,19 +435,26 @@ pub struct ReactorHandle {
 
 impl ReactorHandle {
     /// Adopt an already-connected stream: pin it to a worker, start
-    /// reading frames from it. The returned handle can send immediately
-    /// (frames queue until the worker picks the stream up).
+    /// reading frames from it. The returned handle can send immediately,
+    /// before the worker has picked the stream up.
     pub fn register(&self, stream: TcpStream) -> ConnHandle {
         let id = self.core.next_conn.fetch_add(1, Ordering::Relaxed);
         let worker = Arc::clone(&self.core.workers[id as usize % self.core.workers.len()]);
+        // Set before the handle escapes: its first send may write the
+        // socket on the caller's thread, and that write must not block.
+        // A stream that cannot be made non-blocking is never written.
+        let blocking = stream.set_nonblocking(true).is_err();
+        let _ = stream.set_nodelay(true);
         let shared = Arc::new(ConnShared {
             id,
+            stream,
             outbox: Mutex::new(Outbox {
                 queue: VecDeque::new(),
+                front_off: 0,
                 queued_bytes: 0,
             }),
             queued: AtomicUsize::new(0),
-            closed: AtomicBool::new(self.core.shutdown.load(Ordering::Acquire)),
+            closed: AtomicBool::new(blocking || self.core.shutdown.load(Ordering::Acquire)),
             worker: Arc::clone(&worker),
         });
         reactor_metrics().conns_open.inc();
@@ -380,7 +467,7 @@ impl ReactorHandle {
             .inbox
             .lock()
             .expect("worker inbox lock")
-            .push((stream, Arc::clone(&shared)));
+            .push(Arc::clone(&shared));
         worker.waker.wake();
         ConnHandle { shared }
     }
@@ -501,13 +588,9 @@ impl Drop for Reactor {
 
 /// One worker's connection state, owned by its thread.
 struct ConnState {
-    stream: TcpStream,
     shared: Arc<ConnShared>,
     /// Read accumulator: at most one partial frame plus one read burst.
     rdbuf: Vec<u8>,
-    /// The frame currently being written, with its write offset.
-    wrbuf: Vec<u8>,
-    wroff: usize,
 }
 
 /// What one interest-list slot refers to.
@@ -535,31 +618,25 @@ fn worker_loop(
         }
 
         // Adopt registrations.
-        let adopts: Vec<(TcpStream, Arc<ConnShared>)> = me
+        let adopts: Vec<Arc<ConnShared>> = me
             .inbox
             .lock()
             .expect("worker inbox lock")
             .drain(..)
             .collect();
-        for (stream, shared) in adopts {
+        for shared in adopts {
             if shared.closed.load(Ordering::Acquire) {
-                teardown(core, handler, shared.id, Some(&stream), &shared);
+                teardown(core, handler, &shared);
                 continue;
             }
-            let _ = stream.set_nonblocking(true);
-            let _ = stream.set_nodelay(true);
-            let id = shared.id;
             let conn = ConnHandle {
                 shared: Arc::clone(&shared),
             };
             conns.insert(
-                id,
+                shared.id,
                 ConnState {
-                    stream,
                     shared,
                     rdbuf: Vec::new(),
-                    wrbuf: Vec::new(),
-                    wroff: 0,
                 },
             );
             handler.on_open(&conn);
@@ -574,7 +651,7 @@ fn worker_loop(
                 .collect();
             for id in dead {
                 if let Some(c) = conns.remove(&id) {
-                    teardown(core, handler, id, Some(&c.stream), &c.shared);
+                    teardown(core, handler, &c.shared);
                 }
             }
         }
@@ -597,8 +674,8 @@ fn worker_loop(
         }
         for (&id, c) in &conns {
             interests.push(Interest {
-                fd: c.stream.as_raw_fd(),
-                write: c.wroff < c.wrbuf.len() || c.shared.queued.load(Ordering::Acquire) > 0,
+                fd: c.shared.stream.as_raw_fd(),
+                write: c.shared.queued.load(Ordering::Acquire) > 0,
             });
             tokens.push(Token::Conn(id));
         }
@@ -629,7 +706,7 @@ fn worker_loop(
         }
         for id in to_close {
             if let Some(c) = conns.remove(&id) {
-                teardown(core, handler, id, Some(&c.stream), &c.shared);
+                teardown(core, handler, &c.shared);
             }
         }
         if spin && !had_work {
@@ -638,8 +715,8 @@ fn worker_loop(
     }
 
     // Shutdown: tear down everything this worker owns.
-    for (id, c) in conns.drain() {
-        teardown(core, handler, id, Some(&c.stream), &c.shared);
+    for c in conns.into_values() {
+        teardown(core, handler, &c.shared);
     }
 }
 
@@ -676,7 +753,7 @@ fn service(
     }
     if readable {
         loop {
-            match c.stream.read(scratch) {
+            match (&c.shared.stream).read(scratch) {
                 Ok(0) => return false,
                 Ok(n) => {
                     c.rdbuf.extend_from_slice(&scratch[..n]);
@@ -713,52 +790,254 @@ fn service(
             }
         }
     }
-    // A read may have queued replies; push them out without waiting for
-    // the next writability report.
-    flush(c)
+    // Replies sent while reading went out on this thread already, or
+    // queued behind output that waits for writability.
+    true
 }
 
 /// Write as much queued output as the socket takes. Returns `false` on a
 /// dead socket.
-fn flush(c: &mut ConnState) -> bool {
-    loop {
-        if c.wroff >= c.wrbuf.len() {
-            let mut ob = c.shared.outbox.lock().expect("outbox lock");
-            match ob.queue.pop_front() {
-                Some(frame) => {
-                    ob.queued_bytes -= frame.len();
-                    c.shared.queued.store(ob.queued_bytes, Ordering::Release);
-                    drop(ob);
-                    c.wrbuf = frame;
-                    c.wroff = 0;
-                }
-                None => return true,
-            }
-        }
-        match c.stream.write(&c.wrbuf[c.wroff..]) {
-            Ok(0) => return false,
-            Ok(n) => c.wroff += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
+fn flush(c: &ConnState) -> bool {
+    let mut ob = c.shared.outbox.lock().expect("outbox lock");
+    let alive = ob.flush(&c.shared.stream);
+    c.shared.queued.store(ob.queued_bytes, Ordering::Release);
+    alive
 }
 
-fn teardown(
-    core: &Core,
-    handler: &dyn Events,
-    id: u64,
-    stream: Option<&TcpStream>,
-    shared: &Arc<ConnShared>,
-) {
+fn teardown(core: &Core, handler: &dyn Events, shared: &ConnShared) {
     shared.closed.store(true, Ordering::Release);
-    if let Some(s) = stream {
-        let _ = s.shutdown(Shutdown::Both);
-    }
+    let _ = shared.stream.shutdown(Shutdown::Both);
     core.conns
         .lock()
         .expect("reactor conn map lock")
-        .remove(&id);
-    handler.on_close(id);
+        .remove(&shared.id);
+    handler.on_close(shared.id);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::Frame;
+    use std::sync::mpsc;
+
+    /// Reports opens and closes and, when asked, parks its worker in
+    /// `on_tick` until released — so a test can act on a connection while
+    /// no worker touches it.
+    struct Probe {
+        opened: mpsc::Sender<()>,
+        closed: mpsc::Sender<()>,
+        hold: AtomicBool,
+        parked: mpsc::Sender<()>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Events for Probe {
+        fn on_open(&self, _conn: &ConnHandle) {
+            let _ = self.opened.send(());
+        }
+
+        fn on_frame(&self, _conn: &ConnHandle, _raw: &[u8]) {}
+
+        fn on_close(&self, _conn_id: u64) {
+            let _ = self.closed.send(());
+        }
+
+        fn on_tick(&self, _now: Instant) -> Option<Instant> {
+            if self.hold.swap(false, Ordering::SeqCst) {
+                let _ = self.parked.send(());
+                let _ = self.release.lock().expect("release lock").recv();
+            }
+            None
+        }
+    }
+
+    /// One worker, one adopted connection on it, and the peer's end.
+    struct Rig {
+        // Dropped before `reactor`, so a failed test never leaves the
+        // worker parked while the reactor joins it.
+        release: mpsc::Sender<()>,
+        reactor: Reactor,
+        probe: Arc<Probe>,
+        parked: mpsc::Receiver<()>,
+        closed: mpsc::Receiver<()>,
+        conn: ConnHandle,
+        peer: TcpStream,
+    }
+
+    fn rig() -> Rig {
+        let (opened, opened_rx) = mpsc::channel();
+        let (closed, closed_rx) = mpsc::channel();
+        let (parked, parked_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let probe = Arc::new(Probe {
+            opened,
+            closed,
+            hold: AtomicBool::new(false),
+            parked,
+            release: Mutex::new(release_rx),
+        });
+        let reactor =
+            Reactor::spawn_with(Arc::clone(&probe) as Arc<dyn Events>, None, 1).expect("reactor");
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let conn = reactor.handle().register(stream);
+        let (peer, _) = listener.accept().expect("accept");
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        opened_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("worker adopts the connection");
+        Rig {
+            release,
+            reactor,
+            probe,
+            parked: parked_rx,
+            closed: closed_rx,
+            conn,
+            peer,
+        }
+    }
+
+    impl Rig {
+        /// On return the worker is blocked in `on_tick`: every socket
+        /// operation until `release` fires is the test thread's own.
+        fn park(&self) {
+            self.probe.hold.store(true, Ordering::SeqCst);
+            self.conn.shared.worker.waker.wake();
+            self.parked
+                .recv_timeout(Duration::from_secs(10))
+                .expect("worker parks");
+        }
+
+        fn queued_frames(&self) -> usize {
+            self.conn
+                .shared
+                .outbox
+                .lock()
+                .expect("outbox lock")
+                .queue
+                .len()
+        }
+    }
+
+    /// A well-framed frame of `len` body-ish bytes, distinct per length.
+    fn frame(len: usize) -> Vec<u8> {
+        wire::encode_frame(&Frame::AdminRep {
+            corr: len as u64,
+            ok: true,
+            detail: "x".repeat(len),
+        })
+    }
+
+    #[test]
+    fn send_sheds_at_the_outbox_cap_against_a_peer_that_never_reads() {
+        let r = rig();
+        let frame = vec![0u8; 64 * 1024];
+        // Kernel buffers take a few MiB before the outbox starts to fill.
+        let attempts = (MAX_OUTBOX_BYTES + 64 * 1024 * 1024) / frame.len();
+        let shed = (0..attempts).any(|_| {
+            let took = r.conn.send(&frame);
+            let queued = r.conn.shared.queued.load(Ordering::SeqCst);
+            assert!(
+                queued <= MAX_OUTBOX_BYTES,
+                "outbox over its cap: {queued} B"
+            );
+            !took
+        });
+        assert!(shed, "send never shed against a peer that never reads");
+        let queued = r.conn.shared.queued.load(Ordering::SeqCst);
+        assert!(
+            queued + frame.len() > MAX_OUTBOX_BYTES,
+            "shed with room for the frame: {queued} B queued"
+        );
+        assert!(
+            !r.conn.is_closed() && r.closed.try_recv().is_err(),
+            "backpressure must not close the connection"
+        );
+    }
+
+    /// With the worker parked, only the caller's own write can find the
+    /// peer gone — after a plain close (FIN) or a reset (a close with
+    /// unread bytes) — and the close it triggers reaches `on_close`
+    /// exactly once, from the worker.
+    #[test]
+    fn a_caller_side_write_error_closes_the_connection_once() {
+        for reset in [false, true] {
+            let r = rig();
+            if reset {
+                assert!(r.conn.send(&frame(16)), "written through before the reset");
+            }
+            r.park();
+            drop(r.peer);
+            let mut sends = 0;
+            while r.conn.send(&frame(1024)) {
+                sends += 1;
+                assert!(
+                    sends < 100,
+                    "sends kept succeeding to a closed peer (reset: {reset})"
+                );
+            }
+            assert!(
+                r.conn.is_closed(),
+                "a failed write must close (reset: {reset})"
+            );
+            assert!(r.closed.try_recv().is_err(), "on_close ran off the worker");
+            r.release.send(()).expect("worker parked");
+            r.closed
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the worker reports the close");
+            drop(r.reactor);
+            assert!(
+                r.closed.try_recv().is_err(),
+                "on_close fired twice (reset: {reset})"
+            );
+        }
+    }
+
+    /// A partly written frame in the outbox keeps the socket for itself:
+    /// a later send queues behind it even when the socket has room, or
+    /// its bytes would land inside the unfinished frame. Checked for both
+    /// kinds of partial front: the remainder a caller's own write left,
+    /// and a frame the worker's flush stopped inside.
+    #[test]
+    fn a_send_queues_behind_a_partly_written_frame() {
+        let mut r = rig();
+        r.park();
+        let mut sent = Vec::new();
+        let mut make_room = |r: &mut Rig| {
+            let mut chunk = vec![0u8; 256 * 1024];
+            r.peer.read_exact(&mut chunk).expect("peer reads");
+            sent.extend_from_slice(&chunk);
+        };
+
+        let big = frame(6 * 1024 * 1024);
+        assert!(r.conn.send(&big));
+        assert_eq!(r.queued_frames(), 1, "the socket took a 6 MiB frame whole");
+        make_room(&mut r);
+        let small = frame(8);
+        assert!(r.conn.send(&small));
+        assert_eq!(
+            r.queued_frames(),
+            2,
+            "a send wrote past a caller's remainder"
+        );
+
+        // Stand in for the parked worker: flush into the room just made.
+        {
+            let mut ob = r.conn.shared.outbox.lock().expect("outbox lock");
+            assert!(ob.flush(&r.conn.shared.stream));
+            assert!(ob.front_off > 0, "the flush did not stop inside the frame");
+        }
+        make_room(&mut r);
+        let tiny = frame(1);
+        assert!(r.conn.send(&tiny));
+        assert_eq!(r.queued_frames(), 3, "a send wrote past a flushed part");
+        r.release.send(()).expect("worker parked");
+
+        let want = [big, small, tiny].concat();
+        let mut rest = vec![0u8; want.len() - sent.len()];
+        r.peer.read_exact(&mut rest).expect("peer reads the rest");
+        sent.extend_from_slice(&rest);
+        assert!(sent == want, "the frames arrived changed or reordered");
+    }
 }

@@ -10,7 +10,9 @@
 //! what this module adds is the wire: reply envelopes are encoded onto
 //! the connection the request came in on, tagged with the requesting
 //! client so one connection can be shared by many clients, and the ops
-//! plane's control frames are answered in-band.
+//! plane's control frames are answered in-band. An executor writes its
+//! reply envelopes itself ([`ConnHandle::send`] writes through), so a
+//! reply costs no reactor wakeup.
 //!
 //! Objects carry **cluster-global** ids `first_id ..`, so a logical
 //! cluster may be split across several servers (each hosting a slice of
@@ -24,6 +26,7 @@ use rastor_core::msg::{Rep, Req};
 use rastor_obs::{names, trace, Counter, Registry};
 use rastor_sim::host::{Accounting, ObjectHost, ReplySink, EXECUTORS};
 use rastor_sim::ObjectBehavior;
+use std::cell::RefCell;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -55,11 +58,25 @@ fn net_metrics() -> &'static NetMetrics {
     })
 }
 
-/// Count a frame out if the connection took it.
+/// Encode buffers above this size are not kept for the next frame, so a
+/// thread that once sent a large status reply does not hold its buffer.
+const ENCODE_BUF_KEPT: usize = 64 * 1024;
+
+/// Count a frame out if the connection took it. Frames are encoded into
+/// one reused buffer per thread: the send writes it straight to the
+/// socket and copies only what the socket does not take.
 fn send_counted(conn: &ConnHandle, frame: &Frame) {
-    if conn.send(wire::encode_frame(frame)) {
-        net_metrics().frames_out.inc();
+    thread_local! {
+        static ENCODE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
     }
+    ENCODE_BUF.with_borrow_mut(|buf| {
+        wire::encode_frame_into(frame, buf);
+        if conn.send(buf) {
+            net_metrics().frames_out.inc();
+        }
+        buf.clear();
+        buf.shrink_to(ENCODE_BUF_KEPT);
+    });
 }
 
 /// The server's reply path: an object's reply envelope is encoded onto

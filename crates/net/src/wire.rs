@@ -405,6 +405,18 @@ fn encode_body(frame: &Frame, out: &mut Vec<u8>) {
 /// envelope that large indicates a runaway batch, not a workload).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
+    encode_frame_into(frame, &mut out);
+    out
+}
+
+/// Encode one frame into `out`, replacing its contents — so a sender
+/// that encodes many frames can reuse one buffer's allocation.
+///
+/// # Panics
+///
+/// As [`encode_frame`].
+pub(crate) fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    out.clear();
     out.extend_from_slice(&MAGIC);
     out.push(WIRE_VERSION);
     out.push(match frame {
@@ -422,8 +434,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::TraceReq { .. } => KIND_TRACE_REQ,
         Frame::Trace { .. } => KIND_TRACE,
     });
-    put_u32(&mut out, 0); // patched below
-    encode_body(frame, &mut out);
+    put_u32(out, 0); // patched below
+    encode_body(frame, out);
     let body_len = out.len() - HEADER_LEN;
     assert!(body_len <= MAX_BODY_LEN, "frame body exceeds MAX_BODY_LEN");
     out[4..8].copy_from_slice(
@@ -431,7 +443,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             .expect("checked above")
             .to_le_bytes(),
     );
-    out
 }
 
 // ---------------------------------------------------------------------------

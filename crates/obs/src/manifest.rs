@@ -165,7 +165,7 @@ pub const METRICS: &[MetricDef] = &[
         kind: "counter",
         unit: "wakeups",
         seam: "net::reactor",
-        help: "Reactor readiness-loop wakeups that found I/O or timer work.",
+        help: "Reactor readiness-loop wakeups that found I/O or timer work; a send written through on the caller's thread wakes no worker.",
     },
     MetricDef {
         name: names::NET_RESUBMISSIONS,
