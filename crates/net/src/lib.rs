@@ -55,8 +55,9 @@
 //! # Ok::<(), rastor_common::Error>(())
 //! ```
 
-// `deny`, not `forbid`: the reactor's poll(2) FFI shim is the one
-// narrowly-scoped `#[allow(unsafe_code)]` island in the workspace.
+// `deny`, not `forbid`: the reactor's poll(2) FFI shim is this crate's one
+// narrowly-scoped `#[allow(unsafe_code)]` island (the workspace's other is
+// `rastor_store`'s dispatch into its CRC-32 folding kernel).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

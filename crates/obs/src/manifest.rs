@@ -95,7 +95,7 @@ pub const METRICS: &[MetricDef] = &[
         kind: "counter",
         unit: "syncs",
         seam: "store::Wal",
-        help: "Fsyncs the store issued: one per logged mutation, two per snapshot.",
+        help: "Fsyncs the store issued: one per logged mutation or key-directory append, two per snapshot and per log created.",
     },
     MetricDef {
         name: names::STORE_WAL_REPLAYED,

@@ -27,7 +27,11 @@
 //! [`WalBacked::with_fsync`], which pays an `fdatasync` per logged
 //! mutation to extend the invariant to stable storage, and syncs each
 //! snapshot file and its directory before the log it replaces is reset —
-//! else a power loss could keep the reset and lose the snapshot.
+//! else a power loss could keep the reset and lose the snapshot. The
+//! policy belongs to the [`Wal`]: set when the log is opened, it covers
+//! every log of the scope — an object's, and the auxiliary logs higher
+//! layers keep (the kv key directory) — and a log it creates has its
+//! header and directory entry synced before anything is acked into it.
 //!
 //! *Replay is prefix-consistent.* The WAL truncates its torn tail on
 //! replay (see [`crate::wal`]), so the recovered state is the state after
@@ -65,14 +69,11 @@
 //! bytes the wire carries. This module decides only *what* is logged:
 //! mutations, never collects.
 
-use crate::wal::{
-    file_len, read_snapshot, write_snapshot, Wal, FILE_HEADER_LEN, RECORD_HEADER_LEN,
-};
+use crate::wal::{read_snapshot, write_snapshot, Wal, FILE_HEADER_LEN, RECORD_HEADER_LEN};
 use rastor_common::{ClientId, Error, ObjectId, Result};
 use rastor_core::codec::{decode_reg_view, decode_req, encode_reg_view, encode_req};
 use rastor_core::msg::{Rep, Req};
 use rastor_core::object::HonestObject;
-use rastor_obs::trace;
 use rastor_sim::ObjectBehavior;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -132,9 +133,6 @@ pub struct DurableObject {
     /// Length of the last snapshot file, written or found at open (0 if
     /// none).
     snapshot_bytes: u64,
-    /// `fdatasync` after every logged mutation and sync each snapshot
-    /// before the log is reset (power-loss durability).
-    fsync: bool,
     /// Set after a log/snapshot failure: the object goes silent (crash
     /// semantics) instead of acking writes it cannot make durable.
     broken: bool,
@@ -176,27 +174,27 @@ impl DurableObject {
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::io(format!("creating data dir {}", dir.display()), &e))?;
         let snap = snap_path(dir, id);
-        let (mut obj, snapshot_bytes) = match read_snapshot(&snap)? {
-            None => (HonestObject::new(), 0),
-            Some(entries) => {
-                let regs = entries
-                    .iter()
-                    .map(|e| decode_reg_view(e))
-                    .collect::<Result<Vec<_>>>()?;
-                (HonestObject::from_export(regs), file_len(&entries))
-            }
-        };
-        let snapshot_regs = obj.num_regs();
-        let (wal, records, replay) = Wal::open(wal_path(dir, id))?;
-        for rec in &records {
-            let req = decode_req(rec)?;
+        // Records are decoded where they lie in the file's bytes.
+        let mut regs = Vec::new();
+        let snapshot_bytes = read_snapshot(&snap, |entry| {
+            regs.push(decode_reg_view(entry)?);
+            Ok(())
+        })?
+        .unwrap_or(0);
+        let snapshot_regs = regs.len();
+        let mut obj = HonestObject::from_export(regs);
+        let mut log_bytes = FILE_HEADER_LEN as u64;
+        let (wal, replay) = Wal::open_with(wal_path(dir, id), fsync, |record| {
+            let req = decode_req(record)?;
             // Collects are never logged, so one in the log was not written
             // by this code: corruption, like any other undecodable record.
             if matches!(req, Req::Collect { .. }) {
                 return Err(Error::codec("a WAL record that is not a mutation"));
             }
             obj.apply(&req);
-        }
+            log_bytes += (RECORD_HEADER_LEN + record.len()) as u64;
+            Ok(())
+        })?;
         let snapshot_every = snapshot_every.max(1);
         Ok((
             DurableObject {
@@ -215,9 +213,8 @@ impl DurableObject {
                     .saturating_add(snapshot_phase(id, snapshot_every)),
                 // Likewise the replayed bytes: what the log already holds
                 // counts toward outgrowing the snapshot.
-                log_bytes: file_len(&records),
+                log_bytes,
                 snapshot_bytes,
-                fsync,
                 broken: false,
             },
             RecoveryStats {
@@ -233,7 +230,8 @@ impl DurableObject {
         &self.obj
     }
 
-    /// Snapshot the full register state and compact the WAL.
+    /// Snapshot the full register state, streamed record by record into
+    /// the snapshot file, and compact the WAL.
     fn snapshot(&mut self) -> Result<()> {
         static SNAPSHOTS: std::sync::OnceLock<Arc<rastor_obs::Counter>> =
             std::sync::OnceLock::new();
@@ -242,23 +240,17 @@ impl DurableObject {
                 rastor_obs::Registry::global().counter(rastor_obs::names::STORE_SNAPSHOTS)
             })
             .inc();
-        let entries: Vec<Vec<u8>> = self
-            .obj
-            .export_regs()
-            .iter()
-            .map(|(reg, view)| {
-                let mut entry = Vec::with_capacity(64);
-                encode_reg_view(*reg, view, &mut entry);
-                entry
-            })
-            .collect();
         // Synced in fsync mode: the reset below must not outlive the
         // snapshot that covers what it drops.
-        write_snapshot(&self.snap, &entries, self.fsync)?;
+        self.snapshot_bytes = write_snapshot(
+            &self.snap,
+            self.obj.export_regs(),
+            |(reg, view), out| encode_reg_view(*reg, view, out),
+            self.wal.fsync(),
+        )?;
         self.wal.reset()?;
         self.since_snapshot = 0;
         self.log_bytes = FILE_HEADER_LEN as u64;
-        self.snapshot_bytes = file_len(&entries);
         Ok(())
     }
 }
@@ -275,32 +267,13 @@ impl ObjectBehavior<Req, Rep> for DurableObject {
             // Collects mutate nothing: never logged, served from memory.
             return Some(self.obj.apply(req));
         }
-        let mut record = Vec::with_capacity(32);
-        encode_req(req, &mut record);
-        // When the executor applied us under a trace context, hang the
-        // storage spans under the same trace the client minted.
-        let traced = trace::current();
-        let logged = if traced == trace::NO_TRACE {
-            self.wal.append(&record).is_ok() && (!self.fsync || self.wal.sync_data().is_ok())
-        } else {
-            let rec = trace::global();
-            let t0 = trace::epoch_us();
-            let appended = self.wal.append(&record).is_ok();
-            let t1 = trace::epoch_us();
-            rec.record(traced, trace::span::WAL_APPEND, record.len() as u64, t0, t1);
-            appended
-                && (!self.fsync || {
-                    let synced = self.wal.sync_data().is_ok();
-                    rec.record(traced, trace::span::WAL_FSYNC, 0, t1, trace::epoch_us());
-                    synced
-                })
-        };
-        if !logged {
+        // Framed in the log's own buffer, and synced there in fsync mode.
+        let Ok(logged) = self.wal.append_with(|out| encode_req(req, out)) else {
             self.broken = true;
             return None;
-        }
+        };
         self.since_snapshot += 1;
-        self.log_bytes += (RECORD_HEADER_LEN + record.len()) as u64;
+        self.log_bytes += logged;
         let rep = self.obj.apply(req);
         if self.since_snapshot >= self.snapshot_every
             && self.log_bytes >= self.snapshot_bytes
@@ -344,11 +317,11 @@ pub trait Durability: Send + Sync + std::fmt::Debug {
         id: ObjectId,
     ) -> Result<(Box<dyn ObjectBehavior<Req, Rep> + Send>, RecoveryStats)>;
 
-    /// Open (or create) the auxiliary record log `name` in this scope and
-    /// replay its valid prefix — the hook higher layers persist their own
-    /// metadata through (the sharded kv store keeps its per-shard key
-    /// directory in one of these). `Ok(None)` for scopes that do not
-    /// persist ([`InMemory`]).
+    /// Open (or create) the auxiliary record log `name` in this scope, with
+    /// the scope's sync policy, and replay its valid prefix — the hook
+    /// higher layers persist their own metadata through (the sharded kv
+    /// store keeps its per-shard key directory in one of these).
+    /// `Ok(None)` for scopes that do not persist ([`InMemory`]).
     ///
     /// # Errors
     ///
@@ -421,11 +394,12 @@ impl WalBacked {
         self
     }
 
-    /// `fdatasync` after every logged mutation, and each snapshot synced
-    /// before the log it replaces is reset: extends the log-before-ack
-    /// invariant from process kills to OS crash / power loss, at a
-    /// per-mutation disk-sync cost (see the durability-scope note on
-    /// [`DurableObject`]'s module docs).
+    /// `fdatasync` after every logged mutation and every auxiliary-log
+    /// append, a fresh log's header and directory entry synced at open, and
+    /// each snapshot synced before the log it replaces is reset: extends
+    /// the log-before-ack invariant from process kills to OS crash / power
+    /// loss, at a per-append disk-sync cost (see the durability-scope note
+    /// on [`DurableObject`]'s module docs).
     #[must_use]
     pub fn with_fsync(mut self, fsync: bool) -> WalBacked {
         self.fsync = fsync;
@@ -463,7 +437,11 @@ impl Durability for WalBacked {
     fn aux_log(&self, name: &str) -> Result<Option<(Wal, Vec<Vec<u8>>)>> {
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| Error::io(format!("creating data dir {}", self.dir.display()), &e))?;
-        let (wal, records, _) = Wal::open(self.dir.join(format!("{name}.wal")))?;
+        let mut records = Vec::new();
+        let (wal, _) = Wal::open_with(self.dir.join(format!("{name}.wal")), self.fsync, |r| {
+            records.push(r.to_vec());
+            Ok(())
+        })?;
         Ok(Some((wal, records)))
     }
 
@@ -476,6 +454,7 @@ impl Durability for WalBacked {
 mod tests {
     use super::*;
     use crate::tempdir::TempDir;
+    use crate::wal::{SNAPSHOT_BUF, SNAP_MAGIC, STORE_VERSION};
     use rastor_common::{RegId, Timestamp, TsVal, Value};
     use rastor_core::msg::Stamped;
 
@@ -561,6 +540,49 @@ mod tests {
         } else {
             Req::Commit { reg, pair }
         }
+    }
+
+    /// A snapshot streamed through the fixed buffer is the file a one-buffer
+    /// encoder writes: on a state that spans several buffer fills, with a
+    /// record straddling every fill edge, byte for byte — and it reads back
+    /// to the same registers.
+    #[test]
+    fn a_streamed_snapshot_equals_the_one_buffer_encoding() {
+        let dir = TempDir::new("durable-streamed");
+        let id = ObjectId(0);
+        let (mut obj, _) = DurableObject::open(dir.path(), id, u64::MAX).expect("open");
+        drive(&mut obj, (0..3 * 2 * 256).map(|n| kib_write(256, n)));
+        obj.snapshot().expect("snapshot");
+        let regs = obj.object().export_regs();
+
+        let mut want = vec![SNAP_MAGIC[0], SNAP_MAGIC[1], STORE_VERSION, 0];
+        let mut ends = Vec::new();
+        for (reg, view) in &regs {
+            let mut payload = Vec::new();
+            encode_reg_view(*reg, view, &mut payload);
+            want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            want.extend_from_slice(&crate::crc32(&payload).to_le_bytes());
+            want.extend_from_slice(&payload);
+            ends.push(want.len());
+        }
+        let fills = want.len() / SNAPSHOT_BUF;
+        assert!(fills >= 3, "a {}-byte snapshot", want.len());
+        for edge in (1..=fills).map(|k| k * SNAPSHOT_BUF) {
+            assert!(
+                ends.binary_search(&edge).is_err(),
+                "a record ends at {edge}"
+            );
+        }
+        let file = std::fs::read(snap_path(dir.path(), id)).expect("snapshot file");
+        assert!(
+            file == want,
+            "the streamed snapshot differs from the reference"
+        );
+        drop(obj);
+
+        let (recovered, stats) = DurableObject::open(dir.path(), id, u64::MAX).expect("recover");
+        assert_eq!((stats.snapshot_regs, stats.wal_records), (256, 0));
+        assert_eq!(recovered.object().export_regs(), regs);
     }
 
     /// Bytes `req` adds to the log: record header and payload.

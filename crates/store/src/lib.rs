@@ -46,7 +46,22 @@
 //! # Ok::<(), rastor_common::Error>(())
 //! ```
 
-#![forbid(unsafe_code)]
+//! ## The one `unsafe` island
+//!
+//! Every logged and replayed byte goes through [`crc32`], so on x86-64 it
+//! runs a carry-less-multiply (`PCLMULQDQ`) folding kernel, about eight
+//! times faster than the portable table loop. That kernel is a
+//! `#[target_feature]` function, and Rust makes calling one `unsafe`
+//! unless the features are known at compile time; `crc::folded` is the
+//! single `#[allow(unsafe_code)]` item in the crate, and it makes the call
+//! only after `is_x86_feature_detected!` has seen both features on the
+//! running CPU. The kernel itself is safe code: blocks are read from
+//! slices with `from_le_bytes`, never through a pointer. Anywhere else the
+//! portable loop runs.
+
+// `deny`, not `forbid`: the CRC kernel's dispatch is the one
+// narrowly-scoped `#[allow(unsafe_code)]` item in this crate.
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 mod crc;

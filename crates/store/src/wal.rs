@@ -37,6 +37,17 @@
 //! error ([`Error::Codec`] / [`Error::VersionMismatch`]) rather than
 //! silently starting an empty log over data it cannot read.
 //!
+//! ## Framing in place
+//!
+//! A record is framed where it is written: its 8-byte header is reserved,
+//! the payload is encoded straight after it, and then the length and CRC
+//! are patched in. A log append builds its record in one buffer the [`Wal`]
+//! reuses and writes it with one `write(2)`; a snapshot streams its records
+//! through a fixed buffer that goes to the file each time it fills, so a
+//! record may straddle two writes and compaction's transient memory is the
+//! buffer, whatever the state's size. Replay reads a file once and hands
+//! each payload to its consumer where it lies in those bytes.
+//!
 //! ## Snapshot atomicity
 //!
 //! Snapshots are written to a `.tmp` sibling and atomically renamed into
@@ -44,13 +55,13 @@
 //! intact — a visible snapshot file is always complete, and any decode
 //! failure inside one is real corruption, reported as an error instead of
 //! being "recovered" into silent state loss. A rename is atomic but not
-//! durable: against power loss the caller asks [`write_snapshot`] to sync
+//! durable: against power loss the caller asks `write_snapshot` to sync
 //! the file and its directory before it resets the log the snapshot
 //! replaces.
 
 use crate::crc::crc32;
 use rastor_common::{Error, Result};
-use rastor_obs::{names, Counter, Registry};
+use rastor_obs::{names, trace, Counter, Registry};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -98,6 +109,11 @@ pub const RECORD_HEADER_LEN: usize = 8;
 /// like a multi-gigabyte allocation request.
 pub const MAX_RECORD_LEN: usize = 16 * 1024 * 1024;
 
+/// The buffer a snapshot is streamed through: it goes to the file each time
+/// it fills, so a snapshot of any size holds this much, plus the record
+/// that straddles its edge, in memory.
+pub(crate) const SNAPSHOT_BUF: usize = 256 * 1024;
+
 /// What a [`Wal::open`] replay found on disk.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ReplayStats {
@@ -128,10 +144,10 @@ fn check_header(buf: &[u8], magic: [u8; 2], what: &str) -> Result<()> {
 }
 
 /// Split `bytes` (everything after the file header) into validated record
-/// payloads, returning the payloads and the byte length of the valid
-/// prefix (header-relative). Invalid data ends the scan — it does not
-/// error, it bounds the trusted prefix.
-fn scan_records(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
+/// payloads, borrowed from `bytes`, returning the payloads and the byte
+/// length of the valid prefix (header-relative). Invalid data ends the
+/// scan — it does not error, it bounds the trusted prefix.
+fn scan_records(bytes: &[u8]) -> (Vec<&[u8]>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while let Some(header) = bytes.get(pos..pos + RECORD_HEADER_LEN) {
@@ -147,29 +163,44 @@ fn scan_records(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
         if crc32(payload) != crc {
             break;
         }
-        records.push(payload.to_vec());
+        records.push(payload);
         pos += RECORD_HEADER_LEN + len;
     }
     (records, pos)
 }
 
-/// Length of a WAL or snapshot file whose header is followed by `records`.
-pub(crate) fn file_len(records: &[Vec<u8>]) -> u64 {
-    records.iter().fold(FILE_HEADER_LEN as u64, |len, r| {
-        len + (RECORD_HEADER_LEN + r.len()) as u64
-    })
-}
-
-fn encode_record(payload: &[u8]) -> Vec<u8> {
+/// Append one record to `out`: reserve its header, let `encode` write the
+/// payload after it, then patch in the payload's length and CRC. Returns
+/// the record's length, header included.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds [`MAX_RECORD_LEN`].
+fn frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+    encode(out);
+    let (header, payload) = out[start..].split_at_mut(RECORD_HEADER_LEN);
     assert!(
         payload.len() <= MAX_RECORD_LEN,
         "record payload exceeds MAX_RECORD_LEN"
     );
-    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    RECORD_HEADER_LEN + payload.len()
+}
+
+/// Sync the directory holding `path`, so an entry created or renamed in it
+/// survives power loss.
+fn sync_dir(path: &Path) -> Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    wal_metrics().fsyncs.inc();
+    File::open(dir)
+        .and_then(|dir| dir.sync_all())
+        .map_err(|e| Error::io(format!("syncing directory {}", dir.display()), &e))
 }
 
 /// An open, append-positioned write-ahead log.
@@ -177,12 +208,18 @@ fn encode_record(payload: &[u8]) -> Vec<u8> {
 pub struct Wal {
     file: File,
     path: PathBuf,
+    /// `fdatasync` after every append: the sync policy the log was opened
+    /// with.
+    fsync: bool,
+    /// The record being framed, reused from append to append.
+    record: Vec<u8>,
 }
 
 impl Wal {
     /// Open (or create) the log at `path`, replay its valid prefix, and
     /// truncate any torn tail. Returns the log positioned for append, the
     /// replayed record payloads in append order, and the replay stats.
+    /// Appends reach the OS, not stable storage: no `fdatasync`.
     ///
     /// # Errors
     ///
@@ -190,6 +227,25 @@ impl Wal {
     /// [`Error::VersionMismatch`] if the file header itself is foreign
     /// (torn or corrupt *records* truncate instead of erroring).
     pub fn open(path: impl Into<PathBuf>) -> Result<(Wal, Vec<Vec<u8>>, ReplayStats)> {
+        let mut records = Vec::new();
+        let (wal, stats) = Wal::open_with(path, false, |record| {
+            records.push(record.to_vec());
+            Ok(())
+        })?;
+        Ok((wal, records, stats))
+    }
+
+    /// As [`Wal::open`], with the sync policy explicit — with `fsync`,
+    /// every append is followed by an `fdatasync`, and a log this call
+    /// creates has its header and its directory entry synced before it is
+    /// returned — and each replayed payload handed to `replay` in append
+    /// order, borrowed from the file's bytes rather than copied out. An
+    /// error from `replay` fails the open.
+    pub(crate) fn open_with(
+        path: impl Into<PathBuf>,
+        fsync: bool,
+        mut replay: impl FnMut(&[u8]) -> Result<()>,
+    ) -> Result<(Wal, ReplayStats)> {
         let path = path.into();
         let mut file = OpenOptions::new()
             .read(true)
@@ -202,10 +258,23 @@ impl Wal {
         file.read_to_end(&mut bytes)
             .map_err(|e| Error::io(format!("reading wal {}", path.display()), &e))?;
 
+        let wal = |file, path| Wal {
+            file,
+            path,
+            fsync,
+            record: Vec::new(),
+        };
         if bytes.is_empty() {
             file.write_all(&file_header(WAL_MAGIC))
                 .map_err(|e| Error::io("writing a fresh wal header", &e))?;
-            return Ok((Wal { file, path }, Vec::new(), ReplayStats::default()));
+            let wal = wal(file, path);
+            if fsync {
+                // A power loss must not take back the log a caller is
+                // about to ack into: its header, then its name.
+                wal.sync_data()?;
+                sync_dir(&wal.path)?;
+            }
+            return Ok((wal, ReplayStats::default()));
         }
         check_header(&bytes, WAL_MAGIC, "wal")?;
         let (records, valid) = scan_records(&bytes[FILE_HEADER_LEN..]);
@@ -224,10 +293,14 @@ impl Wal {
         let m = wal_metrics();
         m.replayed.add(stats.records);
         m.truncated.add(stats.truncated_bytes);
-        Ok((Wal { file, path }, records, stats))
+        for record in records {
+            replay(record)?;
+        }
+        Ok((wal(file, path), stats))
     }
 
-    /// Append one record (length + CRC + payload) and flush it to the OS.
+    /// Append one record (length + CRC + payload) and hand it to the OS —
+    /// and, if the log was opened in fsync mode, to stable storage.
     ///
     /// # Errors
     ///
@@ -238,17 +311,48 @@ impl Wal {
     ///
     /// Panics if `payload` exceeds [`MAX_RECORD_LEN`].
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        wal_metrics().appends.inc();
-        self.file
-            .write_all(&encode_record(payload))
-            .and_then(|()| self.file.flush())
-            .map_err(|e| Error::io(format!("appending to wal {}", self.path.display()), &e))
+        self.append_with(|out| out.extend_from_slice(payload))
+            .map(drop)
     }
 
-    /// Force the log's bytes to stable storage (`fdatasync`). The plain
-    /// [`Wal::append`] flushes to the OS only — durable against process
-    /// kills, not power loss; callers wanting power-loss durability call
-    /// this after each append (see `WalBacked::with_fsync`).
+    /// As [`Wal::append`], with the payload encoded by `encode` straight
+    /// into the log's reused record buffer, after the reserved header: one
+    /// `write(2)`, no allocation once the buffer has grown to the largest
+    /// record. Under a trace context the write and the sync each leave a
+    /// span. Returns the bytes the record added to the file.
+    pub(crate) fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<u64> {
+        wal_metrics().appends.inc();
+        let traced = trace::current();
+        let clock = || match traced {
+            trace::NO_TRACE => 0,
+            _ => trace::epoch_us(),
+        };
+        let t0 = clock();
+        self.record.clear();
+        let len = frame(&mut self.record, encode);
+        self.file
+            .write_all(&self.record)
+            .map_err(|e| Error::io(format!("appending to wal {}", self.path.display()), &e))?;
+        let t1 = clock();
+        let payload = (len - RECORD_HEADER_LEN) as u64;
+        trace::global().record(traced, trace::span::WAL_APPEND, payload, t0, t1);
+        if self.fsync {
+            self.sync_data()?;
+            trace::global().record(traced, trace::span::WAL_FSYNC, 0, t1, clock());
+        }
+        Ok(len as u64)
+    }
+
+    /// Whether appends are followed by an `fdatasync` (the policy the log
+    /// was opened with).
+    pub(crate) fn fsync(&self) -> bool {
+        self.fsync
+    }
+
+    /// Force the log's bytes to stable storage (`fdatasync`). A log opened
+    /// in fsync mode does this after every append; one opened with
+    /// [`Wal::open`] hands appends to the OS only — durable against process
+    /// kills, not power loss.
     ///
     /// # Errors
     ///
@@ -281,59 +385,73 @@ impl Wal {
     }
 }
 
-/// Write a snapshot file atomically: records to `path.tmp`, then rename
-/// over `path`. With `sync`, the tmp file is synced before the rename and
-/// the directory after it, so once this returns the new snapshot survives
-/// power loss — the caller may then drop what it covers (reset the WAL).
+/// Write a snapshot file atomically: one record per entry, its payload
+/// encoded by `encode` straight into a fixed [`SNAPSHOT_BUF`]-byte buffer
+/// that goes to `path.tmp` each time it fills, then a rename over `path`.
+/// With `sync`, the tmp file is synced before the rename and the directory
+/// after it, so once this returns the new snapshot survives power loss —
+/// the caller may then drop what it covers (reset the WAL). Returns the
+/// snapshot file's length.
 ///
 /// # Errors
 ///
 /// [`Error::Io`] on any filesystem failure (the previous snapshot, if any,
 /// is left intact).
-pub fn write_snapshot(path: &Path, entries: &[Vec<u8>], sync: bool) -> Result<()> {
+pub(crate) fn write_snapshot<T>(
+    path: &Path,
+    entries: impl IntoIterator<Item = T>,
+    mut encode: impl FnMut(&T, &mut Vec<u8>),
+    sync: bool,
+) -> Result<u64> {
     let tmp = path.with_extension("tmp");
-    let mut out = Vec::new();
-    out.extend_from_slice(&file_header(SNAP_MAGIC));
-    for e in entries {
-        out.extend_from_slice(&encode_record(e));
-    }
-    let synced = |file: File| {
-        wal_metrics().fsyncs.inc();
-        file.sync_all()
-    };
-    File::create(&tmp)
+    let len = File::create(&tmp)
         .and_then(|mut file| {
-            file.write_all(&out)?;
-            if sync {
-                synced(file)?;
+            let mut buf = Vec::with_capacity(SNAPSHOT_BUF);
+            buf.extend_from_slice(&file_header(SNAP_MAGIC));
+            let mut len = 0;
+            for entry in entries {
+                frame(&mut buf, |out| encode(&entry, out));
+                if buf.len() >= SNAPSHOT_BUF {
+                    // Whole buffers out; the straddling record's tail
+                    // starts the next one.
+                    let full = buf.len() - buf.len() % SNAPSHOT_BUF;
+                    file.write_all(&buf[..full])?;
+                    buf.drain(..full);
+                    len += full as u64;
+                }
             }
-            Ok(())
+            file.write_all(&buf)?;
+            len += buf.len() as u64;
+            if sync {
+                wal_metrics().fsyncs.inc();
+                file.sync_all()?;
+            }
+            Ok(len)
         })
         .map_err(|e| Error::io(format!("writing snapshot {}", tmp.display()), &e))?;
     std::fs::rename(&tmp, path)
         .map_err(|e| Error::io(format!("publishing snapshot {}", path.display()), &e))?;
     if sync {
-        let dir = match path.parent() {
-            Some(dir) if !dir.as_os_str().is_empty() => dir,
-            _ => Path::new("."),
-        };
-        File::open(dir)
-            .and_then(synced)
-            .map_err(|e| Error::io(format!("syncing directory {}", dir.display()), &e))?;
+        sync_dir(path)?;
     }
-    Ok(())
+    Ok(len)
 }
 
-/// Read a snapshot file: `Ok(None)` if absent, the record payloads
-/// otherwise.
+/// Read a snapshot file, handing each record payload to `load` in file
+/// order, borrowed from the file's bytes: `Ok(None)` if absent, the file's
+/// length otherwise.
 ///
 /// # Errors
 ///
 /// [`Error::Io`] on read failures; [`Error::Codec`] /
 /// [`Error::VersionMismatch`] if the file is malformed — a snapshot is
 /// written atomically, so unlike a WAL tail, *any* invalid byte in one is
-/// real corruption and must not be silently dropped.
-pub fn read_snapshot(path: &Path) -> Result<Option<Vec<Vec<u8>>>> {
+/// real corruption and must not be silently dropped — and any error from
+/// `load`.
+pub(crate) fn read_snapshot(
+    path: &Path,
+    mut load: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<Option<u64>> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -353,7 +471,10 @@ pub fn read_snapshot(path: &Path) -> Result<Option<Vec<Vec<u8>>>> {
             path.display()
         )));
     }
-    Ok(Some(records))
+    for record in records {
+        load(record)?;
+    }
+    Ok(Some(bytes.len() as u64))
 }
 
 #[cfg(test)]
@@ -363,6 +484,21 @@ mod tests {
 
     fn payloads(n: u64) -> Vec<Vec<u8>> {
         (0..n).map(|i| i.to_le_bytes().to_vec()).collect()
+    }
+
+    /// A snapshot's record payloads, copied out.
+    fn read_snapshot(path: &Path) -> Result<Option<Vec<Vec<u8>>>> {
+        let mut records = Vec::new();
+        let found = super::read_snapshot(path, |record| {
+            records.push(record.to_vec());
+            Ok(())
+        })?;
+        Ok(found.map(|_| records))
+    }
+
+    /// A snapshot whose records hold `entries`, through the one writer.
+    fn write_snapshot(path: &Path, entries: &[Vec<u8>], sync: bool) -> Result<u64> {
+        super::write_snapshot(path, entries, |e, out| out.extend_from_slice(e), sync)
     }
 
     #[test]
