@@ -65,6 +65,12 @@ impl Value {
         Value(Arc::from(bytes.into().into_boxed_slice()))
     }
 
+    /// Build a value from borrowed bytes: one allocation and one copy,
+    /// where [`Value::from_bytes`] on a slice makes two.
+    pub fn copy_from_slice(bytes: &[u8]) -> Value {
+        Value(Arc::from(bytes))
+    }
+
     /// Convenience constructor encoding a `u64` big-endian.
     pub fn from_u64(x: u64) -> Value {
         Value::from_bytes(x.to_be_bytes().to_vec())
@@ -213,6 +219,10 @@ mod tests {
             assert_eq!(Value::from_u64(x).as_u64(), Some(x));
         }
         assert_eq!(Value::from_bytes(vec![1, 2, 3]).as_u64(), None);
+        assert_eq!(
+            Value::copy_from_slice(&[1, 2, 3]),
+            Value::from_bytes(vec![1, 2, 3])
+        );
     }
 
     #[test]

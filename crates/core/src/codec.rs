@@ -10,12 +10,24 @@
 //! ```text
 //! RegId       tag u8 (0 = Writer, 1 = ReaderReg) · index u32
 //! Stamped     ts u64 · value (u32 length + bytes) · token (0 | 1 · bits u64)
-//! ObjectView  pw Stamped · w Stamped · count u32 · hist Stamped…
+//! Pair        0 · Stamped                    (inline)
+//!           | k u8 (1..=255)                 (the view's pair at position k − 1)
+//! ObjectView  pw Stamped · w Pair · count u32 · hist Pair…
 //! Req         tag u8 · 0 Collect: count u32 · RegId…
 //!                      1 Store / 2 PreWrite / 3 Commit: RegId · Stamped
 //! Rep         tag u8 · 0 Views: count u32 · (RegId · ObjectView)…
 //!                      1 Ack: RegId · kind u8 (0 Store, 1 PreWrite, 2 Commit)
 //! ```
+//!
+//! A view's pairs sit at positions `pw` = 0, `w` = 1, `hist[i]` = 2 + i. A
+//! pair identical to one at an earlier position below 255 is written as a
+//! one-byte reference to the first such position, so a quiet register,
+//! whose `pw`, `w` and newest history entry are one pair, costs two
+//! encoded pairs, not four. The form is canonical — a reference must point
+//! backwards at a pair written inline, and a pair written inline must have
+//! no identical pair among the earlier referable positions — so every
+//! accepted body re-encodes to the same bytes. Decoding a reference shares
+//! the referenced value.
 //!
 //! Integers are little-endian ([`rastor_common::bytes`]). The layout has no
 //! version byte of its own: a change here is a change to both
@@ -24,7 +36,8 @@
 //! Malformed input decodes to [`Error::Codec`], never a panic, and no
 //! sequence count is believed beyond what the bytes behind it can hold:
 //! whoever produced the bytes (a Byzantine object, a corrupt disk) owns
-//! them.
+//! them. A history entry may be a one-byte reference, so a history of `n`
+//! entries needs `n` bytes behind its count.
 
 use crate::msg::{AckKind, ObjectView, Rep, Req, Stamped};
 use crate::token::Token;
@@ -37,8 +50,15 @@ const REG_LEN: usize = 5;
 /// Smallest encoded [`Stamped`]: timestamp, empty value, no token.
 const MIN_STAMPED_LEN: usize = 8 + 4 + 1;
 
-/// Smallest encoded `(RegId, ObjectView)`: an empty history.
-const MIN_REG_VIEW_LEN: usize = REG_LEN + 2 * MIN_STAMPED_LEN + 4;
+/// Smallest encoded `Pair`: a reference.
+const MIN_PAIR_LEN: usize = 1;
+
+/// Positions a reference can name: `1..=255` in one byte.
+const REFERABLE: usize = u8::MAX as usize;
+
+/// Smallest encoded `(RegId, ObjectView)`: `w` a reference to `pw`, an
+/// empty history.
+const MIN_REG_VIEW_LEN: usize = REG_LEN + MIN_STAMPED_LEN + MIN_PAIR_LEN + 4;
 
 /// Smallest encoded [`Req`] (an empty `Collect`) — what an enclosing
 /// sequence of requests may assume of every element.
@@ -72,12 +92,33 @@ fn put_stamped(out: &mut Vec<u8>, s: &Stamped) {
     }
 }
 
+/// Whether two pairs are identical. An object's `pw`, `w` and history
+/// share one allocation per value, so the pointer usually settles it.
+fn same(a: &Stamped, b: &Stamped) -> bool {
+    a.pair.ts == b.pair.ts
+        && a.token == b.token
+        && (std::ptr::eq(a.pair.val.as_bytes(), b.pair.val.as_bytes()) || a.pair.val == b.pair.val)
+}
+
 fn put_view(out: &mut Vec<u8>, v: &ObjectView) {
+    let pairs = || [&v.pw, &v.w].into_iter().chain(&v.hist);
+    // The pair at `pos`: a reference to the first identical referable
+    // pair before it — which was itself written inline — or inline.
+    let put_pair = |out: &mut Vec<u8>, pos: usize, s: &Stamped| match pairs()
+        .take(pos.min(REFERABLE))
+        .position(|e| same(e, s))
+    {
+        Some(q) => out.push(u8::try_from(q + 1).expect("q < REFERABLE")),
+        None => {
+            out.push(0);
+            put_stamped(out, s);
+        }
+    };
     put_stamped(out, &v.pw);
-    put_stamped(out, &v.w);
+    put_pair(out, 1, &v.w);
     put_len(out, v.hist.len());
-    for s in &v.hist {
-        put_stamped(out, s);
+    for (i, s) in v.hist.iter().enumerate() {
+        put_pair(out, 2 + i, s);
     }
 }
 
@@ -140,7 +181,7 @@ fn read_reg(d: &mut Dec<'_>) -> Result<RegId> {
 
 fn read_stamped(d: &mut Dec<'_>) -> Result<Stamped> {
     let ts = Timestamp(d.u64()?);
-    let val = Value::from_bytes(d.bytes()?.to_vec());
+    let val = Value::copy_from_slice(d.bytes()?);
     let token = match d.u8()? {
         0 => None,
         1 => Some(Token::from_bits(d.u64()?)),
@@ -152,14 +193,48 @@ fn read_stamped(d: &mut Dec<'_>) -> Result<Stamped> {
     })
 }
 
+/// Decode the view pair behind `head` (`pw`, or `pw` and `w`) and `hist`,
+/// holding it to the canonical form: a reference points back at a pair
+/// written inline, and an inline pair repeats no referable one.
+fn read_pair(d: &mut Dec<'_>, head: &[Stamped], hist: &[Stamped]) -> Result<Stamped> {
+    let pos = head.len() + hist.len();
+    let earlier = || head.iter().chain(hist);
+    match d.u8()? {
+        0 => {
+            let s = read_stamped(d)?;
+            match earlier().take(REFERABLE).position(|e| same(e, &s)) {
+                None => Ok(s),
+                Some(q) => Err(Error::codec(format!(
+                    "view pair {pos} repeats pair {q} inline instead of referring to it"
+                ))),
+            }
+        }
+        k => {
+            let q = usize::from(k - 1);
+            match earlier().nth(q) {
+                Some(s) if !earlier().take(q).any(|e| same(e, s)) => Ok(s.clone()),
+                Some(_) => Err(Error::codec(format!(
+                    "view pair {pos} refers to pair {q}, itself a repeat"
+                ))),
+                None => Err(Error::codec(format!(
+                    "view pair {pos} refers to pair {q}, not yet written"
+                ))),
+            }
+        }
+    }
+}
+
 fn read_view(d: &mut Dec<'_>) -> Result<ObjectView> {
     let pw = read_stamped(d)?;
-    let w = read_stamped(d)?;
-    let n = d.seq_len(MIN_STAMPED_LEN)?;
+    let w = read_pair(d, std::slice::from_ref(&pw), &[])?;
+    let head = [pw, w];
+    let n = d.seq_len(MIN_PAIR_LEN)?;
     let mut hist = Vec::with_capacity(n);
     for _ in 0..n {
-        hist.push(read_stamped(d)?);
+        let s = read_pair(d, &head, &hist)?;
+        hist.push(s);
     }
+    let [pw, w] = head;
     Ok(ObjectView { pw, w, hist })
 }
 
@@ -377,10 +452,160 @@ mod tests {
             body.push(0);
             assert!(decode_req(&body).is_err(), "{req:?} with a trailing byte");
         }
+        for view in [sample_view(), quiet_view(1024)] {
+            let mut entry = Vec::new();
+            encode_reg_view(RegId::WRITER, &view, &mut entry);
+            for cut in 0..entry.len() {
+                assert!(decode_reg_view(&entry[..cut]).is_err(), "cut at {cut}");
+            }
+            entry.push(0);
+            assert!(decode_reg_view(&entry).is_err(), "a trailing byte");
+        }
+    }
+
+    /// What a correct object reports for a register written twice and
+    /// then left alone: `pw`, `w` and the newest history entry are one
+    /// pair. Each value is its own allocation, as after a decode.
+    fn quiet_view(len: usize) -> ObjectView {
+        let pair = |ts: u64| {
+            Stamped::plain(TsVal::new(
+                Timestamp(ts),
+                Value::from_bytes(vec![ts as u8; len]),
+            ))
+        };
+        ObjectView {
+            pw: pair(2),
+            w: pair(2),
+            hist: vec![pair(1), pair(2)],
+        }
+    }
+
+    #[test]
+    fn a_quiet_view_writes_each_pair_once() {
+        let view = quiet_view(1024);
+        let stamped_len = enc_stamped(&view.pw).len();
+        assert_eq!(stamped_len, 1037);
         let mut entry = Vec::new();
-        encode_reg_view(RegId::WRITER, &sample_view(), &mut entry);
-        for cut in 0..entry.len() {
-            assert!(decode_reg_view(&entry[..cut]).is_err(), "cut at {cut}");
+        encode_reg_view(RegId::WRITER, &view, &mut entry);
+        assert!(
+            entry.len() <= 2 * stamped_len + 16,
+            "a quiet view of {} bytes",
+            entry.len()
+        );
+        assert_eq!(decode_reg_view(&entry).expect("decodes").1, view);
+    }
+
+    /// A view of `len` pairs drawn from a small pool — so pairs repeat,
+    /// share a timestamp with another value or token, and `pw` need not be
+    /// the newest — with some fresh pairs mixed in.
+    fn arb_view(rng: &mut rastor_common::SplitMix64, len: usize) -> ObjectView {
+        let pool = [
+            stamped(1, 10),
+            stamped(2, 20),
+            stamped(2, 21),
+            tokened(2, 20, 7),
+            tokened(2, 20, 8),
+            Stamped::bottom(),
+        ];
+        let mut draw = |i: usize| {
+            if rng.next_f64() < 0.8 {
+                pool[rng.gen_range(0, pool.len() as u64 - 1) as usize].clone()
+            } else {
+                stamped(100 + i as u64, rng.next_u64())
+            }
+        };
+        ObjectView {
+            pw: draw(0),
+            w: draw(1),
+            hist: (2..len).map(&mut draw).collect(),
+        }
+    }
+
+    fn roundtrips_exactly(view: &ObjectView) {
+        let mut entry = Vec::new();
+        encode_reg_view(RegId::ReaderReg(1), view, &mut entry);
+        let (_, decoded) = decode_reg_view(&entry).expect("decodes");
+        assert_eq!(&decoded, view);
+        let mut again = Vec::new();
+        encode_reg_view(RegId::ReaderReg(1), &decoded, &mut again);
+        assert_eq!(again, entry, "the decoded view re-encodes differently");
+    }
+
+    #[test]
+    fn random_and_byzantine_views_roundtrip_exactly() {
+        let mut rng = rastor_common::SplitMix64::new(28);
+        for _ in 0..500 {
+            let len = 2 + rng.gen_range(0, 8) as usize;
+            roundtrips_exactly(&arb_view(&mut rng, len));
+        }
+        // Past the referable positions: a pair first written at position
+        // 300 is written inline each time it repeats.
+        let mut long = arb_view(&mut rng, 600);
+        let late = stamped(9_999, 1);
+        for i in [298, 400, 500] {
+            long.hist[i] = late.clone();
+        }
+        roundtrips_exactly(&long);
+        let byzantine = [
+            // A pair listed twice.
+            ObjectView {
+                pw: stamped(2, 20),
+                w: stamped(1, 10),
+                hist: vec![stamped(2, 20), stamped(2, 20)],
+            },
+            // One timestamp, another value and another token.
+            ObjectView {
+                pw: tokened(2, 20, 1),
+                w: tokened(2, 21, 1),
+                hist: vec![tokened(2, 20, 2), stamped(2, 20)],
+            },
+            // `pw` is not the newest entry.
+            ObjectView {
+                pw: stamped(1, 10),
+                w: stamped(1, 10),
+                hist: vec![stamped(1, 10), stamped(3, 30)],
+            },
+        ];
+        for view in &byzantine {
+            roundtrips_exactly(view);
+        }
+    }
+
+    /// The bytes of a view entry of register `WRITER` whose `pw` is
+    /// `pw`, followed by `rest`.
+    fn entry_of(pw: &Stamped, rest: &[&[u8]]) -> Vec<u8> {
+        let mut entry = vec![0, 0, 0, 0, 0];
+        put_stamped(&mut entry, pw);
+        for part in rest {
+            entry.extend_from_slice(part);
+        }
+        entry
+    }
+
+    #[test]
+    fn a_reference_must_point_back_at_a_pair_written_inline() {
+        let a = stamped(1, 10);
+        let inline_a = [&[0u8][..], &enc_stamped(&a)].concat();
+        let no_hist = 0u32.to_le_bytes();
+        let one_entry = 1u32.to_le_bytes();
+        // Canonical: `w` refers to `pw`, and the entry to `pw`.
+        let good = entry_of(&a, &[&[1], &one_entry, &[1]]);
+        let (_, view) = decode_reg_view(&good).expect("canonical");
+        assert_eq!(view.hist, std::slice::from_ref(&a));
+        let refused = [
+            // `w` refers to itself, or past the end.
+            entry_of(&a, &[&[2], &no_hist]),
+            entry_of(&a, &[&[255], &no_hist]),
+            // The entry refers to `w`, itself a reference.
+            entry_of(&a, &[&[1], &one_entry, &[2]]),
+            // `w` repeats `pw` inline.
+            entry_of(&a, &[&inline_a, &no_hist]),
+        ];
+        for entry in refused {
+            assert!(
+                matches!(decode_reg_view(&entry), Err(Error::Codec { .. })),
+                "{entry:?}"
+            );
         }
     }
 
@@ -395,20 +620,29 @@ mod tests {
     }
 
     /// Overwrite the `u32` count at `at` with the number of bytes behind
-    /// it: the largest count the old one-byte-per-element bound let through.
-    fn claim_one_element_per_byte(body: &mut [u8], at: usize) {
+    /// it plus `extra`.
+    fn claim_bytes_remaining_plus(body: &mut [u8], at: usize, extra: u32) {
         let remaining = u32::try_from(body.len() - at - 4).expect("small body");
-        body[at..at + 4].copy_from_slice(&remaining.to_le_bytes());
+        body[at..at + 4].copy_from_slice(&(remaining + extra).to_le_bytes());
     }
 
+    /// A history entry may be a one-byte reference, so the bound lets a
+    /// count of the bytes behind it through — and refuses one more.
     #[test]
-    fn a_hist_count_of_the_bytes_remaining_is_refused() {
-        let mut entry = Vec::new();
-        encode_reg_view(RegId::WRITER, &sample_view(), &mut entry);
+    fn a_hist_count_beyond_the_bytes_remaining_is_refused() {
         let view = sample_view();
-        let count_at = REG_LEN + enc_stamped(&view.pw).len() + enc_stamped(&view.w).len();
-        claim_one_element_per_byte(&mut entry, count_at);
+        let mut entry = Vec::new();
+        encode_reg_view(RegId::WRITER, &view, &mut entry);
+        let count_at = REG_LEN + enc_stamped(&view.pw).len() + 1 + enc_stamped(&view.w).len();
+        assert_eq!(entry[count_at..count_at + 4], 3u32.to_le_bytes());
+        claim_bytes_remaining_plus(&mut entry, count_at, 1);
         assert_count_refused(decode_reg_view(&entry));
+    }
+
+    /// Overwrite the `u32` count at `at` with the number of bytes behind
+    /// it: the largest count a one-byte-per-element bound lets through.
+    fn claim_one_element_per_byte(body: &mut [u8], at: usize) {
+        claim_bytes_remaining_plus(body, at, 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! corrupt it. The op deadline remains the last-resort recovery.
 
 use crate::reactor::{ConnHandle, Events, Reactor, ReactorHandle};
-use crate::wire::{self, Frame, ReqEnvelope, WireReqFrame};
+use crate::wire::{self, Frame};
 use rastor_common::{ClientId, Error, Result};
 use rastor_core::msg::{Rep, Req};
 use rastor_obs::{names, Counter, Registry as Obs};
@@ -366,8 +366,8 @@ impl NetCluster {
 }
 
 impl Transport<Req, Rep> for NetCluster {
-    /// Encode the batch once and queue it on the connection to every
-    /// server — the wire twin of the channel
+    /// Encode the batch once, straight from the shared requests, and queue
+    /// it on the connection to every server — the wire twin of the channel
     /// substrate's one-envelope-per-object broadcast (each server fans
     /// the envelope out to the objects it hosts, which reply with
     /// per-object envelopes). The encoded flush replaces the client's
@@ -384,19 +384,7 @@ impl Transport<Req, Rep> for NetCluster {
             .lock()
             .expect("reply registry lock")
             .insert(from, reply_to.clone());
-        let env = Frame::Req(ReqEnvelope {
-            from,
-            frames: frames
-                .iter()
-                .map(|f| WireReqFrame {
-                    op_nonce: f.op_nonce,
-                    round: f.round,
-                    trace: f.trace,
-                    req: (*f.payload).clone(),
-                })
-                .collect(),
-        });
-        let bytes = Arc::new(wire::encode_frame(&env));
+        let bytes = Arc::new(wire::encode_req_envelope(from, frames));
         self.state.pending.lock().expect("pending lock").insert(
             from,
             Pending {

@@ -28,12 +28,14 @@
 //! ## Buffer ownership and backpressure
 //!
 //! Each connection owns exactly two buffers. The *read accumulator* lives
-//! on the worker thread and holds at most one partial frame's prefix plus
-//! whatever whole frames one `read` burst delivered; frames are split off
-//! and dispatched immediately, so it never grows past one frame +
-//! one read burst. The *outbox* is a shared, mutex-guarded queue of the
-//! output the socket has not taken yet, the partly written front frame
-//! included.
+//! on the worker thread, and the socket is read straight into its spare
+//! room: it holds at most one partial frame's prefix plus whatever whole
+//! frames one read burst (at most 64 KiB) delivered; frames are split off
+//! and dispatched where they lie, so it never grows past one frame + one
+//! read burst, and a received byte is copied only if it belongs to a
+//! frame the burst left partial. The *outbox* is a shared, mutex-guarded
+//! queue of the output the socket has not taken yet, the partly written
+//! front frame included.
 //!
 //! Writes go through on the sender's thread: [`ConnHandle::send`] on a
 //! connection whose outbox is empty makes the non-blocking `write(2)`
@@ -90,7 +92,8 @@ const IDLE_TICK: Duration = Duration::from_millis(20);
 /// too coarse for sub-millisecond service-time and chaos-delay timers.
 const SPIN_UNDER: Duration = Duration::from_millis(1);
 
-/// One read burst's scratch size.
+/// The most one read burst takes off a socket before its frames are
+/// dispatched.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// The `net.*` reactor seam handles, resolved once per process (reactors
@@ -302,6 +305,8 @@ struct ConnShared {
     queued: AtomicUsize,
     closed: AtomicBool,
     worker: Arc<WorkerShared>,
+    #[cfg(test)]
+    sends: AtomicU64,
 }
 
 /// A registered connection, cloneable into any thread that needs to send
@@ -327,6 +332,8 @@ impl ConnHandle {
     /// when the connection is closed (a write error here closes it) or
     /// the frame would take the outbox over [`MAX_OUTBOX_BYTES`].
     pub fn send(&self, frame: &[u8]) -> bool {
+        #[cfg(test)]
+        self.shared.sends.fetch_add(1, Ordering::Relaxed);
         if self.shared.closed.load(Ordering::Acquire) {
             return false;
         }
@@ -371,6 +378,12 @@ impl ConnHandle {
     /// Whether the connection has been closed (locally or by the peer).
     pub fn is_closed(&self) -> bool {
         self.shared.closed.load(Ordering::Acquire)
+    }
+
+    /// [`ConnHandle::send`] calls on this connection so far.
+    #[cfg(test)]
+    pub(crate) fn sends(&self) -> u64 {
+        self.shared.sends.load(Ordering::Relaxed)
     }
 }
 
@@ -456,6 +469,8 @@ impl ReactorHandle {
             queued: AtomicUsize::new(0),
             closed: AtomicBool::new(blocking || self.core.shutdown.load(Ordering::Acquire)),
             worker: Arc::clone(&worker),
+            #[cfg(test)]
+            sends: AtomicU64::new(0),
         });
         reactor_metrics().conns_open.inc();
         self.core
@@ -589,7 +604,8 @@ impl Drop for Reactor {
 /// One worker's connection state, owned by its thread.
 struct ConnState {
     shared: Arc<ConnShared>,
-    /// Read accumulator: at most one partial frame plus one read burst.
+    /// Read accumulator, read into directly: at most one partial frame
+    /// plus one read burst.
     rdbuf: Vec<u8>,
 }
 
@@ -610,7 +626,6 @@ fn worker_loop(
     let mut conns: HashMap<u64, ConnState> = HashMap::new();
     let mut interests: Vec<Interest> = Vec::new();
     let mut tokens: Vec<Token> = Vec::new();
-    let mut scratch = vec![0u8; READ_CHUNK];
 
     loop {
         if core.shutdown.load(Ordering::Acquire) {
@@ -694,7 +709,7 @@ fn worker_loop(
                 }
                 Token::Conn(id) => {
                     if let Some(c) = conns.get_mut(&id) {
-                        if !service(c, handler, &mut scratch, rd, wr) {
+                        if !service(c, handler, rd, wr) {
                             to_close.push(id);
                         }
                     }
@@ -738,13 +753,7 @@ fn accept_burst(listener: &TcpListener, core: &Arc<Core>) {
 }
 
 /// Service one connection's I/O. Returns whether it is still alive.
-fn service(
-    c: &mut ConnState,
-    handler: &dyn Events,
-    scratch: &mut [u8],
-    readable: bool,
-    writable: bool,
-) -> bool {
+fn service(c: &mut ConnState, handler: &dyn Events, readable: bool, writable: bool) -> bool {
     if c.shared.closed.load(Ordering::Acquire) {
         return false;
     }
@@ -753,46 +762,57 @@ fn service(
     }
     if readable {
         loop {
-            match (&c.shared.stream).read(scratch) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    c.rdbuf.extend_from_slice(&scratch[..n]);
-                    let mut consumed = 0;
-                    loop {
-                        let rest = &c.rdbuf[consumed..];
-                        match wire::frame_len(rest) {
-                            Ok(Some(len)) if rest.len() >= len => {
-                                let conn = ConnHandle {
-                                    shared: Arc::clone(&c.shared),
-                                };
-                                handler.on_frame(&conn, &rest[..len]);
-                                consumed += len;
-                            }
-                            Ok(_) => break,
-                            // Unalignable bytes: the stream is garbage
-                            // from here on; drop the connection.
-                            Err(_) => {
-                                c.rdbuf.clear();
-                                return false;
-                            }
-                        }
-                    }
-                    if consumed > 0 {
-                        c.rdbuf.drain(..consumed);
-                    }
-                    if c.shared.closed.load(Ordering::Acquire) {
-                        return false;
-                    }
-                }
+            // One burst, read straight into the accumulator's spare room
+            // behind the partial frame it holds: until the socket would
+            // block, the peer hangs up, or a burst's worth has arrived.
+            let held = c.rdbuf.len();
+            c.rdbuf.reserve(READ_CHUNK);
+            let read = (&c.shared.stream)
+                .take(READ_CHUNK as u64)
+                .read_to_end(&mut c.rdbuf);
+            let burst = c.rdbuf.len() - held;
+            if burst > 0 && !dispatch(c, handler) {
+                return false;
+            }
+            match read {
+                Ok(_) if burst == READ_CHUNK => continue,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
+                // End of stream, or a dead socket.
+                Ok(_) | Err(_) => return false,
             }
         }
     }
     // Replies sent while reading went out on this thread already, or
     // queued behind output that waits for writability.
     true
+}
+
+/// Hand every whole frame at the front of the read accumulator to the
+/// handler, keeping the partial frame behind them. Returns whether the
+/// connection is still alive.
+fn dispatch(c: &mut ConnState, handler: &dyn Events) -> bool {
+    let mut consumed = 0;
+    loop {
+        let rest = &c.rdbuf[consumed..];
+        match wire::frame_len(rest) {
+            Ok(Some(len)) if rest.len() >= len => {
+                let conn = ConnHandle {
+                    shared: Arc::clone(&c.shared),
+                };
+                handler.on_frame(&conn, &rest[..len]);
+                consumed += len;
+            }
+            Ok(_) => break,
+            // Unalignable bytes: the stream is garbage from here on; drop
+            // the connection.
+            Err(_) => {
+                c.rdbuf.clear();
+                return false;
+            }
+        }
+    }
+    c.rdbuf.drain(..consumed);
+    !c.shared.closed.load(Ordering::Acquire)
 }
 
 /// Write as much queued output as the socket takes. Returns `false` on a

@@ -2,17 +2,21 @@
 //!
 //! The server is a [`rastor_sim::host::ObjectHost`] behind the
 //! [`crate::reactor`]: [`crate::reactor::DEFAULT_WORKERS`] reactor threads
-//! move frames, decode each request envelope once and hand it to the
-//! host, whose [`EXECUTORS`] threads run the objects — so thread count is
-//! O(workers), independent of how many objects the server hosts or how
-//! many connections are open. Everything about *serving* an object
-//! (per-object FIFO, service jitter, crash and restart) is the host's;
-//! what this module adds is the wire: reply envelopes are encoded onto
-//! the connection the request came in on, tagged with the requesting
-//! client so one connection can be shared by many clients, and the ops
-//! plane's control frames are answered in-band. An executor writes its
-//! reply envelopes itself ([`ConnHandle::send`] writes through), so a
-//! reply costs no reactor wakeup.
+//! move frames and decode each request envelope once; the worker that
+//! decoded it serves it through the host — it runs every hosted object it
+//! finds idle on its own thread, and leaves the envelope queued behind
+//! any object another thread owns, for that owner (or one of the host's
+//! [`EXECUTORS`]) to serve. Thread count is O(workers), independent of
+//! how many objects the server hosts or how many connections are open.
+//! Everything about *serving* an object (per-object FIFO, service
+//! jitter, crash and restart) is the host's; what this module adds is the
+//! wire: reply envelopes are encoded onto the connection the request came
+//! in on, tagged with the requesting client so one connection can be
+//! shared by many clients, and the ops plane's control frames are
+//! answered in-band. The reply envelopes a worker produces for its own
+//! connection go out in one [`ConnHandle::send`], written through on the
+//! worker's thread — a request envelope costs one thread and, usually,
+//! one write.
 //!
 //! Objects carry **cluster-global** ids `first_id ..`, so a logical
 //! cluster may be split across several servers (each hosting a slice of
@@ -24,7 +28,7 @@ use crate::wire::{self, Frame, ObjectStatus, RepEnvelope, WireRepFrame, WireReqF
 use rastor_common::{ClientId, Error, ObjectId, Result};
 use rastor_core::msg::{Rep, Req};
 use rastor_obs::{names, trace, Counter, Registry};
-use rastor_sim::host::{Accounting, ObjectHost, ReplySink, EXECUTORS};
+use rastor_sim::host::{Accounting, ObjectHost, ReplyEnvelope, ReplySink, EXECUTORS};
 use rastor_sim::ObjectBehavior;
 use std::cell::RefCell;
 use std::net::{SocketAddr, TcpListener};
@@ -62,17 +66,22 @@ fn net_metrics() -> &'static NetMetrics {
 /// thread that once sent a large status reply does not hold its buffer.
 const ENCODE_BUF_KEPT: usize = 64 * 1024;
 
-/// Count a frame out if the connection took it. Frames are encoded into
-/// one reused buffer per thread: the send writes it straight to the
-/// socket and copies only what the socket does not take.
-fn send_counted(conn: &ConnHandle, frame: &Frame) {
+/// Send `frames` back to back with one [`ConnHandle::send`], counting each
+/// as a frame out if the connection took them. Frames are encoded into one
+/// reused buffer per thread: the send writes it straight to the socket and
+/// copies only what the socket does not take.
+fn send_counted(conn: &ConnHandle, frames: impl IntoIterator<Item = Frame>) {
     thread_local! {
         static ENCODE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
     }
     ENCODE_BUF.with_borrow_mut(|buf| {
-        wire::encode_frame_into(frame, buf);
+        let mut count = 0;
+        for frame in frames {
+            wire::encode_frame_into(&frame, buf);
+            count += 1;
+        }
         if conn.send(buf) {
-            net_metrics().frames_out.inc();
+            net_metrics().frames_out.add(count);
         }
         buf.clear();
         buf.shrink_to(ENCODE_BUF_KEPT);
@@ -80,7 +89,9 @@ fn send_counted(conn: &ConnHandle, frame: &Frame) {
 }
 
 /// The server's reply path: an object's reply envelope is encoded onto
-/// the requesting connection.
+/// the requesting connection. The reactor worker that read a request
+/// envelope serves it, so every reply envelope the envelope earns from an
+/// object that was idle goes back in one write.
 impl ReplySink<Req, Rep> for ConnHandle {
     type Frame = WireReqFrame;
     type Reply = WireRepFrame;
@@ -92,6 +103,7 @@ impl ReplySink<Req, Rep> for ConnHandle {
         finish: true,
         envelope_us: Some(|us| net_metrics().envelopes_ring.record(us)),
     };
+    const SERVE_THROUGH: bool = true;
 
     fn request(frame: &WireReqFrame) -> (u64, &Req) {
         (frame.trace, &frame.req)
@@ -107,7 +119,18 @@ impl ReplySink<Req, Rep> for ConnHandle {
     }
 
     fn deliver(&self, from: ObjectId, to: ClientId, frames: Vec<WireRepFrame>) {
-        send_counted(self, &Frame::Rep(RepEnvelope { to, from, frames }));
+        send_counted(self, [Frame::Rep(RepEnvelope { to, from, frames })]);
+    }
+
+    fn same_sink(&self, other: &ConnHandle) -> bool {
+        self.id() == other.id()
+    }
+
+    fn deliver_burst(&self, burst: Vec<ReplyEnvelope<WireRepFrame>>) {
+        let frames = burst
+            .into_iter()
+            .map(|(from, to, frames)| Frame::Rep(RepEnvelope { to, from, frames }));
+        send_counted(self, frames);
     }
 }
 
@@ -119,7 +142,7 @@ impl Events for ObjectHost<Req, Rep, ConnHandle> {
             Ok(frame) => frame,
             Err(Some(refusal)) => {
                 net_metrics().version_mismatches.inc();
-                send_counted(conn, &refusal);
+                send_counted(conn, [refusal]);
                 return;
             }
             Err(None) => {
@@ -151,7 +174,7 @@ impl Events for ObjectHost<Req, Rep, ConnHandle> {
                         .into(),
                 };
                 match control_reply(control, || self.statuses(), refuse) {
-                    Some(reply) => send_counted(conn, &reply),
+                    Some(reply) => send_counted(conn, [reply]),
                     // A reply or negotiation frame from a client is a
                     // protocol violation; the connection is done.
                     None => conn.close(),
@@ -163,7 +186,9 @@ impl Events for ObjectHost<Req, Rep, ConnHandle> {
     // No `on_tick`: the server keeps no reactor-side timers. Jitter
     // release runs on the host's executors, so the readiness loop parks
     // until actual socket readiness no matter how many connections it is
-    // watching.
+    // watching. The price of serving through: an apply that blocks (an
+    // fsync) holds up this worker's other connections, and the replies of
+    // the objects served after it in the same envelope.
 }
 
 /// A TCP server hosting a slice of a cluster's storage objects.
@@ -281,5 +306,55 @@ impl ObjectServer {
     /// Panics if `id` is not hosted by this server.
     pub fn is_crashed(&self, id: ObjectId) -> bool {
         self.host().is_crashed(id)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::ReqEnvelope;
+    use rastor_common::{RegId, Timestamp, TsVal, Value};
+    use rastor_core::msg::Stamped;
+    use rastor_core::object::HonestObject;
+    use std::net::TcpStream;
+
+    /// A request envelope of three frames to four idle objects: the worker
+    /// that read it serves all four, and their reply envelopes leave in
+    /// one send.
+    #[test]
+    fn one_envelopes_replies_to_one_connection_take_one_send() {
+        const OBJECTS: u32 = 4;
+        let behaviors = (0..OBJECTS)
+            .map(|_| Box::new(HonestObject::new()) as Box<dyn ObjectBehavior<Req, Rep> + Send>)
+            .collect();
+        let server = ObjectServer::spawn(behaviors, 0, None).expect("server");
+        // Register the server's end ourselves, to count its sends.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let conn = server.handle.register(listener.accept().expect("accept").0);
+        let frames = (1..=3)
+            .map(|n| WireReqFrame {
+                op_nonce: n,
+                round: 1,
+                trace: trace::NO_TRACE,
+                req: Req::Commit {
+                    reg: RegId::WRITER,
+                    pair: Stamped::plain(TsVal::new(Timestamp(n), Value::from_u64(n))),
+                },
+            })
+            .collect();
+        let from = ClientId::writer();
+        wire::write_frame(&mut client, &Frame::Req(ReqEnvelope { from, frames })).expect("send");
+        let mut objects: Vec<u32> = (0..OBJECTS)
+            .map(
+                |_| match wire::read_frame(&mut client).expect("a reply envelope") {
+                    Frame::Rep(env) if env.to == from && env.frames.len() == 3 => env.from.0,
+                    other => panic!("not the reply envelope: {other:?}"),
+                },
+            )
+            .collect();
+        objects.sort_unstable();
+        assert_eq!(objects, [0, 1, 2, 3]);
+        assert_eq!(conn.sends(), 1, "the reply envelopes took several sends");
     }
 }

@@ -45,16 +45,19 @@ use rastor_common::bytes::{put_bytes, put_len, put_u32, put_u64, Dec};
 use rastor_common::{ClientId, Error, ObjectId, Result};
 use rastor_core::codec::{encode_rep, encode_req, read_rep, read_req, MIN_REP_LEN, MIN_REQ_LEN};
 use rastor_core::msg::{Rep, Req};
+use rastor_sim::runtime::ReqFrame;
 use std::io::{Read, Write};
 
 /// The wire protocol version this build speaks.
 ///
 /// History: v1 was the pre-tracing layout; v2 added a `u64` trace id to
-/// every request/reply frame and the `TraceReq`/`Trace` control pair. A
-/// v1 peer is refused per frame with [`Frame::VersionMismatch`] — the
-/// negotiation machinery predates the bump, so mixed fleets fail loudly
-/// and keep their connections usable.
-pub const WIRE_VERSION: u8 = 2;
+/// every request/reply frame and the `TraceReq`/`Trace` control pair; v3
+/// writes each pair of an object view once, later copies as one-byte
+/// references ([`rastor_core::codec`]), with `rastor_store`'s
+/// `STORE_VERSION` 2. An older peer is refused per frame with
+/// [`Frame::VersionMismatch`] — the negotiation machinery predates the
+/// bumps, so mixed fleets fail loudly and keep their connections usable.
+pub const WIRE_VERSION: u8 = 3;
 
 /// The two magic bytes opening every frame.
 pub const MAGIC: [u8; 2] = *b"rW";
@@ -310,18 +313,32 @@ fn put_client(out: &mut Vec<u8>, id: ClientId) {
     }
 }
 
+/// A request envelope's body, from its frames' `(op_nonce, round, trace,
+/// req)`, however the caller holds them.
+fn put_req_body<'a>(
+    out: &mut Vec<u8>,
+    from: ClientId,
+    frames: impl ExactSizeIterator<Item = (u64, u32, u64, &'a Req)>,
+) {
+    put_client(out, from);
+    put_len(out, frames.len());
+    for (op_nonce, round, trace, req) in frames {
+        put_u64(out, op_nonce);
+        put_u32(out, round);
+        put_u64(out, trace);
+        encode_req(req, out);
+    }
+}
+
 fn encode_body(frame: &Frame, out: &mut Vec<u8>) {
     match frame {
-        Frame::Req(env) => {
-            put_client(out, env.from);
-            put_len(out, env.frames.len());
-            for f in &env.frames {
-                put_u64(out, f.op_nonce);
-                put_u32(out, f.round);
-                put_u64(out, f.trace);
-                encode_req(&f.req, out);
-            }
-        }
+        Frame::Req(env) => put_req_body(
+            out,
+            env.from,
+            env.frames
+                .iter()
+                .map(|f| (f.op_nonce, f.round, f.trace, &f.req)),
+        ),
         Frame::Rep(env) => {
             put_client(out, env.to);
             put_u32(out, env.from.0);
@@ -409,17 +426,14 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out
 }
 
-/// Encode one frame into `out`, replacing its contents — so a sender
-/// that encodes many frames can reuse one buffer's allocation.
+/// Append one frame to `out` — so a sender can reuse one buffer's
+/// allocation, and put several frames in one write.
 ///
 /// # Panics
 ///
 /// As [`encode_frame`].
 pub(crate) fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(&MAGIC);
-    out.push(WIRE_VERSION);
-    out.push(match frame {
+    let kind = match frame {
         Frame::Req(_) => KIND_REQ,
         Frame::Rep(_) => KIND_REP,
         Frame::VersionMismatch { .. } => KIND_VERSION_MISMATCH,
@@ -433,12 +447,43 @@ pub(crate) fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
         Frame::AdminRep { .. } => KIND_ADMIN_REP,
         Frame::TraceReq { .. } => KIND_TRACE_REQ,
         Frame::Trace { .. } => KIND_TRACE,
+    };
+    put_frame(out, kind, |out| encode_body(frame, out));
+}
+
+/// Encode a request envelope straight from the frames a client holds —
+/// the bytes [`encode_frame`] gives the same envelope as a
+/// [`Frame::Req`], without first cloning every request into one.
+///
+/// # Panics
+///
+/// As [`encode_frame`].
+pub(crate) fn encode_req_envelope(from: ClientId, frames: &[ReqFrame<Req>]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    put_frame(&mut out, KIND_REQ, |out| {
+        put_req_body(
+            out,
+            from,
+            frames
+                .iter()
+                .map(|f| (f.op_nonce, f.round, f.trace, &*f.payload)),
+        );
     });
+    out
+}
+
+/// Append a frame of `kind` whose body `body` writes, patching its length
+/// into the header once the body is written.
+fn put_frame(out: &mut Vec<u8>, kind: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.push(WIRE_VERSION);
+    out.push(kind);
     put_u32(out, 0); // patched below
-    encode_body(frame, out);
-    let body_len = out.len() - HEADER_LEN;
+    body(out);
+    let body_len = out.len() - start - HEADER_LEN;
     assert!(body_len <= MAX_BODY_LEN, "frame body exceeds MAX_BODY_LEN");
-    out[4..8].copy_from_slice(
+    out[start + 4..start + HEADER_LEN].copy_from_slice(
         &u32::try_from(body_len)
             .expect("checked above")
             .to_le_bytes(),
@@ -789,11 +834,11 @@ mod tests {
         }
     }
 
-    // The committed byte vectors of wire v2. A test that needs them edited
+    // The committed byte vectors of wire v3. A test that needs them edited
     // is a layout change: bump `WIRE_VERSION` (and `STORE_VERSION`).
     #[rustfmt::skip]
     const GOLDEN_REQ_ENVELOPE: &[u8] = &[
-        0x72, 0x57, 0x02, 0x01, 0x63, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x00,
+        0x72, 0x57, 0x03, 0x01, 0x63, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00, 0x00,
         0x00, 0x02, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x00, 0x01, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xed, 0xfe, 0x00, 0x00, 0x00,
         0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
@@ -805,22 +850,19 @@ mod tests {
     ];
     #[rustfmt::skip]
     const GOLDEN_REP_VIEWS_ENVELOPE: &[u8] = &[
-        0x72, 0x57, 0x02, 0x02, 0x72, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+        0x72, 0x57, 0x03, 0x02, 0x57, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
         0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x00, 0x02, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x00, 0x05,
         0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00,
         0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x32, 0x01, 0xef, 0xcd, 0xab, 0x89,
         0x67, 0x45, 0x23, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x32, 0x01, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45,
-        0x23, 0x01,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01,
     ];
 
     #[test]
     fn envelopes_match_their_golden_bytes_and_roundtrip() {
-        assert_eq!(WIRE_VERSION, 2);
+        assert_eq!(WIRE_VERSION, 3);
         for (frame, golden) in [
             (Frame::Req(sample_req_env()), GOLDEN_REQ_ENVELOPE),
             (Frame::Rep(sample_rep_env()), GOLDEN_REP_VIEWS_ENVELOPE),
@@ -830,6 +872,53 @@ mod tests {
             assert_eq!(used, golden.len());
             assert_eq!(decoded, frame);
         }
+    }
+
+    /// A client encodes its request envelope from the frames it holds,
+    /// with no owned copy — and gets the owned envelope's bytes.
+    #[test]
+    fn a_request_envelope_encodes_the_same_from_borrowed_frames() {
+        for env in [
+            sample_req_env(),
+            ReqEnvelope {
+                from: ClientId::writer(),
+                frames: vec![],
+            },
+        ] {
+            let frames: Vec<ReqFrame<Req>> = env
+                .frames
+                .iter()
+                .map(|f| ReqFrame {
+                    op_nonce: f.op_nonce,
+                    round: f.round,
+                    trace: f.trace,
+                    payload: std::sync::Arc::new(f.req.clone()),
+                })
+                .collect();
+            assert_eq!(
+                encode_req_envelope(env.from, &frames),
+                encode_frame(&Frame::Req(env))
+            );
+        }
+    }
+
+    /// Frames encoded into one buffer sit back to back, each whole — what
+    /// a burst of reply envelopes sends in one write.
+    #[test]
+    fn frames_encoded_into_one_buffer_sit_back_to_back() {
+        let frames = [
+            Frame::Rep(sample_rep_env()),
+            Frame::Ack { corr: 3 },
+            Frame::Req(sample_req_env()),
+        ];
+        let mut buf = Vec::new();
+        for frame in &frames {
+            encode_frame_into(frame, &mut buf);
+        }
+        assert_eq!(
+            buf,
+            frames.iter().flat_map(encode_frame).collect::<Vec<u8>>()
+        );
     }
 
     /// Overwrite the `u32` sequence count at body offset `at` with the

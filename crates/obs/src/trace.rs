@@ -74,10 +74,12 @@ pub mod span {
     pub const KV_OP: &str = "kv.op";
     /// One object applying one request frame (detail = object id).
     pub const OBJ_APPLY: &str = "obj.apply";
-    /// Server-side queue wait, reactor dequeue to executor pickup
-    /// (detail = object id).
+    /// Server-side queue wait, hand-off to the host to pickup by the
+    /// object's owner — about zero when the reactor worker that read the
+    /// envelope serves it (detail = object id).
     pub const SERVER_QUEUE: &str = "server.queue";
-    /// Server-side executor applying one envelope (detail = object id).
+    /// Server-side apply of one envelope by the object's owner (detail =
+    /// object id).
     pub const SERVER_APPLY: &str = "server.apply";
     /// One WAL record append (detail = record bytes).
     pub const WAL_APPEND: &str = "wal.append";
@@ -396,7 +398,8 @@ thread_local! {
 }
 
 /// Set the current thread's trace context, returning the previous one —
-/// executors wrap each traced request apply in `set_current`/restore.
+/// the object host wraps each traced request apply in
+/// `set_current`/restore.
 pub fn set_current(trace: u64) -> u64 {
     CURRENT.with(|c| c.replace(trace))
 }

@@ -13,8 +13,20 @@
 //! (modelled as a release timer, so a "busy" object never blocks a
 //! thread), the traced/untraced apply wrapper, and crash / restart.
 //!
+//! Who runs an object is the sink's choice, fixed per substrate
+//! ([`ReplySink::SERVE_THROUGH`]). A server's reactor worker *serves
+//! through*: it claims each object it finds idle, drains it on its own
+//! thread and hands its own connection every reply envelope of the call
+//! at once ([`ReplySink::deliver_burst`]); an object some other thread
+//! owns gets the envelope queued behind it, and its owner drains it. A
+//! client thread never runs an object, so the in-process cluster hands
+//! every envelope to the executor pool. Either way an object is owned by
+//! one thread at a time, claimed and released through the same flag, and
+//! an owner that finds an envelope queued after its drain hands the
+//! object to the executors.
+//!
 //! Semantics: each object processes envelopes serially and in arrival
-//! order (one executor at a time per object). [`ObjectHost::crash`]
+//! order (one owner at a time per object). [`ObjectHost::crash`]
 //! lets the envelope in flight finish, then drops the behavior along
 //! with every queued envelope; future envelopes to the object vanish
 //! until [`ObjectHost::restart`] installs a new behavior under the same
@@ -41,9 +53,9 @@ pub const EXECUTORS: usize = 2;
 /// A wrapper states this as a constant of its [`ReplySink`]; users of the
 /// wrapper cannot change it.
 pub struct Accounting {
-    /// Span covering hand-off to executor pickup, for substrates whose
-    /// queue is a hop worth showing (`None`: not recorded, no clock read
-    /// at hand-off).
+    /// Span covering hand-off to pickup by the object's owner, for
+    /// substrates whose queue is a hop worth showing (`None`: not
+    /// recorded, no clock read at hand-off).
     pub queue_span: Option<&'static str>,
     /// Span covering one behavior call.
     pub apply_span: &'static str,
@@ -57,6 +69,10 @@ pub struct Accounting {
     pub envelope_us: Option<fn(u64)>,
 }
 
+/// One object's reply envelope: the replying object, the client it
+/// answers, and one reply frame per answered request frame.
+pub type ReplyEnvelope<T> = (ObjectId, ClientId, Vec<T>);
+
 /// Where a substrate's reply envelopes go, and what its frames look like.
 ///
 /// The host never copies a frame: it reads each request frame in place
@@ -69,6 +85,12 @@ pub trait ReplySink<Q, R>: Clone + Send + 'static {
     type Reply;
     /// The substrate's span vocabulary and envelope timing.
     const ACCOUNTING: Accounting;
+    /// Whether the thread that submits an envelope serves the objects it
+    /// finds idle (a server's reactor worker, which read the envelope),
+    /// rather than handing it to the executor pool (a client thread,
+    /// which must never run an object). Envelopes under service jitter
+    /// wait out their release timers either way.
+    const SERVE_THROUGH: bool;
 
     /// The frame's trace id ([`trace::NO_TRACE`] when untraced) and its
     /// request payload.
@@ -78,6 +100,21 @@ pub trait ReplySink<Q, R>: Clone + Send + 'static {
     /// Deliver object `from`'s reply envelope to client `to`. Best
     /// effort: the client may be gone.
     fn deliver(&self, from: ObjectId, to: ClientId, replies: Vec<Self::Reply>);
+
+    /// Whether `other` delivers where `self` does. A serve-through call
+    /// gathers the reply envelopes bound for its own sink into one
+    /// [`ReplySink::deliver_burst`]; the rest it delivers one by one.
+    fn same_sink(&self, _other: &Self) -> bool {
+        false
+    }
+
+    /// Deliver several reply envelopes bound for this sink, in order —
+    /// one at a time unless the substrate can do better.
+    fn deliver_burst(&self, burst: Vec<ReplyEnvelope<Self::Reply>>) {
+        for (from, to, replies) in burst {
+            self.deliver(from, to, replies);
+        }
+    }
 }
 
 /// The status of one hosted object.
@@ -110,15 +147,16 @@ struct Slot<Q, R, S: ReplySink<Q, R>> {
     /// waiting out the envelope in flight, and what makes a crash take
     /// effect on the very next envelope however the lock race goes.
     crashed: AtomicBool,
-    /// `None` = crashed. An executor holds this lock exactly while
+    /// `None` = crashed. The object's owner holds this lock exactly while
     /// processing one envelope, so `crash` (which takes it to drop the
     /// behavior) waits out the envelope in flight.
     behavior: Mutex<Option<Behavior<Q, R>>>,
     served: AtomicU64,
-    /// Released envelopes awaiting an executor, in arrival order.
+    /// Released envelopes awaiting the object's owner, in arrival order.
     queue: Mutex<VecDeque<Job<S::Frame, S>>>,
-    /// Whether the object is on the run queue or being drained — one
-    /// executor at a time per object keeps processing serial and FIFO.
+    /// Whether the object is owned — on the run queue, or being drained by
+    /// an executor or a serve-through caller. One owner at a time per
+    /// object keeps processing serial and FIFO.
     scheduled: AtomicBool,
     /// Jitter bookkeeping: when the object's service "pipe" frees up, and
     /// the object's deterministic jitter stream.
@@ -180,9 +218,10 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
         timers.first_key_value().map(|((at, _), _)| *at)
     }
 
-    /// Apply object `obj`'s next queued envelope and deliver its reply
-    /// envelope; `false` once the queue is empty.
-    fn serve_next(&self, obj: usize) -> bool {
+    /// Apply object `obj`'s next queued envelope and hand its reply
+    /// envelope to `out` with the sink it goes to; `false` once the queue
+    /// is empty.
+    fn serve_next(&self, obj: usize, out: &mut impl FnMut(&S, ReplyEnvelope<S::Reply>)) -> bool {
         let slot = &self.slots[obj];
         // Popped under the behavior lock, so no envelope is ever "in
         // hand" outside it: `crash` clears the queue under the same lock
@@ -240,9 +279,28 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
         }
         drop(behavior);
         if !replies.is_empty() {
-            job.sink.deliver(oid, job.client, replies);
+            out(&job.sink, (oid, job.client, replies));
         }
         true
+    }
+
+    /// Serve object `obj`, which the caller owns, until its queue is
+    /// empty, then release it — handing it to the executors if an
+    /// envelope was queued between the drain and the release, so none is
+    /// ever stranded.
+    fn drain(&self, obj: usize, out: &mut impl FnMut(&S, ReplyEnvelope<S::Reply>)) {
+        let slot = &self.slots[obj];
+        while self.serve_next(obj, out) {}
+        #[cfg(test)]
+        tests::AT_RELEASE.with_borrow_mut(|hook| {
+            if let Some(hook) = hook {
+                hook();
+            }
+        });
+        slot.scheduled.store(false, Ordering::Release);
+        if !slot.queue.lock().expect("object queue lock").is_empty() {
+            self.enqueue_run(obj);
+        }
     }
 
     /// One executor's loop: release due jitter timers, claim an object
@@ -288,14 +346,45 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
                 obj
             };
             let Some(obj) = obj else { continue };
-            let slot = &self.slots[obj];
-            while self.serve_next(obj) {}
-            slot.scheduled.store(false, Ordering::Release);
-            // An envelope may have been released between the drain and
-            // the flag clear; reclaim the object so it is never stranded.
-            if !slot.queue.lock().expect("object queue lock").is_empty() {
-                self.enqueue_run(obj);
+            self.drain(obj, &mut |sink, (from, to, replies)| {
+                sink.deliver(from, to, replies);
+            });
+        }
+    }
+
+    /// Queue `job` on every live object, serving on this thread each one
+    /// it finds idle; the reply envelopes for `sink` go out together once
+    /// every claimed object is drained.
+    fn serve_through(&self, mut job: impl FnMut() -> Job<S::Frame, S>, sink: &S) {
+        let mut burst = Vec::new();
+        let mut out = |to: &S, envelope| {
+            if to.same_sink(sink) {
+                burst.push(envelope);
+            } else {
+                let (from, client, replies) = envelope;
+                to.deliver(from, client, replies);
             }
+        };
+        for (i, slot) in self.slots.iter().enumerate() {
+            if slot.crashed.load(Ordering::Acquire) {
+                continue;
+            }
+            slot.queue
+                .lock()
+                .expect("object queue lock")
+                .push_back(job());
+            // Claimed: drain it here. Otherwise its owner serves the
+            // envelope after the ones ahead of it.
+            if slot
+                .scheduled
+                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                self.drain(i, &mut out);
+            }
+        }
+        if !burst.is_empty() {
+            sink.deliver_burst(burst);
         }
     }
 }
@@ -355,7 +444,9 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
 
     /// Hand one envelope from `client` to every live hosted object
     /// (through the jitter timer when the host runs with service delay).
-    /// Each object's reply envelope goes to `sink`.
+    /// Each object's reply envelope goes to `sink`. A serve-through sink
+    /// ([`ReplySink::SERVE_THROUGH`]) makes the calling thread serve every
+    /// object it finds idle before this returns.
     pub fn submit(&self, client: ClientId, frames: Arc<Vec<S::Frame>>, sink: &S) {
         let shared = &*self.shared;
         // One clock read per envelope, skipped entirely when untraced.
@@ -377,6 +468,10 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
             enqueued_us,
         };
         let Some(jitter) = shared.jitter else {
+            if S::SERVE_THROUGH {
+                shared.serve_through(job, sink);
+                return;
+            }
             // One run-queue lock and one wakeup for the whole fan-out;
             // the executors pass it on while objects remain runnable.
             let mut runq = None;
@@ -528,11 +623,54 @@ impl<Q, R, S: ReplySink<Q, R>> Drop for ObjectHost<Q, R, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{ObjReply, ReqFrame};
+    use crate::runtime::{ObjReply, RepFrame, ReqFrame};
+    use std::cell::RefCell;
     use std::sync::mpsc::{channel, Receiver, Sender};
 
     type Host = ObjectHost<u32, u32, Sender<ObjReply<u32>>>;
+    type ThroughHost = ObjectHost<u32, u32, Through>;
     const WAIT: Duration = Duration::from_secs(10);
+
+    thread_local! {
+        /// Run by an owner between draining an object and releasing it,
+        /// on the thread that installed it — how a test stops an owner at
+        /// its release edge.
+        pub(super) static AT_RELEASE: RefCell<Option<Box<dyn FnMut()>>> =
+            const { RefCell::new(None) };
+    }
+
+    /// A channel sink served through: whoever submits runs the objects it
+    /// finds idle. Clones share the channel and count as the same sink.
+    #[derive(Clone)]
+    struct Through(Arc<Sender<ObjReply<u32>>>);
+
+    fn through() -> (Through, Receiver<ObjReply<u32>>) {
+        let (tx, rx) = channel();
+        (Through(Arc::new(tx)), rx)
+    }
+
+    impl ReplySink<u32, u32> for Through {
+        type Frame = ReqFrame<u32>;
+        type Reply = RepFrame<u32>;
+        const ACCOUNTING: Accounting = <Sender<ObjReply<u32>> as ReplySink<u32, u32>>::ACCOUNTING;
+        const SERVE_THROUGH: bool = true;
+
+        fn request(frame: &ReqFrame<u32>) -> (u64, &u32) {
+            <Sender<ObjReply<u32>> as ReplySink<u32, u32>>::request(frame)
+        }
+
+        fn reply(frame: &ReqFrame<u32>, payload: u32) -> RepFrame<u32> {
+            <Sender<ObjReply<u32>> as ReplySink<u32, u32>>::reply(frame, payload)
+        }
+
+        fn deliver(&self, from: ObjectId, _to: ClientId, frames: Vec<RepFrame<u32>>) {
+            let _ = self.0.send(ObjReply { from, frames });
+        }
+
+        fn same_sink(&self, other: &Through) -> bool {
+            Arc::ptr_eq(&self.0, &other.0)
+        }
+    }
 
     /// One untraced envelope carrying `vals`, one frame each (the nonce
     /// repeats the payload so replies identify their request).
@@ -729,5 +867,141 @@ mod tests {
             assert_eq!(nonces, [seen[i]]);
             seen[i] += 1;
         }
+    }
+
+    /// Panics unless each submitter's requests (`submitter << 16 | seq`)
+    /// arrive in the order it sent them.
+    struct PerSubmitter([u32; 2]);
+    impl ObjectBehavior<u32, u32> for PerSubmitter {
+        fn on_request(&mut self, _from: ClientId, req: &u32) -> Option<u32> {
+            let (submitter, seq) = ((req >> 16) as usize, req & 0xffff);
+            assert_eq!(
+                seq,
+                self.0[submitter] + 1,
+                "submitter {submitter}'s envelopes reordered at the object"
+            );
+            self.0[submitter] = seq;
+            Some(*req)
+        }
+    }
+
+    /// Two threads serve through over the same objects: each serves what
+    /// it finds idle, queues behind the other, and hands an object to the
+    /// executors whenever an envelope lands behind a release — which each
+    /// invites by yielding at its release edge.
+    #[test]
+    fn each_object_serves_fifo_while_two_submitters_and_the_executors_race() {
+        const ENVELOPES: u32 = 2_000;
+        const OBJECTS: usize = 3;
+        let host: ThroughHost = ObjectHost::spawn(
+            (0..OBJECTS)
+                .map(|_| Box::new(PerSubmitter([0; 2])) as Behavior<u32, u32>)
+                .collect(),
+            0,
+            None,
+        );
+        std::thread::scope(|s| {
+            for submitter in 0..2u32 {
+                let host = &host;
+                s.spawn(move || {
+                    AT_RELEASE.set(Some(Box::new(std::thread::yield_now)));
+                    let (sink, rx) = through();
+                    for seq in 1..=ENVELOPES {
+                        let req = submitter << 16 | seq;
+                        host.submit(ClientId::reader(submitter), envelope(&[req]), &sink);
+                    }
+                    // Every object answers every envelope, each object's
+                    // replies in the order they were sent.
+                    let mut seen = [0u64; OBJECTS];
+                    for _ in 0..OBJECTS as u32 * ENVELOPES {
+                        let (from, nonces) = next(&rx);
+                        let want = u64::from(submitter << 16) + seen[from.index()] + 1;
+                        assert_eq!(nonces, [want], "object {} out of order", from.0);
+                        seen[from.index()] += 1;
+                    }
+                });
+            }
+        });
+        assert!(host
+            .statuses()
+            .iter()
+            .all(|s| s.served == u64::from(2 * ENVELOPES)));
+    }
+
+    /// An owner stopped after its drain but before its release: the
+    /// envelope submitted then is queued behind it (the submit returns
+    /// without serving), and the release hands it on, never strands it.
+    #[test]
+    fn an_envelope_queued_at_the_owners_release_edge_is_served() {
+        let host: ThroughHost = ObjectHost::spawn(vec![Box::new(InOrder(0))], 0, None);
+        let (sink, rx) = through();
+        let client = ClientId::reader(0);
+        let (at_edge, at_edge_rx) = channel();
+        let (go, go_rx) = channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                AT_RELEASE.set(Some(Box::new(move || {
+                    at_edge.send(()).expect("test alive");
+                    go_rx.recv().expect("test alive");
+                })));
+                host.submit(client, envelope(&[1]), &sink);
+                AT_RELEASE.take();
+            });
+            at_edge_rx
+                .recv_timeout(WAIT)
+                .expect("owner at its release edge");
+            host.submit(client, envelope(&[2]), &sink);
+            assert_eq!(
+                host.statuses()[0].served,
+                1,
+                "the submit served past its owner"
+            );
+            go.send(()).expect("owner waiting");
+        });
+        // The owner's burst and the executor's reply race to the channel.
+        let mut nonces = [next(&rx).1, next(&rx).1];
+        nonces.sort();
+        assert_eq!(nonces, [vec![1], vec![2]]);
+    }
+
+    /// A crash while a submitting thread serves waits out the envelope in
+    /// flight on that thread and drops the ones queued behind it.
+    #[test]
+    fn a_crash_during_serve_through_waits_out_the_envelope_in_flight() {
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        let gated = Gated {
+            entered: entered_tx,
+            release: release_rx,
+        };
+        let host: ThroughHost = ObjectHost::spawn(vec![Box::new(gated)], 7, None);
+        let id = ObjectId(7);
+        let (sink, rx) = through();
+        let client = ClientId::reader(0);
+        std::thread::scope(|s| {
+            s.spawn(|| host.submit(client, envelope(&[1]), &sink));
+            entered_rx
+                .recv_timeout(WAIT)
+                .expect("envelope 1 in flight on its submitter");
+            // Queued behind the busy owner: these submits return at once.
+            host.submit(client, envelope(&[2]), &sink);
+            host.submit(client, envelope(&[3]), &sink);
+            s.spawn(|| {
+                while !host.is_crashed(id) {
+                    std::thread::yield_now();
+                }
+                release_tx.send(()).expect("object alive");
+            });
+            host.crash(id);
+        });
+        assert_eq!(next(&rx), (id, vec![1]), "the envelope in flight finished");
+        host.submit(client, envelope(&[4]), &sink);
+        host.restart(id, Box::new(Echo(0)));
+        host.submit(client, envelope(&[5]), &sink);
+        assert_eq!(
+            next(&rx),
+            (id, vec![5]),
+            "queued and future envelopes were dropped"
+        );
     }
 }

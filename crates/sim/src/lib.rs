@@ -31,9 +31,10 @@
 //! * **Thread runtime** ([`runtime`]): the same [`ObjectBehavior`] and
 //!   [`RoundClient`] implementations can be deployed over real OS threads and
 //!   channels, demonstrating that the protocols are simulator-independent.
-//! * **Object host** ([`host`]): the one executor every real-time
-//!   substrate (in-process or TCP) hosts its objects on — per-object FIFO,
-//!   service jitter, crash and restart.
+//! * **Object host** ([`host`]): the one host every real-time substrate
+//!   (in-process or TCP) runs its objects on — per-object FIFO, served by
+//!   the submitting thread or an executor pool, service jitter, crash and
+//!   restart.
 //!
 //! ## Example
 //!

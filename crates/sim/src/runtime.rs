@@ -156,6 +156,8 @@ where
         finish: false,
         envelope_us: None,
     };
+    // The submitting thread is a client's: it never runs an object.
+    const SERVE_THROUGH: bool = false;
 
     fn request(frame: &ReqFrame<Q>) -> (u64, &Q) {
         (frame.trace, &frame.payload)

@@ -551,7 +551,7 @@ mod tests {
         let dir = TempDir::new("durable-streamed");
         let id = ObjectId(0);
         let (mut obj, _) = DurableObject::open(dir.path(), id, u64::MAX).expect("open");
-        drive(&mut obj, (0..3 * 2 * 256).map(|n| kib_write(256, n)));
+        drive(&mut obj, (0..3 * 2 * 512).map(|n| kib_write(512, n)));
         obj.snapshot().expect("snapshot");
         let regs = obj.object().export_regs();
 
@@ -581,7 +581,7 @@ mod tests {
         drop(obj);
 
         let (recovered, stats) = DurableObject::open(dir.path(), id, u64::MAX).expect("recover");
-        assert_eq!((stats.snapshot_regs, stats.wal_records), (256, 0));
+        assert_eq!((stats.snapshot_regs, stats.wal_records), (512, 0));
         assert_eq!(recovered.object().export_regs(), regs);
     }
 
@@ -800,26 +800,24 @@ mod tests {
         ));
     }
 
-    // The committed bytes of store v1 — whole files, record framing and
+    // The committed bytes of store v2 — whole files, record framing and
     // CRC included. A test that needs them edited is a layout change: bump
     // `STORE_VERSION` (and `WIRE_VERSION`).
     #[rustfmt::skip]
     const GOLDEN_WAL: &[u8] = &[
-        0x72, 0x4c, 0x01, 0x00, 0x23, 0x00, 0x00, 0x00, 0xcd, 0x9c, 0xed, 0x15,
+        0x72, 0x4c, 0x02, 0x00, 0x23, 0x00, 0x00, 0x00, 0xcd, 0x9c, 0xed, 0x15,
         0x03, 0x00, 0x07, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x00, 0x1e, 0x01, 0xef, 0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00,
     ];
     #[rustfmt::skip]
     const GOLDEN_SNAP: &[u8] = &[
-        0x72, 0x4e, 0x01, 0x00, 0x50, 0x00, 0x00, 0x00, 0x5d, 0x87, 0x4a, 0xb6,
+        0x72, 0x4e, 0x02, 0x00, 0x35, 0x00, 0x00, 0x00, 0x36, 0x9a, 0x19, 0x25,
         0x01, 0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x32, 0x01, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
-        0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x32, 0x01,
-        0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x01,
     ];
 
     fn tokened(ts: u64, v: u64, bits: u64) -> Stamped {
@@ -834,7 +832,7 @@ mod tests {
     /// golden files byte for byte — and the golden files recover.
     #[test]
     fn wal_and_snapshot_files_match_their_golden_bytes() {
-        assert_eq!(crate::wal::STORE_VERSION, 1);
+        assert_eq!(crate::wal::STORE_VERSION, 2);
         let id = ObjectId(0);
         let mutation = Req::Commit {
             reg: RegId::Writer(7),

@@ -91,7 +91,14 @@ fn wal_metrics() -> &'static WalMetrics {
 }
 
 /// On-disk format version for WAL and snapshot files.
-pub const STORE_VERSION: u8 = 1;
+///
+/// History: v1 logged and snapshotted the `rastor_core::codec` layout of
+/// wire v2; v2 follows wire v3, whose object views write each pair once,
+/// later copies as one-byte references — a snapshot entry of a quiet
+/// register holds two pairs, not four. Log records (single mutations)
+/// kept their bytes. A data dir of another version is refused with
+/// [`Error::VersionMismatch`], never replayed.
+pub const STORE_VERSION: u8 = 2;
 
 /// Magic bytes opening a WAL file.
 pub const WAL_MAGIC: [u8; 2] = *b"rL";
