@@ -56,8 +56,9 @@
 //! ```
 
 // `deny`, not `forbid`: the reactor's poll(2) FFI shim is this crate's one
-// narrowly-scoped `#[allow(unsafe_code)]` island (the workspace's other is
-// `rastor_store`'s dispatch into its CRC-32 folding kernel).
+// narrowly-scoped `#[allow(unsafe_code)]` island (the workspace's others
+// are `rastor_store`'s dispatch into its CRC-32 folding kernel and its
+// `renameat2(2)` binding).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

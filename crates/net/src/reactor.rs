@@ -143,8 +143,9 @@ impl Waker {
     }
 }
 
-/// The hand-declared `poll(2)` binding — the workspace's one foreign
-/// call, kept to the three-field `pollfd` record and the syscall itself.
+/// The hand-declared `poll(2)` binding — one of the workspace's two
+/// foreign calls (the other is `rastor_store`'s `renameat2(2)`), kept to
+/// the three-field `pollfd` record and the syscall itself.
 #[allow(unsafe_code)]
 mod sys {
     /// `struct pollfd` from `poll(2)`.

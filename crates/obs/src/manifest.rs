@@ -109,7 +109,7 @@ pub const METRICS: &[MetricDef] = &[
         kind: "counter",
         unit: "bytes",
         seam: "store::Wal",
-        help: "Bytes cut off torn WAL tails during recovery opens.",
+        help: "Bytes cut off torn WAL tails during recovery opens (older records behind a reset log's terminator are kept, not cut).",
     },
     MetricDef {
         name: names::STORE_SNAPSHOTS,

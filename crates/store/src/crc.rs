@@ -22,7 +22,7 @@
 //! kernel when the input is at least 64 bytes and the CPU reports both
 //! `pclmulqdq` and `sse4.1`, the portable loop otherwise — on other CPUs,
 //! and on short inputs, where the reductions cost more than they save. The
-//! call into the folding kernel is the crate's one `unsafe` island: a
+//! call into the folding kernel is one of the crate's two `unsafe` islands: a
 //! `#[target_feature]` function may only be called once its features are
 //! known to exist. The test module keeps the byte-wise loop as the
 //! definition and holds both kernels to it, so no file byte depends on

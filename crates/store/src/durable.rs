@@ -43,13 +43,17 @@
 //!
 //! *Compaction is amortized.* An object writes its full register state
 //! and resets its log once both hold: at least `snapshot_every` mutations
-//! were logged since the last snapshot, and the log file is at least as
-//! long as that snapshot's file. The count is a floor for small states;
+//! were logged since the last snapshot, and the log is at least as long as
+//! that snapshot's file. The count is a floor for small states;
 //! the byte rule makes a snapshot cost no more bytes than the log it
 //! replaces, so over any run the snapshot bytes written are at most the
 //! log bytes appended plus one snapshot. It also bounds the log, and so
 //! recovery: the log never holds more than `snapshot_every` records or the
-//! last snapshot's length, whichever is larger, plus one record.
+//! last snapshot's length, whichever is larger, plus one record. The price
+//! is disk: compaction frees no blocks (how is [`crate::wal`]'s to say), so
+//! an object holds the log's high-water length — the bound above, plus an
+//! 8-byte terminator — and two snapshot files, the last and the one before
+//! it: about twice the live state, and bounded.
 //!
 //! *Snapshots are staggered.* The objects of a shard start their
 //! `snapshot_every` count out of phase (`snapshot_phase`), so the request
@@ -127,8 +131,8 @@ pub struct DurableObject {
     /// Mutations logged since the last snapshot, plus — until the first
     /// snapshot after an open — the object's `snapshot_phase`.
     since_snapshot: u64,
-    /// Length of the log file: its header and the records since the last
-    /// snapshot.
+    /// Length of the log: its header and the records since the last
+    /// snapshot (a reused log file is longer; see [`crate::wal`]).
     log_bytes: u64,
     /// Length of the last snapshot file, written or found at open (0 if
     /// none).
@@ -701,6 +705,55 @@ mod tests {
             let log = file_len_of(&wal_path(dir.path(), id));
             assert!(log <= bound, "after {n}: a {log}-byte log, bound {bound}");
         }
+    }
+
+    /// Compaction frees no blocks: once an object is past its second
+    /// snapshot, its three files keep their inodes across every further
+    /// compaction — the snapshot and its tmp sibling swap names, and the
+    /// log is rewritten in place — the log never shrinks, and the object
+    /// reopens to its live state.
+    #[test]
+    fn compaction_keeps_every_inode_and_never_shrinks_the_log() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = TempDir::new("durable-no-free");
+        let (id, every) = (ObjectId(0), 8);
+        let (mut obj, _) = DurableObject::open(dir.path(), id, every).expect("open");
+        let files = ["wal", "snap", "tmp"].map(|ext| dir.path().join(format!("obj-0.{ext}")));
+        // The set of inodes: the snapshot and the tmp file trade theirs.
+        let inodes = || {
+            let mut set = files
+                .clone()
+                .map(|f| std::fs::metadata(f).map(|m| m.ino()).ok());
+            set.sort_unstable();
+            set
+        };
+        let (mut snapshots, mut n, mut kept, mut log) = (0, 0, None, 0);
+        while snapshots < 2 + 6 {
+            drive(&mut obj, [kib_write(16, n)]);
+            n += 1;
+            let len = file_len_of(&files[0]);
+            assert!(
+                len >= log,
+                "mutation {n}: the log shrank from {log} to {len}"
+            );
+            log = len;
+            if obj.since_snapshot > 0 {
+                continue;
+            }
+            snapshots += 1;
+            if snapshots == 2 {
+                kept = Some(inodes());
+                assert!(kept.iter().flatten().all(Option::is_some), "{kept:?}");
+            } else if snapshots > 2 {
+                assert_eq!(Some(inodes()), kept, "snapshot {snapshots}");
+            }
+        }
+        let live = obj.object().export_regs();
+        drop(obj);
+        let (recovered, stats) = DurableObject::open(dir.path(), id, every).expect("recover");
+        assert_eq!(stats.truncated_bytes, 0);
+        assert_eq!(recovered.object().export_regs(), live);
+        assert_eq!(Some(inodes()), kept);
     }
 
     /// A collect materializes nothing, so an object that has only served

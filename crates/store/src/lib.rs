@@ -8,8 +8,9 @@
 //! unreachable. `rastor_store` supplies the missing piece:
 //!
 //! * [`wal`] — an append-only, length-prefixed, CRC-per-record write-ahead
-//!   log with **torn-tail truncation** on replay, plus atomically renamed
-//!   snapshot files — record framing only; the payloads are laid out by
+//!   log with **torn-tail truncation** on replay, reset in place by
+//!   compaction, plus snapshot files written over the one before last and
+//!   swapped in atomically — record framing only; the payloads are laid out by
 //!   `rastor_core::codec`, the same bytes `rastor_net::wire` carries;
 //! * [`DurableObject`] — an honest object that logs every mutation before
 //!   acking it and compacts the log into a snapshot of its full
@@ -46,21 +47,27 @@
 //! # Ok::<(), rastor_common::Error>(())
 //! ```
 
-//! ## The one `unsafe` island
+//! ## The two `unsafe` islands
 //!
 //! Every logged and replayed byte goes through [`crc32`], so on x86-64 it
 //! runs a carry-less-multiply (`PCLMULQDQ`) folding kernel, about eight
 //! times faster than the portable table loop. That kernel is a
 //! `#[target_feature]` function, and Rust makes calling one `unsafe`
-//! unless the features are known at compile time; `crc::folded` is the
-//! single `#[allow(unsafe_code)]` item in the crate, and it makes the call
-//! only after `is_x86_feature_detected!` has seen both features on the
-//! running CPU. The kernel itself is safe code: blocks are read from
-//! slices with `from_le_bytes`, never through a pointer. Anywhere else the
-//! portable loop runs.
+//! unless the features are known at compile time; `crc::folded` is an
+//! `#[allow(unsafe_code)]` item, and it makes the call only after
+//! `is_x86_feature_detected!` has seen both features on the running CPU.
+//! The kernel itself is safe code: blocks are read from slices with
+//! `from_le_bytes`, never through a pointer. Anywhere else the portable
+//! loop runs.
+//!
+//! The other is `wal::sys`, on Linux: a hand-declared `renameat2(2)`
+//! binding, which the standard library lacks, so that compaction can swap
+//! a new snapshot with the last one instead of renaming over it and
+//! freeing its blocks. It passes two NUL-terminated paths and one flag.
 
-// `deny`, not `forbid`: the CRC kernel's dispatch is the one
-// narrowly-scoped `#[allow(unsafe_code)]` item in this crate.
+// `deny`, not `forbid`: the CRC kernel's dispatch and the `renameat2(2)`
+// binding are this crate's two narrowly-scoped `#[allow(unsafe_code)]`
+// items.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 

@@ -32,6 +32,18 @@
 //! trusts exactly its longest valid prefix, which is what makes replayed
 //! state prefix-consistent with the pre-crash history.
 //!
+//! A log is reused, not truncated, when compaction resets it
+//! ([`Wal::reset`]): the header is rewritten followed by a [`TERMINATOR`],
+//! an 8-byte record header whose length exceeds [`MAX_RECORD_LEN`], and
+//! from then on each append writes its record followed by a terminator, at
+//! the end of the trusted prefix. The bytes past the terminator are older
+//! generations' records, which the current snapshot covers. A prefix that
+//! ends at a terminator is a clean end: nothing is cut, and the log keeps
+//! its high-water length. The only tail a power cut can expose past a
+//! record whose terminator did not land is such older records, and
+//! replaying covered records changes nothing (see `DurableObject`). A log
+//! that was never reset writes no terminator.
+//!
 //! A *header* that fails validation is different: that is not a torn
 //! append but a foreign or mangled file, and replay refuses with a hard
 //! error ([`Error::Codec`] / [`Error::VersionMismatch`]) rather than
@@ -42,7 +54,8 @@
 //! A record is framed where it is written: its 8-byte header is reserved,
 //! the payload is encoded straight after it, and then the length and CRC
 //! are patched in. A log append builds its record in one buffer the [`Wal`]
-//! reuses and writes it with one `write(2)`; a snapshot streams its records
+//! reuses and writes it, with a reused log's terminator after it, by one
+//! `pwrite(2)` at the log's end; a snapshot streams its records
 //! through a fixed buffer that goes to the file each time it fills, so a
 //! record may straddle two writes and compaction's transient memory is the
 //! buffer, whatever the state's size. Replay reads a file once and hands
@@ -50,20 +63,26 @@
 //!
 //! ## Snapshot atomicity
 //!
-//! Snapshots are written to a `.tmp` sibling and atomically renamed into
-//! place, so a crash mid-snapshot leaves the previous snapshot (or none)
-//! intact — a visible snapshot file is always complete, and any decode
-//! failure inside one is real corruption, reported as an error instead of
-//! being "recovered" into silent state loss. A rename is atomic but not
-//! durable: against power loss the caller asks `write_snapshot` to sync
-//! the file and its directory before it resets the log the snapshot
-//! replaces.
+//! A snapshot is written over its `.tmp` sibling in place, which holds the
+//! snapshot before the last one, and then the two files swap names
+//! (`renameat2(RENAME_EXCHANGE)`), so a crash mid-snapshot leaves the
+//! previous snapshot (or none) intact — a visible snapshot file is always
+//! complete, and any decode failure inside one is real corruption,
+//! reported as an error instead of being "recovered" into silent state
+//! loss. The replaced snapshot becomes the next tmp file: compaction frees
+//! no blocks, which on a file system that discards freed blocks
+//! synchronously is most of its cost. Only where there is nothing to swap
+//! with (the first snapshot) or no swap support is the tmp file renamed
+//! over the snapshot instead. The swap is atomic but not durable: against
+//! power loss the caller asks `write_snapshot` to sync the file and its
+//! directory before it resets the log the snapshot replaces.
 
 use crate::crc::crc32;
 use rastor_common::{Error, Result};
 use rastor_obs::{names, trace, Counter, Registry};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -115,6 +134,11 @@ pub const RECORD_HEADER_LEN: usize = 8;
 /// Ceiling on one record payload: a corrupt length prefix must not look
 /// like a multi-gigabyte allocation request.
 pub const MAX_RECORD_LEN: usize = 16 * 1024 * 1024;
+
+/// What ends the current generation of a reset log: a record header whose
+/// length, `u32::MAX`, exceeds [`MAX_RECORD_LEN`], so replay stops there,
+/// and reads it as a clean end rather than a torn tail.
+pub const TERMINATOR: [u8; RECORD_HEADER_LEN] = [0xFF; RECORD_HEADER_LEN];
 
 /// The buffer a snapshot is streamed through: it goes to the file each time
 /// it fills, so a snapshot of any size holds this much, plus the record
@@ -220,13 +244,20 @@ pub struct Wal {
     fsync: bool,
     /// The record being framed, reused from append to append.
     record: Vec<u8>,
+    /// Where the next record goes: the end of the trusted prefix.
+    end: u64,
+    /// Whether older records may lie past `end`, so each append must end
+    /// with a [`TERMINATOR`]: set by a reset, or by a reopen whose prefix
+    /// ended at one.
+    terminate: bool,
 }
 
 impl Wal {
     /// Open (or create) the log at `path`, replay its valid prefix, and
-    /// truncate any torn tail. Returns the log positioned for append, the
-    /// replayed record payloads in append order, and the replay stats.
-    /// Appends reach the OS, not stable storage: no `fdatasync`.
+    /// truncate any torn tail (a prefix ending at a [`TERMINATOR`] is not
+    /// torn). Returns the log positioned for append, the replayed record
+    /// payloads in append order, and the replay stats. Appends reach the
+    /// OS, not stable storage: no `fdatasync`.
     ///
     /// # Errors
     ///
@@ -265,16 +296,18 @@ impl Wal {
         file.read_to_end(&mut bytes)
             .map_err(|e| Error::io(format!("reading wal {}", path.display()), &e))?;
 
-        let wal = |file, path| Wal {
+        let wal = |file, path, end, terminate| Wal {
             file,
             path,
             fsync,
             record: Vec::new(),
+            end,
+            terminate,
         };
         if bytes.is_empty() {
             file.write_all(&file_header(WAL_MAGIC))
                 .map_err(|e| Error::io("writing a fresh wal header", &e))?;
-            let wal = wal(file, path);
+            let wal = wal(file, path, FILE_HEADER_LEN as u64, false);
             if fsync {
                 // A power loss must not take back the log a caller is
                 // about to ack into: its header, then its name.
@@ -284,15 +317,20 @@ impl Wal {
             return Ok((wal, ReplayStats::default()));
         }
         check_header(&bytes, WAL_MAGIC, "wal")?;
-        let (records, valid) = scan_records(&bytes[FILE_HEADER_LEN..]);
+        let body = &bytes[FILE_HEADER_LEN..];
+        let (records, valid) = scan_records(body);
         let valid_end = (FILE_HEADER_LEN + valid) as u64;
-        let truncated = bytes.len() as u64 - valid_end;
+        // Past a terminator lie older generations' records: a clean end.
+        let terminated = body[valid..].starts_with(&TERMINATOR);
+        let truncated = if terminated {
+            0
+        } else {
+            bytes.len() as u64 - valid_end
+        };
         if truncated > 0 {
             file.set_len(valid_end)
                 .map_err(|e| Error::io("truncating a torn wal tail", &e))?;
         }
-        file.seek(SeekFrom::Start(valid_end))
-            .map_err(|e| Error::io("seeking to the wal append position", &e))?;
         let stats = ReplayStats {
             records: records.len() as u64,
             truncated_bytes: truncated,
@@ -303,7 +341,7 @@ impl Wal {
         for record in records {
             replay(record)?;
         }
-        Ok((wal(file, path), stats))
+        Ok((wal(file, path, valid_end, terminated), stats))
     }
 
     /// Append one record (length + CRC + payload) and hand it to the OS —
@@ -323,10 +361,12 @@ impl Wal {
     }
 
     /// As [`Wal::append`], with the payload encoded by `encode` straight
-    /// into the log's reused record buffer, after the reserved header: one
-    /// `write(2)`, no allocation once the buffer has grown to the largest
-    /// record. Under a trace context the write and the sync each leave a
-    /// span. Returns the bytes the record added to the file.
+    /// into the log's reused record buffer, after the reserved header, and
+    /// a [`TERMINATOR`] after it in a reused log: one `pwrite(2)` at the
+    /// end of the log, no allocation once the buffer has grown to the
+    /// largest record. Under a trace context the write and the sync each
+    /// leave a span. Returns the bytes the record added to the log (the
+    /// terminator, which the next append overwrites, is not counted).
     pub(crate) fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<u64> {
         wal_metrics().appends.inc();
         let traced = trace::current();
@@ -337,9 +377,13 @@ impl Wal {
         let t0 = clock();
         self.record.clear();
         let len = frame(&mut self.record, encode);
+        if self.terminate {
+            self.record.extend_from_slice(&TERMINATOR);
+        }
         self.file
-            .write_all(&self.record)
+            .write_all_at(&self.record, self.end)
             .map_err(|e| Error::io(format!("appending to wal {}", self.path.display()), &e))?;
+        self.end += len as u64;
         let t1 = clock();
         let payload = (len - RECORD_HEADER_LEN) as u64;
         trace::global().record(traced, trace::span::WAL_APPEND, payload, t0, t1);
@@ -371,19 +415,24 @@ impl Wal {
             .map_err(|e| Error::io(format!("syncing wal {}", self.path.display()), &e))
     }
 
-    /// Reset the log to empty (post-snapshot compaction): truncate to a
-    /// fresh header.
+    /// Reset the log to empty (post-snapshot compaction) without
+    /// shrinking the file: rewrite the header followed by a
+    /// [`TERMINATOR`], and append from there on, each record followed by
+    /// one. The file keeps its high-water length, so no block is freed.
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] if the truncate or header write fails.
+    /// [`Error::Io`] if the write fails.
     pub fn reset(&mut self) -> Result<()> {
+        let mut head = [0; FILE_HEADER_LEN + RECORD_HEADER_LEN];
+        head[..FILE_HEADER_LEN].copy_from_slice(&file_header(WAL_MAGIC));
+        head[FILE_HEADER_LEN..].copy_from_slice(&TERMINATOR);
         self.file
-            .set_len(0)
-            .and_then(|()| self.file.seek(SeekFrom::Start(0)).map(|_| ()))
-            .and_then(|()| self.file.write_all(&file_header(WAL_MAGIC)))
-            .and_then(|()| self.file.flush())
-            .map_err(|e| Error::io(format!("resetting wal {}", self.path.display()), &e))
+            .write_all_at(&head, 0)
+            .map_err(|e| Error::io(format!("resetting wal {}", self.path.display()), &e))?;
+        self.end = FILE_HEADER_LEN as u64;
+        self.terminate = true;
+        Ok(())
     }
 
     /// The path this log lives at.
@@ -394,11 +443,12 @@ impl Wal {
 
 /// Write a snapshot file atomically: one record per entry, its payload
 /// encoded by `encode` straight into a fixed [`SNAPSHOT_BUF`]-byte buffer
-/// that goes to `path.tmp` each time it fills, then a rename over `path`.
-/// With `sync`, the tmp file is synced before the rename and the directory
-/// after it, so once this returns the new snapshot survives power loss —
-/// the caller may then drop what it covers (reset the WAL). Returns the
-/// snapshot file's length.
+/// that goes to `path.tmp` each time it fills — over the snapshot before
+/// last, in place, cut only if the new one is shorter — then the tmp file
+/// and `path` swap names. With `sync`, the tmp file is synced before the
+/// swap and the directory after it, so once this returns the new snapshot
+/// survives power loss — the caller may then drop what it covers (reset
+/// the WAL). Returns the snapshot file's length.
 ///
 /// # Errors
 ///
@@ -411,7 +461,11 @@ pub(crate) fn write_snapshot<T>(
     sync: bool,
 ) -> Result<u64> {
     let tmp = path.with_extension("tmp");
-    let len = File::create(&tmp)
+    let len = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&tmp)
         .and_then(|mut file| {
             let mut buf = Vec::with_capacity(SNAPSHOT_BUF);
             buf.extend_from_slice(&file_header(SNAP_MAGIC));
@@ -429,6 +483,9 @@ pub(crate) fn write_snapshot<T>(
             }
             file.write_all(&buf)?;
             len += buf.len() as u64;
+            if file.metadata()?.len() > len {
+                file.set_len(len)?;
+            }
             if sync {
                 wal_metrics().fsyncs.inc();
                 file.sync_all()?;
@@ -436,12 +493,71 @@ pub(crate) fn write_snapshot<T>(
             Ok(len)
         })
         .map_err(|e| Error::io(format!("writing snapshot {}", tmp.display()), &e))?;
-    std::fs::rename(&tmp, path)
+    publish(&tmp, path)
         .map_err(|e| Error::io(format!("publishing snapshot {}", path.display()), &e))?;
     if sync {
         sync_dir(path)?;
     }
     Ok(len)
+}
+
+/// Give `tmp` the name `path`: swap the two files, so the one replaced
+/// becomes the next tmp file and no inode is freed, or — where there is no
+/// `path` yet (`NotFound`) or no swap (`InvalidInput`, `Unsupported`, or a
+/// target other than Linux) — rename `tmp` over it.
+fn publish(tmp: &Path, path: &Path) -> std::io::Result<()> {
+    #[cfg(target_os = "linux")]
+    match sys::exchange(tmp, path) {
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::NotFound
+                    | std::io::ErrorKind::InvalidInput
+                    | std::io::ErrorKind::Unsupported
+            ) => {}
+        swapped => return swapped,
+    }
+    std::fs::rename(tmp, path)
+}
+
+/// The hand-declared `renameat2(2)` binding, kept to the one flag the
+/// snapshot swap uses.
+#[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
+mod sys {
+    use std::ffi::{c_char, c_int, c_uint, CString};
+    use std::io;
+    use std::os::unix::ffi::OsStrExt;
+    use std::path::Path;
+
+    /// Paths relative to the working directory, as `rename(2)` takes them.
+    const AT_FDCWD: c_int = -100;
+    /// Swap the two names atomically; both must exist.
+    const RENAME_EXCHANGE: c_uint = 1 << 1;
+
+    extern "C" {
+        fn renameat2(
+            olddirfd: c_int,
+            oldpath: *const c_char,
+            newdirfd: c_int,
+            newpath: *const c_char,
+            flags: c_uint,
+        ) -> c_int;
+    }
+
+    /// Atomically swap the files named `a` and `b`.
+    pub fn exchange(a: &Path, b: &Path) -> io::Result<()> {
+        let c_path = |p: &Path| {
+            CString::new(p.as_os_str().as_bytes()).map_err(|_| io::ErrorKind::InvalidInput)
+        };
+        let (a, b) = (c_path(a)?, c_path(b)?);
+        // SAFETY: `a` and `b` are NUL-terminated strings that outlive the
+        // call, and the kernel only reads them.
+        match unsafe { renameat2(AT_FDCWD, a.as_ptr(), AT_FDCWD, b.as_ptr(), RENAME_EXCHANGE) } {
+            0 => Ok(()),
+            _ => Err(io::Error::last_os_error()),
+        }
+    }
 }
 
 /// Read a snapshot file, handing each record payload to `load` in file
@@ -622,13 +738,77 @@ mod tests {
         let entries = payloads(6);
         write_snapshot(&path, &entries, false).expect("write");
         assert_eq!(read_snapshot(&path).expect("read"), Some(entries.clone()));
-        // Overwrite is atomic: the tmp sibling never lingers.
+        // Overwrite is atomic, and frees nothing: the tmp sibling holds the
+        // previous snapshot, and reading the snapshot never reads it.
         write_snapshot(&path, &entries[..2], true).expect("rewrite");
         assert_eq!(
             read_snapshot(&path).expect("read"),
             Some(entries[..2].to_vec())
         );
-        assert!(!path.with_extension("tmp").exists());
+        let tmp = path.with_extension("tmp");
+        assert_eq!(
+            read_snapshot(&tmp).expect("read tmp"),
+            Some(entries.clone())
+        );
+        std::fs::write(&tmp, b"mangled").expect("mangle tmp");
+        assert_eq!(
+            read_snapshot(&path).expect("read"),
+            Some(entries[..2].to_vec())
+        );
+    }
+
+    /// The tmp file is overwritten in place and cut to the new snapshot's
+    /// length when that is shorter: a snapshot shorter than the one before
+    /// last reads back whole, with no stale record after it.
+    #[test]
+    fn a_shorter_snapshot_over_a_longer_tmp_reads_back_exactly() {
+        let dir = TempDir::new("snap-shrink");
+        let path = dir.path().join("obj.snap");
+        let entries = payloads(9);
+        for n in [9, 8, 1, 5, 0] {
+            write_snapshot(&path, &entries[..n], false).expect("write");
+            assert_eq!(
+                read_snapshot(&path).expect("read"),
+                Some(entries[..n].to_vec())
+            );
+        }
+    }
+
+    /// A reset rewrites the log in place: the file keeps its length, and a
+    /// reopen that ends at the terminator replays the new generation only,
+    /// cuts nothing, and appends after it.
+    #[test]
+    fn a_reset_log_keeps_its_length_and_reopens_at_its_terminator() {
+        let dir = TempDir::new("wal-reuse");
+        let path = dir.path().join("obj.wal");
+        let (mut wal, _, _) = Wal::open(&path).expect("fresh");
+        for p in payloads(6) {
+            wal.append(&p).expect("append");
+        }
+        let high_water = std::fs::metadata(&path).expect("meta").len();
+        wal.reset().expect("reset");
+        wal.append(b"fresh").expect("append");
+        drop(wal);
+        let file = std::fs::read(&path).expect("read");
+        assert_eq!(file.len() as u64, high_water, "no block is freed");
+        let end = FILE_HEADER_LEN + RECORD_HEADER_LEN + 5;
+        assert_eq!(file[end..end + RECORD_HEADER_LEN], TERMINATOR);
+
+        let (mut wal, recs, stats) = Wal::open(&path).expect("reopen");
+        assert_eq!(recs, vec![b"fresh".to_vec()]);
+        assert_eq!(
+            stats,
+            ReplayStats {
+                records: 1,
+                truncated_bytes: 0
+            }
+        );
+        wal.append(b"again").expect("append");
+        drop(wal);
+        let (_, recs, stats) = Wal::open(&path).expect("reopen again");
+        assert_eq!(recs, vec![b"fresh".to_vec(), b"again".to_vec()]);
+        assert_eq!(stats.truncated_bytes, 0);
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), high_water);
     }
 
     #[test]
