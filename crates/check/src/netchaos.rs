@@ -50,8 +50,8 @@ pub struct ChaosPoint {
     pub drop_milli: u32,
     /// Adjacent-reorder probability in thousandths.
     pub reorder_milli: u32,
-    /// A full-partition pulse: `(after_ms, width_ms)` — all links go dark
-    /// `after_ms` into the run for `width_ms`.
+    /// A full-partition pulse: `(after_ms, width_ms)` — every object is
+    /// cut off `after_ms` into the run for `width_ms`.
     pub partition_pulse_ms: Option<(u64, u64)>,
 }
 
@@ -296,18 +296,15 @@ impl NetScenario {
             },
         );
 
-        // The partition pulse, if the point prescribes one: all links go
-        // dark mid-flight, then heal. Client resubmission must absorb it
-        // inside the generous op timeout.
+        // The partition pulse, if the point prescribes one: the store's
+        // one shard is cut off at every server mid-flight, then heals.
+        // Client resubmission must absorb it inside the generous op
+        // timeout.
         if let Some((after_ms, width_ms)) = point.partition_pulse_ms {
             std::thread::sleep(Duration::from_millis(after_ms));
-            for proxy in &kv.proxies {
-                proxy.set_partitioned(true);
-            }
+            kv.partition(0, true).expect("the store has shard 0");
             std::thread::sleep(Duration::from_millis(width_ms));
-            for proxy in &kv.proxies {
-                proxy.set_partitioned(false);
-            }
+            kv.partition(0, false).expect("the store has shard 0");
         }
 
         let run = running.join();
@@ -318,7 +315,6 @@ impl NetScenario {
                 forwarded: acc.forwarded + s.forwarded,
                 dropped: acc.dropped + s.dropped,
                 reordered: acc.reordered + s.reordered,
-                partition_drops: acc.partition_drops + s.partition_drops,
             }
         });
         NetOutcome {

@@ -213,14 +213,6 @@ impl StateForgerObject {
         StateForgerObject::default()
     }
 
-    /// Start from a given live state.
-    pub fn with_live(live: HonestObject) -> StateForgerObject {
-        StateForgerObject {
-            live,
-            ..Default::default()
-        }
-    }
-
     /// Add a forging rule.
     pub fn add_rule(&mut self, rule: ForgeRule) -> &mut Self {
         self.rules.push(rule);

@@ -4,10 +4,13 @@
 //! now, could only crash objects. The chaos proxy gives socket
 //! deployments the missing scenario diversity: put one in front of an
 //! [`crate::server::ObjectServer`] and every connection through it
-//! suffers seeded, reproducible **delay**, **jitter**, **drops**,
-//! **reordering** and (toggleable) **partitions** — at wire-frame
-//! granularity, so the length-prefixed stream stays well-formed no matter
-//! what is dropped or held back.
+//! suffers seeded, reproducible **delay**, **jitter**, **drops** and
+//! **reordering** — at wire-frame granularity, so the length-prefixed
+//! stream stays well-formed no matter what is dropped or held back. It is
+//! `rastor_check::netchaos`'s link fault injector. A partition is not a
+//! link fault here: it is cut where the objects live
+//! ([`rastor_sim::host::ObjectHost::set_partitioned`]), so a deployment
+//! needs no relay to be partitionable.
 //!
 //! Faults are applied independently per direction per connection, each
 //! with its own [`SplitMix64`] stream derived from [`ChaosCfg::seed`], so
@@ -28,7 +31,7 @@ use rastor_common::{Error, Result, SplitMix64};
 use rastor_obs::{names, Counter, Registry};
 use std::collections::{BinaryHeap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -39,7 +42,6 @@ struct ChaosMetrics {
     dropped: Arc<Counter>,
     delayed: Arc<Counter>,
     reordered: Arc<Counter>,
-    partition_drops: Arc<Counter>,
 }
 
 fn chaos_metrics() -> &'static ChaosMetrics {
@@ -50,7 +52,6 @@ fn chaos_metrics() -> &'static ChaosMetrics {
             dropped: r.counter(names::CHAOS_FRAMES_DROPPED),
             delayed: r.counter(names::CHAOS_FRAMES_DELAYED),
             reordered: r.counter(names::CHAOS_FRAMES_REORDERED),
-            partition_drops: r.counter(names::CHAOS_PARTITION_DROPS),
         }
     })
 }
@@ -69,8 +70,7 @@ pub struct ChaosCfg {
     pub drop_prob: f64,
     /// Probability a frame is held back and forwarded *after* its
     /// successor (adjacent reordering; a trailing held frame is flushed
-    /// when the connection ends — unless the link is partitioned, which
-    /// eats it like everything else).
+    /// when the connection ends).
     pub reorder_prob: f64,
 }
 
@@ -154,8 +154,6 @@ pub struct ChaosStats {
     pub dropped: u64,
     /// Frames held back behind their successor.
     pub reordered: u64,
-    /// Frames eaten by an active partition.
-    pub partition_drops: u64,
 }
 
 /// One direction of one relayed link, keyed by the conn the proxy *reads*
@@ -200,12 +198,10 @@ impl Ord for TimedSend {
 struct ChaosState {
     upstream: SocketAddr,
     cfg: ChaosCfg,
-    partitioned: AtomicBool,
     next_link: AtomicU64,
     forwarded: AtomicU64,
     dropped: AtomicU64,
     reordered: AtomicU64,
-    partition_drops: AtomicU64,
     /// Reading-conn id → that direction's fault state. Lock order: `dirs`
     /// before `delayq`, always.
     dirs: Mutex<HashMap<u64, DirState>>,
@@ -296,11 +292,6 @@ impl Events for ChaosState {
         let Some(dir) = dirs.get_mut(&conn.id()) else {
             return; // link torn down under us
         };
-        if self.partitioned.load(Ordering::SeqCst) {
-            chaos_metrics().partition_drops.inc();
-            self.partition_drops.fetch_add(1, Ordering::Relaxed);
-            return; // the link eats everything, silently
-        }
         let cfg = &self.cfg;
         if cfg.drop_prob > 0.0 && dir.rng.next_f64() < cfg.drop_prob {
             chaos_metrics().dropped.inc();
@@ -344,15 +335,11 @@ impl Events for ChaosState {
         let peer = dir.peer;
         let release = dir.release;
         drop(dirs);
-        // Flush a trailing held frame rather than swallowing it — unless
-        // the link is partitioned, in which case the dead link eats it
-        // like everything else (nothing may cross a cut link, even at
-        // teardown). The close itself is sequenced *after* every frame
-        // this direction already scheduled.
+        // Flush a trailing held frame rather than swallowing it. The close
+        // itself is sequenced *after* every frame this direction already
+        // scheduled.
         if let Some(h) = held {
-            if !self.partitioned.load(Ordering::SeqCst) {
-                self.schedule(release, peer.clone(), Some(h));
-            }
+            self.schedule(release, peer.clone(), Some(h));
         }
         self.schedule(release, peer, None);
     }
@@ -387,12 +374,10 @@ impl ChaosProxy {
         let state = Arc::new(ChaosState {
             upstream,
             cfg,
-            partitioned: AtomicBool::new(false),
             next_link: AtomicU64::new(0),
             forwarded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             reordered: AtomicU64::new(0),
-            partition_drops: AtomicU64::new(0),
             dirs: Mutex::new(HashMap::new()),
             delayq: Mutex::new(BinaryHeap::new()),
             send_seq: AtomicU64::new(0),
@@ -415,24 +400,12 @@ impl ChaosProxy {
         self.addr
     }
 
-    /// Toggle a full partition: while set, every frame in both directions
-    /// is dropped (connections stay open — the link is dead, not closed).
-    pub fn set_partitioned(&self, partitioned: bool) {
-        self.state.partitioned.store(partitioned, Ordering::SeqCst);
-    }
-
-    /// Whether the link is currently partitioned.
-    pub fn is_partitioned(&self) -> bool {
-        self.state.partitioned.load(Ordering::SeqCst)
-    }
-
     /// This proxy's fault tallies so far.
     pub fn stats(&self) -> ChaosStats {
         ChaosStats {
             forwarded: self.state.forwarded.load(Ordering::Relaxed),
             dropped: self.state.dropped.load(Ordering::Relaxed),
             reordered: self.state.reordered.load(Ordering::Relaxed),
-            partition_drops: self.state.partition_drops.load(Ordering::Relaxed),
         }
     }
 }

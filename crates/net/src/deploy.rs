@@ -7,9 +7,12 @@
 //!   loopback listener plus a connected [`NetCluster`], ready for a
 //!   [`rastor_sim::runtime::ThreadClient`].
 //! * [`NetKv`] stands up a [`ShardedKvStore`] whose shards are reached
-//!   over TCP — one [`ObjectServer`] per shard, optionally each behind its
-//!   own [`ChaosProxy`] — via
-//!   [`ShardedKvStore::over_transports`].
+//!   over TCP — one [`ObjectServer`] per shard, each listening on one
+//!   address for data and control frames alike — via
+//!   [`ShardedKvStore::over_transports`]. Its fault surface is the
+//!   servers': crash, restart from disk, and partition
+//!   ([`NetKv::partition`], cut at each server's host). A [`ChaosProxy`]
+//!   in front of every server, for link faults, is optional.
 
 use crate::chaos::{ChaosCfg, ChaosProxy};
 use crate::client::NetCluster;
@@ -78,7 +81,8 @@ pub struct NetKv {
     /// [`ObjectServer::restart_object`]).
     pub servers: Vec<ObjectServer>,
     /// Chaos proxies in the same order as [`NetKv::servers`] (empty when
-    /// spawned without chaos) — partition toggles live here.
+    /// spawned without chaos) — the store's clients dial these instead of
+    /// the servers.
     pub proxies: Vec<ChaosProxy>,
     /// Listeners per shard: 1, or `3t + 1` for per-object deployments.
     listeners_per_shard: usize,
@@ -212,31 +216,29 @@ impl NetKv {
         })
     }
 
-    /// The data-plane address clients should dial for shard `shard` (its
-    /// first listener, for per-object deployments): the chaos proxy when
-    /// one fronts the link, the server itself otherwise.
+    /// The address of shard `shard`'s server (its first, for per-object
+    /// deployments): data and control frames alike. Clients of a chaos
+    /// deployment dial [`NetKv::proxies`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn data_addr(&self, shard: usize) -> std::net::SocketAddr {
-        let first = shard * self.listeners_per_shard;
-        match self.proxies.get(first) {
-            Some(proxy) => proxy.local_addr(),
-            None => self.servers[first].local_addr(),
-        }
+    pub fn addr(&self, shard: usize) -> std::net::SocketAddr {
+        self.servers[shard * self.listeners_per_shard].local_addr()
     }
 
-    /// The control-plane address of shard `shard` (its first listener,
-    /// for per-object deployments): always the server itself, bypassing
-    /// any chaos proxy — status queries must keep answering while the
-    /// data link is partitioned.
+    /// The servers of shard `shard`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `shard` is out of range.
-    pub fn control_addr(&self, shard: usize) -> std::net::SocketAddr {
-        self.servers[shard * self.listeners_per_shard].local_addr()
+    /// [`Error::InvariantViolation`] if `shard` is out of range.
+    fn shard_servers(&self, shard: usize) -> Result<&[ObjectServer]> {
+        let first = shard * self.listeners_per_shard;
+        self.servers
+            .get(first..first + self.listeners_per_shard)
+            .ok_or_else(|| Error::InvariantViolation {
+                detail: format!("no shard {shard} in this deployment"),
+            })
     }
 
     /// The listener hosting `(shard, id)`.
@@ -246,13 +248,7 @@ impl NetKv {
     /// [`Error::InvariantViolation`] if `shard` is out of range or no
     /// listener of the shard hosts `id`.
     fn hosting_server(&self, shard: usize, id: ObjectId) -> Result<&ObjectServer> {
-        let first = shard * self.listeners_per_shard;
-        if first >= self.servers.len() {
-            return Err(Error::InvariantViolation {
-                detail: format!("no shard {shard} in this deployment"),
-            });
-        }
-        self.servers[first..first + self.listeners_per_shard]
+        self.shard_servers(shard)?
             .iter()
             .find(|s| s.host().hosts(id))
             .ok_or_else(|| Error::InvariantViolation {
@@ -269,6 +265,22 @@ impl NetKv {
     /// [`Error::InvariantViolation`] if `shard` or `id` is out of range.
     pub fn crash_object(&self, shard: usize, id: ObjectId) -> Result<()> {
         self.hosting_server(shard, id)?.crash_object(id);
+        Ok(())
+    }
+
+    /// Cut shard `shard` off from its clients, or heal it:
+    /// [`ObjectHost::set_partitioned`](rastor_sim::host::ObjectHost::set_partitioned)
+    /// on every server of the shard. Connections stay open and control
+    /// frames keep being answered; clients see the shard's objects stop
+    /// answering, and resume without reconnecting once it heals.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvariantViolation`] if `shard` is out of range.
+    pub fn partition(&self, shard: usize, on: bool) -> Result<()> {
+        for server in self.shard_servers(shard)? {
+            server.host().set_partitioned(on);
+        }
         Ok(())
     }
 

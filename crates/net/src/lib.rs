@@ -27,9 +27,9 @@
 //!   channel substrate, so [`rastor_sim::runtime::ThreadClient`] and the
 //!   sharded kv store drive it unchanged.
 //! * [`chaos`] — a netem-style, frame-aware TCP relay injecting seeded
-//!   delay, jitter, drops, reordering, and partitions per connection: the
-//!   scenario diversity only the simulator had, now available to real
-//!   deployments.
+//!   delay, jitter, drops and reordering per connection: the link faults
+//!   `rastor_check::netchaos` searches. Partitions are not its business;
+//!   [`NetKv::partition`] cuts a shard off at its servers' hosts.
 //!
 //! [`deploy`] glues the layers to the higher-level entry points: a
 //! [`StorageSystem`](rastor_core::StorageSystem) extension for

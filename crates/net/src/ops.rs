@@ -11,9 +11,9 @@
 //!   status` can ask a shard "who do you host?" on the same port clients
 //!   use, even mid-workload;
 //! * the [`OpsServer`] is a *separate* listener owning the deployment
-//!   handle, because admin verbs (restart an object from disk, toggle a
-//!   partition) act on durability configs and chaos proxies no single
-//!   object server knows about.
+//!   handle, because admin verbs (restart an object from disk, cut a
+//!   shard off) act on durability configs and on every server of a
+//!   shard, which no single object server knows about.
 //!
 //! Every control op is identified by a client-chosen `u64` correlation id
 //! echoed in the reply (see [`crate::wire`]); the client keeps a pending
@@ -322,7 +322,7 @@ impl Events for OpsState {
 
 /// The deployment-level admin listener: owns (a handle to) a live
 /// [`NetKv`] and executes [`AdminCmd`]s against it — restart an object
-/// from disk, crash one, toggle a chaos partition. Also answers metrics
+/// from disk, crash one, partition a shard. Also answers metrics
 /// queries from the process-wide registry and accepts counter reports,
 /// so a single control connection to the ops port can drive the whole
 /// `rastor` CLI.
@@ -391,24 +391,16 @@ fn run_admin(kv: &Arc<Mutex<NetKv>>, cmd: AdminCmd) -> AdminOutcome {
                 Err(e) => refused(format!("crash failed: {e}")),
             }
         }
-        AdminCmd::Partition { shard, on } => {
-            let shard = shard as usize;
-            match kv.proxies.get(shard) {
-                None => refused(format!(
-                    "shard {shard} has no chaos proxy (serve with --chaos to get partitions)"
-                )),
-                Some(proxy) => {
-                    proxy.set_partitioned(on);
-                    AdminOutcome {
-                        ok: true,
-                        detail: format!(
-                            "shard {shard} link {}",
-                            if on { "partitioned" } else { "healed" }
-                        ),
-                    }
-                }
-            }
-        }
+        AdminCmd::Partition { shard, on } => match kv.partition(shard as usize, on) {
+            Ok(()) => AdminOutcome {
+                ok: true,
+                detail: format!(
+                    "shard {shard} {}",
+                    if on { "partitioned" } else { "healed" }
+                ),
+            },
+            Err(e) => refused(format!("partition failed: {e}")),
+        },
     }
 }
 

@@ -503,11 +503,6 @@ impl ReactorHandle {
             ConnHandle { shared: c }.close();
         }
     }
-
-    /// Number of currently open connections.
-    pub fn open_conns(&self) -> usize {
-        self.core.conns.lock().expect("reactor conn map lock").len()
-    }
 }
 
 /// A running readiness loop: N worker threads, one optional listener,

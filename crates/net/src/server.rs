@@ -11,11 +11,13 @@
 //! independent of how many objects the server hosts or how many
 //! connections are open.
 //! Everything about *serving* an object (per-object FIFO, service
-//! jitter, crash and restart) is the host's; what this module adds is the
-//! wire: reply envelopes are encoded onto the connection the request came
-//! in on, tagged with the requesting client so one connection can be
-//! shared by many clients, and the ops plane's control frames are
-//! answered in-band. The reply envelopes a worker produces for its own
+//! jitter, crash and restart, partitions) is the host's; what this module
+//! adds is the wire: reply envelopes are encoded onto the connection the
+//! request came in on, tagged with the requesting client so one
+//! connection can be shared by many clients, and the ops plane's control
+//! frames are answered in-band. Control frames never reach the host, so a
+//! server whose host is partitioned still answers them, on the one
+//! address it has. The reply envelopes a worker produces for its own
 //! connection go out in one [`ConnHandle::send`], written through on the
 //! worker's thread — a request envelope costs one thread and, usually,
 //! one write.
@@ -26,7 +28,7 @@
 
 use crate::ops::{admit, control_reply, AdminOutcome};
 use crate::reactor::{ConnHandle, Events, Reactor, ReactorHandle};
-use crate::wire::{self, Frame, ObjectStatus, RepEnvelope, WireRepFrame, WireReqFrame};
+use crate::wire::{self, Frame, RepEnvelope, WireRepFrame, WireReqFrame};
 use rastor_common::{ClientId, Error, ObjectId, Result};
 use rastor_core::msg::{Rep, Req};
 use rastor_obs::{names, trace, Counter, Registry};
@@ -236,14 +238,16 @@ impl ObjectServer {
         })
     }
 
-    /// The address clients (or a chaos proxy) connect to.
+    /// The one address clients (or a chaos proxy) and control queries
+    /// connect to.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// The host serving this server's objects — the fault-injection
-    /// surface ([`ObjectHost::crash`], [`ObjectHost::restart`]),
-    /// reachable while clients stay connected.
+    /// surface ([`ObjectHost::crash`], [`ObjectHost::restart`],
+    /// [`ObjectHost::set_partitioned`]), reachable while clients stay
+    /// connected.
     pub fn host(&self) -> &ObjectHost<Req, Rep, ConnHandle> {
         &self.host
     }
@@ -292,12 +296,6 @@ impl ObjectServer {
     /// Panics if `id` is not hosted by this server.
     pub fn restart_object(&self, id: ObjectId, behavior: Box<dyn ObjectBehavior<Req, Rep> + Send>) {
         self.host().restart(id, behavior);
-    }
-
-    /// The status of every hosted object — the same view a
-    /// [`Frame::StatusReq`] gets over the wire.
-    pub fn object_statuses(&self) -> Vec<ObjectStatus> {
-        self.host().statuses()
     }
 
     /// Whether a hosted object is currently crashed.

@@ -169,12 +169,12 @@ pub enum AdminCmd {
         /// The cluster-global object id within the shard.
         object: u32,
     },
-    /// Toggle the chaos proxy partition on shard `shard`'s link.
+    /// Cut shard `shard` off from its clients, or heal it.
     Partition {
         /// The target shard.
         shard: u32,
-        /// `true` heals nothing — it *starts* dropping every frame;
-        /// `false` lifts the partition.
+        /// `true` starts dropping every envelope to and from the shard's
+        /// objects; `false` lifts the partition.
         on: bool,
     },
 }

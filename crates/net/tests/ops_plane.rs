@@ -1,17 +1,17 @@
 //! Integration tests of the ops plane: control frames answered in-band
 //! on a live data listener, per-shard read counters reconciled against
 //! measured protocol rounds, deterministic histogram/ring aggregation
-//! under a seeded workload, and the `VersionMismatch` corr contract under
-//! concurrent multiplexed ops.
+//! under a seeded workload, the `VersionMismatch` corr contract under
+//! concurrent multiplexed ops, and the ops listener's partition verb.
 
 use rastor_common::{Error, Value};
 use rastor_kv::StoreConfig;
 use rastor_net::deploy::NetKv;
-use rastor_net::ops::ControlClient;
-use rastor_net::wire::{self, Frame};
+use rastor_net::ops::{ControlClient, OpsServer};
+use rastor_net::wire::{self, AdminCmd, Frame};
 use rastor_obs::{names, Registry};
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A status query round-trips on the *data* listener while a pipelined
@@ -30,7 +30,7 @@ fn status_round_trips_in_band_during_a_pipelined_batch() {
             .expect("submit");
     }
 
-    let control = ControlClient::connect(kv.control_addr(0)).expect("control connect");
+    let control = ControlClient::connect(kv.addr(0)).expect("control connect");
     let objects = control.status().expect("status answers mid-batch");
     assert!(
         h.in_flight() > 0,
@@ -222,4 +222,41 @@ fn version_mismatch_replies_resolve_the_right_concurrent_op() {
         "the metrics op got the refusal of ITS frame"
     );
     server.join().expect("fake server");
+}
+
+/// The ops listener's `Partition` verb cuts a shard off at its server and
+/// heals it; status keeps answering on the shard's one address meanwhile,
+/// and a shard that does not exist is refused.
+#[test]
+fn the_partition_verb_cuts_a_shard_off_while_status_answers() {
+    let kv = NetKv::spawn(StoreConfig::new(1, 1, 1), None).expect("net kv");
+    let mut h = kv.store.handle(0).expect("handle");
+    let shard = ControlClient::connect(kv.addr(0)).expect("shard connect");
+    let ops = OpsServer::spawn(Arc::new(Mutex::new(kv))).expect("ops listener");
+    let admin = ControlClient::connect(ops.local_addr()).expect("ops connect");
+    let partition = |shard, on| {
+        admin
+            .admin(AdminCmd::Partition { shard, on })
+            .expect("admin round trip")
+    };
+    h.put("k", Value::from_u64(1)).expect("put");
+
+    assert!(partition(0, true).ok);
+    h.set_timeout(Duration::from_millis(150));
+    assert!(h.get("k").is_err(), "a cut shard served a read");
+    let objects = shard.status().expect("status answers during the cut");
+    assert!(objects.len() == 4 && objects.iter().all(|o| !o.crashed));
+
+    assert!(partition(0, false).ok);
+    h.set_timeout(Duration::from_secs(10));
+    assert_eq!(
+        h.get("k").expect("get after the heal"),
+        Some(Value::from_u64(1))
+    );
+    let refusal = partition(9, true);
+    assert!(
+        !refusal.ok && refusal.detail.contains("no shard 9"),
+        "{}",
+        refusal.detail
+    );
 }

@@ -9,6 +9,7 @@ use rastor_kv::StoreConfig;
 use rastor_net::chaos::ChaosCfg;
 use rastor_net::client::NetCluster;
 use rastor_net::deploy::{NetDeploy, NetKv};
+use rastor_net::ops::ControlClient;
 use rastor_net::server::ObjectServer;
 use rastor_sim::runtime::{ThreadClient, Transport};
 use rastor_sim::{ObjectHost, ReplySink};
@@ -293,27 +294,22 @@ fn future_version_frame_gets_a_mismatch_reply_and_the_connection_survives() {
 /// service on the same connections.
 #[test]
 fn partition_heals_without_reconnecting() {
-    // `RASTOR_SEED=<printed> cargo test ...` reproduces the fault draw.
-    let seed = rastor_common::test_seed(0x9EA1);
-    eprintln!("RASTOR_SEED={seed:#x}");
-    let kv = NetKv::spawn(
-        StoreConfig::new(1, 1, 1),
-        Some(ChaosCfg::default().with_seed(seed)),
-    )
-    .expect("net kv");
+    let kv = NetKv::spawn(StoreConfig::new(1, 1, 1), None).expect("net kv");
     let mut h = kv.store.handle(0).expect("handle");
     h.put("stable", Value::from_u64(1))
         .expect("pre-partition put");
 
-    kv.proxies[0].set_partitioned(true);
-    assert!(kv.proxies[0].is_partitioned());
+    kv.partition(0, true).expect("shard 0 exists");
+    let status = ControlClient::connect(kv.addr(0)).expect("control connect");
+    let objects = status.status().expect("a cut shard still answers status");
+    assert!(objects.iter().all(|o| !o.crashed), "a cut is not a crash");
     h.set_timeout(Duration::from_millis(150));
     assert!(
         h.get("stable").is_err(),
-        "a fully partitioned link cannot serve a quorum"
+        "a fully partitioned shard cannot serve a quorum"
     );
 
-    kv.proxies[0].set_partitioned(false);
+    kv.partition(0, false).expect("shard 0 exists");
     h.set_timeout(Duration::from_secs(10));
     assert_eq!(
         h.get("stable").expect("post-heal get"),

@@ -97,7 +97,8 @@ pub mod names {
     pub const CHAOS_FRAMES_DELAYED: &str = "chaos.frames_delayed";
     /// Adjacent frame pairs the chaos proxy swapped in flight.
     pub const CHAOS_FRAMES_REORDERED: &str = "chaos.frames_reordered";
-    /// Frames swallowed while a chaos partition was toggled on.
+    /// Envelopes a partitioned object host dropped (requests submitted or
+    /// in transit at the cut, and replies).
     pub const CHAOS_PARTITION_DROPS: &str = "chaos.partition_drops";
     /// Spans recorded into live trace buffers.
     pub const TRACE_SPANS_RECORDED: &str = "trace.spans_recorded";

@@ -198,9 +198,9 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: names::CHAOS_PARTITION_DROPS,
         kind: "counter",
-        unit: "frames",
-        seam: "net::ChaosProxy",
-        help: "Frames swallowed while a partition was toggled on.",
+        unit: "envelopes",
+        seam: "sim::ObjectHost",
+        help: "Envelopes a partitioned object host dropped: requests submitted or in transit at the cut, and replies.",
     },
     MetricDef {
         name: names::TRACE_SPANS_RECORDED,

@@ -248,12 +248,6 @@ where
         self.trace
     }
 
-    /// Mutable access to the controller (for scripted runs that release held
-    /// messages between phases).
-    pub fn controller_mut(&mut self) -> &mut dyn Controller<Q, R> {
-        self.controller.as_mut()
-    }
-
     /// Schedule an operation invocation at an absolute time. Operations by
     /// the same client queue FIFO: a client "does not invoke the next
     /// operation until it receives the response for the current operation"

@@ -27,9 +27,15 @@
 //! ([`ReplySink::deliver_burst`]); the rest go out as they are made.
 //!
 //! Only service jitter needs threads of the host's own: a host spawned
-//! with jitter runs a pool of [`EXECUTORS`] threads that release the
-//! timers and serve the objects they free. A host without jitter runs no
-//! thread at all.
+//! with jitter runs [`EXECUTORS`] threads that wait for the next release
+//! timer to come due and then serve its object through, as a submitter
+//! would. A host without jitter runs no thread at all.
+//!
+//! [`ObjectHost::set_partitioned`] cuts the host off from its clients: in
+//! the paper's model an object the adversary cuts off is just an object
+//! that stops answering, so the cut lives here, where the objects do,
+//! rather than on a link. The objects keep their state, and healing needs
+//! no reconnect.
 //!
 //! Semantics: each object processes envelopes serially and in arrival
 //! order (one owner at a time per object). [`ObjectHost::crash`]
@@ -39,18 +45,20 @@
 //! id. An envelope still waiting out its jitter delay when the object
 //! crashes counts as in transit: it is dropped if the object is still
 //! down at its release time, and served if it has rejoined by then.
+//! A cut, unlike a crash, loses every envelope still in transit.
 
 use crate::engine::ObjectBehavior;
 use rastor_common::{ClientId, ObjectId, SplitMix64};
-use rastor_obs::trace;
+use rastor_obs::{names, trace, Counter, Registry};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Executor threads of a host spawned with service jitter: the pool that
-/// releases jitter timers and serves the objects they free. Fixed —
+/// releases jitter timers and serves the objects they free. Two, so one
+/// slow apply does not hold back every other object's release. Fixed —
 /// hosting more objects, or serving more clients, never means more
 /// threads. A host without jitter spawns none.
 pub const EXECUTORS: usize = 2;
@@ -155,9 +163,9 @@ struct Slot<Q, R, S: ReplySink<Q, R>> {
     served: AtomicU64,
     /// Released envelopes awaiting the object's owner, in arrival order.
     queue: Mutex<VecDeque<Job<S::Frame, S>>>,
-    /// Whether the object is owned — on the run queue, or being drained by
-    /// an executor or a submitting thread. One owner at a time per object
-    /// keeps processing serial and FIFO.
+    /// Whether the object is owned — being drained by an executor or a
+    /// submitting thread. One owner at a time per object keeps processing
+    /// serial and FIFO.
     scheduled: AtomicBool,
     /// Jitter bookkeeping: when the object's service "pipe" frees up, and
     /// the object's deterministic jitter stream.
@@ -168,23 +176,29 @@ struct Slot<Q, R, S: ReplySink<Q, R>> {
 /// its object index.
 type Timers<F, S> = BTreeMap<(Instant, u64), (usize, Job<F, S>)>;
 
+/// The envelopes a cut drops, counted process-wide under
+/// `chaos.partition_drops`.
+fn partition_drops() -> &'static Counter {
+    static DROPS: OnceLock<Arc<Counter>> = OnceLock::new();
+    DROPS.get_or_init(|| Registry::global().counter(names::CHAOS_PARTITION_DROPS))
+}
+
 struct Shared<Q, R, S: ReplySink<Q, R>> {
     first_id: u32,
     jitter: Option<Duration>,
     slots: Vec<Slot<Q, R, S>>,
-    /// Object indices freed by a jitter timer, drained by the executor
-    /// pool.
-    runq: Mutex<VecDeque<usize>>,
-    runq_cv: Condvar,
-    /// Released by the executor pool (a condvar `wait_timeout` to the
-    /// next deadline), so a feeding reactor or client never has to poll
-    /// on sub-millisecond ticks.
+    /// Released by the executors (a condvar `wait_timeout` to the next
+    /// deadline), so a feeding reactor or client never has to poll on
+    /// sub-millisecond ticks.
     timers: Mutex<Timers<S::Frame, S>>,
+    /// Tied to `timers`: every push wakes the parked executors, which
+    /// re-read the earliest deadline under the same lock.
+    timer_cv: Condvar,
     timer_seq: AtomicU64,
-    /// Bumped under the `runq` lock on every timer push, so an executor
-    /// that computed its wait deadline before the push notices the new
-    /// (possibly earlier) timer instead of oversleeping it.
-    timer_epoch: AtomicU64,
+    /// Set by [`ObjectHost::set_partitioned`]; flipped under the `timers`
+    /// lock, so no envelope enters a timer once the cut has cleared them.
+    partitioned: AtomicBool,
+    /// Set under the `timers` lock, so no executor parks past it.
     shutdown: AtomicBool,
 }
 
@@ -197,27 +211,14 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
             .is_ok()
     }
 
-    /// Release every due jitter timer onto its object queue, putting the
-    /// object on the run queue unless some thread already owns it;
-    /// returns the next release deadline, if any timers remain.
-    fn flush_timers(&self, now: Instant) -> Option<Instant> {
-        let mut timers = self.timers.lock().expect("timer lock");
-        while timers
-            .first_key_value()
-            .is_some_and(|((at, _), _)| *at <= now)
-        {
-            let (_, (obj, job)) = timers.pop_first().expect("peeked");
-            self.slots[obj]
-                .queue
-                .lock()
-                .expect("object queue lock")
-                .push_back(job);
-            if self.claim(obj) {
-                self.runq.lock().expect("run queue lock").push_back(obj);
-                self.runq_cv.notify_one();
-            }
+    /// Whether the host is cut off, counting the envelope the caller then
+    /// drops.
+    fn cut(&self) -> bool {
+        let cut = self.partitioned.load(Ordering::Acquire);
+        if cut {
+            partition_drops().inc();
         }
-        timers.first_key_value().map(|((at, _), _)| *at)
+        cut
     }
 
     /// Apply object `obj`'s next queued envelope and hand its reply
@@ -280,7 +281,7 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
             record(trace::epoch_us().saturating_sub(picked_us));
         }
         drop(behavior);
-        if !replies.is_empty() {
+        if !replies.is_empty() && !self.cut() {
             out(&job.sink, (oid, job.client, replies));
         }
         true
@@ -309,52 +310,40 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
         }
     }
 
-    /// One executor's loop: release due jitter timers, claim an object
-    /// with released work, drain its queue serially, hand the object back.
+    /// One executor's loop: wait for the next jitter timer to come due,
+    /// queue its envelope on its object while still holding the timer
+    /// lock (so each object's envelopes queue in release order), then
+    /// serve the object through, as a submitter would, unless another
+    /// thread owns it.
     fn executor_loop(&self) {
-        loop {
-            let epoch = self.timer_epoch.load(Ordering::Acquire);
-            let next_release = self.flush_timers(Instant::now());
-            let obj = {
-                let mut runq = self.runq.lock().expect("run queue lock");
-                if self.shutdown.load(Ordering::Acquire) {
-                    return;
+        let mut timers = self.timers.lock().expect("timer lock");
+        while !self.shutdown.load(Ordering::Acquire) {
+            let now = Instant::now();
+            match timers.first_key_value().map(|((at, _), _)| *at) {
+                None => timers = self.timer_cv.wait(timers).expect("timer condvar"),
+                Some(at) if at > now => {
+                    timers = self
+                        .timer_cv
+                        .wait_timeout(timers, at - now)
+                        .expect("timer condvar")
+                        .0;
                 }
-                let obj = runq.pop_front();
-                if obj.is_some() {
-                    // More objects runnable: pass the wakeup on, so one
-                    // notify per hand-off fans out across the pool. Lock
-                    // released first — the woken executor needs it.
-                    let more = !runq.is_empty();
-                    drop(runq);
-                    if more {
-                        self.runq_cv.notify_one();
+                Some(_) => {
+                    let (_, (obj, job)) = timers.pop_first().expect("peeked");
+                    self.slots[obj]
+                        .queue
+                        .lock()
+                        .expect("object queue lock")
+                        .push_back(job);
+                    drop(timers);
+                    if self.claim(obj) {
+                        self.drain(obj, &mut |sink, (from, to, replies)| {
+                            sink.deliver(from, to, replies);
+                        });
                     }
-                } else if self.timer_epoch.load(Ordering::Acquire) == epoch {
-                    // Nothing runnable: park until new work (notified), a
-                    // fresh timer (epoch bump, checked under this lock),
-                    // or the computed release deadline. Then recompute
-                    // from the top — a wakeup is a hint, not a claim.
-                    match next_release {
-                        Some(at) => {
-                            let wait = at.saturating_duration_since(Instant::now());
-                            if !wait.is_zero() {
-                                drop(
-                                    self.runq_cv
-                                        .wait_timeout(runq, wait)
-                                        .expect("run queue condvar"),
-                                );
-                            }
-                        }
-                        None => drop(self.runq_cv.wait(runq).expect("run queue condvar")),
-                    }
+                    timers = self.timers.lock().expect("timer lock");
                 }
-                obj
-            };
-            let Some(obj) = obj else { continue };
-            self.drain(obj, &mut |sink, (from, to, replies)| {
-                sink.deliver(from, to, replies);
-            });
+            }
         }
     }
 
@@ -430,11 +419,10 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
             first_id,
             jitter,
             slots,
-            runq: Mutex::new(VecDeque::new()),
-            runq_cv: Condvar::new(),
             timers: Mutex::new(BTreeMap::new()),
+            timer_cv: Condvar::new(),
             timer_seq: AtomicU64::new(0),
-            timer_epoch: AtomicU64::new(0),
+            partitioned: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         });
         let pool = if jitter.is_some() { EXECUTORS } else { 0 };
@@ -451,7 +439,8 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
     /// object's reply envelope goes to `sink`. Without jitter the calling
     /// thread serves every object it finds idle before this returns, and
     /// queues the envelope behind every object another thread owns. With
-    /// jitter every object's copy waits out a release timer first.
+    /// jitter every object's copy waits out a release timer first. A
+    /// partitioned host drops the envelope.
     pub fn submit(&self, client: ClientId, frames: Arc<Vec<S::Frame>>, sink: &S) {
         let shared = &*self.shared;
         // One clock read per envelope, skipped entirely when untraced.
@@ -468,9 +457,15 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
             enqueued_us,
         };
         let Some(jitter) = shared.jitter else {
-            shared.serve_through(job, sink);
+            if !shared.cut() {
+                shared.serve_through(job, sink);
+            }
             return;
         };
+        let mut timers = shared.timers.lock().expect("timer lock");
+        if shared.cut() {
+            return;
+        }
         let live = shared
             .slots
             .iter()
@@ -488,18 +483,13 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
                 release
             };
             let seq = shared.timer_seq.fetch_add(1, Ordering::Relaxed);
-            shared
-                .timers
-                .lock()
-                .expect("timer lock")
-                .insert((release, seq), (i, job()));
+            timers.insert((release, seq), (i, job()));
         }
-        // Epoch bump + notify under the runq lock: an executor re-checks
-        // the epoch under the same lock before parking, so this wakeup
-        // cannot be lost.
-        let _runq = shared.runq.lock().expect("run queue lock");
-        shared.timer_epoch.fetch_add(1, Ordering::Release);
-        shared.runq_cv.notify_one();
+        drop(timers);
+        // Every parked executor re-reads the earliest deadline: one left
+        // parked past a new timer, while its peer drains a slow object,
+        // would hold that release back.
+        shared.timer_cv.notify_all();
     }
 
     /// Threads this host runs of its own: [`EXECUTORS`] under service
@@ -577,6 +567,22 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
         self.slot(id, "is_crashed").crashed.load(Ordering::Acquire)
     }
 
+    /// Cut the host off from its clients, or heal it. While cut, the host
+    /// drops every envelope submitted to it and every reply envelope it
+    /// produces; the cut also loses every envelope still waiting out its
+    /// jitter delay, as a link going dark loses what is in transit on it.
+    /// The objects keep their state, and control frames, which never
+    /// reach the host, keep being answered. Each dropped envelope counts
+    /// under `chaos.partition_drops`.
+    pub fn set_partitioned(&self, on: bool) {
+        let mut timers = self.shared.timers.lock().expect("timer lock");
+        self.shared.partitioned.store(on, Ordering::Release);
+        if on {
+            partition_drops().add(timers.len() as u64);
+            timers.clear();
+        }
+    }
+
     /// The status of every hosted object.
     pub fn statuses(&self) -> Vec<ObjectStatus> {
         self.shared
@@ -594,12 +600,10 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
 
 impl<Q, R, S: ReplySink<Q, R>> Drop for ObjectHost<Q, R, S> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Notify under the runq lock so no executor can be between its
-        // shutdown check and its park when the flag flips.
-        let runq = self.shared.runq.lock();
-        self.shared.runq_cv.notify_all();
-        drop(runq);
+        let timers = self.shared.timers.lock();
+        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.timer_cv.notify_all();
+        drop(timers);
         for h in self.executors.drain(..) {
             let _ = h.join();
         }
@@ -609,7 +613,7 @@ impl<Q, R, S: ReplySink<Q, R>> Drop for ObjectHost<Q, R, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{ObjReply, ReqFrame};
+    use crate::runtime::{ObjReply, ReqFrame, ThreadCluster};
     use std::cell::RefCell;
     use std::sync::mpsc::{channel, Receiver, Sender};
     use std::thread::ThreadId;
@@ -863,6 +867,156 @@ mod tests {
             assert_eq!(nonces, [seen[i]]);
             seen[i] += 1;
         }
+    }
+
+    /// Sleeps through every apply, then echoes.
+    struct Sleepy(Duration);
+    impl ObjectBehavior<u32, u32> for Sleepy {
+        fn on_request(&mut self, _from: ClientId, req: &u32) -> Option<u32> {
+            std::thread::sleep(self.0);
+            Some(*req)
+        }
+    }
+
+    /// One executor drains the slow object whose timer came due first; the
+    /// other releases its peer's timer meanwhile, so the peer answers
+    /// first. With a single executor the peer's release would wait out the
+    /// slow apply.
+    #[test]
+    fn a_slow_object_under_jitter_does_not_hold_back_another_objects_release() {
+        const JITTER: Duration = Duration::from_millis(20);
+        // Ids seed the jitter streams: the slow object's timer comes due
+        // within 4 ms, its peer's 12–20 ms in, both inside one slow apply.
+        let draw = |id: u32| SplitMix64::new(u64::from(id)).next_f64();
+        let first_id = (0..10_000)
+            .find(|&id| draw(id) < 0.2 && draw(id + 1) > 0.6)
+            .expect("such a pair of ids exists");
+        let host: Host = ObjectHost::spawn(
+            vec![
+                Box::new(Sleepy(Duration::from_millis(50))),
+                Box::new(Echo(0)),
+            ],
+            first_id,
+            Some(JITTER),
+        );
+        let (tx, rx) = channel();
+        host.submit(ClientId::reader(0), envelope(&[1]), &tx);
+        assert_eq!(
+            next(&rx).0,
+            ObjectId(first_id + 1),
+            "the slow apply held back its peer's release"
+        );
+        assert_eq!(next(&rx).0, ObjectId(first_id));
+    }
+
+    /// A read that, with a gate, announces itself and waits to be let
+    /// through.
+    const GATED_READ: u32 = 1_000;
+
+    /// Holds the last write (a request other than 0 or [`GATED_READ`]) and
+    /// answers every request with the value it then holds.
+    struct Register {
+        value: u32,
+        gate: Option<Gated>,
+    }
+    impl ObjectBehavior<u32, u32> for Register {
+        fn on_request(&mut self, _from: ClientId, req: &u32) -> Option<u32> {
+            match (*req, &self.gate) {
+                (0, _) | (GATED_READ, None) => {}
+                (GATED_READ, Some(gate)) => {
+                    gate.entered.send(()).expect("test alive");
+                    gate.release.recv().expect("test alive");
+                }
+                (v, _) => self.value = v,
+            }
+            Some(self.value)
+        }
+    }
+
+    /// Every reply envelope sent to a fresh sink for one envelope, as
+    /// `(object, value)`: read until the host has dropped every copy of
+    /// the sink, so what the cut lost is known to be lost.
+    fn all_replies(submit: impl FnOnce(&Sender<ObjReply<u32>>)) -> Vec<(ObjectId, u32)> {
+        let (tx, rx) = channel();
+        submit(&tx);
+        drop(tx);
+        rx.iter()
+            .map(|rep| (rep.from, rep.frames[0].payload))
+            .collect()
+    }
+
+    /// A cut loses what is in transit both ways: the copies of a write
+    /// still waiting out their jitter at the cut, an envelope submitted
+    /// during it, and the reply of an apply that finishes during it. After
+    /// the heal the objects answer from the state they had before the cut.
+    #[test]
+    fn a_partitioned_host_drops_envelopes_both_ways_and_heals_with_state_intact() {
+        const JITTER: Duration = Duration::from_millis(200);
+        // The objects take ids 0 and 1; their jitter streams put the
+        // second envelope's releases 0.43 and 0.75 of `JITTER` after its
+        // submit, so the cut right behind it finds both in transit.
+        let second_draw = |id| {
+            let mut stream = SplitMix64::new(id);
+            stream.next_f64();
+            stream.next_f64()
+        };
+        assert!((0..2).all(|id| second_draw(id) > 0.4));
+        let (entered, entered_rx) = channel();
+        let (release_tx, release) = channel();
+        let cluster = ThreadCluster::spawn(
+            vec![
+                Box::new(Register {
+                    value: 0,
+                    gate: Some(Gated { entered, release }),
+                }),
+                Box::new(Register {
+                    value: 0,
+                    gate: None,
+                }),
+            ],
+            Some(JITTER),
+        );
+        let host = cluster.host();
+        let client = ClientId::writer();
+        let both = |v| vec![(ObjectId(0), v), (ObjectId(1), v)];
+        let read = || {
+            let mut replies = all_replies(|sink| host.submit(client, envelope(&[0]), sink));
+            replies.sort_unstable();
+            replies
+        };
+        let write = |v| all_replies(|sink| host.submit(client, envelope(&[v]), sink));
+        assert_eq!(write(7).len(), 2);
+
+        // Requests: both copies of the write in transit, then an envelope
+        // submitted to the cut host.
+        let lost = all_replies(|sink| {
+            host.submit(client, envelope(&[9]), sink);
+            host.set_partitioned(true);
+        });
+        assert_eq!(lost, [], "a write in transit crossed the cut");
+        assert_eq!(write(11), [], "an envelope reached a cut host");
+        host.set_partitioned(false);
+        assert_eq!(read(), both(7), "the state from before the cut");
+        assert!(
+            host.statuses().iter().all(|s| s.served == 2),
+            "a lost write was applied"
+        );
+
+        // Replies: object 0 is mid-apply when the cut comes.
+        let replies = all_replies(|sink| {
+            host.submit(client, envelope(&[GATED_READ]), sink);
+            entered_rx
+                .recv_timeout(WAIT)
+                .expect("object 0 applying the read");
+            host.set_partitioned(true);
+            release_tx.send(()).expect("object alive");
+        });
+        assert!(
+            replies.iter().all(|&(from, _)| from != ObjectId(0)),
+            "a reply crossed the cut: {replies:?}"
+        );
+        host.set_partitioned(false);
+        assert_eq!(read(), both(7));
     }
 
     /// Panics unless each submitter's requests (`submitter << 16 | seq`)

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! rastor serve [--t N] [--shards N] [--handles N] [--fast-reads]
-//!              [--chaos] [--wal DIR] [--jitter-us N] [--slow-us N]
+//!              [--wal DIR] [--jitter-us N] [--slow-us N]
 //!              [--no-trace] [--file PATH]
 //! rastor status [--file PATH]
 //! rastor metrics [--json] [--file PATH]
@@ -16,7 +16,7 @@
 //! rastor manifest
 //! ```
 //!
-//! `serve` writes a `rastor-cluster/v1` cluster file (default
+//! `serve` writes a `rastor-cluster/v2` cluster file (default
 //! `rastor-cluster.json`) describing where everything listens; every
 //! other subcommand reads it back, so the only coordination between
 //! terminals is that one file. See `docs/OPERATIONS.md` for the
@@ -33,7 +33,7 @@ use rastor::kv::{ShardedKvStore, StoreConfig};
 use rastor::net::client::NetCluster;
 use rastor::net::deploy::NetKv;
 use rastor::net::wire::AdminCmd;
-use rastor::net::{ChaosCfg, ControlClient, OpsServer};
+use rastor::net::{ControlClient, OpsServer};
 use rastor::obs::{flat_counters, names, Registry};
 use rastor::sim::runtime::Transport;
 use rastor::store::InMemory;
@@ -50,7 +50,6 @@ const USAGE: &str =
     --shards N        shard count (default 2)
     --handles N       client handle pool size (default 4)
     --fast-reads      serve gets through the adaptive 2-round fast path
-    --chaos           front every shard with a chaos proxy (partitionable)
     --wal DIR         wal-backed durability rooted at DIR (enables restart-object)
     --jitter-us N     per-envelope service delay at every object, microseconds
     --slow-us N       slow-op capture threshold, microseconds (default 10000)
@@ -66,7 +65,7 @@ const USAGE: &str =
     --json            dump the raw rastor-traces/v1 document instead
   restart-object    kill one object and recover it from disk
     --shard S --object O
-  partition-toggle  cut or heal one shard's chaos-proxied link
+  partition-toggle  cut one shard off from its clients, or heal it
     --shard S on|off
   bench             drive a workload from this process, report counts back
     --ops N           operations per thread (default 200)
@@ -147,7 +146,7 @@ const SERVE: Takes = Takes {
         "trace-sample",
         "file",
     ],
-    switches: &["fast-reads", "chaos", "no-trace"],
+    switches: &["fast-reads", "no-trace"],
     positionals: 0,
 };
 const STATUS: Takes = Takes {
@@ -272,7 +271,7 @@ fn usage_err(detail: String) -> ExitCode {
 }
 
 // ---------------------------------------------------------------------------
-// The cluster file: `rastor-cluster/v1`, line-disciplined JSON so both
+// The cluster file: `rastor-cluster/v2`, line-disciplined JSON so both
 // halves of the CLI (and humans, and scripts) can read it without a JSON
 // parser — the same discipline as `rastor-metrics/v1`.
 
@@ -281,22 +280,22 @@ struct ClusterFile {
     handles: u32,
     fast_reads: bool,
     ops: SocketAddr,
-    /// Per shard: (control addr — always the server, bypassing chaos;
-    /// data addr — the proxy when one fronts the shard).
-    shards: Vec<(SocketAddr, SocketAddr)>,
+    /// Per shard, the one address its server takes data and control
+    /// frames on.
+    shards: Vec<SocketAddr>,
 }
 
 fn render_cluster_file(c: &ClusterFile) -> String {
-    let mut out = String::from("{\n\"schema\": \"rastor-cluster/v1\",\n");
+    let mut out = String::from("{\n\"schema\": \"rastor-cluster/v2\",\n");
     let _ = writeln!(out, "\"t\": {},", c.t);
     let _ = writeln!(out, "\"handles\": {},", c.handles);
     let _ = writeln!(out, "\"fast_reads\": {},", c.fast_reads);
     let _ = writeln!(out, "\"ops\": \"{}\",", c.ops);
     out.push_str("\"shards\": [\n");
-    for (s, (control, data)) in c.shards.iter().enumerate() {
+    for (s, addr) in c.shards.iter().enumerate() {
         let _ = writeln!(
             out,
-            "{{\"shard\": {s}, \"control\": \"{control}\", \"data\": \"{data}\"}}{}",
+            "{{\"shard\": {s}, \"addr\": \"{addr}\"}}{}",
             if s + 1 == c.shards.len() { "" } else { "," }
         );
     }
@@ -337,17 +336,15 @@ fn parse_cluster_file(path: &str) -> std::result::Result<ClusterFile, String> {
         let line = line.trim();
         if line.contains("\"schema\":") {
             let schema = field_str(line, "schema").unwrap_or("?");
-            if schema != "rastor-cluster/v1" {
+            if schema != "rastor-cluster/v2" {
                 return Err(format!(
-                    "cluster file {path} has schema {schema:?}, this rastor speaks rastor-cluster/v1"
+                    "cluster file {path} has schema {schema:?}, this rastor speaks rastor-cluster/v2"
                 ));
             }
         } else if line.starts_with("{\"shard\":") {
-            let control = field_str(line, "control")
-                .ok_or_else(|| format!("cluster file {path}: shard line without a control addr"))?;
-            let data = field_str(line, "data")
-                .ok_or_else(|| format!("cluster file {path}: shard line without a data addr"))?;
-            shards.push((parse_addr(control, "control")?, parse_addr(data, "data")?));
+            let addr = field_str(line, "addr")
+                .ok_or_else(|| format!("cluster file {path}: shard line without an addr"))?;
+            shards.push(parse_addr(addr, "shard")?);
         } else if let Some(v) = field(line, "t") {
             t = v.parse::<usize>().ok();
         } else if let Some(v) = field(line, "handles") {
@@ -414,12 +411,9 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode> {
     if let Some(dir) = flags.get("wal") {
         cfg = cfg.with_wal(dir);
     }
-    let chaos = flags.has("chaos").then(ChaosCfg::default);
     let fast_reads = cfg.fast_reads;
-    let kv = NetKv::spawn(cfg, chaos)?;
-    let shard_addrs: Vec<(SocketAddr, SocketAddr)> = (0..shards)
-        .map(|s| (kv.control_addr(s), kv.data_addr(s)))
-        .collect();
+    let kv = NetKv::spawn(cfg, None)?;
+    let shard_addrs: Vec<SocketAddr> = (0..shards).map(|s| kv.addr(s)).collect();
     let ops = OpsServer::spawn(Arc::new(Mutex::new(kv)))?;
     let cluster = ClusterFile {
         t,
@@ -436,8 +430,8 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode> {
         3 * t + 1,
         ops.local_addr()
     );
-    for (s, (control, data)) in cluster.shards.iter().enumerate() {
-        println!("  shard {s}: control {control}, data {data}");
+    for (s, addr) in cluster.shards.iter().enumerate() {
+        println!("  shard {s}: {addr}");
     }
     if flags.has("no-trace") {
         println!("tracing off");
@@ -486,11 +480,11 @@ fn cmd_status(args: &[String]) -> Result<ExitCode> {
             .find(|(n, _)| n == name)
             .map_or(0, |(_, v)| *v)
     };
-    for (s, (control, data)) in cluster.shards.iter().enumerate() {
-        let objects = ControlClient::connect(*control)?.status()?;
+    for (s, addr) in cluster.shards.iter().enumerate() {
+        let objects = ControlClient::connect(*addr)?.status()?;
         let crashed = objects.iter().filter(|o| o.crashed).count();
         println!(
-            "shard {s} @ {control} (data {data}): {}/{} objects serving",
+            "shard {s} @ {addr}: {}/{} objects serving",
             objects.len() - crashed,
             objects.len()
         );
@@ -982,8 +976,8 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode> {
     let transports: Vec<Box<dyn Transport<Req, Rep> + Send + Sync>> = cluster
         .shards
         .iter()
-        .map(|(_, data)| {
-            NetCluster::connect(&[*data])
+        .map(|addr| {
+            NetCluster::connect(&[*addr])
                 .map(|c| Box::new(c) as Box<dyn Transport<Req, Rep> + Send + Sync>)
         })
         .collect::<Result<_>>()?;
@@ -1028,14 +1022,14 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode> {
     // status` then shows them next to the server-side object tallies.
     let fast = registry.counter_vec(names::KV_READS_FAST, cluster.shards.len());
     let slow = registry.counter_vec(names::KV_READS_SLOW, cluster.shards.len());
-    for (s, (control, _)) in cluster.shards.iter().enumerate() {
+    for (s, addr) in cluster.shards.iter().enumerate() {
         let counts = vec![
             (format!("{}.{s}", names::KV_READS_FAST), fast.get(s)),
             (format!("{}.{s}", names::KV_READS_SLOW), slow.get(s)),
         ];
-        ControlClient::connect(*control)?.report(counts)?;
+        ControlClient::connect(*addr)?.report(counts)?;
         println!(
-            "  shard {s}: {} fast / {} slow reads (reported to {control})",
+            "  shard {s}: {} fast / {} slow reads (reported to {addr})",
             fast.get(s),
             slow.get(s)
         );
@@ -1062,10 +1056,7 @@ mod tests {
     #[test]
     fn each_subcommand_takes_its_own_flags_and_nothing_else() {
         for (takes, ok) in [
-            (
-                &SERVE,
-                "--shards 2 --handles 4 --fast-reads --chaos --wal ./data",
-            ),
+            (&SERVE, "--shards 2 --handles 4 --fast-reads --wal ./data"),
             (
                 &SERVE,
                 "--t 1 --jitter-us 5 --slow-us 0 --trace-sample 1 --no-trace --file f",
@@ -1087,6 +1078,7 @@ mod tests {
         for (takes, bad, names) in [
             (&SERVE, "--shard 3", "--shard"),
             (&SERVE, "--bogus", "--bogus"),
+            (&SERVE, "--chaos", "--chaos"),
             (&BENCH, "--op 7", "--op"),
             (&BENCH, "--thread 1", "--thread"),
             (&STATUS, "--nonsense", "--nonsense"),
@@ -1099,6 +1091,37 @@ mod tests {
             let err = parse(takes, bad).err().expect("rejected");
             assert!(err.contains(names), "{bad:?}: {err}");
         }
+    }
+
+    /// A cluster file reads back as written, one address per shard; a
+    /// `rastor-cluster/v1` file, with its control/data address pair, is
+    /// refused by its schema.
+    #[test]
+    fn the_cluster_file_round_trips_and_refuses_v1() {
+        let addr = |port: u16| SocketAddr::from(([127, 0, 0, 1], port));
+        let written = ClusterFile {
+            t: 1,
+            handles: 4,
+            fast_reads: true,
+            ops: addr(7000),
+            shards: vec![addr(7001), addr(7002)],
+        };
+        let path = std::env::temp_dir().join(format!("rastor-cluster-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        std::fs::write(path, render_cluster_file(&written)).expect("write");
+        let read = parse_cluster_file(path).expect("a v2 file parses");
+        assert_eq!(read.shards, written.shards);
+        assert_eq!((read.t, read.handles, read.fast_reads), (1, 4, true));
+        assert_eq!(read.ops, written.ops);
+        let v1 = render_cluster_file(&written)
+            .replace("rastor-cluster/v2", "rastor-cluster/v1")
+            .replace("\"addr\"", "\"control\"");
+        std::fs::write(path, v1).expect("write");
+        let err = parse_cluster_file(path)
+            .err()
+            .expect("a v1 file is refused");
+        std::fs::remove_file(path).expect("remove");
+        assert!(err.contains("rastor-cluster/v1"), "{err}");
     }
 
     #[test]
