@@ -37,7 +37,8 @@
 //! delay masks, shrinking any find with [`Scenario::minimize`].
 //! The same falsification loop covers the TCP substrate via the
 //! [`netchaos`] module: seeded drop/reorder/partition searches over
-//! `ChaosProxy` deployments with minimized `target/model-check/` reports.
+//! socket deployments whose hosts draw each object's link faults, with
+//! minimized `target/model-check/` reports.
 //!
 //! ## What counts as a violation
 //!

@@ -2,10 +2,11 @@
 //! deployments.
 //!
 //! The sim explorer enumerates schedules; the TCP stack (reactor, wire
-//! v2, client resubmission) cannot be enumerated, so this module puts it
+//! v3, client resubmission) cannot be enumerated, so this module puts it
 //! under the same *falsification loop* instead: a deterministic battery
 //! of [`ChaosPoint`]s — seeded drop/reorder/delay/partition
-//! configurations for the [`rastor_net::ChaosProxy`] — each driving a
+//! configurations, drawn per object by the servers' hosts
+//! ([`rastor_net::ChaosCfg`]) — each driving a
 //! live [`rastor_net::NetKv`] deployment through a seeded
 //! [`rastor_kv::workload`] run, judged like every other run
 //! ([`Run::verdict`](rastor_kv::workload::Run::verdict)).
@@ -32,7 +33,7 @@
 use rastor_core::FaultKind;
 use rastor_kv::workload::{self, Mix};
 use rastor_kv::StoreConfig;
-use rastor_net::{ChaosCfg, ChaosStats, NetKv};
+use rastor_net::{ChaosCfg, NetKv};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -40,13 +41,14 @@ use std::time::{Duration, Instant};
 /// redraw the same faults — seed included, so the point *is* the repro.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaosPoint {
-    /// Seed for the proxies' fault streams and the workload's rng.
+    /// Seed for the hosts' fault streams and the workload's rng.
     pub seed: u64,
-    /// Fixed head-of-line latency per frame, microseconds.
+    /// Fixed head-of-line latency per request copy, microseconds.
     pub delay_us: u64,
-    /// Extra uniform latency in `[0, jitter_us)` per frame.
+    /// Extra uniform latency in `[0, jitter_us)` per request copy.
     pub jitter_us: u64,
-    /// Frame drop probability in thousandths (200 = 20%).
+    /// Drop probability per request copy and per reply envelope, in
+    /// thousandths (200 = 20%).
     pub drop_milli: u32,
     /// Adjacent-reorder probability in thousandths.
     pub reorder_milli: u32,
@@ -56,7 +58,7 @@ pub struct ChaosPoint {
 }
 
 impl ChaosPoint {
-    /// A faithful relay (no injected faults) under `seed`.
+    /// No injected faults, under `seed`.
     pub fn faithful(seed: u64) -> ChaosPoint {
         ChaosPoint {
             seed,
@@ -68,7 +70,7 @@ impl ChaosPoint {
         }
     }
 
-    /// The proxy configuration this point prescribes.
+    /// The link-fault profile this point prescribes.
     pub fn cfg(&self) -> ChaosCfg {
         ChaosCfg {
             seed: self.seed,
@@ -161,8 +163,6 @@ pub struct NetOutcome {
     pub writes: usize,
     /// Completed gets across all handles.
     pub reads: usize,
-    /// Fault tallies summed over the deployment's proxies.
-    pub chaos: ChaosStats,
 }
 
 impl NetOutcome {
@@ -210,8 +210,8 @@ impl NetSearchStats {
     }
 }
 
-/// The deterministic point battery a clean-sweep search runs: a faithful
-/// relay, pure latency, a harsh lossy link, an adjacent reorderer, loss
+/// The deterministic point battery a clean-sweep search runs: no faults,
+/// pure latency, a harsh lossy link, an adjacent reorderer, loss
 /// and reorder combined, and a mid-run full-partition pulse.
 pub fn chaos_battery(seed: u64) -> Vec<ChaosPoint> {
     let base = ChaosPoint::faithful(seed);
@@ -262,17 +262,16 @@ impl NetScenario {
 
     /// Run the workload once under `point` and judge every key's history.
     ///
-    /// One run = one fresh [`NetKv`] behind fresh chaos proxies: real
+    /// One run = one fresh [`NetKv`] under the point's profile: real
     /// sockets, real reactor, real resubmission. Timed-out ops are
     /// themselves violations (`liveness:`) — the timeout is generous
     /// precisely so that an honest run never hits it.
     pub fn run_point(&self, point: &ChaosPoint) -> NetOutcome {
         let (byz, fault) = (self.byzantine, self.fault.clone());
-        // Per-object listeners: each object is its own link fault domain
-        // (behind a shared shard listener, link faults hit every object
-        // uniformly and honest objects can never diverge — see
-        // `NetKv::spawn_per_object`).
-        let spawn = NetKv::spawn_per_object(
+        // Behind the one shard listener each object is its own fault
+        // domain: the host draws every object's faults from its own
+        // streams, so honest objects can diverge.
+        let spawn = NetKv::spawn_with(
             StoreConfig::new(self.t, 1, self.mix.handles),
             Some(point.cfg()),
             move |_shard, id| ((id.0 as usize) < byz).then(|| fault.materialize()),
@@ -284,7 +283,6 @@ impl NetScenario {
                     violations: vec![format!("spawn: {e}")],
                     writes: 0,
                     reads: 0,
-                    chaos: ChaosStats::default(),
                 }
             }
         };
@@ -309,19 +307,10 @@ impl NetScenario {
 
         let run = running.join();
         let (puts, gets) = run.latencies_us();
-        let chaos = kv.proxies.iter().fold(ChaosStats::default(), |acc, p| {
-            let s = p.stats();
-            ChaosStats {
-                forwarded: acc.forwarded + s.forwarded,
-                dropped: acc.dropped + s.dropped,
-                reordered: acc.reordered + s.reordered,
-            }
-        });
         NetOutcome {
             violations: run.verdict(),
             writes: puts.len(),
             reads: gets.len(),
-            chaos,
         }
     }
 

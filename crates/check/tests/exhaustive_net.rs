@@ -2,12 +2,13 @@
 //!
 //! Same contract as `exhaustive.rs` — names start with `exhaustive_` so
 //! the CI `model-check` lanes pick the suite up with one libtest filter —
-//! but the system under test is the real TCP stack: reactor, wire v2,
-//! client resubmission, per-object chaos proxies. Schedules cannot be
-//! enumerated here, so the assertions are search-shaped: a seeded chaos
-//! battery must come back clean at `≤ t` Byzantine objects, and a `t + 1`
-//! forger cast must yield a `check_atomic` witness the search finds,
-//! shrinks, and writes to `target/model-check/`.
+//! but the system under test is the real TCP stack: reactor, wire v3,
+//! client resubmission, link faults drawn per object at the hosts.
+//! Schedules cannot be enumerated here, so the assertions are
+//! search-shaped: a seeded chaos battery must come back clean at `≤ t`
+//! Byzantine objects, and a `t + 1` forger cast must yield a
+//! `check_atomic` witness the search finds, shrinks, and writes to
+//! `target/model-check/`.
 //!
 //! Every seed goes through `rastor_common::test_seed` and is printed, so
 //! a CI failure reproduces with `RASTOR_SEED=<printed> cargo test ...`.
@@ -26,7 +27,7 @@ fn report_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/model-check")
 }
 
-/// Safe side: the full chaos battery (faithful, latency, loss, reorder,
+/// Safe side: the full chaos battery (no faults, latency, loss, reorder,
 /// loss+reorder, partition pulse) over a live TCP deployment with one
 /// Byzantine object of each kind — zero violations, and the ops actually
 /// completed (a search that starves is not a clean search). The budget

@@ -377,6 +377,9 @@ impl KvHandle {
         self.await_depth();
         let (shard, group) = self.lookup_or_alloc(key)?;
         let automaton = MwWriteClient::in_group(self.inner.cfg, self.id, group, value);
+        // Read before the driver's own submit clock, so the `kv.op` span
+        // covers the `driver.op` one.
+        let started = Instant::now();
         let nonce = self
             .client
             .submit_op(shard, OpKind::Write, Box::new(automaton), self.timeout);
@@ -388,7 +391,7 @@ impl KvHandle {
                 kind: OpKind::Write,
                 key: key.to_string(),
                 shard,
-                started: Instant::now(),
+                started,
             },
         );
         self.keys_in_flight.insert(key.to_string());
@@ -420,6 +423,9 @@ impl KvHandle {
         };
         self.await_depth();
         let automaton = mw_read_in_group_mode(self.inner.cfg, self.id, group, self.inner.read_mode);
+        // Read before the driver's own submit clock, so the `kv.op` span
+        // covers the `driver.op` one.
+        let started = Instant::now();
         let nonce = self
             .client
             .submit_op(shard, OpKind::Read, Box::new(automaton), self.timeout);
@@ -431,7 +437,7 @@ impl KvHandle {
                 kind: OpKind::Read,
                 key: key.to_string(),
                 shard,
-                started: Instant::now(),
+                started,
             },
         );
         self.keys_in_flight.insert(key.to_string());

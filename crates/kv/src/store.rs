@@ -52,7 +52,7 @@ pub(crate) struct Shard {
     /// The cluster behind `transport` when this store spawned it in
     /// process — the local fault-injection surface
     /// ([`ShardedKvStore::crash_object`]). Remote shards inject faults at
-    /// their servers or proxies.
+    /// their servers.
     local: Option<Arc<ThreadCluster<Req, Rep>>>,
     /// key → dense per-shard key id (allocates register groups), durable
     /// on WAL-backed stores.
@@ -170,13 +170,13 @@ impl ShardedKvStore {
 
     /// Build the store over pre-connected **remote shards**: one
     /// [`Transport`] per shard (e.g. `rastor_net::NetCluster`s speaking to
-    /// socket-backed object servers, possibly through chaos proxies). Each
+    /// socket-backed object servers). Each
     /// transport must reach an independent `3t + 1` object cluster; the
     /// store's routing, register-group, and pipelining machinery is
     /// identical to the locally spawned case — only the substrate differs.
     ///
     /// [`ShardedKvStore::crash_object`] is unavailable on remote shards
-    /// (inject faults at the servers or proxies instead).
+    /// (inject faults at the servers instead).
     ///
     /// `durability` persists the *client-side* key directory only (the
     /// remote objects persist — or don't — at their servers): pass the
@@ -316,8 +316,7 @@ impl ShardedKvStore {
     ///
     /// Panics if the shard is remote
     /// ([`ShardedKvStore::over_transports`]): a remote object's crash is
-    /// injected at its server (or its link's chaos proxy), not through the
-    /// client-side store.
+    /// injected at its server, not through the client-side store.
     pub fn crash_object(&self, shard: usize, id: ObjectId) {
         match &self.inner.shards[shard].local {
             Some(cluster) => cluster.crash_object(id),

@@ -312,8 +312,8 @@ pub struct NetCluster {
 
 impl NetCluster {
     /// Connect to every server backing the cluster (one
-    /// [`crate::server::ObjectServer`] — or chaos proxy in front of one —
-    /// per address), one connection per server.
+    /// [`crate::server::ObjectServer`] per address), one connection per
+    /// server.
     ///
     /// # Errors
     ///

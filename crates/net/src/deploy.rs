@@ -11,10 +11,9 @@
 //!   address for data and control frames alike — via
 //!   [`ShardedKvStore::over_transports`]. Its fault surface is the
 //!   servers': crash, restart from disk, and partition
-//!   ([`NetKv::partition`], cut at each server's host). A [`ChaosProxy`]
-//!   in front of every server, for link faults, is optional.
+//!   ([`NetKv::partition`], cut at each server's host), and an optional
+//!   [`ChaosCfg`] link-fault profile drawn at each server's host.
 
-use crate::chaos::{ChaosCfg, ChaosProxy};
 use crate::client::NetCluster;
 use crate::server::ObjectServer;
 use rastor_common::{ClusterConfig, Error, ObjectId, Result};
@@ -22,6 +21,7 @@ use rastor_core::msg::{Rep, Req};
 use rastor_core::object::HonestObject;
 use rastor_core::StorageSystem;
 use rastor_kv::{restart_from_disk, ShardedKvStore, StoreConfig};
+use rastor_sim::host::ChaosCfg;
 use rastor_sim::runtime::Transport;
 use rastor_sim::ObjectBehavior;
 use rastor_store::Durability;
@@ -62,30 +62,26 @@ impl NetDeploy for StorageSystem {
             (0..self.config().num_objects())
                 .map(|_| Box::new(HonestObject::new()) as _)
                 .collect();
+        let jitter = jitter.map(|jitter| ChaosCfg {
+            jitter,
+            ..ChaosCfg::default()
+        });
         let server = ObjectServer::spawn(behaviors, 0, jitter)?;
         let cluster = NetCluster::connect(&[server.local_addr()])?;
         Ok(NetHarness { server, cluster })
     }
 }
 
-/// A sharded kv store whose shards live behind TCP: one listener (and
-/// optionally one chaos proxy) per shard — or per *object*, see
-/// [`NetKv::spawn_per_object`] — with the store itself a plain
-/// [`ShardedKvStore`] — the full pipelined handle API, unchanged.
+/// A sharded kv store whose shards live behind TCP: one listener per
+/// shard, with the store itself a plain [`ShardedKvStore`] — the full
+/// pipelined handle API, unchanged.
 pub struct NetKv {
     /// The store; clone it into worker threads as usual.
     pub store: ShardedKvStore,
-    /// The deployment's servers in shard-major listener order (one per
-    /// shard, or `3t + 1` consecutive per shard when spawned per-object)
-    /// — the fault-injection surface ([`ObjectServer::crash_object`],
+    /// One server per shard, in shard order — the fault-injection
+    /// surface ([`ObjectServer::crash_object`],
     /// [`ObjectServer::restart_object`]).
     pub servers: Vec<ObjectServer>,
-    /// Chaos proxies in the same order as [`NetKv::servers`] (empty when
-    /// spawned without chaos) — the store's clients dial these instead of
-    /// the servers.
-    pub proxies: Vec<ChaosProxy>,
-    /// Listeners per shard: 1, or `3t + 1` for per-object deployments.
-    listeners_per_shard: usize,
     /// The durability policy the servers' honest objects were spawned
     /// with, kept for [`NetKv::restart_object`].
     durability: Arc<dyn Durability>,
@@ -96,8 +92,11 @@ impl NetKv {
     /// (each `3t + 1` objects behind its own listener; `cfg.jitter` is the
     /// server-side per-envelope service delay) and connect a
     /// [`ShardedKvStore`] to them. With `chaos = Some(c)`, every shard's
-    /// connections run through an own [`ChaosProxy`] seeded `c.seed +
-    /// shard`. `cfg.durability` applies at the servers: a wal-backed
+    /// host draws link faults per object from the profile `c` seeded
+    /// `c.seed + shard`, its jitter raised by `cfg.jitter`. Behind one
+    /// shard listener every object is its own fault domain: a profile can
+    /// drop the commit to one honest object while its peer stores it.
+    /// `cfg.durability` applies at the servers: a wal-backed
     /// config gives every shard a data dir
     /// (`dir/shard-<s>/obj-<o>.{wal,snap}`) and unlocks
     /// [`NetKv::restart_object`]; it also persists the client-side key
@@ -109,7 +108,7 @@ impl NetKv {
     /// Propagates [`ShardedKvStore::over_transports`] validation errors
     /// and [`rastor_common::Error::Io`] from listeners/connections.
     pub fn spawn(cfg: StoreConfig, chaos: Option<ChaosCfg>) -> Result<NetKv> {
-        NetKv::spawn_impl(cfg, chaos, false, |_, _| None)
+        NetKv::spawn_with(cfg, chaos, |_, _| None)
     }
 
     /// As [`NetKv::spawn`], choosing each object's behavior by `(shard,
@@ -123,81 +122,34 @@ impl NetKv {
     pub fn spawn_with(
         cfg: StoreConfig,
         chaos: Option<ChaosCfg>,
-        behavior: impl FnMut(usize, ObjectId) -> Option<Box<dyn ObjectBehavior<Req, Rep> + Send>>,
-    ) -> Result<NetKv> {
-        NetKv::spawn_impl(cfg, chaos, false, behavior)
-    }
-
-    /// As [`NetKv::spawn_with`], but every object gets its **own**
-    /// listener (and, with chaos, its own proxy): `3t + 1` servers per
-    /// shard, each hosting one object of the shard's id space.
-    ///
-    /// This is the paper's fault model on the wire. Behind a single
-    /// shard listener every client flush rides one envelope over one
-    /// link, so link faults hit all of a shard's objects *uniformly* —
-    /// honest objects can never diverge, and a `t + 1` Byzantine cast
-    /// has nothing to hide behind. Per-object listeners make each object
-    /// an independent link fault domain: a chaos proxy can drop the
-    /// commit to one honest object while its peer stores it, which is
-    /// exactly the asymmetry Byzantine-boundary witnesses need.
-    ///
-    /// # Errors
-    ///
-    /// As [`NetKv::spawn`].
-    pub fn spawn_per_object(
-        cfg: StoreConfig,
-        chaos: Option<ChaosCfg>,
-        behavior: impl FnMut(usize, ObjectId) -> Option<Box<dyn ObjectBehavior<Req, Rep> + Send>>,
-    ) -> Result<NetKv> {
-        NetKv::spawn_impl(cfg, chaos, true, behavior)
-    }
-
-    fn spawn_impl(
-        cfg: StoreConfig,
-        chaos: Option<ChaosCfg>,
-        per_object: bool,
         mut behavior: impl FnMut(usize, ObjectId) -> Option<Box<dyn ObjectBehavior<Req, Rep> + Send>>,
     ) -> Result<NetKv> {
-        let cluster_cfg = ClusterConfig::byzantine(cfg.t)?;
-        let num_objects = cluster_cfg.num_objects();
-        let listeners_per_shard = if per_object { num_objects } else { 1 };
-        let mut servers = Vec::with_capacity(cfg.num_shards * listeners_per_shard);
-        let mut proxies = Vec::new();
+        let num_objects = ClusterConfig::byzantine(cfg.t)?.num_objects();
+        let mut servers = Vec::with_capacity(cfg.num_shards);
         let mut transports: Vec<Box<dyn Transport<Req, Rep> + Send + Sync>> =
             Vec::with_capacity(cfg.num_shards);
         for s in 0..cfg.num_shards {
             let shard_durability = cfg.durability.for_shard(s);
-            let mut addrs = Vec::with_capacity(listeners_per_shard);
-            for l in 0..listeners_per_shard {
-                let hosted = if per_object { l..l + 1 } else { 0..num_objects };
-                let first_id = hosted.start as u32;
-                let behaviors = hosted
-                    .map(|o| {
-                        let oid = ObjectId(o as u32);
-                        match behavior(s, oid) {
-                            Some(custom) => Ok(custom),
-                            None => Ok(shard_durability.object(oid)?.0),
-                        }
+            let behaviors = (0..num_objects as u32)
+                .map(|o| match behavior(s, ObjectId(o)) {
+                    Some(custom) => Ok(custom),
+                    None => Ok(shard_durability.object(ObjectId(o))?.0),
+                })
+                .collect::<Result<Vec<_>>>()?;
+            let profile = match (&chaos, cfg.jitter) {
+                (None, None) => None,
+                (c, jitter) => {
+                    let c = c.clone().unwrap_or_default();
+                    Some(ChaosCfg {
+                        seed: c.seed.wrapping_add(s as u64),
+                        jitter: c.jitter + jitter.unwrap_or_default(),
+                        ..c
                     })
-                    .collect::<Result<Vec<_>>>()?;
-                let server = ObjectServer::spawn(behaviors, first_id, cfg.jitter)?;
-                let addr = match &chaos {
-                    None => server.local_addr(),
-                    Some(c) => {
-                        let proxy = ChaosProxy::spawn(
-                            server.local_addr(),
-                            c.clone()
-                                .with_seed(c.seed + (s * listeners_per_shard + l) as u64),
-                        )?;
-                        let addr = proxy.local_addr();
-                        proxies.push(proxy);
-                        addr
-                    }
-                };
-                addrs.push(addr);
-                servers.push(server);
-            }
-            transports.push(Box::new(NetCluster::connect(&addrs)?));
+                }
+            };
+            let server = ObjectServer::spawn(behaviors, 0, profile)?;
+            transports.push(Box::new(NetCluster::connect(&[server.local_addr()])?));
+            servers.push(server);
         }
         let store = ShardedKvStore::over_transports(
             cfg.t,
@@ -210,47 +162,41 @@ impl NetKv {
         Ok(NetKv {
             store,
             servers,
-            proxies,
-            listeners_per_shard,
             durability: cfg.durability,
         })
     }
 
-    /// The address of shard `shard`'s server (its first, for per-object
-    /// deployments): data and control frames alike. Clients of a chaos
-    /// deployment dial [`NetKv::proxies`] instead.
+    /// The address of shard `shard`'s server: data and control frames
+    /// alike.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
     pub fn addr(&self, shard: usize) -> std::net::SocketAddr {
-        self.servers[shard * self.listeners_per_shard].local_addr()
+        self.servers[shard].local_addr()
     }
 
-    /// The servers of shard `shard`.
+    /// The server of shard `shard`.
     ///
     /// # Errors
     ///
     /// [`Error::InvariantViolation`] if `shard` is out of range.
-    fn shard_servers(&self, shard: usize) -> Result<&[ObjectServer]> {
-        let first = shard * self.listeners_per_shard;
+    fn server(&self, shard: usize) -> Result<&ObjectServer> {
         self.servers
-            .get(first..first + self.listeners_per_shard)
+            .get(shard)
             .ok_or_else(|| Error::InvariantViolation {
                 detail: format!("no shard {shard} in this deployment"),
             })
     }
 
-    /// The listener hosting `(shard, id)`.
+    /// The server of shard `shard`, if it hosts `id`.
     ///
     /// # Errors
     ///
-    /// [`Error::InvariantViolation`] if `shard` is out of range or no
-    /// listener of the shard hosts `id`.
+    /// [`Error::InvariantViolation`] if `shard` or `id` is out of range.
     fn hosting_server(&self, shard: usize, id: ObjectId) -> Result<&ObjectServer> {
-        self.shard_servers(shard)?
-            .iter()
-            .find(|s| s.host().hosts(id))
+        Some(self.server(shard)?)
+            .filter(|s| s.host().hosts(id))
             .ok_or_else(|| Error::InvariantViolation {
                 detail: format!("shard {shard} hosts no object {}", id.0),
             })
@@ -270,7 +216,7 @@ impl NetKv {
 
     /// Cut shard `shard` off from its clients, or heal it:
     /// [`ObjectHost::set_partitioned`](rastor_sim::host::ObjectHost::set_partitioned)
-    /// on every server of the shard. Connections stay open and control
+    /// on the shard's server. Connections stay open and control
     /// frames keep being answered; clients see the shard's objects stop
     /// answering, and resume without reconnecting once it heals.
     ///
@@ -278,9 +224,7 @@ impl NetKv {
     ///
     /// [`Error::InvariantViolation`] if `shard` is out of range.
     pub fn partition(&self, shard: usize, on: bool) -> Result<()> {
-        for server in self.shard_servers(shard)? {
-            server.host().set_partitioned(on);
-        }
+        self.server(shard)?.host().set_partitioned(on);
         Ok(())
     }
 

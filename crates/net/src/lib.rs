@@ -4,7 +4,7 @@
 //! simulator and on the thread runtime, now over real sockets — without a
 //! single protocol-level change.
 //!
-//! Four layers:
+//! Three layers:
 //!
 //! * [`wire`] — dependency-free, versioned, length-prefixed frames: the
 //!   thread runtime's coalesced envelope shapes around
@@ -20,22 +20,19 @@
 //! * [`server`] / [`client`] — the socket substrate.
 //!   [`ObjectServer`] puts a listener in front of a
 //!   [`rastor_sim::host::ObjectHost`] — the same host an in-process
-//!   [`rastor_sim::runtime::ThreadCluster`] feeds, so behaviors, jitter,
-//!   crash and restart are one implementation; [`NetCluster`] is the client
+//!   [`rastor_sim::runtime::ThreadCluster`] feeds, so behaviors, link
+//!   faults and jitter ([`ChaosCfg`]), crash, restart and partitions are
+//!   one implementation; [`NetCluster`] is the client
 //!   endpoint, implementing the same
 //!   [`Transport`](rastor_sim::runtime::Transport) trait as the in-process
 //!   channel substrate, so [`rastor_sim::runtime::ThreadClient`] and the
 //!   sharded kv store drive it unchanged.
-//! * [`chaos`] — a netem-style, frame-aware TCP relay injecting seeded
-//!   delay, jitter, drops and reordering per connection: the link faults
-//!   `rastor_check::netchaos` searches. Partitions are not its business;
-//!   [`NetKv::partition`] cuts a shard off at its servers' hosts.
 //!
 //! [`deploy`] glues the layers to the higher-level entry points: a
 //! [`StorageSystem`](rastor_core::StorageSystem) extension for
 //! single-cluster harness runs over sockets, and [`NetKv`] for a
 //! [`ShardedKvStore`](rastor_kv::ShardedKvStore) whose shards live behind
-//! TCP (optionally through chaos proxies).
+//! TCP (optionally under a link-fault profile).
 //!
 //! [`ops`] is the control plane on the same frames: [`ControlClient`]
 //! multiplexes correlation-keyed status/metrics/admin round trips over
@@ -62,7 +59,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod client;
 pub mod deploy;
 pub mod ops;
@@ -70,9 +66,9 @@ pub mod reactor;
 pub mod server;
 pub mod wire;
 
-pub use chaos::{ChaosCfg, ChaosProxy, ChaosStats};
 pub use client::NetCluster;
 pub use deploy::{NetDeploy, NetHarness, NetKv};
 pub use ops::{AdminOutcome, ControlClient, OpsServer};
+pub use rastor_sim::host::ChaosCfg;
 pub use reactor::{ConnHandle, Events, Reactor, ReactorHandle};
 pub use server::ObjectServer;

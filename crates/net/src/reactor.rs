@@ -1,8 +1,7 @@
 //! The poll-based reactor behind every socket endpoint in this crate: a
 //! readiness loop multiplexing many non-blocking connections onto a small
 //! fixed pool of worker threads. [`ObjectServer`](crate::ObjectServer),
-//! [`NetCluster`](crate::NetCluster), [`ChaosProxy`](crate::ChaosProxy)
-//! and the ops listener all run on it.
+//! [`NetCluster`](crate::NetCluster) and the ops listener all run on it.
 //!
 //! ## The readiness loop
 //!
@@ -89,7 +88,7 @@ const IDLE_TICK: Duration = Duration::from_millis(20);
 
 /// Deadlines closer than this are waited out with zero-timeout polls
 /// (yielding between them) — `poll(2)` timeouts are whole milliseconds,
-/// too coarse for sub-millisecond service-time and chaos-delay timers.
+/// too coarse for sub-millisecond timers.
 const SPIN_UNDER: Duration = Duration::from_millis(1);
 
 /// The most one read burst takes off a socket before its frames are

@@ -7,11 +7,12 @@
 //! finds idle on its own thread, and leaves the envelope queued behind
 //! any object another thread owns, for that owner to serve. Thread count
 //! is O(workers) — plus the host's
-//! [`EXECUTORS`](rastor_sim::host::EXECUTORS) under service jitter —
+//! [`EXECUTORS`](rastor_sim::host::EXECUTORS) under a profile that
+//! delays —
 //! independent of how many objects the server hosts or how many
 //! connections are open.
-//! Everything about *serving* an object (per-object FIFO, service
-//! jitter, crash and restart, partitions) is the host's; what this module
+//! Everything about *serving* an object (per-object FIFO, link faults
+//! and service jitter, crash and restart, partitions) is the host's; what this module
 //! adds is the wire: reply envelopes are encoded onto the connection the
 //! request came in on, tagged with the requesting client so one
 //! connection can be shared by many clients, and the ops plane's control
@@ -32,7 +33,7 @@ use crate::wire::{self, Frame, RepEnvelope, WireRepFrame, WireReqFrame};
 use rastor_common::{ClientId, Error, ObjectId, Result};
 use rastor_core::msg::{Rep, Req};
 use rastor_obs::{names, trace, Counter, Registry};
-use rastor_sim::host::{Accounting, ObjectHost, ReplyEnvelope, ReplySink};
+use rastor_sim::host::{Accounting, ChaosCfg, ObjectHost, ReplyEnvelope, ReplySink};
 use rastor_sim::ObjectBehavior;
 use std::cell::RefCell;
 use std::net::{SocketAddr, TcpListener};
@@ -168,7 +169,7 @@ impl Events for ObjectHost<Req, Rep, ConnHandle> {
                     net_metrics().status_queries.inc();
                 }
                 // Admin verbs act on a whole deployment (durability,
-                // proxies); they belong to the ops listener, not an
+                // partitions); they belong to the ops listener, not an
                 // object server. Refuse politely instead of hanging up.
                 let refuse = |_| AdminOutcome {
                     ok: false,
@@ -186,10 +187,10 @@ impl Events for ObjectHost<Req, Rep, ConnHandle> {
         }
     }
 
-    // No `on_tick`: the server keeps no reactor-side timers. Jitter
-    // release runs on the host's executors, so the readiness loop parks
-    // until actual socket readiness no matter how many connections it is
-    // watching. The price of serving through: an apply that blocks (an
+    // No `on_tick`: the server keeps no reactor-side timers. Delayed
+    // copies are released on the host's executors, so the readiness loop
+    // parks until actual socket readiness no matter how many connections
+    // it is watching. The price of serving through: an apply that blocks (an
     // fsync) holds up this worker's other connections, and the replies of
     // the objects served after it in the same envelope.
 }
@@ -197,7 +198,7 @@ impl Events for ObjectHost<Req, Rep, ConnHandle> {
 /// A TCP server hosting a slice of a cluster's storage objects.
 ///
 /// Dropping the server shuts down the listener and every accepted
-/// connection, then the host (and its executor pool, under jitter).
+/// connection, then the host (and its executor pool, under delay).
 pub struct ObjectServer {
     addr: SocketAddr,
     // Declared (so dropped) before `host`: frame intake stops before the
@@ -210,9 +211,9 @@ pub struct ObjectServer {
 impl ObjectServer {
     /// Bind a loopback listener and serve `behaviors` from the fixed
     /// worker pool. Hosted objects take the cluster-global ids `first_id
-    /// .. first_id + behaviors.len()`. `jitter` adds a random service
-    /// delay up to the given duration per envelope per object (see
-    /// [`ObjectHost::spawn`]).
+    /// .. first_id + behaviors.len()`, their links under the fault
+    /// profile `chaos` — service jitter is a profile with only `jitter`
+    /// set (see [`ObjectHost::spawn`]).
     ///
     /// # Errors
     ///
@@ -220,14 +221,14 @@ impl ObjectServer {
     pub fn spawn(
         behaviors: Vec<Box<dyn ObjectBehavior<Req, Rep> + Send>>,
         first_id: u32,
-        jitter: Option<Duration>,
+        chaos: Option<ChaosCfg>,
     ) -> Result<ObjectServer> {
         let listener = TcpListener::bind(("127.0.0.1", 0))
             .map_err(|e| Error::io("binding an object server listener", &e))?;
         let addr = listener
             .local_addr()
             .map_err(|e| Error::io("reading the bound listener address", &e))?;
-        let host = Arc::new(ObjectHost::spawn(behaviors, first_id, jitter));
+        let host = Arc::new(ObjectHost::spawn(behaviors, first_id, chaos));
         let reactor = Reactor::spawn(Arc::clone(&host) as Arc<dyn Events>, Some(listener))?;
         let handle = reactor.handle();
         Ok(ObjectServer {
@@ -238,8 +239,7 @@ impl ObjectServer {
         })
     }
 
-    /// The one address clients (or a chaos proxy) and control queries
-    /// connect to.
+    /// The one address clients and control queries connect to.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
@@ -263,7 +263,7 @@ impl ObjectServer {
     }
 
     /// Threads this server runs, total: reactor workers, plus the host's
-    /// executors under service jitter. Fixed at spawn — hosting more
+    /// executors under a profile that delays. Fixed at spawn — hosting more
     /// objects or accepting more connections never grows it.
     pub fn thread_count(&self) -> usize {
         self.reactor.worker_count() + self.host.executor_threads()

@@ -20,9 +20,9 @@
 //! Inside the body everything is fixed-width little-endian; byte strings
 //! and sequences carry a `u32` length prefix. The layout is versioned
 //! (decoders reject a foreign [`WIRE_VERSION`] with
-//! [`Error::VersionMismatch`]) and self-delimiting, so relays like the
-//! chaos proxy can cut the stream into whole frames without understanding
-//! the bodies ([`read_raw_frame`]).
+//! [`Error::VersionMismatch`]) and self-delimiting, so a reader can cut
+//! the stream into whole frames without understanding the bodies
+//! ([`read_raw_frame`]).
 //!
 //! ## The control plane and correlation ids
 //!
@@ -751,8 +751,7 @@ pub fn raw_corr(raw: &[u8]) -> u64 {
 }
 
 /// Read one frame's verbatim bytes (header + body) from a stream without
-/// decoding the body — the primitive relays like the chaos proxy cut the
-/// stream with. The header is still validated, so a desynchronized stream
+/// decoding the body — the primitive a reader cuts the stream with. The header is still validated, so a desynchronized stream
 /// fails fast instead of smearing garbage downstream.
 ///
 /// # Errors

@@ -91,14 +91,14 @@ pub mod names {
     pub const NET_READINESS_WAKEUPS: &str = "net.readiness_wakeups";
     /// Request envelopes resubmitted by `NetCluster` clients.
     pub const NET_RESUBMISSIONS: &str = "net.resubmissions";
-    /// Frames the chaos proxy dropped outright.
+    /// Object copies a host's link-fault profile dropped, both legs.
     pub const CHAOS_FRAMES_DROPPED: &str = "chaos.frames_dropped";
-    /// Frames the chaos proxy delayed (fixed + jitter sleep).
+    /// Request copies a host held on a release timer (delay + jitter).
     pub const CHAOS_FRAMES_DELAYED: &str = "chaos.frames_delayed";
-    /// Adjacent frame pairs the chaos proxy swapped in flight.
+    /// Object copies a host's profile held back behind their successor.
     pub const CHAOS_FRAMES_REORDERED: &str = "chaos.frames_reordered";
-    /// Envelopes a partitioned object host dropped (requests submitted or
-    /// in transit at the cut, and replies).
+    /// Object copies a partitioned host dropped (requests submitted or in
+    /// transit at the cut, and replies).
     pub const CHAOS_PARTITION_DROPS: &str = "chaos.partition_drops";
     /// Spans recorded into live trace buffers.
     pub const TRACE_SPANS_RECORDED: &str = "trace.spans_recorded";

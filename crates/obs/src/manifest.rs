@@ -177,30 +177,30 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef {
         name: names::CHAOS_FRAMES_DROPPED,
         kind: "counter",
-        unit: "frames",
-        seam: "net::ChaosProxy",
-        help: "Frames the chaos proxy dropped outright.",
+        unit: "envelopes",
+        seam: "sim::ObjectHost",
+        help: "Object copies of request envelopes, and reply envelopes, a host's link-fault profile dropped.",
     },
     MetricDef {
         name: names::CHAOS_FRAMES_DELAYED,
         kind: "counter",
-        unit: "frames",
-        seam: "net::ChaosProxy",
-        help: "Frames the chaos proxy held for its fixed+jitter delay.",
+        unit: "envelopes",
+        seam: "sim::ObjectHost",
+        help: "Object copies of request envelopes a host held on a release timer for its profile's delay + jitter (service jitter included).",
     },
     MetricDef {
         name: names::CHAOS_FRAMES_REORDERED,
         kind: "counter",
-        unit: "frame pairs",
-        seam: "net::ChaosProxy",
-        help: "Adjacent frame pairs the chaos proxy swapped in flight.",
+        unit: "envelopes",
+        seam: "sim::ObjectHost",
+        help: "Object copies and reply envelopes a host's profile held back behind that object's next one.",
     },
     MetricDef {
         name: names::CHAOS_PARTITION_DROPS,
         kind: "counter",
         unit: "envelopes",
         seam: "sim::ObjectHost",
-        help: "Envelopes a partitioned object host dropped: requests submitted or in transit at the cut, and replies.",
+        help: "Object copies a partitioned host dropped: one per live object for a refused request envelope, one per copy in transit at the cut, one per reply envelope.",
     },
     MetricDef {
         name: names::TRACE_SPANS_RECORDED,

@@ -9,8 +9,9 @@
 //!
 //! What the host owns: one slot per object (the behavior, a served
 //! counter, a FIFO queue of envelopes waiting for the object's owner),
-//! the per-envelope service jitter (modelled as a release timer, so a
-//! "busy" object never blocks a thread), the traced/untraced apply
+//! the object's link under a [`ChaosCfg`] fault profile (delay and
+//! service jitter modelled as a release timer, so a "busy" object never
+//! blocks a thread; drops; reordering), the traced/untraced apply
 //! wrapper, and crash / restart.
 //!
 //! Every submitter *serves through*: the thread that submits an envelope
@@ -26,42 +27,164 @@
 //! sink go out together once the call is done
 //! ([`ReplySink::deliver_burst`]); the rest go out as they are made.
 //!
-//! Only service jitter needs threads of the host's own: a host spawned
-//! with jitter runs [`EXECUTORS`] threads that wait for the next release
-//! timer to come due and then serve its object through, as a submitter
-//! would. A host without jitter runs no thread at all.
+//! Only delay needs threads of the host's own: a host whose profile
+//! delays or jitters runs [`EXECUTORS`] threads that wait for the next
+//! release timer to come due and then serve its object through, as a
+//! submitter would. A host without a profile, or with one that only
+//! drops and reorders, runs no thread at all.
 //!
-//! [`ObjectHost::set_partitioned`] cuts the host off from its clients: in
-//! the paper's model an object the adversary cuts off is just an object
-//! that stops answering, so the cut lives here, where the objects do,
-//! rather than on a link. The objects keep their state, and healing needs
-//! no reconnect.
+//! Link faults are drawn where the objects live: in the paper's model the
+//! adversary acts on an object's messages, so a delayed, lost or
+//! reordered request is an object copy served late, never, or after its
+//! successor. Each object draws from its own streams, one per leg
+//! (request, reply), so behind one listener every object is its own
+//! fault domain. [`ObjectHost::set_partitioned`] cuts the host off from
+//! its clients the same way: an object the adversary cuts off is just an
+//! object that stops answering. The objects keep their state, and
+//! healing needs no reconnect.
 //!
 //! Semantics: each object processes envelopes serially and in arrival
-//! order (one owner at a time per object). [`ObjectHost::crash`]
+//! order (one owner at a time per object), apart from the copies its
+//! profile reorders. [`ObjectHost::crash`]
 //! lets the envelope in flight finish, then drops the behavior along
 //! with every queued envelope; future envelopes to the object vanish
 //! until [`ObjectHost::restart`] installs a new behavior under the same
-//! id. An envelope still waiting out its jitter delay when the object
-//! crashes counts as in transit: it is dropped if the object is still
-//! down at its release time, and served if it has rejoined by then.
-//! A cut, unlike a crash, loses every envelope still in transit.
+//! id. An envelope still waiting out its delay, or held back behind its
+//! successor, when the object crashes counts as in transit: it is dropped
+//! if the object is still down at its release, and served if it has
+//! rejoined by then. A cut, unlike a crash, loses every envelope still
+//! in transit.
 
 use crate::engine::ObjectBehavior;
 use rastor_common::{ClientId, ObjectId, SplitMix64};
 use rastor_obs::{names, trace, Counter, Registry};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Executor threads of a host spawned with service jitter: the pool that
-/// releases jitter timers and serves the objects they free. Two, so one
+/// Executor threads of a host whose profile delays: the pool that
+/// releases its timers and serves the objects they free. Two, so one
 /// slow apply does not hold back every other object's release. Fixed —
 /// hosting more objects, or serving more clients, never means more
-/// threads. A host without jitter spawns none.
+/// threads. A host whose copies are never delayed spawns none.
 pub const EXECUTORS: usize = 2;
+
+/// A host's link-fault profile: what the adversary does to every hosted
+/// object's messages. The default delays, drops and reorders nothing;
+/// set the knobs you want. Service jitter is `ChaosCfg { jitter,
+/// ..ChaosCfg::default() }`.
+///
+/// Object `o` draws leg `l` (0 = requests, 1 = replies) from
+/// `SplitMix64(seed ^ (o << 1) ^ l)`, so the fault draws replay from the
+/// seed given the same arrival order.
+#[derive(Clone, Debug)]
+pub struct ChaosCfg {
+    /// Seed for the per-object, per-leg fault streams.
+    pub seed: u64,
+    /// Fixed latency added to every request copy, head-of-line: a copy
+    /// clears its object's link `delay + jitter·U` after the copy before
+    /// it did. Charged once per round trip; replies are not delayed.
+    pub delay: Duration,
+    /// Extra uniform-random latency in `[0, jitter)` per request copy.
+    pub jitter: Duration,
+    /// Probability a request copy or a reply envelope is lost.
+    pub drop_prob: f64,
+    /// Probability a request copy or a reply envelope is held back and
+    /// delivered right *after* that object's next one on the same leg.
+    pub reorder_prob: f64,
+}
+
+impl Default for ChaosCfg {
+    fn default() -> ChaosCfg {
+        ChaosCfg {
+            seed: 1,
+            delay: Duration::ZERO,
+            jitter: Duration::ZERO,
+            drop_prob: 0.0,
+            reorder_prob: 0.0,
+        }
+    }
+}
+
+impl ChaosCfg {
+    /// A pure added-latency profile: fixed `delay` plus uniform jitter of
+    /// the same magnitude.
+    pub fn delay_only(delay: Duration) -> ChaosCfg {
+        ChaosCfg {
+            delay,
+            jitter: delay,
+            ..ChaosCfg::default()
+        }
+    }
+
+    /// Set the drop probability.
+    ///
+    /// ## Choosing a drop rate
+    ///
+    /// Drops act on one object's copy of an envelope: a dropped request
+    /// costs that object the round, a dropped reply its answer, and the
+    /// other objects are untouched. A client waits for a quorum, and it
+    /// resubmits a stalled flush (see `rastor_net::NetCluster`), so a
+    /// drop costs at most one resubmission interval — tens of
+    /// milliseconds — not a whole op deadline, and soaks can run
+    /// genuinely lossy links:
+    ///
+    /// ```
+    /// use rastor_sim::host::ChaosCfg;
+    /// use std::time::Duration;
+    ///
+    /// // A harsh lossy-link profile a soak still makes progress through:
+    /// // ~20% of copies lost each way, small head-of-line delay.
+    /// let cfg = ChaosCfg::delay_only(Duration::from_micros(100)).with_drops(0.20);
+    /// assert!(cfg.drop_prob < 1.0, "a link that drops everything is a partition");
+    /// ```
+    #[must_use]
+    pub fn with_drops(mut self, prob: f64) -> ChaosCfg {
+        self.drop_prob = prob;
+        self
+    }
+
+    /// Set the reorder probability.
+    #[must_use]
+    pub fn with_reordering(mut self, prob: f64) -> ChaosCfg {
+        self.reorder_prob = prob;
+        self
+    }
+
+    /// Set the seed.
+    #[must_use]
+    pub fn with_seed(mut self, seed: u64) -> ChaosCfg {
+        self.seed = seed;
+        self
+    }
+
+    /// Whether request copies wait out a release timer.
+    fn delays(&self) -> bool {
+        self.delay > Duration::ZERO || self.jitter > Duration::ZERO
+    }
+
+    /// One copy's drop and reorder draws on a leg: `None` if it is lost
+    /// or held back, else the copy and the predecessor it releases.
+    fn pass<T>(
+        &self,
+        rng: &mut SplitMix64,
+        held: &mut Option<T>,
+        copy: T,
+    ) -> Option<(T, Option<T>)> {
+        if self.drop_prob > 0.0 && rng.next_f64() < self.drop_prob {
+            counters().dropped.inc();
+            return None;
+        }
+        if self.reorder_prob > 0.0 && held.is_none() && rng.next_f64() < self.reorder_prob {
+            counters().reordered.inc();
+            *held = Some(copy);
+            return None;
+        }
+        Some((copy, held.take()))
+    }
+}
 
 /// How a substrate accounts for the time its envelopes spend in the host:
 /// which spans traced frames record, and whether every envelope is timed.
@@ -97,7 +220,7 @@ pub trait ReplySink<Q, R>: Clone + Send + 'static {
     /// One request frame of an envelope, as this substrate carries it.
     type Frame: Send + Sync + 'static;
     /// The reply frame answering one request frame.
-    type Reply;
+    type Reply: Send;
     /// The substrate's span vocabulary and envelope timing.
     const ACCOUNTING: Accounting;
 
@@ -167,25 +290,52 @@ struct Slot<Q, R, S: ReplySink<Q, R>> {
     /// submitting thread. One owner at a time per object keeps processing
     /// serial and FIFO.
     scheduled: AtomicBool,
-    /// Jitter bookkeeping: when the object's service "pipe" frees up, and
-    /// the object's deterministic jitter stream.
-    busy: Mutex<(Instant, SplitMix64)>,
+    /// The object's link; never locked by a host without a profile.
+    link: Mutex<Link<S::Frame, S, S::Reply>>,
 }
 
-/// Jitter-delayed envelopes by `(release time, arrival seq)`, each with
-/// its object index.
+/// One object's link under a fault profile.
+struct Link<F, S, P> {
+    /// When the object's request leg frees up: the release time of the
+    /// last copy it delayed.
+    release: Instant,
+    /// The request leg's and the reply leg's fault streams.
+    rng: [SplitMix64; 2],
+    /// A request copy held back behind the object's next one.
+    held_request: Option<Job<F, S>>,
+    /// A reply envelope held back behind the object's next one, with the
+    /// sink it goes to.
+    held_reply: Option<(S, ReplyEnvelope<P>)>,
+}
+
+/// Delayed envelopes by `(release time, arrival seq)`, each with its
+/// object index.
 type Timers<F, S> = BTreeMap<(Instant, u64), (usize, Job<F, S>)>;
 
-/// The envelopes a cut drops, counted process-wide under
-/// `chaos.partition_drops`.
-fn partition_drops() -> &'static Counter {
-    static DROPS: OnceLock<Arc<Counter>> = OnceLock::new();
-    DROPS.get_or_init(|| Registry::global().counter(names::CHAOS_PARTITION_DROPS))
+/// The `chaos.*` counters, process-wide; each counts object copies.
+struct ChaosCounters {
+    dropped: Arc<Counter>,
+    delayed: Arc<Counter>,
+    reordered: Arc<Counter>,
+    partition_drops: Arc<Counter>,
+}
+
+fn counters() -> &'static ChaosCounters {
+    static COUNTERS: OnceLock<ChaosCounters> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let r = Registry::global();
+        ChaosCounters {
+            dropped: r.counter(names::CHAOS_FRAMES_DROPPED),
+            delayed: r.counter(names::CHAOS_FRAMES_DELAYED),
+            reordered: r.counter(names::CHAOS_FRAMES_REORDERED),
+            partition_drops: r.counter(names::CHAOS_PARTITION_DROPS),
+        }
+    })
 }
 
 struct Shared<Q, R, S: ReplySink<Q, R>> {
     first_id: u32,
-    jitter: Option<Duration>,
+    chaos: Option<ChaosCfg>,
     slots: Vec<Slot<Q, R, S>>,
     /// Released by the executors (a condvar `wait_timeout` to the next
     /// deadline), so a feeding reactor or client never has to poll on
@@ -195,8 +345,12 @@ struct Shared<Q, R, S: ReplySink<Q, R>> {
     /// re-read the earliest deadline under the same lock.
     timer_cv: Condvar,
     timer_seq: AtomicU64,
+    /// Where the next served-through envelope starts its fan-out.
+    next_first: AtomicUsize,
     /// Set by [`ObjectHost::set_partitioned`]; flipped under the `timers`
-    /// lock, so no envelope enters a timer once the cut has cleared them.
+    /// lock, so no envelope enters a timer once the cut has cleared them,
+    /// and read under a link lock by a host with a profile, so no copy is
+    /// held back once the cut has cleared that link.
     partitioned: AtomicBool,
     /// Set under the `timers` lock, so no executor parks past it.
     shutdown: AtomicBool,
@@ -211,14 +365,52 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
             .is_ok()
     }
 
-    /// Whether the host is cut off, counting the envelope the caller then
+    /// The indices of the live objects.
+    fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slots.len()).filter(|&i| !self.slots[i].crashed.load(Ordering::Acquire))
+    }
+
+    /// Whether the host is cut off, counting the `copies` the caller then
     /// drops.
-    fn cut(&self) -> bool {
+    fn cut(&self, copies: impl FnOnce() -> usize) -> bool {
         let cut = self.partitioned.load(Ordering::Acquire);
         if cut {
-            partition_drops().inc();
+            counters().partition_drops.add(copies() as u64);
         }
         cut
+    }
+
+    /// Draw the request leg's faults for object `obj`'s copy of an
+    /// envelope, under its link lock, and pass what goes through — the
+    /// copy, then a predecessor it releases — to `deliver` with its
+    /// release time. A cut host drops the copy.
+    fn admit(
+        &self,
+        cfg: &ChaosCfg,
+        obj: usize,
+        job: Job<S::Frame, S>,
+        mut deliver: impl FnMut(Instant, Job<S::Frame, S>),
+    ) {
+        let mut link = self.slots[obj].link.lock().expect("link lock");
+        let link = &mut *link;
+        if self.cut(|| 1) {
+            return;
+        }
+        let Some((job, held)) = cfg.pass(&mut link.rng[0], &mut link.held_request, job) else {
+            return;
+        };
+        if cfg.delays() {
+            // Head-of-line: the copy clears the link `delay + jitter·U`
+            // after its predecessor did, or after now if the link was
+            // idle — a queueing model kept off the executors, so a
+            // "busy" object never blocks a thread.
+            let wait = cfg.delay + cfg.jitter.mul_f64(link.rng[0].next_f64());
+            link.release = link.release.max(Instant::now()) + wait;
+        }
+        deliver(link.release, job);
+        if let Some(held) = held {
+            deliver(link.release, held);
+        }
     }
 
     /// Apply object `obj`'s next queued envelope and hand its reply
@@ -281,8 +473,31 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
             record(trace::epoch_us().saturating_sub(picked_us));
         }
         drop(behavior);
-        if !replies.is_empty() && !self.cut() {
-            out(&job.sink, (oid, job.client, replies));
+        if replies.is_empty() {
+            return true;
+        }
+        let envelope = (oid, job.client, replies);
+        let Some(cfg) = &self.chaos else {
+            if !self.cut(|| 1) {
+                out(&job.sink, envelope);
+            }
+            return true;
+        };
+        // The reply leg: the object's owner draws, so its envelopes draw
+        // in the order it made them.
+        let passed = {
+            let mut link = slot.link.lock().expect("link lock");
+            if self.cut(|| 1) {
+                return true;
+            }
+            let link = &mut *link;
+            cfg.pass(&mut link.rng[1], &mut link.held_reply, (job.sink, envelope))
+        };
+        if let Some(((sink, envelope), held)) = passed {
+            out(&sink, envelope);
+            if let Some((sink, envelope)) = held {
+                out(&sink, envelope);
+            }
         }
         true
     }
@@ -310,7 +525,7 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
         }
     }
 
-    /// One executor's loop: wait for the next jitter timer to come due,
+    /// One executor's loop: wait for the next release timer to come due,
     /// queue its envelope on its object while still holding the timer
     /// lock (so each object's envelopes queue in release order), then
     /// serve the object through, as a submitter would, unless another
@@ -347,8 +562,9 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
         }
     }
 
-    /// Queue `job` on every live object, serving on this thread each one
-    /// it finds idle; the reply envelopes for `sink` go out together once
+    /// Queue `job` on every live object — through its link, under a
+    /// profile that delays nothing — serving on this thread each one it
+    /// finds idle; the reply envelopes for `sink` go out together once
     /// every claimed object is drained.
     fn serve_through(&self, mut job: impl FnMut() -> Job<S::Frame, S>, sink: &S) {
         let mut burst = Vec::new();
@@ -360,14 +576,23 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
                 to.deliver(from, client, replies);
             }
         };
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.crashed.load(Ordering::Acquire) {
+        // Each envelope starts its fan-out one object further on, so no
+        // object always answers last: a client that moves on after the
+        // first `n - t` replies of a round, dropping the rest, still hears
+        // every object in turn.
+        let n = self.slots.len();
+        let first = self.next_first.fetch_add(1, Ordering::Relaxed);
+        for i in (0..n).map(|k| (first + k) % n) {
+            if self.slots[i].crashed.load(Ordering::Acquire) {
                 continue;
             }
-            slot.queue
-                .lock()
-                .expect("object queue lock")
-                .push_back(job());
+            let queue = &self.slots[i].queue;
+            match &self.chaos {
+                None => queue.lock().expect("object queue lock").push_back(job()),
+                Some(cfg) => self.admit(cfg, i, job(), |_, job| {
+                    queue.lock().expect("object queue lock").push_back(job);
+                }),
+            }
             // Claimed: drain it here. Otherwise its owner serves the
             // envelope after the ones ahead of it.
             if self.claim(i) {
@@ -381,7 +606,7 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
 }
 
 /// A set of hosted objects, served by whoever submits to them (and, under
-/// service jitter, by a fixed executor pool).
+/// a profile that delays, by a fixed executor pool).
 ///
 /// Dropping the host stops the pool (envelopes still queued are
 /// discarded).
@@ -391,18 +616,21 @@ pub struct ObjectHost<Q, R, S: ReplySink<Q, R>> {
 }
 
 impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
-    /// Host `behaviors` under the cluster-global ids `first_id ..`.
-    /// `jitter` adds a random service delay up to the given duration **per
-    /// envelope** (not per frame) per object — emulating one
+    /// Host `behaviors` under the cluster-global ids `first_id ..`, their
+    /// links under the fault profile `chaos`. Delay and jitter apply
+    /// **per envelope** (not per frame) per object — emulating one
     /// network/storage round trip per coalesced batch, which is exactly
-    /// why batching pays. Only a host with jitter spawns threads: the
-    /// [`EXECUTORS`] that release its timers.
+    /// why batching pays. Only a host whose profile delays spawns
+    /// threads: the [`EXECUTORS`] that release its timers.
     pub fn spawn(
         behaviors: Vec<Behavior<Q, R>>,
         first_id: u32,
-        jitter: Option<Duration>,
+        chaos: Option<ChaosCfg>,
     ) -> ObjectHost<Q, R, S> {
         let now = Instant::now();
+        let seed = chaos.as_ref().map_or(0, |c| c.seed);
+        let stream =
+            |i: usize, leg| SplitMix64::new(seed ^ (u64::from(first_id + i as u32) << 1) ^ leg);
         let slots = behaviors
             .into_iter()
             .enumerate()
@@ -412,20 +640,30 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
                 served: AtomicU64::new(0),
                 queue: Mutex::new(VecDeque::new()),
                 scheduled: AtomicBool::new(false),
-                busy: Mutex::new((now, SplitMix64::new(u64::from(first_id + i as u32)))),
+                link: Mutex::new(Link {
+                    release: now,
+                    rng: [stream(i, 0), stream(i, 1)],
+                    held_request: None,
+                    held_reply: None,
+                }),
             })
             .collect();
+        let pool = if chaos.as_ref().is_some_and(ChaosCfg::delays) {
+            EXECUTORS
+        } else {
+            0
+        };
         let shared = Arc::new(Shared {
             first_id,
-            jitter,
+            chaos,
             slots,
             timers: Mutex::new(BTreeMap::new()),
             timer_cv: Condvar::new(),
             timer_seq: AtomicU64::new(0),
+            next_first: AtomicUsize::new(0),
             partitioned: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         });
-        let pool = if jitter.is_some() { EXECUTORS } else { 0 };
         let executors = (0..pool)
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -436,11 +674,11 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
     }
 
     /// Hand one envelope from `client` to every live hosted object; each
-    /// object's reply envelope goes to `sink`. Without jitter the calling
-    /// thread serves every object it finds idle before this returns, and
-    /// queues the envelope behind every object another thread owns. With
-    /// jitter every object's copy waits out a release timer first. A
-    /// partitioned host drops the envelope.
+    /// object's reply envelope goes to `sink`. Unless the profile delays,
+    /// the calling thread serves every object it finds idle before this
+    /// returns, and queues the envelope behind every object another
+    /// thread owns; under delay every object's copy waits out a release
+    /// timer first. A partitioned host drops the envelope.
     pub fn submit(&self, client: ClientId, frames: Arc<Vec<S::Frame>>, sink: &S) {
         let shared = &*self.shared;
         // One clock read per envelope, skipped entirely when untraced.
@@ -456,34 +694,24 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
             sink: sink.clone(),
             enqueued_us,
         };
-        let Some(jitter) = shared.jitter else {
-            if !shared.cut() {
-                shared.serve_through(job, sink);
+        let cfg = match &shared.chaos {
+            Some(cfg) if cfg.delays() => cfg,
+            // A profile draws each copy's faults in `serve_through`.
+            Some(_) => return shared.serve_through(job, sink),
+            None => {
+                if !shared.cut(|| shared.live().count()) {
+                    shared.serve_through(job, sink);
+                }
+                return;
             }
-            return;
         };
         let mut timers = shared.timers.lock().expect("timer lock");
-        if shared.cut() {
-            return;
-        }
-        let live = shared
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| !slot.crashed.load(Ordering::Acquire));
-        let now = Instant::now();
-        for (i, slot) in live {
-            // The object serves envelopes one at a time, each taking a
-            // random slice of `jitter`: a queueing model kept off the
-            // executors, so a "busy" object never blocks a thread.
-            let release = {
-                let mut busy = slot.busy.lock().expect("busy lock");
-                let release = busy.0.max(now) + jitter.mul_f64(busy.1.next_f64());
-                busy.0 = release;
-                release
-            };
-            let seq = shared.timer_seq.fetch_add(1, Ordering::Relaxed);
-            timers.insert((release, seq), (i, job()));
+        for i in shared.live() {
+            shared.admit(cfg, i, job(), |at, job| {
+                counters().delayed.inc();
+                let seq = shared.timer_seq.fetch_add(1, Ordering::Relaxed);
+                timers.insert((at, seq), (i, job));
+            });
         }
         drop(timers);
         // Every parked executor re-reads the earliest deadline: one left
@@ -492,8 +720,8 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
         shared.timer_cv.notify_all();
     }
 
-    /// Threads this host runs of its own: [`EXECUTORS`] under service
-    /// jitter, none otherwise.
+    /// Threads this host runs of its own: [`EXECUTORS`] under a profile
+    /// that delays, none otherwise.
     pub fn executor_threads(&self) -> usize {
         self.executors.len()
     }
@@ -537,7 +765,7 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
 
     /// Restart a hosted object with a fresh behavior: the slot is crashed
     /// first (if still live), then the new behavior takes over the id,
-    /// with the same service-jitter profile and a zeroed served count.
+    /// with the same link and a zeroed served count.
     ///
     /// The host is behavior-agnostic, so *what state the object comes
     /// back with* is the caller's policy: pass a freshly recovered
@@ -569,17 +797,25 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
 
     /// Cut the host off from its clients, or heal it. While cut, the host
     /// drops every envelope submitted to it and every reply envelope it
-    /// produces; the cut also loses every envelope still waiting out its
-    /// jitter delay, as a link going dark loses what is in transit on it.
-    /// The objects keep their state, and control frames, which never
-    /// reach the host, keep being answered. Each dropped envelope counts
-    /// under `chaos.partition_drops`.
+    /// produces; the cut also loses every envelope still in transit —
+    /// waiting out its delay, or held back behind its successor — as a
+    /// link going dark loses what is on it. The objects keep their state,
+    /// and control frames, which never reach the host, keep being
+    /// answered. Each dropped object copy counts under
+    /// `chaos.partition_drops`.
     pub fn set_partitioned(&self, on: bool) {
-        let mut timers = self.shared.timers.lock().expect("timer lock");
-        self.shared.partitioned.store(on, Ordering::Release);
+        let shared = &*self.shared;
+        let mut timers = shared.timers.lock().expect("timer lock");
+        shared.partitioned.store(on, Ordering::Release);
         if on {
-            partition_drops().add(timers.len() as u64);
+            let mut lost = timers.len();
             timers.clear();
+            for slot in &shared.slots {
+                let mut link = slot.link.lock().expect("link lock");
+                lost += usize::from(link.held_request.take().is_some());
+                lost += usize::from(link.held_reply.take().is_some());
+            }
+            counters().partition_drops.add(lost as u64);
         }
     }
 
@@ -647,6 +883,19 @@ mod tests {
         (rep.from, rep.frames.iter().map(|f| f.op_nonce).collect())
     }
 
+    /// A service-jitter profile.
+    fn jitter(jitter: Duration) -> Option<ChaosCfg> {
+        Some(ChaosCfg {
+            jitter,
+            ..ChaosCfg::default()
+        })
+    }
+
+    /// Object `id`'s request stream under the default seed.
+    fn requests(id: u32) -> SplitMix64 {
+        SplitMix64::new(ChaosCfg::default().seed ^ (u64::from(id) << 1))
+    }
+
     /// Replies `req + offset`.
     struct Echo(u32);
     impl ObjectBehavior<u32, u32> for Echo {
@@ -690,6 +939,20 @@ mod tests {
         assert_eq!(replies, want, "every live object answered, in object order");
     }
 
+    /// Successive envelopes start their fan-out one object further on, so
+    /// no object always answers last.
+    #[test]
+    fn each_envelope_starts_its_fan_out_one_object_further_on() {
+        let host: Host =
+            ObjectHost::spawn((0..3).map(|_| Box::new(Echo(0)) as _).collect(), 0, None);
+        let (tx, rx) = channel();
+        for v in 0..3 {
+            host.submit(ClientId::reader(0), envelope(&[v]), &tx);
+        }
+        let order: Vec<u32> = rx.try_iter().map(|rep| rep.from.0).collect();
+        assert_eq!(order, [0, 1, 2, 1, 2, 0, 2, 0, 1]);
+    }
+
     #[test]
     fn each_object_serves_fifo_while_two_executors_race() {
         const ENVELOPES: u32 = 500;
@@ -699,7 +962,7 @@ mod tests {
         let host: Host = ObjectHost::spawn(
             vec![Box::new(InOrder(0)), Box::new(InOrder(0))],
             0,
-            Some(Duration::from_micros(1)),
+            jitter(Duration::from_micros(1)),
         );
         assert_eq!(host.executor_threads(), EXECUTORS);
         let (tx, rx) = channel();
@@ -835,17 +1098,17 @@ mod tests {
     #[test]
     fn jitter_releases_in_order_and_never_oversleeps_an_earlier_timer() {
         const JITTER: Duration = Duration::from_millis(400);
-        // Object ids seed the jitter streams: pick a pair whose first
+        // Object ids seed the request streams: pick a pair whose first
         // draws put the first object's release late and the second's
         // early, so the earlier timer is pushed *after* a later one.
-        let draw = |id: u32| SplitMix64::new(u64::from(id)).next_f64();
+        let draw = |id: u32| requests(id).next_f64();
         let first_id = (0..10_000)
             .find(|&id| draw(id) > 0.8 && draw(id + 1) < 0.1)
             .expect("such a pair of ids exists");
         let host: Host = ObjectHost::spawn(
             vec![Box::new(InOrder(0)), Box::new(InOrder(0))],
             first_id,
-            Some(JITTER),
+            jitter(JITTER),
         );
         let (tx, rx) = channel();
         let started = Instant::now();
@@ -885,9 +1148,9 @@ mod tests {
     #[test]
     fn a_slow_object_under_jitter_does_not_hold_back_another_objects_release() {
         const JITTER: Duration = Duration::from_millis(20);
-        // Ids seed the jitter streams: the slow object's timer comes due
+        // Ids seed the request streams: the slow object's timer comes due
         // within 4 ms, its peer's 12–20 ms in, both inside one slow apply.
-        let draw = |id: u32| SplitMix64::new(u64::from(id)).next_f64();
+        let draw = |id: u32| requests(id).next_f64();
         let first_id = (0..10_000)
             .find(|&id| draw(id) < 0.2 && draw(id + 1) > 0.6)
             .expect("such a pair of ids exists");
@@ -897,7 +1160,7 @@ mod tests {
                 Box::new(Echo(0)),
             ],
             first_id,
-            Some(JITTER),
+            jitter(JITTER),
         );
         let (tx, rx) = channel();
         host.submit(ClientId::reader(0), envelope(&[1]), &tx);
@@ -952,11 +1215,11 @@ mod tests {
     #[test]
     fn a_partitioned_host_drops_envelopes_both_ways_and_heals_with_state_intact() {
         const JITTER: Duration = Duration::from_millis(200);
-        // The objects take ids 0 and 1; their jitter streams put the
-        // second envelope's releases 0.43 and 0.75 of `JITTER` after its
+        // The objects take ids 0 and 1; their request streams put the
+        // second envelope's releases 0.75 and 0.70 of `JITTER` after its
         // submit, so the cut right behind it finds both in transit.
         let second_draw = |id| {
-            let mut stream = SplitMix64::new(id);
+            let mut stream = requests(id);
             stream.next_f64();
             stream.next_f64()
         };
@@ -1160,5 +1423,129 @@ mod tests {
             (id, vec![5]),
             "queued and future envelopes were dropped"
         );
+    }
+
+    /// Records each request it applies and never replies, so its copies
+    /// draw on the request leg only.
+    struct Log(Sender<u32>);
+    impl ObjectBehavior<u32, u32> for Log {
+        fn on_request(&mut self, _from: ClientId, req: &u32) -> Option<u32> {
+            let _ = self.0.send(*req);
+            None
+        }
+    }
+
+    /// A host of `objects` [`Log`] objects under `cfg`, and what they
+    /// apply.
+    fn logged(objects: usize, cfg: ChaosCfg) -> (Host, Receiver<u32>) {
+        let (log, applied) = channel();
+        let behaviors = (0..objects).map(|_| Box::new(Log(log.clone())) as _);
+        (
+            ObjectHost::spawn(behaviors.collect(), 0, Some(cfg)),
+            applied,
+        )
+    }
+
+    /// Submits one-frame envelopes `1..=n` from one client.
+    fn submit_each(host: &Host, n: u32) {
+        let (sink, _) = channel();
+        for v in 1..=n {
+            host.submit(ClientId::reader(0), envelope(&[v]), &sink);
+        }
+    }
+
+    /// Drops are drawn per object and per leg, and replay from the seed:
+    /// two hosts under one profile lose the same copies, the objects lose
+    /// different ones, and every copy is either answered or dropped on one
+    /// of its legs. The only test here that drops, so the
+    /// `chaos.frames_dropped` delta is its own.
+    #[test]
+    fn each_object_drops_its_own_copies_and_the_seed_replays_them() {
+        const OBJECTS: usize = 4;
+        const ENVELOPES: u32 = 64;
+        let cfg = ChaosCfg::default().with_drops(0.5).with_seed(7);
+        let run = || {
+            let behaviors = (0..OBJECTS).map(|_| Box::new(Echo(0)) as _).collect();
+            let host: Host = ObjectHost::spawn(behaviors, 0, Some(cfg.clone()));
+            let (sink, replies) = channel();
+            for v in 1..=ENVELOPES {
+                host.submit(ClientId::reader(0), envelope(&[v]), &sink);
+            }
+            let served: Vec<u64> = host.statuses().iter().map(|s| s.served).collect();
+            (served, replies.try_iter().count() as u64)
+        };
+        let dropped = || {
+            Registry::global()
+                .counter(names::CHAOS_FRAMES_DROPPED)
+                .get()
+        };
+        let before = dropped();
+        let (served, replies) = run();
+        assert_eq!(
+            replies + dropped() - before,
+            OBJECTS as u64 * u64::from(ENVELOPES),
+            "a copy was neither answered nor dropped"
+        );
+        assert!(
+            replies < served.iter().sum(),
+            "the reply leg dropped nothing"
+        );
+        assert_eq!(
+            run(),
+            (served.clone(), replies),
+            "the same seed drew other drops"
+        );
+        assert!(
+            served.iter().any(|&n| n != served[0]),
+            "the objects drew the same drops: {served:?}"
+        );
+    }
+
+    /// Under `reorder_prob` 1.0 every copy not releasing a held one is
+    /// held behind its successor, on both legs.
+    #[test]
+    fn a_reorder_profile_swaps_each_copy_with_its_successor() {
+        let cfg = ChaosCfg::default().with_reordering(1.0);
+        let (host, applied) = logged(1, cfg.clone());
+        submit_each(&host, 6);
+        assert_eq!(applied.try_iter().collect::<Vec<_>>(), [2, 1, 4, 3, 6, 5]);
+        // The reply leg swaps its envelopes too, which puts the answers to
+        // the swapped requests back in submission order.
+        let host: Host = ObjectHost::spawn(vec![Box::new(Echo(0))], 0, Some(cfg));
+        let (sink, replies) = channel();
+        for v in 1..=6 {
+            host.submit(ClientId::reader(0), envelope(&[v]), &sink);
+        }
+        let nonces: Vec<u64> = replies.try_iter().map(|r| r.frames[0].op_nonce).collect();
+        assert_eq!(nonces, [1, 2, 3, 4, 5, 6]);
+    }
+
+    /// A copy held back behind its successor is in transit: a cut loses
+    /// it, and the object never applies it after the heal.
+    #[test]
+    fn a_copy_held_back_at_a_cut_is_lost() {
+        let (host, applied) = logged(1, ChaosCfg::default().with_reordering(1.0));
+        submit_each(&host, 1);
+        host.set_partitioned(true);
+        host.set_partitioned(false);
+        let (sink, _) = channel();
+        for v in [2, 3] {
+            host.submit(ClientId::reader(0), envelope(&[v]), &sink);
+        }
+        assert_eq!(applied.try_iter().collect::<Vec<_>>(), [3, 2]);
+        assert_eq!(host.statuses()[0].served, 2);
+    }
+
+    /// Drops and reorders are drawn on the submitting thread; only delay
+    /// needs the executors.
+    #[test]
+    fn only_a_profile_that_delays_spawns_threads() {
+        let threads = |cfg| {
+            let host: Host = ObjectHost::spawn(vec![Box::new(Echo(0))], 0, cfg);
+            host.executor_threads()
+        };
+        assert_eq!(threads(None), 0);
+        assert_eq!(threads(Some(ChaosCfg::default().with_drops(0.5))), 0);
+        assert_eq!(threads(jitter(Duration::from_micros(1))), EXECUTORS);
     }
 }

@@ -33,8 +33,8 @@
 //!   channels, demonstrating that the protocols are simulator-independent.
 //! * **Object host** ([`host`]): the one host every real-time substrate
 //!   (in-process or TCP) runs its objects on — per-object FIFO, served by
-//!   the thread that submits each envelope (an executor pool only under
-//!   service jitter), crash and restart.
+//!   the thread that submits each envelope (an executor pool only under a
+//!   link-fault profile that delays), link faults, crash and restart.
 //!
 //! ## Example
 //!

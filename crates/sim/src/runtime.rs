@@ -41,7 +41,7 @@
 
 use crate::driver::{Dispatch, OpDriver, StalePolicy};
 use crate::engine::{ObjectBehavior, RoundClient};
-use crate::host::{Accounting, ObjectHost, ReplySink};
+use crate::host::{Accounting, ChaosCfg, ObjectHost, ReplySink};
 use rastor_common::{ClientId, ObjectId, OpKind};
 use rastor_obs::trace;
 use std::collections::HashMap;
@@ -206,7 +206,14 @@ where
         jitter: Option<Duration>,
     ) -> ThreadCluster<Q, R> {
         ThreadCluster {
-            host: ObjectHost::spawn(behaviors, 0, jitter),
+            host: ObjectHost::spawn(
+                behaviors,
+                0,
+                jitter.map(|jitter| ChaosCfg {
+                    jitter,
+                    ..ChaosCfg::default()
+                }),
+            ),
         }
     }
 

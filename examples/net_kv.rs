@@ -3,8 +3,8 @@
 //! `ShardedKvStore` connected to them over the wire codec, pipelined
 //! batches sharing round trips across the network, a server-side crash
 //! inside the fault budget, a partition cut and healed live at a server —
-//! and then the same traffic again through a chaos proxy adding delay to
-//! every frame.
+//! and then the same traffic again under a link-fault profile adding
+//! delay to every object's copy of every request envelope.
 //!
 //! Run with: `cargo run --example net_kv`
 
@@ -76,11 +76,11 @@ fn main() {
     );
     drop(h);
 
-    // --- The same store shape through a netem chaos proxy ---------------
+    // --- The same store shape under a slow-link profile -----------------
     let chaos = ChaosCfg::delay_only(Duration::from_micros(300)).with_seed(7);
     let kv = NetKv::spawn(StoreConfig::new(t, shards, handles), Some(chaos))
-        .expect("chaos proxies on loopback");
-    println!("chaos deployment: every frame of every connection pays ~300-600µs at the proxy");
+        .expect("servers on loopback");
+    println!("chaos deployment: every request envelope pays ~300-600µs at each object");
     let mut h = kv.store.handle(0).expect("handle");
     h.set_depth(8);
     let start = Instant::now();

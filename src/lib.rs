@@ -19,7 +19,7 @@
 //! * [`store`] — the durability subsystem: write-ahead log, compacting
 //!   snapshots, and kill-then-recover object restarts;
 //! * [`net`] — the TCP transport: wire codec, socket-backed clusters, and
-//!   the fault-injecting chaos proxy;
+//!   the ops plane;
 //! * [`obs`] — the observability spine: metrics registry, RRD-style time
 //!   rings, and the exported-metric manifest;
 //! * [`check`] — the exhaustive schedule explorer.

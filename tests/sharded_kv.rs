@@ -13,7 +13,7 @@ mod common;
 use common::{assert_clean, assert_final_reads_see_newest_writes};
 use rastor::common::{ClientId, ObjectId, Value};
 use rastor::core::adversary::SilentObject;
-use rastor::core::{codec, HonestObject, Rep, Req};
+use rastor::core::{codec, FaultKind, HonestObject, Rep, Req};
 use rastor::kv::workload::{self, Mix};
 use rastor::kv::{ShardedKvStore, StoreConfig};
 use rastor::sim::ObjectBehavior;
@@ -54,6 +54,25 @@ fn concurrent_sharded_traffic_is_atomic_per_key() {
     assert_eq!(store.num_keys(), KEYS as usize);
 
     assert_final_reads_see_newest_writes(&store, &run);
+}
+
+/// `t` forgers at the lowest id, on a store without jitter: every envelope
+/// is served on the submitting client's thread, and if the host always
+/// started its fan-out at the first object, the forger would answer first
+/// every round and an honest object last — its replies dropped as late,
+/// so no read could ever rule the forgery out. Every op must complete.
+#[test]
+fn a_forger_at_the_first_id_does_not_starve_a_store_without_jitter() {
+    let store = ShardedKvStore::spawn_with(StoreConfig::new(1, 1, 2), |_, id| {
+        (id == ObjectId(0)).then(|| FaultKind::ForgeHigh.materialize())
+    })
+    .expect("valid store");
+    let mix = Mix {
+        timeout: Duration::from_secs(2),
+        ..Mix::mixed(2, 2, 8)
+    };
+    let run = workload::start(&store, &mix).join();
+    assert_clean(&run, "a forger answering first");
 }
 
 /// The pipelined variant of the soak: every handle keeps `depth` operations
