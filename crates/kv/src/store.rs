@@ -25,11 +25,11 @@ use crate::config::StoreConfig;
 use crate::directory::KeyDirectory;
 use crate::handle::KvHandle;
 use crate::router::ShardRouter;
-use rastor_common::{ClientId, ClusterConfig, Error, ObjectId, Result};
+use rastor_common::{ClusterConfig, Error, ObjectId, Result};
 use rastor_core::msg::{Rep, Req};
 use rastor_core::ReadMode;
 use rastor_obs::Registry;
-use rastor_sim::runtime::{ObjReply, ReqFrame, ThreadCluster, Transport};
+use rastor_sim::runtime::{RepEnvelope, ReqEnvelope, ThreadCluster, Transport};
 use rastor_sim::{ObjectBehavior, ObjectHost, ReplySink};
 use rastor_store::Durability;
 use std::sync::mpsc::Sender;
@@ -60,13 +60,8 @@ pub(crate) struct Shard {
 }
 
 impl Transport<Req, Rep> for Shard {
-    fn send_frames(
-        &self,
-        from: ClientId,
-        frames: Vec<ReqFrame<Req>>,
-        reply_to: &Sender<ObjReply<Rep>>,
-    ) {
-        self.transport.send_frames(from, frames, reply_to)
+    fn send_frames(&self, env: ReqEnvelope<Req>, reply_to: &Sender<RepEnvelope<Rep>>) {
+        self.transport.send_frames(env, reply_to)
     }
 }
 
@@ -371,7 +366,7 @@ impl ShardedKvStore {
 /// # Panics
 ///
 /// Panics if `host` does not host `id`.
-pub fn restart_from_disk<S: ReplySink<Req, Rep>>(
+pub fn restart_from_disk<S: ReplySink<Rep>>(
     host: &ObjectHost<Req, Rep, S>,
     durability: &dyn Durability,
     shard: usize,
@@ -397,7 +392,7 @@ pub fn restart_from_disk<S: ReplySink<Req, Rep>>(
 mod tests {
     use super::*;
     use crate::{KvOpId, KvOutput};
-    use rastor_common::Value;
+    use rastor_common::{ClientId, Value};
     use rastor_core::adversary::SilentObject;
     use std::collections::HashMap;
 

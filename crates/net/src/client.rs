@@ -8,8 +8,11 @@
 //! One `NetCluster` holds **one connection per server** backing the
 //! cluster and may be **shared by many clients**: each
 //! [`Transport::send_frames`] call registers the calling client's reply
-//! channel, and the reactor demultiplexes incoming reply envelopes to the
-//! right channel by the `to` client id the server echoes back. All
+//! channel and encodes the envelope it is handed, and the reactor
+//! demultiplexes incoming reply envelopes to the right channel by the `to`
+//! client id the server echoes back — a decoded
+//! [`RepEnvelope`](crate::wire::RepEnvelope) is what the channel carries,
+//! so it goes there as is. All
 //! connections are served by one client-side [`crate::reactor`] — thread
 //! count is fixed, however many handles share the cluster.
 //!
@@ -29,7 +32,7 @@ use crate::wire::{self, Frame};
 use rastor_common::{ClientId, Error, Result};
 use rastor_core::msg::{Rep, Req};
 use rastor_obs::{names, Counter, Registry as Obs};
-use rastor_sim::runtime::{ObjReply, RepFrame, ReqFrame, Transport};
+use rastor_sim::runtime::Transport;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::Sender;
@@ -51,8 +54,10 @@ const REDIAL_MIN: Duration = Duration::from_millis(10);
 const REDIAL_MAX: Duration = Duration::from_millis(500);
 
 /// client id → that client's reply channel. Senders are registered on
-/// every flush, so a reissued client id simply overwrites its predecessor.
-type Registry = Mutex<HashMap<ClientId, Sender<ObjReply<Rep>>>>;
+/// every flush, so a reissued client id simply overwrites its predecessor,
+/// and an entry whose client hung up stays until then: ids come from
+/// bounded handle pools.
+type Registry = Mutex<HashMap<ClientId, Sender<wire::RepEnvelope>>>;
 
 /// One client's latest flush, kept for resubmission until superseded.
 struct Pending {
@@ -97,7 +102,9 @@ impl ClientState {
         }
     }
 
-    /// Route one decoded reply envelope to its registered client.
+    /// Route one decoded reply envelope to its registered client, sending
+    /// with the registry unlocked. A failed send leaves the entry alone:
+    /// by then a new handle may have re-registered the id.
     fn route(&self, env: wire::RepEnvelope) {
         let tx = self
             .registry
@@ -105,27 +112,8 @@ impl ClientState {
             .expect("reply registry lock")
             .get(&env.to)
             .cloned();
-        let Some(tx) = tx else {
-            return; // client never seen or already unregistered
-        };
-        let reply = ObjReply {
-            from: env.from,
-            frames: env
-                .frames
-                .into_iter()
-                .map(|f| RepFrame {
-                    op_nonce: f.op_nonce,
-                    round: f.round,
-                    payload: f.rep,
-                })
-                .collect(),
-        };
-        if tx.send(reply).is_err() {
-            // The client hung up; drop its registration.
-            self.registry
-                .lock()
-                .expect("reply registry lock")
-                .remove(&env.to);
+        if let Some(tx) = tx {
+            let _ = tx.send(env);
         }
     }
 
@@ -366,25 +354,19 @@ impl NetCluster {
 }
 
 impl Transport<Req, Rep> for NetCluster {
-    /// Encode the batch once, straight from the shared requests, and queue
-    /// it on the connection to every server — the wire twin of the channel
-    /// substrate's one-envelope-per-object broadcast (each server fans
-    /// the envelope out to the objects it hosts, which reply with
-    /// per-object envelopes). The encoded flush replaces the client's
-    /// pending-resubmission entry: only the *latest* flush is ever
-    /// re-sent.
-    fn send_frames(
-        &self,
-        from: ClientId,
-        frames: Vec<ReqFrame<Req>>,
-        reply_to: &Sender<ObjReply<Rep>>,
-    ) {
+    /// Encode the envelope once and queue it on the connection to every
+    /// server — each server fans it out to the objects it hosts, which
+    /// reply with per-object envelopes. The encoded flush replaces the
+    /// client's pending-resubmission entry: only the *latest* flush is
+    /// ever re-sent.
+    fn send_frames(&self, env: wire::ReqEnvelope, reply_to: &Sender<wire::RepEnvelope>) {
+        let from = env.from;
         self.state
             .registry
             .lock()
             .expect("reply registry lock")
             .insert(from, reply_to.clone());
-        let bytes = Arc::new(wire::encode_req_envelope(from, &frames));
+        let bytes = Arc::new(wire::encode_frame(&Frame::Req(env)));
         self.state.pending.lock().expect("pending lock").insert(
             from,
             Pending {

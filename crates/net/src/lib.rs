@@ -7,7 +7,7 @@
 //! Three layers:
 //!
 //! * [`wire`] — dependency-free, versioned, length-prefixed frames: the
-//!   thread runtime's coalesced envelope shapes around
+//!   thread runtime's own request and reply envelopes around
 //!   [`rastor_core::codec`]'s `Req`/`Rep` bodies, and the control plane.
 //!   Malformed bytes decode to errors, never panics: a Byzantine peer owns
 //!   what it sends us.

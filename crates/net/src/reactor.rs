@@ -14,7 +14,9 @@
 //!    timer deadline;
 //! 3. wait for readiness (`poll(2)`) on every connection it owns — for
 //!    output too on those with any queued — with that deadline as the
-//!    timeout, never longer than a coarse idle tick;
+//!    timeout, kept to the next whole millisecond (`poll(2)`'s unit, so
+//!    a nearer deadline is never spun on) and never longer than a coarse
+//!    idle tick;
 //! 4. for each readable connection, read until `WouldBlock`, reassemble
 //!    whole frames ([`wire::frame_len`]) from the per-connection buffer,
 //!    and hand each one to [`Events::on_frame`];
@@ -85,11 +87,6 @@ pub const MAX_OUTBOX_BYTES: usize = 8 * 1024 * 1024;
 /// pending. Wakeups for I/O and queued sends are immediate (waker); the
 /// tick only bounds how stale [`Events::on_tick`] housekeeping can get.
 const IDLE_TICK: Duration = Duration::from_millis(20);
-
-/// Deadlines closer than this are waited out with zero-timeout polls
-/// (yielding between them) — `poll(2)` timeouts are whole milliseconds,
-/// too coarse for sub-millisecond timers.
-const SPIN_UNDER: Duration = Duration::from_millis(1);
 
 /// The most one read burst takes off a socket before its frames are
 /// dispatched.
@@ -203,8 +200,9 @@ impl Poller {
     }
 
     /// Wait until a source in `interests` is ready, the waker fires, or
-    /// `timeout` elapses (a zero timeout does not block). Returns the
-    /// ready interest-list indices as `(index, readable, writable)`.
+    /// `timeout`, rounded up to a whole millisecond, elapses (a zero
+    /// timeout does not block). Returns the ready interest-list indices
+    /// as `(index, readable, writable)`.
     fn wait(&mut self, interests: &[Interest], timeout: Duration) -> Vec<(usize, bool, bool)> {
         self.fds.clear();
         self.fds.push(sys::PollFd {
@@ -219,7 +217,7 @@ impl Poller {
                 revents: 0,
             });
         }
-        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        let ms = i32::try_from(timeout.as_micros().div_ceil(1_000)).unwrap_or(i32::MAX);
         let n = sys::poll_fds(&mut self.fds, ms);
         let mut out = Vec::new();
         if n > 0 {
@@ -689,14 +687,11 @@ fn worker_loop(
             });
             tokens.push(Token::Conn(id));
         }
-        // poll(2) timeouts are whole milliseconds; a nearer deadline is
-        // waited out with zero-timeout polls, yielding between them.
-        let spin = timeout < SPIN_UNDER;
-        let ready = poller.wait(&interests, if spin { Duration::ZERO } else { timeout });
+        let ready = poller.wait(&interests, timeout);
+        reactor_metrics().wakeups.inc();
 
         // Process readiness.
         let mut to_close: Vec<u64> = Vec::new();
-        let had_work = !ready.is_empty();
         for (i, rd, wr) in ready {
             match tokens[i] {
                 Token::Listener => {
@@ -711,16 +706,10 @@ fn worker_loop(
                 }
             }
         }
-        if !spin || had_work {
-            reactor_metrics().wakeups.inc();
-        }
         for id in to_close {
             if let Some(c) = conns.remove(&id) {
                 teardown(core, handler, &c.shared);
             }
-        }
-        if spin && !had_work {
-            std::thread::yield_now();
         }
     }
 
@@ -1054,5 +1043,34 @@ mod tests {
         r.peer.read_exact(&mut rest).expect("peer reads the rest");
         sent.extend_from_slice(&rest);
         assert!(sent == want, "the frames arrived changed or reordered");
+    }
+
+    /// Counts its ticks and always wants the next one 200 µs out.
+    struct Eager(AtomicU64);
+
+    impl Events for Eager {
+        fn on_frame(&self, _conn: &ConnHandle, _raw: &[u8]) {}
+
+        fn on_tick(&self, now: Instant) -> Option<Instant> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Some(now + Duration::from_micros(200))
+        }
+    }
+
+    /// A sub-millisecond deadline is kept to the next whole millisecond,
+    /// not spun on: a handler that always wants a tick 200 µs out gets at
+    /// most one per millisecond.
+    #[test]
+    fn a_sub_millisecond_deadline_waits_out_a_whole_millisecond() {
+        let eager = Arc::new(Eager(AtomicU64::new(0)));
+        let reactor =
+            Reactor::spawn_with(Arc::clone(&eager) as Arc<dyn Events>, None, 1).expect("reactor");
+        std::thread::sleep(Duration::from_millis(100));
+        let ticks = eager.0.load(Ordering::Relaxed);
+        drop(reactor);
+        assert!(
+            (1..200).contains(&ticks),
+            "{ticks} ticks in 100 ms: the worker spun"
+        );
     }
 }

@@ -29,11 +29,11 @@
 
 use crate::ops::{admit, control_reply, AdminOutcome};
 use crate::reactor::{ConnHandle, Events, Reactor, ReactorHandle};
-use crate::wire::{self, Frame, RepEnvelope, WireRepFrame, WireReqFrame};
-use rastor_common::{ClientId, Error, ObjectId, Result};
+use crate::wire::{self, Frame, RepEnvelope};
+use rastor_common::{Error, ObjectId, Result};
 use rastor_core::msg::{Rep, Req};
 use rastor_obs::{names, trace, Counter, Registry};
-use rastor_sim::host::{Accounting, ChaosCfg, ObjectHost, ReplyEnvelope, ReplySink};
+use rastor_sim::host::{Accounting, ChaosCfg, ObjectHost, ReplySink};
 use rastor_sim::ObjectBehavior;
 use std::cell::RefCell;
 use std::net::{SocketAddr, TcpListener};
@@ -97,9 +97,7 @@ fn send_counted(conn: &ConnHandle, frames: impl IntoIterator<Item = Frame>) {
 /// the requesting connection. The reactor worker that read a request
 /// envelope serves it, so every reply envelope the envelope earns from an
 /// object that was idle goes back in one write.
-impl ReplySink<Req, Rep> for ConnHandle {
-    type Frame = WireReqFrame;
-    type Reply = WireRepFrame;
+impl ReplySink<Rep> for ConnHandle {
     // Server-side slow-op capture judges envelopes, not whole client ops:
     // each traced frame's server-side work is closed right after its apply.
     const ACCOUNTING: Accounting = Accounting {
@@ -109,32 +107,16 @@ impl ReplySink<Req, Rep> for ConnHandle {
         envelope_us: Some(|us| net_metrics().envelopes_ring.record(us)),
     };
 
-    fn request(frame: &WireReqFrame) -> (u64, &Req) {
-        (frame.trace, &frame.req)
-    }
-
-    fn reply(frame: &WireReqFrame, rep: Rep) -> WireRepFrame {
-        WireRepFrame {
-            op_nonce: frame.op_nonce,
-            round: frame.round,
-            trace: frame.trace,
-            rep,
-        }
-    }
-
-    fn deliver(&self, from: ObjectId, to: ClientId, frames: Vec<WireRepFrame>) {
-        send_counted(self, [Frame::Rep(RepEnvelope { to, from, frames })]);
+    fn deliver(&self, env: RepEnvelope) {
+        send_counted(self, [Frame::Rep(env)]);
     }
 
     fn same_sink(&self, other: &ConnHandle) -> bool {
         self.id() == other.id()
     }
 
-    fn deliver_burst(&self, burst: Vec<ReplyEnvelope<WireRepFrame>>) {
-        let frames = burst
-            .into_iter()
-            .map(|(from, to, frames)| Frame::Rep(RepEnvelope { to, from, frames }));
-        send_counted(self, frames);
+    fn deliver_burst(&self, burst: Vec<RepEnvelope>) {
+        send_counted(self, burst.into_iter().map(Frame::Rep));
     }
 }
 
@@ -157,7 +139,7 @@ impl Events for ObjectHost<Req, Rep, ConnHandle> {
         match frame {
             Frame::Req(env) => {
                 net_metrics().frames_in.inc();
-                self.submit(env.from, Arc::new(env.frames), conn);
+                self.submit(Arc::new(env), conn);
             }
             // The ops plane, answered in-band so control replies
             // interleave with (never reorder within) the data stream.
@@ -311,8 +293,8 @@ impl ObjectServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::ReqEnvelope;
-    use rastor_common::{RegId, Timestamp, TsVal, Value};
+    use crate::wire::{ReqEnvelope, WireReqFrame};
+    use rastor_common::{ClientId, RegId, Timestamp, TsVal, Value};
     use rastor_core::msg::Stamped;
     use rastor_core::object::HonestObject;
     use std::net::TcpStream;

@@ -1,7 +1,9 @@
-//! The wire format: frames for a byte stream, the coalesced envelope
-//! shapes of the thread runtime, and the control plane. The
-//! `rastor_core::msg` vocabulary inside the envelopes is laid out by
-//! [`rastor_core::codec`], the same bytes `rastor_store` logs.
+//! The wire format: frames for a byte stream, the thread runtime's own
+//! envelopes ([`ReqEnvelope`] and [`RepEnvelope`] are
+//! `rastor_sim::runtime`'s types at `Req` / `Rep`, encoded as they are),
+//! and the control plane. The `rastor_core::msg` vocabulary inside the
+//! envelopes is laid out by [`rastor_core::codec`], the same bytes
+//! `rastor_store` logs.
 //!
 //! ## Frame layout
 //!
@@ -45,7 +47,6 @@ use rastor_common::bytes::{put_bytes, put_len, put_u32, put_u64, Dec};
 use rastor_common::{ClientId, Error, ObjectId, Result};
 use rastor_core::codec::{encode_rep, encode_req, read_rep, read_req, MIN_REP_LEN, MIN_REQ_LEN};
 use rastor_core::msg::{Rep, Req};
-use rastor_sim::runtime::ReqFrame;
 use std::io::{Read, Write};
 
 /// The wire protocol version this build speaks.
@@ -94,57 +95,22 @@ const OBJECT_STATUS_LEN: usize = 4 + 1 + 8;
 /// Smallest encoded [`Frame::Report`] entry: an empty name and its count.
 const MIN_COUNT_LEN: usize = 4 + 8;
 
-/// One round of one operation inside a request envelope, as carried on the
-/// wire (the owned twin of `rastor_sim::runtime::ReqFrame`).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct WireReqFrame {
-    /// Nonce of the operation the frame belongs to.
-    pub op_nonce: u64,
-    /// The round the frame drives.
-    pub round: u32,
-    /// The operation's trace id (0 when the client traces nothing) —
-    /// carried end to end so server-side spans join the same trace.
-    pub trace: u64,
-    /// The round's request.
-    pub req: Req,
-}
+/// One round of one operation inside a request envelope — the thread
+/// runtime's [`rastor_sim::runtime::ReqFrame`], at the `core::msg` request.
+pub type WireReqFrame = rastor_sim::runtime::ReqFrame<Req>;
 
 /// A coalesced request envelope: every frame one client had pending for
-/// one cluster at flush time. Servers broadcast the frames to every object
-/// they host.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ReqEnvelope {
-    /// The submitting client.
-    pub from: ClientId,
-    /// The coalesced frames.
-    pub frames: Vec<WireReqFrame>,
-}
+/// one cluster at flush time. Servers broadcast it to every object they
+/// host.
+pub type ReqEnvelope = rastor_sim::runtime::ReqEnvelope<Req>;
 
-/// One reply frame inside a reply envelope.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct WireRepFrame {
-    /// Nonce of the operation the reply belongs to.
-    pub op_nonce: u64,
-    /// The round the reply answers.
-    pub round: u32,
-    /// The request frame's trace id, echoed back (0 when untraced).
-    pub trace: u64,
-    /// The object's reply.
-    pub rep: Rep,
-}
+/// One reply frame inside a reply envelope, echoing its request's trace id.
+pub type WireRepFrame = rastor_sim::runtime::RepFrame<Rep>;
 
 /// A coalesced reply envelope from one object to one client. `to` lets a
 /// connection shared by many clients route each reply to the right reply
 /// channel.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RepEnvelope {
-    /// The client the replies are for.
-    pub to: ClientId,
-    /// The replying object (cluster-global id).
-    pub from: ObjectId,
-    /// One frame per answered request frame.
-    pub frames: Vec<WireRepFrame>,
-}
+pub type RepEnvelope = rastor_sim::runtime::RepEnvelope<Rep>;
 
 /// The status of one object hosted by an [`crate::ObjectServer`], as
 /// reported in a [`Frame::Status`] reply — the host's own view.
@@ -313,32 +279,18 @@ fn put_client(out: &mut Vec<u8>, id: ClientId) {
     }
 }
 
-/// A request envelope's body, from its frames' `(op_nonce, round, trace,
-/// req)`, however the caller holds them.
-fn put_req_body<'a>(
-    out: &mut Vec<u8>,
-    from: ClientId,
-    frames: impl ExactSizeIterator<Item = (u64, u32, u64, &'a Req)>,
-) {
-    put_client(out, from);
-    put_len(out, frames.len());
-    for (op_nonce, round, trace, req) in frames {
-        put_u64(out, op_nonce);
-        put_u32(out, round);
-        put_u64(out, trace);
-        encode_req(req, out);
-    }
-}
-
 fn encode_body(frame: &Frame, out: &mut Vec<u8>) {
     match frame {
-        Frame::Req(env) => put_req_body(
-            out,
-            env.from,
-            env.frames
-                .iter()
-                .map(|f| (f.op_nonce, f.round, f.trace, &f.req)),
-        ),
+        Frame::Req(env) => {
+            put_client(out, env.from);
+            put_len(out, env.frames.len());
+            for f in &env.frames {
+                put_u64(out, f.op_nonce);
+                put_u32(out, f.round);
+                put_u64(out, f.trace);
+                encode_req(&f.req, out);
+            }
+        }
         Frame::Rep(env) => {
             put_client(out, env.to);
             put_u32(out, env.from.0);
@@ -449,27 +401,6 @@ pub(crate) fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
         Frame::Trace { .. } => KIND_TRACE,
     };
     put_frame(out, kind, |out| encode_body(frame, out));
-}
-
-/// Encode a request envelope straight from the frames a client holds —
-/// the bytes [`encode_frame`] gives the same envelope as a
-/// [`Frame::Req`], without first cloning every request into one.
-///
-/// # Panics
-///
-/// As [`encode_frame`].
-pub(crate) fn encode_req_envelope(from: ClientId, frames: &[ReqFrame<Req>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    put_frame(&mut out, KIND_REQ, |out| {
-        put_req_body(
-            out,
-            from,
-            frames
-                .iter()
-                .map(|f| (f.op_nonce, f.round, f.trace, &*f.payload)),
-        );
-    });
-    out
 }
 
 /// Append a frame of `kind` whose body `body` writes, patching its length
@@ -870,34 +801,6 @@ mod tests {
             let (decoded, used) = decode_frame(golden).expect("decodes");
             assert_eq!(used, golden.len());
             assert_eq!(decoded, frame);
-        }
-    }
-
-    /// A client encodes its request envelope from the frames it holds,
-    /// with no owned copy — and gets the owned envelope's bytes.
-    #[test]
-    fn a_request_envelope_encodes_the_same_from_borrowed_frames() {
-        for env in [
-            sample_req_env(),
-            ReqEnvelope {
-                from: ClientId::writer(),
-                frames: vec![],
-            },
-        ] {
-            let frames: Vec<ReqFrame<Req>> = env
-                .frames
-                .iter()
-                .map(|f| ReqFrame {
-                    op_nonce: f.op_nonce,
-                    round: f.round,
-                    trace: f.trace,
-                    payload: std::sync::Arc::new(f.req.clone()),
-                })
-                .collect();
-            assert_eq!(
-                encode_req_envelope(env.from, &frames),
-                encode_frame(&Frame::Req(env))
-            );
         }
     }
 

@@ -54,7 +54,7 @@ fn harness_protocols_roundtrip_over_tcp() {
 /// operations complete, one crash beyond it they time out cleanly
 /// (what the kv store reports as `Incomplete`), and restarting an object
 /// brings the quorum — and completion — back.
-fn crash_restart_drill<S: ReplySink<Req, Rep>>(
+fn crash_restart_drill<S: ReplySink<Rep>>(
     sys: &mut StorageSystem,
     transport: &dyn Transport<Req, Rep>,
     host: &ObjectHost<Req, Rep, S>,

@@ -8,10 +8,15 @@ use rastor_common::bytes::Dec;
 use rastor_common::{ClientId, Error, ObjectId, RegId, SplitMix64, Timestamp, TsVal, Value};
 use rastor_core::codec;
 use rastor_core::msg::{AckKind, ObjectView, Rep, Req, Stamped};
+use rastor_core::object::HonestObject;
 use rastor_core::token::Token;
 use rastor_net::wire::{
     self, Frame, RepEnvelope, ReqEnvelope, WireRepFrame, WireReqFrame, WIRE_VERSION,
 };
+use rastor_obs::trace;
+use rastor_sim::runtime::{ThreadCluster, Transport};
+use rastor_sim::ObjectBehavior;
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Generators: structured trees derived from one drawn seed, so the vendored
@@ -295,4 +300,64 @@ proptest! {
         prop_assert_eq!(next, valid);
         prop_assert_eq!(split + used, buf.len());
     }
+}
+
+/// One envelope vocabulary on both substrates: every reply envelope an
+/// in-process cluster puts on a client's channel is a wire envelope — it
+/// encodes as a [`Frame::Rep`] and decodes back unchanged — and each of
+/// its frames echoes the trace id of the request it answers.
+#[test]
+fn in_process_reply_envelopes_survive_the_wire_and_echo_trace_ids() {
+    const TRACED: u64 = 0xfeed_beef;
+    let behaviors = (0..4)
+        .map(|_| Box::new(HonestObject::new()) as Box<dyn ObjectBehavior<Req, Rep> + Send>)
+        .collect();
+    let cluster: ThreadCluster<Req, Rep> = ThreadCluster::spawn(behaviors, None);
+    let from = ClientId::writer();
+    let pair = Stamped::plain(TsVal::new(Timestamp(1), Value::from_u64(7)));
+    let env = ReqEnvelope {
+        from,
+        frames: vec![
+            WireReqFrame {
+                op_nonce: 1,
+                round: 1,
+                trace: TRACED,
+                req: Req::Commit {
+                    reg: RegId::WRITER,
+                    pair,
+                },
+            },
+            WireReqFrame {
+                op_nonce: 2,
+                round: 3,
+                trace: trace::NO_TRACE,
+                req: Req::Collect {
+                    regs: vec![RegId::WRITER],
+                },
+            },
+        ],
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    cluster.send_frames(env, &tx);
+    let mut objects = Vec::new();
+    for _ in 0..4 {
+        let rep = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("every object answers");
+        assert_eq!(rep.to, from);
+        let echoed: Vec<_> = rep
+            .frames
+            .iter()
+            .map(|f| (f.op_nonce, f.round, f.trace))
+            .collect();
+        assert_eq!(echoed, [(1, 1, TRACED), (2, 3, trace::NO_TRACE)]);
+        objects.push(rep.from.0);
+        let frame = Frame::Rep(rep);
+        let bytes = wire::encode_frame(&frame);
+        let (decoded, used) = wire::decode_frame(&bytes).expect("decodes");
+        assert_eq!(used, bytes.len());
+        assert_eq!(decoded, frame);
+    }
+    objects.sort_unstable();
+    assert_eq!(objects, [0, 1, 2, 3]);
 }

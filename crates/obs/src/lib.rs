@@ -87,7 +87,8 @@ pub mod names {
     pub const NET_ENVELOPES_RING_US: &str = "net.envelopes_ring_us";
     /// Connections opened on reactor endpoints (cumulative).
     pub const NET_CONNS_OPEN: &str = "net.conns_open";
-    /// Reactor readiness-loop wakeups (poller returns that found work).
+    /// Reactor readiness-loop wakeups: every poll return, idle-tick
+    /// timeouts included.
     pub const NET_READINESS_WAKEUPS: &str = "net.readiness_wakeups";
     /// Request envelopes resubmitted by `NetCluster` clients.
     pub const NET_RESUBMISSIONS: &str = "net.resubmissions";

@@ -5,7 +5,10 @@
 //! a single host for it. Every substrate that delivers envelopes to
 //! objects ([`crate::runtime::ThreadCluster`] over channels, `rastor_net`'s
 //! `ObjectServer` over sockets) is a thin wrapper that feeds this host and
-//! tells it, through a [`ReplySink`], where reply envelopes go.
+//! tells it, through a [`ReplySink`], where reply envelopes go. Both speak
+//! [`crate::runtime`]'s message types: the host takes a shared
+//! [`ReqEnvelope`] and builds every [`RepFrame`] itself, echoing its
+//! request's op nonce, round and trace id.
 //!
 //! What the host owns: one slot per object (the behavior, a served
 //! counter, a FIFO queue of envelopes waiting for the object's owner),
@@ -56,7 +59,8 @@
 //! in transit.
 
 use crate::engine::ObjectBehavior;
-use rastor_common::{ClientId, ObjectId, SplitMix64};
+use crate::runtime::{RepEnvelope, RepFrame, ReqEnvelope};
+use rastor_common::{ObjectId, SplitMix64};
 use rastor_obs::{names, trace, Counter, Registry};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -207,31 +211,18 @@ pub struct Accounting {
     pub envelope_us: Option<fn(u64)>,
 }
 
-/// One object's reply envelope: the replying object, the client it
-/// answers, and one reply frame per answered request frame.
-pub type ReplyEnvelope<T> = (ObjectId, ClientId, Vec<T>);
-
-/// Where a substrate's reply envelopes go, and what its frames look like.
+/// Where a substrate's reply envelopes go.
 ///
-/// The host never copies a frame: it reads each request frame in place
-/// (`request`), builds the matching reply frame (`reply`) and hands the
-/// coalesced envelope to the sink the request came with (`deliver`).
-pub trait ReplySink<Q, R>: Clone + Send + 'static {
-    /// One request frame of an envelope, as this substrate carries it.
-    type Frame: Send + Sync + 'static;
-    /// The reply frame answering one request frame.
-    type Reply: Send;
+/// The host never copies a request frame: every object reads the one
+/// shared [`ReqEnvelope`] in place, and the [`RepEnvelope`] it earns goes
+/// to the sink the request came with (`deliver`).
+pub trait ReplySink<R>: Clone + Send + 'static {
     /// The substrate's span vocabulary and envelope timing.
     const ACCOUNTING: Accounting;
 
-    /// The frame's trace id ([`trace::NO_TRACE`] when untraced) and its
-    /// request payload.
-    fn request(frame: &Self::Frame) -> (u64, &Q);
-    /// The reply frame carrying `payload` in answer to `frame`.
-    fn reply(frame: &Self::Frame, payload: R) -> Self::Reply;
-    /// Deliver object `from`'s reply envelope to client `to`. Best
+    /// Deliver one object's reply envelope to the client it names. Best
     /// effort: the client may be gone.
-    fn deliver(&self, from: ObjectId, to: ClientId, replies: Vec<Self::Reply>);
+    fn deliver(&self, env: RepEnvelope<R>);
 
     /// Whether `other` delivers where `self` does. A serve-through call
     /// gathers the reply envelopes bound for its own sink into one
@@ -242,9 +233,9 @@ pub trait ReplySink<Q, R>: Clone + Send + 'static {
 
     /// Deliver several reply envelopes bound for this sink, in order —
     /// one at a time unless the substrate can do better.
-    fn deliver_burst(&self, burst: Vec<ReplyEnvelope<Self::Reply>>) {
-        for (from, to, replies) in burst {
-            self.deliver(from, to, replies);
+    fn deliver_burst(&self, burst: Vec<RepEnvelope<R>>) {
+        for env in burst {
+            self.deliver(env);
         }
     }
 }
@@ -263,10 +254,9 @@ pub struct ObjectStatus {
 type Behavior<Q, R> = Box<dyn ObjectBehavior<Q, R> + Send>;
 
 /// One coalesced request envelope, queued for one hosted object.
-struct Job<F, S> {
-    client: ClientId,
-    /// The envelope's frames, shared across the object fan-out.
-    frames: Arc<Vec<F>>,
+struct Job<Q, S> {
+    /// The envelope, shared across the object fan-out.
+    env: Arc<ReqEnvelope<Q>>,
     sink: S,
     /// When the envelope was handed over (trace clock µs; 0 unless the
     /// substrate records a queue span and some frame is traced).
@@ -274,7 +264,7 @@ struct Job<F, S> {
 }
 
 /// One hosted object's serving state.
-struct Slot<Q, R, S: ReplySink<Q, R>> {
+struct Slot<Q, R, S> {
     /// Set first by `crash`, cleared last by `restart`: readable without
     /// waiting out the envelope in flight, and what makes a crash take
     /// effect on the very next envelope however the lock race goes.
@@ -285,32 +275,32 @@ struct Slot<Q, R, S: ReplySink<Q, R>> {
     behavior: Mutex<Option<Behavior<Q, R>>>,
     served: AtomicU64,
     /// Released envelopes awaiting the object's owner, in arrival order.
-    queue: Mutex<VecDeque<Job<S::Frame, S>>>,
+    queue: Mutex<VecDeque<Job<Q, S>>>,
     /// Whether the object is owned — being drained by an executor or a
     /// submitting thread. One owner at a time per object keeps processing
     /// serial and FIFO.
     scheduled: AtomicBool,
     /// The object's link; never locked by a host without a profile.
-    link: Mutex<Link<S::Frame, S, S::Reply>>,
+    link: Mutex<Link<Q, R, S>>,
 }
 
 /// One object's link under a fault profile.
-struct Link<F, S, P> {
+struct Link<Q, R, S> {
     /// When the object's request leg frees up: the release time of the
     /// last copy it delayed.
     release: Instant,
     /// The request leg's and the reply leg's fault streams.
     rng: [SplitMix64; 2],
     /// A request copy held back behind the object's next one.
-    held_request: Option<Job<F, S>>,
+    held_request: Option<Job<Q, S>>,
     /// A reply envelope held back behind the object's next one, with the
     /// sink it goes to.
-    held_reply: Option<(S, ReplyEnvelope<P>)>,
+    held_reply: Option<(S, RepEnvelope<R>)>,
 }
 
 /// Delayed envelopes by `(release time, arrival seq)`, each with its
 /// object index.
-type Timers<F, S> = BTreeMap<(Instant, u64), (usize, Job<F, S>)>;
+type Timers<Q, S> = BTreeMap<(Instant, u64), (usize, Job<Q, S>)>;
 
 /// The `chaos.*` counters, process-wide; each counts object copies.
 struct ChaosCounters {
@@ -333,14 +323,14 @@ fn counters() -> &'static ChaosCounters {
     })
 }
 
-struct Shared<Q, R, S: ReplySink<Q, R>> {
+struct Shared<Q, R, S> {
     first_id: u32,
     chaos: Option<ChaosCfg>,
     slots: Vec<Slot<Q, R, S>>,
     /// Released by the executors (a condvar `wait_timeout` to the next
     /// deadline), so a feeding reactor or client never has to poll on
     /// sub-millisecond ticks.
-    timers: Mutex<Timers<S::Frame, S>>,
+    timers: Mutex<Timers<Q, S>>,
     /// Tied to `timers`: every push wakes the parked executors, which
     /// re-read the earliest deadline under the same lock.
     timer_cv: Condvar,
@@ -356,7 +346,7 @@ struct Shared<Q, R, S: ReplySink<Q, R>> {
     shutdown: AtomicBool,
 }
 
-impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
+impl<Q, R, S: ReplySink<R>> Shared<Q, R, S> {
     /// Claim object `obj` for this thread; `false` if another owns it.
     fn claim(&self, obj: usize) -> bool {
         self.slots[obj]
@@ -388,8 +378,8 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
         &self,
         cfg: &ChaosCfg,
         obj: usize,
-        job: Job<S::Frame, S>,
-        mut deliver: impl FnMut(Instant, Job<S::Frame, S>),
+        job: Job<Q, S>,
+        mut deliver: impl FnMut(Instant, Job<Q, S>),
     ) {
         let mut link = self.slots[obj].link.lock().expect("link lock");
         let link = &mut *link;
@@ -416,7 +406,7 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
     /// Apply object `obj`'s next queued envelope and hand its reply
     /// envelope to `out` with the sink it goes to; `false` once the queue
     /// is empty.
-    fn serve_next(&self, obj: usize, out: &mut impl FnMut(&S, ReplyEnvelope<S::Reply>)) -> bool {
+    fn serve_next(&self, obj: usize, out: &mut impl FnMut(&S, RepEnvelope<R>)) -> bool {
         let slot = &self.slots[obj];
         // Popped under the behavior lock, so no envelope is ever "in
         // hand" outside it: `crash` clears the queue under the same lock
@@ -438,17 +428,19 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
         } else {
             0
         };
-        let replies: Vec<S::Reply> = job
+        let client = job.env.from;
+        let frames: Vec<RepFrame<R>> = job
+            .env
             .frames
             .iter()
             .filter_map(|f| {
-                let (tid, payload) = S::request(f);
+                let tid = f.trace;
                 // Traced frames get their spans around the behavior call,
                 // with the thread trace context set so durable behaviors
                 // hang WAL spans under the same trace. Untraced frames
                 // skip the clock reads entirely.
                 let rep = if tid == trace::NO_TRACE {
-                    b.on_request(job.client, payload)
+                    b.on_request(client, &f.req)
                 } else {
                     let rec = trace::global();
                     let detail = u64::from(oid.0);
@@ -457,7 +449,7 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
                     }
                     let start = trace::epoch_us();
                     let prev = trace::set_current(tid);
-                    let rep = b.on_request(job.client, payload);
+                    let rep = b.on_request(client, &f.req);
                     trace::set_current(prev);
                     let end = trace::epoch_us();
                     rec.record(tid, acct.apply_span, detail, start, end);
@@ -466,17 +458,26 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
                     }
                     rep
                 };
-                rep.map(|payload| S::reply(f, payload))
+                rep.map(|rep| RepFrame {
+                    op_nonce: f.op_nonce,
+                    round: f.round,
+                    trace: tid,
+                    rep,
+                })
             })
             .collect();
         if let Some(record) = acct.envelope_us {
             record(trace::epoch_us().saturating_sub(picked_us));
         }
         drop(behavior);
-        if replies.is_empty() {
+        if frames.is_empty() {
             return true;
         }
-        let envelope = (oid, job.client, replies);
+        let envelope = RepEnvelope {
+            to: client,
+            from: oid,
+            frames,
+        };
         let Some(cfg) = &self.chaos else {
             if !self.cut(|| 1) {
                 out(&job.sink, envelope);
@@ -506,7 +507,7 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
     /// empty, then release it — and claim it again if an envelope was
     /// queued between the drain and the release, so none is ever
     /// stranded.
-    fn drain(&self, obj: usize, out: &mut impl FnMut(&S, ReplyEnvelope<S::Reply>)) {
+    fn drain(&self, obj: usize, out: &mut impl FnMut(&S, RepEnvelope<R>)) {
         let slot = &self.slots[obj];
         loop {
             while self.serve_next(obj, out) {}
@@ -552,9 +553,7 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
                         .push_back(job);
                     drop(timers);
                     if self.claim(obj) {
-                        self.drain(obj, &mut |sink, (from, to, replies)| {
-                            sink.deliver(from, to, replies);
-                        });
+                        self.drain(obj, &mut |sink, env| sink.deliver(env));
                     }
                     timers = self.timers.lock().expect("timer lock");
                 }
@@ -566,14 +565,13 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
     /// profile that delays nothing — serving on this thread each one it
     /// finds idle; the reply envelopes for `sink` go out together once
     /// every claimed object is drained.
-    fn serve_through(&self, mut job: impl FnMut() -> Job<S::Frame, S>, sink: &S) {
+    fn serve_through(&self, mut job: impl FnMut() -> Job<Q, S>, sink: &S) {
         let mut burst = Vec::new();
         let mut out = |to: &S, envelope| {
             if to.same_sink(sink) {
                 burst.push(envelope);
             } else {
-                let (from, client, replies) = envelope;
-                to.deliver(from, client, replies);
+                to.deliver(envelope);
             }
         };
         // Each envelope starts its fan-out one object further on, so no
@@ -610,12 +608,12 @@ impl<Q, R, S: ReplySink<Q, R>> Shared<Q, R, S> {
 ///
 /// Dropping the host stops the pool (envelopes still queued are
 /// discarded).
-pub struct ObjectHost<Q, R, S: ReplySink<Q, R>> {
+pub struct ObjectHost<Q, R, S: ReplySink<R>> {
     shared: Arc<Shared<Q, R, S>>,
     executors: Vec<JoinHandle<()>>,
 }
 
-impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
+impl<Q: Send + Sync + 'static, R: Send + 'static, S: ReplySink<R>> ObjectHost<Q, R, S> {
     /// Host `behaviors` under the cluster-global ids `first_id ..`, their
     /// links under the fault profile `chaos`. Delay and jitter apply
     /// **per envelope** (not per frame) per object — emulating one
@@ -673,24 +671,23 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
         ObjectHost { shared, executors }
     }
 
-    /// Hand one envelope from `client` to every live hosted object; each
-    /// object's reply envelope goes to `sink`. Unless the profile delays,
-    /// the calling thread serves every object it finds idle before this
-    /// returns, and queues the envelope behind every object another
-    /// thread owns; under delay every object's copy waits out a release
-    /// timer first. A partitioned host drops the envelope.
-    pub fn submit(&self, client: ClientId, frames: Arc<Vec<S::Frame>>, sink: &S) {
+    /// Hand one envelope to every live hosted object; each object's reply
+    /// envelope goes to `sink`. Unless the profile delays, the calling
+    /// thread serves every object it finds idle before this returns, and
+    /// queues the envelope behind every object another thread owns; under
+    /// delay every object's copy waits out a release timer first. A
+    /// partitioned host drops the envelope.
+    pub fn submit(&self, env: Arc<ReqEnvelope<Q>>, sink: &S) {
         let shared = &*self.shared;
         // One clock read per envelope, skipped entirely when untraced.
-        let traced = || frames.iter().any(|f| S::request(f).0 != trace::NO_TRACE);
+        let traced = || env.frames.iter().any(|f| f.trace != trace::NO_TRACE);
         let enqueued_us = if S::ACCOUNTING.queue_span.is_some() && traced() {
             trace::epoch_us()
         } else {
             0
         };
         let job = || Job {
-            client,
-            frames: Arc::clone(&frames),
+            env: Arc::clone(&env),
             sink: sink.clone(),
             enqueued_us,
         };
@@ -834,7 +831,7 @@ impl<Q: 'static, R: 'static, S: ReplySink<Q, R>> ObjectHost<Q, R, S> {
     }
 }
 
-impl<Q, R, S: ReplySink<Q, R>> Drop for ObjectHost<Q, R, S> {
+impl<Q, R, S: ReplySink<R>> Drop for ObjectHost<Q, R, S> {
     fn drop(&mut self) {
         let timers = self.shared.timers.lock();
         self.shared.shutdown.store(true, Ordering::Release);
@@ -849,12 +846,13 @@ impl<Q, R, S: ReplySink<Q, R>> Drop for ObjectHost<Q, R, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{ObjReply, ReqFrame, ThreadCluster};
+    use crate::runtime::{ReqFrame, ThreadCluster};
+    use rastor_common::ClientId;
     use std::cell::RefCell;
     use std::sync::mpsc::{channel, Receiver, Sender};
     use std::thread::ThreadId;
 
-    type Host = ObjectHost<u32, u32, Sender<ObjReply<u32>>>;
+    type Host = ObjectHost<u32, u32, Sender<RepEnvelope<u32>>>;
     const WAIT: Duration = Duration::from_secs(10);
 
     thread_local! {
@@ -865,20 +863,23 @@ mod tests {
             const { RefCell::new(None) };
     }
 
-    /// One untraced envelope carrying `vals`, one frame each (the nonce
-    /// repeats the payload so replies identify their request).
-    fn envelope(vals: &[u32]) -> Arc<Vec<ReqFrame<u32>>> {
+    /// One untraced envelope from `from` carrying `vals`, one frame each
+    /// (the nonce repeats the request so replies identify it).
+    fn envelope(from: ClientId, vals: &[u32]) -> Arc<ReqEnvelope<u32>> {
         let frames = vals.iter().map(|&v| ReqFrame {
             op_nonce: u64::from(v),
             round: 1,
             trace: trace::NO_TRACE,
-            payload: Arc::new(v),
+            req: v,
         });
-        Arc::new(frames.collect())
+        Arc::new(ReqEnvelope {
+            from,
+            frames: frames.collect(),
+        })
     }
 
     /// The next reply envelope as `(object, nonces)`.
-    fn next(rx: &Receiver<ObjReply<u32>>) -> (ObjectId, Vec<u64>) {
+    fn next(rx: &Receiver<RepEnvelope<u32>>) -> (ObjectId, Vec<u64>) {
         let rep = rx.recv_timeout(WAIT).expect("a reply envelope");
         (rep.from, rep.frames.iter().map(|f| f.op_nonce).collect())
     }
@@ -925,13 +926,13 @@ mod tests {
         assert_eq!(host.executor_threads(), 0);
         host.crash(ObjectId(2));
         let (tx, rx) = channel();
-        host.submit(ClientId::reader(0), envelope(&[5, 6]), &tx);
+        host.submit(envelope(ClientId::reader(0), &[5, 6]), &tx);
         let replies: Vec<_> = rx
             .try_iter()
             .map(|rep| {
                 (
                     rep.from,
-                    rep.frames.iter().map(|f| f.payload).collect::<Vec<_>>(),
+                    rep.frames.iter().map(|f| f.rep).collect::<Vec<_>>(),
                 )
             })
             .collect();
@@ -947,7 +948,7 @@ mod tests {
             ObjectHost::spawn((0..3).map(|_| Box::new(Echo(0)) as _).collect(), 0, None);
         let (tx, rx) = channel();
         for v in 0..3 {
-            host.submit(ClientId::reader(0), envelope(&[v]), &tx);
+            host.submit(envelope(ClientId::reader(0), &[v]), &tx);
         }
         let order: Vec<u32> = rx.try_iter().map(|rep| rep.from.0).collect();
         assert_eq!(order, [0, 1, 2, 1, 2, 0, 2, 0, 1]);
@@ -967,7 +968,7 @@ mod tests {
         assert_eq!(host.executor_threads(), EXECUTORS);
         let (tx, rx) = channel();
         for v in 1..=ENVELOPES {
-            host.submit(ClientId::reader(0), envelope(&[v]), &tx);
+            host.submit(envelope(ClientId::reader(0), &[v]), &tx);
         }
         let mut seen = [0u64; 2];
         for _ in 0..2 * ENVELOPES {
@@ -1029,14 +1030,14 @@ mod tests {
         let client = ClientId::reader(0);
         let owner = std::thread::scope(|s| {
             let owner = s.spawn(|| {
-                host.submit(client, envelope(&[1]), &tx);
+                host.submit(envelope(client, &[1]), &tx);
                 std::thread::current().id()
             });
             entered_rx
                 .recv_timeout(WAIT)
                 .expect("envelope 1 in flight on its submitter");
-            host.submit(client, envelope(&[2]), &tx);
-            host.submit(client, envelope(&[3]), &tx);
+            host.submit(envelope(client, &[2]), &tx);
+            host.submit(envelope(client, &[3]), &tx);
             assert_eq!(
                 host.statuses()[0].served,
                 1,
@@ -1061,7 +1062,7 @@ mod tests {
         let (tx, rx) = channel();
         let client = ClientId::reader(0);
         for v in 0..3 {
-            host.submit(client, envelope(&[v]), &tx);
+            host.submit(envelope(client, &[v]), &tx);
         }
         for _ in 0..6 {
             next(&rx);
@@ -1075,7 +1076,7 @@ mod tests {
             served: 3,
         };
         assert_eq!(host.statuses()[1], crashed);
-        host.submit(client, envelope(&[1]), &tx);
+        host.submit(envelope(client, &[1]), &tx);
         assert_eq!(next(&rx).0, ObjectId(4), "only the live object answers");
         host.restart(id, Box::new(Echo(20)));
         assert!(!host.is_crashed(id));
@@ -1084,15 +1085,12 @@ mod tests {
             0,
             "served restarts with the object"
         );
-        host.submit(client, envelope(&[1]), &tx);
+        host.submit(envelope(client, &[1]), &tx);
         let from_restarted = (0..2)
             .map(|_| rx.recv_timeout(WAIT).expect("both objects answer"))
             .find(|rep| rep.from == id)
             .expect("the restarted id answers");
-        assert_eq!(
-            from_restarted.frames[0].payload, 21,
-            "with the new behavior"
-        );
+        assert_eq!(from_restarted.frames[0].rep, 21, "with the new behavior");
     }
 
     #[test]
@@ -1113,7 +1111,7 @@ mod tests {
         let (tx, rx) = channel();
         let started = Instant::now();
         for v in 1..=3 {
-            host.submit(ClientId::reader(0), envelope(&[v]), &tx);
+            host.submit(envelope(ClientId::reader(0), &[v]), &tx);
         }
         let (from, nonces) = next(&rx);
         assert_eq!((from, nonces), (ObjectId(first_id + 1), vec![1]));
@@ -1163,7 +1161,7 @@ mod tests {
             jitter(JITTER),
         );
         let (tx, rx) = channel();
-        host.submit(ClientId::reader(0), envelope(&[1]), &tx);
+        host.submit(envelope(ClientId::reader(0), &[1]), &tx);
         assert_eq!(
             next(&rx).0,
             ObjectId(first_id + 1),
@@ -1199,13 +1197,11 @@ mod tests {
     /// Every reply envelope sent to a fresh sink for one envelope, as
     /// `(object, value)`: read until the host has dropped every copy of
     /// the sink, so what the cut lost is known to be lost.
-    fn all_replies(submit: impl FnOnce(&Sender<ObjReply<u32>>)) -> Vec<(ObjectId, u32)> {
+    fn all_replies(submit: impl FnOnce(&Sender<RepEnvelope<u32>>)) -> Vec<(ObjectId, u32)> {
         let (tx, rx) = channel();
         submit(&tx);
         drop(tx);
-        rx.iter()
-            .map(|rep| (rep.from, rep.frames[0].payload))
-            .collect()
+        rx.iter().map(|rep| (rep.from, rep.frames[0].rep)).collect()
     }
 
     /// A cut loses what is in transit both ways: the copies of a write
@@ -1243,17 +1239,17 @@ mod tests {
         let client = ClientId::writer();
         let both = |v| vec![(ObjectId(0), v), (ObjectId(1), v)];
         let read = || {
-            let mut replies = all_replies(|sink| host.submit(client, envelope(&[0]), sink));
+            let mut replies = all_replies(|sink| host.submit(envelope(client, &[0]), sink));
             replies.sort_unstable();
             replies
         };
-        let write = |v| all_replies(|sink| host.submit(client, envelope(&[v]), sink));
+        let write = |v| all_replies(|sink| host.submit(envelope(client, &[v]), sink));
         assert_eq!(write(7).len(), 2);
 
         // Requests: both copies of the write in transit, then an envelope
         // submitted to the cut host.
         let lost = all_replies(|sink| {
-            host.submit(client, envelope(&[9]), sink);
+            host.submit(envelope(client, &[9]), sink);
             host.set_partitioned(true);
         });
         assert_eq!(lost, [], "a write in transit crossed the cut");
@@ -1267,7 +1263,7 @@ mod tests {
 
         // Replies: object 0 is mid-apply when the cut comes.
         let replies = all_replies(|sink| {
-            host.submit(client, envelope(&[GATED_READ]), sink);
+            host.submit(envelope(client, &[GATED_READ]), sink);
             entered_rx
                 .recv_timeout(WAIT)
                 .expect("object 0 applying the read");
@@ -1322,7 +1318,7 @@ mod tests {
                     let (sink, rx) = channel();
                     for seq in 1..=ENVELOPES {
                         let req = submitter << 16 | seq;
-                        host.submit(ClientId::reader(submitter), envelope(&[req]), &sink);
+                        host.submit(envelope(ClientId::reader(submitter), &[req]), &sink);
                     }
                     // Every object answers every envelope, each object's
                     // replies in the order they were sent.
@@ -1363,13 +1359,13 @@ mod tests {
                         go_rx.recv().expect("test alive");
                     }
                 })));
-                host.submit(client, envelope(&[1]), &sink);
+                host.submit(envelope(client, &[1]), &sink);
                 AT_RELEASE.take();
             });
             at_edge_rx
                 .recv_timeout(WAIT)
                 .expect("owner at its release edge");
-            host.submit(client, envelope(&[2]), &sink);
+            host.submit(envelope(client, &[2]), &sink);
             assert_eq!(
                 host.statuses()[0].served,
                 1,
@@ -1396,13 +1392,13 @@ mod tests {
         let (sink, rx) = channel();
         let client = ClientId::reader(0);
         std::thread::scope(|s| {
-            s.spawn(|| host.submit(client, envelope(&[1]), &sink));
+            s.spawn(|| host.submit(envelope(client, &[1]), &sink));
             entered_rx
                 .recv_timeout(WAIT)
                 .expect("envelope 1 in flight on its submitter");
             // Queued behind the busy owner: these submits return at once.
-            host.submit(client, envelope(&[2]), &sink);
-            host.submit(client, envelope(&[3]), &sink);
+            host.submit(envelope(client, &[2]), &sink);
+            host.submit(envelope(client, &[3]), &sink);
             s.spawn(|| {
                 while !host.is_crashed(id) {
                     std::thread::yield_now();
@@ -1413,11 +1409,11 @@ mod tests {
         });
         assert_eq!(next(&rx), (id, vec![1]), "the envelope in flight finished");
         // Future envelopes vanish too.
-        host.submit(client, envelope(&[4]), &sink);
+        host.submit(envelope(client, &[4]), &sink);
         // Per-object FIFO: had 2, 3 or 4 survived, they would be answered
         // before 5.
         host.restart(id, Box::new(Echo(0)));
-        host.submit(client, envelope(&[5]), &sink);
+        host.submit(envelope(client, &[5]), &sink);
         assert_eq!(
             next(&rx),
             (id, vec![5]),
@@ -1450,7 +1446,7 @@ mod tests {
     fn submit_each(host: &Host, n: u32) {
         let (sink, _) = channel();
         for v in 1..=n {
-            host.submit(ClientId::reader(0), envelope(&[v]), &sink);
+            host.submit(envelope(ClientId::reader(0), &[v]), &sink);
         }
     }
 
@@ -1469,7 +1465,7 @@ mod tests {
             let host: Host = ObjectHost::spawn(behaviors, 0, Some(cfg.clone()));
             let (sink, replies) = channel();
             for v in 1..=ENVELOPES {
-                host.submit(ClientId::reader(0), envelope(&[v]), &sink);
+                host.submit(envelope(ClientId::reader(0), &[v]), &sink);
             }
             let served: Vec<u64> = host.statuses().iter().map(|s| s.served).collect();
             (served, replies.try_iter().count() as u64)
@@ -1514,7 +1510,7 @@ mod tests {
         let host: Host = ObjectHost::spawn(vec![Box::new(Echo(0))], 0, Some(cfg));
         let (sink, replies) = channel();
         for v in 1..=6 {
-            host.submit(ClientId::reader(0), envelope(&[v]), &sink);
+            host.submit(envelope(ClientId::reader(0), &[v]), &sink);
         }
         let nonces: Vec<u64> = replies.try_iter().map(|r| r.frames[0].op_nonce).collect();
         assert_eq!(nonces, [1, 2, 3, 4, 5, 6]);
@@ -1530,7 +1526,7 @@ mod tests {
         host.set_partitioned(false);
         let (sink, _) = channel();
         for v in [2, 3] {
-            host.submit(ClientId::reader(0), envelope(&[v]), &sink);
+            host.submit(envelope(ClientId::reader(0), &[v]), &sink);
         }
         assert_eq!(applied.try_iter().collect::<Vec<_>>(), [3, 2]);
         assert_eq!(host.statuses()[0].served, 2);

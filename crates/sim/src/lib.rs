@@ -93,5 +93,7 @@ pub use engine::{
     SimConfig,
 };
 pub use host::{ObjectHost, ObjectStatus, ReplySink};
-pub use runtime::{ObjReply, OpResult, RepFrame, ReqFrame, ThreadClient, ThreadCluster, Transport};
+pub use runtime::{
+    OpResult, RepEnvelope, RepFrame, ReqEnvelope, ReqFrame, ThreadClient, ThreadCluster, Transport,
+};
 pub use trace::{Observation, OpRecord, Trace};

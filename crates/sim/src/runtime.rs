@@ -13,9 +13,9 @@
 //! [`ThreadClient::pump`]) — the pipelining lever the sharded kv store
 //! builds its batched API on — or drive one at a time with the blocking
 //! [`ThreadClient::run_op`]. Outbound traffic is **coalesced**: every flush
-//! sends at most one envelope per object carrying all pending round frames,
-//! so a batch of operations headed to the same cluster shares its round
-//! trips (and, at the objects, the per-envelope service delay).
+//! sends one [`ReqEnvelope`] per cluster carrying all pending round
+//! frames, so a batch of operations headed to the same cluster shares its
+//! round trips (and, at the objects, the per-envelope service delay).
 //!
 //! Unlike the simulator — which runs the paper's permissive round model —
 //! the thread runtime drops replies for terminated rounds before they reach
@@ -28,16 +28,19 @@
 //! the simulator.
 //!
 //! The client side is substrate-agnostic: everything a [`ThreadClient`]
-//! needs from a cluster is captured by the [`Transport`] trait (broadcast a
-//! coalesced batch of request frames; deliver coalesced reply envelopes to
-//! the client's channel). [`ThreadCluster`] is the in-process transport —
-//! `send_frames` submits the batch to an [`crate::host::ObjectHost`], and
-//! the client's own thread runs every object it finds idle, so their
-//! replies are on the client's channel when the flush returns (under
-//! service jitter the host's executors serve instead); `rastor_net` puts
-//! a TCP listener in front of the same host and speaks the same trait
-//! from its client end, so the identical client/driver code runs over a
-//! real network.
+//! needs from a cluster is captured by the [`Transport`] trait (broadcast
+//! a [`ReqEnvelope`]; deliver each object's [`RepEnvelope`] to the
+//! client's channel). These four message types — [`ReqFrame`],
+//! [`ReqEnvelope`], [`RepFrame`], [`RepEnvelope`] — are the only ones
+//! either substrate carries. [`ThreadCluster`] is the in-process
+//! transport — `send_frames` submits the envelope to an
+//! [`crate::host::ObjectHost`], and the client's own thread runs every
+//! object it finds idle, so their replies are on the client's channel
+//! when the flush returns (under service jitter the host's executors
+//! serve instead); `rastor_net` puts a TCP listener in front of the same
+//! host, encodes these same values as its wire frames and speaks the
+//! same trait from its client end, so the identical client/driver code
+//! runs over a real network.
 
 use crate::driver::{Dispatch, OpDriver, StalePolicy};
 use crate::engine::{ObjectBehavior, RoundClient};
@@ -49,9 +52,8 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One round of one operation inside a coalesced request envelope. The
-/// payload is shared: one allocation per broadcast, not one deep clone per
-/// object.
+/// One round of one operation inside a request envelope.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ReqFrame<Q> {
     /// Nonce of the operation this frame belongs to (assigned at
     /// [`ThreadClient::submit_op`]).
@@ -59,36 +61,44 @@ pub struct ReqFrame<Q> {
     /// The round the frame drives (1-based).
     pub round: u32,
     /// The trace id of the operation (`trace::NO_TRACE` when tracing is
-    /// off) — carried on every hop so object workers can tag their spans.
+    /// off) — carried on every hop so objects can tag their spans.
     pub trace: u64,
-    /// The round's request payload, shared across the broadcast.
-    pub payload: Arc<Q>,
+    /// The round's request.
+    pub req: Q,
 }
 
-impl<Q> Clone for ReqFrame<Q> {
-    fn clone(&self) -> ReqFrame<Q> {
-        ReqFrame {
-            op_nonce: self.op_nonce,
-            round: self.round,
-            trace: self.trace,
-            payload: Arc::clone(&self.payload),
-        }
-    }
+/// A coalesced request envelope: every frame one client had pending for
+/// one cluster at flush time. Every live object receives the whole
+/// envelope, shared, not one copy per object.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct ReqEnvelope<Q> {
+    /// The submitting client.
+    pub from: ClientId,
+    /// The coalesced frames.
+    pub frames: Vec<ReqFrame<Q>>,
 }
 
-/// One reply frame inside a coalesced reply envelope.
+/// One reply frame inside a reply envelope.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RepFrame<R> {
     /// Nonce of the operation the reply belongs to.
     pub op_nonce: u64,
     /// The round the reply answers.
     pub round: u32,
-    /// The object's reply payload.
-    pub payload: R,
+    /// The request frame's trace id, echoed back.
+    pub trace: u64,
+    /// The object's reply.
+    pub rep: R,
 }
 
-/// A coalesced reply envelope, as received by a threaded client.
-pub struct ObjReply<R> {
-    /// The replying object.
+/// A coalesced reply envelope from one object to one client. `to` lets a
+/// channel or a connection shared by many clients route each reply to the
+/// right one.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct RepEnvelope<R> {
+    /// The client the replies are for.
+    pub to: ClientId,
+    /// The replying object (cluster-global id).
     pub from: ObjectId,
     /// One frame per answered request frame.
     pub frames: Vec<RepFrame<R>>,
@@ -98,55 +108,39 @@ pub struct ObjReply<R> {
 /// envelope send path extracted from [`ThreadCluster`] so substrates are
 /// interchangeable.
 ///
-/// Contract: `send_frames` broadcasts the batch to every live object of
-/// the cluster as **one coalesced envelope per object**, and the cluster
-/// delivers each object's reply envelope to `reply_to` (directly, for the
-/// channel substrate; via a demultiplexing reader thread keyed on `from`,
-/// for socket substrates). Delivery is best-effort: frames to crashed
-/// objects — or lost to a broken connection — are silently dropped, and
-/// the op driver's per-operation deadline is the recovery mechanism.
+/// Contract: `send_frames` broadcasts the envelope to every live object of
+/// the cluster, and the cluster delivers each object's [`RepEnvelope`] to
+/// `reply_to` (directly, for the channel substrate; via a demultiplexing
+/// reader keyed on `to`, for socket substrates). Delivery is best-effort:
+/// envelopes to crashed objects — or lost to a broken connection — are
+/// silently dropped, and the op driver's per-operation deadline is the
+/// recovery mechanism.
 pub trait Transport<Q, R> {
-    /// Broadcast a batch of frames from `from`, routing replies to
-    /// `reply_to`.
-    fn send_frames(&self, from: ClientId, frames: Vec<ReqFrame<Q>>, reply_to: &Sender<ObjReply<R>>);
+    /// Broadcast `env`, routing replies to `reply_to`.
+    fn send_frames(&self, env: ReqEnvelope<Q>, reply_to: &Sender<RepEnvelope<R>>);
 }
 
 /// Shared ownership of a transport is itself a transport (clusters are
 /// commonly held behind `Arc` across client threads).
 impl<Q, R, T: Transport<Q, R> + ?Sized> Transport<Q, R> for Arc<T> {
-    fn send_frames(
-        &self,
-        from: ClientId,
-        frames: Vec<ReqFrame<Q>>,
-        reply_to: &Sender<ObjReply<R>>,
-    ) {
-        (**self).send_frames(from, frames, reply_to)
+    fn send_frames(&self, env: ReqEnvelope<Q>, reply_to: &Sender<RepEnvelope<R>>) {
+        (**self).send_frames(env, reply_to)
     }
 }
 
 /// A borrowed transport is a transport (so a client can pump over
 /// clusters it does not own).
 impl<Q, R, T: Transport<Q, R> + ?Sized> Transport<Q, R> for &T {
-    fn send_frames(
-        &self,
-        from: ClientId,
-        frames: Vec<ReqFrame<Q>>,
-        reply_to: &Sender<ObjReply<R>>,
-    ) {
-        (**self).send_frames(from, frames, reply_to)
+    fn send_frames(&self, env: ReqEnvelope<Q>, reply_to: &Sender<RepEnvelope<R>>) {
+        (**self).send_frames(env, reply_to)
     }
 }
 
 /// Boxed transports delegate (so `Box<dyn Transport<…>>` slots into the
 /// generic client APIs directly).
 impl<Q, R, T: Transport<Q, R> + ?Sized> Transport<Q, R> for Box<T> {
-    fn send_frames(
-        &self,
-        from: ClientId,
-        frames: Vec<ReqFrame<Q>>,
-        reply_to: &Sender<ObjReply<R>>,
-    ) {
-        (**self).send_frames(from, frames, reply_to)
+    fn send_frames(&self, env: ReqEnvelope<Q>, reply_to: &Sender<RepEnvelope<R>>) {
+        (**self).send_frames(env, reply_to)
     }
 }
 
@@ -158,16 +152,10 @@ where
     Q: Send + Sync + 'static,
     R: Send + 'static,
 {
-    host: ObjectHost<Q, R, Sender<ObjReply<R>>>,
+    host: ObjectHost<Q, R, Sender<RepEnvelope<R>>>,
 }
 
-impl<Q, R> ReplySink<Q, R> for Sender<ObjReply<R>>
-where
-    Q: Send + Sync + 'static,
-    R: Send + 'static,
-{
-    type Frame = ReqFrame<Q>;
-    type Reply = RepFrame<R>;
+impl<R: Send + 'static> ReplySink<R> for Sender<RepEnvelope<R>> {
     const ACCOUNTING: Accounting = Accounting {
         queue_span: None,
         apply_span: trace::span::OBJ_APPLY,
@@ -175,21 +163,9 @@ where
         envelope_us: None,
     };
 
-    fn request(frame: &ReqFrame<Q>) -> (u64, &Q) {
-        (frame.trace, &frame.payload)
-    }
-
-    fn reply(frame: &ReqFrame<Q>, payload: R) -> RepFrame<R> {
-        RepFrame {
-            op_nonce: frame.op_nonce,
-            round: frame.round,
-            payload,
-        }
-    }
-
-    fn deliver(&self, from: ObjectId, _to: ClientId, frames: Vec<RepFrame<R>>) {
+    fn deliver(&self, env: RepEnvelope<R>) {
         // The client may have finished; ignore send errors.
-        let _ = self.send(ObjReply { from, frames });
+        let _ = self.send(env);
     }
 }
 
@@ -219,7 +195,7 @@ where
 
     /// The host serving this cluster's objects — the fault-injection
     /// surface ([`ObjectHost::crash`], [`ObjectHost::restart`]).
-    pub fn host(&self) -> &ObjectHost<Q, R, Sender<ObjReply<R>>> {
+    pub fn host(&self) -> &ObjectHost<Q, R, Sender<RepEnvelope<R>>> {
         &self.host
     }
 
@@ -250,18 +226,13 @@ where
     Q: Send + Sync + 'static,
     R: Send + 'static,
 {
-    /// Broadcast a batch of frames: one envelope per live object, all
-    /// sharing the flush's batch (payloads shared via `Arc`). The calling
-    /// thread runs every object it finds idle, so those objects' replies
-    /// are on `reply_to` when this returns; an object another thread is
-    /// running gets the batch queued behind it.
-    fn send_frames(
-        &self,
-        from: ClientId,
-        frames: Vec<ReqFrame<Q>>,
-        reply_to: &Sender<ObjReply<R>>,
-    ) {
-        self.host.submit(from, Arc::new(frames), reply_to);
+    /// Broadcast an envelope: every live object is handed the same
+    /// shared envelope. The calling thread runs every object it finds
+    /// idle, so those objects' replies are on `reply_to` when this
+    /// returns; an object another thread is running gets the envelope
+    /// queued behind it.
+    fn send_frames(&self, env: ReqEnvelope<Q>, reply_to: &Sender<RepEnvelope<R>>) {
+        self.host.submit(Arc::new(env), reply_to);
     }
 }
 
@@ -295,8 +266,8 @@ pub struct ThreadClient<Q, R, Out> {
     routes: HashMap<u64, usize>,
     /// Buffered `(target, frame)` pairs awaiting the next flush.
     outbox: Vec<(usize, ReqFrame<Q>)>,
-    reply_tx: Sender<ObjReply<R>>,
-    reply_rx: Receiver<ObjReply<R>>,
+    reply_tx: Sender<RepEnvelope<R>>,
+    reply_rx: Receiver<RepEnvelope<R>>,
 }
 
 impl<Q, R, Out> ThreadClient<Q, R, Out>
@@ -306,7 +277,7 @@ where
 {
     /// Create a client endpoint.
     pub fn new(id: ClientId) -> ThreadClient<Q, R, Out> {
-        let (reply_tx, reply_rx) = channel::<ObjReply<R>>();
+        let (reply_tx, reply_rx) = channel::<RepEnvelope<R>>();
         ThreadClient {
             id,
             driver: OpDriver::new(StalePolicy::DropLate),
@@ -354,14 +325,14 @@ where
                 op_nonce: b.nonce,
                 round: b.round,
                 trace: b.trace,
-                payload: Arc::new(b.payload),
+                req: b.payload,
             },
         ));
         b.nonce
     }
 
     /// Flush buffered frames: for each target with pending frames, one
-    /// coalesced envelope per live object.
+    /// coalesced envelope, broadcast to every live object.
     fn flush<T: Transport<Q, R>>(&mut self, targets: &[T]) {
         if self.outbox.is_empty() {
             return;
@@ -372,23 +343,24 @@ where
         }
         for (t, frames) in by_target.into_iter().enumerate() {
             if !frames.is_empty() {
-                targets[t].send_frames(self.id, frames, &self.reply_tx);
+                let env = ReqEnvelope {
+                    from: self.id,
+                    frames,
+                };
+                targets[t].send_frames(env, &self.reply_tx);
             }
         }
     }
 
     /// Dispatch one reply envelope through the driver, buffering next-round
     /// frames and collecting completions.
-    fn dispatch(&mut self, rep: ObjReply<R>, done: &mut Vec<OpResult<Out>>) {
+    fn dispatch(&mut self, env: RepEnvelope<R>, done: &mut Vec<OpResult<Out>>) {
         let now = self.now_us();
-        for frame in rep.frames {
-            match self.driver.on_reply_at(
-                frame.op_nonce,
-                rep.from,
-                frame.round,
-                &frame.payload,
-                now,
-            ) {
+        for frame in env.frames {
+            match self
+                .driver
+                .on_reply_at(frame.op_nonce, env.from, frame.round, &frame.rep, now)
+            {
                 Dispatch::Unknown | Dispatch::StaleRound | Dispatch::Wait => {}
                 Dispatch::NextRound(b) => {
                     let target = self.routes[&b.nonce];
@@ -398,7 +370,7 @@ where
                             op_nonce: b.nonce,
                             round: b.round,
                             trace: b.trace,
-                            payload: Arc::new(b.payload),
+                            req: b.payload,
                         },
                     ));
                 }

@@ -5,7 +5,7 @@
 
 use rastor_common::{ClientId, ObjectId};
 use rastor_obs::{names, trace, Registry};
-use rastor_sim::runtime::{ReqFrame, ThreadCluster};
+use rastor_sim::runtime::{ReqEnvelope, ReqFrame, ThreadCluster};
 use rastor_sim::ObjectBehavior;
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -26,15 +26,17 @@ fn a_cut_counts_one_drop_per_object_copy() {
             .get()
     };
     let envelope = || {
-        Arc::new(vec![ReqFrame {
-            op_nonce: 1,
-            round: 1,
-            trace: trace::NO_TRACE,
-            payload: Arc::new(1u32),
-        }])
+        Arc::new(ReqEnvelope {
+            from: ClientId::reader(0),
+            frames: vec![ReqFrame {
+                op_nonce: 1,
+                round: 1,
+                trace: trace::NO_TRACE,
+                req: 1u32,
+            }],
+        })
     };
     let (sink, _replies) = channel();
-    let client = ClientId::reader(0);
     // Four objects, one crashed: every envelope has three live copies.
     // The jitter keeps the copies of a submit in transit for seconds.
     for jitter in [None, Some(Duration::from_secs(30))] {
@@ -43,12 +45,12 @@ fn a_cut_counts_one_drop_per_object_copy() {
         host.crash(ObjectId(3));
         let before = drops();
         if jitter.is_some() {
-            host.submit(client, envelope(), &sink);
+            host.submit(envelope(), &sink);
         }
         host.set_partitioned(true);
         let in_transit = drops() - before;
         assert_eq!(in_transit, if jitter.is_some() { 3 } else { 0 });
-        host.submit(client, envelope(), &sink);
+        host.submit(envelope(), &sink);
         assert_eq!(
             drops() - before - in_transit,
             3,

@@ -873,36 +873,42 @@ enum AdminVerb {
     Partition,
 }
 
+/// The admin command a verb's flags describe, or the usage error for an id
+/// no deployment can have.
+fn admin_cmd(flags: &Flags, verb: AdminVerb) -> std::result::Result<AdminCmd, String> {
+    let id = |name| {
+        let n = flags.required_num(name)?;
+        u32::try_from(n).map_err(|_| format!("--{name} {n} is out of range"))
+    };
+    let shard = id("shard")?;
+    Ok(match verb {
+        AdminVerb::Restart => AdminCmd::RestartObject {
+            shard,
+            object: id("object")?,
+        },
+        AdminVerb::Partition => AdminCmd::Partition {
+            shard,
+            on: match flags.positional.first().map(String::as_str) {
+                Some("on") => true,
+                Some("off") => false,
+                other => {
+                    return Err(format!(
+                        "partition-toggle wants a trailing on|off, got {other:?}"
+                    ))
+                }
+            },
+        },
+    })
+}
+
 fn cmd_admin(args: &[String], takes: &Takes, verb: AdminVerb) -> Result<ExitCode> {
     let flags = match parse_flags(args, takes) {
         Ok(f) => f,
         Err(e) => return Ok(usage_err(e)),
     };
-    let cmd = match &verb {
-        AdminVerb::Restart => {
-            let (shard, object) = match (flags.required_num("shard"), flags.required_num("object"))
-            {
-                (Ok(s), Ok(o)) => (s as u32, o as u32),
-                (Err(e), _) | (_, Err(e)) => return Ok(usage_err(e)),
-            };
-            AdminCmd::RestartObject { shard, object }
-        }
-        AdminVerb::Partition => {
-            let shard = match flags.required_num("shard") {
-                Ok(s) => s as u32,
-                Err(e) => return Ok(usage_err(e)),
-            };
-            let on = match flags.positional.first().map(String::as_str) {
-                Some("on") => true,
-                Some("off") => false,
-                other => {
-                    return Ok(usage_err(format!(
-                        "partition-toggle wants a trailing on|off, got {other:?}"
-                    )))
-                }
-            };
-            AdminCmd::Partition { shard, on }
-        }
+    let cmd = match admin_cmd(&flags, verb) {
+        Ok(cmd) => cmd,
+        Err(e) => return Ok(usage_err(e)),
     };
     let cluster = match parse_cluster_file(flags.file()) {
         Ok(c) => c,
@@ -1140,6 +1146,47 @@ mod tests {
         ] {
             let err = shape(bad).expect_err("rejected");
             assert!(err.contains(names), "{bad:?}: {err}");
+        }
+    }
+
+    /// An id beyond `u32` is a usage error, not a command to whatever
+    /// shard or object it wraps to.
+    #[test]
+    fn admin_flags_reject_ids_no_deployment_can_have() {
+        let restart = |line: &str| admin_cmd(&parse(&RESTART_OBJECT, line)?, AdminVerb::Restart);
+        let partition =
+            |line: &str| admin_cmd(&parse(&PARTITION_TOGGLE, line)?, AdminVerb::Partition);
+        assert_eq!(
+            restart("--shard 0 --object 3"),
+            Ok(AdminCmd::RestartObject {
+                shard: 0,
+                object: 3
+            })
+        );
+        assert_eq!(
+            restart("--shard 4294967295 --object 4294967295"),
+            Ok(AdminCmd::RestartObject {
+                shard: u32::MAX,
+                object: u32::MAX
+            })
+        );
+        assert_eq!(
+            partition("--shard 1 off"),
+            Ok(AdminCmd::Partition {
+                shard: 1,
+                on: false
+            })
+        );
+        for (bad, names) in [
+            (restart("--shard 4294967296 --object 3"), "--shard"),
+            (restart("--shard 0 --object 4294967299"), "--object"),
+            (restart("--object 3"), "--shard"),
+            (restart("--shard 0 --object x"), "--object"),
+            (partition("--shard 4294967296 on"), "--shard"),
+            (partition("--shard 1"), "on|off"),
+        ] {
+            let err = bad.expect_err("rejected");
+            assert!(err.contains(names), "{names}: {err}");
         }
     }
 
