@@ -300,9 +300,9 @@ impl NetScenario {
         // timeout.
         if let Some((after_ms, width_ms)) = point.partition_pulse_ms {
             std::thread::sleep(Duration::from_millis(after_ms));
-            kv.partition(0, true).expect("the store has shard 0");
+            kv.servers[0].host().set_partitioned(true);
             std::thread::sleep(Duration::from_millis(width_ms));
-            kv.partition(0, false).expect("the store has shard 0");
+            kv.servers[0].host().set_partitioned(false);
         }
 
         let run = running.join();

@@ -346,15 +346,20 @@ impl ShardedKvStore {
                 detail: format!("restart_object on remote shard {shard}: restart at the server"),
             });
         };
-        restart_from_disk(cluster.host(), self.inner.durability.as_ref(), shard, id)
+        restart_from_disk(
+            cluster.host(),
+            self.inner.durability.for_shard(shard).as_ref(),
+            id,
+        )
     }
 }
 
 /// Kill-then-recover, on whichever substrate hosts the object: refuse
-/// unless `durability` can recover state, crash object `id` of shard
-/// `shard` on `host` (which closes the old behavior's files, so recovery
-/// reads a quiescent log), recover it from the shard's data dir, and
-/// install the recovered behavior under the same id. Returns the
+/// unless `durability` — the policy of the shard `host` serves — can
+/// recover state, crash object `id` on `host` (which closes the old
+/// behavior's files, so recovery reads a quiescent log), recover it from
+/// the shard's data dir, and install the recovered behavior under the
+/// same id. Returns the
 /// wall-clock kill-to-serving-again time.
 ///
 /// # Errors
@@ -369,21 +374,21 @@ impl ShardedKvStore {
 pub fn restart_from_disk<S: ReplySink<Rep>>(
     host: &ObjectHost<Req, Rep, S>,
     durability: &dyn Durability,
-    shard: usize,
     id: ObjectId,
 ) -> Result<Duration> {
     if !durability.recoverable() {
         return Err(Error::InvariantViolation {
             detail: format!(
-                "restart_object on shard {shard}: durability '{}' cannot recover state \
+                "restarting object {}: durability '{}' cannot recover state \
                  (spawn with a wal-backed config)",
+                id.0,
                 durability.label()
             ),
         });
     }
     let started = Instant::now();
     host.crash(id);
-    let (behavior, _stats) = durability.for_shard(shard).object(id)?;
+    let (behavior, _stats) = durability.object(id)?;
     host.restart(id, behavior);
     Ok(started.elapsed())
 }

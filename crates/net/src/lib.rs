@@ -30,14 +30,15 @@
 //!
 //! [`deploy`] glues the layers to the higher-level entry points: a
 //! [`StorageSystem`](rastor_core::StorageSystem) extension for
-//! single-cluster harness runs over sockets, and [`NetKv`] for a
+//! single-cluster harness runs over sockets, [`spawn_servers`] for one
+//! server per shard, and [`NetKv`] for a
 //! [`ShardedKvStore`](rastor_kv::ShardedKvStore) whose shards live behind
 //! TCP (optionally under a link-fault profile).
 //!
 //! [`ops`] is the control plane on the same frames: [`ControlClient`]
-//! multiplexes correlation-keyed status/metrics/admin round trips over
-//! one socket, and [`OpsServer`] executes the `rastor` CLI's admin verbs
-//! against a live [`NetKv`].
+//! makes correlation-keyed status/metrics/admin round trips to one
+//! server, and each [`ObjectServer`] answers them in-band — the `rastor`
+//! CLI's admin verbs included, for the shard the server hosts.
 //!
 //! ```no_run
 //! use rastor_net::deploy::NetKv;
@@ -67,8 +68,8 @@ pub mod server;
 pub mod wire;
 
 pub use client::NetCluster;
-pub use deploy::{NetDeploy, NetHarness, NetKv};
-pub use ops::{AdminOutcome, ControlClient, OpsServer};
+pub use deploy::{spawn_servers, NetDeploy, NetHarness, NetKv};
+pub use ops::{AdminOutcome, ControlClient};
 pub use rastor_sim::host::ChaosCfg;
 pub use reactor::{ConnHandle, Events, Reactor, ReactorHandle};
 pub use server::ObjectServer;

@@ -1,7 +1,7 @@
 //! The poll-based reactor behind every socket endpoint in this crate: a
 //! readiness loop multiplexing many non-blocking connections onto a small
-//! fixed pool of worker threads. [`ObjectServer`](crate::ObjectServer),
-//! [`NetCluster`](crate::NetCluster) and the ops listener all run on it.
+//! fixed pool of worker threads. [`ObjectServer`](crate::ObjectServer) and
+//! [`NetCluster`](crate::NetCluster) both run on it.
 //!
 //! ## The readiness loop
 //!

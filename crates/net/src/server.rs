@@ -15,10 +15,11 @@
 //! and service jitter, crash and restart, partitions) is the host's; what this module
 //! adds is the wire: reply envelopes are encoded onto the connection the
 //! request came in on, tagged with the requesting client so one
-//! connection can be shared by many clients, and the ops plane's control
-//! frames are answered in-band. Control frames never reach the host, so a
-//! server whose host is partitioned still answers them, on the one
-//! address it has. The reply envelopes a worker produces for its own
+//! connection can be shared by many clients, and the whole control plane
+//! — status, metrics, traces, counter reports and the admin verbs for
+//! this server's shard — is answered in-band. Control frames never reach
+//! the host, so a server whose host is partitioned still answers them, on
+//! the one address it has. The reply envelopes a worker produces for its own
 //! connection go out in one [`ConnHandle::send`], written through on the
 //! worker's thread — a request envelope costs one thread and, usually,
 //! one write.
@@ -27,17 +28,18 @@
 //! cluster may be split across several servers (each hosting a slice of
 //! the object range) and clients see one consistent id space.
 
-use crate::ops::{admit, control_reply, AdminOutcome};
 use crate::reactor::{ConnHandle, Events, Reactor, ReactorHandle};
-use crate::wire::{self, Frame, RepEnvelope};
+use crate::wire::{self, AdminCmd, Frame, RepEnvelope};
 use rastor_common::{Error, ObjectId, Result};
 use rastor_core::msg::{Rep, Req};
+use rastor_kv::restart_from_disk;
 use rastor_obs::{names, trace, Counter, Registry};
 use rastor_sim::host::{Accounting, ChaosCfg, ObjectHost, ReplySink};
 use rastor_sim::ObjectBehavior;
+use rastor_store::{Durability, InMemory};
 use std::cell::RefCell;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// The `net.*` seam handles, resolved once per process (servers and
@@ -120,53 +122,127 @@ impl ReplySink<Rep> for ConnHandle {
     }
 }
 
-/// The server's [`Events`] handler: request envelopes go to the hosted
-/// objects, the control plane is answered in-band.
-impl Events for ObjectHost<Req, Rep, ConnHandle> {
+/// One shard as its server sees it: the host, plus what the shard's
+/// admin verbs need. The server's [`Events`] handler.
+struct Shard {
+    host: ObjectHost<Req, Rep, ConnHandle>,
+    /// The shard index admin commands must name.
+    index: usize,
+    /// The shard-scoped policy the hosted objects were built from.
+    durability: Arc<dyn Durability>,
+    /// Admin verbs run one at a time. Two restarts of one object would
+    /// each recover from the same log: `Wal` takes no file lock and each
+    /// handle appends at its own end, so the later install overwrites the
+    /// records acknowledged through the earlier one, and a second open can
+    /// `set_len` away a record that is being written.
+    admin: Mutex<()>,
+}
+
+impl Shard {
+    /// Run one admin verb against this shard's host: the detail for the
+    /// operator, or the refusal. Remote input, so nothing here panics.
+    fn admin(&self, cmd: AdminCmd) -> std::result::Result<String, String> {
+        let shard = cmd.shard();
+        if shard as usize != self.index {
+            return Err(format!(
+                "no shard {shard} at this server (it serves shard {})",
+                self.index
+            ));
+        }
+        if let AdminCmd::RestartObject { object, .. } | AdminCmd::CrashObject { object, .. } = cmd {
+            if !self.host.hosts(ObjectId(object)) {
+                return Err(format!("shard {shard} hosts no object {object}"));
+            }
+        }
+        let _one_at_a_time = self.admin.lock().expect("admin lock");
+        match cmd {
+            AdminCmd::RestartObject { object, .. } => {
+                restart_from_disk(&self.host, self.durability.as_ref(), ObjectId(object))
+                    .map(|elapsed| {
+                        format!(
+                            "shard {shard} object {object} restarted from disk in {:.1} ms",
+                            elapsed.as_secs_f64() * 1e3
+                        )
+                    })
+                    .map_err(|e| format!("restart failed: {e}"))
+            }
+            AdminCmd::CrashObject { object, .. } => {
+                self.host.crash(ObjectId(object));
+                Ok(format!("shard {shard} object {object} crashed"))
+            }
+            AdminCmd::Partition { on, .. } => {
+                self.host.set_partitioned(on);
+                let done = if on { "partitioned" } else { "healed" };
+                Ok(format!("shard {shard} {done}"))
+            }
+        }
+    }
+}
+
+/// Request envelopes go to the hosted objects; the control plane is
+/// answered in-band, so control replies interleave with (never reorder
+/// within) the data stream.
+impl Events for Shard {
     fn on_frame(&self, conn: &ConnHandle, raw: &[u8]) {
-        let frame = match admit(raw) {
-            Ok(frame) => frame,
-            Err(Some(refusal)) => {
-                net_metrics().version_mismatches.inc();
-                send_counted(conn, [refusal]);
+        let metrics = net_metrics();
+        let got = wire::raw_version(raw);
+        if got != wire::WIRE_VERSION {
+            // The framing layer admitted the frame whole, so the stream is
+            // still aligned: tell the peer which version this build speaks,
+            // echoing the refused frame's leading corr, and keep serving.
+            metrics.version_mismatches.inc();
+            let (want, corr) = (wire::WIRE_VERSION, wire::raw_corr(raw));
+            send_counted(conn, [Frame::VersionMismatch { got, want, corr }]);
+            return;
+        }
+        let Ok((frame, _)) = wire::decode_frame(raw) else {
+            conn.close();
+            return;
+        };
+        let reply = match frame {
+            Frame::Req(env) => {
+                metrics.frames_in.inc();
+                self.host.submit(Arc::new(env), conn);
                 return;
             }
-            Err(None) => {
+            Frame::StatusReq { corr } => {
+                metrics.status_queries.inc();
+                let objects = self.host.statuses();
+                Frame::Status { corr, objects }
+            }
+            Frame::MetricsReq { corr } => {
+                metrics.status_queries.inc();
+                let json = Registry::global().snapshot_json();
+                Frame::Metrics { corr, json }
+            }
+            Frame::TraceReq { corr } => {
+                metrics.status_queries.inc();
+                let json = trace::global().traces_json();
+                Frame::Trace { corr, json }
+            }
+            Frame::Report { corr, counts } => {
+                let registry = Registry::global();
+                for (name, n) in &counts {
+                    // Remote input: invalid names are dropped, not fatal.
+                    let _ = registry.add_counter(name, *n);
+                }
+                Frame::Ack { corr }
+            }
+            Frame::AdminReq { corr, cmd } => {
+                let (ok, detail) = match self.admin(cmd) {
+                    Ok(detail) => (true, detail),
+                    Err(detail) => (false, detail),
+                };
+                Frame::AdminRep { corr, ok, detail }
+            }
+            // A reply or negotiation frame from a client is a protocol
+            // violation; the connection is done.
+            _ => {
                 conn.close();
                 return;
             }
         };
-        match frame {
-            Frame::Req(env) => {
-                net_metrics().frames_in.inc();
-                self.submit(Arc::new(env), conn);
-            }
-            // The ops plane, answered in-band so control replies
-            // interleave with (never reorder within) the data stream.
-            control => {
-                if matches!(
-                    control,
-                    Frame::StatusReq { .. } | Frame::MetricsReq { .. } | Frame::TraceReq { .. }
-                ) {
-                    net_metrics().status_queries.inc();
-                }
-                // Admin verbs act on a whole deployment (durability,
-                // partitions); they belong to the ops listener, not an
-                // object server. Refuse politely instead of hanging up.
-                let refuse = |_| AdminOutcome {
-                    ok: false,
-                    detail: "object servers take no admin commands; \
-                             send them to the deployment's ops listener"
-                        .into(),
-                };
-                match control_reply(control, || self.statuses(), refuse) {
-                    Some(reply) => send_counted(conn, [reply]),
-                    // A reply or negotiation frame from a client is a
-                    // protocol violation; the connection is done.
-                    None => conn.close(),
-                }
-            }
-        }
+        send_counted(conn, [reply]);
     }
 
     // No `on_tick`: the server keeps no reactor-side timers. Delayed
@@ -174,7 +250,11 @@ impl Events for ObjectHost<Req, Rep, ConnHandle> {
     // parks until actual socket readiness no matter how many connections
     // it is watching. The price of serving through: an apply that blocks (an
     // fsync) holds up this worker's other connections, and the replies of
-    // the objects served after it in the same envelope.
+    // the objects served after it in the same envelope. An admin verb is
+    // the same class of cost: a restart recovers the object from disk on
+    // the worker that read the command (a fraction of a millisecond on a
+    // small log, milliseconds for a multi-megabyte snapshot), and that
+    // worker's other connections wait for it.
 }
 
 /// A TCP server hosting a slice of a cluster's storage objects.
@@ -183,11 +263,11 @@ impl Events for ObjectHost<Req, Rep, ConnHandle> {
 /// connection, then the host (and its executor pool, under delay).
 pub struct ObjectServer {
     addr: SocketAddr,
-    // Declared (so dropped) before `host`: frame intake stops before the
+    // Declared (so dropped) before `shard`: frame intake stops before the
     // host goes away.
     reactor: Reactor,
     handle: ReactorHandle,
-    host: Arc<ObjectHost<Req, Rep, ConnHandle>>,
+    shard: Arc<Shard>,
 }
 
 impl ObjectServer {
@@ -195,7 +275,9 @@ impl ObjectServer {
     /// worker pool. Hosted objects take the cluster-global ids `first_id
     /// .. first_id + behaviors.len()`, their links under the fault
     /// profile `chaos` — service jitter is a profile with only `jitter`
-    /// set (see [`ObjectHost::spawn`]).
+    /// set (see [`ObjectHost::spawn`]). The server answers admin verbs as
+    /// shard 0 of an in-memory deployment, so it refuses a restart from
+    /// disk.
     ///
     /// # Errors
     ///
@@ -205,19 +287,50 @@ impl ObjectServer {
         first_id: u32,
         chaos: Option<ChaosCfg>,
     ) -> Result<ObjectServer> {
+        let host = ObjectHost::spawn(behaviors, first_id, chaos);
+        ObjectServer::serve(host, 0, Arc::new(InMemory))
+    }
+
+    /// Serve shard `shard` of a deployment: as [`ObjectServer::spawn`]
+    /// from id 0, answering the admin verbs that name `shard`, and
+    /// restarting objects from `durability`, the shard-scoped policy
+    /// `behaviors` were built from.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] if the listener cannot bind.
+    pub fn spawn_shard(
+        shard: usize,
+        durability: Arc<dyn Durability>,
+        behaviors: Vec<Box<dyn ObjectBehavior<Req, Rep> + Send>>,
+        chaos: Option<ChaosCfg>,
+    ) -> Result<ObjectServer> {
+        ObjectServer::serve(ObjectHost::spawn(behaviors, 0, chaos), shard, durability)
+    }
+
+    fn serve(
+        host: ObjectHost<Req, Rep, ConnHandle>,
+        index: usize,
+        durability: Arc<dyn Durability>,
+    ) -> Result<ObjectServer> {
         let listener = TcpListener::bind(("127.0.0.1", 0))
             .map_err(|e| Error::io("binding an object server listener", &e))?;
         let addr = listener
             .local_addr()
             .map_err(|e| Error::io("reading the bound listener address", &e))?;
-        let host = Arc::new(ObjectHost::spawn(behaviors, first_id, chaos));
-        let reactor = Reactor::spawn(Arc::clone(&host) as Arc<dyn Events>, Some(listener))?;
+        let shard = Arc::new(Shard {
+            host,
+            index,
+            durability,
+            admin: Mutex::new(()),
+        });
+        let reactor = Reactor::spawn(Arc::clone(&shard) as Arc<dyn Events>, Some(listener))?;
         let handle = reactor.handle();
         Ok(ObjectServer {
             addr,
             reactor,
             handle,
-            host,
+            shard,
         })
     }
 
@@ -231,24 +344,34 @@ impl ObjectServer {
     /// [`ObjectHost::set_partitioned`]), reachable while clients stay
     /// connected.
     pub fn host(&self) -> &ObjectHost<Req, Rep, ConnHandle> {
-        &self.host
+        &self.shard.host
     }
 
-    /// Number of hosted objects (including crashed ones).
-    pub fn num_objects(&self) -> usize {
-        self.host().num_objects()
-    }
-
-    /// The first cluster-global object id hosted here.
-    pub fn first_id(&self) -> u32 {
-        self.host().first_id()
+    /// Kill hosted object `id` and restart it from disk while clients stay
+    /// connected — [`restart_from_disk`] with the shard's durability, one
+    /// admin verb at a time, exactly as the in-band `RestartObject`
+    /// command runs it. Returns the wall-clock kill-to-serving-again time.
+    ///
+    /// # Errors
+    ///
+    /// As [`restart_from_disk`]: [`Error::InvariantViolation`] unless the
+    /// server was spawned with a recoverable durability; recovery I/O and
+    /// corruption errors otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not hosted by this server.
+    pub fn restart_from_disk(&self, id: ObjectId) -> Result<Duration> {
+        let shard = &*self.shard;
+        let _one_at_a_time = shard.admin.lock().expect("admin lock");
+        restart_from_disk(&shard.host, shard.durability.as_ref(), id)
     }
 
     /// Threads this server runs, total: reactor workers, plus the host's
     /// executors under a profile that delays. Fixed at spawn — hosting more
     /// objects or accepting more connections never grows it.
     pub fn thread_count(&self) -> usize {
-        self.reactor.worker_count() + self.host.executor_threads()
+        self.reactor.worker_count() + self.shard.host.executor_threads()
     }
 
     /// Sever every accepted connection, keeping the listener and the
@@ -256,37 +379,6 @@ impl ObjectServer {
     /// recover by reconnecting and resubmitting.
     pub fn drop_connections(&self) {
         self.handle.close_all();
-    }
-
-    /// Crash a hosted object (by cluster-global id): see
-    /// [`ObjectHost::crash`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not hosted by this server.
-    pub fn crash_object(&self, id: ObjectId) {
-        self.host().crash(id);
-    }
-
-    /// Restart a hosted object (by cluster-global id) with a fresh
-    /// behavior: see [`ObjectHost::restart`]. Connected clients keep
-    /// talking to the same address and simply see the object answering
-    /// again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not hosted by this server.
-    pub fn restart_object(&self, id: ObjectId, behavior: Box<dyn ObjectBehavior<Req, Rep> + Send>) {
-        self.host().restart(id, behavior);
-    }
-
-    /// Whether a hosted object is currently crashed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not hosted by this server.
-    pub fn is_crashed(&self, id: ObjectId) -> bool {
-        self.host().is_crashed(id)
     }
 }
 

@@ -117,7 +117,8 @@ pub type RepEnvelope = rastor_sim::runtime::RepEnvelope<Rep>;
 pub use rastor_sim::host::ObjectStatus;
 
 /// An administrative command carried by [`Frame::AdminReq`] — the verbs of
-/// the `rastor` CLI, executed by the deployment's ops listener.
+/// the `rastor` CLI, executed by the [`crate::ObjectServer`] of the shard
+/// it names.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AdminCmd {
     /// Kill object `object` of shard `shard` and restart it from disk
@@ -143,6 +144,17 @@ pub enum AdminCmd {
         /// objects; `false` lifts the partition.
         on: bool,
     },
+}
+
+impl AdminCmd {
+    /// The shard the command names.
+    pub fn shard(&self) -> u32 {
+        match *self {
+            AdminCmd::RestartObject { shard, .. }
+            | AdminCmd::CrashObject { shard, .. }
+            | AdminCmd::Partition { shard, .. } => shard,
+        }
+    }
 }
 
 /// Any decoded frame.

@@ -1,17 +1,17 @@
 //! Integration tests of the ops plane: control frames answered in-band
 //! on a live data listener, per-shard read counters reconciled against
 //! measured protocol rounds, deterministic histogram/ring aggregation
-//! under a seeded workload, the `VersionMismatch` corr contract under
-//! concurrent multiplexed ops, and the ops listener's partition verb.
+//! under a seeded workload, the `VersionMismatch` corr contract, and the
+//! partition verb answered at the shard's own address.
 
 use rastor_common::{Error, Value};
 use rastor_kv::StoreConfig;
 use rastor_net::deploy::NetKv;
-use rastor_net::ops::{ControlClient, OpsServer};
+use rastor_net::ops::ControlClient;
 use rastor_net::wire::{self, AdminCmd, Frame};
 use rastor_obs::{names, Registry};
 use std::net::TcpListener;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A status query round-trips on the *data* listener while a pipelined
@@ -30,7 +30,7 @@ fn status_round_trips_in_band_during_a_pipelined_batch() {
             .expect("submit");
     }
 
-    let control = ControlClient::connect(kv.addr(0)).expect("control connect");
+    let mut control = ControlClient::connect(kv.addr(0)).expect("control connect");
     let objects = control.status().expect("status answers mid-batch");
     assert!(
         h.in_flight() > 0,
@@ -169,35 +169,37 @@ fn histogram_and_ring_aggregation_is_deterministic() {
     }
 }
 
-/// Two concurrent control ops multiplexed on one socket each receive the
-/// `VersionMismatch` refusal aimed at *them* — the corr a refusal echoes
-/// pins it to the right pending op even when replies arrive out of order.
+/// Each control op receives the `VersionMismatch` refusal aimed at *it*:
+/// the corr a refusal echoes pins it to the op that asked, and a stale
+/// refusal echoing another corr is skipped.
 #[test]
 fn version_mismatch_replies_resolve_the_right_concurrent_op() {
-    // A fake "foreign version" server: it reads both in-flight control
-    // frames first, then refuses them in REVERSE arrival order, tagging
-    // each refusal with a `got` byte derived from the request kind so the
-    // test can tell which waiter received which refusal.
+    // A fake "foreign version" server: for each control frame it first
+    // sends a refusal echoing a stale corr, then the refusal of the frame
+    // itself, tagging each with a `got` byte so the test can tell which
+    // refusal each op received.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let server = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
-        let mut refusals = Vec::new();
         for _ in 0..2 {
             let (got, corr) = match wire::read_frame(&mut stream).expect("read request") {
                 Frame::StatusReq { corr } => (0xAA, corr),
                 Frame::MetricsReq { corr } => (0xBB, corr),
                 other => panic!("unexpected control frame: {other:?}"),
             };
-            refusals.push(Frame::VersionMismatch { got, want: 9, corr });
-        }
-        refusals.reverse();
-        for refusal in refusals {
+            let stale = Frame::VersionMismatch {
+                got: 0x11,
+                want: 9,
+                corr: corr - 1,
+            };
+            wire::write_frame(&mut stream, &stale).expect("write stale refusal");
+            let refusal = Frame::VersionMismatch { got, want: 9, corr };
             wire::write_frame(&mut stream, &refusal).expect("write refusal");
         }
     });
 
-    let client = ControlClient::connect(addr).expect("connect");
+    let mut client = ControlClient::connect(addr).expect("connect");
     let got_of = |r: Result<(), Error>| match r {
         Err(Error::VersionMismatch { got, want }) => {
             assert_eq!(want, 9);
@@ -205,14 +207,8 @@ fn version_mismatch_replies_resolve_the_right_concurrent_op() {
         }
         other => panic!("expected a version mismatch, got {other:?}"),
     };
-    let (status_got, metrics_got) = std::thread::scope(|s| {
-        let status = s.spawn(|| got_of(client.status().map(|_| ())));
-        let metrics = s.spawn(|| got_of(client.metrics_json().map(|_| ())));
-        (
-            status.join().expect("status"),
-            metrics.join().expect("metrics"),
-        )
-    });
+    let status_got = got_of(client.status().map(|_| ()));
+    let metrics_got = got_of(client.metrics_json().map(|_| ()));
     assert_eq!(
         status_got, 0xAA,
         "the status op got the refusal of ITS frame"
@@ -224,17 +220,17 @@ fn version_mismatch_replies_resolve_the_right_concurrent_op() {
     server.join().expect("fake server");
 }
 
-/// The ops listener's `Partition` verb cuts a shard off at its server and
-/// heals it; status keeps answering on the shard's one address meanwhile,
-/// and a shard that does not exist is refused.
+/// The `Partition` verb, sent to the shard's own address, cuts the shard
+/// off at its server and heals it; status keeps answering on that address
+/// meanwhile, and a shard the server does not serve is refused, as are
+/// commands it cannot carry out.
 #[test]
 fn the_partition_verb_cuts_a_shard_off_while_status_answers() {
     let kv = NetKv::spawn(StoreConfig::new(1, 1, 1), None).expect("net kv");
     let mut h = kv.store.handle(0).expect("handle");
-    let shard = ControlClient::connect(kv.addr(0)).expect("shard connect");
-    let ops = OpsServer::spawn(Arc::new(Mutex::new(kv))).expect("ops listener");
-    let admin = ControlClient::connect(ops.local_addr()).expect("ops connect");
-    let partition = |shard, on| {
+    let mut shard = ControlClient::connect(kv.addr(0)).expect("shard connect");
+    let mut admin = ControlClient::connect(kv.addr(0)).expect("admin connect");
+    let mut partition = |shard, on| {
         admin
             .admin(AdminCmd::Partition { shard, on })
             .expect("admin round trip")
@@ -259,4 +255,16 @@ fn the_partition_verb_cuts_a_shard_off_while_status_answers() {
         "{}",
         refusal.detail
     );
+    // An object the shard does not host, and a restart an in-memory shard
+    // cannot recover from, are refused too.
+    for (object, refused) in [(9, "hosts no object 9"), (3, "cannot recover state")] {
+        let outcome = admin
+            .admin(AdminCmd::RestartObject { shard: 0, object })
+            .expect("admin round trip");
+        assert!(
+            !outcome.ok && outcome.detail.contains(refused),
+            "{}",
+            outcome.detail
+        );
+    }
 }

@@ -4,22 +4,20 @@
 //! same replies as one that writes it whole — and the reactor must wait
 //! for readiness in between, not busy-spin on the half-read buffer.
 //!
-//! Both frame-serving listeners are covered: the data-plane
-//! [`ObjectServer`] and the deployment's ops listener ([`OpsServer`]),
-//! which share the reactor and its per-connection partial-read buffers.
+//! Both kinds of frame the [`ObjectServer`] reads are covered: data
+//! envelopes and control frames, which share the reactor and its
+//! per-connection partial-read buffers.
 
 use rastor_common::{ClientId, ObjectId, RegId};
 use rastor_core::msg::Req;
 use rastor_core::HonestObject;
 use rastor_kv::StoreConfig;
-use rastor_net::ops::OpsServer;
 use rastor_net::server::ObjectServer;
 use rastor_net::wire::{self, Frame, ReqEnvelope, WireReqFrame};
 use rastor_net::NetKv;
 use rastor_obs::{names, Registry};
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Ceiling on readiness wakeups a dribbled frame may cost, process-wide.
@@ -158,14 +156,14 @@ fn frames_split_across_write_boundaries_reassemble() {
     expect_rep(&mut conn, ClientId::reader(4));
 }
 
-/// The ops listener shares the reactor's reassembly path: a control
-/// frame dribbled byte-by-byte gets its normal reply, correlation id
-/// echoed, and the connection keeps serving whole frames afterwards.
+/// Control frames share the reactor's reassembly path: a control frame
+/// dribbled byte-by-byte to a shard's address gets its normal reply,
+/// correlation id echoed, and the connection keeps serving whole frames
+/// afterwards.
 #[test]
 fn the_ops_listener_reassembles_dribbled_control_frames() {
     let kv = NetKv::spawn(StoreConfig::new(1, 1, 1), None).expect("net kv");
-    let ops = OpsServer::spawn(Arc::new(Mutex::new(kv))).expect("ops server");
-    let mut conn = TcpStream::connect(ops.local_addr()).expect("connect");
+    let mut conn = TcpStream::connect(kv.addr(0)).expect("connect");
     conn.set_nodelay(true).expect("nodelay");
 
     let bytes = wire::encode_frame(&Frame::StatusReq { corr: 0xC0FFEE });
@@ -177,10 +175,7 @@ fn the_ops_listener_reassembles_dribbled_control_frames() {
     match wire::read_frame(&mut conn).expect("status reply") {
         Frame::Status { corr, objects } => {
             assert_eq!(corr, 0xC0FFEE);
-            assert!(
-                objects.is_empty(),
-                "the ops listener hosts no objects; per-object status lives at the shards"
-            );
+            assert_eq!(objects.len(), 4, "the shard's 3t + 1 objects");
         }
         other => panic!("expected a status reply, got {other:?}"),
     }

@@ -109,7 +109,10 @@ fn one_cluster_can_span_multiple_servers() {
     };
     let server_a = ObjectServer::spawn(honest(2), 0, None).expect("server a");
     let server_b = ObjectServer::spawn(honest(2), 2, None).expect("server b");
-    assert_eq!((server_a.first_id(), server_b.first_id()), (0, 2));
+    assert_eq!(
+        (server_a.host().first_id(), server_b.host().first_id()),
+        (0, 2)
+    );
     let cluster =
         NetCluster::connect(&[server_a.local_addr(), server_b.local_addr()]).expect("connect");
     assert_eq!(cluster.num_connections(), 2);
@@ -145,7 +148,7 @@ fn net_kv_roundtrips_and_survives_a_server_side_crash() {
     }
     // One crash per shard, at the servers (the store cannot reach in).
     for server in &kv.servers {
-        server.crash_object(ObjectId(0));
+        server.host().crash(ObjectId(0));
     }
     let mut h = kv.store.handle(0).expect("handle");
     for i in 0..8u64 {
@@ -303,8 +306,8 @@ fn partition_heals_without_reconnecting() {
     h.put("stable", Value::from_u64(1))
         .expect("pre-partition put");
 
-    kv.partition(0, true).expect("shard 0 exists");
-    let status = ControlClient::connect(kv.addr(0)).expect("control connect");
+    kv.servers[0].host().set_partitioned(true);
+    let mut status = ControlClient::connect(kv.addr(0)).expect("control connect");
     let objects = status.status().expect("a cut shard still answers status");
     assert!(objects.iter().all(|o| !o.crashed), "a cut is not a crash");
     h.set_timeout(Duration::from_millis(150));
@@ -313,7 +316,7 @@ fn partition_heals_without_reconnecting() {
         "a fully partitioned shard cannot serve a quorum"
     );
 
-    kv.partition(0, false).expect("shard 0 exists");
+    kv.servers[0].host().set_partitioned(false);
     h.set_timeout(Duration::from_secs(10));
     assert_eq!(
         h.get("stable").expect("post-heal get"),

@@ -22,7 +22,7 @@ fn main() {
     for (s, server) in kv.servers.iter().enumerate() {
         println!(
             "shard {s}: {} objects behind tcp://{}",
-            server.num_objects(),
+            server.host().num_objects(),
             server.local_addr()
         );
     }
@@ -44,7 +44,7 @@ fn main() {
     // Crash one object per shard — at the servers, where remote faults
     // live. Within each shard's budget, nothing observable changes.
     for server in &kv.servers {
-        server.crash_object(ObjectId(3));
+        server.host().crash(ObjectId(3));
     }
     println!("crashed object s3 of every shard (budget t = {t} each)");
     let keys: Vec<String> = items.iter().map(|(k, _)| k.clone()).collect();
@@ -59,10 +59,10 @@ fn main() {
         .iter()
         .find(|k| kv.store.shard_of(k) == 0)
         .expect("some key routes to shard 0");
-    kv.partition(0, true).expect("shard 0 exists");
+    kv.servers[0].host().set_partitioned(true);
     h.set_timeout(Duration::from_millis(200));
     let during = h.get(victim);
-    kv.partition(0, false).expect("shard 0 exists");
+    kv.servers[0].host().set_partitioned(false);
     h.set_timeout(Duration::from_secs(10));
     let after = h.get(victim).expect("post-heal get");
     println!(

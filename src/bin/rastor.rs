@@ -16,7 +16,7 @@
 //! rastor manifest
 //! ```
 //!
-//! `serve` writes a `rastor-cluster/v2` cluster file (default
+//! `serve` writes a `rastor-cluster/v3` cluster file (default
 //! `rastor-cluster.json`) describing where everything listens; every
 //! other subcommand reads it back, so the only coordination between
 //! terminals is that one file. See `docs/OPERATIONS.md` for the
@@ -31,17 +31,37 @@ use rastor::exp::Summary;
 use rastor::kv::workload::{self, Mix};
 use rastor::kv::{ShardedKvStore, StoreConfig};
 use rastor::net::client::NetCluster;
-use rastor::net::deploy::NetKv;
+use rastor::net::deploy::spawn_servers;
 use rastor::net::wire::AdminCmd;
-use rastor::net::{ControlClient, OpsServer};
+use rastor::net::ControlClient;
 use rastor::obs::{flat_counters, names, Registry};
 use rastor::sim::runtime::Transport;
 use rastor::store::InMemory;
 use std::fmt::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// Every stdout write of this CLI goes through here: a reader that went
+/// away (`rastor status | head -1`) ends the process with exit 0, as it
+/// would a filter's, instead of a panic.
+fn out(text: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `println!` through [`out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 const USAGE: &str =
     "usage: rastor <serve|status|metrics|watch|trace|restart-object|partition-toggle|bench|manifest> [flags]
@@ -88,7 +108,7 @@ fn main() -> ExitCode {
         "manifest" => {
             return match parse_flags(&args[1..], &MANIFEST) {
                 Ok(_) => {
-                    print!("{}", rastor::obs::manifest_json());
+                    out(format_args!("{}", rastor::obs::manifest_json()));
                     ExitCode::SUCCESS
                 }
                 Err(e) => usage_err(e),
@@ -271,7 +291,7 @@ fn usage_err(detail: String) -> ExitCode {
 }
 
 // ---------------------------------------------------------------------------
-// The cluster file: `rastor-cluster/v2`, line-disciplined JSON so both
+// The cluster file: `rastor-cluster/v3`, line-disciplined JSON so both
 // halves of the CLI (and humans, and scripts) can read it without a JSON
 // parser — the same discipline as `rastor-metrics/v1`.
 
@@ -279,18 +299,17 @@ struct ClusterFile {
     t: usize,
     handles: u32,
     fast_reads: bool,
-    ops: SocketAddr,
-    /// Per shard, the one address its server takes data and control
-    /// frames on.
+    /// Per shard, the one address its server takes data, control and
+    /// admin frames on. Every server answers for the process-wide metrics
+    /// registry; status and admin verbs are per shard.
     shards: Vec<SocketAddr>,
 }
 
 fn render_cluster_file(c: &ClusterFile) -> String {
-    let mut out = String::from("{\n\"schema\": \"rastor-cluster/v2\",\n");
+    let mut out = String::from("{\n\"schema\": \"rastor-cluster/v3\",\n");
     let _ = writeln!(out, "\"t\": {},", c.t);
     let _ = writeln!(out, "\"handles\": {},", c.handles);
     let _ = writeln!(out, "\"fast_reads\": {},", c.fast_reads);
-    let _ = writeln!(out, "\"ops\": \"{}\",", c.ops);
     out.push_str("\"shards\": [\n");
     for (s, addr) in c.shards.iter().enumerate() {
         let _ = writeln!(
@@ -330,15 +349,14 @@ fn parse_cluster_file(path: &str) -> std::result::Result<ClusterFile, String> {
     let mut t = None;
     let mut handles = None;
     let mut fast_reads = None;
-    let mut ops = None;
     let mut shards = Vec::new();
     for line in doc.lines() {
         let line = line.trim();
         if line.contains("\"schema\":") {
             let schema = field_str(line, "schema").unwrap_or("?");
-            if schema != "rastor-cluster/v2" {
+            if schema != "rastor-cluster/v3" {
                 return Err(format!(
-                    "cluster file {path} has schema {schema:?}, this rastor speaks rastor-cluster/v2"
+                    "cluster file {path} has schema {schema:?}, this rastor speaks rastor-cluster/v3"
                 ));
             }
         } else if line.starts_with("{\"shard\":") {
@@ -351,8 +369,6 @@ fn parse_cluster_file(path: &str) -> std::result::Result<ClusterFile, String> {
             handles = v.parse::<u32>().ok();
         } else if let Some(v) = field(line, "fast_reads") {
             fast_reads = v.parse::<bool>().ok();
-        } else if let Some(v) = field_str(line, "ops") {
-            ops = Some(parse_addr(v, "ops")?);
         }
     }
     let missing = |what: &str| format!("cluster file {path} is missing {what}");
@@ -363,7 +379,6 @@ fn parse_cluster_file(path: &str) -> std::result::Result<ClusterFile, String> {
         t: t.ok_or_else(|| missing("\"t\""))?,
         handles: handles.ok_or_else(|| missing("\"handles\""))?,
         fast_reads: fast_reads.ok_or_else(|| missing("\"fast_reads\""))?,
-        ops: ops.ok_or_else(|| missing("\"ops\""))?,
         shards,
     })
 }
@@ -411,37 +426,34 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode> {
     if let Some(dir) = flags.get("wal") {
         cfg = cfg.with_wal(dir);
     }
-    let fast_reads = cfg.fast_reads;
-    let kv = NetKv::spawn(cfg, None)?;
-    let shard_addrs: Vec<SocketAddr> = (0..shards).map(|s| kv.addr(s)).collect();
-    let ops = OpsServer::spawn(Arc::new(Mutex::new(kv)))?;
+    // Only the servers: clients such as `rastor bench` bring their own
+    // store, and every admin verb goes to the server of its shard.
+    let servers = spawn_servers(&cfg, None, |_, _| None)?;
     let cluster = ClusterFile {
         t,
         handles,
-        fast_reads,
-        ops: ops.local_addr(),
-        shards: shard_addrs,
+        fast_reads: cfg.fast_reads,
+        shards: servers.iter().map(|s| s.local_addr()).collect(),
     };
     let path = flags.file();
     std::fs::write(path, render_cluster_file(&cluster))
         .map_err(|e| rastor::common::Error::io(format!("writing cluster file {path}"), &e))?;
-    println!(
-        "serving {shards} shard(s) of {} object(s) each (t={t}), ops at {}",
-        3 * t + 1,
-        ops.local_addr()
+    outln!(
+        "serving {shards} shard(s) of {} object(s) each (t={t})",
+        3 * t + 1
     );
     for (s, addr) in cluster.shards.iter().enumerate() {
-        println!("  shard {s}: {addr}");
+        outln!("  shard {s}: {addr}");
     }
     if flags.has("no-trace") {
-        println!("tracing off");
+        outln!("tracing off");
     } else {
-        println!(
+        outln!(
             "tracing on, slow-op capture threshold {slow_us}\u{b5}s, sampling 1 in {}",
             trace_sample.max(1)
         );
     }
-    println!("cluster file written to {path}; ^C to stop");
+    outln!("cluster file written to {path}; ^C to stop");
     loop {
         std::thread::sleep(Duration::from_secs(3600));
     }
@@ -462,18 +474,17 @@ fn cmd_status(args: &[String]) -> Result<ExitCode> {
             return Ok(ExitCode::FAILURE);
         }
     };
-    println!(
-        "cluster {}: t={} shards={} handles={} fast_reads={} ops={}",
+    outln!(
+        "cluster {}: t={} shards={} handles={} fast_reads={}",
         flags.file(),
         cluster.t,
         cluster.shards.len(),
         cluster.handles,
         if cluster.fast_reads { "on" } else { "off" },
-        cluster.ops,
     );
     // One metrics snapshot serves every shard: all of a deployment's
     // servers share the process-wide registry.
-    let counters = flat_counters(&ControlClient::connect(cluster.ops)?.metrics_json()?);
+    let counters = flat_counters(&ControlClient::connect(cluster.shards[0])?.metrics_json()?);
     let count = |name: &str| {
         counters
             .iter()
@@ -483,13 +494,13 @@ fn cmd_status(args: &[String]) -> Result<ExitCode> {
     for (s, addr) in cluster.shards.iter().enumerate() {
         let objects = ControlClient::connect(*addr)?.status()?;
         let crashed = objects.iter().filter(|o| o.crashed).count();
-        println!(
+        outln!(
             "shard {s} @ {addr}: {}/{} objects serving",
             objects.len() - crashed,
             objects.len()
         );
         for o in &objects {
-            println!(
+            outln!(
                 "  object {}: {}, {} envelope(s) served",
                 o.id.0,
                 if o.crashed { "CRASHED" } else { "serving" },
@@ -498,7 +509,7 @@ fn cmd_status(args: &[String]) -> Result<ExitCode> {
         }
         let fast = count(&format!("{}.{s}", names::KV_READS_FAST));
         let slow = count(&format!("{}.{s}", names::KV_READS_SLOW));
-        println!("  reads: {fast} fast / {slow} slow");
+        outln!("  reads: {fast} fast / {slow} slow");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -515,40 +526,53 @@ fn cmd_metrics(args: &[String]) -> Result<ExitCode> {
             return Ok(ExitCode::FAILURE);
         }
     };
-    let doc = ControlClient::connect(cluster.ops)?.metrics_json()?;
+    let doc = ControlClient::connect(cluster.shards[0])?.metrics_json()?;
     if flags.has("json") {
-        print!("{doc}");
+        out(format_args!("{doc}"));
         return Ok(ExitCode::SUCCESS);
     }
     let counters = flat_counters(&doc);
     let width = counters.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-    println!("counters:");
+    outln!("counters:");
     for (name, value) in &counters {
-        println!("  {name:width$}  {value}");
+        outln!("  {name:width$}  {value}");
     }
     let hists = parse_hist_lines(&doc);
     if !hists.is_empty() {
-        println!("histograms (\u{b5}s):");
+        outln!("histograms (\u{b5}s):");
         let w = hists.iter().map(|h| h.name.len()).max().unwrap_or(0);
-        println!(
+        outln!(
             "  {:w$}  {:>8} {:>10} {:>8} {:>8} {:>8} {:>8}",
-            "name", "count", "mean", "p50", "p95", "p99", "max"
+            "name",
+            "count",
+            "mean",
+            "p50",
+            "p95",
+            "p99",
+            "max"
         );
         for h in &hists {
-            println!(
+            outln!(
                 "  {:w$}  {:>8} {:>10.1} {:>8} {:>8} {:>8} {:>8}",
-                h.name, h.count, h.mean, h.p50, h.p95, h.p99, h.max
+                h.name,
+                h.count,
+                h.mean,
+                h.p50,
+                h.p95,
+                h.p99,
+                h.max
             );
         }
     }
     for r in parse_ring_lines(&doc) {
         let live: Vec<_> = r.slots.iter().filter(|s| s.count > 0).collect();
         match live.last() {
-            None => println!(
+            None => outln!(
                 "ring {}: no samples yet (period {}s)",
-                r.name, r.period_secs
+                r.name,
+                r.period_secs
             ),
-            Some(last) => println!(
+            Some(last) => outln!(
                 "ring {}: {} live slot(s), period {}s, last slot {} op(s) mean {:.0}\u{b5}s",
                 r.name,
                 live.len(),
@@ -688,7 +712,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode> {
     };
     let mut prev_frames: Option<u64> = None;
     loop {
-        let doc = ControlClient::connect(cluster.ops)?.metrics_json()?;
+        let doc = ControlClient::connect(cluster.shards[0])?.metrics_json()?;
         let counters = flat_counters(&doc);
         let count = |name: &str| {
             counters
@@ -700,30 +724,30 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode> {
         let rate = prev_frames
             .map(|p| format!(", {}/s", frames_in.saturating_sub(p) / interval))
             .unwrap_or_default();
-        println!(
+        outln!(
             "watch @ {}: frames in {frames_in}{rate}, out {}, slow-ops captured {}",
-            cluster.ops,
+            cluster.shards[0],
             count(names::NET_FRAMES_OUT),
             count(names::TRACE_SLOW_OPS_CAPTURED),
         );
         for r in parse_ring_lines(&doc) {
             let live: Vec<&RingSlotLine> = r.slots.iter().filter(|s| s.count > 0).collect();
             if live.is_empty() {
-                println!("  {}: no samples yet", r.name);
+                outln!("  {}: no samples yet", r.name);
                 continue;
             }
             let counts: Vec<f64> = live.iter().map(|s| s.count as f64).collect();
             let means: Vec<f64> = live.iter().map(|s| s.mean).collect();
             let peak_ops = counts.iter().copied().fold(0.0f64, f64::max);
             let peak_us = means.iter().copied().fold(0.0f64, f64::max);
-            println!("  {} (per {}s slot):", r.name, r.period_secs);
-            println!(
+            outln!("  {} (per {}s slot):", r.name, r.period_secs);
+            outln!(
                 "    ops/slot {}  last {} peak {:.0}",
                 sparkline(&counts),
                 live.last().map_or(0, |s| s.count),
                 peak_ops
             );
-            println!(
+            outln!(
                 "    mean \u{b5}s  {}  last {:.0} peak {:.0}",
                 sparkline(&means),
                 live.last().map_or(0.0, |s| s.mean),
@@ -806,9 +830,9 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode> {
             return Ok(ExitCode::FAILURE);
         }
     };
-    let doc = ControlClient::connect(cluster.ops)?.traces_json()?;
+    let doc = ControlClient::connect(cluster.shards[0])?.traces_json()?;
     if flags.has("json") {
-        print!("{doc}");
+        out(format_args!("{doc}"));
         return Ok(ExitCode::SUCCESS);
     }
     let threshold: u64 = field(&doc, "threshold_us")
@@ -819,14 +843,14 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode> {
         .unwrap_or(1);
     let enabled = doc.contains("\"enabled\": true");
     let traces = parse_trace_lines(&doc);
-    println!(
+    outln!(
         "tracing {}, slow-op threshold {threshold}\u{b5}s, sampling 1 in {sample}, {} captured trace(s)",
         if enabled { "on" } else { "off" },
         traces.len()
     );
     for t in &traces {
         let t0 = t.spans.iter().map(|s| s.start_us).min().unwrap_or(0);
-        println!(
+        outln!(
             "trace {:#x}: latency {}\u{b5}s, {} span(s){}",
             t.trace,
             t.latency_us,
@@ -850,7 +874,7 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode> {
                         && (o.start_us, o.end_us) != (s.start_us, s.end_us)
                 })
                 .count();
-            println!(
+            outln!(
                 "  {:>8} ..{:>8}  {:indent$}{} (detail {}, {}\u{b5}s)",
                 s.start_us.saturating_sub(t0),
                 s.end_us.saturating_sub(t0),
@@ -917,8 +941,12 @@ fn cmd_admin(args: &[String], takes: &Takes, verb: AdminVerb) -> Result<ExitCode
             return Ok(ExitCode::FAILURE);
         }
     };
-    let outcome = ControlClient::connect(cluster.ops)?.admin(cmd)?;
-    println!("{}", outcome.detail);
+    let Some(&addr) = cluster.shards.get(cmd.shard() as usize) else {
+        eprintln!("rastor: no shard {} in this deployment", cmd.shard());
+        return Ok(ExitCode::FAILURE);
+    };
+    let outcome = ControlClient::connect(addr)?.admin(cmd)?;
+    outln!("{}", outcome.detail);
     Ok(if outcome.ok {
         ExitCode::SUCCESS
     } else {
@@ -1006,7 +1034,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode> {
     let run = workload::start(&store, &cfg).join();
     let (puts, gets) = run.latencies_us();
     let (ops, secs) = (puts.len() + gets.len(), run.elapsed().as_secs_f64());
-    println!(
+    outln!(
         "cli-bench-d{}: {ops} ops ({} errors) in {secs:.2}s = {:.0} ops/s",
         cfg.depth,
         run.failed().len(),
@@ -1014,14 +1042,17 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode> {
     );
     for (kind, sample) in [("put", puts), ("get", gets)] {
         if let Some(l) = Summary::of(sample) {
-            println!(
+            outln!(
                 "  {kind} latency µs: mean {:.0} p50 {} p95 {} max {}",
-                l.mean, l.p50, l.p95, l.max
+                l.mean,
+                l.p50,
+                l.p95,
+                l.max
             );
         }
     }
     if let Some(r) = run.get_rounds_mean() {
-        println!("  get rounds mean: {r:.2}");
+        outln!("  get rounds mean: {r:.2}");
     }
     // Report this client's per-shard read-path counts to the shard that
     // earned them, as plain counters (`kv.reads_fast.<s>`): `rastor
@@ -1034,7 +1065,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode> {
             (format!("{}.{s}", names::KV_READS_SLOW), slow.get(s)),
         ];
         ControlClient::connect(*addr)?.report(counts)?;
-        println!(
+        outln!(
             "  shard {s}: {} fast / {} slow reads (reported to {addr})",
             fast.get(s),
             slow.get(s)
@@ -1100,34 +1131,41 @@ mod tests {
     }
 
     /// A cluster file reads back as written, one address per shard; a
-    /// `rastor-cluster/v1` file, with its control/data address pair, is
-    /// refused by its schema.
+    /// `rastor-cluster/v1` file, with its control/data address pair, and a
+    /// `rastor-cluster/v2` file, with its ops address, are refused by
+    /// their schema.
     #[test]
-    fn the_cluster_file_round_trips_and_refuses_v1() {
+    fn the_cluster_file_round_trips_and_refuses_v1_and_v2() {
         let addr = |port: u16| SocketAddr::from(([127, 0, 0, 1], port));
         let written = ClusterFile {
             t: 1,
             handles: 4,
             fast_reads: true,
-            ops: addr(7000),
             shards: vec![addr(7001), addr(7002)],
         };
         let path = std::env::temp_dir().join(format!("rastor-cluster-{}.json", std::process::id()));
         let path = path.to_str().expect("utf-8 temp path");
-        std::fs::write(path, render_cluster_file(&written)).expect("write");
-        let read = parse_cluster_file(path).expect("a v2 file parses");
+        let v3 = render_cluster_file(&written);
+        assert!(!v3.contains("\"ops\""), "{v3}");
+        std::fs::write(path, &v3).expect("write");
+        let read = parse_cluster_file(path).expect("a v3 file parses");
         assert_eq!(read.shards, written.shards);
         assert_eq!((read.t, read.handles, read.fast_reads), (1, 4, true));
-        assert_eq!(read.ops, written.ops);
-        let v1 = render_cluster_file(&written)
-            .replace("rastor-cluster/v2", "rastor-cluster/v1")
+        let v1 = v3
+            .replace("rastor-cluster/v3", "rastor-cluster/v1")
             .replace("\"addr\"", "\"control\"");
-        std::fs::write(path, v1).expect("write");
-        let err = parse_cluster_file(path)
-            .err()
-            .expect("a v1 file is refused");
+        let v2 = v3.replace(
+            "\"rastor-cluster/v3\",\n",
+            "\"rastor-cluster/v2\",\n\"ops\": \"127.0.0.1:7000\",\n",
+        );
+        for (old, schema) in [(v1, "rastor-cluster/v1"), (v2, "rastor-cluster/v2")] {
+            std::fs::write(path, old).expect("write");
+            let err = parse_cluster_file(path)
+                .err()
+                .expect("an older file is refused");
+            assert!(err.contains(schema), "{err}");
+        }
         std::fs::remove_file(path).expect("remove");
-        assert!(err.contains("rastor-cluster/v1"), "{err}");
     }
 
     #[test]
