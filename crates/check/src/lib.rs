@@ -13,9 +13,11 @@
 //!    subset of rules is one schedule. A subset stretches chosen message
 //!    round-trips by [`DELAY`] ticks, opening exactly the windows (e.g. a
 //!    pre-write visible on a sub-quorum of objects) that the paper's
-//!    adversary exploits. Failing masks are shrunk to a minimal repro by
-//!    greedy rule-dropping ([`Scenario::minimize`]) and replayed by
-//!    re-running the same mask — the sim is deterministic.
+//!    adversary exploits; a scenario may also give each write's commit
+//!    round a bit per object ([`Scenario::split_commits`]), which leaves an
+//!    object pre-written but not committed. Failing masks are shrunk to a
+//!    minimal repro by greedy rule-dropping ([`Scenario::minimize`]) and
+//!    replayed by re-running the same mask — the sim is deterministic.
 //! 2. **Held-message schedules** ([`Scenario::run_random`]): every message
 //!    is held in transit and a [`rastor_sim::Scheduler`] picks the delivery
 //!    order. [`RandomScheduler`] makes seeded-random picks (replay = same
@@ -60,8 +62,10 @@
 //! The crate's integration tests (`cargo test -p rastor_check -- exhaustive`)
 //! prove both soundness evidence — zero violations across every enumerated
 //! schedule for slow *and* fast read paths — and checker efficacy: the
-//! deliberately unsound [`ReadPath::UnsoundFast`] read, which exists only
-//! in this crate, is caught, minimized and replayed.
+//! deliberately unsound [`ReadPath::UnsoundFast`] read and the two
+//! weakened fast-path certificates ([`ReadPath::ThinCertificate`],
+//! [`ReadPath::BlindCertificate`]), which exist only in this crate, are
+//! caught, minimized and replayed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -91,6 +95,12 @@ use std::time::{Duration, Instant};
 /// Large relative to the unit base delay so that a delayed round-trip opens
 /// a wide window in which undelayed operations run start to finish.
 pub const DELAY: u64 = 2_000;
+
+/// The round in which a multi-writer write commits when its tag collect
+/// takes the two rounds it takes uncontended: collect, collect, pre-write,
+/// commit. A split-commit mask bit ([`Scenario::split_commits`]) delays
+/// this round.
+pub const COMMIT_ROUND: u32 = 4;
 
 /// One operation of a [`Scenario`] script.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -166,6 +176,18 @@ pub enum ReadPath {
     /// confirmation certificate check skipped (a wrapper automaton). It
     /// violates atomicity, and exists to prove the explorer notices.
     UnsoundFast,
+    /// [`ReadPath::Fast`] with a thinner certificate: `t + 1` commit
+    /// claims in one register instead of `S − t`, the newer-claim test
+    /// kept. A foil: when one of the `t + 1` claims is a `≤ t`
+    /// equivocator's, it returns a pair one correct object has committed,
+    /// which a later reader's quorum can miss; the round-split sweep of
+    /// [`scenario_write_then_two_readers`] catches the new/old inversion
+    /// that follows.
+    ThinCertificate,
+    /// [`ReadPath::Fast`] with a certificate blind to newer claims: `S − t`
+    /// commit claims in one register, the newer-claim test dropped. A
+    /// foil the per-(op, object) sweeps already catch.
+    BlindCertificate,
 }
 
 /// [`ReadPath::UnsoundFast`]: a slow read cut short the moment it decides.
@@ -188,6 +210,72 @@ impl RoundClient<Req, Rep> for UnsoundFastRead {
             }
             other => other,
         }
+    }
+}
+
+/// [`ReadPath::ThinCertificate`] and [`ReadPath::BlindCertificate`]: a slow
+/// read that, like [`ReadMode::Fast`], returns after any collect reply that
+/// carries its certificate — here a weakened copy of
+/// `CollectEngine::fast_certificate`, evaluated on the views this wrapper
+/// keeps. Without a certificate the inner slow read decides and writes
+/// back, as the sound fast path does.
+struct WeakCertificateRead {
+    inner: AtomicReadClient,
+    quorum: usize,
+    regs: Vec<RegId>,
+    /// Commit claims the certificate needs in one register.
+    commits: usize,
+    /// Whether a newer `pw`/`w` claim anywhere blocks the certificate.
+    newer_test: bool,
+    /// The latest view per object and register, until the write-back.
+    views: BTreeMap<ObjectId, BTreeMap<RegId, ObjectView>>,
+    writing_back: bool,
+}
+
+impl WeakCertificateRead {
+    fn certified(&self) -> Option<TsVal> {
+        if self.views.len() < self.quorum {
+            return None;
+        }
+        let mut best = None;
+        for reg in &self.regs {
+            let mut claims: BTreeMap<&TsVal, usize> = BTreeMap::new();
+            for v in self.views.values().filter_map(|vs| vs.get(reg)) {
+                *claims.entry(&v.w.pair).or_default() += 1;
+            }
+            let top = claims.into_iter().rev().find(|&(_, n)| n >= self.commits);
+            best = best.max(top.map(|(p, _)| p));
+        }
+        let p = best?;
+        let mut all = self.views.values().flat_map(BTreeMap::values);
+        let newer = all.any(|v| v.pw.pair > *p || v.w.pair > *p);
+        (!(self.newer_test && newer)).then(|| p.clone())
+    }
+}
+
+impl RoundClient<Req, Rep> for WeakCertificateRead {
+    type Out = OpOutput;
+
+    fn start(&mut self) -> Req {
+        self.inner.start()
+    }
+
+    fn on_reply(&mut self, from: ObjectId, round: u32, reply: &Rep) -> ClientAction<Req, OpOutput> {
+        let action = self.inner.on_reply(from, round, reply);
+        if self.writing_back {
+            return action;
+        }
+        if let Rep::Views { views } = reply {
+            let entry = self.views.entry(from).or_default();
+            for (reg, view) in views.iter().filter(|(reg, _)| self.regs.contains(reg)) {
+                entry.insert(*reg, view.clone());
+            }
+        }
+        if let Some(pair) = self.certified() {
+            return ClientAction::Complete(OpOutput::Read(pair));
+        }
+        self.writing_back = matches!(action, ClientAction::NextRound(Req::PreWrite { .. }));
+        action
     }
 }
 
@@ -306,6 +394,9 @@ pub struct Scenario {
     pub n_readers: u32,
     /// The operation script.
     pub ops: Vec<OpSpec>,
+    /// Whether each write's commit round also gets one delay bit per
+    /// object (see [`Scenario::rules_for_mask`]).
+    pub split_commits: bool,
 }
 
 impl Scenario {
@@ -339,30 +430,49 @@ impl Scenario {
         (0..op).filter(|&i| self.client_of(i) == c).count() as u64
     }
 
-    /// Bits in the delay-rule universe: one per (op, object) pair.
+    /// Bits in the delay-rule universe: one per (op, object) pair, plus
+    /// one per (write, object) pair when the scenario splits commits.
     pub fn universe_bits(&self) -> u32 {
-        (self.ops.len() * self.num_objects()) as u32
+        (self.delayed_units().len() * self.num_objects()) as u32
     }
 
     /// The delay rules a mask enables: bit `op · S + obj` stretches every
     /// message between `op`'s client (during that op) and object `obj` by
-    /// [`DELAY`] extra ticks, each way.
+    /// [`DELAY`] extra ticks, each way. With [`Scenario::split_commits`],
+    /// bit `(ops + k) · S + obj` stretches only the [`COMMIT_ROUND`] of the
+    /// script's `k`-th write to `obj` — the one way to leave an object
+    /// pre-written but not committed while the write's other rounds reach
+    /// it on time.
     pub fn rules_for_mask(&self, mask: u64) -> Vec<Rule> {
         let s = self.num_objects();
         let mut rules = Vec::new();
-        for op in 0..self.ops.len() {
+        for (unit, (op, round)) in self.delayed_units().into_iter().enumerate() {
             for obj in 0..s {
-                if mask >> (op * s + obj) & 1 == 1 {
-                    rules.push(
-                        Rule::slow_all(DELAY)
-                            .client(self.client_of(op))
-                            .op_seq(self.op_seq_of(op))
-                            .object(ObjectId(obj as u32)),
-                    );
+                if mask >> (unit * s + obj) & 1 == 1 {
+                    let rule = Rule::slow_all(DELAY)
+                        .client(self.client_of(op))
+                        .op_seq(self.op_seq_of(op))
+                        .object(ObjectId(obj as u32));
+                    rules.push(match round {
+                        Some(r) => rule.round(r),
+                        None => rule,
+                    });
                 }
             }
         }
         rules
+    }
+
+    /// What each block of `S` mask bits delays: every op whole, then (when
+    /// commits are split) each write's commit round.
+    fn delayed_units(&self) -> Vec<(usize, Option<u32>)> {
+        let mut units: Vec<_> = (0..self.ops.len()).map(|op| (op, None)).collect();
+        if self.split_commits {
+            let writes = self.ops.iter().enumerate();
+            let writes = writes.filter(|(_, op)| matches!(op, OpSpec::Write { .. }));
+            units.extend(writes.map(|(op, _)| (op, Some(COMMIT_ROUND))));
+        }
+        units
     }
 
     /// Build a sim over `objects` (see [`Cast::objects_for`]) with the given
@@ -394,10 +504,21 @@ impl Scenario {
                 ),
                 OpSpec::Read { at, reader } => {
                     let read = |mode| mw_read_in_group_mode(cfg, reader, group, mode);
+                    let weak = |commits, newer_test| WeakCertificateRead {
+                        inner: read(ReadMode::Slow),
+                        quorum: cfg.quorum(),
+                        regs: group.all_regs(),
+                        commits,
+                        newer_test,
+                        views: BTreeMap::new(),
+                        writing_back: false,
+                    };
                     let automaton: Box<dyn RoundClient<Req, Rep, Out = OpOutput>> = match path {
                         ReadPath::Slow => Box::new(read(ReadMode::Slow)),
                         ReadPath::Fast => Box::new(read(ReadMode::Fast)),
                         ReadPath::UnsoundFast => Box::new(UnsoundFastRead(read(ReadMode::Slow))),
+                        ReadPath::ThinCertificate => Box::new(weak(cfg.vouch(), true)),
+                        ReadPath::BlindCertificate => Box::new(weak(cfg.quorum(), false)),
                     };
                     sim.invoke_at(at, client, OpKind::Read, automaton)
                 }
@@ -513,7 +634,18 @@ impl Scenario {
     pub fn sweep(&self, path: ReadPath, cast: &Cast) -> Vec<Failure> {
         let bits = self.universe_bits();
         assert!(bits <= 24, "universe too large to enumerate exhaustively");
-        (0..1u64 << bits)
+        self.sweep_masks(path, cast, 0..1u64 << bits)
+    }
+
+    /// [`Scenario::sweep`] over the given masks only.
+    pub fn sweep_masks(
+        &self,
+        path: ReadPath,
+        cast: &Cast,
+        masks: impl IntoIterator<Item = u64>,
+    ) -> Vec<Failure> {
+        masks
+            .into_iter()
             .filter_map(|mask| {
                 let outcome = self.run_mask(path, mask, cast);
                 (!outcome.is_clean()).then_some(Failure {
@@ -900,6 +1032,7 @@ pub fn scenario_two_writers_one_reader() -> Scenario {
                 reader: 0,
             },
         ],
+        split_commits: false,
     }
 }
 
@@ -927,6 +1060,7 @@ pub fn scenario_write_then_two_reads() -> Scenario {
                 reader: 0,
             },
         ],
+        split_commits: false,
     }
 }
 
@@ -952,6 +1086,32 @@ pub fn scenario_write_then_read() -> Scenario {
                 reader: 0,
             },
         ],
+        split_commits: false,
+    }
+}
+
+/// One write and two readers, each reading once inside the write's
+/// crawl window, `t = 1`, with commits split
+/// ([`Scenario::split_commits`]): 12 per-(op, object) bits plus 4
+/// commit-round bits, 2^16 masks. The split is what the thin-certificate
+/// foil needs: its witness leaves one object pre-written but not
+/// committed while the write's earlier rounds reach it on time.
+pub fn scenario_write_then_two_readers() -> Scenario {
+    Scenario {
+        name: "write_then_two_readers",
+        t: 1,
+        n_writers: 1,
+        n_readers: 2,
+        ops: vec![
+            OpSpec::Write {
+                at: 0,
+                writer: 0,
+                value: 10,
+            },
+            OpSpec::Read { at: 100, reader: 0 },
+            OpSpec::Read { at: 200, reader: 1 },
+        ],
+        split_commits: true,
     }
 }
 
@@ -985,6 +1145,7 @@ pub fn scenario_t2_mixed() -> Scenario {
                 reader: 1,
             },
         ],
+        split_commits: false,
     }
 }
 
@@ -1031,6 +1192,7 @@ fn spanning_read(name: &'static str, t: u32, n_writers: u32) -> Scenario {
         n_writers,
         n_readers: 1,
         ops,
+        split_commits: false,
     }
 }
 
@@ -1089,6 +1251,23 @@ pub fn casts_single_fault() -> Vec<Cast> {
     ]
 }
 
+/// One object equivocating against reader 1 (it acks every write but shows
+/// reader 1 the initial state) — the `≤ t` cast under which
+/// [`ReadPath::ThinCertificate`] loses atomicity in
+/// [`scenario_write_then_two_readers`].
+pub fn cast_equivocate_to_reader_1() -> Cast {
+    Cast {
+        name: "equivocate_reader_1",
+        faults: vec![(
+            1,
+            FaultKind::Equivocate {
+                victims: vec![ClientId::reader(1)],
+                freeze_after: 0,
+            },
+        )],
+    }
+}
+
 /// The stale-policy parity scenario (kept small: it runs under both
 /// [`StalePolicy`] variants and the two runs' outputs and final object
 /// states are compared field for field).
@@ -1111,6 +1290,7 @@ pub fn scenario_policy_parity() -> Scenario {
             },
             OpSpec::Read { at: 20, reader: 0 },
         ],
+        split_commits: false,
     }
 }
 

@@ -6,12 +6,13 @@
 //! feature, so the protocol invariants stay armed).
 
 use rastor_check::{
-    budget_from_env, cast_one_forger, cast_one_stale, cast_t_plus_one_forgers, casts_single_fault,
-    run_both_policies, scenario_policy_parity, scenario_t2_mixed,
-    scenario_t2_three_writes_spanning_read, scenario_t2_two_writers_spanning_read,
-    scenario_three_writes_spanning_read, scenario_two_writers_one_reader,
-    scenario_two_writers_spanning_read, scenario_write_then_read, scenario_write_then_two_reads,
-    write_failure_reports, Cast, RandomScheduler, ReadPath, Scenario,
+    budget_from_env, cast_equivocate_to_reader_1, cast_one_forger, cast_one_stale,
+    cast_t_plus_one_forgers, casts_single_fault, run_both_policies, scenario_policy_parity,
+    scenario_t2_mixed, scenario_t2_three_writes_spanning_read,
+    scenario_t2_two_writers_spanning_read, scenario_three_writes_spanning_read,
+    scenario_two_writers_one_reader, scenario_two_writers_spanning_read, scenario_write_then_read,
+    scenario_write_then_two_readers, scenario_write_then_two_reads, write_failure_reports, Cast,
+    RandomScheduler, ReadPath, Scenario,
 };
 use rastor_core::FaultKind;
 use std::path::PathBuf;
@@ -276,6 +277,148 @@ fn exhaustive_sweep_catches_the_unsound_fast_path_under_a_cast() {
         sound_sweep.is_empty(),
         "the confirmed fast path survives the whole universe under the cast"
     );
+}
+
+/// Checker efficacy for the certificate's newer-claim test: the foil that
+/// drops it ([`ReadPath::BlindCertificate`]) is caught by the smallest
+/// script under one stale object, with no delay at all. The stale object
+/// shows `⊥` committed in the writer's register, so among the first
+/// `S − t` replies the write's pair has only two commit claims, while the
+/// reader's own write-back register shows `⊥` committed everywhere. Only
+/// the newer-claim test stops a certificate on that `⊥`.
+#[test]
+fn exhaustive_sweep_catches_the_blind_certificate() {
+    let scenario = scenario_write_then_read();
+    let cast = cast_one_stale();
+    let failures = scenario.sweep(ReadPath::BlindCertificate, &cast);
+    let first = &failures[0];
+    let minimized = scenario.minimize(ReadPath::BlindCertificate, first.mask, &cast);
+    assert_eq!(
+        (failures.len(), first.mask, minimized),
+        (75, 0x0, 0x0),
+        "the pinned witness"
+    );
+    let replay = scenario.run_mask(ReadPath::BlindCertificate, minimized, &cast);
+    assert!(
+        replay.violations.iter().any(|v| v.contains("stale")),
+        "the blind certificate returns a stale pair, got {:?}",
+        replay.violations
+    );
+    let sound = scenario.run_mask(ReadPath::Fast, minimized, &cast);
+    assert!(sound.is_clean(), "{:?}", sound.violations);
+}
+
+/// Checker efficacy for the certificate's `S − t` count: the foil that
+/// accepts `t + 1` commit claims ([`ReadPath::ThinCertificate`]) is
+/// invisible to every per-(op, object) mask, and caught once the write's
+/// commit round gets bits of its own. Under one object equivocating
+/// against reader 1, the minimized schedule has the write's commit round
+/// crawl to object 0, all its traffic crawl to object 3, and reader 1's
+/// link to object 2 crawl: reader 0 sees two commits and one pre-write,
+/// returns 10 in one round without writing back, and reader 1 then reads
+/// `⊥`. The sound path survives the same schedule.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "2^16 masks: --release only")]
+fn exhaustive_round_split_sweep_catches_the_thin_certificate() {
+    let scenario = scenario_write_then_two_readers();
+    let cast = cast_equivocate_to_reader_1();
+    let failures = scenario.sweep(ReadPath::ThinCertificate, &cast);
+    let first = &failures[0];
+    let minimized = scenario.minimize(ReadPath::ThinCertificate, first.mask, &cast);
+    assert_eq!(
+        (failures.len(), first.mask, minimized),
+        (36, 0x1408, 0x1408),
+        "the pinned witness"
+    );
+    let whole_op_bits = (scenario.ops.len() * scenario.num_objects()) as u32;
+    assert!(
+        failures.iter().all(|f| f.mask >> whole_op_bits != 0),
+        "every witness needs a commit-round bit: per-(op, object) masks cannot see the foil"
+    );
+    let replay = scenario.run_mask(ReadPath::ThinCertificate, minimized, &cast);
+    assert!(
+        replay.violations.iter().any(|v| v.contains("inversion")),
+        "the thin certificate fails as a new/old inversion, got {:?}",
+        replay.violations
+    );
+    for path in [ReadPath::Slow, ReadPath::Fast] {
+        let sound = scenario.run_mask(path, minimized, &cast);
+        assert!(sound.is_clean(), "{path:?}: {:?}", sound.violations);
+    }
+    let paths = write_failure_reports(
+        &report_dir(),
+        &scenario,
+        ReadPath::ThinCertificate,
+        &cast,
+        &failures[..1],
+    )
+    .expect("write witness report");
+    let body = std::fs::read_to_string(&paths[0]).expect("read witness report");
+    assert!(
+        body.contains("round: Some(4)"),
+        "the report names the commit-round rule:\n{body}"
+    );
+}
+
+/// Sweep the round-split universe on the sound fast path under each
+/// cast, every mask but the forger's: beside a forger, an op with a
+/// delayed link spins 2 002 empty rounds, so it gets the 2^8 masks that
+/// delay only the write (its whole-op and commit-round bits).
+fn assert_round_split_sweep_clean(casts: &[Cast]) {
+    let scenario = scenario_write_then_two_readers();
+    let universe = 0..1u64 << scenario.universe_bits();
+    for cast in casts {
+        assert!(
+            cast.byzantine_count() <= 1,
+            "{} stays within t = 1",
+            cast.name
+        );
+        let failures = if cast.faults.first().map(|f| &f.1) == Some(&FaultKind::ForgeHigh) {
+            // The readers' bits are 4..12.
+            let write_only = universe.clone().filter(|mask| mask & 0x0ff0 == 0);
+            scenario.sweep_masks(ReadPath::Fast, cast, write_only)
+        } else {
+            scenario.sweep(ReadPath::Fast, cast)
+        };
+        if !failures.is_empty() {
+            let paths =
+                write_failure_reports(&report_dir(), &scenario, ReadPath::Fast, cast, &failures)
+                    .expect("write failure reports");
+            panic!(
+                "{} round-split schedules fail under cast {}; minimized repros in {paths:?}",
+                failures.len(),
+                cast.name
+            );
+        }
+    }
+}
+
+/// The sound fast path over the round-split universe: honest, and under
+/// the single-fault casts that do not replay stale state.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "2^16 masks a cast: --release only")]
+fn exhaustive_round_split_sweep_is_clean_for_fast_reads() {
+    let mut casts = vec![Cast::honest(), cast_equivocate_to_reader_1()];
+    casts.extend(
+        casts_single_fault()
+            .into_iter()
+            .filter(|c| !matches!(c.faults[0].1, FaultKind::StaleAfter(_))),
+    );
+    assert_round_split_sweep_clean(&casts);
+}
+
+/// The same beside a stale-replaying object (the slowest casts to sweep,
+/// so they get a test of their own and run beside the one above).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "2^16 masks a cast: --release only")]
+fn exhaustive_round_split_sweep_is_clean_for_fast_reads_beside_a_stale_object() {
+    let mut casts = vec![cast_one_stale()];
+    casts.extend(
+        casts_single_fault()
+            .into_iter()
+            .filter(|c| matches!(c.faults[0].1, FaultKind::StaleAfter(_))),
+    );
+    assert_round_split_sweep_clean(&casts);
 }
 
 /// Larger casts where exhaustion is out of reach: the `t = 2` scenario's

@@ -37,10 +37,10 @@
 //!
 //! *Safety does not depend on what is forgotten.* Every rule that returns a
 //! pair — the unauthenticated rule, its ⊥ fallback, the authenticated
-//! rule, [`CollectEngine::fast_confirmed`] — reads `hist` only to **add**
-//! vouchers to `occ`; freshness (the justifiability count, the
-//! no-newer-claim test) reads `pw`/`w` alone, and forgetting never touches
-//! those. So on any reply set, a pair decided from views with history
+//! rule — reads `hist` only to **add** vouchers to `occ`; freshness (the
+//! justifiability count) reads `pw`/`w` alone, and forgetting never
+//! touches those. [`CollectEngine::fast_certificate`] does not read `hist`
+//! at all. So on any reply set, a pair decided from views with history
 //! entries deleted is vouched by ≥ t+1 and justifiable on the undeleted
 //! views too, and is at most the pair they would decide: deletion can
 //! delay a decision, never license one. (`collect_properties.rs` checks
@@ -64,6 +64,44 @@
 //! (`min_rounds` defaults to 2, matching the worst-case round structure of
 //! the paper's reference \[15\]) and in `2 + O(#interfering writes)` rounds
 //! under write contention — the documented deviation in DESIGN.md.
+//!
+//! ## The fast-path certificate
+//!
+//! [`CollectEngine::fast_certificate`] lets a read return a pair `p` without
+//! deciding and without writing back. It holds when `≥ S − t` distinct
+//! objects report `w = p` in **one** register and no reply anywhere reports
+//! a `pw` or `w` newer than `p`. The argument uses neither tokens nor the
+//! round number, so the certificate is checked after every collect reply,
+//! the first round's included:
+//!
+//! * **Durable.** Of the `S − t = 2t + 1` commit claims at most `t` are
+//!   lies, so `≥ t + 1` correct objects hold `w ≥ p` in that register, and
+//!   a correct object's `w` never decreases. That also makes `p` genuine.
+//! * **Fresh.** A write that completed before the read began left
+//!   `≥ t + 1` correct objects holding its pair (or newer) in `w`. Any
+//!   `S − t` repliers include one of them, and that reply would be newer
+//!   than `p` if `p` were stale.
+//! * **Never undercut.** A later read's reply set includes one of the
+//!   `t + 1` correct holders of `p`. Its justifiability count on that
+//!   register forbids deciding below `p`, and its own certificate forbids a
+//!   pair below that holder's `w`. So no new/old inversion follows a fast
+//!   return.
+//!
+//! Counting within one register is essential: the certificate must
+//! intersect the quorum a future reader collects *on that register*, so
+//! `S − t` commit claims spread over two registers certify nothing. The
+//! newer-claim test is what detects contention (a write or write-back in
+//! flight) and Byzantine skew.
+//!
+//! Checked by: `s_minus_t_minus_one_commits_do_not_certify`,
+//! `a_newer_pre_write_in_another_register_blocks_the_certificate` and
+//! `commits_spread_over_two_registers_do_not_certify` here;
+//! `deleting_history_entries_never_licenses_a_decision` and
+//! `decisions_are_fresh_and_genuine` in `collect_properties.rs`. Both
+//! halves of the certificate are needed: `rastor_check` keeps two foils
+//! that each weaken one, and its sweeps catch both
+//! (`exhaustive_round_split_sweep_catches_the_thin_certificate`,
+//! `exhaustive_sweep_catches_the_blind_certificate`).
 //!
 //! ## The authenticated (secret-value) rule
 //!
@@ -223,43 +261,37 @@ impl CollectEngine {
         }
     }
 
-    /// Whether the decided pair `p` carries a *fast-path certificate*: some
-    /// single register shows a full write quorum (`2t + 1` distinct objects)
-    /// whose **committed** field equals `p`, and no reply anywhere claims a
-    /// pair newer than `p` (in `pw` or `w`).
-    ///
-    /// Safety of skipping the write-back under this certificate: of the
-    /// `2t + 1` same-register commit claims at most `t` are lies, so at
-    /// least `t + 1` *correct* objects hold `w ≥ p` forever. A later read
-    /// deciding some `q < p` would count each of them as a non-replier or a
-    /// higher-claimer — more than `t`, which the justifiability predicate
-    /// forbids. Counting within one register is essential: the certificate
-    /// must intersect the quorum a future reader collects *on that
-    /// register*.
-    ///
-    /// The no-newer-claim condition detects contention (a concurrent write
-    /// or write-back in flight) and Byzantine skew; either forces the
-    /// caller back onto the full write-back path.
-    pub fn fast_confirmed(&self, p: &Stamped) -> bool {
-        for views in self.views.values() {
-            for v in views.values() {
-                if v.pw.pair > p.pair || v.w.pair > p.pair {
-                    return false; // suspicion: someone claims newer state
-                }
-            }
+    /// The *fast-path certificate* over the replies so far: the pair `p`
+    /// that some single register shows as **committed** (`w`) at `≥ S − t`
+    /// distinct objects, provided no reply anywhere claims a pair newer
+    /// than `p` (in `pw` or `w`). `None` until `S − t` objects have replied,
+    /// and whenever no pair qualifies. It reads `pw`/`w` and the replier
+    /// count only — not the round number, not `hist` — so it may be asked
+    /// after any reply of any collect round, the first included (see
+    /// "The fast-path certificate" above).
+    pub fn fast_certificate(&self) -> Option<Stamped> {
+        let quorum = self.cfg.quorum();
+        if self.views.len() < quorum {
+            return None;
         }
-        if p.pair.is_bottom() {
-            // Nothing was ever claimed anywhere: had any write completed,
-            // quorum intersection would surface ≥ 1 correct claim above ⊥.
-            return true;
-        }
-        self.regs.iter().any(|reg| {
-            self.views
-                .values()
-                .filter(|vs| vs.get(reg).is_some_and(|v| v.w.pair == p.pair))
-                .count()
-                >= self.cfg.quorum()
-        })
+        // The newest claim anywhere: a certified pair must be it, since
+        // nothing may claim to be newer.
+        let top = self
+            .views
+            .values()
+            .flat_map(BTreeMap::values)
+            .flat_map(|v| [&v.w, &v.pw])
+            .max_by(|a, b| a.pair.cmp(&b.pair))?;
+        let committed_at_quorum = |reg: &RegId| {
+            let at = |vs: &&BTreeMap<RegId, ObjectView>| {
+                vs.get(reg).is_some_and(|v| v.w.pair == top.pair)
+            };
+            self.views.values().filter(at).count() >= quorum
+        };
+        self.regs
+            .iter()
+            .any(committed_at_quorum)
+            .then(|| top.clone())
     }
 
     /// Ghost re-derivation of a decision certificate, independent of the
@@ -641,6 +673,103 @@ mod tests {
         let st = e.on_reply(ObjectId(3), 1, &lag);
         assert_eq!(st, CollectStatus::Decided);
         assert_eq!(e.decisions()[&RegId::WRITER], new);
+    }
+
+    /// `S − t − 1` commit claims certify nothing, however many pre-write
+    /// claims stand beside them; one more commit certifies, in round 1 of
+    /// an engine that may not decide before round 2.
+    #[test]
+    fn s_minus_t_minus_one_commits_do_not_certify() {
+        for t in 1..=3 {
+            let cfg = ClusterConfig::byzantine(t).unwrap();
+            let (s, quorum) = (cfg.num_objects(), cfg.quorum());
+            let p = stamped(5, 50);
+            let pre_written = view(p.clone(), Stamped::bottom(), vec![p.clone()]);
+            let mut e = CollectEngine::unauth(cfg, vec![RegId::WRITER]);
+            for i in 0..quorum - 1 {
+                e.on_reply(ObjectId(i as u32), 1, &committed_view(5, 50));
+            }
+            for i in quorum - 1..s {
+                e.on_reply(ObjectId(i as u32), 1, &pre_written);
+                assert_eq!(e.fast_certificate(), None, "t = {t}: {quorum} − 1 commits");
+            }
+            e.on_reply(ObjectId(0), 1, &committed_view(5, 50));
+            assert_eq!(e.fast_certificate(), None, "a repeated commit is one claim");
+            e.on_reply(ObjectId(s as u32 - 1), 1, &committed_view(5, 50));
+            assert_eq!(e.fast_certificate(), Some(p), "t = {t}: {quorum} commits");
+            assert_eq!(e.rounds(), 1);
+            assert!(
+                e.decisions().is_empty(),
+                "the certificate is not a decision"
+            );
+        }
+    }
+
+    /// Every object has committed the writer's pair, but one reports a
+    /// newer pre-write in a reader's write-back register of the same
+    /// group: a write-back is in flight, and the certificate must wait.
+    #[test]
+    fn a_newer_pre_write_in_another_register_blocks_the_certificate() {
+        let regs = vec![RegId::WRITER, RegId::ReaderReg(0)];
+        let p = stamped(3, 30);
+        let newer = stamped(4, 40);
+        let reply = |write_back: ObjectView| Rep::Views {
+            views: vec![
+                (
+                    RegId::WRITER,
+                    ObjectView {
+                        pw: p.clone(),
+                        w: p.clone(),
+                        hist: vec![p.clone()],
+                    },
+                ),
+                (RegId::ReaderReg(0), write_back),
+            ],
+        };
+        let quiet = ObjectView::default();
+        let in_flight = ObjectView {
+            pw: newer.clone(),
+            w: Stamped::bottom(),
+            hist: vec![newer],
+        };
+        let mut e = CollectEngine::unauth(cfg(), regs.clone());
+        e.on_reply(ObjectId(0), 1, &reply(in_flight));
+        for i in 1..4 {
+            e.on_reply(ObjectId(i), 1, &reply(quiet.clone()));
+        }
+        assert_eq!(e.fast_certificate(), None);
+
+        let mut e = CollectEngine::unauth(cfg(), regs);
+        for i in 0..3 {
+            e.on_reply(ObjectId(i), 1, &reply(quiet.clone()));
+        }
+        assert_eq!(e.fast_certificate(), Some(p), "the quiet twin certifies");
+    }
+
+    /// `S − t` commit claims spread over two registers certify nothing:
+    /// with one liar among the writer register's two claims, one correct
+    /// object holds the pair there, and a later reader's quorum can miss
+    /// it.
+    #[test]
+    fn commits_spread_over_two_registers_do_not_certify() {
+        let p = stamped(2, 20);
+        let committed = ObjectView {
+            pw: p.clone(),
+            w: p.clone(),
+            hist: vec![p.clone()],
+        };
+        let reply = |writer: &ObjectView, reader: &ObjectView| Rep::Views {
+            views: vec![
+                (RegId::WRITER, writer.clone()),
+                (RegId::ReaderReg(0), reader.clone()),
+            ],
+        };
+        let quiet = ObjectView::default();
+        let mut e = CollectEngine::unauth(cfg(), vec![RegId::WRITER, RegId::ReaderReg(0)]);
+        e.on_reply(ObjectId(0), 1, &reply(&committed, &quiet));
+        e.on_reply(ObjectId(1), 1, &reply(&committed, &quiet));
+        e.on_reply(ObjectId(2), 1, &reply(&quiet, &committed));
+        assert_eq!(e.fast_certificate(), None);
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub enum Protocol {
     /// 4-round reads.
     AtomicUnauth,
     /// The atomic construction with the adaptive read fast path: 2-round
-    /// writes, 2-round reads when the collect is uncontended and confirmed,
-    /// 4-round fallback otherwise.
+    /// writes, 1-round reads when the first collect carries the fast-path
+    /// certificate, 4-round fallback otherwise.
     AtomicFast,
     /// The secret-value atomic construction: 2-round writes, 3-round reads.
     AtomicAuth,
@@ -94,8 +94,9 @@ impl Protocol {
             Protocol::ByzRegular => Some((2, 2)),
             Protocol::AuthRegular => Some((2, 1)),
             Protocol::AtomicUnauth => Some((2, 4)),
-            // Contention-free, the fast path confirms and skips write-back.
-            Protocol::AtomicFast => Some((2, 2)),
+            // Contention-free, the first collect carries the fast-path
+            // certificate: no second collect round, no write-back.
+            Protocol::AtomicFast => Some((2, 1)),
             Protocol::AtomicAuth => Some((2, 3)),
             Protocol::SafeNoWrite => Some((2, t as u32 + 1)),
             Protocol::RetryStable => None,

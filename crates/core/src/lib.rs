@@ -13,7 +13,7 @@
 //! | [`clients::RegularReadClient::auth`] | Byzantine + secret values | 3t+1 | 2 rnd | 1 rnd | regular |
 //! | [`transform::AtomicReadClient::unauth`] | Byzantine | 3t+1 | 2 rnd | **4 rnd** | **atomic** |
 //! | [`transform::AtomicReadClient::auth`] | Byzantine + secret values | 3t+1 | 2 rnd | **3 rnd** | **atomic** |
-//! | [`transform::ReadMode::Fast`] (adaptive) | Byzantine | 3t+1 | 2 rnd | 2 rnd uncontended, 4 rnd fallback | atomic |
+//! | [`transform::ReadMode::Fast`] (adaptive) | Byzantine | 3t+1 | 2 rnd | 1 rnd uncontended, 4 rnd fallback | atomic |
 //! | [`baseline::SafeNoWriteReadClient`] | Byzantine | 3t+1 | 2 rnd | t+1 rnd | safe |
 //! | [`baseline::RetryStableReadClient`] | Byzantine | 3t+1 | 2 rnd | unbounded | baseline |
 //!

@@ -266,8 +266,8 @@ pub fn mw_read_in_group(
 
 /// [`mw_read_in_group`] with an explicit termination mode: under
 /// [`ReadMode::Fast`](crate::transform::ReadMode::Fast) the read returns
-/// after its 2 collect rounds whenever the decided pair carries a fast-path
-/// certificate, falling back to the full 4-round write-back otherwise.
+/// after the first collect reply that carries a fast-path certificate (1
+/// round when quiet), falling back to the full 4-round write-back otherwise.
 pub fn mw_read_in_group_mode(
     cfg: ClusterConfig,
     reader: u32,

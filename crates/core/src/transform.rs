@@ -19,6 +19,12 @@
 //!
 //!   Total: **4 rounds** unauthenticated, **3 rounds** with secret values.
 //!
+//! [`ReadMode::Fast`] adds a conditional exit: the read returns as soon as
+//! a collect reply completes a fast-path certificate, **1 round** when the
+//! register is quiet, and otherwise runs the two phases above. Why that is
+//! safe in any round is argued once, in [`crate::collect`] ("The fast-path
+//! certificate").
+//!
 //! ### Why this is atomic
 //!
 //! Regularity of the writer's register gives properties (1)–(3). For
@@ -45,13 +51,15 @@ pub enum ReadMode {
     /// (3 rounds with secret values).
     #[default]
     Slow,
-    /// Adaptive fast path: complete right after the collect phase (2
-    /// rounds) when the decided pair carries a fast-path certificate
-    /// ([`CollectEngine::fast_confirmed`] — a full write quorum committed
-    /// it in one register and nobody claims anything newer), falling back
-    /// to the full write-back under contention, suspicion, or Byzantine
-    /// skew. Guaranteed 2-round reads are impossible at `S ≤ 4t` (paper,
-    /// Theorem 2), which is why the fast path must be conditional.
+    /// Adaptive fast path: complete after whichever collect reply first
+    /// carries a fast-path certificate ([`CollectEngine::fast_certificate`]
+    /// — a full write quorum committed the pair in one register and nobody
+    /// claims anything newer). A quiet read returns after **1 round**.
+    /// Without a certificate the read runs as [`ReadMode::Slow`] does:
+    /// decide at round ≥ 2 and write back, under contention, suspicion, or
+    /// Byzantine skew. Guaranteed fast reads are impossible at `S ≤ 4t`
+    /// (paper, Theorem 2 and Proposition 1), which is why the fast path
+    /// must be conditional.
     Fast,
 }
 
@@ -141,18 +149,21 @@ impl RoundClient<Req, Rep> for AtomicReadClient {
         if let Some(write_back) = &mut self.write_back {
             return write_step(write_back, from, reply, OpOutput::Read);
         }
-        if let Some(action) = collect_step(&mut self.engine, from, round, reply) {
+        let step = collect_step(&mut self.engine, from, round, reply);
+        if self.mode == ReadMode::Fast {
+            if let Some(certified) = self.engine.fast_certificate() {
+                // Fast path: the certificate lets the read return without
+                // deciding or writing back, in whichever round it holds.
+                return ClientAction::Complete(OpOutput::Read(certified.pair));
+            }
+        }
+        if let Some(action) = step {
             return action;
         }
         let chosen = self
             .engine
             .max_decision()
             .expect("decided engines have decisions");
-        if self.mode == ReadMode::Fast && self.engine.fast_confirmed(&chosen) {
-            // Fast path: the certificate lets the read return without
-            // writing back.
-            return ClientAction::Complete(OpOutput::Read(chosen.pair));
-        }
         let write_back =
             self.write_back
                 .insert(QuorumWrite::two_phase(self.cfg, self.own_reg, chosen));
@@ -311,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_read_completes_in_two_rounds_when_quiescent() {
+    fn fast_read_completes_in_one_round_when_quiescent() {
         let cfg = ClusterConfig::byzantine(1).unwrap();
         let mut sim = sim_with_honest(4);
         sim.invoke_at(
@@ -330,8 +341,8 @@ mod tests {
         assert_eq!(done.len(), 2);
         assert_eq!(
             done[1].stat.rounds.get(),
-            2,
-            "uncontended fast read: collect only"
+            1,
+            "uncontended fast read: the first collect carries the certificate"
         );
         assert_eq!(done[1].output, OpOutput::Read(stamped(1, 10).pair));
     }
@@ -385,7 +396,7 @@ mod tests {
         );
         let done = sim.run_to_quiescence();
         assert_eq!(done[0].output, OpOutput::Read(TsVal::bottom()));
-        assert_eq!(done[0].stat.rounds.get(), 2, "nothing claimed: fast ⊥");
+        assert_eq!(done[0].stat.rounds.get(), 1, "nothing claimed: fast ⊥");
     }
 
     #[test]

@@ -31,9 +31,9 @@ pub struct StoreConfig {
     /// kill-then-recover from disk.
     pub durability: Arc<dyn Durability>,
     /// Run gets in [`ReadMode::Fast`](rastor_core::ReadMode::Fast): an
-    /// uncontended, confirmed read returns after its 2 collect rounds instead of the full 4-round
-    /// write-back, falling back automatically under contention or
-    /// Byzantine skew. Off by default (the paper's baseline read).
+    /// uncontended, confirmed read returns after its first collect round
+    /// instead of the full 4-round write-back, falling back automatically
+    /// under contention or Byzantine skew. Off by default (the paper's baseline read).
     pub fast_reads: bool,
     /// Where handles record their kv-seam metrics (`kv.*`: per-op latency
     /// histograms, per-shard fast/slow read counters, the ops time ring).
@@ -58,7 +58,7 @@ impl StoreConfig {
         }
     }
 
-    /// Enable (or disable) the adaptive 2-round fast read path for gets.
+    /// Enable (or disable) the adaptive fast read path for gets.
     #[must_use]
     pub fn with_fast_reads(mut self, fast_reads: bool) -> StoreConfig {
         self.fast_reads = fast_reads;

@@ -72,7 +72,8 @@ struct PendingOp {
 struct KvMetrics {
     put_latency: Arc<Histogram>,
     get_latency: Arc<Histogram>,
-    /// Per-shard completed cluster gets that took the 2-round fast path.
+    /// Per-shard completed cluster gets that took the fast path (no
+    /// write-back).
     reads_fast: Arc<CounterVec>,
     /// Per-shard completed cluster gets that paid the 4-round write-back.
     reads_slow: Arc<CounterVec>,
@@ -283,8 +284,8 @@ impl KvHandle {
                         self.get_rounds.0 += u64::from(rounds);
                         self.get_rounds.1 += 1;
                         if let Some(m) = &self.metrics {
-                            // Fast-path reads finish in 2 collect rounds;
-                            // anything longer paid the write-back.
+                            // Fast-path reads finish in 1 or 2 collect
+                            // rounds; anything longer paid the write-back.
                             if rounds <= 2 {
                                 m.reads_fast.inc(p.shard);
                             } else {
@@ -399,7 +400,7 @@ impl KvHandle {
     }
 
     /// Submit a get without waiting for it: an atomic read (4 rounds, or
-    /// 2 when [`StoreConfig::fast_reads`](crate::StoreConfig::fast_reads)
+    /// 1 when [`StoreConfig::fast_reads`](crate::StoreConfig::fast_reads)
     /// is on and the read is uncontended and confirmed) that will resolve through
     /// [`KvHandle::poll`] as [`KvOutput::Get`]. A key
     /// with no directory entry resolves to `⊥` immediately (see

@@ -645,12 +645,12 @@ mod tests {
             let violations = h.check_atomic();
             assert!(violations.is_empty(), "key {k}: {violations:?}");
         }
-        // Every measured get took 2 (fast) or 4 (fallback) rounds.
+        // Every measured get took 1 or 2 (fast) or 4 (fallback) rounds.
         let (sum, count) = rh.take_get_rounds();
         assert!(count > 0, "cluster gets were measured");
         let mean = sum as f64 / count as f64;
         assert!(
-            (2.0..=4.0).contains(&mean),
+            (1.0..=4.0).contains(&mean),
             "get rounds mean {mean} outside the fast/slow envelope"
         );
     }

@@ -115,14 +115,14 @@ fn pipelined_batch_produces_protocol_shaped_span_trees() {
     }
 
     // Writes pay the full collect + pre-write + commit ladder; reads
-    // finish on the 2-round fast path (single object, no contention).
+    // finish on the 1-round fast path (single object, no contention).
     let put_rounds = named(&captured[0], span::DRIVER_ROUND).len();
     let get_rounds = named(&captured[PUTS], span::DRIVER_ROUND).len();
     assert!(
         put_rounds > get_rounds,
         "puts ({put_rounds} rounds) outrank fast-path gets ({get_rounds})"
     );
-    assert_eq!(get_rounds, 2, "uncontended gets take the 2-round fast path");
+    assert_eq!(get_rounds, 1, "uncontended gets take the 1-round fast path");
 
     // ---- WAL-backed store: the same ops grow wal.append spans. ----
     rec.clear_captured();

@@ -54,7 +54,7 @@ fn status_round_trips_in_band_during_a_pipelined_batch() {
 }
 
 /// With fast reads on and a single uncontended client, every confirmed
-/// get takes the 2-round fast path — and the per-shard counters agree
+/// get takes the 1-round fast path — and the per-shard counters agree
 /// *exactly* with the rounds the handle measured.
 #[test]
 fn fast_read_counters_match_measured_rounds() {
@@ -88,11 +88,7 @@ fn fast_read_counters_match_measured_rounds() {
         "an uncontended client never pays the write-back"
     );
     assert_eq!(fast.total(), gets, "every confirmed get took the fast path");
-    assert_eq!(
-        rounds_sum,
-        2 * gets,
-        "fast reads cost exactly 2 rounds each"
-    );
+    assert_eq!(rounds_sum, gets, "fast reads cost exactly 1 round each");
     assert_eq!(
         fast.cells(),
         per_shard,

@@ -58,7 +58,8 @@ pub mod names {
     pub const KV_PUT_LATENCY_US: &str = "kv.put_latency_us";
     /// End-to-end get latency, submit to harvest, in µs (histogram).
     pub const KV_GET_LATENCY_US: &str = "kv.get_latency_us";
-    /// Per-shard gets completed on the 2-round fast path (counter/shard).
+    /// Per-shard gets completed on the fast path, without a write-back
+    /// (counter/shard).
     pub const KV_READS_FAST: &str = "kv.reads_fast";
     /// Per-shard gets that paid the 4-round fallback (counter/shard).
     pub const KV_READS_SLOW: &str = "kv.reads_slow";

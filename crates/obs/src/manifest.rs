@@ -67,7 +67,7 @@ pub const METRICS: &[MetricDef] = &[
         kind: "counter/shard",
         unit: "gets",
         seam: "kv::KvHandle",
-        help: "Gets completed on the 2-round fast path, per shard.",
+        help: "Gets completed on the fast path (no write-back), per shard.",
     },
     MetricDef {
         name: names::KV_READS_SLOW,

