@@ -18,6 +18,9 @@
 //!    object pre-written but not committed. Failing masks are shrunk to a
 //!    minimal repro by greedy rule-dropping ([`Scenario::minimize`]) and
 //!    replayed by re-running the same mask — the sim is deterministic.
+//!    The same rules drive the deployed substrate's object host:
+//!    [`Scenario::run_mask_threaded`] runs a mask on a
+//!    [`rastor_sim::ThreadCluster`], on wall time.
 //! 2. **Held-message schedules** ([`Scenario::run_random`]): every message
 //!    is held in transit and a [`rastor_sim::Scheduler`] picks the delivery
 //!    order. [`RandomScheduler`] makes seeded-random picks (replay = same
@@ -72,7 +75,9 @@
 
 pub mod netchaos;
 
-use rastor_common::{ClientId, ClusterConfig, ObjectId, OpKind, RegId, SplitMix64, TsVal, Value};
+use rastor_common::{
+    ClientId, ClusterConfig, ObjectId, OpKind, OpStat, RegId, RoundCount, SplitMix64, TsVal, Value,
+};
 use rastor_core::checker::judge;
 use rastor_core::mwmr::{mw_read_in_group_mode, MwWriteClient, RegGroup};
 use rastor_core::transform::AtomicReadClient;
@@ -80,6 +85,7 @@ use rastor_core::{
     FaultKind, History, HonestObject, ObjectView, OpOutput, ReadMode, Rep, Req, Stamped,
 };
 use rastor_sim::control::Rule;
+use rastor_sim::runtime::{ThreadClient, ThreadCluster};
 use rastor_sim::{
     ClientAction, Completion, Controller, MsgId, ObjectBehavior, RoundClient, ScriptedController,
     Sim, SimConfig, StalePolicy,
@@ -89,6 +95,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// A scenario's object battery, one behavior per slot; `Send`, so the
+/// same battery runs in the simulator or on a [`ThreadCluster`].
+pub type Objects = Vec<Box<dyn ObjectBehavior<Req, Rep> + Send>>;
+
+/// How long [`Scenario::run_mask_threaded`] waits for one op to complete.
+pub const THREADED_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Extra latency (each way) injected by one enabled delay rule.
 ///
@@ -352,7 +365,7 @@ impl Cast {
     /// objects everywhere except the cast's slots, fresh fault state per
     /// call (so repeated runs never share a crash budget or frozen
     /// replica).
-    pub fn objects_for(&self, n: usize) -> Vec<Box<dyn ObjectBehavior<Req, Rep>>> {
+    pub fn objects_for(&self, n: usize) -> Objects {
         self.objects_with(n, || Box::new(HonestObject::new()))
     }
 
@@ -361,14 +374,14 @@ impl Cast {
     fn objects_with(
         &self,
         n: usize,
-        honest: fn() -> Box<dyn ObjectBehavior<Req, Rep>>,
-    ) -> Vec<Box<dyn ObjectBehavior<Req, Rep>>> {
+        honest: fn() -> Box<dyn ObjectBehavior<Req, Rep> + Send>,
+    ) -> Objects {
         for (o, _) in &self.faults {
             assert!(*o < n, "cast fault on object {o} of an {n}-object cluster");
         }
         (0..n)
             .map(|i| match self.faults.iter().find(|(o, _)| *o == i) {
-                Some((_, fault)) => fault.materialize() as Box<dyn ObjectBehavior<Req, Rep>>,
+                Some((_, fault)) => fault.materialize(),
                 None => honest(),
             })
             .collect()
@@ -475,54 +488,63 @@ impl Scenario {
         units
     }
 
+    /// Op `op`'s kind and client automaton, its reads on `path`.
+    fn automaton(
+        &self,
+        path: ReadPath,
+        op: usize,
+    ) -> (OpKind, Box<dyn RoundClient<Req, Rep, Out = OpOutput>>) {
+        let cfg = self.cluster();
+        let group = self.group();
+        match self.ops[op] {
+            OpSpec::Write { writer, value, .. } => (
+                OpKind::Write,
+                Box::new(MwWriteClient::in_group(
+                    cfg,
+                    writer,
+                    group,
+                    Value::from_u64(value),
+                )),
+            ),
+            OpSpec::Read { reader, .. } => {
+                let read = |mode| mw_read_in_group_mode(cfg, reader, group, mode);
+                let weak = |commits, newer_test| WeakCertificateRead {
+                    inner: read(ReadMode::Slow),
+                    quorum: cfg.quorum(),
+                    regs: group.all_regs(),
+                    commits,
+                    newer_test,
+                    views: BTreeMap::new(),
+                    writing_back: false,
+                };
+                let automaton: Box<dyn RoundClient<Req, Rep, Out = OpOutput>> = match path {
+                    ReadPath::Slow => Box::new(read(ReadMode::Slow)),
+                    ReadPath::Fast => Box::new(read(ReadMode::Fast)),
+                    ReadPath::UnsoundFast => Box::new(UnsoundFastRead(read(ReadMode::Slow))),
+                    ReadPath::ThinCertificate => Box::new(weak(cfg.vouch(), true)),
+                    ReadPath::BlindCertificate => Box::new(weak(cfg.quorum(), false)),
+                };
+                (OpKind::Read, automaton)
+            }
+        }
+    }
+
     /// Build a sim over `objects` (see [`Cast::objects_for`]) with the given
     /// controller and every op of the script invoked at its scripted time.
     pub fn build_sim(
         &self,
         path: ReadPath,
-        controller: Box<dyn Controller<Req, Rep>>,
-        objects: Vec<Box<dyn ObjectBehavior<Req, Rep>>>,
+        controller: Box<dyn Controller>,
+        objects: Objects,
     ) -> Sim<Req, Rep, OpOutput> {
         assert_eq!(objects.len(), self.num_objects(), "object count");
-        let cfg = self.cluster();
-        let group = self.group();
         let mut sim = Sim::with_controller(SimConfig::default(), controller);
-        sim.add_objects(objects);
+        for object in objects {
+            sim.add_object(object);
+        }
         for (i, op) in self.ops.iter().enumerate() {
-            let client = self.client_of(i);
-            match *op {
-                OpSpec::Write { at, writer, value } => sim.invoke_at(
-                    at,
-                    client,
-                    OpKind::Write,
-                    Box::new(MwWriteClient::in_group(
-                        cfg,
-                        writer,
-                        group,
-                        Value::from_u64(value),
-                    )),
-                ),
-                OpSpec::Read { at, reader } => {
-                    let read = |mode| mw_read_in_group_mode(cfg, reader, group, mode);
-                    let weak = |commits, newer_test| WeakCertificateRead {
-                        inner: read(ReadMode::Slow),
-                        quorum: cfg.quorum(),
-                        regs: group.all_regs(),
-                        commits,
-                        newer_test,
-                        views: BTreeMap::new(),
-                        writing_back: false,
-                    };
-                    let automaton: Box<dyn RoundClient<Req, Rep, Out = OpOutput>> = match path {
-                        ReadPath::Slow => Box::new(read(ReadMode::Slow)),
-                        ReadPath::Fast => Box::new(read(ReadMode::Fast)),
-                        ReadPath::UnsoundFast => Box::new(UnsoundFastRead(read(ReadMode::Slow))),
-                        ReadPath::ThinCertificate => Box::new(weak(cfg.vouch(), true)),
-                        ReadPath::BlindCertificate => Box::new(weak(cfg.quorum(), false)),
-                    };
-                    sim.invoke_at(at, client, OpKind::Read, automaton)
-                }
-            }
+            let (kind, automaton) = self.automaton(path, i);
+            sim.invoke_at(op.at(), self.client_of(i), kind, automaton);
         }
         sim
     }
@@ -544,13 +566,81 @@ impl Scenario {
         self.run_mask_on(path, mask, cast.objects_for(self.num_objects()))
     }
 
-    /// [`Scenario::run_mask`] over a given object battery.
-    fn run_mask_on(
+    /// [`Scenario::run_mask`] on real threads: the same script over a
+    /// [`ThreadCluster`] of `cast`'s objects, whose host asks the mask's
+    /// controller for every object copy. Ticks become microseconds — an
+    /// op's `at` is its offset from the start, a rule's delay its extra
+    /// latency — and the verdict is [`judge`]'s, as in the simulator. Each
+    /// client runs its ops in order on a thread of its own; an op that
+    /// has not completed within [`THREADED_DEADLINE`] is an incomplete op,
+    /// and its client runs no further op.
+    ///
+    /// Wall time replaces the logical clock, so the schedule holds only
+    /// where its gaps are wide next to thread wake-ups: [`DELAY`]'s 2 ms
+    /// are, a script whose ops sit 100 ticks apart may not be.
+    pub fn run_mask_threaded(&self, path: ReadPath, mask: u64, cast: &Cast) -> Outcome {
+        let controller = Box::new(self.controller_for_mask(mask));
+        let cluster = &ThreadCluster::spawn(cast.objects_for(self.num_objects()), Some(controller));
+        let start = Instant::now();
+        let mut clients: Vec<ClientId> = (0..self.ops.len()).map(|i| self.client_of(i)).collect();
+        clients.sort_unstable();
+        clients.dedup();
+        let mut completions: Vec<_> = std::thread::scope(|s| {
+            let runs: Vec<_> = clients
+                .into_iter()
+                .map(|client| s.spawn(move || self.run_client(path, client, cluster, start)))
+                .collect();
+            let runs = runs.into_iter();
+            runs.flat_map(|run| run.join().expect("client thread"))
+                .collect()
+        });
+        completions.sort_by_key(|c| c.stat.completed_at);
+        Outcome {
+            violations: self.violations_of(&completions),
+            completions,
+        }
+    }
+
+    /// `client`'s ops of the script, in order, each invoked no earlier
+    /// than `at` µs after `start`; stops at the first that does not
+    /// complete.
+    fn run_client(
         &self,
         path: ReadPath,
-        mask: u64,
-        objects: Vec<Box<dyn ObjectBehavior<Req, Rep>>>,
-    ) -> Outcome {
+        client: ClientId,
+        cluster: &ThreadCluster<Req, Rep>,
+        start: Instant,
+    ) -> Vec<Completion<OpOutput>> {
+        let elapsed_us = || u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let mut endpoint = ThreadClient::new(client);
+        let mut done = Vec::new();
+        let ops = self.ops.iter().enumerate();
+        for (i, op) in ops.filter(|&(i, _)| self.client_of(i) == client) {
+            std::thread::sleep(Duration::from_micros(op.at().saturating_sub(elapsed_us())));
+            let (kind, automaton) = self.automaton(path, i);
+            let invoked_at = elapsed_us();
+            let Some((output, rounds)) = endpoint.run_op(cluster, automaton, THREADED_DEADLINE)
+            else {
+                break;
+            };
+            let stat = OpStat {
+                kind,
+                rounds: RoundCount(rounds),
+                invoked_at,
+                completed_at: elapsed_us(),
+            };
+            done.push(Completion {
+                client,
+                op_seq: self.op_seq_of(i),
+                output,
+                stat,
+            });
+        }
+        done
+    }
+
+    /// [`Scenario::run_mask`] over a given object battery.
+    fn run_mask_on(&self, path: ReadPath, mask: u64, objects: Objects) -> Outcome {
         self.run_judged(path, objects, self.controller_for_mask(mask), |sim| {
             sim.run_to_quiescence()
         })
@@ -582,7 +672,7 @@ impl Scenario {
     fn run_judged(
         &self,
         path: ReadPath,
-        objects: Vec<Box<dyn ObjectBehavior<Req, Rep>>>,
+        objects: Objects,
         controller: ScriptedController,
         drive: impl FnOnce(&mut Sim<Req, Rep, OpOutput>) -> Vec<Completion<OpOutput>>,
     ) -> Outcome {
@@ -1306,10 +1396,7 @@ pub fn run_both_policies(
         let shared: Vec<SharedObject> = (0..scenario.num_objects())
             .map(|_| SharedObject::new())
             .collect();
-        let objects: Vec<Box<dyn ObjectBehavior<Req, Rep>>> = shared
-            .iter()
-            .map(|o| Box::new(o.clone()) as Box<dyn ObjectBehavior<Req, Rep>>)
-            .collect();
+        let objects: Objects = shared.iter().map(|o| Box::new(o.clone()) as _).collect();
         let controller = scenario.controller_for_mask(mask);
         let mut sim = scenario.build_sim(path, Box::new(controller), objects);
         for i in 0..scenario.ops.len() {

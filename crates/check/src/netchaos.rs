@@ -4,9 +4,9 @@
 //! The sim explorer enumerates schedules; the TCP stack (reactor, wire
 //! v3, client resubmission) cannot be enumerated, so this module puts it
 //! under the same *falsification loop* instead: a deterministic battery
-//! of [`ChaosPoint`]s — seeded drop/reorder/delay/partition
-//! configurations, drawn per object by the servers' hosts
-//! ([`rastor_net::ChaosCfg`]) — each driving a
+//! of [`NetPoint`]s — a seeded drop/reorder/delay profile, the stock
+//! controller [`rastor_net::ChaosCfg`] at every server's host, plus an
+//! optional partition pulse — each driving a
 //! live [`rastor_net::NetKv`] deployment through a seeded
 //! [`rastor_kv::workload`] run, judged like every other run
 //! ([`Run::verdict`](rastor_kv::workload::Run::verdict)).
@@ -37,99 +37,50 @@ use rastor_net::{ChaosCfg, NetKv};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// One point of the chaos-configuration space: everything a run needs to
-/// redraw the same faults — seed included, so the point *is* the repro.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChaosPoint {
-    /// Seed for the hosts' fault streams and the workload's rng.
-    pub seed: u64,
-    /// Fixed head-of-line latency per request copy, microseconds.
-    pub delay_us: u64,
-    /// Extra uniform latency in `[0, jitter_us)` per request copy.
-    pub jitter_us: u64,
-    /// Drop probability per request copy and per reply envelope, in
-    /// thousandths (200 = 20%).
-    pub drop_milli: u32,
-    /// Adjacent-reorder probability in thousandths.
-    pub reorder_milli: u32,
-    /// A full-partition pulse: `(after_ms, width_ms)` — every object is
-    /// cut off `after_ms` into the run for `width_ms`.
-    pub partition_pulse_ms: Option<(u64, u64)>,
+/// A full-partition pulse `(after_ms, width_ms)`: every object is cut
+/// off `after_ms` into the run for `width_ms`.
+pub type Pulse = (u64, u64);
+
+/// One point of the chaos space: the hosts' link-fault profile, plus an
+/// optional partition pulse. The profile's seed also seeds the workload,
+/// so the point *is* the repro.
+pub type NetPoint = (ChaosCfg, Option<Pulse>);
+
+/// The same point re-seeded for another search round.
+fn reseeded((cfg, pulse): &NetPoint, round: u64) -> NetPoint {
+    let seed = cfg.seed.wrapping_add(round.wrapping_mul(0x9e37));
+    (cfg.clone().with_seed(seed), *pulse)
 }
 
-impl ChaosPoint {
-    /// No injected faults, under `seed`.
-    pub fn faithful(seed: u64) -> ChaosPoint {
-        ChaosPoint {
-            seed,
-            delay_us: 0,
-            jitter_us: 0,
-            drop_milli: 0,
-            reorder_milli: 0,
-            partition_pulse_ms: None,
-        }
+/// Candidate single-knob ablations for minimization: `point` with one
+/// active fault knob turned off (drops, reorder, partition, jitter, delay
+/// — in that order of suspicion).
+pub fn ablations((cfg, pulse): &NetPoint) -> Vec<NetPoint> {
+    let mut out = Vec::new();
+    if cfg.drop_prob > 0.0 {
+        out.push((cfg.clone().with_drops(0.0), *pulse));
     }
-
-    /// The link-fault profile this point prescribes.
-    pub fn cfg(&self) -> ChaosCfg {
-        ChaosCfg {
-            seed: self.seed,
-            delay: Duration::from_micros(self.delay_us),
-            jitter: Duration::from_micros(self.jitter_us),
-            drop_prob: f64::from(self.drop_milli) / 1000.0,
-            reorder_prob: f64::from(self.reorder_milli) / 1000.0,
-        }
+    if cfg.reorder_prob > 0.0 {
+        out.push((cfg.clone().with_reordering(0.0), *pulse));
     }
-
-    /// The same point re-seeded for another search round.
-    pub fn reseeded(&self, round: u64) -> ChaosPoint {
-        ChaosPoint {
-            seed: self.seed.wrapping_add(round.wrapping_mul(0x9e37)),
-            ..*self
-        }
+    if pulse.is_some() {
+        out.push((cfg.clone(), None));
     }
-
-    /// Candidate single-axis ablations for minimization: this point with
-    /// one active fault axis turned off (drops, reorder, partition,
-    /// jitter, delay — in that order of suspicion).
-    pub fn ablations(&self) -> Vec<ChaosPoint> {
-        let mut out = Vec::new();
-        if self.drop_milli != 0 {
-            out.push(ChaosPoint {
-                drop_milli: 0,
-                ..*self
-            });
-        }
-        if self.reorder_milli != 0 {
-            out.push(ChaosPoint {
-                reorder_milli: 0,
-                ..*self
-            });
-        }
-        if self.partition_pulse_ms.is_some() {
-            out.push(ChaosPoint {
-                partition_pulse_ms: None,
-                ..*self
-            });
-        }
-        if self.jitter_us != 0 {
-            out.push(ChaosPoint {
-                jitter_us: 0,
-                ..*self
-            });
-        }
-        if self.delay_us != 0 {
-            out.push(ChaosPoint {
-                delay_us: 0,
-                ..*self
-            });
-        }
-        out
+    if !cfg.jitter.is_zero() {
+        let mut c = cfg.clone();
+        c.jitter = Duration::ZERO;
+        out.push((c, *pulse));
     }
+    if !cfg.delay.is_zero() {
+        let mut c = cfg.clone();
+        c.delay = Duration::ZERO;
+        out.push((c, *pulse));
+    }
+    out
 }
 
 /// A fixed workload over one TCP deployment, explored under many
-/// [`ChaosPoint`]s — the net-substrate counterpart of a sim
+/// [`NetPoint`]s — the net-substrate counterpart of a sim
 /// [`Scenario`](crate::Scenario).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NetScenario {
@@ -183,7 +134,7 @@ impl NetOutcome {
 pub struct NetFailure {
     /// The point that failed — rerun [`NetScenario::run_point`] on it to
     /// replay (statistically; see the module docs).
-    pub point: ChaosPoint,
+    pub point: NetPoint,
     /// The run's violations.
     pub violations: Vec<String>,
 }
@@ -213,37 +164,23 @@ impl NetSearchStats {
 /// The deterministic point battery a clean-sweep search runs: no faults,
 /// pure latency, a harsh lossy link, an adjacent reorderer, loss
 /// and reorder combined, and a mid-run full-partition pulse.
-pub fn chaos_battery(seed: u64) -> Vec<ChaosPoint> {
-    let base = ChaosPoint::faithful(seed);
+pub fn chaos_battery(seed: u64) -> Vec<NetPoint> {
+    let profile = |delay_us, jitter_us, drops, reordering| {
+        let mut c = ChaosCfg::default()
+            .with_seed(seed)
+            .with_drops(drops)
+            .with_reordering(reordering);
+        c.delay = Duration::from_micros(delay_us);
+        c.jitter = Duration::from_micros(jitter_us);
+        c
+    };
     vec![
-        base,
-        ChaosPoint {
-            delay_us: 200,
-            jitter_us: 150,
-            ..base
-        },
-        ChaosPoint {
-            drop_milli: 200,
-            delay_us: 100,
-            ..base
-        },
-        ChaosPoint {
-            reorder_milli: 100,
-            delay_us: 100,
-            jitter_us: 100,
-            ..base
-        },
-        ChaosPoint {
-            drop_milli: 40,
-            reorder_milli: 100,
-            delay_us: 100,
-            ..base
-        },
-        ChaosPoint {
-            partition_pulse_ms: Some((5, 150)),
-            delay_us: 100,
-            ..base
-        },
+        (profile(0, 0, 0.0, 0.0), None),
+        (profile(200, 150, 0.0, 0.0), None),
+        (profile(100, 0, 0.2, 0.0), None),
+        (profile(100, 100, 0.0, 0.1), None),
+        (profile(100, 0, 0.04, 0.1), None),
+        (profile(100, 0, 0.0, 0.0), Some((5, 150))),
     ]
 }
 
@@ -266,14 +203,14 @@ impl NetScenario {
     /// sockets, real reactor, real resubmission. Timed-out ops are
     /// themselves violations (`liveness:`) — the timeout is generous
     /// precisely so that an honest run never hits it.
-    pub fn run_point(&self, point: &ChaosPoint) -> NetOutcome {
+    pub fn run_point(&self, (cfg, pulse): &NetPoint) -> NetOutcome {
         let (byz, fault) = (self.byzantine, self.fault.clone());
         // Behind the one shard listener each object is its own fault
-        // domain: the host draws every object's faults from its own
+        // domain: the profile draws every object's faults from its own
         // streams, so honest objects can diverge.
         let spawn = NetKv::spawn_with(
             StoreConfig::new(self.t, 1, self.mix.handles),
-            Some(point.cfg()),
+            Some(cfg.clone()),
             move |_shard, id| ((id.0 as usize) < byz).then(|| fault.materialize()),
         );
         let kv = match spawn {
@@ -289,7 +226,7 @@ impl NetScenario {
         let running = workload::start(
             &kv.store,
             &Mix {
-                seed: point.seed ^ (0xC11E << 8),
+                seed: cfg.seed ^ (0xC11E << 8),
                 ..self.mix
             },
         );
@@ -298,7 +235,7 @@ impl NetScenario {
         // one shard is cut off at every server mid-flight, then heals.
         // Client resubmission must absorb it inside the generous op
         // timeout.
-        if let Some((after_ms, width_ms)) = point.partition_pulse_ms {
+        if let Some((after_ms, width_ms)) = *pulse {
             std::thread::sleep(Duration::from_millis(after_ms));
             kv.servers[0].host().set_partitioned(true);
             std::thread::sleep(Duration::from_millis(width_ms));
@@ -317,13 +254,13 @@ impl NetScenario {
     /// Run `points` under a wall-clock budget: one mandatory full pass,
     /// then further re-seeded rounds while the budget lasts. Every
     /// failing point is collected with its violations.
-    pub fn search(&self, points: &[ChaosPoint], budget: Duration) -> NetSearchStats {
+    pub fn search(&self, points: &[NetPoint], budget: Duration) -> NetSearchStats {
         let start = Instant::now();
         let mut stats = NetSearchStats::default();
         let mut round: u64 = 0;
         'rounds: loop {
             for p in points {
-                let p = p.reseeded(round);
+                let p = reseeded(p, round);
                 let out = self.run_point(&p);
                 stats.runs += 1;
                 stats.writes += out.writes;
@@ -354,7 +291,7 @@ impl NetScenario {
     /// runs have executed. The first trial always runs.
     pub fn find_witness(
         &self,
-        base: &ChaosPoint,
+        base: &NetPoint,
         budget: Duration,
         max_trials: usize,
     ) -> Option<NetFailure> {
@@ -363,10 +300,8 @@ impl NetScenario {
             if trial > 0 && start.elapsed() >= budget {
                 return None;
             }
-            let p = ChaosPoint {
-                seed: base.seed.wrapping_add(trial as u64),
-                ..*base
-            };
+            let seed = base.0.seed.wrapping_add(trial as u64);
+            let p = (base.0.clone().with_seed(seed), base.1);
             let out = self.run_point(&p);
             if out.has_atomicity_violation() {
                 return Some(NetFailure {
@@ -378,16 +313,16 @@ impl NetScenario {
         None
     }
 
-    /// Shrink a failing point by greedy axis ablation: turn off any
-    /// single fault axis whose removal still reproduces an atomicity
-    /// violation within `probes` reruns, until no axis can be dropped.
+    /// Shrink a failing point by greedy ablation: turn off any single
+    /// fault knob whose removal still reproduces an atomicity violation
+    /// within `probes` reruns, until no knob can be turned off.
     /// (Wall-clock nondeterminism is why each ablation gets several
     /// probes rather than one.)
-    pub fn minimize_point(&self, point: &ChaosPoint, probes: usize) -> ChaosPoint {
-        let mut cur = *point;
+    pub fn minimize_point(&self, point: &NetPoint, probes: usize) -> NetPoint {
+        let mut cur = point.clone();
         loop {
             let mut improved = false;
-            for cand in cur.ablations() {
+            for cand in ablations(&cur) {
                 let reproduces =
                     (0..probes).any(|_| self.run_point(&cand).has_atomicity_violation());
                 if reproduces {
@@ -410,7 +345,7 @@ pub fn write_net_report(
     dir: &Path,
     scenario: &NetScenario,
     failure: &NetFailure,
-    minimized: &ChaosPoint,
+    minimized: &NetPoint,
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let mut s = String::new();
@@ -423,20 +358,21 @@ pub fn write_net_report(
         3 * scenario.t + 1,
         scenario.t
     ));
-    s.push_str(&format!("point:     {:?}\n", failure.point));
-    s.push_str(&format!("minimized: {minimized:?}\n"));
+    let show = |(cfg, pulse): &NetPoint| format!("{cfg:?}, partition pulse {pulse:?}");
+    s.push_str(&format!("point:     {}\n", show(&failure.point)));
+    s.push_str(&format!("minimized: {}\n", show(minimized)));
     for v in &failure.violations {
         s.push_str(&format!("violation: {v}\n"));
     }
     s.push_str(&format!(
-        "replay:    NetScenario {{ .. }}.run_point(&{minimized:?}) — wall-clock \
+        "replay:    NetScenario {{ .. }}.run_point(&({:?}, {:?})) — wall-clock \
          nondeterministic; rerun a few times, or pin the workload seed with \
          RASTOR_SEED={:#x}\n",
-        minimized.seed
+        minimized.0, minimized.1, minimized.0.seed
     ));
     let path = dir.join(format!(
         "net-{}-{:#x}.txt",
-        scenario.name, failure.point.seed
+        scenario.name, failure.point.0.seed
     ));
     std::fs::write(&path, s)?;
     Ok(path)

@@ -14,12 +14,14 @@
 //! a CI failure reproduces with `RASTOR_SEED=<printed> cargo test ...`.
 
 use rastor_check::budget_from_env;
-use rastor_check::netchaos::{chaos_battery, write_net_report, ChaosPoint, NetScenario};
+use rastor_check::netchaos::{chaos_battery, write_net_report, NetScenario};
 use rastor_check::Cast;
 use rastor_common::test_seed;
 use rastor_core::FaultKind;
 use rastor_kv::workload::Pattern;
+use rastor_net::ChaosCfg;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Where net failure reports land; CI uploads this directory as an
 /// artifact when the job fails (shared with the sim-substrate suite).
@@ -75,11 +77,9 @@ fn exhaustive_net_search_finds_the_t_plus_one_forger_witness() {
     scenario.mix.pattern = Pattern::PutThenReads;
     // Loss is the load-bearing axis: a dropped commit leaves one honest
     // object behind, and a dropped reply hides the up-to-date one.
-    let base = ChaosPoint {
-        drop_milli: 300,
-        delay_us: 100,
-        ..ChaosPoint::faithful(seed)
-    };
+    let mut cfg = ChaosCfg::default().with_seed(seed).with_drops(0.3);
+    cfg.delay = Duration::from_micros(100);
+    let base = (cfg, None);
     let budget = budget_from_env("RASTOR_CHECK_NET_WITNESS_BUDGET_MS", 120_000);
     let witness = scenario
         .find_witness(&base, budget, 64)
@@ -95,7 +95,7 @@ fn exhaustive_net_search_finds_the_t_plus_one_forger_witness() {
 
     let minimized = scenario.minimize_point(&witness.point, 6);
     assert!(
-        minimized.drop_milli > 0,
+        minimized.0.drop_prob > 0.0,
         "loss is load-bearing for the net witness, got {minimized:?}"
     );
     let path = write_net_report(&report_dir(), &scenario, &witness, &minimized)

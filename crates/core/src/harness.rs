@@ -22,7 +22,7 @@ use crate::token::AuthKey;
 use crate::transform::{make_stamped, AtomicReadClient, ReadMode};
 use rastor_common::{ClientId, ClusterConfig, ObjectId, OpKind, RegId, Result, Timestamp, Value};
 use rastor_sim::runtime::ThreadCluster;
-use rastor_sim::{Completion, Controller, ObjectBehavior, RoundClient, Sim, SimConfig};
+use rastor_sim::{ChaosCfg, Completion, Controller, ObjectBehavior, RoundClient, Sim, SimConfig};
 
 /// The protocols the harness can deploy.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -244,7 +244,7 @@ impl StorageSystem {
     }
 
     /// A simulator populated with honest objects.
-    pub fn build_sim(&self, controller: Box<dyn Controller<Req, Rep>>) -> Sim<Req, Rep, OpOutput> {
+    pub fn build_sim(&self, controller: Box<dyn Controller>) -> Sim<Req, Rep, OpOutput> {
         let mut sim = Sim::with_controller(SimConfig::default(), controller);
         for _ in 0..self.cfg.num_objects() {
             sim.add_object(Box::new(crate::object::HonestObject::new()));
@@ -265,6 +265,7 @@ impl StorageSystem {
         let behaviors: Vec<Box<dyn ObjectBehavior<Req, Rep> + Send>> = (0..self.cfg.num_objects())
             .map(|_| Box::new(crate::object::HonestObject::new()) as _)
             .collect();
+        let jitter = jitter.map(|j| Box::new(ChaosCfg::jitter_only(j)) as _);
         ThreadCluster::spawn(behaviors, jitter)
     }
 
@@ -320,7 +321,7 @@ impl StorageSystem {
     /// returning the completions and a checker-ready history.
     pub fn run(
         &mut self,
-        controller: Box<dyn Controller<Req, Rep>>,
+        controller: Box<dyn Controller>,
         workload: &Workload,
         byzantine: Vec<(ObjectId, Box<dyn ObjectBehavior<Req, Rep> + Send>)>,
     ) -> RunResult {

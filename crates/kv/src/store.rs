@@ -30,7 +30,7 @@ use rastor_core::msg::{Rep, Req};
 use rastor_core::ReadMode;
 use rastor_obs::Registry;
 use rastor_sim::runtime::{RepEnvelope, ReqEnvelope, ThreadCluster, Transport};
-use rastor_sim::{ObjectBehavior, ObjectHost, ReplySink};
+use rastor_sim::{ChaosCfg, ObjectBehavior, ObjectHost, ReplySink};
 use rastor_store::Durability;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
@@ -146,7 +146,8 @@ impl ShardedKvStore {
                     }
                 })
                 .collect::<Result<Vec<_>>>()?;
-            let cluster = Arc::new(ThreadCluster::spawn(behaviors, cfg.jitter));
+            let jitter = cfg.jitter.map(|j| Box::new(ChaosCfg::jitter_only(j)) as _);
+            let cluster = Arc::new(ThreadCluster::spawn(behaviors, jitter));
             Ok((
                 Box::new(Arc::clone(&cluster)) as ShardTransport,
                 Some(cluster),

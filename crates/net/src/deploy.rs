@@ -13,8 +13,8 @@
 //!   [`ShardedKvStore::over_transports`]. Its fault surface is the
 //!   servers': crash, restart from disk
 //!   ([`ObjectServer::restart_from_disk`]) and partition, each at a
-//!   server's host, and an optional [`ChaosCfg`] link-fault profile drawn
-//!   at each server's host.
+//!   server's host, and an optional [`ChaosCfg`] link-fault profile, one
+//!   controller per server's host.
 
 use crate::client::NetCluster;
 use crate::server::ObjectServer;
@@ -23,8 +23,8 @@ use rastor_core::msg::{Rep, Req};
 use rastor_core::object::HonestObject;
 use rastor_core::StorageSystem;
 use rastor_kv::{ShardedKvStore, StoreConfig};
-use rastor_sim::host::ChaosCfg;
 use rastor_sim::runtime::Transport;
+use rastor_sim::ChaosCfg;
 use rastor_sim::ObjectBehavior;
 use std::time::Duration;
 
@@ -62,10 +62,7 @@ impl NetDeploy for StorageSystem {
             (0..self.config().num_objects())
                 .map(|_| Box::new(HonestObject::new()) as _)
                 .collect();
-        let jitter = jitter.map(|jitter| ChaosCfg {
-            jitter,
-            ..ChaosCfg::default()
-        });
+        let jitter = jitter.map(|j| Box::new(ChaosCfg::jitter_only(j)) as _);
         let server = ObjectServer::spawn(behaviors, 0, jitter)?;
         let cluster = NetCluster::connect(&[server.local_addr()])?;
         Ok(NetHarness { server, cluster })
@@ -78,8 +75,8 @@ impl NetDeploy for StorageSystem {
 /// `dir/shard-<s>/obj-<o>.{wal,snap}`, and makes its objects restartable
 /// from disk) unless `behavior(shard, object)` overrides one. `cfg.jitter`
 /// is the per-envelope service delay at every object. With `chaos =
-/// Some(c)`, every shard's host draws link faults per object from the
-/// profile `c` seeded `c.seed + shard`, its jitter raised by `cfg.jitter`.
+/// Some(c)`, every shard's host is controlled by its own copy of the
+/// profile `c`, seeded `c.seed + shard`, its jitter raised by `cfg.jitter`.
 /// Behind one shard listener every object is its own fault domain: a
 /// profile can drop the commit to one honest object while its peer stores
 /// it.
@@ -106,12 +103,10 @@ pub fn spawn_servers(
             let profile = match (&chaos, cfg.jitter) {
                 (None, None) => None,
                 (c, jitter) => {
-                    let c = c.clone().unwrap_or_default();
-                    Some(ChaosCfg {
-                        seed: c.seed.wrapping_add(s as u64),
-                        jitter: c.jitter + jitter.unwrap_or_default(),
-                        ..c
-                    })
+                    let mut c = c.clone().unwrap_or_default();
+                    c.seed = c.seed.wrapping_add(s as u64);
+                    c.jitter += jitter.unwrap_or_default();
+                    Some(Box::new(c) as _)
                 }
             };
             ObjectServer::spawn_shard(s, durability, behaviors, profile)

@@ -20,8 +20,9 @@
 //! * [`server`] / [`client`] — the socket substrate.
 //!   [`ObjectServer`] puts a listener in front of a
 //!   [`rastor_sim::host::ObjectHost`] — the same host an in-process
-//!   [`rastor_sim::runtime::ThreadCluster`] feeds, so behaviors, link
-//!   faults and jitter ([`ChaosCfg`]), crash, restart and partitions are
+//!   [`rastor_sim::runtime::ThreadCluster`] feeds, so behaviors, the
+//!   adversary's verdicts on each object copy (link faults and jitter are
+//!   the stock controller [`ChaosCfg`]), crash, restart and partitions are
 //!   one implementation; [`NetCluster`] is the client
 //!   endpoint, implementing the same
 //!   [`Transport`](rastor_sim::runtime::Transport) trait as the in-process
@@ -70,6 +71,6 @@ pub mod wire;
 pub use client::NetCluster;
 pub use deploy::{spawn_servers, NetDeploy, NetHarness, NetKv};
 pub use ops::{AdminOutcome, ControlClient};
-pub use rastor_sim::host::ChaosCfg;
+pub use rastor_sim::ChaosCfg;
 pub use reactor::{ConnHandle, Events, Reactor, ReactorHandle};
 pub use server::ObjectServer;

@@ -7,15 +7,15 @@
 //! finds idle on its own thread, and leaves the envelope queued behind
 //! any object another thread owns, for that owner to serve. Thread count
 //! is O(workers) — plus the host's
-//! [`EXECUTORS`](rastor_sim::host::EXECUTORS) under a profile that
-//! delays —
+//! [`EXECUTORS`](rastor_sim::host::EXECUTORS) under a controller —
 //! independent of how many objects the server hosts or how many
 //! connections are open.
-//! Everything about *serving* an object (per-object FIFO, link faults
-//! and service jitter, crash and restart, partitions) is the host's; what this module
-//! adds is the wire: reply envelopes are encoded onto the connection the
-//! request came in on, tagged with the requesting client so one
-//! connection can be shared by many clients, and the whole control plane
+//! Everything about *serving* an object (per-object FIFO, a controller's
+//! verdicts on each object copy, crash and restart, partitions) is the
+//! host's; what this module adds is the wire: reply envelopes are
+//! encoded onto the connection the request came in on, tagged with the
+//! requesting client so one connection can be shared by many clients,
+//! and the whole control plane
 //! — status, metrics, traces, counter reports and the admin verbs for
 //! this server's shard — is answered in-band. Control frames never reach
 //! the host, so a server whose host is partitioned still answers them, on
@@ -34,7 +34,8 @@ use rastor_common::{Error, ObjectId, Result};
 use rastor_core::msg::{Rep, Req};
 use rastor_kv::restart_from_disk;
 use rastor_obs::{names, trace, Counter, Registry};
-use rastor_sim::host::{Accounting, ChaosCfg, ObjectHost, ReplySink};
+use rastor_sim::host::{Accounting, ObjectHost, ReplySink};
+use rastor_sim::Controller;
 use rastor_sim::ObjectBehavior;
 use rastor_store::{Durability, InMemory};
 use std::cell::RefCell;
@@ -273,11 +274,11 @@ pub struct ObjectServer {
 impl ObjectServer {
     /// Bind a loopback listener and serve `behaviors` from the fixed
     /// worker pool. Hosted objects take the cluster-global ids `first_id
-    /// .. first_id + behaviors.len()`, their links under the fault
-    /// profile `chaos` — service jitter is a profile with only `jitter`
-    /// set (see [`ObjectHost::spawn`]). The server answers admin verbs as
-    /// shard 0 of an in-memory deployment, so it refuses a restart from
-    /// disk.
+    /// .. first_id + behaviors.len()`, every object copy scheduled by
+    /// `controller` if there is one — a link-fault profile or service
+    /// jitter is a [`rastor_sim::ChaosCfg`] (see [`ObjectHost::spawn`]).
+    /// The server answers admin verbs as shard 0 of an in-memory
+    /// deployment, so it refuses a restart from disk.
     ///
     /// # Errors
     ///
@@ -285,9 +286,9 @@ impl ObjectServer {
     pub fn spawn(
         behaviors: Vec<Box<dyn ObjectBehavior<Req, Rep> + Send>>,
         first_id: u32,
-        chaos: Option<ChaosCfg>,
+        controller: Option<Box<dyn Controller + Send>>,
     ) -> Result<ObjectServer> {
-        let host = ObjectHost::spawn(behaviors, first_id, chaos);
+        let host = ObjectHost::spawn(behaviors, first_id, controller);
         ObjectServer::serve(host, 0, Arc::new(InMemory))
     }
 
@@ -303,9 +304,10 @@ impl ObjectServer {
         shard: usize,
         durability: Arc<dyn Durability>,
         behaviors: Vec<Box<dyn ObjectBehavior<Req, Rep> + Send>>,
-        chaos: Option<ChaosCfg>,
+        controller: Option<Box<dyn Controller + Send>>,
     ) -> Result<ObjectServer> {
-        ObjectServer::serve(ObjectHost::spawn(behaviors, 0, chaos), shard, durability)
+        let host = ObjectHost::spawn(behaviors, 0, controller);
+        ObjectServer::serve(host, shard, durability)
     }
 
     fn serve(
@@ -368,7 +370,7 @@ impl ObjectServer {
     }
 
     /// Threads this server runs, total: reactor workers, plus the host's
-    /// executors under a profile that delays. Fixed at spawn — hosting more
+    /// executors under a controller. Fixed at spawn — hosting more
     /// objects or accepting more connections never grows it.
     pub fn thread_count(&self) -> usize {
         self.reactor.worker_count() + self.shard.host.executor_threads()

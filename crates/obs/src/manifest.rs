@@ -179,21 +179,21 @@ pub const METRICS: &[MetricDef] = &[
         kind: "counter",
         unit: "envelopes",
         seam: "sim::ObjectHost",
-        help: "Object copies of request envelopes, and reply envelopes, a host's link-fault profile dropped.",
+        help: "Object copies of request envelopes, and reply envelopes, a host's controller dropped (Verdict::Drop).",
     },
     MetricDef {
         name: names::CHAOS_FRAMES_DELAYED,
         kind: "counter",
         unit: "envelopes",
         seam: "sim::ObjectHost",
-        help: "Object copies of request envelopes a host held on a release timer for its profile's delay + jitter (service jitter included).",
+        help: "Object copies of request envelopes, and reply envelopes, a host held on a release timer for its controller's later DeliverAt (a profile's delay + jitter, service jitter included).",
     },
     MetricDef {
         name: names::CHAOS_FRAMES_REORDERED,
         kind: "counter",
         unit: "envelopes",
         seam: "sim::ObjectHost",
-        help: "Object copies and reply envelopes a host's profile held back behind that object's next one.",
+        help: "Object copies and reply envelopes a host's controller held back behind that object's next one (Verdict::Behind).",
     },
     MetricDef {
         name: names::CHAOS_PARTITION_DROPS,

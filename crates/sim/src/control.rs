@@ -1,45 +1,81 @@
-//! Message-scheduling controllers: the adversary's lever.
+//! Message-scheduling controllers: the adversary's lever, on both
+//! runtimes.
 //!
 //! In the paper's model the adversary controls asynchrony: it may delay any
 //! message arbitrarily (but channels are reliable, so held messages are
-//! merely "in transit"). A [`Controller`] sees every send and returns a
-//! [`Verdict`]: deliver at a chosen time, or hold.
+//! merely "in transit"). A [`Controller`] sees every message copy as a
+//! [`Msg`] and returns a [`Verdict`]. The simulator ([`crate::Sim`]) asks
+//! it once per message, on its logical clock; an [`crate::ObjectHost`]
+//! given one asks it once per object copy of an envelope on each leg, on
+//! the trace clock's microseconds (`rastor_obs::trace::epoch_us`). Both
+//! runtimes carry the verdicts out the same way, so a schedule written as
+//! rules runs on either.
 //!
-//! Three stock controllers cover the workloads:
+//! Five stock controllers cover the workloads:
 //!
 //! * [`FixedDelay`] — constant latency; the base case for round counting.
 //! * [`UniformDelay`] — seeded random latency in a range; soak tests.
 //! * [`PartitionController`] — random latency plus a dynamic set of
-//!   "slow links" whose messages are held until the partition heals.
+//!   "slow links" whose messages are delayed until the partition heals.
 //! * [`ScriptedController`] — full adversarial control via declarative
-//!   rules; used to replay the lower-bound proof schedules.
+//!   rules; used to replay the lower-bound proof schedules and the
+//!   explorer's delay masks.
+//! * [`ChaosCfg`] — seeded link faults per object and per leg: head-of-line
+//!   delay and jitter, loss, and adjacent reordering; the deployed
+//!   substrates' fault profile.
 
-use crate::engine::{Envelope, MsgDir};
+use crate::engine::MsgDir;
 use rastor_common::SplitMix64;
 use rastor_common::{ClientId, ObjectId};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::time::Duration;
 
-/// The controller's decision for one message.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Verdict {
-    /// Deliver at the given absolute time (clamped to ≥ now and per-link
-    /// FIFO order by the engine).
-    DeliverAt(u64),
-    /// Keep the message "in transit" indefinitely; it may be released later
-    /// via `Sim::release_held`.
-    Hold,
+/// One message copy, as a [`Controller`] sees it: its endpoints and the
+/// `(op_seq, round)` of every frame it carries. A simulator message
+/// carries one frame; a host's object copy carries every frame of its
+/// coalesced envelope, and is one packet to the adversary.
+#[derive(Clone, Copy, Debug)]
+pub struct Msg<'a> {
+    /// Direction (request or reply).
+    pub dir: MsgDir,
+    /// The client endpoint (sender of a request / recipient of a reply).
+    pub client: ClientId,
+    /// The object endpoint.
+    pub object: ObjectId,
+    /// `(op_seq, round)` per frame: the per-client operation sequence
+    /// number (the op nonce on threads) and the 1-based round.
+    pub frames: &'a [(u64, u32)],
 }
 
-/// Decides delivery schedules for every message send.
+/// The controller's decision for one message copy.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Verdict {
+    /// Deliver at the given absolute time, clamped to ≥ now and to FIFO
+    /// order per (client, object, direction).
+    DeliverAt(u64),
+    /// Keep the message "in transit" indefinitely. The simulator can
+    /// release it (`Sim::release_held`); a host never does, and a cut
+    /// loses it.
+    Hold,
+    /// Lose the message. Outside the paper's reliable channels: it exists
+    /// for the deployed substrates' recovery paths (resubmission, op
+    /// deadlines).
+    Drop,
+    /// Deliver the message right after the next message on the same
+    /// directed link that is delivered. A link holds back one message at a
+    /// time: a `Behind` verdict while one is held delivers the message now,
+    /// with the held one right after it.
+    Behind,
+}
+
+/// Decides the schedule of every message copy.
 ///
-/// Implementations see the full envelope (endpoints, operation sequence
-/// number, round, payload) so scripted adversaries can match on semantic
-/// coordinates.
-pub trait Controller<Q, R> {
-    /// Schedule a client→object request.
-    fn on_request(&mut self, env: &Envelope<Q>, now: u64) -> Verdict;
-    /// Schedule an object→client reply.
-    fn on_reply(&mut self, env: &Envelope<R>, now: u64) -> Verdict;
+/// Implementations see the copy's coordinates ([`Msg`]), not its payload,
+/// so scripted adversaries match on client, object, operation and round.
+pub trait Controller {
+    /// Schedule one message copy sent at `now`.
+    fn verdict(&mut self, msg: &Msg, now: u64) -> Verdict;
 }
 
 /// Constant message latency.
@@ -55,11 +91,8 @@ impl FixedDelay {
     }
 }
 
-impl<Q, R> Controller<Q, R> for FixedDelay {
-    fn on_request(&mut self, _env: &Envelope<Q>, now: u64) -> Verdict {
-        Verdict::DeliverAt(now + self.delay)
-    }
-    fn on_reply(&mut self, _env: &Envelope<R>, now: u64) -> Verdict {
+impl Controller for FixedDelay {
+    fn verdict(&mut self, _msg: &Msg, now: u64) -> Verdict {
         Verdict::DeliverAt(now + self.delay)
     }
 }
@@ -87,17 +120,14 @@ impl UniformDelay {
         }
     }
 
-    fn draw(&mut self, now: u64) -> Verdict {
-        Verdict::DeliverAt(now + self.rng.gen_range(self.lo, self.hi))
+    fn draw(&mut self, now: u64) -> u64 {
+        now + self.rng.gen_range(self.lo, self.hi)
     }
 }
 
-impl<Q, R> Controller<Q, R> for UniformDelay {
-    fn on_request(&mut self, _env: &Envelope<Q>, now: u64) -> Verdict {
-        self.draw(now)
-    }
-    fn on_reply(&mut self, _env: &Envelope<R>, now: u64) -> Verdict {
-        self.draw(now)
+impl Controller for UniformDelay {
+    fn verdict(&mut self, _msg: &Msg, now: u64) -> Verdict {
+        Verdict::DeliverAt(self.draw(now))
     }
 }
 
@@ -131,12 +161,12 @@ impl PartitionController {
     pub fn heal_link(&mut self, client: ClientId, object: ObjectId) {
         self.slow.remove(&(client, object));
     }
+}
 
-    fn verdict(&mut self, client: ClientId, object: ObjectId, now: u64) -> Verdict {
-        let Verdict::DeliverAt(at) = self.base.draw(now) else {
-            unreachable!("UniformDelay always delivers")
-        };
-        if self.slow.contains(&(client, object)) {
+impl Controller for PartitionController {
+    fn verdict(&mut self, msg: &Msg, now: u64) -> Verdict {
+        let at = self.base.draw(now);
+        if self.slow.contains(&(msg.client, msg.object)) {
             Verdict::DeliverAt(at + self.penalty)
         } else {
             Verdict::DeliverAt(at)
@@ -144,20 +174,12 @@ impl PartitionController {
     }
 }
 
-impl<Q, R> Controller<Q, R> for PartitionController {
-    fn on_request(&mut self, env: &Envelope<Q>, now: u64) -> Verdict {
-        self.verdict(env.client, env.object, now)
-    }
-    fn on_reply(&mut self, env: &Envelope<R>, now: u64) -> Verdict {
-        self.verdict(env.client, env.object, now)
-    }
-}
-
 /// A declarative rule used by [`ScriptedController`].
 ///
-/// A message matches a rule when every populated field matches. The first
-/// matching rule's verdict applies; unmatched messages are delivered with
-/// unit delay.
+/// A message matches a rule when every populated field matches; the
+/// `op_seq` and `round` fields match when any one of the message's frames
+/// matches both. The first matching rule's verdict applies; unmatched
+/// messages are delivered with unit delay.
 #[derive(Clone, Debug)]
 pub struct Rule {
     /// Match direction (request/reply), if set.
@@ -252,43 +274,14 @@ impl Rule {
         self
     }
 
-    fn matches(
-        &self,
-        dir: MsgDir,
-        client: ClientId,
-        object: ObjectId,
-        op_seq: u64,
-        round: u32,
-    ) -> bool {
-        if let Some(d) = self.dir {
-            if d != dir {
-                return false;
-            }
-        }
-        if let Some(c) = self.client {
-            if c != client {
-                return false;
-            }
-        }
-        if let Some(o) = self.object {
-            if o != object {
-                return false;
-            }
-        }
-        if !self.objects.is_empty() && !self.objects.contains(&object) {
-            return false;
-        }
-        if let Some(s) = self.op_seq {
-            if s != op_seq {
-                return false;
-            }
-        }
-        if let Some(r) = self.round {
-            if r != round {
-                return false;
-            }
-        }
-        true
+    fn matches(&self, msg: &Msg) -> bool {
+        self.dir.is_none_or(|d| d == msg.dir)
+            && self.client.is_none_or(|c| c == msg.client)
+            && self.object.is_none_or(|o| o == msg.object)
+            && (self.objects.is_empty() || self.objects.contains(&msg.object))
+            && msg.frames.iter().any(|&(op_seq, round)| {
+                self.op_seq.is_none_or(|s| s == op_seq) && self.round.is_none_or(|r| r == round)
+            })
     }
 }
 
@@ -333,51 +326,182 @@ impl ScriptedController {
         self.default_delay = d;
         self
     }
+}
 
-    fn decide(
-        &mut self,
-        dir: MsgDir,
-        client: ClientId,
-        object: ObjectId,
-        op_seq: u64,
-        round: u32,
-        now: u64,
-    ) -> Verdict {
-        for rule in &self.rules {
-            if rule.matches(dir, client, object, op_seq, round) {
-                if let Some(d) = rule.extra_delay {
-                    return Verdict::DeliverAt(now + d);
-                }
-                return match rule.verdict {
-                    Verdict::DeliverAt(at) => Verdict::DeliverAt(at.max(now)),
-                    Verdict::Hold => Verdict::Hold,
-                };
-            }
+impl Controller for ScriptedController {
+    fn verdict(&mut self, msg: &Msg, now: u64) -> Verdict {
+        let Some(rule) = self.rules.iter().find(|rule| rule.matches(msg)) else {
+            return Verdict::DeliverAt(now + self.default_delay);
+        };
+        match (rule.extra_delay, rule.verdict) {
+            (Some(d), _) => Verdict::DeliverAt(now + d),
+            (None, Verdict::DeliverAt(at)) => Verdict::DeliverAt(at.max(now)),
+            (None, v) => v,
         }
-        Verdict::DeliverAt(now + self.default_delay)
     }
 }
 
-impl<Q, R> Controller<Q, R> for ScriptedController {
-    fn on_request(&mut self, env: &Envelope<Q>, now: u64) -> Verdict {
-        self.decide(
-            MsgDir::Request,
-            env.client,
-            env.object,
-            env.op_seq,
-            env.round,
-            now,
-        )
+/// A link-fault profile as a stock seeded controller: what the adversary
+/// does to every object's messages on a deployed substrate. The default
+/// delays, drops and reorders nothing; set the knobs you want. Service
+/// jitter is [`ChaosCfg::jitter_only`].
+///
+/// Each copy's draws become a verdict: a lost copy is [`Verdict::Drop`], a
+/// copy held back behind the object's next one on the same leg is
+/// [`Verdict::Behind`], and a request copy's head-of-line delay is a
+/// [`Verdict::DeliverAt`] in microseconds. Object `o` draws leg `l` (0 =
+/// requests, 1 = replies) from `SplitMix64(seed ^ (o << 1) ^ l)`, so the
+/// fault draws replay from the seed given the same arrival order. The
+/// streams and each object's head-of-line release time are the
+/// controller's own state, made on first use; clone a fresh profile for
+/// each host.
+#[derive(Clone)]
+pub struct ChaosCfg {
+    /// Seed for the per-object, per-leg fault streams.
+    pub seed: u64,
+    /// Fixed latency added to every request copy, head-of-line: a copy
+    /// clears its object's link `delay + jitter·U` after the copy before
+    /// it did. Charged once per round trip; replies are not delayed.
+    pub delay: Duration,
+    /// Extra uniform-random latency in `[0, jitter)` per request copy.
+    pub jitter: Duration,
+    /// Probability a request copy or a reply envelope is lost.
+    pub drop_prob: f64,
+    /// Probability a request copy or a reply envelope is held back and
+    /// delivered right *after* that object's next one on the same leg.
+    pub reorder_prob: f64,
+    /// Each object's leg streams, by `(object, leg)`.
+    streams: HashMap<(ObjectId, u64), SplitMix64>,
+    /// When each object's request leg frees up (µs): the release time of
+    /// the last copy it delayed.
+    release: HashMap<ObjectId, u64>,
+}
+
+impl Default for ChaosCfg {
+    fn default() -> ChaosCfg {
+        ChaosCfg {
+            seed: 1,
+            delay: Duration::ZERO,
+            jitter: Duration::ZERO,
+            drop_prob: 0.0,
+            reorder_prob: 0.0,
+            streams: HashMap::new(),
+            release: HashMap::new(),
+        }
     }
-    fn on_reply(&mut self, env: &Envelope<R>, now: u64) -> Verdict {
-        self.decide(
-            MsgDir::Reply,
-            env.client,
-            env.object,
-            env.op_seq,
-            env.round,
-            now,
-        )
+}
+
+/// Reports print the five knobs; the draw state is not part of a profile.
+impl fmt::Debug for ChaosCfg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ChaosCfg")
+            .field("seed", &self.seed)
+            .field("delay", &self.delay)
+            .field("jitter", &self.jitter)
+            .field("drop_prob", &self.drop_prob)
+            .field("reorder_prob", &self.reorder_prob)
+            .finish()
+    }
+}
+
+impl ChaosCfg {
+    /// A pure added-latency profile: fixed `delay` plus uniform jitter of
+    /// the same magnitude.
+    pub fn delay_only(delay: Duration) -> ChaosCfg {
+        ChaosCfg {
+            delay,
+            jitter: delay,
+            ..ChaosCfg::default()
+        }
+    }
+
+    /// A pure service-jitter profile: uniform latency in `[0, jitter)` per
+    /// request copy.
+    pub fn jitter_only(jitter: Duration) -> ChaosCfg {
+        ChaosCfg {
+            jitter,
+            ..ChaosCfg::default()
+        }
+    }
+
+    /// Set the drop probability.
+    ///
+    /// ## Choosing a drop rate
+    ///
+    /// Drops act on one object's copy of an envelope: a dropped request
+    /// costs that object the round, a dropped reply its answer, and the
+    /// other objects are untouched. A client waits for a quorum, and it
+    /// resubmits a stalled flush (see `rastor_net::NetCluster`), so a
+    /// drop costs at most one resubmission interval — tens of
+    /// milliseconds — not a whole op deadline, and soaks can run
+    /// genuinely lossy links:
+    ///
+    /// ```
+    /// use rastor_sim::control::ChaosCfg;
+    /// use std::time::Duration;
+    ///
+    /// // A harsh lossy-link profile a soak still makes progress through:
+    /// // ~20% of copies lost each way, small head-of-line delay.
+    /// let cfg = ChaosCfg::delay_only(Duration::from_micros(100)).with_drops(0.20);
+    /// assert!(cfg.drop_prob < 1.0, "a link that drops everything is a partition");
+    /// ```
+    #[must_use]
+    pub fn with_drops(mut self, prob: f64) -> ChaosCfg {
+        self.drop_prob = prob;
+        self
+    }
+
+    /// Set the reorder probability.
+    #[must_use]
+    pub fn with_reordering(mut self, prob: f64) -> ChaosCfg {
+        self.reorder_prob = prob;
+        self
+    }
+
+    /// Set the seed.
+    #[must_use]
+    pub fn with_seed(mut self, seed: u64) -> ChaosCfg {
+        self.seed = seed;
+        self
+    }
+
+    /// Object `object`'s fault stream on leg `leg` (0 = requests, 1 =
+    /// replies), before any draw.
+    pub(crate) fn stream(seed: u64, object: ObjectId, leg: u64) -> SplitMix64 {
+        SplitMix64::new(seed ^ (u64::from(object.0) << 1) ^ leg)
+    }
+}
+
+impl Controller for ChaosCfg {
+    fn verdict(&mut self, msg: &Msg, now: u64) -> Verdict {
+        let leg = match msg.dir {
+            MsgDir::Request => 0,
+            MsgDir::Reply => 1,
+        };
+        let seed = self.seed;
+        let rng = self
+            .streams
+            .entry((msg.object, leg))
+            .or_insert_with(|| ChaosCfg::stream(seed, msg.object, leg));
+        if self.drop_prob > 0.0 && rng.next_f64() < self.drop_prob {
+            return Verdict::Drop;
+        }
+        if self.reorder_prob > 0.0 && rng.next_f64() < self.reorder_prob {
+            return Verdict::Behind;
+        }
+        if msg.dir == MsgDir::Reply || (self.delay.is_zero() && self.jitter.is_zero()) {
+            return Verdict::DeliverAt(now);
+        }
+        // Head-of-line: the copy clears the link `delay + jitter·U` after
+        // its predecessor did, or after now if the link was idle — a
+        // queueing model kept off the threads, so a "busy" object never
+        // blocks one. Rounded up to a whole microsecond, so a delayed copy
+        // is never due at once.
+        let wait = self.delay + self.jitter.mul_f64(rng.next_f64());
+        let wait_us = u64::try_from(wait.as_nanos().div_ceil(1_000)).unwrap_or(u64::MAX);
+        let release = self.release.entry(msg.object).or_insert(now);
+        *release = (*release).max(now).saturating_add(wait_us);
+        Verdict::DeliverAt(*release)
     }
 }
 
@@ -385,42 +509,28 @@ impl<Q, R> Controller<Q, R> for ScriptedController {
 mod tests {
     use super::*;
 
-    fn env(
-        dir: MsgDir,
-        client: ClientId,
-        object: ObjectId,
-        op_seq: u64,
-        round: u32,
-    ) -> Envelope<u8> {
-        Envelope {
-            id: crate::engine::MsgId(0),
+    const ONE: &[(u64, u32)] = &[(0, 1)];
+
+    fn msg(dir: MsgDir, client: ClientId, object: ObjectId, frames: &[(u64, u32)]) -> Msg<'_> {
+        Msg {
             dir,
             client,
             object,
-            op_seq,
-            round,
-            payload: 0,
+            frames,
         }
     }
 
     #[test]
     fn fixed_delay_is_constant() {
         let mut c = FixedDelay::new(5);
-        let e = env(MsgDir::Request, ClientId::writer(), ObjectId(0), 0, 1);
-        let v = Controller::<u8, u8>::on_request(&mut c, &e, 10);
-        assert_eq!(v, Verdict::DeliverAt(15));
+        let m = msg(MsgDir::Request, ClientId::writer(), ObjectId(0), ONE);
+        assert_eq!(c.verdict(&m, 10), Verdict::DeliverAt(15));
     }
 
     #[test]
     fn uniform_delay_is_seeded_deterministic() {
-        let e = env(MsgDir::Request, ClientId::writer(), ObjectId(0), 0, 1);
-        let draw = |seed| {
-            let mut c = UniformDelay::new(seed, 1, 100);
-            match Controller::<u8, u8>::on_request(&mut c, &e, 0) {
-                Verdict::DeliverAt(at) => at,
-                Verdict::Hold => unreachable!(),
-            }
-        };
+        let m = msg(MsgDir::Request, ClientId::writer(), ObjectId(0), ONE);
+        let draw = |seed| UniformDelay::new(seed, 1, 100).verdict(&m, 0);
         assert_eq!(draw(42), draw(42));
     }
 
@@ -434,18 +544,15 @@ mod tests {
     fn partition_penalizes_slow_links() {
         let mut c = PartitionController::new(1, 1, 1, 1000);
         c.slow_link(ClientId::reader(0), ObjectId(2));
-        let slow = env(MsgDir::Request, ClientId::reader(0), ObjectId(2), 0, 1);
-        let fast = env(MsgDir::Request, ClientId::reader(0), ObjectId(1), 0, 1);
-        let vs = Controller::<u8, u8>::on_request(&mut c, &slow, 0);
-        let vf = Controller::<u8, u8>::on_request(&mut c, &fast, 0);
-        match (vs, vf) {
+        let slow = msg(MsgDir::Request, ClientId::reader(0), ObjectId(2), ONE);
+        let fast = msg(MsgDir::Request, ClientId::reader(0), ObjectId(1), ONE);
+        match (c.verdict(&slow, 0), c.verdict(&fast, 0)) {
             (Verdict::DeliverAt(s), Verdict::DeliverAt(f)) => assert!(s > f + 500),
             _ => panic!("both links deliver"),
         }
         c.heal_link(ClientId::reader(0), ObjectId(2));
-        let vh = Controller::<u8, u8>::on_request(&mut c, &slow, 0);
         assert_eq!(
-            vh,
+            c.verdict(&slow, 0),
             Verdict::DeliverAt(1),
             "healed link uses base delay of 1"
         );
@@ -462,27 +569,18 @@ mod tests {
             )
             .with_rule(Rule::hold_all().verdict(Verdict::DeliverAt(50)));
         // Writer round-2 request to s3 is held (skipped).
-        let skip = env(MsgDir::Request, ClientId::writer(), ObjectId(3), 0, 2);
-        assert_eq!(
-            Controller::<u8, u8>::on_request(&mut c, &skip, 0),
-            Verdict::Hold
-        );
+        let skip = msg(MsgDir::Request, ClientId::writer(), ObjectId(3), &[(0, 2)]);
+        assert_eq!(c.verdict(&skip, 0), Verdict::Hold);
         // Everything else hits the catch-all DeliverAt(50).
-        let other = env(MsgDir::Request, ClientId::writer(), ObjectId(1), 0, 2);
-        assert_eq!(
-            Controller::<u8, u8>::on_request(&mut c, &other, 0),
-            Verdict::DeliverAt(50)
-        );
+        let other = msg(MsgDir::Request, ClientId::writer(), ObjectId(1), &[(0, 2)]);
+        assert_eq!(c.verdict(&other, 0), Verdict::DeliverAt(50));
     }
 
     #[test]
     fn scripted_fallback_delay() {
         let mut c = ScriptedController::new().with_default_delay(7);
-        let e = env(MsgDir::Reply, ClientId::reader(1), ObjectId(0), 3, 1);
-        assert_eq!(
-            Controller::<u8, u8>::on_reply(&mut c, &e, 100),
-            Verdict::DeliverAt(107)
-        );
+        let m = msg(MsgDir::Reply, ClientId::reader(1), ObjectId(0), &[(3, 1)]);
+        assert_eq!(c.verdict(&m, 100), Verdict::DeliverAt(107));
     }
 
     #[test]
@@ -491,10 +589,66 @@ mod tests {
             .client(ClientId::reader(0))
             .op_seq(1)
             .round(2);
-        assert!(rule.matches(MsgDir::Request, ClientId::reader(0), ObjectId(9), 1, 2));
-        assert!(!rule.matches(MsgDir::Reply, ClientId::reader(0), ObjectId(9), 1, 2));
-        assert!(!rule.matches(MsgDir::Request, ClientId::reader(1), ObjectId(9), 1, 2));
-        assert!(!rule.matches(MsgDir::Request, ClientId::reader(0), ObjectId(9), 0, 2));
-        assert!(!rule.matches(MsgDir::Request, ClientId::reader(0), ObjectId(9), 1, 1));
+        let m = |dir, reader, frames| msg(dir, ClientId::reader(reader), ObjectId(9), frames);
+        assert!(rule.matches(&m(MsgDir::Request, 0, &[(1, 2)])));
+        assert!(!rule.matches(&m(MsgDir::Reply, 0, &[(1, 2)])));
+        assert!(!rule.matches(&m(MsgDir::Request, 1, &[(1, 2)])));
+        assert!(!rule.matches(&m(MsgDir::Request, 0, &[(0, 2)])));
+        assert!(!rule.matches(&m(MsgDir::Request, 0, &[(1, 1)])));
+    }
+
+    /// An envelope is one packet: a rule matches a copy when one of its
+    /// frames matches op and round together, not when the op matches one
+    /// frame and the round another.
+    #[test]
+    fn a_rule_matches_a_coalesced_copy_through_any_one_frame() {
+        let rule = Rule::hold(MsgDir::Request).op_seq(4).round(2);
+        let copy = |frames| msg(MsgDir::Request, ClientId::reader(0), ObjectId(0), frames);
+        assert!(rule.matches(&copy(&[(3, 1), (4, 2)])));
+        assert!(!rule.matches(&copy(&[(4, 1), (3, 2)])));
+        assert!(
+            !rule.matches(&copy(&[])),
+            "a copy without frames matches no op"
+        );
+    }
+
+    /// The profile's draws, as verdicts: head-of-line delay on the request
+    /// leg only, seeded per object and leg.
+    #[test]
+    fn a_chaos_profile_delays_requests_head_of_line_and_replays_from_its_seed() {
+        let request = |o| msg(MsgDir::Request, ClientId::reader(0), ObjectId(o), ONE);
+        let reply = msg(MsgDir::Reply, ClientId::reader(0), ObjectId(0), ONE);
+        let fresh = || ChaosCfg::delay_only(Duration::from_micros(100)).with_seed(9);
+        let mut c = fresh();
+        let at = |v| match v {
+            Verdict::DeliverAt(at) => at,
+            other => panic!("a delay-only profile delivers, got {other:?}"),
+        };
+        let first = at(c.verdict(&request(0), 1_000));
+        assert!((1_100..=1_200).contains(&first), "delay + jitter: {first}");
+        let second = at(c.verdict(&request(0), 1_000));
+        assert!(second >= first + 100, "head-of-line behind the first copy");
+        assert_eq!(c.verdict(&reply, 1_000), Verdict::DeliverAt(1_000));
+        let other = at(c.verdict(&request(1), 1_000));
+        assert!(other < second, "another object's link is its own");
+        assert_eq!(
+            fresh().verdict(&request(0), 1_000),
+            Verdict::DeliverAt(first)
+        );
+    }
+
+    /// Loss and reordering become [`Verdict::Drop`] and [`Verdict::Behind`].
+    #[test]
+    fn a_chaos_profile_drops_and_reorders_through_verdicts() {
+        let m = msg(MsgDir::Reply, ClientId::reader(0), ObjectId(2), ONE);
+        let mut lossy = ChaosCfg::default().with_drops(1.0);
+        assert_eq!(lossy.verdict(&m, 5), Verdict::Drop);
+        let mut reorder = ChaosCfg::default().with_reordering(1.0);
+        assert_eq!(reorder.verdict(&m, 5), Verdict::Behind);
+        assert_eq!(ChaosCfg::default().verdict(&m, 5), Verdict::DeliverAt(5));
+        assert!(
+            !format!("{reorder:?}").contains("streams"),
+            "reports print the knobs only"
+        );
     }
 }

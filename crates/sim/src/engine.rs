@@ -1,15 +1,17 @@
 //! The discrete-event simulation engine.
 //!
 //! Processes never share memory: the engine owns every client and object and
-//! delivers messages between them according to a [`Controller`]'s verdicts.
+//! delivers messages between them according to a [`Controller`]'s verdicts
+//! (see [`Verdict`] for what each one does).
 //! Execution is fully deterministic: events are ordered by
 //! `(time, sequence-number)` and all randomness lives in seeded controllers.
 
-use crate::control::{Controller, FixedDelay, Verdict};
+use crate::control::{Controller, FixedDelay, Msg, Verdict};
 use crate::driver::{Dispatch, OpDriver, StalePolicy};
 use crate::trace::Trace;
 use rastor_common::{ClientId, ObjectId, OpKind, OpStat};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::fmt;
@@ -27,9 +29,8 @@ pub enum MsgDir {
     Reply,
 }
 
-/// A message in flight, visible to [`Controller`] implementations so that
-/// scripted adversaries can pattern-match on semantic coordinates
-/// (client, object, operation sequence number, round).
+/// A message in flight. A [`Controller`] sees its coordinates as a
+/// [`Msg`] carrying one frame.
 #[derive(Clone, Debug)]
 pub struct Envelope<P> {
     /// Unique message id.
@@ -130,6 +131,9 @@ enum Event<Q, R> {
     CrashClient(ClientId),
 }
 
+/// A directed link: `(client, object, direction)`.
+type Link = (ClientId, ObjectId, MsgDir);
+
 /// An operation queued behind a client's pending one: invocation time, kind,
 /// and the protocol automaton to run.
 type QueuedOp<Q, R, Out> = (u64, OpKind, Box<dyn RoundClient<Q, R, Out = Out>>);
@@ -139,7 +143,7 @@ type QueuedOp<Q, R, Out> = (u64, OpKind, Box<dyn RoundClient<Q, R, Out = Out>>);
 /// adds the paper's FIFO invocation queue. The driver runs
 /// [`StalePolicy::DeliverLate`] — the paper's round model explicitly lets
 /// a client use replies from terminated rounds, and the lower-bound
-/// replays rely on it (the deploy path hardens this to `DropLate`).
+/// replays rely on it (the thread runtime runs it too).
 struct ClientSlot<Q, R, Out> {
     driver: OpDriver<Q, R, Out>,
     queue: Vec<QueuedOp<Q, R, Out>>,
@@ -166,9 +170,12 @@ pub struct Sim<Q, R, Out> {
     store: HashMap<u64, Event<Q, R>>,
     objects: Vec<Box<dyn ObjectBehavior<Q, R>>>,
     clients: HashMap<ClientId, ClientSlot<Q, R, Out>>,
-    controller: Box<dyn Controller<Q, R>>,
+    controller: Box<dyn Controller>,
     held: HashMap<MsgId, Event<Q, R>>,
-    fifo_floor: HashMap<(ClientId, ObjectId, MsgDir), u64>,
+    /// Per directed link, the message a [`Verdict::Behind`] holds back
+    /// until the link's next delivery.
+    behind: HashMap<Link, Event<Q, R>>,
+    fifo_floor: HashMap<Link, u64>,
     trace: Trace,
     processed: u64,
 }
@@ -185,10 +192,7 @@ where
     }
 
     /// Create a simulator driven by the given controller.
-    pub fn with_controller(
-        cfg: SimConfig,
-        controller: Box<dyn Controller<Q, R>>,
-    ) -> Sim<Q, R, Out> {
+    pub fn with_controller(cfg: SimConfig, controller: Box<dyn Controller>) -> Sim<Q, R, Out> {
         Sim {
             cfg,
             time: 0,
@@ -200,6 +204,7 @@ where
             clients: HashMap::new(),
             controller,
             held: HashMap::new(),
+            behind: HashMap::new(),
             fifo_floor: HashMap::new(),
             trace: Trace::default(),
             processed: 0,
@@ -212,14 +217,6 @@ where
         let id = ObjectId(self.objects.len() as u32);
         self.objects.push(behavior);
         id
-    }
-
-    /// Register a whole cast of objects at once, in slot order — the
-    /// batch form of [`Sim::add_object`] used by schedule exploration,
-    /// where a `Cast` materializes all `3t + 1` behaviors (honest and
-    /// Byzantine) as one vector. Returns the assigned ids, `s0, s1, …`.
-    pub fn add_objects(&mut self, behaviors: Vec<Box<dyn ObjectBehavior<Q, R>>>) -> Vec<ObjectId> {
-        behaviors.into_iter().map(|b| self.add_object(b)).collect()
     }
 
     /// Replace an object's behavior mid-run (used by fault-injection tests
@@ -303,35 +300,47 @@ where
 
     /// FIFO channels: clamp a delivery time to be no earlier than the last
     /// delivery already scheduled on the same directed link.
-    fn fifo_clamp(&mut self, client: ClientId, object: ObjectId, dir: MsgDir, at: u64) -> u64 {
-        let floor = self.fifo_floor.entry((client, object, dir)).or_insert(0);
+    fn fifo_clamp(&mut self, link: Link, at: u64) -> u64 {
+        let floor = self.fifo_floor.entry(link).or_insert(0);
         let when = at.max(*floor);
         *floor = when;
         when
     }
 
-    fn route_request(&mut self, env: Envelope<Q>) {
-        match self.controller.on_request(&env, self.time) {
-            Verdict::DeliverAt(at) => {
-                let at =
-                    self.fifo_clamp(env.client, env.object, MsgDir::Request, at.max(self.time));
-                self.push_event(at, Event::DeliverRequest(env));
-            }
+    /// Schedule one message by the controller's verdict. A delivered
+    /// message releases the one its link holds back right after it.
+    fn route(&mut self, ev: Event<Q, R>) {
+        let (id, link, frame) = match &ev {
+            Event::DeliverRequest(e) => (e.id, (e.client, e.object, e.dir), (e.op_seq, e.round)),
+            Event::DeliverReply(e) => (e.id, (e.client, e.object, e.dir), (e.op_seq, e.round)),
+            Event::Invoke(_) | Event::CrashClient(_) => unreachable!("only messages are routed"),
+        };
+        let (client, object, dir) = link;
+        let msg = Msg {
+            dir,
+            client,
+            object,
+            frames: &[frame],
+        };
+        let at = match self.controller.verdict(&msg, self.time) {
+            Verdict::DeliverAt(at) => at,
             Verdict::Hold => {
-                self.held.insert(env.id, Event::DeliverRequest(env));
+                self.held.insert(id, ev);
+                return;
             }
-        }
-    }
-
-    fn route_reply(&mut self, env: Envelope<R>) {
-        match self.controller.on_reply(&env, self.time) {
-            Verdict::DeliverAt(at) => {
-                let at = self.fifo_clamp(env.client, env.object, MsgDir::Reply, at.max(self.time));
-                self.push_event(at, Event::DeliverReply(env));
-            }
-            Verdict::Hold => {
-                self.held.insert(env.id, Event::DeliverReply(env));
-            }
+            Verdict::Drop => return,
+            Verdict::Behind => match self.behind.entry(link) {
+                Entry::Vacant(slot) => {
+                    slot.insert(ev);
+                    return;
+                }
+                Entry::Occupied(_) => self.time,
+            },
+        };
+        let at = self.fifo_clamp(link, at.max(self.time));
+        self.push_event(at, ev);
+        if let Some(held_back) = self.behind.remove(&link) {
+            self.push_event(at, held_back);
         }
     }
 
@@ -347,7 +356,7 @@ where
                 round,
                 payload: payload.clone(),
             };
-            self.route_request(env);
+            self.route(Event::DeliverRequest(env));
         }
     }
 
@@ -397,7 +406,7 @@ where
                         round: env.round,
                         payload,
                     };
-                    self.route_reply(renv);
+                    self.route(Event::DeliverReply(renv));
                 }
                 None
             }
@@ -489,8 +498,8 @@ where
 
     /// Override the staleness policy of one client's op driver (defaults
     /// to [`StalePolicy::DeliverLate`]). Call before the client's first
-    /// operation is invoked; scenario tests use it to run the hardened
-    /// deploy-path [`StalePolicy::DropLate`] behaviour inside the sim.
+    /// operation is invoked; the explorer's parity test uses it to run
+    /// [`StalePolicy::DropLate`] beside the paper's policy.
     pub fn set_stale_policy(&mut self, client: ClientId, policy: StalePolicy) {
         self.clients
             .entry(client)

@@ -12,10 +12,8 @@
 //!
 //! What the host owns: one slot per object (the behavior, a served
 //! counter, a FIFO queue of envelopes waiting for the object's owner),
-//! the object's link under a [`ChaosCfg`] fault profile (delay and
-//! service jitter modelled as a release timer, so a "busy" object never
-//! blocks a thread; drops; reordering), the traced/untraced apply
-//! wrapper, and crash / restart.
+//! the traced/untraced apply wrapper, crash / restart, and — under a
+//! [`Controller`] — what is in transit.
 //!
 //! Every submitter *serves through*: the thread that submits an envelope
 //! — a server's reactor worker that read it, or an in-process client
@@ -30,25 +28,31 @@
 //! sink go out together once the call is done
 //! ([`ReplySink::deliver_burst`]); the rest go out as they are made.
 //!
-//! Only delay needs threads of the host's own: a host whose profile
-//! delays or jitters runs [`EXECUTORS`] threads that wait for the next
-//! release timer to come due and then serve its object through, as a
-//! submitter would. A host without a profile, or with one that only
-//! drops and reorders, runs no thread at all.
+//! The adversary speaks one language on both runtimes: a host spawned
+//! with a [`Controller`] asks it for a [`Verdict`] once per object copy of
+//! an envelope on each leg (request, reply), with the copy's frames as a
+//! [`Msg`] and the trace clock's microseconds as `now` — the same trait,
+//! and the same rules, the simulator asks per message. A copy that is due
+//! at once is served through; a later [`Verdict::DeliverAt`] waits out a
+//! release timer (clamped FIFO per client, object and leg), so a "busy"
+//! object never blocks a thread; [`Verdict::Drop`] loses the copy;
+//! [`Verdict::Behind`] holds it back until the leg's next delivery; and a
+//! [`Verdict::Hold`] copy stays in transit until a cut loses it. The
+//! stock link-fault profile is [`crate::control::ChaosCfg`], and the
+//! explorer's delay masks run here through `rastor_check`'s
+//! `Scenario::run_mask_threaded`. Only a host with a controller has
+//! threads of its own: [`EXECUTORS`] that wait for the next release timer
+//! to come due and then serve its object through, as a submitter would,
+//! or hand its reply to its sink. A host without one runs no thread,
+//! takes no lock on the fan-out, and reads no clock for it.
 //!
-//! Link faults are drawn where the objects live: in the paper's model the
-//! adversary acts on an object's messages, so a delayed, lost or
-//! reordered request is an object copy served late, never, or after its
-//! successor. Each object draws from its own streams, one per leg
-//! (request, reply), so behind one listener every object is its own
-//! fault domain. [`ObjectHost::set_partitioned`] cuts the host off from
-//! its clients the same way: an object the adversary cuts off is just an
-//! object that stops answering. The objects keep their state, and
-//! healing needs no reconnect.
+//! [`ObjectHost::set_partitioned`] cuts the host off from its clients: an
+//! object the adversary cuts off is just an object that stops answering.
+//! The objects keep their state, and healing needs no reconnect.
 //!
 //! Semantics: each object processes envelopes serially and in arrival
 //! order (one owner at a time per object), apart from the copies its
-//! profile reorders. [`ObjectHost::crash`]
+//! controller reorders. [`ObjectHost::crash`]
 //! lets the envelope in flight finish, then drops the behavior along
 //! with every queued envelope; future envelopes to the object vanish
 //! until [`ObjectHost::restart`] installs a new behavior under the same
@@ -58,137 +62,23 @@
 //! rejoined by then. A cut, unlike a crash, loses every envelope still
 //! in transit.
 
-use crate::engine::ObjectBehavior;
+use crate::control::{Controller, Msg, Verdict};
+use crate::engine::{MsgDir, ObjectBehavior};
 use crate::runtime::{RepEnvelope, RepFrame, ReqEnvelope};
-use rastor_common::{ObjectId, SplitMix64};
+use rastor_common::{ClientId, ObjectId};
 use rastor_obs::{names, trace, Counter, Registry};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Executor threads of a host whose profile delays: the pool that
-/// releases its timers and serves the objects they free. Two, so one
-/// slow apply does not hold back every other object's release. Fixed —
-/// hosting more objects, or serving more clients, never means more
-/// threads. A host whose copies are never delayed spawns none.
+/// Executor threads of a host with a controller: the pool that releases
+/// its timers and serves the objects they free. Two, so one slow apply
+/// does not hold back every other object's release. Fixed — hosting more
+/// objects, or serving more clients, never means more threads. A host
+/// without a controller spawns none.
 pub const EXECUTORS: usize = 2;
-
-/// A host's link-fault profile: what the adversary does to every hosted
-/// object's messages. The default delays, drops and reorders nothing;
-/// set the knobs you want. Service jitter is `ChaosCfg { jitter,
-/// ..ChaosCfg::default() }`.
-///
-/// Object `o` draws leg `l` (0 = requests, 1 = replies) from
-/// `SplitMix64(seed ^ (o << 1) ^ l)`, so the fault draws replay from the
-/// seed given the same arrival order.
-#[derive(Clone, Debug)]
-pub struct ChaosCfg {
-    /// Seed for the per-object, per-leg fault streams.
-    pub seed: u64,
-    /// Fixed latency added to every request copy, head-of-line: a copy
-    /// clears its object's link `delay + jitter·U` after the copy before
-    /// it did. Charged once per round trip; replies are not delayed.
-    pub delay: Duration,
-    /// Extra uniform-random latency in `[0, jitter)` per request copy.
-    pub jitter: Duration,
-    /// Probability a request copy or a reply envelope is lost.
-    pub drop_prob: f64,
-    /// Probability a request copy or a reply envelope is held back and
-    /// delivered right *after* that object's next one on the same leg.
-    pub reorder_prob: f64,
-}
-
-impl Default for ChaosCfg {
-    fn default() -> ChaosCfg {
-        ChaosCfg {
-            seed: 1,
-            delay: Duration::ZERO,
-            jitter: Duration::ZERO,
-            drop_prob: 0.0,
-            reorder_prob: 0.0,
-        }
-    }
-}
-
-impl ChaosCfg {
-    /// A pure added-latency profile: fixed `delay` plus uniform jitter of
-    /// the same magnitude.
-    pub fn delay_only(delay: Duration) -> ChaosCfg {
-        ChaosCfg {
-            delay,
-            jitter: delay,
-            ..ChaosCfg::default()
-        }
-    }
-
-    /// Set the drop probability.
-    ///
-    /// ## Choosing a drop rate
-    ///
-    /// Drops act on one object's copy of an envelope: a dropped request
-    /// costs that object the round, a dropped reply its answer, and the
-    /// other objects are untouched. A client waits for a quorum, and it
-    /// resubmits a stalled flush (see `rastor_net::NetCluster`), so a
-    /// drop costs at most one resubmission interval — tens of
-    /// milliseconds — not a whole op deadline, and soaks can run
-    /// genuinely lossy links:
-    ///
-    /// ```
-    /// use rastor_sim::host::ChaosCfg;
-    /// use std::time::Duration;
-    ///
-    /// // A harsh lossy-link profile a soak still makes progress through:
-    /// // ~20% of copies lost each way, small head-of-line delay.
-    /// let cfg = ChaosCfg::delay_only(Duration::from_micros(100)).with_drops(0.20);
-    /// assert!(cfg.drop_prob < 1.0, "a link that drops everything is a partition");
-    /// ```
-    #[must_use]
-    pub fn with_drops(mut self, prob: f64) -> ChaosCfg {
-        self.drop_prob = prob;
-        self
-    }
-
-    /// Set the reorder probability.
-    #[must_use]
-    pub fn with_reordering(mut self, prob: f64) -> ChaosCfg {
-        self.reorder_prob = prob;
-        self
-    }
-
-    /// Set the seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> ChaosCfg {
-        self.seed = seed;
-        self
-    }
-
-    /// Whether request copies wait out a release timer.
-    fn delays(&self) -> bool {
-        self.delay > Duration::ZERO || self.jitter > Duration::ZERO
-    }
-
-    /// One copy's drop and reorder draws on a leg: `None` if it is lost
-    /// or held back, else the copy and the predecessor it releases.
-    fn pass<T>(
-        &self,
-        rng: &mut SplitMix64,
-        held: &mut Option<T>,
-        copy: T,
-    ) -> Option<(T, Option<T>)> {
-        if self.drop_prob > 0.0 && rng.next_f64() < self.drop_prob {
-            counters().dropped.inc();
-            return None;
-        }
-        if self.reorder_prob > 0.0 && held.is_none() && rng.next_f64() < self.reorder_prob {
-            counters().reordered.inc();
-            *held = Some(copy);
-            return None;
-        }
-        Some((copy, held.take()))
-    }
-}
 
 /// How a substrate accounts for the time its envelopes spend in the host:
 /// which spans traced frames record, and whether every envelope is timed.
@@ -280,27 +170,42 @@ struct Slot<Q, R, S> {
     /// submitting thread. One owner at a time per object keeps processing
     /// serial and FIFO.
     scheduled: AtomicBool,
-    /// The object's link; never locked by a host without a profile.
-    link: Mutex<Link<Q, R, S>>,
 }
 
-/// One object's link under a fault profile.
+/// One object copy on its way: a request copy bound for its object's
+/// queue, or a reply envelope bound for its sink.
+enum InTransit<Q, R, S> {
+    Request(Job<Q, S>),
+    Reply(S, RepEnvelope<R>),
+}
+
+/// One object's link under a controller.
 struct Link<Q, R, S> {
-    /// When the object's request leg frees up: the release time of the
-    /// last copy it delayed.
-    release: Instant,
-    /// The request leg's and the reply leg's fault streams.
-    rng: [SplitMix64; 2],
-    /// A request copy held back behind the object's next one.
-    held_request: Option<Job<Q, S>>,
-    /// A reply envelope held back behind the object's next one, with the
-    /// sink it goes to.
-    held_reply: Option<(S, RepEnvelope<R>)>,
+    /// Per client and leg, the latest release time a copy was given: the
+    /// FIFO floor a later [`Verdict::DeliverAt`] is clamped to.
+    floor: HashMap<(ClientId, MsgDir), u64>,
+    /// Per leg, the copies waiting out a release timer. While one does, a
+    /// copy of that leg that is due at once waits its turn behind it.
+    timed: [usize; 2],
+    /// Per leg, the copy a [`Verdict::Behind`] holds back until the leg's
+    /// next delivery.
+    behind: [Option<InTransit<Q, R, S>>; 2],
+    /// Copies the controller holds: never delivered, lost at a cut.
+    held: usize,
 }
 
-/// Delayed envelopes by `(release time, arrival seq)`, each with its
+/// Delayed copies by `(release time µs, arrival seq)`, each with its
 /// object index.
-type Timers<Q, S> = BTreeMap<(Instant, u64), (usize, Job<Q, S>)>;
+type Timers<Q, R, S> = BTreeMap<(u64, u64), (usize, InTransit<Q, R, S>)>;
+
+/// Everything in transit under a controller, behind one lock: the
+/// controller, the release timers and every object's link.
+struct Transit<Q, R, S> {
+    controller: Box<dyn Controller + Send>,
+    timers: Timers<Q, R, S>,
+    seq: u64,
+    links: Vec<Link<Q, R, S>>,
+}
 
 /// The `chaos.*` counters, process-wide; each counts object copies.
 struct ChaosCounters {
@@ -325,24 +230,19 @@ fn counters() -> &'static ChaosCounters {
 
 struct Shared<Q, R, S> {
     first_id: u32,
-    chaos: Option<ChaosCfg>,
     slots: Vec<Slot<Q, R, S>>,
-    /// Released by the executors (a condvar `wait_timeout` to the next
-    /// deadline), so a feeding reactor or client never has to poll on
-    /// sub-millisecond ticks.
-    timers: Mutex<Timers<Q, S>>,
-    /// Tied to `timers`: every push wakes the parked executors, which
-    /// re-read the earliest deadline under the same lock.
+    /// `None` without a controller: then nothing is ever in transit.
+    transit: Option<Mutex<Transit<Q, R, S>>>,
+    /// Tied to `transit`: every new timer wakes the parked executors,
+    /// which re-read the earliest deadline under the same lock.
     timer_cv: Condvar,
-    timer_seq: AtomicU64,
-    /// Where the next served-through envelope starts its fan-out.
+    /// Where the next envelope starts its fan-out.
     next_first: AtomicUsize,
-    /// Set by [`ObjectHost::set_partitioned`]; flipped under the `timers`
-    /// lock, so no envelope enters a timer once the cut has cleared them,
-    /// and read under a link lock by a host with a profile, so no copy is
-    /// held back once the cut has cleared that link.
+    /// Set by [`ObjectHost::set_partitioned`]; under a controller flipped
+    /// under the `transit` lock, so nothing enters transit once the cut
+    /// has cleared it.
     partitioned: AtomicBool,
-    /// Set under the `timers` lock, so no executor parks past it.
+    /// Set under the `transit` lock, so no executor parks past it.
     shutdown: AtomicBool,
 }
 
@@ -360,6 +260,81 @@ impl<Q, R, S: ReplySink<R>> Shared<Q, R, S> {
         (0..self.slots.len()).filter(|&i| !self.slots[i].crashed.load(Ordering::Acquire))
     }
 
+    /// The live objects in the order an envelope reaches them. Each
+    /// envelope starts its fan-out one object further on, so no object
+    /// always answers last: a client that moves on after the first `n - t`
+    /// replies of a round still hears every object in turn.
+    fn fan_out(&self) -> impl Iterator<Item = usize> + '_ {
+        let n = self.slots.len();
+        let first = self.next_first.fetch_add(1, Ordering::Relaxed);
+        (0..n)
+            .map(move |k| (first + k) % n)
+            .filter(|&i| !self.slots[i].crashed.load(Ordering::Acquire))
+    }
+
+    /// Object `obj`'s cluster-global id.
+    fn oid(&self, obj: usize) -> ObjectId {
+        ObjectId(self.first_id + obj as u32)
+    }
+
+    /// Queue `job` on object `obj` for its owner.
+    fn push(&self, obj: usize, job: Job<Q, S>) {
+        self.slots[obj]
+            .queue
+            .lock()
+            .expect("object queue lock")
+            .push_back(job);
+    }
+
+    /// Ask the controller about object `obj`'s `copy`, whose coordinates
+    /// are `msg`, sent at `now`, and carry the verdict out: what is due at
+    /// once — the copy, then one it releases — goes to `due` in that
+    /// order, and what is not waits on a release timer.
+    fn route(
+        &self,
+        transit: &mut Transit<Q, R, S>,
+        obj: usize,
+        msg: &Msg,
+        now: u64,
+        copy: InTransit<Q, R, S>,
+        mut due: impl FnMut(InTransit<Q, R, S>),
+    ) {
+        let leg = msg.dir as usize;
+        let link = &mut transit.links[obj];
+        let at = match transit.controller.verdict(msg, now) {
+            Verdict::DeliverAt(at) => at,
+            Verdict::Hold => {
+                link.held += 1;
+                return;
+            }
+            Verdict::Drop => return counters().dropped.inc(),
+            Verdict::Behind if link.behind[leg].is_none() => {
+                counters().reordered.inc();
+                link.behind[leg] = Some(copy);
+                return;
+            }
+            // A link holds back one copy at a time: this one goes now.
+            Verdict::Behind => now,
+        };
+        let floor = link.floor.entry((msg.client, msg.dir)).or_insert(0);
+        let at = at.max(*floor);
+        *floor = at;
+        for copy in std::iter::once(copy).chain(link.behind[leg].take()) {
+            if at <= now && link.timed[leg] == 0 {
+                due(copy);
+                continue;
+            }
+            counters().delayed.inc();
+            link.timed[leg] += 1;
+            transit.timers.insert((at, transit.seq), (obj, copy));
+            transit.seq += 1;
+            // Every parked executor re-reads the earliest deadline: one
+            // left parked past a new timer, while its peer drains a slow
+            // object, would hold that release back.
+            self.timer_cv.notify_all();
+        }
+    }
+
     /// Whether the host is cut off, counting the `copies` the caller then
     /// drops.
     fn cut(&self, copies: impl FnOnce() -> usize) -> bool {
@@ -368,39 +343,6 @@ impl<Q, R, S: ReplySink<R>> Shared<Q, R, S> {
             counters().partition_drops.add(copies() as u64);
         }
         cut
-    }
-
-    /// Draw the request leg's faults for object `obj`'s copy of an
-    /// envelope, under its link lock, and pass what goes through — the
-    /// copy, then a predecessor it releases — to `deliver` with its
-    /// release time. A cut host drops the copy.
-    fn admit(
-        &self,
-        cfg: &ChaosCfg,
-        obj: usize,
-        job: Job<Q, S>,
-        mut deliver: impl FnMut(Instant, Job<Q, S>),
-    ) {
-        let mut link = self.slots[obj].link.lock().expect("link lock");
-        let link = &mut *link;
-        if self.cut(|| 1) {
-            return;
-        }
-        let Some((job, held)) = cfg.pass(&mut link.rng[0], &mut link.held_request, job) else {
-            return;
-        };
-        if cfg.delays() {
-            // Head-of-line: the copy clears the link `delay + jitter·U`
-            // after its predecessor did, or after now if the link was
-            // idle — a queueing model kept off the executors, so a
-            // "busy" object never blocks a thread.
-            let wait = cfg.delay + cfg.jitter.mul_f64(link.rng[0].next_f64());
-            link.release = link.release.max(Instant::now()) + wait;
-        }
-        deliver(link.release, job);
-        if let Some(held) = held {
-            deliver(link.release, held);
-        }
     }
 
     /// Apply object `obj`'s next queued envelope and hand its reply
@@ -421,7 +363,7 @@ impl<Q, R, S: ReplySink<R>> Shared<Q, R, S> {
             _ => return true,
         };
         slot.served.fetch_add(1, Ordering::Relaxed);
-        let oid = ObjectId(self.first_id + obj as u32);
+        let oid = self.oid(obj);
         let acct = S::ACCOUNTING;
         let picked_us = if job.enqueued_us != 0 || acct.envelope_us.is_some() {
             trace::epoch_us()
@@ -478,25 +420,40 @@ impl<Q, R, S: ReplySink<R>> Shared<Q, R, S> {
             from: oid,
             frames,
         };
-        let Some(cfg) = &self.chaos else {
+        let Some(transit) = &self.transit else {
             if !self.cut(|| 1) {
                 out(&job.sink, envelope);
             }
             return true;
         };
-        // The reply leg: the object's owner draws, so its envelopes draw
-        // in the order it made them.
-        let passed = {
-            let mut link = slot.link.lock().expect("link lock");
+        // The reply leg: the object's owner asks, so its envelopes are
+        // routed in the order it made them.
+        let frames: Vec<(u64, u32)> = envelope
+            .frames
+            .iter()
+            .map(|f| (f.op_nonce, f.round))
+            .collect();
+        let msg = Msg {
+            dir: MsgDir::Reply,
+            client,
+            object: oid,
+            frames: &frames,
+        };
+        let mut due = Vec::new();
+        {
+            let mut transit = transit.lock().expect("transit lock");
             if self.cut(|| 1) {
                 return true;
             }
-            let link = &mut *link;
-            cfg.pass(&mut link.rng[1], &mut link.held_reply, (job.sink, envelope))
-        };
-        if let Some(((sink, envelope), held)) = passed {
-            out(&sink, envelope);
-            if let Some((sink, envelope)) = held {
+            let copy = InTransit::Reply(job.sink, envelope);
+            self.route(&mut transit, obj, &msg, trace::epoch_us(), copy, |c| {
+                due.push(c)
+            });
+        }
+        // Handed on outside the lock: no timed reply of this object is
+        // pending, and its next reply is this owner's to make.
+        for copy in due {
+            if let InTransit::Reply(sink, envelope) = copy {
                 out(&sink, envelope);
             }
         }
@@ -526,46 +483,52 @@ impl<Q, R, S: ReplySink<R>> Shared<Q, R, S> {
         }
     }
 
-    /// One executor's loop: wait for the next release timer to come due,
-    /// queue its envelope on its object while still holding the timer
-    /// lock (so each object's envelopes queue in release order), then
-    /// serve the object through, as a submitter would, unless another
-    /// thread owns it.
+    /// One executor's loop: wait for the next release timer to come due
+    /// and hand its copy on while still holding the lock, so each leg's
+    /// copies leave in release order — a request copy onto its object's
+    /// queue, then served through, as a submitter would, unless another
+    /// thread owns the object; a reply envelope to its sink.
     fn executor_loop(&self) {
-        let mut timers = self.timers.lock().expect("timer lock");
+        let lock = self
+            .transit
+            .as_ref()
+            .expect("executors run under a controller");
+        let mut transit = lock.lock().expect("transit lock");
         while !self.shutdown.load(Ordering::Acquire) {
-            let now = Instant::now();
-            match timers.first_key_value().map(|((at, _), _)| *at) {
-                None => timers = self.timer_cv.wait(timers).expect("timer condvar"),
+            let now = trace::epoch_us();
+            match transit.timers.first_key_value().map(|((at, _), _)| *at) {
+                None => transit = self.timer_cv.wait(transit).expect("timer condvar"),
                 Some(at) if at > now => {
-                    timers = self
+                    transit = self
                         .timer_cv
-                        .wait_timeout(timers, at - now)
+                        .wait_timeout(transit, Duration::from_micros(at - now))
                         .expect("timer condvar")
                         .0;
                 }
-                Some(_) => {
-                    let (_, (obj, job)) = timers.pop_first().expect("peeked");
-                    self.slots[obj]
-                        .queue
-                        .lock()
-                        .expect("object queue lock")
-                        .push_back(job);
-                    drop(timers);
-                    if self.claim(obj) {
-                        self.drain(obj, &mut |sink, env| sink.deliver(env));
+                Some(_) => match transit.timers.pop_first().expect("peeked") {
+                    (_, (obj, InTransit::Request(job))) => {
+                        self.push(obj, job);
+                        transit.links[obj].timed[0] -= 1;
+                        drop(transit);
+                        if self.claim(obj) {
+                            self.drain(obj, &mut |sink, env| sink.deliver(env));
+                        }
+                        transit = lock.lock().expect("transit lock");
                     }
-                    timers = self.timers.lock().expect("timer lock");
-                }
+                    (_, (obj, InTransit::Reply(sink, env))) => {
+                        sink.deliver(env);
+                        transit.links[obj].timed[1] -= 1;
+                    }
+                },
             }
         }
     }
 
-    /// Queue `job` on every live object — through its link, under a
-    /// profile that delays nothing — serving on this thread each one it
-    /// finds idle; the reply envelopes for `sink` go out together once
-    /// every claimed object is drained.
-    fn serve_through(&self, mut job: impl FnMut() -> Job<Q, S>, sink: &S) {
+    /// Serve on this thread each object `objs` yields — by then any
+    /// envelope due for it is queued — that it finds idle; the reply
+    /// envelopes for `sink` go out together once every claimed object is
+    /// drained.
+    fn serve_through(&self, objs: impl Iterator<Item = usize>, sink: &S) {
         let mut burst = Vec::new();
         let mut out = |to: &S, envelope| {
             if to.same_sink(sink) {
@@ -574,23 +537,7 @@ impl<Q, R, S: ReplySink<R>> Shared<Q, R, S> {
                 to.deliver(envelope);
             }
         };
-        // Each envelope starts its fan-out one object further on, so no
-        // object always answers last: a client that moves on after the
-        // first `n - t` replies of a round, dropping the rest, still hears
-        // every object in turn.
-        let n = self.slots.len();
-        let first = self.next_first.fetch_add(1, Ordering::Relaxed);
-        for i in (0..n).map(|k| (first + k) % n) {
-            if self.slots[i].crashed.load(Ordering::Acquire) {
-                continue;
-            }
-            let queue = &self.slots[i].queue;
-            match &self.chaos {
-                None => queue.lock().expect("object queue lock").push_back(job()),
-                Some(cfg) => self.admit(cfg, i, job(), |_, job| {
-                    queue.lock().expect("object queue lock").push_back(job);
-                }),
-            }
+        for i in objs {
             // Claimed: drain it here. Otherwise its owner serves the
             // envelope after the ones ahead of it.
             if self.claim(i) {
@@ -604,7 +551,7 @@ impl<Q, R, S: ReplySink<R>> Shared<Q, R, S> {
 }
 
 /// A set of hosted objects, served by whoever submits to them (and, under
-/// a profile that delays, by a fixed executor pool).
+/// a controller, by a fixed executor pool).
 ///
 /// Dropping the host stops the pool (envelopes still queued are
 /// discarded).
@@ -614,50 +561,49 @@ pub struct ObjectHost<Q, R, S: ReplySink<R>> {
 }
 
 impl<Q: Send + Sync + 'static, R: Send + 'static, S: ReplySink<R>> ObjectHost<Q, R, S> {
-    /// Host `behaviors` under the cluster-global ids `first_id ..`, their
-    /// links under the fault profile `chaos`. Delay and jitter apply
-    /// **per envelope** (not per frame) per object — emulating one
+    /// Host `behaviors` under the cluster-global ids `first_id ..`, every
+    /// object copy scheduled by `controller` if there is one (see the
+    /// [module docs](self)). A controller's verdicts apply **per
+    /// envelope** (not per frame) per object — a delay emulates one
     /// network/storage round trip per coalesced batch, which is exactly
-    /// why batching pays. Only a host whose profile delays spawns
-    /// threads: the [`EXECUTORS`] that release its timers.
+    /// why batching pays. Only a host with a controller spawns threads:
+    /// the [`EXECUTORS`] that release its timers.
     pub fn spawn(
         behaviors: Vec<Behavior<Q, R>>,
         first_id: u32,
-        chaos: Option<ChaosCfg>,
+        controller: Option<Box<dyn Controller + Send>>,
     ) -> ObjectHost<Q, R, S> {
-        let now = Instant::now();
-        let seed = chaos.as_ref().map_or(0, |c| c.seed);
-        let stream =
-            |i: usize, leg| SplitMix64::new(seed ^ (u64::from(first_id + i as u32) << 1) ^ leg);
+        let n = behaviors.len();
         let slots = behaviors
             .into_iter()
-            .enumerate()
-            .map(|(i, b)| Slot {
+            .map(|b| Slot {
                 crashed: AtomicBool::new(false),
                 behavior: Mutex::new(Some(b)),
                 served: AtomicU64::new(0),
                 queue: Mutex::new(VecDeque::new()),
                 scheduled: AtomicBool::new(false),
-                link: Mutex::new(Link {
-                    release: now,
-                    rng: [stream(i, 0), stream(i, 1)],
-                    held_request: None,
-                    held_reply: None,
-                }),
             })
             .collect();
-        let pool = if chaos.as_ref().is_some_and(ChaosCfg::delays) {
-            EXECUTORS
-        } else {
-            0
-        };
+        let transit = controller.map(|controller| {
+            let link = || Link {
+                floor: HashMap::new(),
+                timed: [0; 2],
+                behind: [None, None],
+                held: 0,
+            };
+            Mutex::new(Transit {
+                controller,
+                timers: BTreeMap::new(),
+                seq: 0,
+                links: (0..n).map(|_| link()).collect(),
+            })
+        });
+        let pool = if transit.is_some() { EXECUTORS } else { 0 };
         let shared = Arc::new(Shared {
             first_id,
-            chaos,
             slots,
-            timers: Mutex::new(BTreeMap::new()),
+            transit,
             timer_cv: Condvar::new(),
-            timer_seq: AtomicU64::new(0),
             next_first: AtomicUsize::new(0),
             partitioned: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -672,11 +618,10 @@ impl<Q: Send + Sync + 'static, R: Send + 'static, S: ReplySink<R>> ObjectHost<Q,
     }
 
     /// Hand one envelope to every live hosted object; each object's reply
-    /// envelope goes to `sink`. Unless the profile delays, the calling
-    /// thread serves every object it finds idle before this returns, and
-    /// queues the envelope behind every object another thread owns; under
-    /// delay every object's copy waits out a release timer first. A
-    /// partitioned host drops the envelope.
+    /// envelope goes to `sink`. The calling thread serves every object it
+    /// finds idle before this returns, and queues the envelope behind
+    /// every object another thread owns; under a controller, only the
+    /// copies that are due at once. A partitioned host drops the envelope.
     pub fn submit(&self, env: Arc<ReqEnvelope<Q>>, sink: &S) {
         let shared = &*self.shared;
         // One clock read per envelope, skipped entirely when untraced.
@@ -691,34 +636,47 @@ impl<Q: Send + Sync + 'static, R: Send + 'static, S: ReplySink<R>> ObjectHost<Q,
             sink: sink.clone(),
             enqueued_us,
         };
-        let cfg = match &shared.chaos {
-            Some(cfg) if cfg.delays() => cfg,
-            // A profile draws each copy's faults in `serve_through`.
-            Some(_) => return shared.serve_through(job, sink),
-            None => {
-                if !shared.cut(|| shared.live().count()) {
-                    shared.serve_through(job, sink);
-                }
+        let Some(transit) = &shared.transit else {
+            if !shared.cut(|| shared.live().count()) {
+                let objs = shared.fan_out().inspect(|&i| shared.push(i, job()));
+                shared.serve_through(objs, sink);
+            }
+            return;
+        };
+        let frames: Vec<(u64, u32)> = env.frames.iter().map(|f| (f.op_nonce, f.round)).collect();
+        let now = trace::epoch_us();
+        // The objects this thread queued a copy on: only those are its to
+        // serve; a timed copy is its executor's.
+        let mut due = Vec::new();
+        {
+            let mut transit = transit.lock().expect("transit lock");
+            if shared.cut(|| shared.live().count()) {
                 return;
             }
-        };
-        let mut timers = shared.timers.lock().expect("timer lock");
-        for i in shared.live() {
-            shared.admit(cfg, i, job(), |at, job| {
-                counters().delayed.inc();
-                let seq = shared.timer_seq.fetch_add(1, Ordering::Relaxed);
-                timers.insert((at, seq), (i, job));
-            });
+            for i in shared.fan_out() {
+                let msg = Msg {
+                    dir: MsgDir::Request,
+                    client: env.from,
+                    object: shared.oid(i),
+                    frames: &frames,
+                };
+                // Queued under the lock, so a copy due now never passes
+                // one an executor is handing on.
+                let copy = InTransit::Request(job());
+                shared.route(&mut transit, i, &msg, now, copy, |copy| {
+                    if let InTransit::Request(job) = copy {
+                        shared.push(i, job);
+                        due.push(i);
+                    }
+                });
+            }
         }
-        drop(timers);
-        // Every parked executor re-reads the earliest deadline: one left
-        // parked past a new timer, while its peer drains a slow object,
-        // would hold that release back.
-        shared.timer_cv.notify_all();
+        due.dedup();
+        shared.serve_through(due.into_iter(), sink);
     }
 
-    /// Threads this host runs of its own: [`EXECUTORS`] under a profile
-    /// that delays, none otherwise.
+    /// Threads this host runs of its own: [`EXECUTORS`] under a
+    /// controller, none otherwise.
     pub fn executor_threads(&self) -> usize {
         self.executors.len()
     }
@@ -765,7 +723,7 @@ impl<Q: Send + Sync + 'static, R: Send + 'static, S: ReplySink<R>> ObjectHost<Q,
     /// with the same link and a zeroed served count.
     ///
     /// The host is behavior-agnostic, so *what state the object comes
-    /// back with* is the caller's policy: pass a freshly recovered
+    /// back with* is the caller's policy: give it a freshly recovered
     /// `rastor_store`-style durable behavior for kill-then-recover
     /// semantics, or a blank one to model an amnesiac rejoin (which counts
     /// against the fault budget like any other deviation from "correct").
@@ -794,23 +752,27 @@ impl<Q: Send + Sync + 'static, R: Send + 'static, S: ReplySink<R>> ObjectHost<Q,
 
     /// Cut the host off from its clients, or heal it. While cut, the host
     /// drops every envelope submitted to it and every reply envelope it
-    /// produces; the cut also loses every envelope still in transit —
-    /// waiting out its delay, or held back behind its successor — as a
-    /// link going dark loses what is on it. The objects keep their state,
-    /// and control frames, which never reach the host, keep being
-    /// answered. Each dropped object copy counts under
+    /// produces; the cut also loses every copy still in transit — waiting
+    /// out its delay, held back behind its successor, or held by the
+    /// controller — as a link going dark loses what is on it. The objects
+    /// keep their state, and control frames, which never reach the host,
+    /// keep being answered. Each dropped object copy counts under
     /// `chaos.partition_drops`.
     pub fn set_partitioned(&self, on: bool) {
         let shared = &*self.shared;
-        let mut timers = shared.timers.lock().expect("timer lock");
+        let Some(transit) = &shared.transit else {
+            shared.partitioned.store(on, Ordering::Release);
+            return;
+        };
+        let mut transit = transit.lock().expect("transit lock");
         shared.partitioned.store(on, Ordering::Release);
         if on {
-            let mut lost = timers.len();
-            timers.clear();
-            for slot in &shared.slots {
-                let mut link = slot.link.lock().expect("link lock");
-                lost += usize::from(link.held_request.take().is_some());
-                lost += usize::from(link.held_reply.take().is_some());
+            let mut lost = transit.timers.len();
+            transit.timers.clear();
+            for link in &mut transit.links {
+                lost += link.held + link.behind.iter_mut().filter_map(Option::take).count();
+                link.held = 0;
+                link.timed = [0; 2];
             }
             counters().partition_drops.add(lost as u64);
         }
@@ -823,7 +785,7 @@ impl<Q: Send + Sync + 'static, R: Send + 'static, S: ReplySink<R>> ObjectHost<Q,
             .iter()
             .enumerate()
             .map(|(i, s)| ObjectStatus {
-                id: ObjectId(self.shared.first_id + i as u32),
+                id: self.shared.oid(i),
                 crashed: s.crashed.load(Ordering::Acquire),
                 served: s.served.load(Ordering::Relaxed),
             })
@@ -833,10 +795,10 @@ impl<Q: Send + Sync + 'static, R: Send + 'static, S: ReplySink<R>> ObjectHost<Q,
 
 impl<Q, R, S: ReplySink<R>> Drop for ObjectHost<Q, R, S> {
     fn drop(&mut self) {
-        let timers = self.shared.timers.lock();
+        let transit = self.shared.transit.as_ref().map(Mutex::lock);
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.timer_cv.notify_all();
-        drop(timers);
+        drop(transit);
         for h in self.executors.drain(..) {
             let _ = h.join();
         }
@@ -846,11 +808,13 @@ impl<Q, R, S: ReplySink<R>> Drop for ObjectHost<Q, R, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::{ChaosCfg, Rule, ScriptedController};
     use crate::runtime::{ReqFrame, ThreadCluster};
     use rastor_common::ClientId;
     use std::cell::RefCell;
     use std::sync::mpsc::{channel, Receiver, Sender};
     use std::thread::ThreadId;
+    use std::time::Instant;
 
     type Host = ObjectHost<u32, u32, Sender<RepEnvelope<u32>>>;
     const WAIT: Duration = Duration::from_secs(10);
@@ -885,16 +849,14 @@ mod tests {
     }
 
     /// A service-jitter profile.
-    fn jitter(jitter: Duration) -> Option<ChaosCfg> {
-        Some(ChaosCfg {
-            jitter,
-            ..ChaosCfg::default()
-        })
+    fn jitter(jitter: Duration) -> Option<Box<dyn Controller + Send>> {
+        Some(Box::new(ChaosCfg::jitter_only(jitter)))
     }
 
-    /// Object `id`'s request stream under the default seed.
-    fn requests(id: u32) -> SplitMix64 {
-        SplitMix64::new(ChaosCfg::default().seed ^ (u64::from(id) << 1))
+    /// Object `id`'s request-leg draws under the default seed.
+    fn requests(id: u32) -> impl Iterator<Item = f64> {
+        let mut stream = ChaosCfg::stream(ChaosCfg::default().seed, ObjectId(id), 0);
+        std::iter::repeat_with(move || stream.next_f64())
     }
 
     /// Replies `req + offset`.
@@ -1099,7 +1061,7 @@ mod tests {
         // Object ids seed the request streams: pick a pair whose first
         // draws put the first object's release late and the second's
         // early, so the earlier timer is pushed *after* a later one.
-        let draw = |id: u32| requests(id).next_f64();
+        let draw = |id: u32| requests(id).next().expect("a draw");
         let first_id = (0..10_000)
             .find(|&id| draw(id) > 0.8 && draw(id + 1) < 0.1)
             .expect("such a pair of ids exists");
@@ -1148,7 +1110,7 @@ mod tests {
         const JITTER: Duration = Duration::from_millis(20);
         // Ids seed the request streams: the slow object's timer comes due
         // within 4 ms, its peer's 12–20 ms in, both inside one slow apply.
-        let draw = |id: u32| requests(id).next_f64();
+        let draw = |id: u32| requests(id).next().expect("a draw");
         let first_id = (0..10_000)
             .find(|&id| draw(id) < 0.2 && draw(id + 1) > 0.6)
             .expect("such a pair of ids exists");
@@ -1214,11 +1176,7 @@ mod tests {
         // The objects take ids 0 and 1; their request streams put the
         // second envelope's releases 0.75 and 0.70 of `JITTER` after its
         // submit, so the cut right behind it finds both in transit.
-        let second_draw = |id| {
-            let mut stream = requests(id);
-            stream.next_f64();
-            stream.next_f64()
-        };
+        let second_draw = |id| requests(id).nth(1).expect("a draw");
         assert!((0..2).all(|id| second_draw(id) > 0.4));
         let (entered, entered_rx) = channel();
         let (release_tx, release) = channel();
@@ -1233,7 +1191,7 @@ mod tests {
                     gate: None,
                 }),
             ],
-            Some(JITTER),
+            jitter(JITTER),
         );
         let host = cluster.host();
         let client = ClientId::writer();
@@ -1437,7 +1395,7 @@ mod tests {
         let (log, applied) = channel();
         let behaviors = (0..objects).map(|_| Box::new(Log(log.clone())) as _);
         (
-            ObjectHost::spawn(behaviors.collect(), 0, Some(cfg)),
+            ObjectHost::spawn(behaviors.collect(), 0, Some(Box::new(cfg))),
             applied,
         )
     }
@@ -1462,7 +1420,7 @@ mod tests {
         let cfg = ChaosCfg::default().with_drops(0.5).with_seed(7);
         let run = || {
             let behaviors = (0..OBJECTS).map(|_| Box::new(Echo(0)) as _).collect();
-            let host: Host = ObjectHost::spawn(behaviors, 0, Some(cfg.clone()));
+            let host: Host = ObjectHost::spawn(behaviors, 0, Some(Box::new(cfg.clone())));
             let (sink, replies) = channel();
             for v in 1..=ENVELOPES {
                 host.submit(envelope(ClientId::reader(0), &[v]), &sink);
@@ -1497,8 +1455,8 @@ mod tests {
         );
     }
 
-    /// Under `reorder_prob` 1.0 every copy not releasing a held one is
-    /// held behind its successor, on both legs.
+    /// Under a reorder probability of 1.0 every copy not releasing a held
+    /// one is held behind its successor, on both legs.
     #[test]
     fn a_reorder_profile_swaps_each_copy_with_its_successor() {
         let cfg = ChaosCfg::default().with_reordering(1.0);
@@ -1507,13 +1465,49 @@ mod tests {
         assert_eq!(applied.try_iter().collect::<Vec<_>>(), [2, 1, 4, 3, 6, 5]);
         // The reply leg swaps its envelopes too, which puts the answers to
         // the swapped requests back in submission order.
-        let host: Host = ObjectHost::spawn(vec![Box::new(Echo(0))], 0, Some(cfg));
+        let host: Host = ObjectHost::spawn(vec![Box::new(Echo(0))], 0, Some(Box::new(cfg)));
         let (sink, replies) = channel();
         for v in 1..=6 {
             host.submit(envelope(ClientId::reader(0), &[v]), &sink);
         }
         let nonces: Vec<u64> = replies.try_iter().map(|r| r.frames[0].op_nonce).collect();
         assert_eq!(nonces, [1, 2, 3, 4, 5, 6]);
+    }
+
+    /// The explorer's vocabulary on the host: a held copy never arrives,
+    /// and a copy a rule delays keeps its link FIFO — its successor, due
+    /// at once, is clamped behind it rather than served through.
+    #[test]
+    fn a_scripted_controller_holds_copies_and_clamps_each_link_fifo() {
+        const DELAY_US: u64 = 20_000;
+        let late = Rule {
+            extra_delay: Some(DELAY_US),
+            ..Rule::hold(MsgDir::Request).object(ObjectId(0)).op_seq(1)
+        };
+        let controller = ScriptedController::new()
+            .with_default_delay(0)
+            .with_rule(Rule::hold(MsgDir::Request).object(ObjectId(1)))
+            .with_rule(late);
+        let host: Host = ObjectHost::spawn(
+            vec![Box::new(InOrder(0)), Box::new(InOrder(0))],
+            0,
+            Some(Box::new(controller)),
+        );
+        let (tx, rx) = channel();
+        let started = Instant::now();
+        for v in [1, 2] {
+            host.submit(envelope(ClientId::reader(0), &[v]), &tx);
+        }
+        assert_eq!(
+            host.statuses()[0].served,
+            0,
+            "a due copy passed the delayed one"
+        );
+        // `InOrder` panics (and the replies stop) if the link reorders.
+        assert_eq!(next(&rx), (ObjectId(0), vec![1]));
+        assert_eq!(next(&rx), (ObjectId(0), vec![2]));
+        assert!(started.elapsed() >= Duration::from_micros(DELAY_US));
+        assert_eq!(host.statuses()[1].served, 0, "a held copy arrived");
     }
 
     /// A copy held back behind its successor is in transit: a cut loses
@@ -1532,16 +1526,17 @@ mod tests {
         assert_eq!(host.statuses()[0].served, 2);
     }
 
-    /// Drops and reorders are drawn on the submitting thread; only delay
-    /// needs the executors.
+    /// A host with a controller runs [`EXECUTORS`] whatever its verdicts
+    /// (any of them may name a later time); a host without one runs none.
     #[test]
-    fn only_a_profile_that_delays_spawns_threads() {
-        let threads = |cfg| {
-            let host: Host = ObjectHost::spawn(vec![Box::new(Echo(0))], 0, cfg);
+    fn only_a_host_with_a_controller_spawns_threads() {
+        let threads = |controller| {
+            let host: Host = ObjectHost::spawn(vec![Box::new(Echo(0))], 0, controller);
             host.executor_threads()
         };
         assert_eq!(threads(None), 0);
-        assert_eq!(threads(Some(ChaosCfg::default().with_drops(0.5))), 0);
+        let drops = ChaosCfg::default().with_drops(0.5);
+        assert_eq!(threads(Some(Box::new(drops))), EXECUTORS);
         assert_eq!(threads(jitter(Duration::from_micros(1))), EXECUTORS);
     }
 }

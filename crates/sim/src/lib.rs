@@ -20,9 +20,11 @@
 //!   (including staying silent).
 //! * **Adversarial scheduling** ([`Controller`]): every message send passes
 //!   through a controller that decides its delivery time, may hold it "in
-//!   transit" indefinitely, and may release it later. A seeded random
-//!   controller drives soak tests; a scripted controller replays the paper's
-//!   lower-bound run constructions step by step.
+//!   transit" indefinitely (the simulator can release it later), lose it,
+//!   or deliver it behind its successor. A seeded random controller drives
+//!   soak tests; a scripted controller replays the paper's lower-bound run
+//!   constructions step by step. The object host asks the same trait on
+//!   real threads, so one schedule runs on both runtimes.
 //! * **Traces** ([`trace::Trace`]): the engine records an operation history
 //!   (for atomicity/regularity checking) and per-client *observation
 //!   transcripts* (for the indistinguishability arguments at the heart of
@@ -34,7 +36,8 @@
 //! * **Object host** ([`host`]): the one host every real-time substrate
 //!   (in-process or TCP) runs its objects on — per-object FIFO, served by
 //!   the thread that submits each envelope (an executor pool only under a
-//!   link-fault profile that delays), link faults, crash and restart.
+//!   controller), a controller's verdicts per object copy, crash and
+//!   restart.
 //!
 //! ## Example
 //!
@@ -85,7 +88,8 @@ pub mod runtime;
 pub mod trace;
 
 pub use control::{
-    Controller, FixedDelay, PartitionController, ScriptedController, UniformDelay, Verdict,
+    ChaosCfg, Controller, FixedDelay, Msg, PartitionController, ScriptedController, UniformDelay,
+    Verdict,
 };
 pub use driver::{Broadcast, Dispatch, OpCompletion, OpDriver, OpTimeout, StalePolicy};
 pub use engine::{

@@ -17,15 +17,18 @@
 //! frames, so a batch of operations headed to the same cluster shares its
 //! round trips (and, at the objects, the per-envelope service delay).
 //!
-//! Unlike the simulator — which runs the paper's permissive round model —
-//! the thread runtime drops replies for terminated rounds before they reach
-//! an automaton ([`StalePolicy::DropLate`]): on a real deployment a delayed
-//! object must not be able to feed protocol code stale-round data.
+//! Like the simulator, the thread runtime runs the paper's round model
+//! ([`StalePolicy::DeliverLate`]): a reply to a terminated round of a live
+//! operation still reaches its automaton, which may use it. Dropping such
+//! replies starves a read beside a forger whenever the adversary delivers
+//! one honest object a round late every round
+//! (`a_late_honest_object_does_not_starve_a_get_beside_a_forger`).
 //!
 //! Faults available here are crash / restart of an object
-//! ([`crate::host::ObjectHost`]) and arbitrary behaviors (any
-//! [`ObjectBehavior`] impl); scheduling adversaries are only available in
-//! the simulator.
+//! ([`crate::host::ObjectHost`]), arbitrary behaviors (any
+//! [`ObjectBehavior`] impl), and the scheduling adversary: a
+//! [`ThreadCluster`] spawned with a [`Controller`] runs the simulator's
+//! verdicts on every object copy, on the trace clock.
 //!
 //! The client side is substrate-agnostic: everything a [`ThreadClient`]
 //! needs from a cluster is captured by the [`Transport`] trait (broadcast
@@ -36,15 +39,16 @@
 //! transport — `send_frames` submits the envelope to an
 //! [`crate::host::ObjectHost`], and the client's own thread runs every
 //! object it finds idle, so their replies are on the client's channel
-//! when the flush returns (under service jitter the host's executors
-//! serve instead); `rastor_net` puts a TCP listener in front of the same
-//! host, encodes these same values as its wire frames and speaks the
-//! same trait from its client end, so the identical client/driver code
-//! runs over a real network.
+//! when the flush returns (a copy a controller delays is served by the
+//! host's executors instead); `rastor_net` puts a TCP listener in front
+//! of the same host, encodes these same values as its wire frames and
+//! speaks the same trait from its client end, so the identical
+//! client/driver code runs over a real network.
 
+use crate::control::Controller;
 use crate::driver::{Dispatch, OpDriver, StalePolicy};
 use crate::engine::{ObjectBehavior, RoundClient};
-use crate::host::{Accounting, ChaosCfg, ObjectHost, ReplySink};
+use crate::host::{Accounting, ObjectHost, ReplySink};
 use rastor_common::{ClientId, ObjectId, OpKind};
 use rastor_obs::trace;
 use std::collections::HashMap;
@@ -174,22 +178,16 @@ where
     Q: Send + Sync + 'static,
     R: Send + 'static,
 {
-    /// Host one object per behavior (ids `0..`). `jitter` optionally adds
-    /// a random service delay up to the given duration **per envelope**
-    /// (not per frame) — see [`ObjectHost::spawn`].
+    /// Host one object per behavior (ids `0..`), every object copy
+    /// scheduled by `controller` if there is one — a service jitter is a
+    /// [`crate::control::ChaosCfg::jitter_only`] profile, applied **per
+    /// envelope** (not per frame); see [`ObjectHost::spawn`].
     pub fn spawn(
         behaviors: Vec<Box<dyn ObjectBehavior<Q, R> + Send>>,
-        jitter: Option<Duration>,
+        controller: Option<Box<dyn Controller + Send>>,
     ) -> ThreadCluster<Q, R> {
         ThreadCluster {
-            host: ObjectHost::spawn(
-                behaviors,
-                0,
-                jitter.map(|jitter| ChaosCfg {
-                    jitter,
-                    ..ChaosCfg::default()
-                }),
-            ),
+            host: ObjectHost::spawn(behaviors, 0, controller),
         }
     }
 
@@ -256,9 +254,9 @@ pub struct OpResult<Out> {
 /// over that single channel, keyed by nonce. Submissions buffer their round
 /// frames; [`ThreadClient::pump`] flushes them coalesced (one envelope per
 /// object per flush) and blocks until at least one operation finishes.
-/// Replies for completed operations, and replies carrying a terminated
-/// round of a live operation, are dropped by the driver before they can
-/// reach an automaton.
+/// Replies for completed operations are dropped by the driver; a reply
+/// carrying a terminated round of a live operation reaches its automaton,
+/// as in the simulator.
 pub struct ThreadClient<Q, R, Out> {
     id: ClientId,
     driver: OpDriver<Q, R, Out>,
@@ -280,7 +278,7 @@ where
         let (reply_tx, reply_rx) = channel::<RepEnvelope<R>>();
         ThreadClient {
             id,
-            driver: OpDriver::new(StalePolicy::DropLate),
+            driver: OpDriver::new(StalePolicy::DeliverLate),
             routes: HashMap::new(),
             outbox: Vec::new(),
             reply_tx,
@@ -536,11 +534,15 @@ mod tests {
         }
     }
 
-    // The panic-on-stale-round regression automaton (the
-    // [`StalePolicy::DropLate`] guard) is shared with the driver's unit
-    // tests.
+    // The round-checking automaton, shared with the driver's unit tests:
+    // it counts replies from terminated rounds and panics on future ones.
     use crate::driver::StrictRounds;
     use crate::engine::ClientAction;
+
+    /// A service-jitter controller.
+    fn jittered(jitter: Duration) -> Option<Box<dyn Controller + Send>> {
+        Some(Box::new(crate::control::ChaosCfg::jitter_only(jitter)))
+    }
 
     fn cluster(n: usize) -> ThreadCluster<u32, u32> {
         let behaviors: Vec<Box<dyn ObjectBehavior<u32, u32> + Send>> =
@@ -597,12 +599,13 @@ mod tests {
     }
 
     #[test]
-    fn delayed_object_replies_never_reach_terminated_rounds() {
-        // Regression for the round-staleness hardening: one object lags
-        // every reply by 500 µs while three fast objects race the automaton
-        // through 40 rounds at quorum 2. The laggard's replies arrive
-        // rounds late for a still-live operation; `StrictRounds` panics if
-        // any of them reaches it.
+    fn delayed_object_replies_reach_the_automaton_as_late_rounds() {
+        // One object lags every reply by 500 µs while three fast objects
+        // race the automaton through 40 rounds at quorum 2. Replies arrive
+        // rounds late for a still-live operation and reach the automaton
+        // tagged with their own round, as in the simulator; `StrictRounds`
+        // counts them, and panics if a reply ever carries a round it has
+        // not opened.
         let behaviors: Vec<Box<dyn ObjectBehavior<u32, u32> + Send>> = vec![
             Box::new(Echo),
             Box::new(Echo),
@@ -611,15 +614,14 @@ mod tests {
         ];
         let cl = ThreadCluster::spawn(behaviors, None);
         let mut client = ThreadClient::new(ClientId::reader(0));
+        let strict = StrictRounds::new(2, 40);
+        let late = strict.late();
         let (out, rounds) = client
-            .run_op(
-                &cl,
-                Box::new(StrictRounds::new(2, 40)),
-                Duration::from_secs(10),
-            )
+            .run_op(&cl, Box::new(strict), Duration::from_secs(10))
             .expect("completes despite the laggard");
         assert_eq!(out, 50); // round-40 payload (40) + 10
         assert_eq!(rounds, 40);
+        assert!(late() > 0, "no late reply reached the automaton");
         // And the next operation still works over the same channel, with
         // the laggard's backlog draining into it as unknown nonces.
         let res = client.run_op(
@@ -633,25 +635,25 @@ mod tests {
     /// The same race with the objects off the client's thread: under
     /// service jitter the host's executors serve, the laggard holds one of
     /// them 2 ms per envelope while the other serves the fast objects, so
-    /// its replies reach the client's pump many rounds late.
+    /// its replies reach the client's pump, and the automaton, many rounds
+    /// late.
     #[test]
-    fn replies_rounds_late_from_a_jittered_laggard_never_reach_the_automaton() {
+    fn replies_rounds_late_from_a_jittered_laggard_reach_the_automaton_late() {
         let behaviors: Vec<Box<dyn ObjectBehavior<u32, u32> + Send>> = vec![
             Box::new(Echo),
             Box::new(Echo),
             Box::new(Echo),
             Box::new(DelayedEcho(Duration::from_millis(2))),
         ];
-        let cl = ThreadCluster::spawn(behaviors, Some(Duration::from_micros(1)));
+        let cl = ThreadCluster::spawn(behaviors, jittered(Duration::from_micros(1)));
         let mut client = ThreadClient::new(ClientId::reader(0));
+        let strict = StrictRounds::new(2, 40);
+        let late = strict.late();
         let (out, rounds) = client
-            .run_op(
-                &cl,
-                Box::new(StrictRounds::new(2, 40)),
-                Duration::from_secs(10),
-            )
+            .run_op(&cl, Box::new(strict), Duration::from_secs(10))
             .expect("completes despite the laggard");
         assert_eq!((out, rounds), (50, 40));
+        assert!(late() > 0, "no late reply reached the automaton");
         let started = cl.host().statuses()[3].served;
         assert!(started < 38, "the laggard kept up: {started} of 40 rounds");
         // The backlog drains into the next operation as unknown nonces.
@@ -678,7 +680,7 @@ mod tests {
         let (tx, rx) = channel();
         let behaviors: Vec<Box<dyn ObjectBehavior<u32, u32> + Send>> =
             (0..4).map(|_| Box::new(WhoRuns(tx.clone())) as _).collect();
-        let cl = ThreadCluster::spawn(behaviors, jitter);
+        let cl = ThreadCluster::spawn(behaviors, jitter.and_then(jittered));
         let mut client = ThreadClient::new(ClientId::reader(0));
         let (_, rounds) = client
             .run_op(

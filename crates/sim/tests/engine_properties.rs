@@ -1,13 +1,16 @@
 //! Property-based tests of the simulation engine itself: determinism,
-//! FIFO channel ordering, round accounting, and controller algebra.
+//! FIFO channel ordering, round accounting, and controller algebra —
+//! every [`Verdict`] the engine carries out.
 
 use proptest::prelude::*;
 use rastor_common::{ClientId, ObjectId, OpKind};
 use rastor_sim::control::Rule;
 use rastor_sim::{
     ClientAction, MsgDir, ObjectBehavior, RoundClient, ScriptedController, Sim, SimConfig,
-    UniformDelay,
+    UniformDelay, Verdict,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// An object that records the order in which it receives payloads and
 /// echoes a running counter.
@@ -164,6 +167,81 @@ proptest! {
         prop_assert!(done.is_empty());
         prop_assert_eq!(sim.held_messages().len(), 1);
     }
+
+    #[test]
+    fn dropped_messages_never_deliver_nor_complete_a_round(seed in 0u64..200) {
+        // Object 0's replies are lost: a client needing all three replies
+        // never completes, one needing two completes without object 0, no
+        // reply from object 0 is ever observed, and nothing is left held.
+        let controller = ScriptedController::new()
+            .with_rule(Rule::hold(MsgDir::Reply).object(ObjectId(0)).verdict(Verdict::Drop));
+        let mut sim: Sim<u32, (u32, Vec<u32>), u32> =
+            Sim::with_controller(SimConfig::default(), Box::new(controller));
+        for _ in 0..3 {
+            sim.add_object(Box::new(SeqObject { seen: vec![] }));
+        }
+        for (reader, need) in [(0, 3), (1, 2)] {
+            sim.invoke_at(
+                seed % 7,
+                ClientId::reader(reader),
+                OpKind::Read,
+                Box::new(Phases { need, got: 0, round: 1, rounds: 2 }),
+            );
+        }
+        let done = sim.run_to_quiescence();
+        prop_assert_eq!(done.len(), 1);
+        prop_assert_eq!(done[0].client, ClientId::reader(1));
+        for reader in 0..2 {
+            let obs = sim.trace().observations_of(ClientId::reader(reader));
+            prop_assert!(obs.iter().all(|o| o.object != ObjectId(0)));
+        }
+        prop_assert!(sim.held_messages().is_empty(), "a dropped message is not held");
+    }
+}
+
+/// Records every payload it receives in a log the test keeps.
+struct Logged(Rc<RefCell<Vec<u32>>>);
+
+impl ObjectBehavior<u32, (u32, Vec<u32>)> for Logged {
+    fn on_request(&mut self, _from: ClientId, req: &u32) -> Option<(u32, Vec<u32>)> {
+        self.0.borrow_mut().push(*req);
+        Some((*req, Vec::new()))
+    }
+}
+
+/// The round-1 request to object 0 is held behind its successor on that
+/// link, the round-2 request: object 0 applies it right after round 2's
+/// and before round 3's.
+#[test]
+fn a_behind_message_delivers_right_after_its_successor() {
+    let controller = ScriptedController::new().with_rule(
+        Rule::hold(MsgDir::Request)
+            .object(ObjectId(0))
+            .round(1)
+            .verdict(Verdict::Behind),
+    );
+    let mut sim: Sim<u32, (u32, Vec<u32>), u32> =
+        Sim::with_controller(SimConfig::default(), Box::new(controller));
+    let log = Rc::new(RefCell::new(Vec::new()));
+    sim.add_object(Box::new(Logged(Rc::clone(&log))));
+    for _ in 0..2 {
+        sim.add_object(Box::new(Logged(Rc::new(RefCell::new(Vec::new())))));
+    }
+    sim.invoke_at(
+        0,
+        ClientId::reader(0),
+        OpKind::Read,
+        Box::new(Phases {
+            need: 2,
+            got: 0,
+            round: 1,
+            rounds: 3,
+        }),
+    );
+    let done = sim.run_to_quiescence();
+    assert_eq!(done.len(), 1);
+    assert_eq!(*log.borrow(), [2, 1, 3]);
+    assert!(sim.held_messages().is_empty());
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use rastor_common::{ClientId, ObjectId};
 use rastor_obs::{names, trace, Registry};
 use rastor_sim::runtime::{ReqEnvelope, ReqFrame, ThreadCluster};
-use rastor_sim::ObjectBehavior;
+use rastor_sim::{ChaosCfg, ObjectBehavior};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,7 +40,9 @@ fn a_cut_counts_one_drop_per_object_copy() {
     // Four objects, one crashed: every envelope has three live copies.
     // The jitter keeps the copies of a submit in transit for seconds.
     for jitter in [None, Some(Duration::from_secs(30))] {
-        let cluster = ThreadCluster::spawn((0..4).map(|_| Box::new(Echo) as _).collect(), jitter);
+        let controller = jitter.map(|j| Box::new(ChaosCfg::jitter_only(j)) as _);
+        let cluster =
+            ThreadCluster::spawn((0..4).map(|_| Box::new(Echo) as _).collect(), controller);
         let host = cluster.host();
         host.crash(ObjectId(3));
         let before = drops();

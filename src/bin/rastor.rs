@@ -69,7 +69,7 @@ const USAGE: &str =
     --t N             per-shard fault budget (default 1; 3t+1 objects/shard)
     --shards N        shard count (default 2)
     --handles N       client handle pool size (default 4)
-    --fast-reads      serve gets through the adaptive 2-round fast path
+    --fast-reads      serve gets through the fast path (1 round when quiet)
     --wal DIR         wal-backed durability rooted at DIR (enables restart-object)
     --jitter-us N     per-envelope service delay at every object, microseconds
     --slow-us N       slow-op capture threshold, microseconds (default 10000)

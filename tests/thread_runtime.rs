@@ -7,13 +7,13 @@ use rastor::core::msg::{Rep, Req, Stamped};
 use rastor::core::transform::AtomicReadClient;
 use rastor::core::HonestObject;
 use rastor::sim::runtime::{ThreadClient, ThreadCluster};
-use rastor::sim::ObjectBehavior;
+use rastor::sim::{ChaosCfg, ObjectBehavior};
 use std::time::Duration;
 
 fn cluster(n: usize, jitter: bool) -> ThreadCluster<Req, Rep> {
     let behaviors: Vec<Box<dyn ObjectBehavior<Req, Rep> + Send>> =
         (0..n).map(|_| Box::new(HonestObject::new()) as _).collect();
-    let j = jitter.then(|| Duration::from_millis(1));
+    let j = jitter.then(|| Box::new(ChaosCfg::jitter_only(Duration::from_millis(1))) as _);
     ThreadCluster::spawn(behaviors, j)
 }
 
