@@ -60,7 +60,9 @@
 //! forget in them, and [`Scenario::sweep_beside_never_forgets`] runs every
 //! mask a second time on a private object that keeps everything — the
 //! protocol as it was — comparing returned pairs and round counts op by
-//! op.
+//! op. [`scenario_three_writes_read_at`] moves the read's invocation tick,
+//! so a test can sweep a grid of ticks: no tick shows a violation or an
+//! extra round, and some show a read returning another legal pair.
 //!
 //! The crate's integration tests (`cargo test -p rastor_check -- exhaustive`)
 //! prove both soundness evidence — zero violations across every enumerated
@@ -68,7 +70,9 @@
 //! deliberately unsound [`ReadPath::UnsoundFast`] read and the two
 //! weakened fast-path certificates ([`ReadPath::ThinCertificate`],
 //! [`ReadPath::BlindCertificate`]), which exist only in this crate, are
-//! caught, minimized and replayed.
+//! caught, minimized and replayed. The writer's weakened certificate
+//! ([`ReadPath::NewestClaimWrite`]) is the exception that shows what the
+//! writer needs: no sweep within the fault budget catches it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,10 +80,12 @@
 pub mod netchaos;
 
 use rastor_common::{
-    ClientId, ClusterConfig, ObjectId, OpKind, OpStat, RegId, RoundCount, SplitMix64, TsVal, Value,
+    ClientId, ClusterConfig, ObjectId, OpKind, OpStat, RegId, RoundCount, SplitMix64, Timestamp,
+    TsVal, Value,
 };
 use rastor_core::checker::judge;
-use rastor_core::mwmr::{mw_read_in_group_mode, MwWriteClient, RegGroup};
+use rastor_core::collect::{QuorumWrite, WriteStatus};
+use rastor_core::mwmr::{mw_read_in_group_mode, MwWriteClient, RegGroup, Tag};
 use rastor_core::transform::AtomicReadClient;
 use rastor_core::{
     FaultKind, History, HonestObject, ObjectView, OpOutput, ReadMode, Rep, Req, Stamped,
@@ -87,8 +93,8 @@ use rastor_core::{
 use rastor_sim::control::Rule;
 use rastor_sim::runtime::{ThreadClient, ThreadCluster};
 use rastor_sim::{
-    ClientAction, Completion, Controller, MsgId, ObjectBehavior, RoundClient, ScriptedController,
-    Sim, SimConfig, StalePolicy,
+    ClientAction, Completion, Controller, Msg, MsgId, ObjectBehavior, RoundClient,
+    ScriptedController, Sim, SimConfig, StalePolicy, Verdict,
 };
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -108,12 +114,6 @@ pub const THREADED_DEADLINE: Duration = Duration::from_secs(2);
 /// Large relative to the unit base delay so that a delayed round-trip opens
 /// a wide window in which undelayed operations run start to finish.
 pub const DELAY: u64 = 2_000;
-
-/// The round in which a multi-writer write commits when its tag collect
-/// takes the two rounds it takes uncontended: collect, collect, pre-write,
-/// commit. A split-commit mask bit ([`Scenario::split_commits`]) delays
-/// this round.
-pub const COMMIT_ROUND: u32 = 4;
 
 /// One operation of a [`Scenario`] script.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -201,6 +201,12 @@ pub enum ReadPath {
     /// commit claims in one register, the newer-claim test dropped. A
     /// foil the per-(op, object) sweeps already catch.
     BlindCertificate,
+    /// [`ReadPath::Fast`] reads beside a thinned *writer*: each write takes
+    /// the newest `pw`/`w` claim among the first `S − t` objects to reply
+    /// and mints the tag after it, with no commit count at all — a tag
+    /// collect that always ends after its first round. The foil for the
+    /// writer's half of the certificate argument.
+    NewestClaimWrite,
 }
 
 /// [`ReadPath::UnsoundFast`]: a slow read cut short the moment it decides.
@@ -289,6 +295,141 @@ impl RoundClient<Req, Rep> for WeakCertificateRead {
         }
         self.writing_back = matches!(action, ClientAction::NextRound(Req::PreWrite { .. }));
         action
+    }
+}
+
+/// [`ReadPath::NewestClaimWrite`]'s write: after the first `S − t`
+/// collect replies, tag the value after the newest claim any of them
+/// makes, then write it in two phases.
+struct NewestClaimWrite {
+    cfg: ClusterConfig,
+    writer: u32,
+    group: RegGroup,
+    value: Value,
+    /// The newest `pw`/`w` claim per replier.
+    claims: BTreeMap<ObjectId, Timestamp>,
+    write: Option<QuorumWrite>,
+}
+
+impl RoundClient<Req, Rep> for NewestClaimWrite {
+    type Out = OpOutput;
+
+    fn start(&mut self) -> Req {
+        Req::Collect {
+            regs: self.group.writer_regs(),
+        }
+    }
+
+    fn on_reply(
+        &mut self,
+        from: ObjectId,
+        _round: u32,
+        reply: &Rep,
+    ) -> ClientAction<Req, OpOutput> {
+        if let Some(write) = &mut self.write {
+            return match write.on_reply(from, reply) {
+                WriteStatus::Wait => ClientAction::Wait,
+                WriteStatus::NextRound => ClientAction::NextRound(write.request()),
+                WriteStatus::Done => {
+                    ClientAction::Complete(OpOutput::Wrote(write.pair().pair.clone()))
+                }
+            };
+        }
+        let Rep::Views { views } = reply else {
+            return ClientAction::Wait;
+        };
+        let newest = views
+            .iter()
+            .flat_map(|(_, v)| [v.pw.pair.ts, v.w.pair.ts])
+            .max();
+        let claim = self.claims.entry(from).or_default();
+        *claim = newest.unwrap_or_default().max(*claim);
+        if self.claims.len() < self.cfg.quorum() {
+            return ClientAction::Wait;
+        }
+        let top = self.claims.values().max().copied().unwrap_or_default();
+        let tag = Tag::from_timestamp(top).next_for(self.writer);
+        let pair = Stamped::plain(TsVal::new(tag.to_timestamp(), self.value.clone()));
+        let reg = self.group.writer_reg(self.writer);
+        let write = self
+            .write
+            .insert(QuorumWrite::two_phase(self.cfg, reg, pair));
+        ClientAction::NextRound(write.request())
+    }
+}
+
+/// The round in which each write of a run issued its commit, by
+/// `(client, op_seq)`. A write's commit round depends on how its tag
+/// collect ended — round 3 after a certified first collect, round 4 or
+/// later otherwise — so a split-commit bit ([`Scenario::split_commits`])
+/// matches the round the write itself reports, not a fixed number.
+type CommitRounds = Arc<Mutex<BTreeMap<(ClientId, u64), u32>>>;
+
+/// A write automaton that reports its commit round into a
+/// [`CommitRounds`] as it opens it, before any copy of the round is sent.
+struct MarksCommit {
+    inner: Box<dyn RoundClient<Req, Rep, Out = OpOutput>>,
+    op: (ClientId, u64),
+    round: u32,
+    commits: CommitRounds,
+}
+
+impl RoundClient<Req, Rep> for MarksCommit {
+    type Out = OpOutput;
+
+    fn start(&mut self) -> Req {
+        self.inner.start()
+    }
+
+    fn on_reply(&mut self, from: ObjectId, round: u32, reply: &Rep) -> ClientAction<Req, OpOutput> {
+        let action = self.inner.on_reply(from, round, reply);
+        if let ClientAction::NextRound(req) = &action {
+            self.round += 1;
+            if matches!(req, Req::Commit { .. }) {
+                let mut commits = self.commits.lock().expect("commit rounds");
+                commits.insert(self.op, self.round);
+            }
+        }
+        action
+    }
+}
+
+/// The controller a delay mask induces: its per-(op, object) rules, then
+/// its split-commit bits, each delaying one write's commit round to one
+/// object by [`DELAY`] extra ticks, each way.
+struct MaskController {
+    rules: ScriptedController,
+    /// `(client, op_seq, object)` per split-commit bit set.
+    commits: Vec<(ClientId, u64, ObjectId)>,
+    commit_rounds: CommitRounds,
+}
+
+impl MaskController {
+    fn new(rules: ScriptedController) -> MaskController {
+        MaskController {
+            rules,
+            commits: Vec::new(),
+            commit_rounds: CommitRounds::default(),
+        }
+    }
+}
+
+impl Controller for MaskController {
+    fn verdict(&mut self, msg: &Msg, now: u64) -> Verdict {
+        let rounds = self.commit_rounds.lock().expect("commit rounds");
+        let in_commit = |&(client, op_seq, object): &(ClientId, u64, ObjectId)| {
+            let commit = rounds.get(&(client, op_seq));
+            (client, object) == (msg.client, msg.object)
+                && msg
+                    .frames
+                    .iter()
+                    .any(|&f| Some(&f.1) == commit && f.0 == op_seq)
+        };
+        if self.commits.iter().any(in_commit) {
+            return Verdict::DeliverAt(now + DELAY);
+        }
+        drop(rounds);
+        self.rules.verdict(msg, now)
     }
 }
 
@@ -446,66 +587,98 @@ impl Scenario {
     /// Bits in the delay-rule universe: one per (op, object) pair, plus
     /// one per (write, object) pair when the scenario splits commits.
     pub fn universe_bits(&self) -> u32 {
-        (self.delayed_units().len() * self.num_objects()) as u32
+        (self.delayed_units() * self.num_objects()) as u32
     }
 
     /// The delay rules a mask enables: bit `op · S + obj` stretches every
     /// message between `op`'s client (during that op) and object `obj` by
-    /// [`DELAY`] extra ticks, each way. With [`Scenario::split_commits`],
-    /// bit `(ops + k) · S + obj` stretches only the [`COMMIT_ROUND`] of the
-    /// script's `k`-th write to `obj` — the one way to leave an object
-    /// pre-written but not committed while the write's other rounds reach
-    /// it on time.
+    /// [`DELAY`] extra ticks, each way. The split-commit bits are not
+    /// rules; see [`Scenario::commits_for_mask`].
     pub fn rules_for_mask(&self, mask: u64) -> Vec<Rule> {
         let s = self.num_objects();
         let mut rules = Vec::new();
-        for (unit, (op, round)) in self.delayed_units().into_iter().enumerate() {
+        for op in 0..self.ops.len() {
             for obj in 0..s {
-                if mask >> (unit * s + obj) & 1 == 1 {
+                if mask >> (op * s + obj) & 1 == 1 {
                     let rule = Rule::slow_all(DELAY)
                         .client(self.client_of(op))
                         .op_seq(self.op_seq_of(op))
                         .object(ObjectId(obj as u32));
-                    rules.push(match round {
-                        Some(r) => rule.round(r),
-                        None => rule,
-                    });
+                    rules.push(rule);
                 }
             }
         }
         rules
     }
 
-    /// What each block of `S` mask bits delays: every op whole, then (when
-    /// commits are split) each write's commit round.
-    fn delayed_units(&self) -> Vec<(usize, Option<u32>)> {
-        let mut units: Vec<_> = (0..self.ops.len()).map(|op| (op, None)).collect();
-        if self.split_commits {
-            let writes = self.ops.iter().enumerate();
-            let writes = writes.filter(|(_, op)| matches!(op, OpSpec::Write { .. }));
-            units.extend(writes.map(|(op, _)| (op, Some(COMMIT_ROUND))));
+    /// The split-commit bits a mask sets, as `(op, object)`: with
+    /// [`Scenario::split_commits`], bit `(ops + k) · S + obj` stretches
+    /// only the commit round of the script's `k`-th write to `obj`, by
+    /// [`DELAY`] extra ticks each way — the one way to leave an object
+    /// pre-written but not committed while the write's other rounds reach
+    /// it on time. The commit is whichever round the write opens with its
+    /// `Commit` request, so a bit follows it: round 3 after a certified tag
+    /// collect, round 4 or later after a decided one.
+    pub fn commits_for_mask(&self, mask: u64) -> Vec<(usize, ObjectId)> {
+        if !self.split_commits {
+            return Vec::new();
         }
-        units
+        let s = self.num_objects();
+        let ops = self.ops.iter().enumerate();
+        let writes = ops.filter(|(_, op)| matches!(op, OpSpec::Write { .. }));
+        let mut commits = Vec::new();
+        for (k, (op, _)) in writes.enumerate() {
+            for obj in 0..s {
+                if mask >> ((self.ops.len() + k) * s + obj) & 1 == 1 {
+                    commits.push((op, ObjectId(obj as u32)));
+                }
+            }
+        }
+        commits
     }
 
-    /// Op `op`'s kind and client automaton, its reads on `path`.
+    /// Blocks of `S` mask bits: one per op, plus one per write when commits
+    /// are split.
+    fn delayed_units(&self) -> usize {
+        let writes = self
+            .ops
+            .iter()
+            .filter(|op| matches!(op, OpSpec::Write { .. }));
+        self.ops.len() + usize::from(self.split_commits) * writes.count()
+    }
+
+    /// Op `op`'s kind and client automaton on `path`; a write reports its
+    /// commit round into `commits`.
     fn automaton(
         &self,
         path: ReadPath,
         op: usize,
+        commits: &CommitRounds,
     ) -> (OpKind, Box<dyn RoundClient<Req, Rep, Out = OpOutput>>) {
         let cfg = self.cluster();
         let group = self.group();
         match self.ops[op] {
-            OpSpec::Write { writer, value, .. } => (
-                OpKind::Write,
-                Box::new(MwWriteClient::in_group(
-                    cfg,
-                    writer,
-                    group,
-                    Value::from_u64(value),
-                )),
-            ),
+            OpSpec::Write { writer, value, .. } => {
+                let value = Value::from_u64(value);
+                let inner: Box<dyn RoundClient<Req, Rep, Out = OpOutput>> = match path {
+                    ReadPath::NewestClaimWrite => Box::new(NewestClaimWrite {
+                        cfg,
+                        writer,
+                        group,
+                        value,
+                        claims: BTreeMap::new(),
+                        write: None,
+                    }),
+                    _ => Box::new(MwWriteClient::in_group(cfg, writer, group, value)),
+                };
+                let marked = MarksCommit {
+                    inner,
+                    op: (self.client_of(op), self.op_seq_of(op)),
+                    round: 1,
+                    commits: Arc::clone(commits),
+                };
+                (OpKind::Write, Box::new(marked))
+            }
             OpSpec::Read { reader, .. } => {
                 let read = |mode| mw_read_in_group_mode(cfg, reader, group, mode);
                 let weak = |commits, newer_test| WeakCertificateRead {
@@ -519,7 +692,7 @@ impl Scenario {
                 };
                 let automaton: Box<dyn RoundClient<Req, Rep, Out = OpOutput>> = match path {
                     ReadPath::Slow => Box::new(read(ReadMode::Slow)),
-                    ReadPath::Fast => Box::new(read(ReadMode::Fast)),
+                    ReadPath::Fast | ReadPath::NewestClaimWrite => Box::new(read(ReadMode::Fast)),
                     ReadPath::UnsoundFast => Box::new(UnsoundFastRead(read(ReadMode::Slow))),
                     ReadPath::ThinCertificate => Box::new(weak(cfg.vouch(), true)),
                     ReadPath::BlindCertificate => Box::new(weak(cfg.quorum(), false)),
@@ -529,31 +702,41 @@ impl Scenario {
         }
     }
 
-    /// Build a sim over `objects` (see [`Cast::objects_for`]) with the given
-    /// controller and every op of the script invoked at its scripted time.
-    pub fn build_sim(
+    /// Build a sim over `objects` (see [`Cast::objects_for`]) under
+    /// `controller`, with every op of the script invoked at its scripted
+    /// time.
+    fn build_sim(
         &self,
         path: ReadPath,
-        controller: Box<dyn Controller>,
+        controller: MaskController,
         objects: Objects,
     ) -> Sim<Req, Rep, OpOutput> {
         assert_eq!(objects.len(), self.num_objects(), "object count");
-        let mut sim = Sim::with_controller(SimConfig::default(), controller);
+        let commits = Arc::clone(&controller.commit_rounds);
+        let mut sim = Sim::with_controller(SimConfig::default(), Box::new(controller));
         for object in objects {
             sim.add_object(object);
         }
         for (i, op) in self.ops.iter().enumerate() {
-            let (kind, automaton) = self.automaton(path, i);
+            let (kind, automaton) = self.automaton(path, i, &commits);
             sim.invoke_at(op.at(), self.client_of(i), kind, automaton);
         }
         sim
     }
 
-    /// The controller a delay mask induces (see [`Scenario::rules_for_mask`]).
-    fn controller_for_mask(&self, mask: u64) -> ScriptedController {
-        self.rules_for_mask(mask)
+    /// The controller a delay mask induces (see [`Scenario::rules_for_mask`]
+    /// and [`Scenario::commits_for_mask`]).
+    fn controller_for_mask(&self, mask: u64) -> MaskController {
+        let rules = self.rules_for_mask(mask).into_iter();
+        let mut controller = MaskController::new(
+            rules.fold(ScriptedController::new(), ScriptedController::with_rule),
+        );
+        controller.commits = self
+            .commits_for_mask(mask)
             .into_iter()
-            .fold(ScriptedController::new(), ScriptedController::with_rule)
+            .map(|(op, obj)| (self.client_of(op), self.op_seq_of(op), obj))
+            .collect();
+        controller
     }
 
     /// Run the script under the schedule a delay mask induces, with `cast`
@@ -579,8 +762,10 @@ impl Scenario {
     /// where its gaps are wide next to thread wake-ups: [`DELAY`]'s 2 ms
     /// are, a script whose ops sit 100 ticks apart may not be.
     pub fn run_mask_threaded(&self, path: ReadPath, mask: u64, cast: &Cast) -> Outcome {
-        let controller = Box::new(self.controller_for_mask(mask));
-        let cluster = &ThreadCluster::spawn(cast.objects_for(self.num_objects()), Some(controller));
+        let controller = self.controller_for_mask(mask);
+        let commits = &Arc::clone(&controller.commit_rounds);
+        let objects = cast.objects_for(self.num_objects());
+        let cluster = &ThreadCluster::spawn(objects, Some(Box::new(controller)));
         let start = Instant::now();
         let mut clients: Vec<ClientId> = (0..self.ops.len()).map(|i| self.client_of(i)).collect();
         clients.sort_unstable();
@@ -588,7 +773,9 @@ impl Scenario {
         let mut completions: Vec<_> = std::thread::scope(|s| {
             let runs: Vec<_> = clients
                 .into_iter()
-                .map(|client| s.spawn(move || self.run_client(path, client, cluster, start)))
+                .map(|client| {
+                    s.spawn(move || self.run_client(path, client, cluster, commits, start))
+                })
                 .collect();
             let runs = runs.into_iter();
             runs.flat_map(|run| run.join().expect("client thread"))
@@ -609,6 +796,7 @@ impl Scenario {
         path: ReadPath,
         client: ClientId,
         cluster: &ThreadCluster<Req, Rep>,
+        commits: &CommitRounds,
         start: Instant,
     ) -> Vec<Completion<OpOutput>> {
         let elapsed_us = || u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -617,7 +805,7 @@ impl Scenario {
         let ops = self.ops.iter().enumerate();
         for (i, op) in ops.filter(|&(i, _)| self.client_of(i) == client) {
             std::thread::sleep(Duration::from_micros(op.at().saturating_sub(elapsed_us())));
-            let (kind, automaton) = self.automaton(path, i);
+            let (kind, automaton) = self.automaton(path, i, commits);
             let invoked_at = elapsed_us();
             let Some((output, rounds)) = endpoint.run_op(cluster, automaton, THREADED_DEADLINE)
             else {
@@ -655,7 +843,7 @@ impl Scenario {
         sched: &mut dyn rastor_sim::Scheduler,
         cast: &Cast,
     ) -> Outcome {
-        let hold_all = ScriptedController::new().with_rule(Rule::hold_all());
+        let hold_all = MaskController::new(ScriptedController::new().with_rule(Rule::hold_all()));
         let objects = cast.objects_for(self.num_objects());
         self.run_judged(path, objects, hold_all, |sim| sim.run_scheduled(sched))
     }
@@ -673,11 +861,11 @@ impl Scenario {
         &self,
         path: ReadPath,
         objects: Objects,
-        controller: ScriptedController,
+        controller: MaskController,
         drive: impl FnOnce(&mut Sim<Req, Rep, OpOutput>) -> Vec<Completion<OpOutput>>,
     ) -> Outcome {
         let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut sim = self.build_sim(path, Box::new(controller), objects);
+            let mut sim = self.build_sim(path, controller, objects);
             let completions = drive(&mut sim);
             (completions, sim.hit_event_cap())
         }));
@@ -746,6 +934,15 @@ impl Scenario {
             .collect()
     }
 
+    /// [`Scenario::run_mask`] with a reference object that never forgets in
+    /// every slot `cast` leaves honest: an honest object that also keeps
+    /// every pair it ever adopted and reports them all, as objects did
+    /// before histories were bounded.
+    pub fn run_mask_never_forgetting(&self, path: ReadPath, mask: u64, cast: &Cast) -> Outcome {
+        let keep_all = cast.objects_with(self.num_objects(), || Box::<NeverForgets>::default());
+        self.run_mask_on(path, mask, keep_all)
+    }
+
     /// Run each of `masks` twice — on the real objects and on objects that
     /// never forget (the protocol before histories were bounded) — and
     /// compare: what the bound costs, schedule by schedule.
@@ -767,15 +964,22 @@ impl Scenario {
         let mut diff = Differential::default();
         for mask in masks {
             let outcome = self.run_mask(path, mask, cast);
-            // The same cast, a `NeverForgets` in every slot it leaves honest.
-            let keep_all = cast.objects_with(self.num_objects(), || Box::<NeverForgets>::default());
-            let (real, reference) = (ops(&outcome), ops(&self.run_mask_on(path, mask, keep_all)));
+            let reference = self.run_mask_never_forgetting(path, mask, cast);
+            let (real, reference) = (ops(&outcome), ops(&reference));
             diff.max_rounds = diff.max_rounds.max(outcome.max_rounds());
-            let same_pairs = real.len() == reference.len()
-                && real.iter().zip(&reference).all(|(a, b)| a.2 == b.2);
+            let same_ops = real.len() == reference.len()
+                && real
+                    .iter()
+                    .zip(&reference)
+                    .all(|(a, b)| a.0 == b.0 && a.1 == b.1);
+            let same_pairs = same_ops && real.iter().zip(&reference).all(|(a, b)| a.2 == b.2);
             if !same_pairs {
                 diff.pairs_differ.push(mask);
-            } else if real != reference {
+            }
+            if !same_ops || real.iter().zip(&reference).any(|(a, b)| a.3 > b.3) {
+                diff.rounds_above.push(mask);
+            }
+            if same_pairs && real != reference {
                 diff.rounds_differ.push(mask);
             }
             if !outcome.is_clean() {
@@ -833,6 +1037,15 @@ impl Scenario {
         ));
         for rule in self.rules_for_mask(minimized) {
             s.push_str(&format!("  rule: {rule:?}\n"));
+        }
+        for (op, obj) in self.commits_for_mask(minimized) {
+            s.push_str(&format!(
+                "  commit: op {op}'s commit round to object {}, +{DELAY} each way\n",
+                obj.0
+            ));
+        }
+        for (i, op) in self.ops.iter().enumerate() {
+            s.push_str(&format!("  op {i}: {op:?}\n"));
         }
         for v in &failure.violations {
             s.push_str(&format!("violation: {v}\n"));
@@ -938,6 +1151,9 @@ pub struct Differential {
     pub pairs_differ: Vec<u64>,
     /// Masks with the same pairs but a different round count for some op.
     pub rounds_differ: Vec<u64>,
+    /// Masks on which some op took more rounds than beside the reference
+    /// (or completed on one side only): what forgetting costs in rounds.
+    pub rounds_above: Vec<u64>,
 }
 
 /// A failing held-message schedule found by [`Scenario::explore`]:
@@ -1239,36 +1455,52 @@ pub fn scenario_t2_mixed() -> Scenario {
     }
 }
 
+/// The tick at which the `*_spanning_read` scenarios invoke their read:
+/// inside the first write.
+pub const SPANNING_READ_AT: u64 = 3;
+
 /// One register written three times — the fewest writes after which an
 /// object forgets a pair — around a read invoked inside the first write:
 /// under the right masks the reader's first replies predate both later
 /// writes while its later ones come from objects that no longer hold the
 /// first pair. `t = 1`, 16-bit universe: swept exhaustively.
 pub fn scenario_three_writes_spanning_read() -> Scenario {
-    spanning_read("three_writes_spanning_read", 1, 1)
+    scenario_three_writes_read_at(SPANNING_READ_AT)
+}
+
+/// [`scenario_three_writes_spanning_read`] with its read invoked at tick
+/// `at` instead: the axis of the forgetting tick grid.
+pub fn scenario_three_writes_read_at(at: u64) -> Scenario {
+    spanning_read("three_writes_spanning_read", 1, 1, at)
 }
 
 /// [`scenario_three_writes_spanning_read`] with a second writer doing the
 /// same (values 10, 20, … alternate between the two), so the reader
 /// collects two registers that both forget. 28 bits: budgeted exploration.
 pub fn scenario_two_writers_spanning_read() -> Scenario {
-    spanning_read("two_writers_spanning_read", 1, 2)
+    spanning_read("two_writers_spanning_read", 1, 2, SPANNING_READ_AT)
 }
 
 /// [`scenario_three_writes_spanning_read`] on seven objects (`t = 2`).
 pub fn scenario_t2_three_writes_spanning_read() -> Scenario {
-    spanning_read("t2_three_writes_spanning_read", 2, 1)
+    spanning_read("t2_three_writes_spanning_read", 2, 1, SPANNING_READ_AT)
 }
 
 /// [`scenario_two_writers_spanning_read`] on seven objects (`t = 2`).
 pub fn scenario_t2_two_writers_spanning_read() -> Scenario {
-    spanning_read("t2_two_writers_spanning_read", 2, 2)
+    spanning_read("t2_two_writers_spanning_read", 2, 2, SPANNING_READ_AT)
 }
 
 /// Every writer writes three times back to back (the sim queues one
-/// client's ops), one reader reads from inside the first writes.
-fn spanning_read(name: &'static str, t: u32, n_writers: u32) -> Scenario {
-    let mut ops = vec![OpSpec::Read { at: 3, reader: 0 }];
+/// client's ops), one reader reads, invoked at tick `read_at`. The writes
+/// are invoked at ticks 0, 1 and 2 and queue behind each other, so with
+/// unit latency a write's rounds cross the even ticks, and a read at an
+/// odd tick starts between two of them.
+pub fn spanning_read(name: &'static str, t: u32, n_writers: u32, read_at: u64) -> Scenario {
+    let mut ops = vec![OpSpec::Read {
+        at: read_at,
+        reader: 0,
+    }];
     for i in 0..3 * n_writers {
         ops.push(OpSpec::Write {
             at: u64::from(i / n_writers),
@@ -1398,7 +1630,7 @@ pub fn run_both_policies(
             .collect();
         let objects: Objects = shared.iter().map(|o| Box::new(o.clone()) as _).collect();
         let controller = scenario.controller_for_mask(mask);
-        let mut sim = scenario.build_sim(path, Box::new(controller), objects);
+        let mut sim = scenario.build_sim(path, controller, objects);
         for i in 0..scenario.ops.len() {
             sim.set_stale_policy(scenario.client_of(i), policy);
         }

@@ -9,10 +9,11 @@ use rastor_check::{
     budget_from_env, cast_equivocate_to_reader_1, cast_one_forger, cast_one_stale,
     cast_t_plus_one_forgers, casts_single_fault, run_both_policies, scenario_policy_parity,
     scenario_t2_mixed, scenario_t2_three_writes_spanning_read,
-    scenario_t2_two_writers_spanning_read, scenario_three_writes_spanning_read,
-    scenario_two_writers_one_reader, scenario_two_writers_spanning_read, scenario_write_then_read,
-    scenario_write_then_two_readers, scenario_write_then_two_reads, write_failure_reports, Cast,
-    RandomScheduler, ReadPath, Scenario,
+    scenario_t2_two_writers_spanning_read, scenario_three_writes_read_at,
+    scenario_three_writes_spanning_read, scenario_two_writers_one_reader,
+    scenario_two_writers_spanning_read, scenario_write_then_read, scenario_write_then_two_readers,
+    scenario_write_then_two_reads, spanning_read, write_failure_reports, Cast, RandomScheduler,
+    ReadPath, Scenario, SPANNING_READ_AT,
 };
 use rastor_core::FaultKind;
 use std::path::PathBuf;
@@ -355,9 +356,43 @@ fn exhaustive_round_split_sweep_catches_the_thin_certificate() {
     .expect("write witness report");
     let body = std::fs::read_to_string(&paths[0]).expect("read witness report");
     assert!(
-        body.contains("round: Some(4)"),
-        "the report names the commit-round rule:\n{body}"
+        body.contains("commit: op 0's commit round to object"),
+        "the report names the delayed commit round:\n{body}"
     );
+}
+
+/// The writer's half of the certificate, weakened: the foil writer
+/// ([`ReadPath::NewestClaimWrite`]) tags after the newest claim among the
+/// first `S − t` repliers, with no commit count, beside sound fast reads.
+/// No sweep that keeps the fault budget catches it — the smallest script
+/// under every single-fault cast, the two-writer and two-read scripts,
+/// and the round-split script under the equivocator that catches the thin
+/// read foil. Dominating every completed write needs only the newest claim
+/// of `S − t` repliers; the count keeps a forged claim from becoming a
+/// tag, which no atomicity check sees. Past the budget, `t + 1` forgers
+/// give the same witness as against the sound writer (84 / `0x5`): the
+/// read is what they fool.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "2^16 masks a cast: --release only")]
+fn exhaustive_sweeps_do_not_catch_the_newest_claim_writer() {
+    let foil = ReadPath::NewestClaimWrite;
+    let casts = casts_single_fault().into_iter();
+    for cast in casts.chain([cast_one_stale(), cast_one_forger()]) {
+        assert_sweep_clean(&scenario_write_then_read(), foil, &cast);
+    }
+    for scenario in [
+        scenario_two_writers_one_reader(),
+        scenario_write_then_two_reads(),
+    ] {
+        for cast in [Cast::honest(), cast_one_stale()] {
+            assert_sweep_clean(&scenario, foil, &cast);
+        }
+    }
+    for cast in [Cast::honest(), cast_equivocate_to_reader_1()] {
+        assert_sweep_clean(&scenario_write_then_two_readers(), foil, &cast);
+    }
+    let failures = scenario_write_then_read().sweep(foil, &cast_t_plus_one_forgers());
+    assert_eq!((failures.len(), failures[0].mask), (84, 0x5));
 }
 
 /// Sweep the round-split universe on the sound fast path under each
@@ -529,75 +564,204 @@ fn exhaustive_forgetting_fires_in_the_spanning_read_scenarios() {
     }
 }
 
-/// One differential sweep of [`scenario_three_writes_spanning_read`]:
-/// every schedule is clean with every op complete, returns what objects
-/// that never forget return, in as many rounds, and the largest round
-/// count of any op is `max_rounds`.
-fn assert_forgetting_is_invisible(
-    path: ReadPath,
-    cast: &Cast,
-    masks: impl Iterator<Item = u64>,
-    max_rounds: u32,
-) {
-    let scenario = scenario_three_writes_spanning_read();
-    let diff = scenario.sweep_beside_never_forgets(path, cast, masks);
+/// The read's invocation ticks the forgetting grid sweeps. The three
+/// writes are invoked at ticks 0, 1 and 2 and queue behind each other, and
+/// a quiet write is 3 rounds of 2 ticks, so undelayed they run 0–6, 6–12
+/// and 12–18: every odd tick up to 17 starts the read inside one of their
+/// rounds.
+const GRID_TICKS: [u64; 9] = [1, 3, 5, 7, 9, 11, 13, 15, 17];
+
+/// What the grid pins for one cast, tick by tick (in [`GRID_TICKS`]
+/// order): the masks on which some op returns a different pair beside
+/// never-forgetting objects, and the first of them, then the largest
+/// round count of any op, on read path `path`. Only one cell tells the
+/// paths apart: beside the silent object no read invoked at tick 17 pays
+/// the write-back on any mask, so on the fast path the largest op there
+/// is a 3-round put.
+///
+/// Every differing mask is clean: another legal pair. On `0x1a` under
+/// `equivocate_reader` the read returns `⊥` where the reference returns 10
+/// at tick 3, and 30 where it returns 10 at tick 5
+/// (`tests/forgetting_tick.rs` replays both). Beside an equivocator or a
+/// stale object a read whose quorum needs a delayed link re-collects one
+/// round per two ticks until it arrives — the same count beside objects
+/// that never forget — so those rows' largest round count falls as the
+/// read starts later.
+fn grid_row(cast: &str, path: ReadPath) -> [(usize, Option<u64>, u32); 9] {
+    let quiet = (0, None, 4);
+    match cast {
+        "honest" => {
+            let mut row = [quiet; 9];
+            row[0] = (24, Some(0x103), 4);
+            row
+        }
+        "silent" if path == ReadPath::Fast => {
+            let mut row = [quiet; 9];
+            row[8] = (0, None, 3);
+            row
+        }
+        "silent" | "crash_after_3" => [quiet; 9],
+        "stale_after_2" => [
+            (90, Some(0x5), 4),
+            quiet,
+            quiet,
+            quiet,
+            quiet,
+            (0, None, 1_006),
+            (0, None, 1_005),
+            (0, None, 1_004),
+            (0, None, 1_003),
+        ],
+        "equivocate_reader" => [
+            (24, Some(0x103), 4),
+            (24, Some(0x1a), 1_008),
+            (24, Some(0x1a), 1_007),
+            (24, Some(0x1a), 1_006),
+            (0, None, 1_005),
+            (0, None, 1_004),
+            (0, None, 1_003),
+            (0, None, 1_002),
+            (0, None, 1_001),
+        ],
+        // The forger's 2^8 sub-universe (see `grid_masks`).
+        "forge_high" => [(0, None, 2_002); 9],
+        other => panic!("no grid row for cast {other}"),
+    }
+}
+
+/// The masks the grid sweeps under `cast`: all 2^16, but the forger's.
+/// Beside a forger no collect can terminate short of hearing all three
+/// honest objects, so an op with a delayed link spins one empty round per
+/// two ticks of [`rastor_check::DELAY`] — 2 002 rounds, with or without
+/// forgetting, and 17 minutes a sweep. It gets the 2^8 masks that delay
+/// only the two later writes (ops 2 and 3, the high eight bits).
+fn grid_masks(scenario: &Scenario, cast: &Cast) -> Vec<u64> {
+    let universe = 0..1u64 << scenario.universe_bits();
+    if cast.faults.first().map(|f| &f.1) == Some(&FaultKind::ForgeHigh) {
+        universe.filter(|mask| mask & 0xff == 0).collect()
+    } else {
+        universe.collect()
+    }
+}
+
+/// One cell of the forgetting grid: [`scenario_three_writes_spanning_read`]
+/// with its read at `tick`, every mask of [`grid_masks`] run beside
+/// never-forgetting objects. Every schedule is clean with every op
+/// complete, no op takes a round more than beside the reference, an op
+/// that returns the same pair takes as many rounds, and the differing
+/// masks and the largest round count are the ones [`grid_row`] pins.
+fn assert_grid_cell(tick: u64, path: ReadPath, cast: &Cast) {
+    let scenario = scenario_three_writes_read_at(tick);
+    let diff = scenario.sweep_beside_never_forgets(path, cast, grid_masks(&scenario, cast));
     if !diff.failures.is_empty() {
         let paths = write_failure_reports(&report_dir(), &scenario, path, cast, &diff.failures)
             .expect("write failure reports");
         panic!(
-            "{} schedules fail under cast {} / {path:?}; minimized repros in {paths:?}",
+            "{} schedules fail at tick {tick} under cast {} / {path:?}; minimized repros in {paths:?}",
             diff.failures.len(),
             cast.name
         );
     }
+    let cell = format!("tick {tick}, {} / {path:?}", cast.name);
     assert_eq!(
-        diff.pairs_differ.first(),
+        diff.rounds_above.first(),
         None,
-        "{} masks return a different pair beside never-forgetting objects ({} / {path:?})",
-        diff.pairs_differ.len(),
-        cast.name
+        "{} masks take more rounds than beside never-forgetting objects ({cell})",
+        diff.rounds_above.len(),
     );
     assert_eq!(
         diff.rounds_differ.first(),
         None,
-        "{} masks take a different number of rounds beside never-forgetting objects \
-         ({} / {path:?}): report them, do not re-pin",
+        "{} masks return the same pairs in a different number of rounds ({cell}): \
+         report them, do not re-pin",
         diff.rounds_differ.len(),
-        cast.name
     );
-    assert_eq!(diff.max_rounds, max_rounds, "{} / {path:?}", cast.name);
+    let column = GRID_TICKS
+        .iter()
+        .position(|&t| t == tick)
+        .expect("a grid tick");
+    let (differ, first, max_rounds) = grid_row(cast.name, path)[column];
+    assert_eq!(
+        (
+            diff.pairs_differ.len(),
+            diff.pairs_differ.first().copied(),
+            diff.max_rounds
+        ),
+        (differ, first, max_rounds),
+        "masks returning a different pair, the first, and the largest round count ({cell})"
+    );
 }
 
-/// Every one of the 2^16 schedules of the three-writes script, all
-/// objects honest, on both read paths: no op needs more than the
-/// contention-free four rounds.
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "2^16 masks, each run twice: --release only"
-)]
-fn exhaustive_three_writes_sweep_matches_never_forgetting_objects() {
-    let universe = 0..1 << scenario_three_writes_spanning_read().universe_bits();
-    for path in [ReadPath::Slow, ReadPath::Fast] {
-        assert_forgetting_is_invisible(path, &Cast::honest(), universe.clone(), 4);
+/// Every tick of the grid under `cast`, on each of `paths`.
+fn assert_grid_row(cast: &Cast, paths: &[ReadPath]) {
+    for tick in GRID_TICKS {
+        for &path in paths {
+            assert_grid_cell(tick, path, cast);
+        }
     }
 }
 
-/// The same under every single-fault cast. The forger is the exception
-/// twice over: beside it no collect can terminate short of hearing all
-/// three honest objects, so an op with a delayed link spins one empty
-/// round per two ticks of [`rastor_check::DELAY`] — 2 002 rounds, with or
-/// without forgetting, and 17 minutes a sweep. It gets the 2^8 masks that
-/// delay only the two later writes (ops 2 and 3, the high eight bits).
+/// Both read paths.
+const BOTH: [ReadPath; 2] = [ReadPath::Slow, ReadPath::Fast];
+
+/// The honest slice of the forgetting grid: 2^16 masks per tick and path,
+/// each run twice. Only a read at tick 1, invoked before the first
+/// write's first round is out, ever returns another pair.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "2^16 masks a cell, each run twice: --release only"
+)]
+fn exhaustive_tick_grid_honest() {
+    assert_grid_row(&Cast::honest(), &BOTH);
+}
+
+/// The `equivocate_reader` slice: the cast under which a read spanning
+/// the writes returns another legal pair at the most ticks. Its spinning
+/// reads make it the slowest row, so each read path is a test of its own
+/// and the two run side by side.
+fn equivocate_reader_grid_row(path: ReadPath) {
+    let mut casts = casts_single_fault().into_iter();
+    let cast = casts.find(|c| c.name == "equivocate_reader");
+    assert_grid_row(&cast.expect("the equivocator's cast"), &[path]);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "2^16 masks a cell, each run twice: --release only"
+)]
+fn exhaustive_tick_grid_equivocate_reader_slow_reads() {
+    equivocate_reader_grid_row(ReadPath::Slow);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "2^16 masks a cell, each run twice: --release only"
+)]
+fn exhaustive_tick_grid_equivocate_reader_fast_reads() {
+    equivocate_reader_grid_row(ReadPath::Fast);
+}
+
+/// The rest of the grid: the silent, crashing, stale and forging casts at
+/// every tick.
+#[test]
+#[ignore = "the full cast grid, ≈ 10 min: run by model-check-extended"]
+fn exhaustive_tick_grid_every_other_single_fault_cast() {
+    let casts = casts_single_fault().into_iter();
+    for cast in casts.filter(|c| c.name != "equivocate_reader") {
+        assert_grid_row(&cast, &BOTH);
+    }
+}
+
+/// Tick 3, the read's default tick, under the single-fault casts whose
+/// rows only the extended lane sweeps whole (the equivocator's row runs
+/// in its own slice above).
 fn sweep_three_writes_under_single_faults(path: ReadPath) {
-    let universe = 0..1u64 << scenario_three_writes_spanning_read().universe_bits();
-    for cast in casts_single_fault() {
-        if cast.faults[0].1 == FaultKind::ForgeHigh {
-            let later_writes_only = universe.clone().filter(|mask| mask & 0xff == 0);
-            assert_forgetting_is_invisible(path, &cast, later_writes_only, 2_002);
-        } else {
-            assert_forgetting_is_invisible(path, &cast, universe.clone(), 4);
-        }
+    let casts = casts_single_fault().into_iter();
+    for cast in casts.filter(|c| c.name != "equivocate_reader") {
+        assert_grid_cell(SPANNING_READ_AT, path, &cast);
     }
 }
 
@@ -622,35 +786,35 @@ fn exhaustive_three_writes_sweep_under_single_faults_fast_reads() {
 /// The larger scripts — two writers each writing three times at `t = 1`,
 /// and both scripts on seven objects — under budgeted exploration (random
 /// held-message schedules, their perturbations, random delay masks) on
-/// both read paths, honest and with the fault budget spent. The run cap is
-/// the budget, so the pinned round count is reproducible: no op needs
-/// more than the contention-free four.
+/// both read paths, honest and with the fault budget spent, with the read
+/// invoked at every tick of the grid. The run cap is the budget, so the
+/// pinned round count is reproducible: no op needs more than the
+/// contention-free four.
 #[test]
 fn exhaustive_forgetting_budgeted_exploration_stays_atomic() {
-    for scenario in &spanning_read_scenarios()[1..] {
-        assert!(scenario.universe_bits() > 24, "{}", scenario.name);
-        let spent = match scenario.t {
+    for base in &spanning_read_scenarios()[1..] {
+        assert!(base.universe_bits() > 24, "{}", base.name);
+        let spent = match base.t {
             1 => Cast::single("crash_after_3", 1, FaultKind::CrashAfter(3)),
             _ => cast_t2_stale_plus_crash(),
         };
-        for cast in [Cast::honest(), spent] {
-            for path in [ReadPath::Slow, ReadPath::Fast] {
-                let stats = scenario.explore(path, &cast, 0xD0BE, Duration::MAX, 400);
-                assert!(
-                    stats.is_clean(),
-                    "{} under cast {} / {path:?}: {:?} {:?}",
-                    scenario.name,
-                    cast.name,
-                    stats.mask_failures,
-                    stats.schedule_failures
-                );
-                assert_eq!(
-                    (stats.runs, stats.max_rounds),
-                    (400, 4),
-                    "{} under cast {} / {path:?}",
-                    scenario.name,
-                    cast.name
-                );
+        for tick in GRID_TICKS {
+            let scenario = spanning_read(base.name, base.t, base.n_writers, tick);
+            for cast in [Cast::honest(), spent.clone()] {
+                for path in [ReadPath::Slow, ReadPath::Fast] {
+                    let stats = scenario.explore(path, &cast, 0xD0BE, Duration::MAX, 400);
+                    let run = format!(
+                        "{} at tick {tick} under cast {} / {path:?}",
+                        base.name, cast.name
+                    );
+                    assert!(
+                        stats.is_clean(),
+                        "{run}: {:?} {:?}",
+                        stats.mask_failures,
+                        stats.schedule_failures
+                    );
+                    assert_eq!((stats.runs, stats.max_rounds), (400, 4), "{run}");
+                }
             }
         }
     }

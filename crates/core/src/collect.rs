@@ -53,12 +53,21 @@
 //! `crate::mwmr`'s pipelining caveat states; ABD's multi-issuer `Store`
 //! path reads `w` only), so `x` was issued after `m` completed and ≥ t+1
 //! correct objects hold `w ≥ m > q` forever: no collect evaluated on
-//! views that fresh can justify `q`, with or without its vouchers. The one
-//! observable difference is a reader still holding views older than `m`'s
-//! completion; its next round replaces them, so forgetting costs it at
-//! most that round. (`rastor_check` runs every schedule of its
-//! three-writes scenarios beside an object that never forgets and compares
-//! returned pairs and round counts.)
+//! views that fresh can justify `q`, with or without its vouchers.
+//!
+//! Forgetting is not invisible, though. A read whose reply set mixes views
+//! from before `m` with views from after it may find `q` vouched beside
+//! objects that keep everything and unvouched beside objects that forget,
+//! and then decide a different pair: one that is still legal for a read
+//! spanning those writes, older or newer. `rastor_check` runs every
+//! schedule of its three-writes script beside an object that never
+//! forgets, with the read invoked at each tick that straddles the writes'
+//! rounds (the *tick grid*), under every single-fault cast: no schedule
+//! violates atomicity and no op takes a round more, but up to 90 of the
+//! 2^16 schedules of a tick return another pair — beside an equivocator
+//! `⊥` or 30 where the reference returns 10, and at tick 1 even with
+//! every object honest (`exhaustive_tick_grid_*`; the replay is
+//! `a_spanning_read_beside_an_equivocator_returns_another_legal_pair`).
 //!
 //! The engine therefore decides in 2 collect rounds in contention-free runs
 //! (`min_rounds` defaults to 2, matching the worst-case round structure of
@@ -86,6 +95,33 @@
 //!   register forbids deciding below `p`, and its own certificate forbids a
 //!   pair below that holder's `w`. So no new/old inversion follows a fast
 //!   return.
+//!
+//! **The writer's half.** `crate::mwmr::MwWriteClient` asks the same
+//! certificate after every reply of its tag collect, over all the writer
+//! registers, and when it holds takes the tag after `p` and starts its
+//! two-phase write: 1 + 2 = 3 rounds when quiet. A writer needs only that
+//! its tag dominate every write that completed before it began:
+//!
+//! * **Dominating.** A completed write left `≥ t + 1` correct objects
+//!   holding its pair (or newer) in `w`, so any `S − t` repliers include
+//!   one of them. That reply claims a pair at least as new, and the
+//!   newer-claim test makes `p` at least every claim. So `p`, and the tag
+//!   after it, is at least every completed write's tag — the same
+//!   argument as *Fresh*, for any register instead of one.
+//! * **Unique.** The certificate says nothing about uniqueness. Two
+//!   writers certified on the same `p` take `p.next_for(w)` for their own
+//!   ids, which differ; one writer's successive writes rest on its
+//!   sequential issuer (the pipelining caveat in `crate::mwmr`).
+//! * **Never minted from a lie.** The `S − t` count keeps a Byzantine
+//!   object's fabricated claim from becoming a tag: it blocks the
+//!   certificate (it is newer than everything committed), and the
+//!   decision that follows never adopts it either
+//!   (`a_byzantine_higher_pre_write_blocks_the_fast_tag_and_mints_none`).
+//!
+//! Dominating needs no count at all, only the newest claim among `S − t`
+//! repliers, so the writer needs less than the reader: `rastor_check`'s
+//! writer foil drops the count and no sound-cast sweep catches it
+//! (`exhaustive_sweeps_do_not_catch_the_newest_claim_writer`).
 //!
 //! Counting within one register is essential: the certificate must
 //! intersect the quorum a future reader collects *on that register*, so

@@ -7,8 +7,13 @@
 //! multiplexed over the same `3t + 1` objects.
 //!
 //! * **mw-write(v)** by writer `i`: regular-read all `N` writer registers
-//!   to learn the highest tag (2 collect rounds), then two-phase-write
-//!   `(max_tag.next(i), v)` into `Writer(i)` (2 rounds) — 4 rounds total.
+//!   to learn the highest tag, then two-phase-write `(max_tag.next(i), v)`
+//!   into `Writer(i)` (2 rounds). The tag collect ends after the first
+//!   reply that completes a fast-path certificate
+//!   ([`CollectEngine::fast_certificate`]), so a quiet write takes
+//!   1 + 2 = **3 rounds**; without one it decides as a regular read does,
+//!   in 2 or more collect rounds, so a contended write, or one beside a
+//!   Byzantine object that claims a newer pair, takes 4 or more.
 //! * **mw-read()** by reader `j`: regular-read all `N + R` registers in
 //!   parallel (2 rounds), two-phase-write the maximum into the reader's
 //!   own register (2 rounds), return it — 4 rounds, unchanged from SWMR.
@@ -21,7 +26,8 @@
 //! Atomicity sketch: writes are totally ordered by tag (distinct writers
 //! never produce equal tags); a write completing before another starts is
 //! dominated because the later writer's collect sees the earlier tag
-//! through its register (regularity); reads inherit the SWMR
+//! through its register (regularity, or the certificate's freshness:
+//! `crate::collect`, "The fast-path certificate"); reads inherit the SWMR
 //! transformation's no-inversion property through the write-back register.
 //!
 //! **Pipelining caveat**: tag uniqueness *within* one writer id relies on
@@ -170,9 +176,13 @@ impl RegGroup {
     }
 }
 
-/// The 4-round multi-writer write automaton: a collect over the group's
-/// writer registers to learn the highest tag, then a [`QuorumWrite`] of the
-/// dominating pair into the writer's own register.
+/// The multi-writer write automaton: a collect over the group's writer
+/// registers to learn the highest tag, then a [`QuorumWrite`] of the
+/// dominating pair into the writer's own register. The collect ends at the
+/// first reply that completes a fast-path certificate, whose pair is the
+/// highest tag (3 rounds when quiet), and otherwise at the engine's
+/// decision (4 rounds or more). There is no option: unlike a read's, the
+/// writer's certificate is sound in every deployment.
 #[derive(Debug)]
 pub struct MwWriteClient {
     cfg: ClusterConfig,
@@ -223,16 +233,21 @@ impl RoundClient<Req, Rep> for MwWriteClient {
         if let Some(write) = &mut self.write {
             return write_step(write, from, reply, OpOutput::Wrote);
         }
-        if let Some(action) = collect_step(&mut self.engine, from, round, reply) {
+        let step = collect_step(&mut self.engine, from, round, reply);
+        let max_tag = if let Some(certified) = self.engine.fast_certificate() {
+            // The certified pair is the newest claim of any replier and at
+            // least every completed write's tag, in whichever round it holds.
+            Tag::from_timestamp(certified.pair.ts)
+        } else if let Some(action) = step {
             return action;
-        }
-        let max_tag = self
-            .engine
-            .decisions()
-            .values()
-            .map(|s| Tag::from_timestamp(s.pair.ts))
-            .max()
-            .unwrap_or_default();
+        } else {
+            self.engine
+                .decisions()
+                .values()
+                .map(|s| Tag::from_timestamp(s.pair.ts))
+                .max()
+                .unwrap_or_default()
+        };
         let tag = max_tag.next_for(self.writer);
         let pair = Stamped::plain(TsVal::new(tag.to_timestamp(), self.value.clone()));
         let write = self
@@ -343,8 +358,9 @@ mod tests {
         );
         let done = sim.run_to_quiescence();
         assert_eq!(done.len(), 3);
-        // Write rounds: 2 collect + 2 write = 4.
-        assert_eq!(done[0].stat.rounds.get(), 4);
+        // Write rounds: 1 certified collect + 2 write = 3.
+        assert_eq!(done[0].stat.rounds.get(), 3);
+        assert_eq!(done[1].stat.rounds.get(), 3);
         // The second write saw the first and dominated it.
         let t0 = Tag::from_timestamp(done[0].output.pair().ts);
         let t1 = Tag::from_timestamp(done[1].output.pair().ts);
@@ -353,6 +369,105 @@ mod tests {
         // The read returns the dominant write.
         assert_eq!(done[2].output.pair().val, Value::from_u64(20));
         assert_eq!(done[2].stat.rounds.get(), 4);
+    }
+
+    /// An honest object that claims a sky-high pre-write in every register
+    /// it reports.
+    struct HighPreWrite(HonestObject);
+
+    impl rastor_sim::ObjectBehavior<Req, Rep> for HighPreWrite {
+        fn on_request(&mut self, _from: ClientId, req: &Req) -> Option<Rep> {
+            let mut rep = self.0.apply(req);
+            if let Rep::Views { views } = &mut rep {
+                let forged = TsVal::new(Timestamp(u64::MAX / 2), Value::from_u64(0xDEAD));
+                for (_, view) in views {
+                    view.pw = Stamped::plain(forged.clone());
+                }
+            }
+            Some(rep)
+        }
+    }
+
+    /// Writer 0's put, with its commit round (round 3 of a certified
+    /// write) held on the way to `held` objects, then writer 1's put at
+    /// tick 100 (no writer 0 when `held` is empty), over four honest
+    /// objects, object 0 a [`HighPreWrite`] when `forger`. Returns writer
+    /// 1's rounds and tag.
+    fn put_beside_a_stalled_put(held: &[u32], forger: bool) -> (u32, Tag) {
+        use rastor_sim::control::Rule;
+        use rastor_sim::{MsgDir, ScriptedController};
+        let cfg = ClusterConfig::byzantine(1).unwrap();
+        let objects = held.iter().map(|&o| ObjectId(o));
+        let stall = Rule::hold(MsgDir::Request)
+            .client(ClientId::writer())
+            .round(3)
+            .objects(objects);
+        let controller = ScriptedController::new().with_rule(stall);
+        let mut sim = Sim::with_controller(SimConfig::default(), Box::new(controller));
+        for o in 0..4 {
+            if forger && o == 0 {
+                sim.add_object(Box::new(HighPreWrite(HonestObject::new())));
+            } else {
+                sim.add_object(Box::new(HonestObject::new()));
+            }
+        }
+        if !held.is_empty() {
+            sim.invoke_at(
+                0,
+                ClientId::writer(),
+                OpKind::Write,
+                Box::new(MwWriteClient::new(cfg, 0, 2, Value::from_u64(10))),
+            );
+        }
+        sim.invoke_at(
+            100,
+            ClientId::reader(9),
+            OpKind::Write,
+            Box::new(MwWriteClient::new(cfg, 1, 2, Value::from_u64(20))),
+        );
+        let done = sim.run_to_quiescence();
+        let put = done
+            .iter()
+            .find(|c| c.client == ClientId::reader(9))
+            .expect("writer 1's put completes");
+        (
+            put.stat.rounds.get(),
+            Tag::from_timestamp(put.output.pair().ts),
+        )
+    }
+
+    /// Another writer's pre-write is everywhere and its commit nowhere: a
+    /// newer claim than anything committed, so no certificate, and the put
+    /// decides its tag in 2 collect rounds — 4 in all — above the
+    /// in-flight one.
+    #[test]
+    fn an_in_flight_pre_write_makes_a_put_fall_back_to_four_rounds() {
+        let (rounds, tag) = put_beside_a_stalled_put(&[0, 1, 2, 3], false);
+        assert_eq!(rounds, 4);
+        assert_eq!(tag, Tag { seq: 2, writer: 1 });
+    }
+
+    /// The other writer's commit reached `S − t − 1 = 2` objects: two
+    /// commit claims certify nothing, so the put falls back to 4 rounds.
+    #[test]
+    fn s_minus_t_minus_one_commits_make_a_put_fall_back_to_four_rounds() {
+        let (rounds, tag) = put_beside_a_stalled_put(&[2, 3], false);
+        assert_eq!(rounds, 4);
+        assert_eq!(tag, Tag { seq: 2, writer: 1 });
+        // One more commit certifies: the same put is 3 rounds.
+        let (rounds, tag) = put_beside_a_stalled_put(&[3], false);
+        assert_eq!(rounds, 3);
+        assert_eq!(tag, Tag { seq: 2, writer: 1 });
+    }
+
+    /// One object claims a sky-high pre-write: the newest claim, committed
+    /// nowhere, so it blocks the certificate, and the put decides its tag
+    /// without it — the first tag, not one above the forgery.
+    #[test]
+    fn a_byzantine_higher_pre_write_blocks_the_fast_tag_and_mints_none() {
+        let (rounds, tag) = put_beside_a_stalled_put(&[], true);
+        assert_eq!(rounds, 4);
+        assert_eq!(tag, Tag { seq: 1, writer: 1 });
     }
 
     /// Concurrent writers produce distinct, totally ordered tags.

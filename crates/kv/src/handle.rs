@@ -77,6 +77,10 @@ struct KvMetrics {
     reads_fast: Arc<CounterVec>,
     /// Per-shard completed cluster gets that paid the 4-round write-back.
     reads_slow: Arc<CounterVec>,
+    /// Per-shard completed puts whose tag collect was certified (3 rounds).
+    puts_fast: Arc<CounterVec>,
+    /// Per-shard completed puts whose tag collect decided (4 or more).
+    puts_slow: Arc<CounterVec>,
     /// Per-minute min/mean/max of op latency over the last hour.
     ops_ring: Arc<TimeRing>,
 }
@@ -155,6 +159,8 @@ impl KvHandle {
             get_latency: r.histogram(names::KV_GET_LATENCY_US),
             reads_fast: r.counter_vec(names::KV_READS_FAST, inner.shards.len()),
             reads_slow: r.counter_vec(names::KV_READS_SLOW, inner.shards.len()),
+            puts_fast: r.counter_vec(names::KV_PUTS_FAST, inner.shards.len()),
+            puts_slow: r.counter_vec(names::KV_PUTS_SLOW, inner.shards.len()),
             ops_ring: r.ring(names::KV_OPS_RING_US, 60, Duration::from_secs(60)),
         });
         KvHandle {
@@ -277,9 +283,20 @@ impl KvHandle {
                     ),
                 }),
                 Some((out, rounds)) => Ok(match p.kind {
-                    OpKind::Write => KvOutput::Put(Tag::from_timestamp(
-                        out.into_wrote().expect("writes return Wrote outputs").ts,
-                    )),
+                    OpKind::Write => {
+                        if let Some(m) = &self.metrics {
+                            // A certified tag collect is 1 round, so a fast
+                            // put is 3; a decided one is 2 or more.
+                            if rounds <= 3 {
+                                m.puts_fast.inc(p.shard);
+                            } else {
+                                m.puts_slow.inc(p.shard);
+                            }
+                        }
+                        KvOutput::Put(Tag::from_timestamp(
+                            out.into_wrote().expect("writes return Wrote outputs").ts,
+                        ))
+                    }
                     OpKind::Read => {
                         self.get_rounds.0 += u64::from(rounds);
                         self.get_rounds.1 += 1;
@@ -355,8 +372,9 @@ impl KvHandle {
         }
     }
 
-    /// Submit a put without waiting for it: a 4-round multi-writer write
-    /// that will resolve through [`KvHandle::poll`] as [`KvOutput::Put`].
+    /// Submit a put without waiting for it: a multi-writer write (3 rounds
+    /// when quiet, 4 or more when contended) that will resolve through
+    /// [`KvHandle::poll`] as [`KvOutput::Put`].
     /// Blocks only while the pipeline is at its depth limit or another
     /// operation on the same key is in flight.
     ///
@@ -564,9 +582,10 @@ impl KvHandle {
             .collect()
     }
 
-    /// Store `value` under `key`: a 4-round multi-writer write (2-round
-    /// tag collect + 2-round pre-write/commit). Returns the multi-writer
-    /// tag the put committed with.
+    /// Store `value` under `key`: a multi-writer write, a tag collect and
+    /// the 2-round pre-write/commit — 3 rounds when the collect's first
+    /// round certifies the newest tag, 4 or more otherwise. Returns the
+    /// multi-writer tag the put committed with.
     ///
     /// # Errors
     ///

@@ -11,9 +11,10 @@
 //! gets from as many OS threads as the caller wants. Every key is backed
 //! by its own multi-writer register group (one writer register per handle
 //! plus one write-back register per handle), multiplexed over its shard's
-//! objects. `put` runs the 4-round multi-writer write (2-round tag
-//! collect, then the 2-round pre-write/commit); `get` runs the 4-round
-//! atomic read
+//! objects. `put` runs the multi-writer write: a tag collect, then the
+//! 2-round pre-write/commit — 3 rounds when the collect's first round
+//! certifies the newest tag, 4 or more when another writer is in flight
+//! or an object claims a newer pair. `get` runs the atomic read
 //! (transformation of the paper's Section 5). Because each key's registers
 //! are independent, per-key linearizability follows directly from the
 //! register construction; cross-shard scaling follows because shards share

@@ -96,6 +96,32 @@ fn fast_read_counters_match_measured_rounds() {
     );
 }
 
+/// One writer putting to keys no one else touches: every put's tag
+/// collect is certified in its first round, so every put is fast (3
+/// rounds) and the per-shard put counters attribute each to its shard.
+#[test]
+fn a_quiet_single_writer_run_has_no_slow_puts() {
+    let registry = Arc::new(Registry::new());
+    let cfg = StoreConfig::new(1, 2, 1).with_metrics(Some(Arc::clone(&registry)));
+    let kv = NetKv::spawn(cfg, None).expect("net kv");
+    let mut h = kv.store.handle(0).expect("handle");
+
+    let mut per_shard = vec![0u64; 2];
+    for round in 0..3u64 {
+        for i in 0..8u64 {
+            let key = format!("key-{i}");
+            h.put(&key, Value::from_u64(round * 8 + i)).expect("put");
+            per_shard[kv.store.shard_of(&key)] += 1;
+        }
+    }
+
+    let fast = registry.counter_vec(names::KV_PUTS_FAST, 2);
+    let slow = registry.counter_vec(names::KV_PUTS_SLOW, 2);
+    assert_eq!(slow.total(), 0, "a quiet writer never decides its tag");
+    assert_eq!(fast.total(), 24, "3 sweeps over 8 keys, every put fast");
+    assert_eq!(fast.cells(), per_shard);
+}
+
 /// With fast reads off every get pays the 4-round write-back path; the
 /// slow counter and the measured rounds reconcile exactly.
 #[test]

@@ -63,6 +63,12 @@ pub mod names {
     pub const KV_READS_FAST: &str = "kv.reads_fast";
     /// Per-shard gets that paid the 4-round fallback (counter/shard).
     pub const KV_READS_SLOW: &str = "kv.reads_slow";
+    /// Per-shard puts whose tag collect ended on a fast-path certificate:
+    /// 3 rounds (counter/shard).
+    pub const KV_PUTS_FAST: &str = "kv.puts_fast";
+    /// Per-shard puts whose tag collect had to decide: 4 rounds or more
+    /// (counter/shard).
+    pub const KV_PUTS_SLOW: &str = "kv.puts_slow";
     /// Per-minute ring of op latencies in µs (min/mean/max per slot).
     pub const KV_OPS_RING_US: &str = "kv.ops_ring_us";
     /// Mutation records appended to write-ahead logs.

@@ -77,6 +77,20 @@ pub const METRICS: &[MetricDef] = &[
         help: "Gets that paid the 4-round fallback (or slow mode), per shard.",
     },
     MetricDef {
+        name: names::KV_PUTS_FAST,
+        kind: "counter/shard",
+        unit: "puts",
+        seam: "kv::KvHandle",
+        help: "Puts whose tag collect ended on a fast-path certificate (3 rounds), per shard.",
+    },
+    MetricDef {
+        name: names::KV_PUTS_SLOW,
+        kind: "counter/shard",
+        unit: "puts",
+        seam: "kv::KvHandle",
+        help: "Puts whose tag collect had to decide (4 rounds or more), per shard.",
+    },
+    MetricDef {
         name: names::KV_OPS_RING_US,
         kind: "ring",
         unit: "microseconds",
@@ -269,6 +283,8 @@ mod tests {
             names::KV_GET_LATENCY_US,
             names::KV_READS_FAST,
             names::KV_READS_SLOW,
+            names::KV_PUTS_FAST,
+            names::KV_PUTS_SLOW,
             names::KV_OPS_RING_US,
             names::STORE_WAL_APPENDS,
             names::STORE_WAL_FSYNCS,

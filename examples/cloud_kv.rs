@@ -1,8 +1,9 @@
 //! The paper's motivating scenario: a cloud key-value store whose backend
-//! objects are outsourced and hence untrusted. Every `put` is a 4-round
-//! multi-writer robust write (2-round tag collect + 2-round pre-write and
-//! commit); every `get` a 4-round atomic read. The store keeps serving —
-//! with unchanged results — after `t` backend objects crash.
+//! objects are outsourced and hence untrusted. Every `put` is a
+//! multi-writer robust write (a tag collect + 2-round pre-write and
+//! commit: 3 rounds when quiet, 4 or more when contended); every `get` an
+//! atomic read. The store keeps serving — with unchanged results — after
+//! `t` backend objects crash.
 //!
 //! Runs over real OS threads (the thread runtime), not the simulator: one
 //! shard, one writing handle, two reading handles. For the sharded,

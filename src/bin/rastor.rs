@@ -510,6 +510,9 @@ fn cmd_status(args: &[String]) -> Result<ExitCode> {
         let fast = count(&format!("{}.{s}", names::KV_READS_FAST));
         let slow = count(&format!("{}.{s}", names::KV_READS_SLOW));
         outln!("  reads: {fast} fast / {slow} slow");
+        let fast = count(&format!("{}.{s}", names::KV_PUTS_FAST));
+        let slow = count(&format!("{}.{s}", names::KV_PUTS_SLOW));
+        outln!("  puts: {fast} fast / {slow} slow");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1054,21 +1057,25 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode> {
     if let Some(r) = run.get_rounds_mean() {
         outln!("  get rounds mean: {r:.2}");
     }
-    // Report this client's per-shard read-path counts to the shard that
-    // earned them, as plain counters (`kv.reads_fast.<s>`): `rastor
-    // status` then shows them next to the server-side object tallies.
-    let fast = registry.counter_vec(names::KV_READS_FAST, cluster.shards.len());
-    let slow = registry.counter_vec(names::KV_READS_SLOW, cluster.shards.len());
+    // Report this client's per-shard read- and put-path counts to the
+    // shard that earned them, as plain counters (`kv.reads_fast.<s>`):
+    // `rastor status` then shows them next to the server-side object
+    // tallies.
+    let paths = [
+        names::KV_READS_FAST,
+        names::KV_READS_SLOW,
+        names::KV_PUTS_FAST,
+        names::KV_PUTS_SLOW,
+    ];
+    let cells = paths.map(|name| registry.counter_vec(name, cluster.shards.len()));
     for (s, addr) in cluster.shards.iter().enumerate() {
-        let counts = vec![
-            (format!("{}.{s}", names::KV_READS_FAST), fast.get(s)),
-            (format!("{}.{s}", names::KV_READS_SLOW), slow.get(s)),
-        ];
-        ControlClient::connect(*addr)?.report(counts)?;
+        let counts = paths.iter().zip(&cells);
+        let counts = counts.map(|(name, cell)| (format!("{name}.{s}"), cell.get(s)));
+        ControlClient::connect(*addr)?.report(counts.collect())?;
+        let [reads_fast, reads_slow, puts_fast, puts_slow] = cells.each_ref().map(|c| c.get(s));
         outln!(
-            "  shard {s}: {} fast / {} slow reads (reported to {addr})",
-            fast.get(s),
-            slow.get(s)
+            "  shard {s}: {reads_fast} fast / {reads_slow} slow reads, \
+             {puts_fast} fast / {puts_slow} slow puts (reported to {addr})"
         );
     }
     Ok(ExitCode::SUCCESS)

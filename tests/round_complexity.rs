@@ -159,3 +159,25 @@ fn t9_fast_path_is_1_round_quiet_4_contended() {
     assert_eq!(row("atomic-unauth"), ("atomic-unauth", 4, 4));
     assert_eq!(row("atomic-fast"), ("atomic-fast", 1, 4));
 }
+
+/// A kv put is a multi-writer write: a tag collect, then the 2-round
+/// pre-write and commit. On a fresh store nobody claims anything, so the
+/// collect is certified after its first round and the put is 3 rounds —
+/// a fast put (`kv.puts_fast` counts puts of at most 3 rounds, and no put
+/// is shorter). The second put of the same key is as quiet.
+#[test]
+fn a_quiet_kv_put_on_a_fresh_store_takes_three_rounds() {
+    use rastor::kv::{ShardedKvStore, StoreConfig};
+    use rastor::obs::{names, Registry};
+    use std::sync::Arc;
+
+    let registry = Arc::new(Registry::new());
+    let cfg = StoreConfig::new(1, 1, 1).with_metrics(Some(Arc::clone(&registry)));
+    let store = ShardedKvStore::spawn(cfg).expect("store");
+    let mut h = store.handle(0).expect("handle");
+    for (i, puts) in [(1, 1), (2, 2)] {
+        h.put("k", Value::from_u64(i)).expect("put");
+        assert_eq!(registry.counter_vec(names::KV_PUTS_FAST, 1).total(), puts);
+        assert_eq!(registry.counter_vec(names::KV_PUTS_SLOW, 1).total(), 0);
+    }
+}
